@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-json bench-compare chaos failover experiments examples fuzz profile vet lint clean
+.PHONY: all test race bench bench-json bench-compare chaos failover experiments examples fuzz profile vet lint loc clean
 
 all: test
 
@@ -13,8 +13,13 @@ all: test
 # `make bench-compare` before committing changes on the packet path — it
 # reruns the pipeline benchmark suite and fails on a >10% geomean
 # regression against the committed BENCH_pipeline.json baseline.
+#
+# bench/ is its own module (the end-to-end benchmark, see BENCHMARK.json), so
+# `go test ./...` here never compiles it; it is vetted and tested last, or
+# an API slip would only show when the benchmark driver fails.
 test: vet lint race
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -112,6 +117,13 @@ lint:
 	else \
 		echo "lint: staticcheck/golangci-lint not installed; go vet only"; \
 	fi
+
+# Non-test Go lines per package (bench/ excluded) and in total: the figure
+# CHANGES.md quotes for simplification PRs.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; total += $$1 } \
+			END { for (d in loc) printf "%7d  %s\n", loc[d], d; printf "%7d  total\n", total }' | sort -k2
 
 clean:
 	$(GO) clean -testcache

@@ -1,8 +1,10 @@
-// Package chaos is the rack's fault-injection torture harness: a seeded
-// scenario runner that drives a mixed Get/Put/Delete workload through a
-// rack while the fabric duplicates, reorders, corrupts and partitions
-// traffic and components crash, restart and reboot — and checks that the
-// NetCache coherence story (§4.3) survives all of it.
+// Package chaos is the fault-injection torture harness: one seeded
+// scenario engine (engine.go) that drives a mixed Get/Put/Delete workload
+// through a deployment while the fabric duplicates, reorders, corrupts and
+// partitions traffic and components crash, restart and reboot — and checks
+// that the NetCache coherence story (§4.3) survives all of it. Run (single
+// rack), RunMultiRack (leaf-spine) and RunFailover (replicated rack) each
+// build a deployment and a scenario table and hand both to the engine.
 //
 // The oracle is per-key and single-writer: every key is owned by exactly
 // one client, values encode (key, version), and versions are issued
@@ -30,49 +32,8 @@ import (
 	"sync"
 
 	"netcache/internal/client"
+	"netcache/internal/rng"
 )
-
-// Config sizes a chaos run. Zero values pick scaled-down defaults suitable
-// for a unit-test budget.
-type Config struct {
-	// Seed drives every random decision in the scenario.
-	Seed uint64
-	// Servers and Clients size the rack. Defaults: 3 and 2.
-	Servers, Clients int
-	// Keys is the working-set size. Default 24.
-	Keys int
-	// OpsPerPhase is the per-client op count in each scenario phase.
-	// Default 30.
-	OpsPerPhase int
-	// ValueSize is the nominal value size in bytes. Default 24.
-	ValueSize int
-	// CacheCapacity caps the switch cache. Default 8.
-	CacheCapacity int
-	// StorageEngine selects the servers' storage engine ("chained" or
-	// "cuckoo"); empty means chained.
-	StorageEngine string
-}
-
-func (c *Config) fill() {
-	if c.Servers <= 0 {
-		c.Servers = 3
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Keys <= 0 {
-		c.Keys = 24
-	}
-	if c.OpsPerPhase <= 0 {
-		c.OpsPerPhase = 30
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 24
-	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 8
-	}
-}
 
 // Report is the outcome of a chaos run.
 type Report struct {
@@ -85,6 +46,9 @@ type Report struct {
 	Violations []string
 
 	Ops, Timeouts uint64
+	// FaultFreeTimeouts counts the timeouts among ops issued by phases the
+	// scenario declares fault-free; a healthy deployment has none.
+	FaultFreeTimeouts uint64
 	// Fault-fabric activity, proving the scenario exercised the fabric.
 	Duplicated, Reordered, CorruptInjected, PartitionDropped, LossDropped, DownDropped uint64
 	// Delivery accounting, inputs to the end-of-run conservation laws.
@@ -96,26 +60,26 @@ type Report struct {
 // Failed reports whether any invariant was violated.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
-// splitmix64: the scenario's own PRNG, independent of math/rand so the
-// timeline is stable across Go versions.
-type rng struct{ state uint64 }
+// prng is a scenario's seeded decision stream: the state of an rng.Next
+// sequence, independent of math/rand so timelines are stable across Go
+// versions.
+type prng uint64
 
-func newRng(seed uint64) *rng { return &rng{state: seed} }
+func (r *prng) next() uint64 { return rng.Next((*uint64)(r)) }
 
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // rate draws a fault probability in [lo, hi).
-func (r *rng) rate(lo, hi float64) float64 { return lo + (hi-lo)*r.float() }
+func (r *prng) rate(lo, hi float64) float64 {
+	return lo + (hi-lo)*(float64(r.next()>>11)/(1<<53))
+}
+
+// def fills a zero-or-negative size with its default.
+func def(v *int, d int) {
+	if *v <= 0 {
+		*v = d
+	}
+}
 
 // opKind records what a given oracle version was.
 type opKind uint8

@@ -3,7 +3,9 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netcache/internal/client"
@@ -23,6 +25,30 @@ func seeds() []uint64 {
 	return defaultSeeds
 }
 
+// mustPass fails the test on a run error or any invariant violation,
+// printing the violations, the timeline and how to replay the seed.
+func mustPass(t *testing.T, seed uint64, rep *Report, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("chaos run error (rerun with -chaos.seed=%d): %v", seed, err)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("invariant violated: %s", v)
+	}
+	if rep.Failed() {
+		t.Logf("timeline (rerun with -chaos.seed=%d):", seed)
+		for _, e := range rep.Events {
+			t.Logf("  %s", e)
+		}
+		t.Fatalf("%d invariant violations at seed %d — rerun with -chaos.seed=%d",
+			len(rep.Violations), seed, seed)
+	}
+	if rep.Ops == 0 || rep.Ops == rep.Timeouts {
+		t.Errorf("seed %d: workload did not run meaningfully: ops=%d timeouts=%d",
+			seed, rep.Ops, rep.Timeouts)
+	}
+}
+
 // TestChaos is the invariant-checked chaos suite: for every seed the rack
 // endures duplication, reordering, corruption, partitions, a server crash
 // and restart, a switch reboot and a controller restart — while freshness,
@@ -32,20 +58,7 @@ func TestChaos(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rep, err := Run(Config{Seed: seed})
-			if err != nil {
-				t.Fatalf("chaos run error (rerun with -chaos.seed=%d): %v", seed, err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("invariant violated: %s", v)
-			}
-			if rep.Failed() {
-				t.Logf("timeline (rerun with -chaos.seed=%d):", seed)
-				for _, e := range rep.Events {
-					t.Logf("  %s", e)
-				}
-				t.Fatalf("%d invariant violations at seed %d — rerun with -chaos.seed=%d",
-					len(rep.Violations), seed, seed)
-			}
+			mustPass(t, seed, rep, err)
 			// The scenario must actually have bitten.
 			if rep.ServerCrashes == 0 || rep.SwitchReboots == 0 || rep.ControllerRestarts == 0 {
 				t.Errorf("seed %d: lifecycle coverage: crashes=%d reboots=%d ctl-restarts=%d",
@@ -55,39 +68,146 @@ func TestChaos(t *testing.T) {
 				t.Errorf("seed %d: fault coverage: dup=%d reorder=%d corrupt=%d partition=%d",
 					seed, rep.Duplicated, rep.Reordered, rep.CorruptInjected, rep.PartitionDropped)
 			}
-			if rep.Ops == 0 || rep.Ops == rep.Timeouts {
-				t.Errorf("seed %d: workload did not run meaningfully: ops=%d timeouts=%d",
-					seed, rep.Ops, rep.Timeouts)
-			}
 		})
 	}
+}
+
+// scenarios is the three scenario tables behind one signature, for the
+// checks that hold for every table.
+var scenarios = []struct {
+	name  string
+	build func(seed uint64) (scenario, error)
+	run   func(seed uint64) (*Report, error)
+}{
+	{"rack",
+		func(seed uint64) (scenario, error) { _, sc, err := buildRack(Config{Seed: seed}); return sc, err },
+		func(seed uint64) (*Report, error) { return Run(Config{Seed: seed}) }},
+	{"multirack",
+		func(seed uint64) (scenario, error) {
+			_, sc, err := buildMultiRack(MultiRackConfig{Seed: seed})
+			return sc, err
+		},
+		func(seed uint64) (*Report, error) { return RunMultiRack(MultiRackConfig{Seed: seed}) }},
+	{"failover",
+		func(seed uint64) (scenario, error) {
+			_, sc, _, err := buildFailover(FailoverConfig{Seed: seed})
+			return sc, err
+		},
+		func(seed uint64) (*Report, error) {
+			rep, err := RunFailover(FailoverConfig{Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return &rep.Report, nil
+		}},
+}
+
+// plan flattens a scenario table to its comparable data: the seed's
+// choices, each phase's faults and settings, every step label.
+func plan(t *testing.T, build func(uint64) (scenario, error), seed uint64) []string {
+	t.Helper()
+	sc, err := build(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []string{sc.header}
+	for _, ph := range sc.phases {
+		out = append(out, fmt.Sprintf("%q salt=%#x faultFree=%v readOnly=%v install=%+v",
+			ph.name, ph.salt, ph.faultFree, ph.readOnly, ph.install))
+		for _, s := range ph.mid {
+			out = append(out, "mid: "+s.label)
+		}
+		for _, s := range ph.after {
+			out = append(out, "after: "+s.label)
+		}
+	}
+	return out
 }
 
 // The scenario — fault rates, targets, lifecycle order — is a pure function
 // of the seed, and so is the run's event timeline.
 func TestScenarioDeterministicPerSeed(t *testing.T) {
-	cfg := Config{Seed: 42}
-	cfg.fill()
-	a, b := buildScenario(cfg), buildScenario(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("buildScenario is not deterministic for a fixed seed")
+	for _, s := range scenarios {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			a := plan(t, s.build, 42)
+			if !reflect.DeepEqual(a, plan(t, s.build, 42)) {
+				t.Fatal("the scenario table is not deterministic for a fixed seed")
+			}
+			if reflect.DeepEqual(a, plan(t, s.build, 43)) {
+				t.Fatal("different seeds produced identical scenarios")
+			}
+			repA, err := s.run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repB, err := s.run(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(repA.Events, repB.Events) {
+				t.Errorf("event timelines diverge for the same seed:\nA: %v\nB: %v", repA.Events, repB.Events)
+			}
+		})
 	}
-	cfg2 := Config{Seed: 43}
-	cfg2.fill()
-	if reflect.DeepEqual(a, buildScenario(cfg2)) {
-		t.Fatal("different seeds produced identical scenarios")
-	}
+}
 
-	repA, err := Run(Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+// The timeline of a fixed seed equals the one the three pre-engine runners
+// produced (testdata/*.golden, captured at the commit before the engine
+// replaced them). No line is timing-dependent, so none is excluded: the
+// failover detection window is exactly HeartbeatMisses ticks on the
+// in-process fabric.
+func TestGoldenTimeline(t *testing.T) {
+	for _, s := range scenarios {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + s.name + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.run(20260806)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(rep.Events, "\n") + "\n"; got != string(want) {
+				t.Errorf("timeline differs from golden:\n--- got\n%s--- want\n%s", got, want)
+			}
+		})
 	}
-	repB, err := Run(Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repA.Events, repB.Events) {
-		t.Errorf("event timelines diverge for the same seed:\nA: %v\nB: %v", repA.Events, repB.Events)
+}
+
+// Each conservation law trips on its own violation — exactly one message —
+// and a consistent counter set passes; deleting any single law from
+// conservation fails this test.
+func TestConservationLaws(t *testing.T) {
+	okClient := clientCounts{sent: 14, retransmit: 3, hedges: 1, timeouts: 2, issued: 10}
+	okNode := nodeCounts{tx: 100, arrived: 98, duplicated: 5, dropped: 7}
+	// A clean client and node lead every set but the empty one, proving a
+	// violation is pinned to its own index, not smeared across the set.
+	for _, tc := range []struct {
+		name    string
+		clients []clientCounts
+		nodes   []nodeCounts
+		want    string // substring of the single violation; "" = none
+	}{
+		{"consistent", []clientCounts{okClient, okClient}, []nodeCounts{okNode, okNode}, ""},
+		{"first attempts != issued", []clientCounts{okClient, {sent: 15, retransmit: 3, hedges: 1, timeouts: 2, issued: 10}},
+			[]nodeCounts{okNode}, "client 1: first attempts"},
+		{"timeouts > issued", []clientCounts{okClient, {sent: 14, retransmit: 3, hedges: 1, timeouts: 11, issued: 10}},
+			[]nodeCounts{okNode}, "client 1: more timeouts"},
+		{"nothing issued", []clientCounts{{}}, []nodeCounts{okNode}, "no ops issued"},
+		{"arrived > tx + duplicated", []clientCounts{okClient},
+			[]nodeCounts{okNode, {tx: 100, arrived: 106, duplicated: 5, dropped: 7}}, "node 1: frames appeared"},
+		{"arrived + dropped < tx", []clientCounts{okClient},
+			[]nodeCounts{okNode, {tx: 100, arrived: 92, duplicated: 5, dropped: 7}}, "node 1: emitted frames vanished"},
+	} {
+		got := conservation(tc.clients, tc.nodes)
+		switch {
+		case tc.want == "" && len(got) != 0:
+			t.Errorf("%s: unexpected violations %q", tc.name, got)
+		case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)):
+			t.Errorf("%s: got %q, want exactly one violation containing %q", tc.name, got, tc.want)
+		}
 	}
 }
 

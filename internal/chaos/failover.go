@@ -3,14 +3,12 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/netproto"
 	"netcache/internal/rack"
 	"netcache/internal/simnet"
-	"netcache/internal/workload"
 )
 
 // FailoverConfig sizes a replicated-tier chaos run. Zero values pick
@@ -39,39 +37,23 @@ type FailoverConfig struct {
 }
 
 func (c *FailoverConfig) fill() {
-	if c.Servers <= 0 {
-		c.Servers = 4
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Keys <= 0 {
-		c.Keys = 24
-	}
-	if c.OpsPerPhase <= 0 {
-		c.OpsPerPhase = 30
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 24
-	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 8
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 3
-	}
+	def(&c.Servers, 4)
+	def(&c.Clients, 2)
+	def(&c.Keys, 24)
+	def(&c.OpsPerPhase, 30)
+	def(&c.ValueSize, 24)
+	def(&c.CacheCapacity, 8)
+	def(&c.HeartbeatMisses, 3)
 }
 
-// FailoverReport is the outcome of a replicated-tier chaos run.
+// FailoverReport is the outcome of a replicated-tier chaos run: the engine's
+// Report plus what only this scenario measures.
 type FailoverReport struct {
-	Seed       uint64
-	Events     []string
-	Violations []string
-
-	Ops, Timeouts uint64
-	// PostFailoverTimeouts counts timeouts in fault-free phases after a
-	// completed failover — any is a violation (the tier claims availability
-	// without the crashed node).
+	Report
+	// PostFailoverTimeouts is Report.FaultFreeTimeouts under the name the
+	// failover experiment reports: timeouts in the fault-free phases after
+	// a completed failover — any is a violation (the tier claims
+	// availability without the crashed node).
 	PostFailoverTimeouts uint64
 	// HotReads is the number of reads of the pre-cached hot key that
 	// succeeded while its primary was dead; every one of them must, since
@@ -97,253 +79,181 @@ type FailoverReport struct {
 	ReplicateGiveUps uint64
 }
 
-// Failed reports whether any invariant was violated.
-func (r *FailoverReport) Failed() bool { return len(r.Violations) > 0 }
-
-// frunner is the live state of one failover chaos run.
-type frunner struct {
-	cfg     FailoverConfig
-	rack    *rack.Rack
-	oracles []*keyOracle
-	keys    []netproto.Key
-
-	crashTarget int // server index whose partition takes the permanent hit
-	hotKid      int // pre-cached, read-only key homed at crashTarget
-
-	mu     sync.Mutex
-	report *FailoverReport
-}
-
-func (rn *frunner) violate(format string, args ...any) {
-	rn.mu.Lock()
-	rn.report.Violations = append(rn.report.Violations, fmt.Sprintf(format, args...))
-	rn.mu.Unlock()
-}
-
-func (rn *frunner) event(format string, args ...any) {
-	rn.report.Events = append(rn.report.Events, fmt.Sprintf(format, args...))
-}
-
-func (rn *frunner) countOp(err error, postFailover bool) {
-	rn.mu.Lock()
-	rn.report.Ops++
-	if errors.Is(err, client.ErrTimeout) {
-		rn.report.Timeouts++
-		if postFailover {
-			rn.report.PostFailoverTimeouts++
-		}
-	}
-	rn.mu.Unlock()
-}
-
-func (rn *frunner) get(cli *client.Client, kid int, postFailover bool) error {
-	o := rn.oracles[kid]
-	floor := o.floor()
-	val, err := cli.Get(rn.keys[kid])
-	rn.countOp(err, postFailover)
-	if msg := o.checkRead(kid, floor, val, err, rn.cfg.ValueSize); msg != "" {
-		rn.violate("%s", msg)
-	}
-	return err
-}
-
-func (rn *frunner) put(cli *client.Client, kid int, postFailover bool) {
-	o := rn.oracles[kid]
-	ver := o.issue(opPut)
-	err := cli.Put(rn.keys[kid], encodeValue(kid, ver, rn.cfg.ValueSize))
-	rn.countOp(err, postFailover)
-	if err == nil {
-		o.ack(ver)
-	}
-}
-
-func (rn *frunner) del(cli *client.Client, kid int, postFailover bool) {
-	o := rn.oracles[kid]
-	ver := o.issue(opDelete)
-	err := cli.Delete(rn.keys[kid])
-	rn.countOp(err, postFailover)
-	if err == nil {
-		o.ack(ver)
-	}
-}
-
-func (rn *frunner) homeIndex(kid int) int {
-	return int(rn.rack.Partition(rn.keys[kid])) - 1
-}
-
 // RunFailover executes one seeded failover chaos scenario against a
-// replicated rack and reports what happened:
-//
-//  1. Replicated steady state under light loss (replicate-before-ack under
-//     retries), then the seed-chosen primary crashes — permanently.
-//  2. Detection window: the pre-cached hot key keeps serving from the
-//     switch on every probe, healthy partitions keep answering, cold keys
-//     of the dead partition time out, until the heartbeat detector flips
-//     the partition to the backup.
-//  3. Fault-free post-failover workload and a full durability check: every
-//     acked write is readable from the promoted backup — the permanent
-//     single-server failure lost nothing, with no restart.
-//  4. The crashed node restarts, rejoins as backup, catches up via the
-//     versioned resync; then the promoted node crashes — also permanently.
-//     The partition fails back to the rejoined node and a final converge
-//     proves the catch-up preserved every acked write too.
+// replicated rack and reports what happened. The lifecycle is the table in
+// failover.scenario: replicated steady state under loss, a permanent primary
+// crash and its detection window, fault-free service from the promoted
+// backup, rejoin and resync, then the promoted node dies too and the
+// partition fails back — with a full durability check after each failure.
 func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
-	cfg.fill()
-	if cfg.Servers < 3 {
-		return nil, fmt.Errorf("chaos failover: need >= 3 servers, got %d", cfg.Servers)
-	}
-	r, err := rack.New(rack.Config{
-		Servers:         cfg.Servers,
-		Clients:         cfg.Clients,
-		CacheCapacity:   cfg.CacheCapacity,
-		StorageEngine:   cfg.StorageEngine,
-		Replicate:       true,
-		HeartbeatMisses: cfg.HeartbeatMisses,
-		ClientTimeout:   2 * time.Millisecond,
-		ClientRetries:   2,
-		ClientPolicy:    client.Policy{Seed: cfg.Seed},
-	})
+	rn, sc, rep, err := buildFailover(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r.Net.Reseed(cfg.Seed)
+	err = rn.run(sc)
+	rep.PostFailoverTimeouts = rep.FaultFreeTimeouts
+	return rep, err
+}
 
-	rn := &frunner{
-		cfg:    cfg,
-		rack:   r,
-		report: &FailoverReport{Seed: cfg.Seed},
+// buildFailover assembles the replicated rack, the engine over it and the
+// scenario table.
+func buildFailover(cfg FailoverConfig) (*runner, scenario, *FailoverReport, error) {
+	cfg.fill()
+	if cfg.Servers < 3 {
+		return nil, scenario{}, nil, fmt.Errorf("chaos failover: need >= 3 servers, got %d", cfg.Servers)
 	}
-	rn.keys = make([]netproto.Key, cfg.Keys)
-	rn.oracles = make([]*keyOracle, cfg.Keys)
-	for i := range rn.keys {
-		rn.keys[i] = workload.KeyName(i)
-		rn.oracles[i] = newOracle()
+	rep := &FailoverReport{Report: Report{Seed: cfg.Seed}}
+	r, rn, err := newRackRunner(Config{Seed: cfg.Seed, Servers: cfg.Servers, Clients: cfg.Clients,
+		Keys: cfg.Keys, OpsPerPhase: cfg.OpsPerPhase, ValueSize: cfg.ValueSize,
+		CacheCapacity: cfg.CacheCapacity, StorageEngine: cfg.StorageEngine}, cfg.HeartbeatMisses, &rep.Report)
+	if err != nil {
+		return nil, scenario{}, nil, err
 	}
+	f := &failover{cfg: cfg, rack: r, rn: rn, report: rep}
+	return rn, f.scenario(), rep, nil
+}
 
+// failover is what the failover table's steps share.
+type failover struct {
+	cfg    FailoverConfig
+	rack   *rack.Rack
+	rn     *runner
+	report *FailoverReport
+	hotKid int // pre-cached, read-only key homed at the crash target
+}
+
+func (f *failover) homeIndex(kid int) int {
+	return int(f.rack.Partition(f.rn.keys[kid])) - 1
+}
+
+// scenario derives the failover lifecycle from the seed. The crashes are
+// permanent, and the durability checks must hold as the failure left
+// things: the table never calls settle, so nothing restarts the dead and no
+// controller cycle runs between a workload and its converge.
+func (f *failover) scenario() scenario {
+	cfg, r, rn := f.cfg, f.rack, f.rn
 	// The hot key is seed-chosen; its home partition is the crash target,
 	// so the run always exercises "hot keys keep serving through failover".
-	rng := newRng(cfg.Seed)
-	rn.hotKid = rng.intn(cfg.Keys)
-	rn.crashTarget = rn.homeIndex(rn.hotKid)
-	promoted := (rn.crashTarget + 1) % cfg.Servers
-	rn.event("scenario: crash-target=s%d promoted=s%d hot-key=%d",
-		rn.crashTarget, promoted, rn.hotKid)
+	g := prng(cfg.Seed)
+	f.hotKid = g.intn(cfg.Keys)
+	crashTarget := f.homeIndex(f.hotKid)
+	promoted := (crashTarget + 1) % cfg.Servers
+	home := rack.ServerAddr(crashTarget)
 
-	// Warmup: acked baseline write for every key, then pre-cache a slice
-	// including the hot key. The hot key is never written again, so its
-	// cache entry stays valid for the whole run.
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cli := r.Client(c)
-			for kid := c; kid < cfg.Keys; kid += cfg.Clients {
-				rn.put(cli, kid, false)
+	// The hot key is never written after warmup, so its cache entry stays
+	// valid for the whole run; once the promoted node is dead too, neither
+	// are the keys homed at it.
+	hotOnly := map[int]bool{f.hotKid: true}
+	noPromoted := map[int]bool{f.hotKid: true}
+	for kid := 0; kid < cfg.Keys; kid++ {
+		if f.homeIndex(kid) == promoted {
+			noPromoted[kid] = true
+		}
+	}
+
+	sc := scenario{
+		header: fmt.Sprintf("scenario: crash-target=s%d promoted=s%d hot-key=%d", crashTarget, promoted, f.hotKid),
+		precache: func() error {
+			if err := r.Controller.InsertKey(rn.keys[f.hotKid]); err != nil {
+				return fmt.Errorf("chaos failover: pre-cache hot key: %w", err)
 			}
-		}(c)
+			for kid := 0; kid < cfg.Keys && r.Controller.Len() < cfg.CacheCapacity/2; kid += 5 {
+				if kid == f.hotKid {
+					continue
+				}
+				if err := r.Controller.InsertKey(rn.keys[kid]); err != nil {
+					return fmt.Errorf("chaos failover: pre-cache key %d: %w", kid, err)
+				}
+			}
+			rn.event("warmup: %d keys written, %d pre-cached", cfg.Keys, r.Controller.Len())
+			return nil
+		},
 	}
-	wg.Wait()
-	if err := r.Controller.InsertKey(rn.keys[rn.hotKid]); err != nil {
-		return nil, fmt.Errorf("chaos failover: pre-cache hot key: %w", err)
-	}
-	for kid := 0; kid < cfg.Keys && r.Controller.Len() < cfg.CacheCapacity/2; kid += 5 {
-		if kid == rn.hotKid {
-			continue
-		}
-		if err := r.Controller.InsertKey(rn.keys[kid]); err != nil {
-			return nil, fmt.Errorf("chaos failover: pre-cache key %d: %w", kid, err)
-		}
-	}
-	rn.event("warmup: %d keys written, %d pre-cached", cfg.Keys, r.Controller.Len())
-
-	// Phase 1: replicated steady state under light loss — the replicate
-	// exchange and the cache-update path both ride their retry machinery.
-	r.Net.SetFault(promoted, simnet.FromSwitch,
-		simnet.FaultRule{Loss: rng.rate(0.05, 0.15)})
-	rn.runWorkload(cfg.Seed^0xA5A5A5A5A5A5A5A5, nil, false)
-	r.Net.ClearFaults()
-	r.Net.Flush()
-	rn.event("phase 1: replicated workload under loss done")
-
-	// Phase 2: the primary dies, permanently. Probe until the detector
-	// flips the partition: hot key must serve on every probe, healthy
-	// partitions must keep answering, the dead partition's cold keys must
-	// visibly time out.
-	r.CrashServer(rn.crashTarget)
-	rn.event("phase 2: crash server %d (no restart)", rn.crashTarget)
-	lat, ticks := rn.awaitFailover(rn.crashTarget, rack.ServerAddr(rn.crashTarget), true)
-	rn.report.FailoverLatency, rn.report.DetectTicks = lat, ticks
-	rn.event("phase 2: partition failed over after %d ticks", ticks)
-
-	// Phase 3: fault-free workload against the failed-over rack — the
-	// availability oracle. Writes everywhere (the dead node's partition is
-	// served by the promoted backup; partitions that lost their backup
-	// have been detached and write through unreplicated).
-	rn.runWorkload(cfg.Seed^0x5A5A5A5A5A5A5A5A, nil, true)
-	rn.convergeCheck("post-failover")
-	rn.event("phase 3: post-failover workload and durability check done")
-
-	// Phase 4: the crashed node returns with its (stale) store, rejoins as
-	// backup and catches up through the versioned resync.
-	r.RestartServer(rn.crashTarget, false)
-	rn.event("phase 4: restart server %d", rn.crashTarget)
-	if !rn.awaitReadyBackup(rack.ServerAddr(rn.crashTarget)) {
-		rn.violate("rejoined server %d never became a ready backup", rn.crashTarget)
-	}
-	rn.runWorkload(cfg.Seed^0x3C3C3C3C3C3C3C3C, nil, true)
-	rn.event("phase 4: rejoined, resynced, workload done")
-
-	// Phase 5: the promoted node dies too — also permanently. The
-	// partition must fail back to the caught-up original with every acked
-	// write (including the outage-era ones it missed) intact.
-	r.CrashServer(promoted)
-	rn.event("phase 5: crash promoted server %d (no restart)", promoted)
-	lat, _ = rn.awaitFailover(promoted, rack.ServerAddr(rn.crashTarget), false)
-	rn.report.FailbackLatency = lat
-	primary, _, _, _ := r.Controller.ReplicaState(rack.ServerAddr(rn.crashTarget))
-	if primary != rack.ServerAddr(rn.crashTarget) {
-		rn.violate("partition did not fail back to rejoined server %d (primary=%v)",
-			rn.crashTarget, primary)
-	}
-	rn.runWorkload(cfg.Seed^0x6969696969696969, map[int]bool{promoted: true}, true)
-	rn.convergeCheck("post-failback")
-	rn.event("phase 5: failed back, final durability check done")
-
-	m := &r.Controller.Metrics
-	rn.report.Failovers = m.Failovers.Value()
-	rn.report.Deaths = m.Deaths.Value()
-	rn.report.Rejoins = m.Rejoins.Value()
-	rn.report.ResyncCopied = m.ResyncCopied.Value()
-	for _, srv := range r.Servers {
-		rn.report.ReplicateGiveUps += srv.Metrics.ReplicateGiveUps.Value()
-	}
-	return rn.report, nil
+	sc.phases = []phase{{
+		// Replicated steady state under light loss — the replicate exchange
+		// and the cache-update path both ride their retry machinery. Then
+		// the primary dies, permanently, and the detection window is probed
+		// until the partition flips.
+		salt:     0xA5A5A5A5A5A5A5A5,
+		readOnly: hotOnly,
+		install:  []fault{{port: promoted, dir: simnet.FromSwitch, rule: simnet.FaultRule{Loss: g.rate(0.05, 0.15)}}},
+		after: []step{
+			{label: "phase 1: replicated workload under loss done"},
+			{fmt.Sprintf("phase 2: crash server %d (no restart)", crashTarget), act(func() { r.CrashServer(crashTarget) })},
+			{do: act(func() {
+				f.report.FailoverLatency, f.report.DetectTicks = f.awaitFailover(crashTarget, home, true)
+				rn.event("phase 2: partition failed over after %d ticks", f.report.DetectTicks)
+			})},
+		},
+	}, {
+		// Fault-free workload against the failed-over rack — the
+		// availability oracle. Writes everywhere (the dead node's partition
+		// is served by the promoted backup; partitions that lost their
+		// backup have been detached and write through unreplicated). Then
+		// the crashed node returns with its (stale) store, rejoins as backup
+		// and catches up through the versioned resync.
+		salt: 0x5A5A5A5A5A5A5A5A, readOnly: hotOnly, faultFree: true,
+		after: []step{
+			{"phase 3: post-failover workload and durability check done", act(rn.converge)},
+			{fmt.Sprintf("phase 4: restart server %d", crashTarget), act(func() { r.RestartServer(crashTarget, false) })},
+			{do: act(func() { f.awaitReadyBackup(home) })},
+		},
+	}, {
+		// With the rejoined backup caught up, the promoted node dies too —
+		// also permanently. The partition must fail back to the original
+		// with every acked write (including the outage-era ones it missed)
+		// intact.
+		salt: 0x3C3C3C3C3C3C3C3C, readOnly: hotOnly, faultFree: true,
+		after: []step{
+			{label: "phase 4: rejoined, resynced, workload done"},
+			{fmt.Sprintf("phase 5: crash promoted server %d (no restart)", promoted), act(func() { r.CrashServer(promoted) })},
+			{do: act(func() {
+				f.report.FailbackLatency, _ = f.awaitFailover(promoted, home, false)
+				if primary, _, _, _ := r.Controller.ReplicaState(home); primary != home {
+					rn.violate("partition did not fail back to rejoined server %d (primary=%v)", crashTarget, primary)
+				}
+			})},
+		},
+	}, {
+		salt: 0x6969696969696969, readOnly: noPromoted, faultFree: true,
+		after: []step{
+			{"phase 5: failed back, final durability check done", act(rn.converge)},
+			{do: act(func() {
+				m := &r.Controller.Metrics
+				f.report.Failovers = m.Failovers.Value()
+				f.report.Deaths = m.Deaths.Value()
+				f.report.Rejoins = m.Rejoins.Value()
+				f.report.ResyncCopied = m.ResyncCopied.Value()
+				for _, srv := range r.Servers {
+					f.report.ReplicateGiveUps += srv.Metrics.ReplicateGiveUps.Value()
+				}
+			})},
+		},
+	}}
+	return sc
 }
 
 // awaitFailover ticks the controller until the partition homed at home is
 // served by a node other than deadIdx, probing availability along the way.
 // It returns the crash→flip wall-clock latency and tick count.
-func (rn *frunner) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool) (time.Duration, int) {
-	r := rn.rack
+func (f *failover) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool) (time.Duration, int) {
+	r, rn := f.rack, f.rn
 	cli := r.Client(0)
 	deadAddr := rack.ServerAddr(deadIdx)
 	start := time.Now()
 	ticks := 0
-	for ; ticks < 10*rn.cfg.HeartbeatMisses; ticks++ {
+	for ; ticks < 10*f.cfg.HeartbeatMisses; ticks++ {
 		// The pre-cached hot key answers from the switch no matter which
 		// server is dead: its value slot was never touched by the crash.
-		if err := rn.get(cli, rn.hotKid, false); err != nil {
+		if _, err := rn.get(cli, f.hotKid); err != nil {
 			rn.violate("hot key read failed during switchover (tick %d): %v", ticks, err)
 		} else {
-			rn.mu.Lock()
-			rn.report.HotReads++
-			rn.mu.Unlock()
+			f.report.HotReads++
 		}
 		// Healthy partitions keep answering while the detector works: a
 		// key whose current serving primary is neither the fresh corpse
 		// nor a declared-dead node must read cleanly.
-		for kid := 0; kid < rn.cfg.Keys; kid++ {
+		for kid := 0; kid < f.cfg.Keys; kid++ {
 			serving := r.Controller.CurrentPrimary(rn.keys[kid])
 			if serving == deadAddr || r.Controller.NodeDead(serving) {
 				continue
@@ -351,32 +261,27 @@ func (rn *frunner) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool
 			// NotFound is a legal outcome (the key may be deleted);
 			// only a timeout breaks the availability claim. The oracle
 			// check inside get still vets the observation.
-			if err := rn.get(cli, kid, false); errors.Is(err, client.ErrTimeout) {
+			if _, err := rn.get(cli, kid); errors.Is(err, client.ErrTimeout) {
 				rn.violate("healthy partition read timed out during switchover: key %d", kid)
 			} else {
-				rn.mu.Lock()
-				rn.report.AvailabilityReads++
-				rn.mu.Unlock()
+				f.report.AvailabilityReads++
 			}
 			break
 		}
 		// Cold keys of the dead partition time out until the flip: the
 		// detection window is real, not instantaneous.
 		if probeCold && ticks == 0 {
-			for kid := 0; kid < rn.cfg.Keys; kid++ {
-				if kid != rn.hotKid && rn.homeIndex(kid) == deadIdx &&
-					!r.Controller.Cached(rn.keys[kid]) {
-					if err := rn.get(cli, kid, false); errors.Is(err, client.ErrTimeout) {
-						rn.mu.Lock()
-						rn.report.ColdTimeouts++
-						rn.mu.Unlock()
+			for kid := 0; kid < f.cfg.Keys; kid++ {
+				if kid != f.hotKid && f.homeIndex(kid) == deadIdx && !r.Controller.Cached(rn.keys[kid]) {
+					if _, err := rn.get(cli, kid); errors.Is(err, client.ErrTimeout) {
+						f.report.ColdTimeouts++
 					}
 					break
 				}
 			}
 		}
 		r.Tick()
-		if p, _, _, ok := rn.rack.Controller.ReplicaState(home); ok && p != deadAddr && rn.rack.Controller.NodeDead(deadAddr) {
+		if p, _, _, ok := r.Controller.ReplicaState(home); ok && p != deadAddr && r.Controller.NodeDead(deadAddr) {
 			return time.Since(start), ticks + 1
 		}
 	}
@@ -386,75 +291,12 @@ func (rn *frunner) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool
 
 // awaitReadyBackup ticks until addr is a caught-up backup of its home
 // partition (bounded).
-func (rn *frunner) awaitReadyBackup(addr netproto.Addr) bool {
+func (f *failover) awaitReadyBackup(addr netproto.Addr) {
 	for i := 0; i < 200; i++ {
-		_, backup, ready, ok := rn.rack.Controller.ReplicaState(addr)
-		if ok && ready && backup == addr {
-			return true
+		if _, backup, ready, ok := f.rack.Controller.ReplicaState(addr); ok && ready && backup == addr {
+			return
 		}
-		rn.rack.Tick()
+		f.rack.Tick()
 	}
-	return false
-}
-
-// runWorkload drives OpsPerPhase mixed ops from every client concurrently.
-// The hot key is read-only; writes to partitions homed at an avoid-listed
-// server index are skipped (replaced by reads).
-func (rn *frunner) runWorkload(seed uint64, avoidWrites map[int]bool, postFailover bool) {
-	var wg sync.WaitGroup
-	for c := 0; c < rn.cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cli := rn.rack.Client(c)
-			r := newRng(seed + uint64(c)*0x9E3779B97F4A7C15)
-			var owned []int
-			for kid := c; kid < rn.cfg.Keys; kid += rn.cfg.Clients {
-				if kid != rn.hotKid && !avoidWrites[rn.homeIndex(kid)] {
-					owned = append(owned, kid)
-				}
-			}
-			for i := 0; i < rn.cfg.OpsPerPhase; i++ {
-				roll := r.intn(100)
-				switch {
-				case roll < 50 || len(owned) == 0:
-					rn.get(cli, r.intn(rn.cfg.Keys), postFailover)
-				case roll < 85:
-					rn.put(cli, owned[r.intn(len(owned))], postFailover)
-				default:
-					rn.del(cli, owned[r.intn(len(owned))], postFailover)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-}
-
-// convergeCheck verifies the durability and coherence invariants against
-// the rack's current primaries: every key's client view is fresh, agrees
-// across clients, and matches the store of whichever node now serves it.
-func (rn *frunner) convergeCheck(label string) {
-	rn.rack.Net.Flush()
-	cliA, cliB := rn.rack.Client(0), rn.rack.Client(rn.cfg.Clients-1)
-	for kid, key := range rn.keys {
-		o := rn.oracles[kid]
-		floor := o.floor()
-		vA, errA := cliA.Get(key)
-		vB, errB := cliB.Get(key)
-		if errors.Is(errA, client.ErrTimeout) || errors.Is(errB, client.ErrTimeout) {
-			rn.violate("%s: key %d: timeout in steady state (A=%v B=%v)", label, kid, errA, errB)
-			continue
-		}
-		if msg := o.checkRead(kid, floor, vA, errA, rn.cfg.ValueSize); msg != "" {
-			rn.violate("%s: %s", label, msg)
-		}
-		if (errA == nil) != (errB == nil) || string(vA) != string(vB) {
-			rn.violate("%s: key %d: divergent reads %q/%v vs %q/%v", label, kid, vA, errA, vB, errB)
-		}
-		stored, _, inStore := rn.rack.PrimaryOf(key).Store().Get(key)
-		if inStore != (errA == nil) || (inStore && string(stored) != string(vA)) {
-			rn.violate("%s: key %d: client view %q/%v disagrees with serving store %q/%v",
-				label, kid, vA, errA, stored, inStore)
-		}
-	}
+	f.rn.violate("rejoined server %d never became a ready backup", int(addr)-1)
 }

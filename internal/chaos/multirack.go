@@ -9,16 +9,12 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/leafspine"
-	"netcache/internal/netproto"
 	"netcache/internal/simnet"
-	"netcache/internal/workload"
 )
 
 // MultiRackConfig sizes a multi-rack chaos run. Zero values pick
@@ -38,198 +34,36 @@ type MultiRackConfig struct {
 	// ValueSize is the nominal value size in bytes. Default 24.
 	ValueSize int
 	// SpineCache and TorCache cap the two cache layers. Defaults: 8 and 8.
-	SpineCache, TorCache int // StorageEngine selects the servers' storage engine ("chained" or
+	SpineCache, TorCache int
+	// StorageEngine selects the servers' storage engine ("chained" or
 	// "cuckoo"); empty means chained.
 	StorageEngine string
 }
 
 func (c *MultiRackConfig) fill() {
-	if c.Racks <= 0 {
-		c.Racks = 2
-	}
-	if c.ServersPerRack <= 0 {
-		c.ServersPerRack = 2
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Keys <= 0 {
-		c.Keys = 24
-	}
-	if c.OpsPerPhase <= 0 {
-		c.OpsPerPhase = 30
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 24
-	}
-	if c.SpineCache <= 0 {
-		c.SpineCache = 8
-	}
-	if c.TorCache <= 0 {
-		c.TorCache = 8
-	}
-}
-
-// mrEventKind enumerates multi-rack lifecycle events.
-type mrEventKind uint8
-
-const (
-	mrCrashServer   mrEventKind = iota // rack, srv
-	mrRestartServer                    // rack, srv
-	mrRebootSpine
-	mrRebootTor       // rack
-	mrRestartSpineCtl // rebuild flag in rack slot
-	mrRestartTorCtl   // rack, rebuild flag in srv slot
-	mrUplinkRestore   // rack
-	mrTickAll
-)
-
-type mrEvent struct {
-	kind      mrEventKind
-	rack, srv int
-}
-
-// mrFault is one fault rule on the spine net for the duration of a phase.
-// The spine net addresses every interesting multi-rack link: downlink
-// trunks at ports [0,Racks), client links above them.
-type mrFault struct {
-	port int
-	dir  simnet.Dir
-	rule simnet.FaultRule
-}
-
-// mrPhase is one scenario step: install faults (and optionally cut an
-// uplink), run the workload, fire mid-workload events once every client is
-// past its halfway mark, fire the post events after the traffic drains.
-type mrPhase struct {
-	name       string
-	faults     []mrFault
-	uplinkDown int // rack whose trunk is cut for the phase; -1 none
-	mid        []mrEvent
-	events     []mrEvent
-}
-
-// mrScenario is the full seed-derived plan.
-type mrScenario struct {
-	targetRack  int // the rack whose uplink the scenario abuses
-	crashSrv    int // server index (within targetRack) that crashes
-	spineCtlReb bool
-	torCtlReb   bool
-	phases      []mrPhase
-}
-
-// buildMultiRackScenario derives the whole timeline from the seed; it is a
-// pure function of (seed, cfg sizes).
-func buildMultiRackScenario(cfg MultiRackConfig) mrScenario {
-	r := newRng(cfg.Seed ^ 0x5EAF59135EAF5913)
-	var sc mrScenario
-	sc.targetRack = r.intn(cfg.Racks)
-	sc.crashSrv = r.intn(cfg.ServersPerRack)
-	sc.spineCtlReb = r.intn(2) == 1
-	sc.torCtlReb = r.intn(2) == 1
-	otherRack := (sc.targetRack + 1) % cfg.Racks
-
-	trunk := sc.targetRack // spine downlink port of the target rack
-	clientPort := cfg.Racks + r.intn(cfg.Clients)
-
-	// Phase 1: the target rack's trunk loses and duplicates in both
-	// directions while a client port duplicates; then a server in the
-	// rack crashes.
-	sc.phases = append(sc.phases, mrPhase{
-		name:       "uplink-loss+dup",
-		uplinkDown: -1,
-		faults: []mrFault{
-			{trunk, simnet.FromSwitch, simnet.FaultRule{Loss: r.rate(0.05, 0.2), Dup: r.rate(0.2, 0.5)}},
-			{trunk, simnet.ToSwitch, simnet.FaultRule{Loss: r.rate(0.05, 0.15), Dup: r.rate(0.2, 0.4)}},
-			{clientPort, simnet.ToSwitch, simnet.FaultRule{Dup: r.rate(0.2, 0.5)}},
-		},
-		events: []mrEvent{{kind: mrCrashServer, rack: sc.targetRack, srv: sc.crashSrv}},
-	})
-	// Phase 2: the trunk reorders while the spine power-cycles in the
-	// middle of the workload — reads fall through to the ToR tier; the
-	// crashed server then returns with its store intact.
-	sc.phases = append(sc.phases, mrPhase{
-		name:       "uplink-reorder+spine-reboot",
-		uplinkDown: -1,
-		faults: []mrFault{
-			{trunk, simnet.FromSwitch, simnet.FaultRule{Reorder: r.rate(0.2, 0.5), ReorderDepth: 2 + r.intn(4)}},
-			{trunk, simnet.ToSwitch, simnet.FaultRule{Reorder: r.rate(0.2, 0.4), ReorderDepth: 2 + r.intn(3)}},
-		},
-		mid: []mrEvent{{kind: mrRebootSpine}},
-		events: []mrEvent{
-			{kind: mrRestartServer, rack: sc.targetRack, srv: sc.crashSrv},
-			{kind: mrTickAll},
-		},
-	})
-	// Phase 3: the target rack's uplink is cut for the whole phase —
-	// writes into it time out, spine-cached keys keep serving. Afterwards
-	// the link returns and the *other* rack's ToR power-cycles.
-	sc.phases = append(sc.phases, mrPhase{
-		name:       "uplink-partition",
-		uplinkDown: sc.targetRack,
-		events: []mrEvent{
-			{kind: mrUplinkRestore, rack: sc.targetRack},
-			{kind: mrRebootTor, rack: otherRack},
-			{kind: mrTickAll},
-		},
-	})
-	// Phase 4: everything at once at low rates on both trunk directions
-	// and a client port, with the spine controller replaced mid-workload
-	// and the target ToR's controller replaced after.
-	rebuild := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	sc.phases = append(sc.phases, mrPhase{
-		name:       "mixed+controller-churn",
-		uplinkDown: -1,
-		faults: []mrFault{
-			{trunk, simnet.FromSwitch, simnet.FaultRule{
-				Loss: r.rate(0.02, 0.08), Dup: r.rate(0.1, 0.2),
-				Corrupt: r.rate(0.05, 0.15), Reorder: r.rate(0.1, 0.25), ReorderDepth: 3,
-			}},
-			{otherRack, simnet.FromSwitch, simnet.FaultRule{Dup: r.rate(0.1, 0.2), Reorder: r.rate(0.05, 0.15), ReorderDepth: 2}},
-			{clientPort, simnet.ToSwitch, simnet.FaultRule{Corrupt: r.rate(0.1, 0.25)}},
-		},
-		mid: []mrEvent{{kind: mrRestartSpineCtl, rack: rebuild(sc.spineCtlReb)}},
-		events: []mrEvent{
-			{kind: mrRestartTorCtl, rack: sc.targetRack, srv: rebuild(sc.torCtlReb)},
-			{kind: mrTickAll},
-		},
-	})
-	return sc
-}
-
-// mrRunner holds the live state of one multi-rack chaos run.
-type mrRunner struct {
-	cfg     MultiRackConfig
-	fab     *leafspine.Fabric
-	oracles []*keyOracle
-	keys    []netproto.Key
-
-	mu     sync.Mutex
-	report *Report
-
-	downServers map[[2]int]bool
-}
-
-func (rn *mrRunner) violate(format string, args ...any) {
-	rn.mu.Lock()
-	rn.report.Violations = append(rn.report.Violations, fmt.Sprintf(format, args...))
-	rn.mu.Unlock()
-}
-
-func (rn *mrRunner) event(format string, args ...any) {
-	rn.mu.Lock()
-	rn.report.Events = append(rn.report.Events, fmt.Sprintf(format, args...))
-	rn.mu.Unlock()
+	def(&c.Racks, 2)
+	def(&c.ServersPerRack, 2)
+	def(&c.Clients, 2)
+	def(&c.Keys, 24)
+	def(&c.OpsPerPhase, 30)
+	def(&c.ValueSize, 24)
+	def(&c.SpineCache, 8)
+	def(&c.TorCache, 8)
 }
 
 // RunMultiRack executes one seeded multi-rack chaos scenario and reports
 // what happened.
 func RunMultiRack(cfg MultiRackConfig) (*Report, error) {
+	rn, sc, err := buildMultiRack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rn.report, rn.run(sc)
+}
+
+// buildMultiRack assembles the fabric, the engine over it and the scenario
+// table.
+func buildMultiRack(cfg MultiRackConfig) (*runner, scenario, error) {
 	cfg.fill()
 	fab, err := leafspine.New(leafspine.Config{
 		Racks:          cfg.Racks,
@@ -243,324 +77,122 @@ func RunMultiRack(cfg MultiRackConfig) (*Report, error) {
 		StorageEngine:  cfg.StorageEngine,
 	})
 	if err != nil {
-		return nil, err
+		return nil, scenario{}, err
 	}
-	fab.SpineNode().Net.Reseed(cfg.Seed)
+	// The spine's net comes first: it is the one scenario faults address
+	// (downlink trunks at ports [0,Racks), client links above them).
+	nodes := []node{{fab.SpineNode().Net, fab.SpineNode().Switch}}
+	nodes[0].net.Reseed(cfg.Seed)
 	for r := 0; r < cfg.Racks; r++ {
-		fab.TorNode(r).Net.Reseed(cfg.Seed + uint64(r+1))
+		tor := fab.TorNode(r)
+		tor.Net.Reseed(cfg.Seed + uint64(r+1))
+		nodes = append(nodes, node{tor.Net, tor.Switch})
 	}
-
-	rn := &mrRunner{
-		cfg:         cfg,
-		fab:         fab,
-		report:      &Report{Seed: cfg.Seed},
-		downServers: make(map[[2]int]bool),
-	}
-	rn.keys = make([]netproto.Key, cfg.Keys)
-	rn.oracles = make([]*keyOracle, cfg.Keys)
-	for i := range rn.keys {
-		rn.keys[i] = workload.KeyName(i)
-		rn.oracles[i] = newOracle()
-	}
-
-	sc := buildMultiRackScenario(cfg)
-	rn.event("scenario: target-rack=%d crash-server=s%d spine-ctl-rebuild=%v tor-ctl-rebuild=%v",
-		sc.targetRack, sc.crashSrv, sc.spineCtlReb, sc.torCtlReb)
-
-	if err := rn.warmup(); err != nil {
-		return nil, err
-	}
-
-	for pi, ph := range sc.phases {
-		rn.installFaults(ph)
-		rn.event("phase %d (%s): faults installed", pi+1, ph.name)
-		if err := rn.runWorkload(pi+1, cfg.Seed^uint64(pi+1)*0xA5A5A5A5A5A5A5A5, cfg.OpsPerPhase, ph.mid); err != nil {
-			return nil, err
-		}
-		rn.clearFaults(ph)
-		for _, ev := range ph.events {
-			if err := rn.fire(pi+1, ev); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	rn.converge()
-	rn.snapshotCounters()
-	return rn.report, nil
+	rn := newRunner(fab, nodes,
+		load{cfg.Clients, cfg.Keys, cfg.OpsPerPhase, cfg.ValueSize}, &Report{Seed: cfg.Seed})
+	return rn, multiRackScenario(cfg, fab, rn), nil
 }
 
-func (rn *mrRunner) warmup() error {
-	var wg sync.WaitGroup
-	for c := 0; c < rn.cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cli := rn.fab.Client(c)
-			for kid := c; kid < rn.cfg.Keys; kid += rn.cfg.Clients {
-				rn.put(cli, kid)
-			}
-		}(c)
-	}
-	wg.Wait()
-	// Pre-cache a seed-independent slice of keys at both tiers: thirds go
-	// to the spine, offset thirds to the owning ToR — the adversarial
-	// both-layers-cached state that §4.3 coherence must survive.
-	_, spineCtl := rn.fab.Spine()
-	spined := 0
-	for kid := 0; kid < rn.cfg.Keys && spined < rn.cfg.SpineCache; kid += 3 {
-		if err := spineCtl.InsertKey(rn.keys[kid]); err != nil {
-			return fmt.Errorf("chaos multirack warmup: spine pre-cache key %d: %w", kid, err)
-		}
-		spined++
-	}
-	tored := 0
-	for kid := 1; kid < rn.cfg.Keys && tored < rn.cfg.TorCache; kid += 3 {
-		_, torCtl := rn.fab.Tor(rn.fab.RackOf(rn.keys[kid]))
-		if err := torCtl.InsertKey(rn.keys[kid]); err != nil {
-			return fmt.Errorf("chaos multirack warmup: tor pre-cache key %d: %w", kid, err)
-		}
-		tored++
-	}
-	rn.event("warmup: %d keys written, %d spine-cached, %d tor-cached",
-		rn.cfg.Keys, spined, tored)
-	return nil
-}
+// multiRackScenario derives the leaf-spine timeline from the seed: a pure
+// function of (seed, cfg sizes), closed over the fabric it will act on.
+func multiRackScenario(cfg MultiRackConfig, fab *leafspine.Fabric, rn *runner) scenario {
+	g := prng(cfg.Seed ^ 0x5EAF59135EAF5913)
+	targetRack := g.intn(cfg.Racks) // the rack whose uplink the scenario abuses
+	crashSrv := g.intn(cfg.ServersPerRack)
+	spineCtlReb := g.intn(2) == 1
+	torCtlReb := g.intn(2) == 1
+	otherRack := (targetRack + 1) % cfg.Racks
 
-func (rn *mrRunner) installFaults(ph mrPhase) {
-	net := rn.fab.SpineNode().Net
-	for _, pf := range ph.faults {
-		net.SetFault(pf.port, pf.dir, pf.rule)
+	trunk := targetRack // spine downlink port of the target rack
+	clientPort := cfg.Racks + g.intn(cfg.Clients)
+	crashed := fmt.Sprintf("r%d/s%d", targetRack, crashSrv)
+	tick := func(ph int) step {
+		return step{fmt.Sprintf("phase %d: controller cycle (tors, then spine)", ph), act(fab.Tick)}
 	}
-	if ph.uplinkDown >= 0 {
-		rn.fab.SetUplinkDown(ph.uplinkDown, true)
-	}
-}
 
-func (rn *mrRunner) clearFaults(ph mrPhase) {
-	net := rn.fab.SpineNode().Net
-	net.ClearFaults()
-	net.Flush()
-	if ph.uplinkDown >= 0 {
-		// ClearFaults dropped the port-down mark; record the heal when
-		// the scenario fires mrUplinkRestore.
-		rn.fab.SetUplinkDown(ph.uplinkDown, false)
-	}
-}
-
-func (rn *mrRunner) fire(phaseNo int, ev mrEvent) error {
-	switch ev.kind {
-	case mrCrashServer:
-		rn.fab.CrashServer(ev.rack, ev.srv)
-		rn.downServers[[2]int{ev.rack, ev.srv}] = true
-		rn.report.ServerCrashes++
-		rn.event("phase %d: crash server r%d/s%d", phaseNo, ev.rack, ev.srv)
-	case mrRestartServer:
-		rn.fab.RestartServer(ev.rack, ev.srv, false)
-		delete(rn.downServers, [2]int{ev.rack, ev.srv})
-		rn.event("phase %d: restart server r%d/s%d (store preserved)", phaseNo, ev.rack, ev.srv)
-	case mrRebootSpine:
-		if err := rn.fab.RebootSpine(); err != nil {
-			return fmt.Errorf("chaos multirack: reboot spine: %w", err)
-		}
-		rn.report.SwitchReboots++
-		rn.event("phase %d: spine rebooted mid-workload", phaseNo)
-	case mrRebootTor:
-		if err := rn.fab.RebootTor(ev.rack); err != nil {
-			return fmt.Errorf("chaos multirack: reboot tor %d: %w", ev.rack, err)
-		}
-		rn.report.SwitchReboots++
-		rn.event("phase %d: tor %d rebooted", phaseNo, ev.rack)
-	case mrRestartSpineCtl:
-		if err := rn.fab.RestartSpineController(ev.rack == 1); err != nil {
-			return fmt.Errorf("chaos multirack: restart spine controller: %w", err)
-		}
-		rn.report.ControllerRestarts++
-		rn.event("phase %d: spine controller restarted mid-workload (rebuild=%v)", phaseNo, ev.rack == 1)
-	case mrRestartTorCtl:
-		if err := rn.fab.RestartTorController(ev.rack, ev.srv == 1); err != nil {
-			return fmt.Errorf("chaos multirack: restart tor %d controller: %w", ev.rack, err)
-		}
-		rn.report.ControllerRestarts++
-		rn.event("phase %d: tor %d controller restarted (rebuild=%v)", phaseNo, ev.rack, ev.srv == 1)
-	case mrUplinkRestore:
-		rn.event("phase %d: uplink of rack %d restored", phaseNo, ev.rack)
-	case mrTickAll:
-		rn.fab.Tick()
-		rn.event("phase %d: controller cycle (tors, then spine)", phaseNo)
-	}
-	return nil
-}
-
-// runWorkload drives OpsPerPhase ops from every client concurrently; once
-// every client has passed its halfway mark, the mid events fire while the
-// second half of the traffic is still running.
-func (rn *mrRunner) runWorkload(phaseNo int, seed uint64, ops int, mid []mrEvent) error {
-	var wg, half sync.WaitGroup
-	half.Add(rn.cfg.Clients)
-	for c := 0; c < rn.cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cli := rn.fab.Client(c)
-			r := newRng(seed + uint64(c)*0x9E3779B97F4A7C15)
-			owned := rn.ownedKeys(c)
-			for i := 0; i < ops; i++ {
-				if i == ops/2 {
-					half.Done()
+	sc := scenario{
+		header: fmt.Sprintf("scenario: target-rack=%d crash-server=s%d spine-ctl-rebuild=%v tor-ctl-rebuild=%v",
+			targetRack, crashSrv, spineCtlReb, torCtlReb),
+		// A seed-independent slice of keys starts out cached at both tiers:
+		// thirds go to the spine, offset thirds to the owning ToR — the
+		// adversarial both-layers-cached state §4.3 coherence must survive.
+		precache: func() error {
+			_, spineCtl := fab.Spine()
+			spined, tored := 0, 0
+			for kid := 0; kid < cfg.Keys && spined < cfg.SpineCache; kid += 3 {
+				if err := spineCtl.InsertKey(rn.keys[kid]); err != nil {
+					return fmt.Errorf("chaos multirack warmup: spine pre-cache key %d: %w", kid, err)
 				}
-				switch roll := r.intn(100); {
-				case roll < 50:
-					rn.get(cli, r.intn(rn.cfg.Keys))
-				case roll < 85:
-					rn.put(cli, owned[r.intn(len(owned))])
-				default:
-					rn.del(cli, owned[r.intn(len(owned))])
+				spined++
+			}
+			for kid := 1; kid < cfg.Keys && tored < cfg.TorCache; kid += 3 {
+				_, torCtl := fab.Tor(fab.RackOf(rn.keys[kid]))
+				if err := torCtl.InsertKey(rn.keys[kid]); err != nil {
+					return fmt.Errorf("chaos multirack warmup: tor pre-cache key %d: %w", kid, err)
 				}
+				tored++
 			}
-		}(c)
+			rn.event("warmup: %d keys written, %d spine-cached, %d tor-cached", cfg.Keys, spined, tored)
+			return nil
+		},
 	}
-	var midErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		half.Wait()
-		for _, ev := range mid {
-			if err := rn.fire(phaseNo, ev); err != nil {
-				midErr = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	return midErr
-}
-
-func (rn *mrRunner) ownedKeys(c int) []int {
-	var owned []int
-	for kid := c; kid < rn.cfg.Keys; kid += rn.cfg.Clients {
-		owned = append(owned, kid)
-	}
-	return owned
-}
-
-func (rn *mrRunner) countOp(err error) {
-	rn.mu.Lock()
-	rn.report.Ops++
-	if errors.Is(err, client.ErrTimeout) {
-		rn.report.Timeouts++
-	}
-	rn.mu.Unlock()
-}
-
-func (rn *mrRunner) get(cli *client.Client, kid int) {
-	o := rn.oracles[kid]
-	floor := o.floor()
-	val, err := cli.Get(rn.keys[kid])
-	rn.countOp(err)
-	if msg := o.checkRead(kid, floor, val, err, rn.cfg.ValueSize); msg != "" {
-		rn.violate("%s", msg)
-	}
-}
-
-func (rn *mrRunner) put(cli *client.Client, kid int) {
-	o := rn.oracles[kid]
-	ver := o.issue(opPut)
-	err := cli.Put(rn.keys[kid], encodeValue(kid, ver, rn.cfg.ValueSize))
-	rn.countOp(err)
-	if err == nil {
-		o.ack(ver)
-	}
-}
-
-func (rn *mrRunner) del(cli *client.Client, kid int) {
-	o := rn.oracles[kid]
-	ver := o.issue(opDelete)
-	err := cli.Delete(rn.keys[kid])
-	rn.countOp(err)
-	if err == nil {
-		o.ack(ver)
-	}
-}
-
-// converge heals everything and checks the fabric settles into a coherent
-// steady state where no acked write has been lost — across both cache
-// layers and every rack.
-func (rn *mrRunner) converge() {
-	rn.fab.SpineNode().Net.ClearFaults()
-	rn.fab.SpineNode().Net.Flush()
-	for r := 0; r < rn.cfg.Racks; r++ {
-		rn.fab.TorNode(r).Net.ClearFaults()
-		rn.fab.TorNode(r).Net.Flush()
-	}
-	for rs := range rn.downServers {
-		rn.fab.RestartServer(rs[0], rs[1], false)
-		rn.event("converge: restart server r%d/s%d", rs[0], rs[1])
-	}
-	rn.downServers = make(map[[2]int]bool)
-	rn.fab.Tick()
-	rn.fab.Tick()
-	rn.event("converge: faults cleared, fabrics flushed, two controller cycles")
-
-	cliA, cliB := rn.fab.Client(0), rn.fab.Client(rn.cfg.Clients-1)
-	for kid, key := range rn.keys {
-		o := rn.oracles[kid]
-		floor := o.floor()
-		vA, errA := cliA.Get(key)
-		vB, errB := cliB.Get(key)
-		if errors.Is(errA, client.ErrTimeout) || errors.Is(errB, client.ErrTimeout) {
-			rn.violate("key %d: timeout after faults cleared (A=%v B=%v)", kid, errA, errB)
-			continue
-		}
-		if msg := o.checkRead(kid, floor, vA, errA, rn.cfg.ValueSize); msg != "" {
-			rn.violate("converge: %s", msg)
-		}
-		if (errA == nil) != (errB == nil) || string(vA) != string(vB) {
-			rn.violate("key %d: divergent steady-state reads %q/%v vs %q/%v", kid, vA, errA, vB, errB)
-		}
-		stored, _, inStore := rn.fab.ServerOf(key).Store().Get(key)
-		if inStore != (errA == nil) || (inStore && string(stored) != string(vA)) {
-			rn.violate("key %d: client view %q/%v disagrees with store %q/%v",
-				kid, vA, errA, stored, inStore)
-		}
-	}
-
-	// Fresh writes land and read back exactly through both layers: the
-	// fabric is live again.
-	for c := 0; c < rn.cfg.Clients; c++ {
-		cli := rn.fab.Client(c)
-		for _, kid := range rn.ownedKeys(c) {
-			o := rn.oracles[kid]
-			ver := o.issue(opPut)
-			want := encodeValue(kid, ver, rn.cfg.ValueSize)
-			if err := cli.Put(rn.keys[kid], want); err != nil {
-				rn.violate("key %d: post-chaos probe write failed: %v", kid, err)
-				continue
-			}
-			o.ack(ver)
-			got, err := cli.Get(rn.keys[kid])
-			if err != nil || string(got) != string(want) {
-				rn.violate("key %d: post-chaos probe read %q/%v, want %q", kid, got, err, want)
-			}
-		}
-	}
-	rn.event("converge: steady-state and probe checks done")
-}
-
-// snapshotCounters aggregates fault-fabric activity across every net in
-// the topology — the spine's (where the trunk rules live) and each ToR's.
-func (rn *mrRunner) snapshotCounters() {
-	nets := []*simnet.Net{rn.fab.SpineNode().Net}
-	for r := 0; r < rn.cfg.Racks; r++ {
-		nets = append(nets, rn.fab.TorNode(r).Net)
-	}
-	for _, n := range nets {
-		rn.report.Duplicated += n.Duplicated.Value()
-		rn.report.Reordered += n.Reordered.Value()
-		rn.report.CorruptInjected += n.CorruptInjected.Value()
-		rn.report.PartitionDropped += n.PartitionDropped.Value()
-		rn.report.LossDropped += n.LossDropped.Value()
-		rn.report.DownDropped += n.DownDropped.Value()
-	}
+	sc.phases = []phase{{
+		// The target rack's trunk loses and duplicates in both directions
+		// while a client port duplicates; then a server in the rack crashes.
+		name: "uplink-loss+dup",
+		install: []fault{
+			{port: trunk, dir: simnet.FromSwitch, rule: simnet.FaultRule{Loss: g.rate(0.05, 0.2), Dup: g.rate(0.2, 0.5)}},
+			{port: trunk, dir: simnet.ToSwitch, rule: simnet.FaultRule{Loss: g.rate(0.05, 0.15), Dup: g.rate(0.2, 0.4)}},
+			{port: clientPort, dir: simnet.ToSwitch, rule: simnet.FaultRule{Dup: g.rate(0.2, 0.5)}},
+		},
+		after: []step{{"phase 1: crash server " + crashed, rn.crash(crashed,
+			func() { fab.CrashServer(targetRack, crashSrv) }, func() { fab.RestartServer(targetRack, crashSrv, false) })}},
+	}, {
+		// The trunk reorders while the spine power-cycles in the middle of
+		// the workload — reads fall through to the ToR tier; the crashed
+		// server then returns with its store intact.
+		name: "uplink-reorder+spine-reboot",
+		install: []fault{
+			{port: trunk, dir: simnet.FromSwitch, rule: simnet.FaultRule{Reorder: g.rate(0.2, 0.5), ReorderDepth: 2 + g.intn(4)}},
+			{port: trunk, dir: simnet.ToSwitch, rule: simnet.FaultRule{Reorder: g.rate(0.2, 0.4), ReorderDepth: 2 + g.intn(3)}},
+		},
+		mid:   []step{{"phase 2: spine rebooted mid-workload", counted(&rn.report.SwitchReboots, fab.RebootSpine)}},
+		after: []step{{"phase 2: restart server " + crashed + " (store preserved)", rn.restart(crashed)}, tick(2)},
+	}, {
+		// The target rack's uplink is cut for the whole phase — writes into
+		// it time out, spine-cached keys keep serving. Afterwards the link
+		// returns (the engine's heal replugged it) and the *other* rack's
+		// ToR power-cycles.
+		name:    "uplink-partition",
+		install: []fault{{port: trunk, down: true}},
+		after: []step{
+			{label: fmt.Sprintf("phase 3: uplink of rack %d restored", targetRack)},
+			{fmt.Sprintf("phase 3: tor %d rebooted", otherRack),
+				counted(&rn.report.SwitchReboots, func() error { return fab.RebootTor(otherRack) })},
+			tick(3),
+		},
+	}, {
+		// Everything at once at low rates on both trunk directions and a
+		// client port, with the spine controller replaced mid-workload and
+		// the target ToR's controller replaced after; then the verdict.
+		name: "mixed+controller-churn",
+		install: []fault{
+			{port: trunk, dir: simnet.FromSwitch, rule: simnet.FaultRule{
+				Loss: g.rate(0.02, 0.08), Dup: g.rate(0.1, 0.2),
+				Corrupt: g.rate(0.05, 0.15), Reorder: g.rate(0.1, 0.25), ReorderDepth: 3,
+			}},
+			{port: otherRack, dir: simnet.FromSwitch, rule: simnet.FaultRule{Dup: g.rate(0.1, 0.2), Reorder: g.rate(0.05, 0.15), ReorderDepth: 2}},
+			{port: clientPort, dir: simnet.ToSwitch, rule: simnet.FaultRule{Corrupt: g.rate(0.1, 0.25)}},
+		},
+		mid: []step{{fmt.Sprintf("phase 4: spine controller restarted mid-workload (rebuild=%v)", spineCtlReb),
+			counted(&rn.report.ControllerRestarts, func() error { return fab.RestartSpineController(spineCtlReb) })}},
+		after: []step{
+			{fmt.Sprintf("phase 4: tor %d controller restarted (rebuild=%v)", targetRack, torCtlReb),
+				counted(&rn.report.ControllerRestarts, func() error { return fab.RestartTorController(targetRack, torCtlReb) })},
+			tick(4),
+			{"converge: faults cleared, fabrics flushed, two controller cycles", act(rn.settle)},
+			{"converge: steady-state and probe checks done", act(rn.converge)},
+		},
+	}}
+	return sc
 }

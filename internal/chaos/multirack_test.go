@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -16,20 +15,7 @@ func TestChaosMultiRack(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rep, err := RunMultiRack(MultiRackConfig{Seed: seed})
-			if err != nil {
-				t.Fatalf("multirack chaos run error (rerun with -chaos.seed=%d): %v", seed, err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("invariant violated: %s", v)
-			}
-			if rep.Failed() {
-				t.Logf("timeline (rerun with -chaos.seed=%d):", seed)
-				for _, e := range rep.Events {
-					t.Logf("  %s", e)
-				}
-				t.Fatalf("%d invariant violations at seed %d — rerun with -chaos.seed=%d",
-					len(rep.Violations), seed, seed)
-			}
+			mustPass(t, seed, rep, err)
 			// Lifecycle coverage: the scenario always crashes a server,
 			// reboots the spine AND a ToR, and restarts both tiers'
 			// controllers.
@@ -45,27 +31,6 @@ func TestChaosMultiRack(t *testing.T) {
 					seed, rep.Duplicated, rep.Reordered, rep.CorruptInjected,
 					rep.LossDropped, rep.DownDropped)
 			}
-			if rep.Ops == 0 || rep.Ops == rep.Timeouts {
-				t.Errorf("seed %d: workload did not run meaningfully: ops=%d timeouts=%d",
-					seed, rep.Ops, rep.Timeouts)
-			}
 		})
-	}
-}
-
-// The multi-rack scenario is a pure function of the seed.
-func TestMultiRackScenarioDeterministicPerSeed(t *testing.T) {
-	cfg := MultiRackConfig{Seed: 42}
-	cfg.fill()
-	a := buildMultiRackScenario(cfg)
-	b := buildMultiRackScenario(cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed should derive the same multi-rack scenario")
-	}
-	cfg2 := MultiRackConfig{Seed: 43}
-	cfg2.fill()
-	c := buildMultiRackScenario(cfg2)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds should derive different scenarios")
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"netcache/internal/bufpool"
 	"netcache/internal/netproto"
 	"netcache/internal/qtrace"
+	"netcache/internal/rng"
 	"netcache/internal/stats"
 )
 
@@ -164,7 +165,7 @@ func New(cfg Config) (*Client, error) {
 	c.Metrics.PutLatency = stats.NewLatencyHistogram()
 	c.Metrics.DeleteLatency = stats.NewLatencyHistogram()
 	// Distinct clients sharing a harness seed draw distinct jitter streams.
-	c.jitterCtr.Store(cfg.Policy.Seed ^ uint64(cfg.Addr)*0x9E3779B97F4A7C15)
+	c.jitterCtr.Store(cfg.Policy.Seed ^ uint64(cfg.Addr)*rng.Seeds[0])
 	return c, nil
 }
 
@@ -266,13 +267,7 @@ func (c *Client) jitter(base time.Duration) time.Duration {
 	if span <= 0 {
 		return 0
 	}
-	x := c.jitterCtr.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return time.Duration(x % uint64(span))
+	return time.Duration(rng.NextAtomic(&c.jitterCtr) % uint64(span))
 }
 
 // Addr returns the client's rack address.

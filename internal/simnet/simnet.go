@@ -34,6 +34,7 @@ import (
 
 	"netcache/internal/bufpool"
 	"netcache/internal/dataplane"
+	"netcache/internal/rng"
 	"netcache/internal/stats"
 )
 
@@ -358,15 +359,7 @@ func pairKey(in, out int) uint64 {
 
 // randU64 draws from the splitmix64 stream over an atomically advanced
 // counter: one fetch-and-add, no shared RNG state to lock.
-func (n *Net) randU64() uint64 {
-	x := n.rngCtr.Add(0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
+func (n *Net) randU64() uint64 { return rng.NextAtomic(&n.rngCtr) }
 
 func (n *Net) rand01() float64 {
 	return float64(n.randU64()>>11) / float64(1<<53)

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"math"
 	"sync/atomic"
+
+	"netcache/internal/rng"
 )
 
 // Hash64 mixes key bytes with a seed into a 64-bit value. Rows of the
@@ -41,12 +43,6 @@ func Hash64U(key uint64, seed uint64) uint64 {
 	return Hash64(b[:], seed)
 }
 
-// rowSeeds provides well-spread default seeds for up to 8 rows.
-var rowSeeds = [8]uint64{
-	0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
-	0x85EBCA77C2B2AE63, 0x2545F4914F6CDD1D, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53,
-}
-
 // CountMin is a Count-Min sketch with saturating counters. The paper's
 // configuration is 4 rows of 64K 16-bit slots (§6); NewCountMin defaults the
 // counter width to 16 bits to match.
@@ -60,7 +56,7 @@ type CountMin struct {
 // NewCountMin returns a rows×width sketch with counterBits-wide saturating
 // counters. rows must be 1..8 and width a power of two.
 func NewCountMin(rows, width, counterBits int) *CountMin {
-	if rows < 1 || rows > len(rowSeeds) {
+	if rows < 1 || rows > len(rng.Seeds) {
 		panic("sketch: CountMin rows must be 1..8")
 	}
 	if width <= 0 || width&(width-1) != 0 {
@@ -90,7 +86,7 @@ func (c *CountMin) SizeBytes(counterBits int) int {
 
 // Index returns the slot index of key in the given row.
 func (c *CountMin) Index(key []byte, row int) int {
-	return int(Hash64(key, rowSeeds[row]) & uint64(c.width-1))
+	return int(Hash64(key, rng.Seeds[row]) & uint64(c.width-1))
 }
 
 // Add increments the key's counter in every row (saturating) and returns the
@@ -142,7 +138,7 @@ type Bloom struct {
 // NewBloom returns a partitioned Bloom filter with the given number of
 // probes (1..8) and bits per partition (power of two).
 func NewBloom(probes, width int) *Bloom {
-	if probes < 1 || probes > len(rowSeeds) {
+	if probes < 1 || probes > len(rng.Seeds) {
 		panic("sketch: Bloom probes must be 1..8")
 	}
 	if width <= 0 || width&(width-1) != 0 {
@@ -165,7 +161,7 @@ func (b *Bloom) SizeBytes() int { return b.probes * b.width / 8 }
 func (b *Bloom) Index(key []byte, p int) int {
 	// Invert the hash relative to CountMin rows so the two structures are
 	// independent even for identical seeds.
-	return int(Hash64(key, ^rowSeeds[p]) & uint64(b.width-1))
+	return int(Hash64(key, ^rng.Seeds[p]) & uint64(b.width-1))
 }
 
 func (b *Bloom) bit(p, idx int) (word int, mask uint64) {
@@ -255,11 +251,5 @@ func (s *Sampler) Rate() float64 { return math.Float64frombits(s.rate.Load()) }
 
 // Sample reports whether this query is admitted to the statistics engine.
 func (s *Sampler) Sample() bool {
-	x := s.ctr.Add(0x9E3779B97F4A7C15) // golden-ratio increment (splitmix64)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x>>32 < s.thr.Load()
+	return rng.NextAtomic(&s.ctr)>>32 < s.thr.Load()
 }

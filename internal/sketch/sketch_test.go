@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"netcache/internal/rng"
 )
 
 func key(i int) []byte {
@@ -14,12 +16,12 @@ func key(i int) []byte {
 
 func TestHash64Independence(t *testing.T) {
 	k := []byte("some-key")
-	h1 := Hash64(k, rowSeeds[0])
-	h2 := Hash64(k, rowSeeds[1])
+	h1 := Hash64(k, rng.Seeds[0])
+	h2 := Hash64(k, rng.Seeds[1])
 	if h1 == h2 {
 		t.Error("different seeds should give different hashes")
 	}
-	if Hash64(k, rowSeeds[0]) != h1 {
+	if Hash64(k, rng.Seeds[0]) != h1 {
 		t.Error("hash must be deterministic")
 	}
 	if Hash64U(42, 7) != Hash64(key(42), 7) {
@@ -33,7 +35,7 @@ func TestHash64Uniformity(t *testing.T) {
 	const n, bins = 100000, 64
 	counts := make([]int, bins)
 	for i := 0; i < n; i++ {
-		counts[Hash64(key(i), rowSeeds[0])%bins]++
+		counts[Hash64(key(i), rng.Seeds[0])%bins]++
 	}
 	mean := float64(n) / bins
 	for b, c := range counts {

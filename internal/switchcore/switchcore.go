@@ -31,6 +31,7 @@ import (
 	"netcache/internal/dataplane"
 	"netcache/internal/netproto"
 	"netcache/internal/qtrace"
+	"netcache/internal/rng"
 	"netcache/internal/sketch"
 )
 
@@ -874,7 +875,7 @@ func (sw *Switch) cmsIndex(hi, lo uint64, row int) int {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[0:8], hi)
 	binary.BigEndian.PutUint64(b[8:16], lo)
-	return int(sketch.Hash64(b[:], cmsSeeds[row]) & uint64(sw.cfg.CMSWidth-1))
+	return int(sketch.Hash64(b[:], rng.Seeds[row]) & uint64(sw.cfg.CMSWidth-1))
 }
 
 func (sw *Switch) bloomIndex(hi, lo uint64, part int) int {
@@ -882,10 +883,6 @@ func (sw *Switch) bloomIndex(hi, lo uint64, part int) int {
 	binary.BigEndian.PutUint64(b[0:8], hi)
 	binary.BigEndian.PutUint64(b[8:16], lo)
 	return int(sketch.Hash64(b[:], bloomSeeds[part]) & uint64(sw.cfg.BloomWidth-1))
-}
-
-var cmsSeeds = [4]uint64{
-	0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
 }
 
 var bloomSeeds = [3]uint64{
