@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-json bench-compare chaos failover experiments examples fuzz profile vet lint loc clean
+.PHONY: all test race bench bench-json bench-compare bench-ab chaos failover experiments examples fuzz profile vet lint loc clean
 
 all: test
 
@@ -82,6 +82,34 @@ bench-compare:
 	$(GO) test -run xxx -benchmem -bench '$(OBS_BENCH)' . \
 		| $(GO) run ./cmd/benchcompare -baseline BENCH_obs.json
 
+# Interleaved before/after of the end-to-end benchmark (BENCHMARK.json):
+#   make bench-ab BASE=<ref> WORKLOADS="udp.zipf99_win32 udp.zipf99_open20k" K=10
+# This host drifts ±10 % over tens of minutes, so two sets of runs taken one
+# after the other prove nothing. BASE is unpacked (git archive: nothing is
+# left registered in .git if the run is killed) under .bench_build/ab/, each
+# side builds its own bench/ through its own run.sh, and for seeds 1..K the
+# two sides run back to back, the first to run alternating; then bench's own
+# `compare` judges base (A) against the working tree (B) row by row.
+BASE ?= HEAD
+WORKLOADS ?= sim.zipf99_read sim.uniform_read sim.zipf99_write20_repl udp.zipf99_win32 udp.zipf99_open20k
+K ?= 10
+AB = .bench_build/ab
+
+bench-ab:
+	rm -rf $(AB) && mkdir -p $(AB)/base
+	git archive $(BASE) | tar -x -C $(AB)/base
+	@for w in $(WORKLOADS); do for s in $$(seq 1 $(K)); do \
+		sides="base head"; [ $$((s % 2)) -eq 0 ] && sides="head base"; \
+		for side in $$sides; do \
+			root=.; [ $$side = base ] && root=$(AB)/base; \
+			echo "== $$w seed $$s $$side"; \
+			bash $$root/bench/run.sh --workload $$w --seed $$s --seconds 10 --trace 0 \
+				-out $(CURDIR)/$(AB)/$$side.jsonl | tail -1; \
+		done; \
+	done; done
+	@bash bench/run.sh compare $(AB)/base.jsonl $(AB)/head.jsonl > $(AB)/verdict.txt; st=$$?; \
+		grep -v ' missing$$' $(AB)/verdict.txt; exit $$st
+
 # Regenerate every table/figure of the paper's evaluation (EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/netcache-bench
@@ -121,7 +149,7 @@ lint:
 # Non-test Go lines per package (bench/ excluded) and in total: the figure
 # CHANGES.md quotes for simplification PRs.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; total += $$1 } \
 			END { for (d in loc) printf "%7d  %s\n", loc[d], d; printf "%7d  total\n", total }' | sort -k2
 

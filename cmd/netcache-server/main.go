@@ -48,10 +48,18 @@ func main() {
 	}
 	srv := server.New(server.Config{Addr: netproto.Addr(*addr), Shards: *shards, Engine: *engine})
 
+	ep, err := udptrans.Dial(*swAddr)
+	if err != nil {
+		log.Fatalf("netcache-server: %v", err)
+	}
+	defer ep.Close()
+	srv.SetSend(ep.Send)
+
 	if *telemetryAddr != "" {
 		reg := stats.NewRegistry()
 		reg.Register("server", func() any { return &srv.Metrics })
 		reg.Register("server.store", func() any { return srv.StoreStats() })
+		reg.Register("udptrans", func() any { return ep.Counters() })
 		mon := stats.NewMonitor(stats.MonitorConfig{Registry: reg})
 		mon.Start()
 		defer mon.Stop()
@@ -63,13 +71,6 @@ func main() {
 		defer ts.Close()
 		log.Printf("netcache-server: telemetry on http://%v/metrics", bound)
 	}
-
-	ep, err := udptrans.Dial(*swAddr)
-	if err != nil {
-		log.Fatalf("netcache-server: %v", err)
-	}
-	defer ep.Close()
-	srv.SetSend(ep.Send)
 
 	if *preload > 0 {
 		owned := 0

@@ -43,8 +43,13 @@ func deployCfg(t *testing.T, nServers int, cfg SwitchConfig) *deployment {
 	}
 	go d.Run()
 	t.Cleanup(d.Close)
-	swAddr := d.Addr().String()
+	return attach(t, d, nServers)
+}
 
+// attach hangs n servers and one client off a running daemon.
+func attach(t *testing.T, d *SwitchDaemon, nServers int) *deployment {
+	t.Helper()
+	swAddr := d.Addr().String()
 	dep := &deployment{daemon: d}
 	addrs := make([]netproto.Addr, nServers)
 	for i := 0; i < nServers; i++ {
@@ -183,7 +188,7 @@ func TestBatchWireFormatRoundTrip(t *testing.T) {
 		[]byte("alpha"), []byte("b"), bytes.Repeat([]byte{0x42}, 164),
 	}
 	var datagrams [][]byte
-	w := batchWriter{write: func(dg []byte) {
+	w := batchWriter{write: func(dg []byte, _ int) {
 		datagrams = append(datagrams, append([]byte(nil), dg...))
 	}}
 	for _, f := range frames {
@@ -389,45 +394,65 @@ func TestHelloHeartbeatSurvivesLateSwitch(t *testing.T) {
 }
 
 func TestPortExhaustionDoesNotCrash(t *testing.T) {
-	// More distinct rack addresses than the chip has ports: the daemon
-	// logs and keeps serving the peers it did learn.
+	// More distinct rack addresses than the chip has ports: the daemon logs,
+	// keeps serving the peers it did learn, and drops what the others send.
+	// It used to run their frames as if they had entered on port 0, which
+	// is some learned peer's port. The pipeline trusts the ingress port (a
+	// cache update is accepted only from the port of the key's server), so
+	// a peer with no port could overwrite what port 0's server has cached.
 	d, err := NewSwitch(SwitchConfig{Listen: "127.0.0.1:0", Cycle: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
 	go d.Run()
+	sw := d.Addr().AddrPort()
 
-	ep, err := Dial(d.Addr().String())
+	// The server's Hello is the first frame the daemon sees: port 0.
+	dep := attach(t, d, 1)
+	await(t, "the server's port", func() bool { return d.ServerLoadOf(1) != nil })
+	key := workload.KeyName(1)
+	if err := dep.cli.Put(key, []byte("cached")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Controller().InsertKey(key); err != nil {
+		t.Fatal(err)
+	}
+
+	const first, overflow = netproto.Addr(0x9000), netproto.Addr(0x9fff)
+	ep, err := Dial(sw.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ep.Close)
-	nPorts := d.Switch().Config().Chip.NumPorts()
-	for i := 0; i < nPorts+16; i++ {
-		ep.Hello(netproto.Addr(0x4000 + i))
+	free := d.Switch().Config().Chip.NumPorts() - len(d.table.Load().peers)
+	for i := 0; i < free+16; i++ {
+		ep.Hello(first + netproto.Addr(i))
 	}
-	// The daemon must still answer control requests.
+	// What the server would send to refresh its cached key, from an address
+	// there is no port for.
+	peer := listenRaw(t)
+	forged, err := netproto.AppendFramePacket(nil, 1, overflow,
+		&netproto.Packet{Op: netproto.OpCacheUpdate, Seq: 1 << 20, Key: key, Value: []byte("poison")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.conn.WriteToUDPAddrPort(forged, sw)
+	await(t, "the drops", func() bool { return d.counters.UnlearnedDrops.Value() == 16+1 })
+	if v, err := dep.cli.Get(key); err != nil || string(v) != "cached" {
+		t.Errorf("Get after a cache update from an unlearned peer = %q, %v", v, err)
+	}
+
+	// The daemon must still answer control requests (the reply follows the
+	// learned address to the socket that last used it).
 	pkt := netproto.Packet{Op: netproto.OpCtlStats, Seq: 7}
 	payload, _ := pkt.Marshal()
-	got := make(chan struct{}, 1)
-	go ep.Run(func(frame []byte) {
-		select {
-		case got <- struct{}{}:
-		default:
-		}
-	})
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		ep.Send(netproto.MarshalFrame(CtlAddr, 0x4000, payload))
-		select {
-		case <-got:
-			return
-		case <-time.After(100 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon unresponsive after port exhaustion")
-		}
+	peer.conn.WriteToUDPAddrPort(netproto.MarshalFrame(CtlAddr, first, payload), sw)
+	_, frames := peer.read()
+	var reply netproto.Packet
+	if fr, err := netproto.DecodeFrame(frames[0]); err != nil || netproto.Decode(fr.Payload, &reply) != nil ||
+		reply.Op != netproto.OpCtlStatsReply || reply.Seq != 7 {
+		t.Errorf("stats reply = %+v (%v)", reply, err)
 	}
 }
 
