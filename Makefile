@@ -3,16 +3,16 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-json bench-compare bench-ab chaos failover experiments examples fuzz profile vet lint loc clean
+.PHONY: all test race bench bench-ab chaos failover experiments examples fuzz profile vet lint loc clean
 
 all: test
 
 # The default test target vets and lints first, then includes the race
 # detector: the data plane is concurrent end to end, so a non-race run alone
-# proves little. Performance claims are guarded separately: run
-# `make bench-compare` before committing changes on the packet path — it
-# reruns the pipeline benchmark suite and fails on a >10% geomean
-# regression against the committed BENCH_pipeline.json baseline.
+# proves little. Performance is gated separately by the end-to-end benchmark
+# (bench/, BENCHMARK.json): `make bench-ab` runs it interleaved against a base
+# ref and judges every workload row; the exact allocation floors of the
+# packet path are tier-1 tests (allocs_test.go).
 #
 # bench/ is its own module (the end-to-end benchmark, see BENCHMARK.json), so
 # `go test ./...` here never compiles it; it is vetted and tested last, or
@@ -37,50 +37,6 @@ failover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# The packet-path benchmark suite as machine-readable JSON (ns/op, B/op,
-# allocs/op, derived kops/s per benchmark) — the regression record behind
-# EXPERIMENTS.md's "Zero-allocation batched packet path" section. The
-# per-package runs below keep the set free of name collisions (several
-# packages define same-named end-to-end benches).
-PIPELINE_BENCH = BenchmarkPipelineSequential|BenchmarkPipelineParallel|BenchmarkEndToEndCachedGet|BenchmarkEndToEndServerGet|BenchmarkRackParallelGet|BenchmarkRackPipelinedGet
-
-# The observability suite: snapshot/scrape cost, the rate engine's
-# per-window cost, trace-on/off and telemetry-on/off pipeline pairs (the
-# telemetry-on budget is <5% over off; see DESIGN.md #13).
-OBS_BENCH = BenchmarkObs|BenchmarkMonitorWindow|BenchmarkTelemetry
-
-define run_pipeline_benches
-	{ $(GO) test -run xxx -benchmem -bench '$(PIPELINE_BENCH)' . && \
-	  $(GO) test -run xxx -benchmem -bench 'BenchmarkFastPathCachedGet' ./internal/switchcore && \
-	  $(GO) test -run xxx -benchmem -bench 'BenchmarkSeqlockGetParallel' ./internal/kvstore; }
-endef
-
-bench-json:
-	$(call run_pipeline_benches) | $(GO) run ./cmd/benchjson > BENCH_pipeline.json
-	@cat BENCH_pipeline.json
-	$(GO) test -run xxx -benchmem \
-		-bench 'BenchmarkMultiRack' \
-		. | $(GO) run ./cmd/benchjson > BENCH_multirack.json
-	@cat BENCH_multirack.json
-	$(GO) test -run xxx -benchmem \
-		-bench 'BenchmarkFailover' \
-		. | $(GO) run ./cmd/benchjson > BENCH_failover.json
-	@cat BENCH_failover.json
-	$(GO) test -run xxx -benchmem \
-		-bench '$(OBS_BENCH)' \
-		. | $(GO) run ./cmd/benchjson > BENCH_obs.json
-	@cat BENCH_obs.json
-
-# Rerun the pipeline benchmark suite and compare against the committed
-# BENCH_pipeline.json baseline: per-benchmark deltas, then a geometric-mean
-# verdict. Exits non-zero when the geomean ns/op regression exceeds 10%
-# (tune with `-tolerance`). Stdlib only — benchstat is deliberately not
-# required.
-bench-compare:
-	$(call run_pipeline_benches) | $(GO) run ./cmd/benchcompare -baseline BENCH_pipeline.json
-	$(GO) test -run xxx -benchmem -bench '$(OBS_BENCH)' . \
-		| $(GO) run ./cmd/benchcompare -baseline BENCH_obs.json
 
 # Interleaved before/after of the end-to-end benchmark (BENCHMARK.json):
 #   make bench-ab BASE=<ref> WORKLOADS="udp.zipf99_win32 udp.zipf99_open20k" K=10
@@ -114,10 +70,10 @@ bench-ab:
 experiments:
 	$(GO) run ./cmd/netcache-bench
 
-# Profile the packet-level rack under chaosbench load (see EXPERIMENTS.md,
-# "Profiling the packet path", for reading the result).
+# Profile the packet-level rack under the balance experiment's zipf-0.99 load
+# (see EXPERIMENTS.md, "Profiling the packet path", for reading the result).
 profile:
-	$(GO) run ./cmd/netcache-bench -exp chaosbench -quick \
+	$(GO) run ./cmd/netcache-bench -exp balance -quick \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -mutexprofile mutex.pprof
 	@echo "wrote cpu.pprof mem.pprof mutex.pprof — inspect with: go tool pprof -top cpu.pprof"
 

@@ -5,8 +5,9 @@
 // these are compiled out of `go test -race` and run by the plain `go test`
 // pass of `make test`.
 //
-// The bounds are deliberately looser than today's measurements (see
-// EXPERIMENTS.md for the exact numbers) so scheduler noise doesn't flake the
+// Paths that measure 0 allocs/op are pinned at exactly 0. The two budgets
+// TestAllocsCachedGet (2) and TestAllocsServerGet (4) are deliberately
+// looser than today's measurements so scheduler noise doesn't flake the
 // suite, but tight enough that losing buffer pooling anywhere on the path —
 // a forgotten ReleaseFrame, a deparser that stops using its lease, a client
 // frame built with append instead of the pool — trips them immediately.
@@ -21,6 +22,9 @@ import (
 	"netcache/internal/kvstore"
 	"netcache/internal/netproto"
 	"netcache/internal/rack"
+	"netcache/internal/stats"
+	"netcache/internal/switchcore"
+	"netcache/internal/telemetry"
 	"netcache/internal/workload"
 )
 
@@ -109,36 +113,71 @@ func TestAllocsEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestAllocsCachedGet: the raw cache-hit GET through the switch pipeline in
-// the steady-state calling convention (reused emission buffer, reply frame
-// released to the pool). The issue's budget is ≤2 allocs per cached Get;
-// the pooled path measures 0.
-func TestAllocsCachedGet(t *testing.T) {
-	r, err := rack.New(rack.Config{Servers: 4, Clients: 2, CacheCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.LoadDataset(128, 128)
-	key := workload.KeyName(3)
-	if err := r.PrePopulate([]netproto.Key{key}); err != nil {
-		t.Fatal(err)
-	}
-	pkt := netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key}
-	payload, err := pkt.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := netproto.MarshalFrame(r.Partition(key), rack.ClientAddr(0), payload)
+// pipelineAllocs is the allocations per cache-hit GET through r's switch
+// pipeline in the steady-state calling convention (reused emission buffer,
+// reply frame released to the pool).
+func pipelineAllocs(t *testing.T, r *rack.Rack, frame []byte, inPort int) float64 {
+	t.Helper()
 	out := make([]dataplane.Emitted, 0, 1)
-	allocs := testing.AllocsPerRun(1000, func() {
-		out, err = r.Switch.ProcessAppend(frame, 4, out[:0])
+	return testing.AllocsPerRun(1000, func() {
+		var err error
+		out, err = r.Switch.ProcessAppend(frame, inPort, out[:0])
 		if err != nil || len(out) != 1 {
 			t.Fatalf("ProcessAppend = %v, %v", out, err)
 		}
 		dataplane.ReleaseFrame(out[0])
 	})
-	if allocs > 2 {
+}
+
+// TestAllocsCachedGet: the raw cache-hit GET through the switch pipeline.
+// Its budget is ≤2 allocs per cached Get; the pooled path measures 0, which
+// TestAllocsPipeline pins exactly.
+func TestAllocsCachedGet(t *testing.T) {
+	r, frame, inPort := pipelineBenchRig(t, switchcore.Config{})
+	if allocs := pipelineAllocs(t, r, frame, inPort); allocs > 2 {
 		t.Errorf("cached Get allocates %.1f/op, budget is 2", allocs)
+	}
+}
+
+// TestAllocsPipeline: the cache-hit GET pipeline allocates nothing, exactly,
+// with no slack, so one allocation added anywhere on the path fails the
+// case that runs it.
+//   - trace-off: BenchmarkPipelineSequential / BenchmarkObsTraceOffPipeline;
+//   - trace-on: BenchmarkObsTraceOnPipeline, the trace hook recording into
+//     a ring on every stage;
+//   - telemetry-on: a Monitor and an HTTP server attached to the rack's
+//     registry. Both only read counters off the packet path, so the path
+//     is trace-off's; the case pins that attaching them adds nothing to
+//     it. It does not reproduce BenchmarkTelemetryOnPipeline's 1ms
+//     monitor: AllocsPerRun counts every goroutine's allocations, so the
+//     Monitor keeps its default 1s interval and practically never polls;
+//   - interpreter: the DisableFastPath twin of BenchmarkFastPathCachedGet,
+//     the cached Get through the table interpreter.
+func TestAllocsPipeline(t *testing.T) {
+	interp := switchcore.TestConfig()
+	interp.DisableFastPath = true
+	for _, tc := range []struct {
+		name  string
+		sw    switchcore.Config
+		setup func(t *testing.T, r *rack.Rack)
+	}{
+		{"trace-off", switchcore.Config{}, func(*testing.T, *rack.Rack) {}},
+		{"trace-on", switchcore.Config{}, func(_ *testing.T, r *rack.Rack) { r.EnableTrace(4096) }},
+		{"telemetry-on", switchcore.Config{}, func(t *testing.T, r *rack.Rack) {
+			mon := stats.NewMonitor(stats.MonitorConfig{Registry: r.Registry()})
+			mon.Start()
+			t.Cleanup(mon.Stop)
+			telemetry.New(telemetry.Config{Registry: r.Registry(), Monitor: mon})
+		}},
+		{"interpreter", interp, func(*testing.T, *rack.Rack) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, frame, inPort := pipelineBenchRig(t, tc.sw)
+			tc.setup(t, r)
+			if allocs := pipelineAllocs(t, r, frame, inPort); allocs != 0 {
+				t.Errorf("cached Get allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"netcache/internal/client"
 	"netcache/internal/harness"
+	"netcache/internal/kvstore"
 	_ "netcache/internal/queuesim" // registers the fig10c-sim latency experiment
 	"netcache/internal/telemetry"
 	_ "netcache/internal/topo" // registers the fig10f scalability model
@@ -31,41 +31,12 @@ func main() {
 	quick := flag.Bool("quick", false, "trade precision for runtime")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	format := flag.String("format", "table", "output format: table or csv")
-	loss := flag.Float64("loss", harness.ChaosParams.Loss, "chaosbench/multirack: per-frame loss probability")
-	dup := flag.Float64("dup", harness.ChaosParams.Dup, "chaosbench/multirack: per-frame duplication probability")
-	reorder := flag.Float64("reorder", harness.ChaosParams.Reorder, "chaosbench/multirack: per-frame reorder probability")
-	corrupt := flag.Float64("corrupt", harness.ChaosParams.Corrupt, "chaosbench/multirack: per-frame corruption probability")
-	rebootEvery := flag.Int("reboot-every", harness.ChaosParams.RebootEvery, "chaosbench/multirack: reboot interval in ops (0 disables)")
-	rtoFloor := flag.Duration("rto-floor", harness.ChaosPolicy.RTOFloor, "chaosbench: adaptive RTO floor (0 = client default)")
-	rtoCeil := flag.Duration("rto-ceil", harness.ChaosPolicy.RTOCeil, "chaosbench: adaptive RTO ceiling (0 = client default)")
-	backoffMax := flag.Int("backoff-max", harness.ChaosPolicy.BackoffMax, "chaosbench: max exponential backoff doublings (0 = client default)")
-	jitterFrac := flag.Float64("jitter-frac", harness.ChaosPolicy.JitterFrac, "chaosbench: RTO jitter fraction (0 = client default, negative disables)")
-	hedge := flag.Bool("hedge", harness.ChaosPolicy.Hedge, "chaosbench: enable hedged reads on the adaptive rows")
-	clientSeed := flag.Uint64("client-seed", harness.ChaosPolicy.Seed, "chaosbench: seed for the clients' retransmission jitter")
-	window := flag.Int("window", harness.ChaosWindow, "chaosbench/multirack: pipelining depth of the batched rows (1 disables)")
-	racks := flag.Int("racks", harness.MultiRackParams.Racks, "multirack: number of racks in the leaf-spine fabric")
-	serversPerRack := flag.Int("servers-per-rack", harness.MultiRackParams.ServersPerRack, "multirack: storage servers per rack")
-	spineCache := flag.Int("spine-cache", harness.MultiRackParams.SpineCache, "multirack: spine switch cache capacity")
-	torCache := flag.Int("tor-cache", harness.MultiRackParams.TorCache, "multirack: per-ToR switch cache capacity")
-	statsEvery := flag.Duration("stats-every", 0, "chaosbench: dump one windowed-rate SNAPSHOT line (JSON, stderr) per period (0 disables)")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /trace, /debug/pprof on this HTTP address while experiments run (empty disables)")
-	trace := flag.Int("trace", 0, "chaosbench: enable query tracing with a ring of this many records; tail dumped to stderr per row (0 disables)")
-	engine := flag.String("engine", "", "storage engine for every packet-level experiment: chained or cuckoo (empty = chained)")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /debug/pprof on this HTTP address while experiments run (empty disables)")
+	engine := flag.String("engine", "", "storage engine of the balance experiment's servers: chained or cuckoo (empty = chained)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 	flag.Parse()
-	harness.ChaosParams = harness.FaultParams{
-		Loss: *loss, Dup: *dup, Reorder: *reorder, Corrupt: *corrupt,
-		RebootEvery: *rebootEvery,
-	}
-	harness.ChaosPolicy = client.Policy{
-		RTOFloor: *rtoFloor, RTOCeil: *rtoCeil, BackoffMax: *backoffMax,
-		JitterFrac: *jitterFrac, Hedge: *hedge, Seed: *clientSeed,
-	}
-	harness.ChaosWindow = *window
-	harness.StatsEvery = *statsEvery
-	harness.ChaosTrace = *trace
 	if *telemetryAddr != "" {
 		ts := telemetry.New(telemetry.Config{})
 		bound, err := ts.Start(*telemetryAddr)
@@ -75,19 +46,13 @@ func main() {
 		}
 		defer ts.Close()
 		harness.Telemetry = ts
-		fmt.Fprintf(os.Stderr, "netcache-bench: telemetry on http://%v/metrics (sources attach as experiments run)\n", bound)
+		fmt.Fprintf(os.Stderr, "netcache-bench: telemetry on http://%v/metrics (the balance experiment attaches its racks while it runs)\n", bound)
 	}
-	switch *engine {
-	case "", "chained", "cuckoo":
-	default:
+	if kvstore.NewEngine(*engine, 1) == nil {
 		fmt.Fprintf(os.Stderr, "netcache-bench: unknown -engine %q (want chained or cuckoo)\n", *engine)
 		os.Exit(2)
 	}
 	harness.StorageEngine = *engine
-	harness.MultiRackParams.Racks = *racks
-	harness.MultiRackParams.ServersPerRack = *serversPerRack
-	harness.MultiRackParams.SpineCache = *spineCache
-	harness.MultiRackParams.TorCache = *torCache
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -20,10 +20,13 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"netcache/internal/client"
+	"netcache/internal/kvstore"
 	"netcache/internal/netproto"
 	"netcache/internal/server"
 	"netcache/internal/stats"
@@ -45,6 +48,12 @@ func main() {
 
 	if *addr < 1 || *addr >= 0x8000 {
 		log.Fatalf("netcache-server: -addr must be in [1, 32767]")
+	}
+	// server.New falls back to chained for a name it does not know; a
+	// typo on the command line must not silently run the wrong engine.
+	if kvstore.NewEngine(*engine, 1) == nil {
+		fmt.Fprintf(os.Stderr, "netcache-server: unknown -engine %q (want chained or cuckoo)\n", *engine)
+		os.Exit(2)
 	}
 	srv := server.New(server.Config{Addr: netproto.Addr(*addr), Shards: *shards, Engine: *engine})
 

@@ -26,7 +26,8 @@ func seeds() []uint64 {
 }
 
 // mustPass fails the test on a run error or any invariant violation,
-// printing the violations, the timeline and how to replay the seed.
+// printing the violations, the timeline and how to replay the seed. A
+// passing run logs one summary line (visible under -v, as in `make chaos`).
 func mustPass(t *testing.T, seed uint64, rep *Report, err error) {
 	t.Helper()
 	if err != nil {
@@ -47,6 +48,12 @@ func mustPass(t *testing.T, seed uint64, rep *Report, err error) {
 		t.Errorf("seed %d: workload did not run meaningfully: ops=%d timeouts=%d",
 			seed, rep.Ops, rep.Timeouts)
 	}
+	t.Logf("seed=%d ops=%d timeouts=%d fault_free_timeouts=%d violations=%d"+
+		" dup=%d reorder=%d corrupt=%d partition_drop=%d loss_drop=%d down_drop=%d"+
+		" server_crashes=%d switch_reboots=%d controller_restarts=%d",
+		seed, rep.Ops, rep.Timeouts, rep.FaultFreeTimeouts, len(rep.Violations),
+		rep.Duplicated, rep.Reordered, rep.CorruptInjected, rep.PartitionDropped, rep.LossDropped, rep.DownDropped,
+		rep.ServerCrashes, rep.SwitchReboots, rep.ControllerRestarts)
 }
 
 // TestChaos is the invariant-checked chaos suite: for every seed the rack

@@ -20,6 +20,10 @@ func TestChaosFailover(t *testing.T) {
 				t.Fatalf("failover run error (rerun with -chaos.seed=%d): %v", seed, err)
 			}
 			mustPass(t, seed, &rep.Report, nil)
+			t.Logf("seed=%d detect_ticks=%d failover_us=%d failback_us=%d hot_reads=%d avail_reads=%d"+
+				" cold_timeouts=%d post_failover_timeouts=%d resync_copied=%d",
+				seed, rep.DetectTicks, rep.FailoverLatency.Microseconds(), rep.FailbackLatency.Microseconds(),
+				rep.HotReads, rep.AvailabilityReads, rep.ColdTimeouts, rep.PostFailoverTimeouts, rep.ResyncCopied)
 			// Both injected deaths must have been detected and failed over.
 			if rep.Deaths < 2 || rep.Failovers < 2 {
 				t.Errorf("seed %d: deaths=%d failovers=%d, want >= 2 each", seed, rep.Deaths, rep.Failovers)

@@ -8,8 +8,20 @@ import (
 	"netcache/internal/netproto"
 	"netcache/internal/rack"
 	"netcache/internal/stats"
+	"netcache/internal/telemetry"
 	"netcache/internal/workload"
 )
+
+// Telemetry, when non-nil, is the HTTP telemetry server the balance
+// experiment retargets at each row's rack: the registry and windowed
+// monitor of the row currently running become scrapable at /metrics and
+// /snapshot. Set by the netcache-bench -telemetry-addr flag.
+var Telemetry *telemetry.Server
+
+// StorageEngine selects the storage engine the balance experiment's racks
+// run their servers on ("chained" or "cuckoo"; empty = chained). Set by the
+// netcache-bench -engine flag.
+var StorageEngine string
 
 // BalanceBench reproduces the paper's load-balance claim end-to-end at the
 // packet level: the same zipf-0.99 read workload runs through one rack with

@@ -139,9 +139,6 @@ func Experiments() []Experiment {
 		{"fig11c", "Dynamic workload: hot-out", Fig11c},
 		{"resources", "Switch resource usage (§6)", Resources},
 		{"xval", "Packet-level cross-validation of the capacity model", XVal},
-		{"chaosbench", "Rack throughput under fault injection", ChaosBench},
-		{"multirack", "Leaf-spine fabric throughput under uplink fault injection", MultiRackBench},
-		{"failover", "Replicated tier: detection, failover and failback latency", FailoverBench},
 		{"balance", "Load balance analytics: per-server load with the cache on vs off", BalanceBench},
 	}
 	return append(builtin, extra...)

@@ -7,9 +7,11 @@ package harness_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"netcache/internal/harness"
+	_ "netcache/internal/queuesim" // registers fig10c-sim
 	"netcache/internal/stats"
 	"netcache/internal/topo"
 	"netcache/internal/workload"
@@ -358,17 +360,21 @@ func TestTableHelpers(t *testing.T) {
 	}()
 }
 
+// The registry is exactly the paper's rows in paper order, then the balance
+// analytics, then the registered queueing-simulator extension: a row that
+// reproduces no figure cannot come back unnoticed.
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"fig9a", "fig9b", "fig10a", "fig10b", "fig10c", "fig10d",
-		"fig10e", "fig10f", "fig11a", "fig11b", "fig11c", "resources", "xval"}
-	exps := harness.Experiments()
-	if len(exps) < len(want) {
-		t.Fatalf("registry has %d experiments, want at least %d", len(exps), len(want))
+		"fig10e", "fig10f", "fig11a", "fig11b", "fig11c", "resources", "xval",
+		"balance", "fig10c-sim"}
+	var got []string
+	for _, e := range harness.Experiments() {
+		got = append(got, e.ID)
 	}
-	for i, id := range want {
-		if exps[i].ID != id {
-			t.Errorf("experiment %d = %s, want %s", i, exps[i].ID, id)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry = %v, want %v", got, want)
+	}
+	for _, id := range want {
 		if _, ok := harness.Lookup(id); !ok {
 			t.Errorf("Lookup(%s) failed", id)
 		}

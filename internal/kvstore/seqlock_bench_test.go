@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"runtime"
 	"testing"
 
 	"netcache/internal/netproto"
@@ -36,6 +37,40 @@ func BenchmarkSeqlockGetParallel(b *testing.B) {
 				}
 			})
 			b.ReportMetric(float64(s.ReadRetries())/float64(b.N), "retries/op")
+		})
+	}
+}
+
+// BenchmarkBytesPerKey measures each engine's live heap per stored key:
+// 100k keys of 64-byte values on 4 shards, heap in use after a GC minus the
+// heap before the engine was built, so the stored key and value bytes are in
+// both figures. Memory is the one axis measured so far on which cuckoo beats
+// chained.
+func BenchmarkBytesPerKey(b *testing.B) {
+	const nKeys = 100000
+	keys := make([]netproto.Key, nKeys)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	val := make([]byte, 64)
+	for _, name := range []string{"chained", "cuckoo"} {
+		b.Run(name, func(b *testing.B) {
+			var perKey float64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				s := NewEngine(name, 4)
+				for _, k := range keys {
+					s.Put(k, val)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				perKey = float64(ms.HeapAlloc-before) / nKeys
+				runtime.KeepAlive(s)
+			}
+			b.ReportMetric(perKey, "B/key")
 		})
 	}
 }

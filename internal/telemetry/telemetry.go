@@ -5,8 +5,8 @@
 // standard pprof profiles (/debug/pprof/) from one listener.
 //
 // The server holds its sources behind atomic pointers so a harness can
-// swap the scrape target between benchmark rows (each chaosbench row
-// builds a fresh rack) without restarting the listener, and a daemon can
+// swap the scrape target between benchmark rows (each balance row builds
+// a fresh rack) without restarting the listener, and a daemon can
 // attach sources after the listener is already up.
 package telemetry
 

@@ -119,7 +119,7 @@ func TestFacadeResourceReport(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) != 18 {
+	if len(Experiments()) != 15 {
 		t.Errorf("registry size = %d", len(Experiments()))
 	}
 	tb, err := RunExperiment("fig10a", true)

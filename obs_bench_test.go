@@ -7,6 +7,7 @@ import (
 	"netcache/internal/dataplane"
 	"netcache/internal/rack"
 	"netcache/internal/stats"
+	"netcache/internal/switchcore"
 	"netcache/internal/telemetry"
 	"netcache/internal/workload"
 )
@@ -54,14 +55,14 @@ func obsPipelineBench(b *testing.B, r *rack.Rack, frame []byte, inPort int) {
 // BenchmarkPipelineSequential (which it is byte-for-byte identical to:
 // both run with no tap installed).
 func BenchmarkObsTraceOffPipeline(b *testing.B) {
-	r, frame, inPort := pipelineBenchRig(b)
+	r, frame, inPort := pipelineBenchRig(b, switchcore.Config{})
 	obsPipelineBench(b, r, frame, inPort)
 }
 
 // BenchmarkObsTraceOnPipeline is the same path with tracing enabled into a
 // 4096-record ring — the price of leaving the trace on.
 func BenchmarkObsTraceOnPipeline(b *testing.B) {
-	r, frame, inPort := pipelineBenchRig(b)
+	r, frame, inPort := pipelineBenchRig(b, switchcore.Config{})
 	r.EnableTrace(4096)
 	obsPipelineBench(b, r, frame, inPort)
 }
@@ -92,7 +93,7 @@ func BenchmarkMonitorWindow(b *testing.B) {
 // BenchmarkTelemetryOffPipeline is the cache-hit GET pipeline path with no
 // telemetry plane attached — the baseline for the pair below.
 func BenchmarkTelemetryOffPipeline(b *testing.B) {
-	r, frame, inPort := pipelineBenchRig(b)
+	r, frame, inPort := pipelineBenchRig(b, switchcore.Config{})
 	obsPipelineBench(b, r, frame, inPort)
 }
 
@@ -102,7 +103,7 @@ func BenchmarkTelemetryOffPipeline(b *testing.B) {
 // pull-based, so an unscraped endpoint costs nothing on the packet path).
 // Acceptance budget: within 5% of the telemetry-off baseline.
 func BenchmarkTelemetryOnPipeline(b *testing.B) {
-	r, frame, inPort := pipelineBenchRig(b)
+	r, frame, inPort := pipelineBenchRig(b, switchcore.Config{})
 	mon := stats.NewMonitor(stats.MonitorConfig{Registry: r.Registry(), Interval: time.Millisecond})
 	mon.Start()
 	defer mon.Stop()
