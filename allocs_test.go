@@ -5,12 +5,14 @@
 // these are compiled out of `go test -race` and run by the plain `go test`
 // pass of `make test`.
 //
-// Paths that measure 0 allocs/op are pinned at exactly 0. The two budgets
-// TestAllocsCachedGet (2) and TestAllocsServerGet (4) are deliberately
-// looser than today's measurements so scheduler noise doesn't flake the
-// suite, but tight enough that losing buffer pooling anywhere on the path —
-// a forgotten ReleaseFrame, a deparser that stops using its lease, a client
-// frame built with append instead of the pool — trips them immediately.
+// Every path is pinned at exactly what it measures: 0 allocs/op through the
+// pipeline, 1 end to end (the value copy a client Get hands its caller).
+// AllocsPerRun truncates its average, so a pool refill or map growth that
+// amortizes over the runs does not flake the suite, while one allocation
+// added per op — a forgotten ReleaseFrame, a deparser that stops using its
+// lease, a client frame built with append instead of the pool, a reply
+// channel made per call — trips them immediately. TestAllocsCachedGet keeps
+// its older budget of 2; TestAllocsPipeline pins the same path at exactly 0.
 
 package netcache
 
@@ -181,25 +183,58 @@ func TestAllocsPipeline(t *testing.T) {
 	}
 }
 
-// TestAllocsServerGet: the full end-to-end miss path — client, simnet,
-// switch, storage server, and back. With the reply channel pooled and the
-// fabric's fault passthrough allocation-free, the one real per-query
-// allocation left is the value copy Get hands its caller: 1/op measured,
-// 4 allowed (map growth and pool misses amortize in).
-func TestAllocsServerGet(t *testing.T) {
+// clientGetAllocs is the allocations per blocking Get of key by the rack's
+// first client, end to end: client, simnet, switch and, on a cache miss,
+// the storage server, and back.
+func clientGetAllocs(t *testing.T, r *Rack, key Key) float64 {
+	t.Helper()
+	cli := r.Client(0)
+	return testing.AllocsPerRun(500, func() {
+		if _, err := cli.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// allocRack is a four-server rack with a 128-key dataset of 128 B values.
+func allocRack(t *testing.T) *Rack {
+	t.Helper()
 	r, err := New(Config{Servers: 4, Clients: 1, CacheCapacity: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.LoadDataset(128, 128)
-	cli := r.Client(0)
-	key := KeyName(100) // never cached
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := cli.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 4 {
-		t.Errorf("server Get allocates %.1f/op, budget is 4", allocs)
+	return r
+}
+
+// TestAllocsServerGet: the full end-to-end miss path. The pooled call with
+// its reply slot, the pooled request and reply frames and the fabric's
+// allocation-free fault passthrough leave one allocation per query: the
+// value copy Get hands its caller.
+func TestAllocsServerGet(t *testing.T) {
+	r := allocRack(t)
+	if allocs := clientGetAllocs(t, r, KeyName(100)); allocs != 1 { // never cached
+		t.Errorf("server Get allocates %.1f/op, want 1", allocs)
+	}
+}
+
+// TestAllocsClientCachedGet: the end-to-end cached Get — client, simnet,
+// the switch's fast path and back, no server. Its one allocation is the
+// value copy too.
+func TestAllocsClientCachedGet(t *testing.T) {
+	r := allocRack(t)
+	if err := r.PrePopulateTopK(8); err != nil {
+		t.Fatal(err)
+	}
+	key := KeyName(0)
+	if !r.Cached(key) {
+		t.Fatal("key 0 not cached after PrePopulateTopK")
+	}
+	served := r.Stats().ServerGets
+	if allocs := clientGetAllocs(t, r, key); allocs != 1 {
+		t.Errorf("cached client Get allocates %.1f/op, want 1", allocs)
+	}
+	if n := r.Stats().ServerGets - served; n != 0 {
+		t.Errorf("%d cached Gets reached a server", n)
 	}
 }

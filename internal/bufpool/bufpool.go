@@ -1,8 +1,8 @@
 // Package bufpool provides the frame buffer pool behind the zero-allocation
 // packet path. Every layer that builds a wire frame — the client encoding a
 // request, the switch deparser building a reply, the server encoding an
-// acknowledgment, the UDP transport slicing datagrams off the socket — leases
-// a buffer here and releases it when the frame has left its hands.
+// acknowledgment — leases a buffer here and releases it when the frame has
+// left its hands.
 //
 // The ownership discipline is deliberately asymmetric, and that asymmetry is
 // the safety property of the whole design:
@@ -15,49 +15,38 @@
 //     to corrupt data. Release sites are therefore few, explicit, and
 //     documented (see DESIGN.md, "Memory & batching model").
 //
-// The pool is a buffered channel rather than a sync.Pool: a channel of
-// []byte moves slice headers without the interface boxing that sync.Pool's
-// Put forces on non-pointer values (each Put would otherwise allocate the
-// very garbage the pool exists to avoid), and the fixed channel capacity
-// bounds idle memory instead of leaving it to GC-cycle emptying.
+// The pool is a sync.Pool of *[FrameCap]byte, not of []byte: Put converts the
+// slice back to a pointer to its backing array, and a pointer goes into an
+// interface without boxing, so Put does not allocate the very garbage the
+// pool exists to avoid. sync.Pool keeps a private slot and a lock-free shard
+// per P, so a lease and its release take no runtime lock (a buffered channel
+// took one per operation). Idle buffers are freed by the garbage collector
+// after two cycles rather than capped at a fixed count.
 package bufpool
+
+import "sync"
 
 // FrameCap is the capacity of every pooled frame buffer. It matches the
 // transport's maximum datagram size so a pooled buffer can hold any frame
-// the system can carry, and so udptrans can read whole datagrams straight
-// into a pooled slab.
+// the system can carry.
 const FrameCap = 2048
 
-// poolSize bounds how many idle buffers the pool retains: enough to cover
-// every in-flight packet of a busy rack (clients × window depth plus switch
-// emissions in flight) without ever blocking, small enough that the resident
-// cost is trivial (256 × 2 KiB = 512 KiB).
-const poolSize = 256
+var frames = sync.Pool{New: func() any { return new([FrameCap]byte) }}
 
-var frames = make(chan []byte, poolSize)
-
-// Get leases a zero-length buffer with capacity ≥ FrameCap. The caller owns
-// it until Put; appending beyond FrameCap is legal (append reallocates) but
-// such a grown buffer is discarded on Put.
+// Get leases a zero-length buffer with capacity FrameCap. The caller owns it
+// until Put; appending beyond FrameCap is legal (append reallocates) but such
+// a grown buffer is discarded on Put.
 func Get() []byte {
-	select {
-	case b := <-frames:
-		return b[:0]
-	default:
-		return make([]byte, 0, FrameCap)
-	}
+	return frames.Get().(*[FrameCap]byte)[:0]
 }
 
 // Put returns a leased buffer to the pool. The caller must not touch b after
-// the call: the next Get may hand it to another goroutine. Undersized buffers
-// (a lease that was reallocated by append, or a foreign slice) and overflow
-// beyond the pool's capacity are dropped for the GC.
+// the call: the next Get may hand it to another goroutine. A buffer whose
+// capacity is not exactly FrameCap (a lease that append reallocated, or a
+// foreign slice) is dropped for the GC.
 func Put(b []byte) {
-	if cap(b) < FrameCap {
+	if cap(b) != FrameCap {
 		return
 	}
-	select {
-	case frames <- b[:0]:
-	default:
-	}
+	frames.Put((*[FrameCap]byte)(b[:FrameCap]))
 }

@@ -17,6 +17,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -109,13 +110,16 @@ type Client struct {
 	send      func(frame []byte)
 	sendBatch func(frames [][]byte)
 
-	seq     atomic.Uint64
+	seq atomic.Uint64
+	// mu guards pending, and every write Receive makes to a pending call.
 	mu      sync.Mutex
-	pending map[uint64]chan netproto.Packet
+	pending map[uint64]*call
 
-	// est holds one RTT estimator per destination server.
+	// est holds one RTT estimator per destination server. The map is
+	// copy-on-write: a query finds its estimator with one atomic load, and
+	// estMu only serializes adding a destination.
 	estMu sync.Mutex
-	est   map[netproto.Addr]*rtoEstimator
+	est   atomic.Pointer[map[netproto.Addr]*rtoEstimator]
 
 	// jitterCtr is the client's splitmix64 jitter stream: seeded, lock-free,
 	// independent of the clock and of math/rand, so seeded runs replay.
@@ -158,9 +162,9 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:     cfg,
-		pending: make(map[uint64]chan netproto.Packet),
-		est:     make(map[netproto.Addr]*rtoEstimator),
+		pending: make(map[uint64]*call),
 	}
+	c.est.Store(&map[netproto.Addr]*rtoEstimator{})
 	c.Metrics.GetLatency = stats.NewLatencyHistogram()
 	c.Metrics.PutLatency = stats.NewLatencyHistogram()
 	c.Metrics.DeleteLatency = stats.NewLatencyHistogram()
@@ -171,90 +175,88 @@ func New(cfg Config) (*Client, error) {
 
 // estimatorFor returns (creating on first use) the estimator for dst.
 func (c *Client) estimatorFor(dst netproto.Addr) *rtoEstimator {
+	if e, ok := (*c.est.Load())[dst]; ok {
+		return e
+	}
 	c.estMu.Lock()
 	defer c.estMu.Unlock()
-	e, ok := c.est[dst]
-	if !ok {
-		e = newEstimator(c.cfg.Timeout, c.cfg.Policy)
-		c.est[dst] = e
+	old := *c.est.Load()
+	if e, ok := old[dst]; ok {
+		return e
 	}
+	m := maps.Clone(old)
+	e := newEstimator(c.cfg.Timeout, c.cfg.Policy)
+	m[dst] = e
+	c.est.Store(&m)
 	return e
 }
 
 // Estimator returns a snapshot of the RTT estimator state toward dst (the
 // zero snapshot if the client has never sent there).
 func (c *Client) Estimator(dst netproto.Addr) EstimatorState {
-	c.estMu.Lock()
-	e, ok := c.est[dst]
-	c.estMu.Unlock()
+	e, ok := (*c.est.Load())[dst]
 	if !ok {
 		return EstimatorState{}
 	}
 	return e.snapshot()
 }
 
-// replyChans pools the one-slot reply channels of in-flight calls. A
-// channel returns to the pool drained, but a late duplicate reply can race
-// the drain and land in the buffer after release — so every receive from a
-// pooled channel checks the packet's SEQ against the call's and discards
-// strangers (see waitReply and await).
-var replyChans = sync.Pool{
-	New: func() any { return make(chan netproto.Packet, 1) },
-}
+// epoch anchors the client's clock. time.Since(epoch) reads only the
+// monotonic clock, about half the cost of time.Now, and a query reads it
+// twice: once in prepare and once when its reply lands.
+var epoch = time.Now()
 
-// waitReply waits up to wait for a reply on ch. Waits under the policy's
-// SpinUnder threshold poll in a Gosched-yielding loop — a parked timer's
+func now() time.Duration { return time.Since(epoch) }
+
+// waitReply waits up to wait for cl's reply and reports whether it arrived.
+// Receive hands the reply over by setting cl.done, so a reply that is
+// already in — a synchronous fabric delivers it inside the send — costs one
+// atomic load and no channel operation. Waits under the policy's SpinUnder
+// threshold poll that flag in a Gosched-yielding loop: a parked timer's
 // wakeup latency (~1ms on stock kernels) would otherwise quantize every
-// sub-millisecond RTO up to the millisecond scale, erasing exactly the
-// gap the estimator exists to close. Longer waits park on a fresh timer
-// per attempt: reusing one timer across attempts with stop-drain-reset
-// races the runtime's expiry send — Stop can return false while the send
-// is still in flight, the drain select finds the channel empty, and the
-// stale expiry then lands after Reset, firing the next wait instantly and
-// causing a spurious early retransmit or timeout.
-func (c *Client) waitReply(ch chan netproto.Packet, seq uint64, wait time.Duration) (netproto.Packet, bool) {
+// sub-millisecond RTO up to the millisecond scale, erasing exactly the gap
+// the estimator exists to close. Longer waits (UDP, a backed-off RTO) park
+// on the call's one-slot wake channel, which Receive signals only once the
+// waiter has set cl.parked, and on a fresh timer per attempt: reusing one
+// timer across attempts with stop-drain-reset races the runtime's expiry
+// send — Stop can return false while the send is still in flight, the drain
+// select finds the channel empty, and the stale expiry then lands after
+// Reset, firing the next wait instantly and causing a spurious early
+// retransmit or timeout.
+func (c *Client) waitReply(cl *call, wait time.Duration) bool {
+	if cl.done.Load() {
+		return true
+	}
 	if wait <= 0 {
-		for {
-			select {
-			case reply := <-ch:
-				if reply.Seq != seq {
-					continue // stale reply from the channel's previous call
-				}
-				return reply, true
-			default:
-				return netproto.Packet{}, false
-			}
-		}
+		return false
 	}
 	if wait < c.cfg.Policy.SpinUnder {
-		deadline := time.Now().Add(wait)
-		for {
-			select {
-			case reply := <-ch:
-				if reply.Seq == seq {
-					return reply, true
-				}
-			default:
-			}
-			if time.Now().After(deadline) {
-				return netproto.Packet{}, false
+		deadline := now() + wait
+		for !cl.done.Load() {
+			if now() > deadline {
+				return false
 			}
 			runtime.Gosched()
 		}
+		return true
 	}
+	if cl.wake == nil {
+		cl.wake = make(chan struct{}, 1)
+	}
+	// Set parked before the last look at done: Receive sets done before it
+	// reads parked, so either this load sees the reply or Receive sees the
+	// waiter and signals wake.
+	cl.parked.Store(true)
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	for {
+	for !cl.done.Load() {
 		select {
-		case reply := <-ch:
-			if reply.Seq != seq {
-				continue // stale; keep waiting out the timer
-			}
-			return reply, true
+		case <-cl.wake: // a signal left by an earlier wait is harmless
 		case <-timer.C:
-			return netproto.Packet{}, false
+			return cl.done.Load()
 		}
 	}
+	return true
 }
 
 // jitter draws a deterministic pseudo-random duration in [0, frac*base).
@@ -303,27 +305,27 @@ func (c *Client) Receive(frame []byte) {
 	if pkt.Value != nil {
 		pkt.Value = append([]byte(nil), pkt.Value...)
 	}
+	// The first reply to a pending call claims it: it leaves pending, so a
+	// duplicate (a retransmission answered twice, a hedge, a late reply from
+	// a failed-over primary) finds nothing and counts as Unmatched. Nothing
+	// here blocks — on a synchronous fabric Receive runs inside the sender's
+	// own call stack — and every write to the call happens under mu, which
+	// release also takes before the call is recycled.
 	c.mu.Lock()
-	ch, ok := c.pending[pkt.Seq]
+	cl, ok := c.pending[pkt.Seq]
 	if ok {
 		delete(c.pending, pkt.Seq)
+		cl.reply = pkt
+		cl.done.Store(true)
+		if cl.parked.Load() {
+			select {
+			case cl.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.Metrics.Unmatched.Inc()
-		return
-	}
-	// Non-blocking: the channel holds one reply and roundTrip
-	// consumes exactly one. A duplicate (a retransmission answered
-	// twice) racing a timer-driven re-registration could otherwise
-	// block this goroutine — fatal on a synchronous fabric, where
-	// Receive runs inside the sender's own call stack.
-	select {
-	case ch <- pkt:
-	default:
-		// The reply slot is already full: this is a duplicate racing the
-		// buffered one, functionally identical to arriving after the
-		// pending entry was reaped.
 		c.Metrics.Unmatched.Inc()
 	}
 }
@@ -359,22 +361,36 @@ func (c *Client) Delete(key netproto.Key) error {
 
 // call is one in-flight query: its sequence number, destination, the
 // encoded request frame (a pooled buffer, reused verbatim by every
-// retransmission and hedge), and the reply channel registered in pending.
+// retransmission and hedge), and the slot its reply is handed over in.
+// Calls are pooled; one is registered in pending from prepare until await
+// releases it.
 type call struct {
 	seq   uint64
 	dst   netproto.Addr
 	op    netproto.Op
 	key   netproto.Key
-	start time.Time
+	start time.Duration // prepare's clock read, also attempt 0's start
 	frame []byte
-	ch    chan netproto.Packet
+
+	// reply is written by Receive, under Client.mu, before it sets done;
+	// the waiter reads it only after it has seen done.
+	reply netproto.Packet
+	done  atomic.Bool
+	// parked is set by a waiter about to block on wake. Only then does
+	// Receive signal wake, so a reply that beats its waiter costs no
+	// channel operation. wake is made on the call's first park and kept
+	// across reuse.
+	parked atomic.Bool
+	wake   chan struct{}
 }
 
+var calls = sync.Pool{New: func() any { return new(call) }}
+
 // prepare assigns a sequence number, encodes the request into a pooled
-// frame, and registers the reply channel — everything up to (but not
-// including) the first transmission. Every successful prepare must be paired
-// with exactly one await, which unregisters and releases.
-func (c *Client) prepare(pkt netproto.Packet, cl *call) error {
+// frame, and registers a pooled call — everything up to (but not including)
+// the first transmission. Every successful prepare must be paired with
+// exactly one await, which unregisters and releases.
+func (c *Client) prepare(pkt netproto.Packet) (*call, error) {
 	seq := c.seq.Add(1)
 	pkt.Seq = seq
 	dst := c.cfg.Partition(pkt.Key)
@@ -382,32 +398,49 @@ func (c *Client) prepare(pkt netproto.Packet, cl *call) error {
 	frame, err := netproto.AppendFramePacket(frame, dst, c.cfg.Addr, &pkt)
 	if err != nil {
 		bufpool.Put(frame)
-		return err
+		return nil, err
 	}
+	cl := calls.Get().(*call)
 	cl.seq = seq
 	cl.dst = dst
 	cl.op = pkt.Op
 	cl.key = pkt.Key
-	cl.start = time.Now()
+	cl.start = now()
 	cl.frame = frame
-	cl.ch = replyChans.Get().(chan netproto.Packet)
-	// A late reply to the channel's previous call can land after its drain;
-	// clear it so this call never starts with a stale buffered packet.
-	select {
-	case <-cl.ch:
-	default:
-	}
 	c.mu.Lock()
-	c.pending[seq] = cl.ch
+	c.pending[seq] = cl
 	c.mu.Unlock()
 	c.trace.Load().Record(qtrace.ClientSend, cl.op, seq, cl.key, false, false)
-	return nil
+	return cl, nil
 }
 
-// complete records the end-to-end latency of a successful call into the
-// matching per-op histogram and emits the ClientRecv trace record.
-func (c *Client) complete(cl *call) {
-	d := float64(time.Since(cl.start))
+// release unregisters cl, returns its frame and the call itself to their
+// pools. Taking mu orders it after any Receive still writing the call, and
+// once cl has left pending no Receive can reach it, so the next query that
+// draws cl from the pool never sees this one's reply or wake signal.
+func (c *Client) release(cl *call) {
+	c.mu.Lock()
+	delete(c.pending, cl.seq)
+	c.mu.Unlock()
+	bufpool.Put(cl.frame)
+	cl.frame = nil
+	cl.reply = netproto.Packet{}
+	cl.done.Store(false)
+	if cl.parked.Load() {
+		select {
+		case <-cl.wake:
+		default:
+		}
+		cl.parked.Store(false)
+	}
+	calls.Put(cl)
+}
+
+// complete records the end-to-end latency of a successful call, ending at
+// the clock read end, into the matching per-op histogram and emits the
+// ClientRecv trace record.
+func (c *Client) complete(cl *call, end time.Duration) {
+	d := float64(end - cl.start)
 	switch cl.op {
 	case netproto.OpGet:
 		c.Metrics.GetLatency.Observe(d)
@@ -426,64 +459,56 @@ func (c *Client) SetTrace(t *qtrace.Tap) { c.trace.Store(t) }
 // roundTrip sends the query and awaits the matching reply, retransmitting
 // per the configured policy.
 func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
-	var cl call
-	if err := c.prepare(pkt, &cl); err != nil {
+	cl, err := c.prepare(pkt)
+	if err != nil {
 		return netproto.Packet{}, err
 	}
-	return c.await(&cl, false)
+	return c.await(cl, false)
 }
 
 // await drives one prepared call to completion: transmit (unless preSent
 // says the first copy already left in a batch), wait, retransmit, and on
-// return unregister the pending entry and release the request frame. The
-// release is safe because no transmit path retains a sent frame: the simnet
-// fabric and the switch copy what they keep before Inject returns, and the
-// UDP endpoint hands the bytes to the kernel.
+// return release the call and its request frame. The release is safe
+// because no transmit path retains a sent frame: the simnet fabric and the
+// switch copy what they keep before Inject returns, and the UDP endpoint
+// hands the bytes to the kernel.
 //
-// Accounting contract (the chaosbench retransmit ratio depends on it):
-// Sent counts every frame transmitted — first attempts, retransmissions and
-// hedges — so first attempts == Sent - Retransmit - Hedges. Each
-// intermediate expiry increments Retransmit exactly once (when the
-// retransmission goes out), and a query that fails increments Timeouts
-// exactly once, on the final attempt's expiry. Batched first attempts are
-// counted by GetBatch at the moment the burst goes out.
+// Accounting contract (the chaos engine's conservation check and the
+// benchmark's retransmit count depend on it): Sent counts every frame
+// transmitted — first attempts, retransmissions and hedges — so first
+// attempts == Sent - Retransmit - Hedges. Each intermediate expiry
+// increments Retransmit exactly once (when the retransmission goes out),
+// and a query that fails increments Timeouts exactly once, on the final
+// attempt's expiry. Batched first attempts are counted by GetBatch at the
+// moment the burst goes out.
 func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, cl.seq)
-		c.mu.Unlock()
-		bufpool.Put(cl.frame)
-		// Drain-and-pool the reply channel. A Receive that fetched the
-		// channel from pending before the delete can still deposit a
-		// duplicate after this drain; the SEQ guards on every receive path
-		// make that harmless.
-		select {
-		case <-cl.ch:
-		default:
-		}
-		replyChans.Put(cl.ch)
-	}()
+	defer c.release(cl)
 
 	adaptive := !c.cfg.Policy.FixedRTO
 	est := c.estimatorFor(cl.dst)
 	hedged := false
-	// sample records the reply RTT under Karn's rule: only a reply to an
-	// attempt that was never retransmitted or hedged is unambiguous.
-	sample := func(attempt int, start time.Time) {
-		if !adaptive {
-			return
+	// finish reads the clock once for a reply that arrived: the read ends
+	// both the op's latency and its RTT sample, which Karn's rule admits
+	// only for an attempt that was never retransmitted or hedged.
+	finish := func(attempt int, start time.Duration) (netproto.Packet, error) {
+		end := now()
+		if adaptive {
+			if attempt > 0 || hedged {
+				c.Metrics.KarnSkipped.Inc()
+			} else {
+				est.Observe(end - start)
+				c.Metrics.RTTSamples.Inc()
+			}
 		}
-		if attempt > 0 || hedged {
-			c.Metrics.KarnSkipped.Inc()
-			return
-		}
-		est.Observe(time.Since(start))
-		c.Metrics.RTTSamples.Inc()
+		c.complete(cl, end)
+		return cl.reply, nil
 	}
 
-	ch := cl.ch
+	start := cl.start
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
+		if attempt > 0 {
+			start = now()
+		}
 		if attempt > 0 || !preSent {
 			c.Metrics.Sent.Inc()
 			if attempt > 0 {
@@ -493,11 +518,9 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 			c.send(cl.frame)
 		}
 		// The fabric may deliver synchronously, in which case the
-		// reply is already buffered.
-		if reply, ok := c.waitReply(ch, cl.seq, 0); ok {
-			sample(attempt, start)
-			c.complete(cl)
-			return reply, nil
+		// reply is already in.
+		if c.waitReply(cl, 0) {
+			return finish(attempt, start)
 		}
 		wait := c.cfg.Timeout
 		if adaptive {
@@ -511,10 +534,8 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		if adaptive && c.cfg.Policy.Hedge && attempt == 0 && !hedged &&
 			cl.op == netproto.OpGet {
 			if hd := est.HedgeDelay(); hd > 0 && hd < wait {
-				if reply, ok := c.waitReply(ch, cl.seq, hd); ok {
-					sample(attempt, start)
-					c.complete(cl)
-					return reply, nil
+				if c.waitReply(cl, hd) {
+					return finish(attempt, start)
 				}
 				hedged = true
 				c.Metrics.Sent.Inc()
@@ -524,10 +545,8 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 				wait -= hd
 			}
 		}
-		if reply, ok := c.waitReply(ch, cl.seq, wait); ok {
-			sample(attempt, start)
-			c.complete(cl)
-			return reply, nil
+		if c.waitReply(cl, wait) {
+			return finish(attempt, start)
 		}
 		if adaptive {
 			est.TimedOut()
@@ -537,10 +556,6 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 			c.trace.Load().Record(qtrace.ClientTimeout, cl.op, cl.seq, cl.key, false, false)
 			return netproto.Packet{}, ErrTimeout
 		}
-		// Re-register: Receive may have raced the delete.
-		c.mu.Lock()
-		c.pending[cl.seq] = ch
-		c.mu.Unlock()
 	}
 }
 
@@ -583,15 +598,15 @@ func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) 
 		return results, errs
 	}
 
-	calls := make([]call, w)
+	window := make([]*call, w)
 	frames := make([][]byte, 0, w)
 	for base := 0; base < len(keys); base += w {
 		end := min(base+w, len(keys))
 		frames = frames[:0]
 		for i := base; i < end; i++ {
-			cl := &calls[i-base]
-			*cl = call{}
-			if err := c.prepare(netproto.Packet{Op: netproto.OpGet, Key: keys[i]}, cl); err != nil {
+			cl, err := c.prepare(netproto.Packet{Op: netproto.OpGet, Key: keys[i]})
+			window[i-base] = cl
+			if err != nil {
 				errs[i] = err
 				continue
 			}
@@ -600,8 +615,8 @@ func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) 
 		c.Metrics.Sent.Add(uint64(len(frames)))
 		c.sendBatch(frames)
 		for i := base; i < end; i++ {
-			cl := &calls[i-base]
-			if cl.ch == nil {
+			cl := window[i-base]
+			if cl == nil {
 				continue // prepare failed
 			}
 			reply, err := c.await(cl, true)

@@ -3,7 +3,9 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -490,5 +492,180 @@ func TestLateDuplicateAfterFailoverCountsUnmatched(t *testing.T) {
 	cli.Receive(dup)
 	if got := cli.Metrics.Unmatched.Value(); got != 2 {
 		t.Fatalf("replayed duplicate: Unmatched = %d, want 2", got)
+	}
+}
+
+// echoSeq answers a request frame with a found reply whose value is the
+// request's key, a colon and its sequence number, so a reply names the query
+// it belongs to.
+func echoSeq(frame []byte) (uint64, []byte) {
+	fr, _ := netproto.DecodeFrame(frame)
+	var pkt netproto.Packet
+	_ = netproto.Decode(fr.Payload, &pkt)
+	value := fmt.Sprintf("%s:%d", pkt.Key, pkt.Seq)
+	reply := netproto.Reply(&pkt, []byte(value), true)
+	payload, _ := reply.Marshal()
+	return pkt.Seq, netproto.MarshalFrame(fr.Src, fr.Dst, payload)
+}
+
+// A duplicate of a completed query's reply, delivered while that query's
+// pooled call is serving a new query, counts Unmatched and neither completes
+// nor corrupts the new call.
+func TestDuplicateAfterCallRecycledCountsUnmatched(t *testing.T) {
+	cli, err := New(Config{
+		Addr:      cliAddr,
+		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
+		Timeout:   50 * time.Millisecond,
+		Retries:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		prevReply []byte
+		prevCall  *call
+		lastSeq   uint64
+		recycled  bool
+	)
+	cli.SetSend(func(frame []byte) {
+		seq, reply := echoSeq(frame)
+		lastSeq = seq
+		cli.mu.Lock()
+		cl := cli.pending[seq]
+		cli.mu.Unlock()
+		if cl == prevCall {
+			recycled = true
+			unmatched := cli.Metrics.Unmatched.Value()
+			cli.Receive(prevReply)
+			if got := cli.Metrics.Unmatched.Value(); got != unmatched+1 {
+				t.Errorf("duplicate into a recycled call: Unmatched %d -> %d, want +1", unmatched, got)
+			}
+			if cl.done.Load() {
+				t.Error("duplicate of the previous query completed the recycled call")
+			}
+		}
+		prevReply, prevCall = reply, cl
+		cli.Receive(reply)
+	})
+	for i := 0; i < 50 && !recycled; i++ {
+		v, err := cli.Get(netproto.KeyFromString("k"))
+		if err != nil {
+			t.Fatalf("get %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("k:%d", lastSeq); string(v) != want {
+			t.Fatalf("get %d = %q, want its own reply %q", i, v, want)
+		}
+	}
+	if !recycled {
+		t.Fatal("no query reused its predecessor's call in 50 tries")
+	}
+	if got := cli.Metrics.Unmatched.Value(); got != 1 {
+		t.Errorf("Unmatched = %d, want 1", got)
+	}
+}
+
+// Run under -race: replies race their calls' completion, timeout and
+// recycling. Two in three queries are answered twice, once inside the send
+// and once from another goroutine that may land before, during or after the
+// call completes; the third is answered only from another goroutine, late
+// enough that the query may have timed out and released its call. One
+// reply per answered query claims it and every other reply counts
+// Unmatched, bar those claiming a query just after its final expiry; each
+// Get returns its own reply, so a goroutine's values carry its key and
+// strictly rising sequence numbers. The poll case waits in the SpinUnder
+// loop, the park case on the call's wake channel.
+func TestDuplicateRepliesRaceCompletion(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		spinUnder time.Duration
+	}{{"poll", 0}, {"park", -1}} {
+		t.Run(tc.name, func(t *testing.T) { duplicateRepliesRace(t, tc.spinUnder) })
+	}
+}
+
+func duplicateRepliesRace(t *testing.T, spinUnder time.Duration) {
+	cli, err := New(Config{
+		Addr:      cliAddr,
+		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
+		Timeout:   200 * time.Microsecond,
+		Retries:   NoRetries,
+		Policy:    Policy{SpinUnder: spinUnder},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		dups              sync.WaitGroup
+		replies, onlyLate atomic.Uint64
+	)
+	cli.SetSend(func(frame []byte) {
+		seq, reply := echoSeq(frame)
+		inline := seq%3 != 0
+		if inline {
+			replies.Add(2)
+		} else {
+			replies.Add(1)
+			onlyLate.Add(1)
+		}
+		dups.Add(1)
+		go func() {
+			defer dups.Done()
+			switch {
+			case !inline:
+				time.Sleep(200 * time.Microsecond) // lands around the RTO
+			case seq%2 == 0:
+				runtime.Gosched() // let the original win and the call recycle
+			}
+			cli.Receive(reply)
+		}()
+		if inline {
+			cli.Receive(reply)
+		}
+	})
+	const goroutines, per = 4, 300
+	var wg sync.WaitGroup
+	var answered atomic.Uint64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			var last uint64
+			for i := 0; i < per; i++ {
+				v, err := cli.Get(netproto.KeyFromString(key))
+				if err == ErrTimeout {
+					continue
+				}
+				var seq uint64
+				if _, serr := fmt.Sscanf(string(v), key+":%d", &seq); err != nil || serr != nil || seq <= last {
+					t.Errorf("%s's get %d = %q, %v after seq %d", key, i, v, err, last)
+					return
+				}
+				last = seq
+				answered.Add(1)
+			}
+		}(fmt.Sprintf("g%d", g))
+	}
+	wg.Wait()
+	dups.Wait()
+	timeouts := cli.Metrics.Timeouts.Value()
+	if got := answered.Load() + timeouts; got != goroutines*per {
+		t.Fatalf("answered %d + timeouts %d != %d queries", answered.Load(), timeouts, goroutines*per)
+	}
+	if timeouts > onlyLate.Load() {
+		t.Errorf("%d timeouts, but only %d queries went without an inline reply", timeouts, onlyLate.Load())
+	}
+	// A reply that lands between its query's final expiry and the release
+	// still claims the call, so it is neither Unmatched nor an answer.
+	unclaimed := replies.Load() - answered.Load()
+	if got := cli.Metrics.Unmatched.Value(); got > unclaimed || got < unclaimed-timeouts {
+		t.Errorf("Unmatched = %d, want %d less at most %d claimed after a timeout", got, unclaimed, timeouts)
+	}
+	if r := cli.Metrics.Retransmit.Value(); r != 0 {
+		t.Errorf("retransmits = %d with NoRetries", r)
+	}
+	cli.mu.Lock()
+	defer cli.mu.Unlock()
+	if len(cli.pending) != 0 {
+		t.Errorf("%d calls left pending", len(cli.pending))
 	}
 }

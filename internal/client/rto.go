@@ -4,11 +4,11 @@
 //
 // The paper leaves reliable transmission of UDP Get queries to the client
 // (§4.1: SEQ "can be used as a sequence number for reliable transmissions").
-// PR 2's chaosbench showed why a fixed per-attempt timeout is not enough:
-// on a fabric whose RTT is a few microseconds, every lost frame cost a full
-// 2ms timeout, collapsing throughput ~40x under a modest fault mix. The
-// estimator keeps the retransmission timer proportional to the path the
-// client actually observes.
+// A fixed per-attempt timeout is not enough: on a fabric whose RTT is a few
+// microseconds, every lost frame costs a full 2ms timeout, which collapsed
+// the rack's throughput ~40x under a modest fault mix of loss, duplication
+// and reordering. The estimator keeps the retransmission timer proportional
+// to the path the client actually observes.
 package client
 
 import (
@@ -19,8 +19,8 @@ import (
 )
 
 // Policy tunes the adaptive retransmission path. The zero value enables
-// adaptation with the defaults below; FixedRTO restores the PR 2 behavior
-// (every attempt waits exactly Config.Timeout).
+// adaptation with the defaults below; FixedRTO restores the fixed-timeout
+// client (every attempt waits exactly Config.Timeout).
 type Policy struct {
 	// FixedRTO disables RTT estimation, backoff and jitter: every attempt
 	// waits exactly Config.Timeout, as the pre-adaptive client did.
@@ -44,12 +44,13 @@ type Policy struct {
 	// Only reads hedge — they are idempotent end to end.
 	Hedge bool
 	// SpinUnder is the poll-mode threshold: a wait shorter than this polls
-	// the reply slot in a yielding busy-loop instead of parking on a
-	// runtime timer. Parked-timer wakeups cost ~1ms on stock kernels
-	// (timer slack + HZ quantization), which would round every
-	// sub-millisecond RTO up to the millisecond scale — the reason the
-	// paper's testbed clients run poll-mode DPDK rather than interrupt
-	// I/O. Zero means 2ms; negative disables polling entirely.
+	// the call's reply flag in a yielding busy-loop instead of parking on
+	// the call's wake channel and a runtime timer. Parked-timer wakeups
+	// cost ~1ms on stock kernels (timer slack + HZ quantization), which
+	// would round every sub-millisecond RTO up to the millisecond scale —
+	// the reason the paper's testbed clients run poll-mode DPDK rather
+	// than interrupt I/O. Zero means 2ms; negative disables polling
+	// entirely.
 	SpinUnder time.Duration
 	// Seed seeds the client's splitmix64 jitter stream. The client mixes
 	// its own address in, so clients sharing a seed draw distinct but

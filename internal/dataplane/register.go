@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,18 +12,22 @@ import (
 // reads and writes it through the switch driver (§4.4.2).
 //
 // Slot widths of 1–64 bits are stored bit-packed; 128-bit slots (the value
-// slots of NetCache) are stored as byte slices. A register array may be
-// accessed at most once per packet, and at most MaxRegisterAccessBytes per
-// access — the ASIC timing constraints that shape the NetCache design.
+// slots of NetCache) are stored as two 64-bit words each. A register array
+// may be accessed at most once per packet, and at most
+// MaxRegisterAccessBytes per access — the ASIC timing constraints that shape
+// the NetCache design.
 //
-// Every access is individually atomic, standing in for the per-stage ALU of
-// the ASIC: a read-modify-write on one slot can never observe or produce a
-// torn value, no matter how many packets are in flight. Word-backed arrays
+// Every narrow access is individually atomic, standing in for the per-stage
+// ALU of the ASIC: a read-modify-write on one slot can never observe or
+// produce a torn value, no matter how many packets are in flight. Arrays
 // whose slot width divides 64 (all of NetCache's counter-shaped arrays) use
-// lock-free compare-and-swap on the containing word; odd widths and 128-bit
-// arrays fall back to a per-register mutex. Multi-slot invariants (e.g.
-// "valid bit implies consistent value slots") are the program's to enforce,
-// just as on hardware — see switchcore's per-key locks.
+// lock-free compare-and-swap on the containing word; odd widths fall back to
+// a per-register mutex. A 128-bit slot is two atomic words, each loaded and
+// stored on its own, with no lock: the value stages only ever read or
+// overwrite a whole slot, and the program keeps a reader from racing a
+// writer of the same slot. Multi-slot invariants (e.g. "valid bit implies
+// consistent value slots") are the program's to enforce, just as on hardware
+// — see switchcore's per-key locks.
 type Register struct {
 	name     string
 	gress    Gress
@@ -30,13 +35,13 @@ type Register struct {
 	slotBits int
 
 	// exactly one of the two backings is non-nil
-	words []uint64 // slotBits <= 64, bit-packed
-	bytes []byte   // slotBits == 128
+	words []uint64        // slotBits <= 64, bit-packed
+	wide  []atomic.Uint64 // slotBits == 128: slot i is wide[2i] (bytes 0-7), wide[2i+1]
 
 	// lockfree is true when a slot can never span two words (slotBits
 	// divides 64), enabling single-word CAS access.
 	lockfree bool
-	mu       sync.Mutex // serializes access when !lockfree
+	mu       sync.Mutex // serializes narrow-slot access when !lockfree
 
 	stage int // assigned at compile time, -1 before
 }
@@ -65,7 +70,7 @@ func newRegister(spec RegisterSpec) (*Register, error) {
 		stage:    -1,
 	}
 	if spec.SlotBits == 128 {
-		r.bytes = make([]byte, spec.Slots*16)
+		r.wide = make([]atomic.Uint64, spec.Slots*2)
 	} else {
 		totalBits := spec.Slots * spec.SlotBits
 		r.words = make([]uint64, (totalBits+63)/64)
@@ -204,31 +209,29 @@ func (r *Register) AddSat(idx int, delta uint64) uint64 {
 // of bytes copied (always 16).
 func (r *Register) GetBytes(idx int, dst []byte) int {
 	r.checkIdx(idx)
-	if r.bytes == nil {
+	if r.wide == nil {
 		panic(fmt.Sprintf("dataplane: GetBytes on narrow register %q; use Get", r.name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return copy(dst, r.bytes[idx*16:idx*16+16])
+	var slot [16]byte
+	binary.LittleEndian.PutUint64(slot[:8], r.wide[2*idx].Load())
+	binary.LittleEndian.PutUint64(slot[8:], r.wide[2*idx+1].Load())
+	return copy(dst, slot[:])
 }
 
 // SetBytes stores src (up to 16 bytes, zero-padded) into slot idx of a
 // 128-bit array.
 func (r *Register) SetBytes(idx int, src []byte) {
 	r.checkIdx(idx)
-	if r.bytes == nil {
+	if r.wide == nil {
 		panic(fmt.Sprintf("dataplane: SetBytes on narrow register %q; use Set", r.name))
 	}
 	if len(src) > 16 {
 		panic(fmt.Sprintf("dataplane: SetBytes %d bytes exceeds 16-byte slot of %q", len(src), r.name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot := r.bytes[idx*16 : idx*16+16]
-	n := copy(slot, src)
-	for i := n; i < 16; i++ {
-		slot[i] = 0
-	}
+	var slot [16]byte
+	copy(slot[:], src)
+	r.wide[2*idx].Store(binary.LittleEndian.Uint64(slot[:8]))
+	r.wide[2*idx+1].Store(binary.LittleEndian.Uint64(slot[8:]))
 }
 
 // Reset zeroes every slot. The controller uses this to clear statistics
@@ -236,16 +239,11 @@ func (r *Register) SetBytes(idx int, src []byte) {
 // before or after individual words — the same fuzziness a hardware register
 // sweep has.
 func (r *Register) Reset() {
-	if r.words != nil {
-		for i := range r.words {
-			atomic.StoreUint64(&r.words[i], 0)
-		}
-		return
+	for i := range r.words {
+		atomic.StoreUint64(&r.words[i], 0)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.bytes {
-		r.bytes[i] = 0
+	for i := range r.wide {
+		r.wide[i].Store(0)
 	}
 }
 

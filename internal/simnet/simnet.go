@@ -167,15 +167,24 @@ type reorderBuf struct {
 	held []heldFrame
 }
 
+// plug is what is plugged into one switch port: an endpoint's delivery queue,
+// or one end of a loopback cable whose other end is peer.
+type plug struct {
+	q      *portQueue
+	peer   int
+	cabled bool
+}
+
 // Net wires endpoints and cables to a switch. Attach all endpoints before
 // traffic starts; Attach/Cable are not safe to call concurrently with
-// Inject. Inject and the fault controls (SetLoss, SetFault, SetPartitioned,
-// SetPortDown, Reseed, Flush) are safe from any goroutine.
+// each other. Inject and the fault controls (SetLoss, SetFault,
+// SetPartitioned, SetPortDown, Reseed, Flush) are safe from any goroutine.
 type Net struct {
-	sw     Switch
-	bsw    batchSwitch // non-nil when sw supports ProcessAppend
-	queues map[int]*portQueue
-	cables map[int]int
+	sw  Switch
+	bsw batchSwitch // non-nil when sw supports ProcessAppend
+	// plugs is indexed by port. Attach and Cable publish a grown copy, so
+	// a delivery reads it with one load and no lock.
+	plugs atomic.Pointer[[]plug]
 
 	// faultMu guards the fault configuration: rules, partitions, downed
 	// ports, and the reorder-buffer map (each buffer has its own mutex).
@@ -184,6 +193,10 @@ type Net struct {
 	reorder map[faultKey]*reorderBuf
 	parts   map[uint64]struct{} // partitioned (in,out) port pairs
 	down    map[int]uint8       // per-port bitmask of downed Dir segments
+	// clean is true while no fault rule, partition or downed port is
+	// installed. Every mutator recomputes it under faultMu, so on a clean
+	// fabric the per-frame fault checks cost one atomic load each.
+	clean atomic.Bool
 
 	rngCtr atomic.Uint64 // splitmix64 counter stream for fault draws
 
@@ -212,8 +225,6 @@ type Net struct {
 func New(sw Switch) *Net {
 	n := &Net{
 		sw:      sw,
-		queues:  make(map[int]*portQueue),
-		cables:  make(map[int]int),
 		faults:  make(map[faultKey]FaultRule),
 		reorder: make(map[faultKey]*reorderBuf),
 		parts:   make(map[uint64]struct{}),
@@ -222,35 +233,57 @@ func New(sw Switch) *Net {
 	if bsw, ok := sw.(batchSwitch); ok {
 		n.bsw = bsw
 	}
+	n.plugs.Store(new([]plug))
+	n.clean.Store(true)
 	n.rngCtr.Store(1) // fixed seed: reproducible fault patterns
 	return n
 }
 
+// plugAt returns what is plugged into port (the zero plug if nothing is).
+func (n *Net) plugAt(port int) plug {
+	if ps := *n.plugs.Load(); uint(port) < uint(len(ps)) {
+		return ps[port]
+	}
+	return plug{}
+}
+
+// freePlugs returns a copy of the port table grown to cover ports,
+// panicking if any of them is negative or already in use. The caller fills
+// in the new plugs and publishes the copy.
+func (n *Net) freePlugs(ports ...int) []plug {
+	old := *n.plugs.Load()
+	size := len(old)
+	for _, p := range ports {
+		switch cur := n.plugAt(p); {
+		case p < 0:
+			panic(fmt.Sprintf("simnet: negative port %d", p))
+		case cur.q != nil:
+			panic(fmt.Sprintf("simnet: port %d already attached", p))
+		case cur.cabled:
+			panic(fmt.Sprintf("simnet: port %d already cabled", p))
+		}
+		size = max(size, p+1)
+	}
+	ps := make([]plug, size)
+	copy(ps, old)
+	return ps
+}
+
 // Attach connects an endpoint to a switch port.
 func (n *Net) Attach(port int, h Handler) {
-	if _, dup := n.queues[port]; dup {
-		panic(fmt.Sprintf("simnet: port %d already attached", port))
-	}
-	if _, dup := n.cables[port]; dup {
-		panic(fmt.Sprintf("simnet: port %d already cabled", port))
-	}
-	n.queues[port] = &portQueue{h: h}
+	ps := n.freePlugs(port)
+	ps[port] = plug{q: &portQueue{h: h}}
+	n.plugs.Store(&ps)
 }
 
 // Cable connects two switch ports with a loopback cable: frames emitted on
 // one are re-injected at the other, in both directions — the snake-test
 // wiring ("port 2i-1 is connected to port 2i", §7.1).
 func (n *Net) Cable(a, b int) {
-	for _, p := range []int{a, b} {
-		if _, dup := n.queues[p]; dup {
-			panic(fmt.Sprintf("simnet: port %d already attached", p))
-		}
-		if _, dup := n.cables[p]; dup {
-			panic(fmt.Sprintf("simnet: port %d already cabled", p))
-		}
-	}
-	n.cables[a] = b
-	n.cables[b] = a
+	ps := n.freePlugs(a, b)
+	ps[a] = plug{peer: b, cabled: true}
+	ps[b] = plug{peer: a, cabled: true}
+	n.plugs.Store(&ps)
 }
 
 // SetLoss configures the probability of discarding a frame emitted toward
@@ -269,6 +302,7 @@ func (n *Net) SetLoss(port int, p float64) {
 	r := n.faults[k]
 	r.Loss = p
 	n.setFaultLocked(k, r)
+	n.recleanLocked()
 }
 
 // SetFault replaces the fault rule of one port+direction; the zero rule
@@ -278,6 +312,7 @@ func (n *Net) SetFault(port int, dir Dir, r FaultRule) {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
 	n.setFaultLocked(faultKey{port, dir}, r)
+	n.recleanLocked()
 }
 
 func (n *Net) setFaultLocked(k faultKey, r FaultRule) {
@@ -299,6 +334,12 @@ func (n *Net) ClearFaults() {
 	n.faults = make(map[faultKey]FaultRule)
 	n.parts = make(map[uint64]struct{})
 	n.down = make(map[int]uint8)
+	n.recleanLocked()
+}
+
+// recleanLocked recomputes the clean flag; faultMu must be held for writing.
+func (n *Net) recleanLocked() {
+	n.clean.Store(len(n.faults) == 0 && len(n.parts) == 0 && len(n.down) == 0)
 }
 
 // SetPartitioned partitions (or heals, with partitioned=false) the network
@@ -320,6 +361,7 @@ func (n *Net) SetPartitioned(groupA, groupB []int, partitioned bool) {
 			}
 		}
 	}
+	n.recleanLocked()
 }
 
 // SetPortDown takes a port's link down (or up) in both directions:
@@ -347,6 +389,7 @@ func (n *Net) SetPortDirDown(port int, dir Dir, isDown bool) {
 	} else {
 		n.down[port] = m
 	}
+	n.recleanLocked()
 }
 
 // Reseed restarts the fault PRNG stream. Two runs with the same seed, the
@@ -366,6 +409,9 @@ func (n *Net) rand01() float64 {
 }
 
 func (n *Net) isDown(port int, dir Dir) bool {
+	if n.clean.Load() {
+		return false
+	}
 	n.faultMu.RLock()
 	d := n.down[port]
 	n.faultMu.RUnlock()
@@ -373,6 +419,9 @@ func (n *Net) isDown(port int, dir Dir) bool {
 }
 
 func (n *Net) partitioned(in, out int) bool {
+	if n.clean.Load() {
+		return false
+	}
 	n.faultMu.RLock()
 	_, p := n.parts[pairKey(in, out)]
 	n.faultMu.RUnlock()
@@ -385,6 +434,9 @@ func (n *Net) partitioned(in, out int) bool {
 // entirely when clean, avoiding the per-frame [][]byte wrapper the
 // passthrough return would allocate.
 func (n *Net) hasFaults(port int, dir Dir) bool {
+	if n.clean.Load() {
+		return false
+	}
 	n.faultMu.RLock()
 	_, ok := n.faults[faultKey{port, dir}]
 	n.faultMu.RUnlock()
@@ -632,7 +684,8 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 // ends (cable re-injection and unattached ports — the switch copies what it
 // needs before Inject returns).
 func (n *Net) deliverFinal(frame []byte, port int, pooled bool, sink *batchSink) error {
-	if pq, ok := n.queues[port]; ok {
+	pl := n.plugAt(port)
+	if pq := pl.q; pq != nil {
 		n.Delivered.Inc()
 		d := delivery{frame: frame, pooled: pooled}
 		if sink != nil {
@@ -642,8 +695,8 @@ func (n *Net) deliverFinal(frame []byte, port int, pooled bool, sink *batchSink)
 		pq.deliver(d)
 		return nil
 	}
-	if peer, ok := n.cables[port]; ok {
-		err := n.Inject(frame, peer)
+	if pl.cabled {
+		err := n.Inject(frame, pl.peer)
 		if pooled {
 			bufpool.Put(frame)
 		}

@@ -457,3 +457,63 @@ func TestPortDirDown(t *testing.T) {
 		t.Error("healed direction still drops")
 	}
 }
+
+// Every fault mutator keeps the clean-fabric flag in step: the frame injected
+// right after a mutator returns sees the fault it installed, and the frame
+// after clearing it takes the clean path again.
+func TestCleanFlagFollowsEveryMutator(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		set, clear func(n *Net)
+		dropped    func(n *Net) uint64
+	}{
+		{"SetFault",
+			func(n *Net) { n.SetFault(1, FromSwitch, FaultRule{Loss: 1}) },
+			func(n *Net) { n.SetFault(1, FromSwitch, FaultRule{}) },
+			func(n *Net) uint64 { return n.LossDropped.Value() }},
+		{"SetLoss",
+			func(n *Net) { n.SetLoss(1, 1) },
+			func(n *Net) { n.SetLoss(1, 0) },
+			func(n *Net) uint64 { return n.LossDropped.Value() }},
+		{"SetPartitioned",
+			func(n *Net) { n.SetPartitioned([]int{0}, []int{1}, true) },
+			func(n *Net) { n.SetPartitioned([]int{0}, []int{1}, false) },
+			func(n *Net) uint64 { return n.PartitionDropped.Value() }},
+		{"SetPortDirDown",
+			func(n *Net) { n.SetPortDirDown(0, ToSwitch, true) },
+			func(n *Net) { n.SetPortDirDown(0, ToSwitch, false) },
+			func(n *Net) uint64 { return n.DownDropped.Value() }},
+		{"ClearFaults",
+			func(n *Net) {
+				n.SetFault(0, ToSwitch, FaultRule{Loss: 1})
+				n.SetPartitioned([]int{0}, []int{1}, true)
+				n.SetPortDirDown(1, FromSwitch, true)
+			},
+			func(n *Net) { n.ClearFaults() },
+			func(n *Net) uint64 { return n.LossDropped.Value() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(&loopSwitch{})
+			delivered := 0
+			n.Attach(1, func([]byte) { delivered++ })
+			step := func(stage string, wantClean bool, wantDelivered int) {
+				t.Helper()
+				n.Inject([]byte{1}, 0)
+				if got := n.clean.Load(); got != wantClean {
+					t.Fatalf("%s: clean = %v, want %v", stage, got, wantClean)
+				}
+				if delivered != wantDelivered {
+					t.Fatalf("%s: delivered %d frames, want %d", stage, delivered, wantDelivered)
+				}
+			}
+			step("fresh", true, 1)
+			tc.set(n)
+			step("after set", false, 1)
+			if tc.dropped(n) != 1 {
+				t.Errorf("drop counter = %d, want 1", tc.dropped(n))
+			}
+			tc.clear(n)
+			step("after clear", true, 2)
+		})
+	}
+}

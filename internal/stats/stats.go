@@ -35,13 +35,19 @@ type Histogram struct {
 	// for a lock, and the counter is already atomic.
 	rejected Counter
 
-	mu      sync.Mutex
-	min     float64
-	growth  float64
-	buckets []uint64
-	count   uint64
-	sum     float64
-	maxSeen float64
+	mu     sync.Mutex
+	min    float64
+	growth float64
+	// logGrowth is ln(growth), precomputed so Observe takes one log per
+	// sample. It is ln(growth) and not its reciprocal: dividing by the same
+	// constant keeps every bucket index bit-identical to log(v/min)/log(growth),
+	// while multiplying by 1/ln(growth) moves some values at bucket edges
+	// into the neighbouring bucket.
+	logGrowth float64
+	buckets   []uint64
+	count     uint64
+	sum       float64
+	maxSeen   float64
 }
 
 // NewHistogram returns a histogram spanning [min, min*growth^buckets).
@@ -51,7 +57,7 @@ func NewHistogram(min, growth float64, buckets int) *Histogram {
 	if min <= 0 || growth <= 1 || buckets < 1 {
 		panic("stats: bad histogram layout")
 	}
-	return &Histogram{min: min, growth: growth, buckets: make([]uint64, buckets)}
+	return &Histogram{min: min, growth: growth, logGrowth: math.Log(growth), buckets: make([]uint64, buckets)}
 }
 
 // NewLatencyHistogram returns a histogram suitable for 100 ns – 10 s
@@ -71,7 +77,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	idx := 0
 	if v > h.min {
-		idx = int(math.Log(v/h.min) / math.Log(h.growth))
+		idx = int(math.Log(v/h.min) / h.logGrowth)
 		if idx >= len(h.buckets) {
 			idx = len(h.buckets) - 1
 		}
@@ -202,12 +208,13 @@ func (h *Histogram) AddFrom(o *Histogram) {
 func (h *Histogram) Clone() *Histogram {
 	h.mu.Lock()
 	c := &Histogram{
-		min:     h.min,
-		growth:  h.growth,
-		buckets: append([]uint64(nil), h.buckets...),
-		count:   h.count,
-		sum:     h.sum,
-		maxSeen: h.maxSeen,
+		min:       h.min,
+		growth:    h.growth,
+		logGrowth: h.logGrowth,
+		buckets:   append([]uint64(nil), h.buckets...),
+		count:     h.count,
+		sum:       h.sum,
+		maxSeen:   h.maxSeen,
 	}
 	h.mu.Unlock()
 	c.rejected.Add(h.rejected.Value())

@@ -81,6 +81,60 @@ func TestHistogramClamping(t *testing.T) {
 	}
 }
 
+// Observe's one-log bucket index is identical to the two-log formula
+// log(v/min)/log(growth) over a sweep of every bucket edge, the 32 floats on
+// either side of it, and a geometric sweep across the whole span.
+func TestHistogramBucketIndexMatchesTwoLogFormula(t *testing.T) {
+	for _, l := range []struct {
+		min, growth float64
+		buckets     int
+	}{
+		{100, 1.05, 400}, // NewLatencyHistogram
+		{100, 2, 4},
+		{1, 4, 8},
+		{1, 1.1, 300},
+		{0.5, 3, 30},
+	} {
+		h := NewHistogram(l.min, l.growth, l.buckets)
+		want := func(v float64) int {
+			if v <= l.min {
+				return 0
+			}
+			return min(int(math.Log(v/l.min)/math.Log(l.growth)), l.buckets-1)
+		}
+		check := func(v float64) {
+			h.Observe(v)
+			got := -1
+			for i, n := range h.buckets {
+				if n != 0 {
+					got = i
+					h.buckets[i] = 0
+				}
+			}
+			if w := want(v); got != w {
+				t.Fatalf("layout %v: Observe(%v) landed in bucket %d, two-log formula says %d", l, v, got, w)
+			}
+		}
+		edge := l.min
+		for k := 0; k <= l.buckets+1; k++ {
+			for _, e := range []float64{edge, l.min * math.Pow(l.growth, float64(k))} {
+				for _, dir := range []float64{math.Inf(1), 0} {
+					v := e
+					for i := 0; i < 32; i++ {
+						check(v)
+						v = math.Nextafter(v, dir)
+					}
+				}
+			}
+			edge *= l.growth
+		}
+		const steps = 20000
+		for i := 0; i <= steps; i++ {
+			check(l.min * math.Pow(l.growth, float64(l.buckets+1)*float64(i)/steps))
+		}
+	}
+}
+
 func TestHistogramPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() { NewHistogram(0, 2, 4) },
