@@ -156,7 +156,7 @@ func New(cfg Config) (*Client, error) {
 	case cfg.Retries == 0:
 		cfg.Retries = 3
 	}
-	cfg.Policy = cfg.Policy.normalize(cfg.Timeout)
+	cfg.Policy = cfg.Policy.normalize()
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
@@ -215,7 +215,8 @@ func now() time.Duration { return time.Since(epoch) }
 // threshold poll that flag in a Gosched-yielding loop: a parked timer's
 // wakeup latency (~1ms on stock kernels) would otherwise quantize every
 // sub-millisecond RTO up to the millisecond scale, erasing exactly the gap
-// the estimator exists to close. Longer waits (UDP, a backed-off RTO) park
+// the estimator exists to close; a poll that reaches its deadline parks for
+// pollGrace before it gives up. Longer waits (UDP, a backed-off RTO) park
 // on the call's one-slot wake channel, which Receive signals only once the
 // waiter has set cl.parked, and on a fresh timer per attempt: reusing one
 // timer across attempts with stop-drain-reset races the runtime's expiry
@@ -234,12 +235,32 @@ func (c *Client) waitReply(cl *call, wait time.Duration) bool {
 		deadline := now() + wait
 		for !cl.done.Load() {
 			if now() > deadline {
-				return false
+				return park(cl, pollGrace)
 			}
 			runtime.Gosched()
 		}
 		return true
 	}
+	return park(cl, wait)
+}
+
+// pollGrace is how long an expired poll-mode wait parks before it reports a
+// timeout. A Gosched loop never lets its P steal: the yielding goroutine
+// goes to the global run queue and is picked straight back up, so a
+// goroutine queued on another P (the drainer holding the reply in a fabric
+// queue) or a timer in another P's heap (a server's retry) waits for that
+// P alone. When that P's thread is descheduled, the reply is stranded for
+// as long as the host keeps it off the CPU. Parking empties this P, and the
+// scheduler then steals the stranded goroutine and runs the other heap's
+// expired timers; the reply, if it was only stranded, lands and wakes the
+// waiter at once. A reply that was really lost costs the grace on top of
+// the RTO, rounded up to the netpoller's millisecond when the process is
+// otherwise idle.
+const pollGrace = 50 * time.Microsecond
+
+// park blocks on cl's wake channel until its reply lands or wait elapses,
+// and reports whether it arrived.
+func park(cl *call, wait time.Duration) bool {
 	if cl.wake == nil {
 		cl.wake = make(chan struct{}, 1)
 	}
@@ -261,11 +282,10 @@ func (c *Client) waitReply(cl *call, wait time.Duration) bool {
 
 // jitter draws a deterministic pseudo-random duration in [0, frac*base).
 func (c *Client) jitter(base time.Duration) time.Duration {
-	frac := c.cfg.Policy.JitterFrac
-	if frac <= 0 || base <= 0 {
+	if base <= 0 {
 		return 0
 	}
-	span := time.Duration(float64(base) * frac)
+	span := time.Duration(float64(base) * DefaultJitterFrac)
 	if span <= 0 {
 		return 0
 	}

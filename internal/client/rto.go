@@ -28,16 +28,6 @@ type Policy struct {
 	// RTOFloor clamps the adaptive RTO from below, absorbing scheduling
 	// noise the estimator cannot see. Zero means 200µs.
 	RTOFloor time.Duration
-	// RTOCeil clamps the RTO (including backoff) from above. Zero means
-	// 100ms, raised to Config.Timeout when that is larger.
-	RTOCeil time.Duration
-	// BackoffMax caps the exponential backoff doublings applied after
-	// successive timeouts. Zero means 6; negative means no backoff.
-	BackoffMax int
-	// JitterFrac adds a deterministic pseudo-random fraction of the RTO in
-	// [0, JitterFrac) to every wait, de-synchronizing retransmission storms.
-	// Zero means 0.1; negative disables jitter.
-	JitterFrac float64
 	// Hedge enables hedged reads: once the estimator has enough samples, a
 	// Get whose reply has not arrived after the observed P99 latency fires
 	// a second copy toward the owner instead of waiting out the full RTO.
@@ -49,8 +39,9 @@ type Policy struct {
 	// cost ~1ms on stock kernels (timer slack + HZ quantization), which
 	// would round every sub-millisecond RTO up to the millisecond scale —
 	// the reason the paper's testbed clients run poll-mode DPDK rather
-	// than interrupt I/O. Zero means 2ms; negative disables polling
-	// entirely.
+	// than interrupt I/O. A poll that reaches its deadline parks once, for
+	// pollGrace, before the attempt counts as lost. Zero means 2ms;
+	// negative disables polling entirely.
 	SpinUnder time.Duration
 	// Seed seeds the client's splitmix64 jitter stream. The client mixes
 	// its own address in, so clients sharing a seed draw distinct but
@@ -59,7 +50,12 @@ type Policy struct {
 	Seed uint64
 }
 
-// Policy defaults, exported so harnesses can report what they measured.
+// Policy defaults and the fixed shape of the adaptive path, exported so
+// harnesses can report what they measured. The RTO (including backoff) is
+// clamped from above by DefaultRTOCeil, raised to Config.Timeout or the
+// floor when either is larger; backoff stops after DefaultBackoffMax
+// doublings; every wait adds a deterministic pseudo-random fraction of the
+// RTO in [0, DefaultJitterFrac), de-synchronizing retransmission storms.
 const (
 	DefaultRTOFloor   = 200 * time.Microsecond
 	DefaultRTOCeil    = 100 * time.Millisecond
@@ -72,30 +68,10 @@ const (
 // the P99 is trusted enough to hedge against.
 const hedgeMinSamples = 16
 
-// normalize fills policy defaults. timeout is the (already normalized)
-// per-attempt timeout, which seeds the initial RTO and lifts the ceiling.
-func (p Policy) normalize(timeout time.Duration) Policy {
+// normalize fills policy defaults.
+func (p Policy) normalize() Policy {
 	if p.RTOFloor <= 0 {
 		p.RTOFloor = DefaultRTOFloor
-	}
-	if p.RTOCeil <= 0 {
-		p.RTOCeil = DefaultRTOCeil
-	}
-	if p.RTOCeil < timeout {
-		p.RTOCeil = timeout
-	}
-	if p.RTOCeil < p.RTOFloor {
-		p.RTOCeil = p.RTOFloor
-	}
-	if p.BackoffMax == 0 {
-		p.BackoffMax = DefaultBackoffMax
-	} else if p.BackoffMax < 0 {
-		p.BackoffMax = 0
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = DefaultJitterFrac
-	} else if p.JitterFrac < 0 {
-		p.JitterFrac = 0
 	}
 	if p.SpinUnder == 0 {
 		p.SpinUnder = DefaultSpinUnder
@@ -116,7 +92,6 @@ type rtoEstimator struct {
 
 	initial     time.Duration
 	floor, ceil time.Duration
-	backoffMax  int
 
 	hasSRTT bool
 	srtt    time.Duration
@@ -129,12 +104,14 @@ type rtoEstimator struct {
 	hist *stats.Histogram
 }
 
-func newEstimator(initial time.Duration, p Policy) *rtoEstimator {
+// newEstimator starts an estimator at the per-attempt timeout, which also
+// lifts the ceiling when it is above DefaultRTOCeil.
+func newEstimator(timeout time.Duration, p Policy) *rtoEstimator {
+	ceil := max(DefaultRTOCeil, timeout, p.RTOFloor)
 	e := &rtoEstimator{
-		initial:    clampDur(initial, p.RTOFloor, p.RTOCeil),
-		floor:      p.RTOFloor,
-		ceil:       p.RTOCeil,
-		backoffMax: p.BackoffMax,
+		initial: clampDur(timeout, p.RTOFloor, ceil),
+		floor:   p.RTOFloor,
+		ceil:    ceil,
 	}
 	if p.Hedge {
 		e.hist = stats.NewLatencyHistogram()
@@ -185,7 +162,7 @@ func (e *rtoEstimator) Observe(rtt time.Duration) {
 // arrives).
 func (e *rtoEstimator) TimedOut() {
 	e.mu.Lock()
-	if e.backoff < e.backoffMax {
+	if e.backoff < DefaultBackoffMax {
 		e.backoff++
 	}
 	e.mu.Unlock()
@@ -205,8 +182,7 @@ func (e *rtoEstimator) rtoLocked() time.Duration {
 	if e.hasSRTT {
 		base = clampDur(e.srtt+4*e.rttvar, e.floor, e.ceil)
 	}
-	// Shift with overflow care: backoffMax <= 62 keeps this exact, and the
-	// clamp makes any saturation invisible anyway.
+	// Doubling stops at the ceiling, so it never overflows.
 	for i := 0; i < e.backoff && base < e.ceil; i++ {
 		base *= 2
 	}

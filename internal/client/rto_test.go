@@ -7,13 +7,12 @@ import (
 	"netcache/internal/netproto"
 )
 
-func testPolicy(floor, ceil time.Duration, backoffMax int) Policy {
-	return Policy{RTOFloor: floor, RTOCeil: ceil, BackoffMax: backoffMax}.
-		normalize(10 * time.Millisecond)
+func testPolicy(floor time.Duration) Policy {
+	return Policy{RTOFloor: floor}.normalize()
 }
 
 func TestEstimatorFirstSample(t *testing.T) {
-	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond, time.Second, 6))
+	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond))
 	if got := e.RTO(); got != 10*time.Millisecond {
 		t.Fatalf("pre-sample RTO = %v, want initial 10ms", got)
 	}
@@ -29,7 +28,7 @@ func TestEstimatorFirstSample(t *testing.T) {
 }
 
 func TestEstimatorConvergesOnStableRTT(t *testing.T) {
-	e := newEstimator(50*time.Millisecond, testPolicy(time.Millisecond, time.Second, 6))
+	e := newEstimator(50*time.Millisecond, testPolicy(time.Millisecond))
 	const rtt = 10 * time.Millisecond
 	for i := 0; i < 200; i++ {
 		e.Observe(rtt)
@@ -46,8 +45,8 @@ func TestEstimatorConvergesOnStableRTT(t *testing.T) {
 }
 
 func TestEstimatorClampFloorAndCeil(t *testing.T) {
-	floor, ceil := 2*time.Millisecond, 20*time.Millisecond
-	e := newEstimator(10*time.Millisecond, testPolicy(floor, ceil, 6))
+	floor, ceil := 2*time.Millisecond, DefaultRTOCeil
+	e := newEstimator(10*time.Millisecond, testPolicy(floor))
 	for i := 0; i < 50; i++ {
 		e.Observe(10 * time.Microsecond) // far below the floor
 	}
@@ -63,9 +62,10 @@ func TestEstimatorClampFloorAndCeil(t *testing.T) {
 }
 
 func TestEstimatorBackoffDoublesAndResets(t *testing.T) {
-	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond, time.Second, 3))
+	// A 1ms path: 2^DefaultBackoffMax doublings stay below the ceiling.
+	e := newEstimator(10*time.Millisecond, testPolicy(DefaultRTOFloor))
 	for i := 0; i < 200; i++ {
-		e.Observe(4 * time.Millisecond)
+		e.Observe(time.Millisecond)
 	}
 	base := e.RTO()
 	e.TimedOut()
@@ -76,27 +76,27 @@ func TestEstimatorBackoffDoublesAndResets(t *testing.T) {
 	if got := e.RTO(); got != 4*base {
 		t.Errorf("after 2 timeouts RTO = %v, want %v", got, 4*base)
 	}
-	// BackoffMax = 3: further timeouts stop doubling.
-	e.TimedOut()
-	e.TimedOut()
-	e.TimedOut()
-	if got := e.RTO(); got != 8*base {
-		t.Errorf("backoff should cap at 2^3: RTO = %v, want %v", got, 8*base)
+	// After DefaultBackoffMax doublings further timeouts stop doubling.
+	for i := 2; i < DefaultBackoffMax+3; i++ {
+		e.TimedOut()
+	}
+	if want := base << DefaultBackoffMax; e.RTO() != want {
+		t.Errorf("backoff should cap at 2^%d: RTO = %v, want %v", DefaultBackoffMax, e.RTO(), want)
 	}
 	// A fresh unambiguous sample resets the backoff entirely.
-	e.Observe(4 * time.Millisecond)
+	e.Observe(time.Millisecond)
 	if got := e.RTO(); got != base {
 		t.Errorf("after fresh sample RTO = %v, want %v", got, base)
 	}
 }
 
 func TestEstimatorBackoffClampsAtCeil(t *testing.T) {
-	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond, 15*time.Millisecond, 6))
+	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond))
 	for i := 0; i < 10; i++ {
 		e.TimedOut()
 	}
-	if got := e.RTO(); got != 15*time.Millisecond {
-		t.Errorf("backed-off RTO = %v, want ceiling 15ms", got)
+	if got := e.RTO(); got != DefaultRTOCeil {
+		t.Errorf("backed-off RTO = %v, want ceiling %v", got, DefaultRTOCeil)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		if ja != jc {
 			diff = true
 		}
-		if ja < 0 || ja >= time.Duration(float64(time.Millisecond)*a.cfg.Policy.JitterFrac)+1 {
+		if ja < 0 || ja >= time.Duration(float64(time.Millisecond)*DefaultJitterFrac)+1 {
 			t.Fatalf("draw %d: jitter %v outside [0, frac*base)", i, ja)
 		}
 	}
@@ -469,12 +469,7 @@ func TestFixedRTOIgnoresEstimator(t *testing.T) {
 // the estimator was most confident. The fixed quantile never exceeds the
 // observed max, so the hedge delay stays strictly below the RTO.
 func TestHedgeDelayDoesNotOvershootP99(t *testing.T) {
-	p := Policy{
-		RTOFloor:   time.Microsecond,
-		RTOCeil:    time.Second,
-		BackoffMax: 6,
-		Hedge:      true,
-	}.normalize(10 * time.Millisecond)
+	p := Policy{RTOFloor: time.Microsecond, Hedge: true}.normalize()
 	e := newEstimator(10*time.Millisecond, p)
 
 	// A perfectly stable 500µs RTT: rttvar decays to ~0, so the RTO

@@ -37,6 +37,10 @@ type StorageNode interface {
 	UnblockWrites(key netproto.Key)
 }
 
+// reportBuffer bounds the hot-report queue between the data plane and the
+// controller; reports beyond it are dropped and counted.
+const reportBuffer = 16384
+
 // Config wires a controller.
 type Config struct {
 	// Switch is the managed switch.
@@ -58,9 +62,6 @@ type Config struct {
 	// SampleK is how many cached keys are sampled when hunting for an
 	// eviction victim. Zero means 8.
 	SampleK int
-	// ReportBuffer bounds the hot-report queue between the data plane
-	// and the controller. Zero means 16384.
-	ReportBuffer int
 	// Seed seeds eviction sampling.
 	Seed int64
 	// WritePolicy optionally disables caching under write-dominated load
@@ -172,9 +173,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.SampleK <= 0 {
 		cfg.SampleK = 8
 	}
-	if cfg.ReportBuffer <= 0 {
-		cfg.ReportBuffer = 16384
-	}
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 3
 	}
@@ -184,7 +182,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:       cfg,
-		reports:   make(chan switchcore.HotReport, cfg.ReportBuffer),
+		reports:   make(chan switchcore.HotReport, reportBuffer),
 		overflows: make(chan switchcore.OverflowReport, 1024),
 		alloc:     alloc,
 		kidx:      cachemem.NewIndexPool(swCap),

@@ -38,17 +38,11 @@ type Ctx struct {
 
 	digests [][]byte
 
-	// onComplete hooks run (LIFO, like defers) once the packet has fully
-	// left the pipeline — on every exit path, including drops. The
-	// program uses them to release per-key serialization acquired in an
-	// early stage (see switchcore).
-	onComplete []func()
-
 	// locks are deferred mutex releases registered via OnCompleteRUnlock
-	// and OnCompleteUnlock — the allocation-free form of OnComplete for
-	// the per-packet lock hold that is on every cached-Get path (wrapping
-	// mu.RUnlock in a func() would allocate a method-value closure per
-	// packet).
+	// and OnCompleteUnlock. They run (LIFO, like defers) once the packet
+	// has fully left the pipeline — on every exit path, including drops.
+	// The program uses them to release per-key serialization acquired in
+	// an early stage (see switchcore).
 	locks []lockRelease
 
 	// register single-access enforcement
@@ -80,35 +74,28 @@ func (c *Ctx) Dropped() bool { return c.dropped }
 // pipe, which the pipe counters reflect.
 func (c *Ctx) Mirror(port int) { c.finalPort = port }
 
-// OnComplete registers fn to run after the packet has fully exited the
-// pipeline (emitted or dropped). Hooks run in reverse registration order on
-// the processing goroutine. Actions use this to hold a cross-stage invariant
-// (e.g. a per-key lock) for exactly the lifetime of one packet.
-func (c *Ctx) OnComplete(fn func()) { c.onComplete = append(c.onComplete, fn) }
-
 // lockRelease is one deferred mutex release.
 type lockRelease struct {
 	mu    *sync.RWMutex
 	write bool
 }
 
-// OnCompleteRUnlock schedules mu.RUnlock for packet completion, like
-// OnComplete(mu.RUnlock) but without the per-packet closure allocation.
+// OnCompleteRUnlock schedules mu.RUnlock for after the packet has fully
+// exited the pipeline (emitted or dropped). Releases run in reverse
+// registration order on the processing goroutine, so an action holds a
+// cross-stage invariant (e.g. a per-key lock) for exactly the lifetime of
+// one packet.
 func (c *Ctx) OnCompleteRUnlock(mu *sync.RWMutex) {
 	c.locks = append(c.locks, lockRelease{mu: mu})
 }
 
 // OnCompleteUnlock schedules mu.Unlock for packet completion, like
-// OnComplete(mu.Unlock) but without the per-packet closure allocation.
+// OnCompleteRUnlock.
 func (c *Ctx) OnCompleteUnlock(mu *sync.RWMutex) {
 	c.locks = append(c.locks, lockRelease{mu: mu, write: true})
 }
 
 func (c *Ctx) runComplete() {
-	for i := len(c.onComplete) - 1; i >= 0; i-- {
-		c.onComplete[i]()
-	}
-	c.onComplete = c.onComplete[:0]
 	for i := len(c.locks) - 1; i >= 0; i-- {
 		if c.locks[i].write {
 			c.locks[i].mu.Unlock()
@@ -522,7 +509,6 @@ func (c *Ctx) reset(inPort int, raw []byte) {
 	c.ValueBuf = c.ValueBuf[:0]
 	c.Raw = raw
 	c.digests = c.digests[:0]
-	c.onComplete = c.onComplete[:0]
 	c.locks = c.locks[:0]
 	c.epoch++
 	if c.epoch == 0 { // wrapped: clear stale marks

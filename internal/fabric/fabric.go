@@ -1,7 +1,12 @@
-// Package fabric is the assembly layer shared by every NetCache topology:
-// the wiring that used to live inside rack.Rack, extracted so that a single
-// rack, a leaf-spine fabric, or any future multi-tier deployment composes
-// from the same parts instead of hand-rolling delivery closures.
+// Package fabric is the assembly layer shared by every in-process NetCache
+// topology. It holds the one rack recipe: internal/rack is one rack of it
+// with the clients on its ToR, internal/leafspine is N racks of it under a
+// spine with the clients on the spine.
+//
+// A Deployment is what both operate on: AddRack builds a ToR Node with its
+// servers, replica ring and controller, AttachClients puts clients on a
+// node. The real-UDP daemons (internal/udptrans) compose their rack
+// separately: their switch learns its servers from the wire.
 //
 // A Node is one switch running the NetCache program together with
 // everything a deployed switch carries: its own simnet.Net (so per-port

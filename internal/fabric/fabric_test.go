@@ -179,3 +179,39 @@ func TestCrashServerAtNode(t *testing.T) {
 		t.Fatalf("get after restart: %q %v", v, err)
 	}
 }
+
+// Racks built by AddRack continue one dense address range, every rack's
+// replica ring stays inside the rack, each ToR controller maps only its own
+// servers to ports, and a rack of another width is refused.
+func TestDeploymentRacksAreDense(t *testing.T) {
+	d := NewDeployment(true)
+	for r := 0; r < 2; r++ {
+		if _, err := d.AddRack("tor", switchcore.Config{}, 3, server.Config{Shards: 1},
+			0, int64(r+1), 0, controller.WritePolicy{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, srv := range d.Servers {
+		if srv.Addr() != netproto.Addr(i+1) {
+			t.Fatalf("Servers[%d] has address %d, want %d", i, srv.Addr(), i+1)
+		}
+	}
+	for id := 0; id < 64; id++ {
+		key := netproto.Key{byte(id), 'k'}
+		home, backup := d.ServerOf(key).Addr(), d.BackupOf(key).Addr()
+		if d.Partition(key) != home || (home-1)/3 != (backup-1)/3 || backup == home {
+			t.Fatalf("key %d: home %d, backup %d: want a distinct backup in the same rack", id, home, backup)
+		}
+	}
+	portOf := d.TorNode(1).ctlCfg.PortOf
+	if p, ok := portOf(5); !ok || p != 1 {
+		t.Errorf("tor1 PortOf(5) = %d, %v; want port 1", p, ok)
+	}
+	if _, ok := portOf(2); ok {
+		t.Error("tor1 maps a server of rack 0 to a port")
+	}
+	if _, err := d.AddRack("narrow", switchcore.Config{}, 2, server.Config{Shards: 1},
+		0, 3, 0, controller.WritePolicy{}, 0); err == nil {
+		t.Error("a rack of another width should be refused")
+	}
+}

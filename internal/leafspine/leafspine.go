@@ -9,14 +9,18 @@
 // observes all client traffic); each ToR's controller caches its rack's
 // head among the queries the spine missed.
 //
-// The fabric is assembled entirely from internal/fabric nodes: every
-// switch owns its own simnet.Net, and the spine↔ToR uplinks are real
-// fabric.Link trunks, so the whole simnet fault machinery — loss,
-// duplication, corruption, reordering, partitions, port-down — applies to
-// inter-switch links exactly as to server and client links, and the
-// component lifecycle (server crash/restart, switch reboot at either tier,
-// controller restart with warm adoption) is the same machinery a single
-// rack uses. Nothing is hand-delivered: a frame that the spine emits on a
+// Each rack is built by the same internal/fabric recipe internal/rack
+// builds its one rack with (fabric.Deployment.AddRack), and the servers,
+// clients, registry, tracing, dataset loading and Tick are the embedded
+// fabric.Deployment's. What this package adds is the spine: its node, the
+// trunks, the routes and the spine controller. Every switch owns its own
+// simnet.Net, and the spine↔ToR uplinks are real fabric.Link trunks, so
+// the whole simnet fault machinery — loss, duplication, corruption,
+// reordering, partitions, port-down — applies to inter-switch links
+// exactly as to server and client links, and the component lifecycle
+// (server crash/restart, switch reboot at either tier, controller restart
+// with warm adoption) is the same machinery a single rack uses. Nothing is
+// hand-delivered: a frame that the spine emits on a
 // downlink traverses the spine net's egress fault rules, the ToR net's
 // ingress fault rules, and only then the ToR pipeline. Process errors on
 // any hop surface as the owning net's ProcessErrors counter; unroutable
@@ -42,17 +46,14 @@ import (
 	"strings"
 	"time"
 
-	"netcache/internal/balance"
 	"netcache/internal/client"
 	"netcache/internal/controller"
 	"netcache/internal/fabric"
 	"netcache/internal/netproto"
-	"netcache/internal/qtrace"
 	"netcache/internal/server"
 	"netcache/internal/simnet"
 	"netcache/internal/stats"
 	"netcache/internal/switchcore"
-	"netcache/internal/workload"
 )
 
 // Config sizes the fabric.
@@ -82,43 +83,18 @@ type Config struct {
 	// wired to the vectorized batch path either way, so GetBatch issues
 	// windowed bursts even across racks.
 	ClientWindow int
-	// Replicate enables the replicated storage tier inside every rack:
-	// server s is backed by server (s+1) mod ServersPerRack of the same
-	// rack, and each ToR controller runs the failure detector and failover
-	// for its own servers. The spine is unaffected — failover flips only
-	// ToR routes, and the spine keeps routing by rack trunk. Requires
-	// ServersPerRack >= 2.
-	Replicate bool
-	// HeartbeatMisses overrides the ToR controllers' consecutive-miss
-	// death threshold; zero keeps the controller default.
-	HeartbeatMisses int
 	// StorageEngine selects every server's storage engine ("chained" or
 	// "cuckoo"); empty means the server default (chained).
 	StorageEngine string
 }
 
-// Fabric is the assembled leaf-spine deployment.
+// Fabric is the assembled leaf-spine deployment. The embedded deployment
+// carries the servers, clients, partition, registry, tracing, dataset
+// loading and Tick.
 type Fabric struct {
-	cfg Config
-
+	*fabric.Deployment
+	cfg   Config
 	spine *fabric.Node
-	tors  []*fabric.Node
-	// servers[r][s] is server s of rack r.
-	servers [][]*server.Server
-	clients []*client.Client
-
-	// Partition maps keys to owning server addresses, shared fabric-wide.
-	Partition client.Partitioner
-
-	serverByAddr map[netproto.Addr]*server.Server
-	rackOfAddr   map[netproto.Addr]int
-	registry     *stats.Registry
-}
-
-// Server addresses are dense across racks: rack r, server s has address
-// 1 + r*ServersPerRack + s. Clients are 0x8000+i, as in a single rack.
-func (c Config) serverAddr(rack, srv int) netproto.Addr {
-	return netproto.Addr(1 + rack*c.ServersPerRack + srv)
 }
 
 // Port plan. Spine: ports [0,Racks) are downlinks (one trunk per rack),
@@ -137,82 +113,54 @@ func (f *Fabric) SpineClientPort(i int) int { return f.cfg.spineClientPort(i) }
 // TorUplinkPort returns the ToR-side port of every rack's trunk.
 func (f *Fabric) TorUplinkPort() int { return f.cfg.torUplinkPort() }
 
-// New assembles and wires the fabric.
+// New assembles and wires the fabric: Racks racks of the fabric recipe,
+// each with its uplink trunk cabled to the spine, and the clients on the
+// spine. Server addresses are dense across racks: rack r, server s has
+// address 1 + r*ServersPerRack + s.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Racks < 1 || cfg.ServersPerRack < 1 || cfg.Clients < 1 {
 		return nil, fmt.Errorf("leafspine: racks, servers and clients must all be >= 1")
 	}
-	if cfg.Replicate && cfg.ServersPerRack < 2 {
-		return nil, fmt.Errorf("leafspine: replication needs at least two servers per rack, got %d", cfg.ServersPerRack)
-	}
-
-	f := &Fabric{
-		cfg:          cfg,
-		serverByAddr: make(map[netproto.Addr]*server.Server),
-		rackOfAddr:   make(map[netproto.Addr]int),
-	}
-
+	f := &Fabric{Deployment: fabric.NewDeployment(false), cfg: cfg}
 	var err error
-	if f.spine, err = fabric.NewNode("spine", cfg.Switch); err != nil {
+	if f.spine, err = f.AddSpine(cfg.Switch); err != nil {
 		return nil, err
 	}
-	if cfg.Racks+cfg.Clients > f.spine.NumPorts() ||
-		cfg.ServersPerRack+1 > f.spine.NumPorts() {
+	if cfg.Racks+cfg.Clients > f.spine.NumPorts() {
 		return nil, fmt.Errorf("leafspine: topology exceeds switch ports")
 	}
-
-	// Racks: one ToR node each, servers attached to its downlink ports,
-	// and the uplink trunk cabled to the spine's per-rack port.
-	allAddrs := make([]netproto.Addr, 0, cfg.Racks*cfg.ServersPerRack)
-	allNodes := make(map[netproto.Addr]controller.StorageNode)
 	for r := 0; r < cfg.Racks; r++ {
-		tor, err := fabric.NewNode(fmt.Sprintf("tor%d", r), cfg.Switch)
+		tor, err := f.AddRack(fmt.Sprintf("tor%d", r), cfg.Switch, cfg.ServersPerRack,
+			server.Config{Shards: 2, Engine: cfg.StorageEngine},
+			cfg.TorCache, int64(r+1), 0, controller.WritePolicy{}, 0)
 		if err != nil {
 			return nil, err
 		}
-		rackServers := make([]*server.Server, 0, cfg.ServersPerRack)
-		for s := 0; s < cfg.ServersPerRack; s++ {
-			addr := cfg.serverAddr(r, s)
-			scfg := server.Config{Addr: addr, Shards: 2, Engine: cfg.StorageEngine}
-			if cfg.Replicate {
-				scfg.PartitionOf = func(key netproto.Key) netproto.Addr { return f.Partition(key) }
-			}
-			srv := server.New(scfg)
-			if err := tor.AttachServer(s, srv); err != nil {
-				return nil, err
-			}
-			rackServers = append(rackServers, srv)
-			f.serverByAddr[addr] = srv
-			f.rackOfAddr[addr] = r
-			allAddrs = append(allAddrs, addr)
-			allNodes[addr] = srv
-		}
 		fabric.Link(f.spine, r, tor, cfg.torUplinkPort())
-		f.tors = append(f.tors, tor)
-		f.servers = append(f.servers, rackServers)
 	}
-	f.Partition = client.HashPartitioner(allAddrs)
 
 	// Routing. Spine: servers via their rack's downlink trunk (client
-	// routes are provisioned by AttachClient below). ToR r: own servers
-	// at their ports (provisioned by AttachServer); everything else —
-	// clients, other racks' servers — via the uplink trunk.
-	for addr, r := range f.rackOfAddr {
-		if err := f.spine.InstallRoute(addr, r); err != nil {
+	// routes are provisioned by AttachClients). ToR r: own servers at their
+	// ports (provisioned by AddRack); everything else — clients, other
+	// racks' servers — via the uplink trunk.
+	rackOf := func(addr netproto.Addr) int { return int(addr-1) / cfg.ServersPerRack }
+	for i := range f.Servers {
+		addr := netproto.Addr(i + 1)
+		if err := f.spine.InstallRoute(addr, rackOf(addr)); err != nil {
 			return nil, err
 		}
-	}
-	for r, tor := range f.tors {
-		for addr, rr := range f.rackOfAddr {
-			if rr == r {
+		for r := 0; r < cfg.Racks; r++ {
+			if r == rackOf(addr) {
 				continue
 			}
-			if err := tor.InstallRoute(addr, cfg.torUplinkPort()); err != nil {
+			if err := f.TorNode(r).InstallRoute(addr, cfg.torUplinkPort()); err != nil {
 				return nil, err
 			}
 		}
+	}
+	for r := 0; r < cfg.Racks; r++ {
 		for i := 0; i < cfg.Clients; i++ {
-			if err := tor.InstallRoute(netproto.Addr(0x8000+i), cfg.torUplinkPort()); err != nil {
+			if err := f.TorNode(r).InstallRoute(fabric.ClientAddr(i), cfg.torUplinkPort()); err != nil {
 				return nil, err
 			}
 		}
@@ -220,99 +168,31 @@ func New(cfg Config) (*Fabric, error) {
 
 	// Clients attach to the spine, batch path and pipelining window
 	// included — GetBatch issues windowed bursts across the whole fabric.
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := client.New(client.Config{
-			Addr:      netproto.Addr(0x8000 + i),
-			Partition: f.Partition,
-			Timeout:   cfg.ClientTimeout,
-			Retries:   cfg.ClientRetries,
-			Policy:    cfg.ClientPolicy,
-			Window:    cfg.ClientWindow,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := f.spine.AttachClient(cfg.spineClientPort(i), cl); err != nil {
-			return nil, err
-		}
-		f.clients = append(f.clients, cl)
+	if err := f.AttachClients(f.spine, cfg.spineClientPort(0), cfg.Clients, client.Config{
+		Timeout: cfg.ClientTimeout, Retries: cfg.ClientRetries,
+		Policy: cfg.ClientPolicy, Window: cfg.ClientWindow,
+	}); err != nil {
+		return nil, err
 	}
 
-	// Controllers. Each ToR owns its rack; the spine owns everything,
-	// with cache entries pointing at the owning rack's downlink trunk.
-	for r, tor := range f.tors {
-		r := r
-		rackNodes := make(map[netproto.Addr]controller.StorageNode)
-		for s := 0; s < cfg.ServersPerRack; s++ {
-			addr := cfg.serverAddr(r, s)
-			rackNodes[addr] = f.serverByAddr[addr]
-		}
-		torCfg := controller.Config{
-			Nodes:     rackNodes,
-			Partition: func(key netproto.Key) netproto.Addr { return f.Partition(key) },
-			PortOf: func(addr netproto.Addr) (int, bool) {
-				if f.rackOfAddr[addr] != r {
-					return 0, false
-				}
-				return int(addr-cfg.serverAddr(r, 0)) % cfg.ServersPerRack, true
-			},
-			Capacity:        cfg.TorCache,
-			Seed:            int64(r + 1),
-			HeartbeatMisses: cfg.HeartbeatMisses,
-		}
-		if cfg.Replicate {
-			// Ring pairing within the rack; the route-flip hook goes
-			// through the ToR's fabric node so a ToR reboot re-provisions
-			// the flipped routes. The spine never learns about a failover:
-			// its routes and cache entries address the rack trunk, which
-			// is still correct for the promoted in-rack backup.
-			torCfg.Backups = make(map[netproto.Addr]netproto.Addr, cfg.ServersPerRack)
-			for s := 0; s < cfg.ServersPerRack; s++ {
-				torCfg.Backups[cfg.serverAddr(r, s)] = cfg.serverAddr(r, (s+1)%cfg.ServersPerRack)
-			}
-			torCfg.InstallRoute = tor.InstallRoute
-		}
-		if err := tor.SetController(torCfg); err != nil {
-			return nil, err
-		}
+	// The spine controller owns every server, with cache entries pointing
+	// at the owning rack's downlink trunk.
+	nodes := make(map[netproto.Addr]controller.StorageNode, len(f.Servers))
+	for _, srv := range f.Servers {
+		nodes[srv.Addr()] = srv
 	}
 	if err := f.spine.SetController(controller.Config{
-		Nodes:     allNodes,
+		Nodes:     nodes,
 		Partition: func(key netproto.Key) netproto.Addr { return f.Partition(key) },
 		PortOf: func(addr netproto.Addr) (int, bool) {
-			r, ok := f.rackOfAddr[addr]
-			return r, ok // the downlink trunk toward the owning rack
+			return rackOf(addr), addr >= 1 && int(addr) <= len(f.Servers)
 		},
 		Capacity: cfg.SpineCache,
 	}); err != nil {
 		return nil, err
 	}
-
-	f.registry = stats.NewRegistry()
-	f.spine.RegisterStats(f.registry, "spine")
-	for r, tor := range f.tors {
-		tor.RegisterStats(f.registry, fmt.Sprintf("tor%d", r))
-	}
-	for i, cl := range f.clients {
-		m := &cl.Metrics
-		f.registry.Register(fmt.Sprintf("client%d", i), func() any { return m })
-	}
-	// Fabric-wide balance analytics: per-server load shares across every
-	// rack, cache hits summed over the spine and ToR tiers.
-	balance.RegisterOn(f.registry)
 	return f, nil
 }
-
-// Registry exposes the fabric's metric registry — the handle the telemetry
-// plane (stats.Monitor, internal/telemetry's HTTP endpoints) attaches to.
-func (f *Fabric) Registry() *stats.Registry { return f.registry }
-
-// Snapshot collects every component counter and client latency histogram
-// across both tiers into one named view: "spine.switch.*", "spine.net.*",
-// "spine.controller.*", "tor<r>.switch.*", "tor<r>.server<s>.*",
-// "tor<r>.controller.*", and "client<i>.*" including per-op latency
-// histograms. Safe to call during traffic.
-func (f *Fabric) Snapshot() stats.Snapshot { return f.registry.Snapshot() }
 
 // SpineSnapshot returns just the spine tier's slice of the fabric snapshot.
 func (f *Fabric) SpineSnapshot() stats.Snapshot { return f.tierSnapshot("spine.") }
@@ -323,7 +203,7 @@ func (f *Fabric) TorSnapshot(r int) stats.Snapshot {
 }
 
 func (f *Fabric) tierSnapshot(prefix string) stats.Snapshot {
-	full := f.registry.Snapshot()
+	full := f.Snapshot()
 	out := stats.Snapshot{
 		Counters:   make(map[string]uint64),
 		Histograms: make(map[string]stats.HistStat),
@@ -341,32 +221,6 @@ func (f *Fabric) tierSnapshot(prefix string) stats.Snapshot {
 	return out
 }
 
-// EnableTrace turns on query tracing into a fresh bounded ring, tapping the
-// spine, every ToR, every server and every client. Returns the ring.
-func (f *Fabric) EnableTrace(capacity int) *qtrace.Ring {
-	ring := qtrace.NewRing(capacity)
-	f.SetTraceRing(ring)
-	return ring
-}
-
-// SetTraceRing installs (or, with nil, removes) the query-trace ring on
-// every component across both tiers.
-func (f *Fabric) SetTraceRing(ring *qtrace.Ring) {
-	f.spine.SetTrace(ring)
-	for _, tor := range f.tors {
-		tor.SetTrace(ring)
-	}
-	for i, cl := range f.clients {
-		cl.SetTrace(ring.Tap(fmt.Sprintf("client%d", i)))
-	}
-}
-
-// Client returns client i's handle.
-func (f *Fabric) Client(i int) *client.Client { return f.clients[i] }
-
-// Clients returns every client handle.
-func (f *Fabric) AllClients() []*client.Client { return f.clients }
-
 // Spine returns the spine switch and its controller.
 func (f *Fabric) Spine() (*switchcore.Switch, *controller.Controller) {
 	return f.spine.Switch, f.spine.Controller
@@ -374,74 +228,23 @@ func (f *Fabric) Spine() (*switchcore.Switch, *controller.Controller) {
 
 // Tor returns rack r's ToR switch and controller.
 func (f *Fabric) Tor(r int) (*switchcore.Switch, *controller.Controller) {
-	return f.tors[r].Switch, f.tors[r].Controller
+	return f.TorNode(r).Switch, f.TorNode(r).Controller
 }
 
 // SpineNode returns the spine's fabric node — fault rules installed on its
 // net address the downlink trunks (ports [0,Racks)) and client links.
 func (f *Fabric) SpineNode() *fabric.Node { return f.spine }
 
-// TorNode returns rack r's fabric node — fault rules installed on its net
-// address the rack's server links and the uplink trunk.
-func (f *Fabric) TorNode(r int) *fabric.Node { return f.tors[r] }
-
 // Server returns server s of rack r.
-func (f *Fabric) Server(r, s int) *server.Server { return f.servers[r][s] }
-
-// ServerOf returns the agent owning key.
-func (f *Fabric) ServerOf(key netproto.Key) *server.Server {
-	return f.serverByAddr[f.Partition(key)]
-}
-
-// RackOf returns the rack index owning key.
-func (f *Fabric) RackOf(key netproto.Key) int {
-	return f.rackOfAddr[f.Partition(key)]
-}
-
-// BackupOf returns the server configured as the in-rack ring backup of
-// key's home partition (meaningful only with Config.Replicate).
-func (f *Fabric) BackupOf(key netproto.Key) *server.Server {
-	home := f.Partition(key)
-	r := f.rackOfAddr[home]
-	s := int(home-f.cfg.serverAddr(r, 0)) % f.cfg.ServersPerRack
-	return f.servers[r][(s+1)%f.cfg.ServersPerRack]
-}
-
-// PrimaryOf returns the server currently serving key's partition according
-// to its rack's ToR controller.
-func (f *Fabric) PrimaryOf(key netproto.Key) *server.Server {
-	r := f.RackOf(key)
-	return f.serverByAddr[f.tors[r].Controller.CurrentPrimary(key)]
-}
-
-// LoadDataset installs the canonical dataset across all servers (mirroring
-// each item to its backup when the fabric is replicated).
-func (f *Fabric) LoadDataset(n, valueSize int) {
-	for id := 0; id < n; id++ {
-		key := workload.KeyName(id)
-		ver := f.ServerOf(key).Store().Put(key, workload.ValueFor(id, valueSize))
-		if f.cfg.Replicate {
-			f.BackupOf(key).Store().PutAt(key, workload.ValueFor(id, valueSize), ver)
-		}
-	}
-}
-
-// Tick runs one controller cycle at every layer: ToRs first (rack-local
-// heads), then the spine (global head).
-func (f *Fabric) Tick() {
-	for _, tor := range f.tors {
-		tor.Tick()
-	}
-	f.spine.Tick()
-}
+func (f *Fabric) Server(r, s int) *server.Server { return f.Servers[r*f.cfg.ServersPerRack+s] }
 
 // CrashServer crashes server s of rack r: process state discarded, ToR
 // port down.
-func (f *Fabric) CrashServer(r, s int) { f.tors[r].CrashServer(s) }
+func (f *Fabric) CrashServer(r, s int) { f.TorNode(r).CrashServer(s) }
 
 // RestartServer restores server s of rack r, optionally wiping its store.
 func (f *Fabric) RestartServer(r, s int, wipeStore bool) {
-	f.tors[r].RestartServer(s, wipeStore)
+	f.TorNode(r).RestartServer(s, wipeStore)
 }
 
 // RebootSpine power-cycles the spine switch: cache and routes wiped,
@@ -451,7 +254,7 @@ func (f *Fabric) RestartServer(r, s int, wipeStore bool) {
 func (f *Fabric) RebootSpine() error { return f.spine.Reboot() }
 
 // RebootTor power-cycles rack r's ToR switch.
-func (f *Fabric) RebootTor(r int) error { return f.tors[r].Reboot() }
+func (f *Fabric) RebootTor(r int) error { return f.TorNode(r).Reboot() }
 
 // RestartSpineController replaces the spine controller process (warm
 // adoption with rebuild, cold wipe without).
@@ -461,7 +264,7 @@ func (f *Fabric) RestartSpineController(rebuild bool) error {
 
 // RestartTorController replaces rack r's ToR controller process.
 func (f *Fabric) RestartTorController(r int, rebuild bool) error {
-	return f.tors[r].RestartController(rebuild)
+	return f.TorNode(r).RestartController(rebuild)
 }
 
 // SetUplinkDown cuts (or restores) rack r's uplink trunk at the spine

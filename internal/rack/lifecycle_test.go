@@ -263,7 +263,7 @@ func TestCorruptedTrafficRejectedEndToEnd(t *testing.T) {
 	r := newTestRack(t, 2, 8)
 	r.LoadDataset(10, 32)
 	cli := r.Client(0)
-	clientPort := r.cfg.Servers // first client port
+	clientPort := len(r.Servers) // first client port
 
 	r.Net.SetFault(clientPort, simnet.ToSwitch, simnet.FaultRule{Corrupt: 1.0})
 	if _, err := cli.Get(workload.KeyName(1)); err != client.ErrTimeout {

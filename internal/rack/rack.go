@@ -4,30 +4,26 @@
 // the controller managing the switch cache.
 //
 // The rack is the functional, packet-level system — every query is a real
-// frame through the compiled switch pipeline. The wiring itself (switch +
-// simnet attachment, route provisioning, controller construction, the
-// crash/restart/reboot lifecycle) lives in internal/fabric; the rack is the
-// single-node composition of that layer, exactly as internal/leafspine is
-// its multi-node composition. Experiments that need paper-scale numbers
-// (128 servers, billions of QPS) use the capacity models in
-// internal/harness on top of the same components.
+// frame through the compiled switch pipeline. It is one rack of the
+// internal/fabric recipe with the clients on its ToR; internal/leafspine
+// builds N racks of the same recipe under a spine. Servers, clients,
+// registry, tracing, dataset loading and Tick come from the embedded
+// fabric.Deployment, the component lifecycle from the ToR's fabric.Node.
+// Experiments that need paper-scale numbers (128 servers, billions of QPS)
+// use the capacity models in internal/harness on top of the same components.
 package rack
 
 import (
 	"fmt"
 	"time"
 
-	"netcache/internal/balance"
 	"netcache/internal/client"
 	"netcache/internal/controller"
 	"netcache/internal/fabric"
 	"netcache/internal/netproto"
-	"netcache/internal/qtrace"
 	"netcache/internal/server"
 	"netcache/internal/simnet"
-	"netcache/internal/stats"
 	"netcache/internal/switchcore"
-	"netcache/internal/workload"
 )
 
 // Config sizes a rack.
@@ -79,36 +75,29 @@ type Config struct {
 	HeartbeatMisses int
 }
 
-// Addressing: servers get addresses [1, Servers], clients
-// [clientAddrBase, clientAddrBase+Clients).
-const clientAddrBase = 0x8000
-
-// ServerAddr returns the rack address of server i.
+// ServerAddr returns the rack address of server i: servers get addresses
+// [1, Servers].
 func ServerAddr(i int) netproto.Addr { return netproto.Addr(1 + i) }
 
-// ClientAddr returns the rack address of client i.
-func ClientAddr(i int) netproto.Addr { return netproto.Addr(clientAddrBase + i) }
+// ClientAddr returns the rack address of client i: clients get addresses
+// [0x8000, 0x8000+Clients).
+func ClientAddr(i int) netproto.Addr { return fabric.ClientAddr(i) }
 
-// Rack is an assembled NetCache storage rack.
+// Rack is an assembled NetCache storage rack. The embedded deployment
+// carries the servers, clients, partition, registry, tracing, dataset
+// loading and Tick.
 type Rack struct {
-	cfg  Config
+	*fabric.Deployment
 	node *fabric.Node
 
 	Switch     *switchcore.Switch
 	Net        *simnet.Net
-	Servers    []*server.Server
-	Clients    []*client.Client
 	Controller *controller.Controller
-
-	// Partition is the rack's key→owner mapping, shared by clients,
-	// controller and harnesses.
-	Partition client.Partitioner
-
-	serverPorts map[netproto.Addr]int
-	registry    *stats.Registry
 }
 
-// New builds and wires a rack.
+// New builds and wires a rack: one rack of the fabric recipe, its servers
+// on the ToR's ports [0, Servers) (the downlinks), its clients on the next
+// ports (the upstream-facing side).
 func New(cfg Config) (*Rack, error) {
 	if cfg.Servers < 1 {
 		return nil, fmt.Errorf("rack: need at least one server, got %d", cfg.Servers)
@@ -123,7 +112,10 @@ func New(cfg Config) (*Rack, error) {
 		return nil, fmt.Errorf("rack: replication needs at least two servers, got %d", cfg.Servers)
 	}
 
-	node, err := fabric.NewNode("tor", cfg.Switch)
+	d := fabric.NewDeployment(cfg.Replicate)
+	node, err := d.AddRack("tor", cfg.Switch, cfg.Servers,
+		server.Config{Shards: cfg.ServerShards, Engine: cfg.StorageEngine},
+		cfg.CacheCapacity, 0, cfg.ControllerSampleK, cfg.WritePolicy, cfg.HeartbeatMisses)
 	if err != nil {
 		return nil, err
 	}
@@ -131,162 +123,17 @@ func New(cfg Config) (*Rack, error) {
 		return nil, fmt.Errorf("rack: %d servers + %d clients exceed %d switch ports",
 			cfg.Servers, cfg.Clients, node.NumPorts())
 	}
-	r := &Rack{
-		cfg:         cfg,
-		node:        node,
-		Switch:      node.Switch,
-		Net:         node.Net,
-		serverPorts: make(map[netproto.Addr]int),
-	}
-
-	// Servers occupy ports [0, Servers): the downlinks of a ToR switch.
-	serverAddrs := make([]netproto.Addr, cfg.Servers)
-	nodes := make(map[netproto.Addr]controller.StorageNode, cfg.Servers)
-	for i := 0; i < cfg.Servers; i++ {
-		addr := ServerAddr(i)
-		scfg := server.Config{Addr: addr, Shards: cfg.ServerShards, Engine: cfg.StorageEngine}
-		if cfg.Replicate {
-			// r.Partition is assigned after this loop; the closure reads
-			// it at call time, when it is set.
-			scfg.PartitionOf = func(key netproto.Key) netproto.Addr { return r.Partition(key) }
-		}
-		srv := server.New(scfg)
-		if err := node.AttachServer(i, srv); err != nil {
-			return nil, err
-		}
-		r.Servers = append(r.Servers, srv)
-		serverAddrs[i] = addr
-		nodes[addr] = srv
-		r.serverPorts[addr] = i
-	}
-	r.Partition = client.HashPartitioner(serverAddrs)
-
-	// Clients occupy the next ports: the upstream-facing side.
-	for i := 0; i < cfg.Clients; i++ {
-		cl, err := client.New(client.Config{
-			Addr: ClientAddr(i), Partition: r.Partition,
-			Timeout: cfg.ClientTimeout, Retries: cfg.ClientRetries,
-			Policy: cfg.ClientPolicy, Window: cfg.ClientWindow,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := node.AttachClient(cfg.Servers+i, cl); err != nil {
-			return nil, err
-		}
-		r.Clients = append(r.Clients, cl)
-	}
-
-	ctlCfg := controller.Config{
-		Nodes:     nodes,
-		Partition: func(key netproto.Key) netproto.Addr { return r.Partition(key) },
-		PortOf: func(addr netproto.Addr) (int, bool) {
-			p, ok := r.serverPorts[addr]
-			return p, ok
-		},
-		Capacity:        cfg.CacheCapacity,
-		SampleK:         cfg.ControllerSampleK,
-		WritePolicy:     cfg.WritePolicy,
-		HeartbeatMisses: cfg.HeartbeatMisses,
-	}
-	if cfg.Replicate {
-		// Ring pairing: server i's partition is backed by server i+1. The
-		// route-flip hook goes through the fabric node so a switch reboot
-		// re-provisions the flipped routes, not the originals.
-		ctlCfg.Backups = make(map[netproto.Addr]netproto.Addr, cfg.Servers)
-		for i := 0; i < cfg.Servers; i++ {
-			ctlCfg.Backups[ServerAddr(i)] = ServerAddr((i + 1) % cfg.Servers)
-		}
-		ctlCfg.InstallRoute = node.InstallRoute
-	}
-	if err := node.SetController(ctlCfg); err != nil {
+	if err := d.AttachClients(node, cfg.Servers, cfg.Clients, client.Config{
+		Timeout: cfg.ClientTimeout, Retries: cfg.ClientRetries,
+		Policy: cfg.ClientPolicy, Window: cfg.ClientWindow,
+	}); err != nil {
 		return nil, err
 	}
-	r.Controller = node.Controller
-
-	r.registry = stats.NewRegistry()
-	node.RegisterStats(r.registry, "")
-	for i, cl := range r.Clients {
-		m := &cl.Metrics
-		r.registry.Register(fmt.Sprintf("client%d", i), func() any { return m })
-	}
-	// Balance analytics ride as a derived source: every snapshot carries
-	// flat balance.* metrics (per-server load shares, imbalance ratios,
-	// cache hit ratio, churn counters) computed over the component view.
-	balance.RegisterOn(r.registry)
-	return r, nil
-}
-
-// Registry exposes the rack's metric registry — the handle the telemetry
-// plane (stats.Monitor, internal/telemetry's HTTP endpoints) attaches to.
-func (r *Rack) Registry() *stats.Registry { return r.registry }
-
-// Snapshot collects every component counter and client latency histogram
-// into one named view: "switch.*" (pipeline counters), "net.*" (simnet
-// delivery and fault counters), "server<i>.*", "controller.*", and
-// "client<i>.*" including the per-op latency histograms. Safe to call
-// during traffic.
-func (r *Rack) Snapshot() stats.Snapshot { return r.registry.Snapshot() }
-
-// EnableTrace turns on query tracing into a fresh bounded ring (capacity
-// records, oldest overwritten) and taps the switch, the servers and the
-// clients. Call with traffic quiesced. Returns the ring for inspection.
-func (r *Rack) EnableTrace(capacity int) *qtrace.Ring {
-	ring := qtrace.NewRing(capacity)
-	r.SetTraceRing(ring)
-	return ring
-}
-
-// SetTraceRing installs (or, with nil, removes) the query-trace ring on
-// every component.
-func (r *Rack) SetTraceRing(ring *qtrace.Ring) {
-	r.node.SetTrace(ring)
-	for i, cl := range r.Clients {
-		cl.SetTrace(ring.Tap(fmt.Sprintf("client%d", i)))
-	}
-}
-
-// Client returns client i's library handle.
-func (r *Rack) Client(i int) *client.Client { return r.Clients[i] }
-
-// ServerOf returns the server agent whose address is key's home partition —
-// the node that serves it when no failover has occurred.
-func (r *Rack) ServerOf(key netproto.Key) *server.Server {
-	addr := r.Partition(key)
-	return r.Servers[int(addr)-1]
-}
-
-// PrimaryOf returns the server agent currently serving key's partition:
-// ServerOf unless the controller failed the partition over to its backup.
-func (r *Rack) PrimaryOf(key netproto.Key) *server.Server {
-	addr := r.Controller.CurrentPrimary(key)
-	return r.Servers[int(addr)-1]
-}
-
-// BackupOf returns the server configured as the ring backup of key's home
-// partition (meaningful only with Config.Replicate).
-func (r *Rack) BackupOf(key netproto.Key) *server.Server {
-	i := int(r.Partition(key)) - 1
-	return r.Servers[(i+1)%len(r.Servers)]
+	return &Rack{Deployment: d, node: node, Switch: node.Switch, Net: node.Net, Controller: node.Controller}, nil
 }
 
 // ServerPort returns the switch port of server i.
 func (r *Rack) ServerPort(i int) int { return i }
-
-// LoadDataset installs n items (workload.KeyName(0..n-1) with canonical
-// values of valueSize bytes) directly into the owning servers' stores —
-// the pre-loaded dataset of the experiments.
-func (r *Rack) LoadDataset(n, valueSize int) {
-	for id := 0; id < n; id++ {
-		key := workload.KeyName(id)
-		ver := r.ServerOf(key).Store().Put(key, workload.ValueFor(id, valueSize))
-		if r.cfg.Replicate {
-			// Mirror the dataset to the backup at the same version, so the
-			// pair starts in sync and the backup is promotable immediately.
-			r.BackupOf(key).Store().PutAt(key, workload.ValueFor(id, valueSize), ver)
-		}
-	}
-}
 
 // PrePopulate installs the given keys into the switch cache through the
 // controller (the experiments start with the top-k hottest items cached,
@@ -299,11 +146,6 @@ func (r *Rack) PrePopulate(keys []netproto.Key) error {
 	}
 	return nil
 }
-
-// Tick runs one controller cycle (cache update + statistics reset). It first
-// waits for in-flight hot-key digests from completed queries to reach the
-// controller, so a tick sees all the traffic that preceded it.
-func (r *Rack) Tick() { r.node.Tick() }
 
 // CrashServer crashes server i: its process state is discarded and its
 // switch port goes down, so in-flight and future frames toward it vanish.

@@ -530,7 +530,12 @@ func (s *Server) retry(key netproto.Key, seq uint64) {
 	}
 	u := st.pending
 	u.tries++
-	if u.tries >= s.cfg.MaxRetries {
+	// A write queued behind the update invalidated the switch entry on its
+	// way here. Resending the older value now would validate it again after
+	// that invalidation, and a queued delete, which sends no refresh of its
+	// own, would leave it valid once acked. So a superseded update is
+	// dropped like one out of retries.
+	if u.tries >= s.cfg.MaxRetries || len(st.queue) > 0 {
 		// Give up: the key stays invalid in the switch (safe — reads
 		// fall through) and writers unblock.
 		s.Metrics.CacheUpdateGiveUps.Inc()

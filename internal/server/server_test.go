@@ -247,6 +247,35 @@ func TestRetryOnLostUpdate(t *testing.T) {
 	}
 }
 
+// A lost update with a delete queued behind it must not be resent: the
+// delete invalidated the switch entry on its way in, and the older value
+// would be valid again in the switch after the delete is acked.
+func TestSupersededUpdateNotResent(t *testing.T) {
+	h := newHarness(t, Config{RetryInterval: time.Hour}) // retries fired by hand
+	h.query(netproto.Packet{Op: netproto.OpPutCached, Seq: 1, Key: key("k"), Value: []byte("v1")})
+	out := h.takeSent()
+	if len(out) != 2 || out[1].Op != netproto.OpCacheUpdate {
+		t.Fatalf("first write = %+v", out)
+	}
+	updSeq := out[1].Seq
+	h.query(netproto.Packet{Op: netproto.OpDeleteCached, Seq: 2, Key: key("k")})
+	if out := h.takeSent(); len(out) != 0 {
+		t.Fatalf("queued delete should emit nothing, got %+v", out)
+	}
+
+	h.srv.retry(key("k"), updSeq) // the update's retry timer expires
+	out = h.takeSent()
+	if len(out) != 1 || out[0].Op != netproto.OpDeleteReply || out[0].Seq != 2 {
+		t.Fatalf("after retry = %+v, want only the delete's reply (no resent update)", out)
+	}
+	if _, _, ok := h.srv.Store().Get(key("k")); ok {
+		t.Error("queued delete not applied")
+	}
+	if n := h.srv.Metrics.CacheUpdateRetries.Value(); n != 0 {
+		t.Errorf("CacheUpdateRetries = %d, want 0", n)
+	}
+}
+
 func TestGiveUpUnblocksWriters(t *testing.T) {
 	h := newHarness(t, Config{RetryInterval: time.Millisecond, MaxRetries: 3})
 	h.mu.Lock()

@@ -907,17 +907,7 @@ func keyFields(key netproto.Key) []uint64 {
 // are served by the compiled fast path (fastpath.go); everything else runs
 // the generic table interpreter.
 func (sw *Switch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
-	var out []dataplane.Emitted
-	var err error
-	if em, ok := sw.fastGet(frame, inPort); ok {
-		out = []dataplane.Emitted{em}
-	} else {
-		out, err = sw.pl.Process(frame, inPort)
-	}
-	if tap := sw.trace.Load(); tap != nil {
-		sw.traceFrame(tap, frame, out)
-	}
-	return out, err
+	return sw.ProcessAppend(frame, inPort, nil)
 }
 
 // ProcessAppend is Process appending emissions to out, reusing the caller's
