@@ -84,11 +84,17 @@ examples:
 	$(GO) run ./examples/multirack
 	$(GO) run ./examples/webcache
 
+# The wire decoder, then the differential fuzzer that holds the table
+# interpreter byte- and counter-identical to the compiled cached-Get path.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/netproto
+	$(GO) test -run '^$$' -fuzz FuzzFastPathDifferential$$ -fuzztime 30s ./internal/switchcore
 
+# gofmt -l exits 0 whatever it lists, so an unformatted file fails the
+# target only through the emptiness test.
 vet:
-	gofmt -l . && $(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
+	$(GO) vet ./...
 
 # Static analysis beyond go vet. The repo is stdlib-only, so the linters are
 # optional tooling: staticcheck when installed, else golangci-lint (config in

@@ -115,9 +115,9 @@ func TestAllocsEncodeDecode(t *testing.T) {
 	}
 }
 
-// pipelineAllocs is the allocations per cache-hit GET through r's switch
-// pipeline in the steady-state calling convention (reused emission buffer,
-// reply frame released to the pool).
+// pipelineAllocs is the allocations per frame (by default a cache-hit GET)
+// through r's switch pipeline in the steady-state calling convention
+// (reused emission buffer, emitted frame released to the pool).
 func pipelineAllocs(t *testing.T, r *rack.Rack, frame []byte, inPort int) float64 {
 	t.Helper()
 	out := make([]dataplane.Emitted, 0, 1)
@@ -155,32 +155,62 @@ func TestAllocsCachedGet(t *testing.T) {
 //     Monitor keeps its default 1s interval and practically never polls;
 //   - interpreter: the DisableFastPath twin of BenchmarkFastPathCachedGet,
 //     the cached Get through the table interpreter.
+//
+// The interpreter passes that are not cached Gets are pinned at 0 too:
+//   - miss: a Get of an uncached key, forwarded to its server;
+//   - forward-reply: the server's GetReply to a client, entering on the
+//     server's port and routed on by address.
 func TestAllocsPipeline(t *testing.T) {
 	interp := switchcore.TestConfig()
 	interp.DisableFastPath = true
+	none := func(*testing.T, *rack.Rack) {}
 	for _, tc := range []struct {
 		name  string
 		sw    switchcore.Config
 		setup func(t *testing.T, r *rack.Rack)
+		// frame, when set, replaces the rig's cached Get.
+		frame func(t *testing.T, r *rack.Rack) ([]byte, int)
 	}{
-		{"trace-off", switchcore.Config{}, func(*testing.T, *rack.Rack) {}},
-		{"trace-on", switchcore.Config{}, func(_ *testing.T, r *rack.Rack) { r.EnableTrace(4096) }},
+		{"trace-off", switchcore.Config{}, none, nil},
+		{"trace-on", switchcore.Config{}, func(_ *testing.T, r *rack.Rack) { r.EnableTrace(4096) }, nil},
 		{"telemetry-on", switchcore.Config{}, func(t *testing.T, r *rack.Rack) {
 			mon := stats.NewMonitor(stats.MonitorConfig{Registry: r.Registry()})
 			mon.Start()
 			t.Cleanup(mon.Stop)
 			telemetry.New(telemetry.Config{Registry: r.Registry(), Monitor: mon})
+		}, nil},
+		{"interpreter", interp, none, nil},
+		{"miss", switchcore.Config{}, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
+			key := workload.KeyName(100) // never cached
+			return allocFrame(t, r.Partition(key), rack.ClientAddr(0),
+				netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key}), 4
 		}},
-		{"interpreter", interp, func(*testing.T, *rack.Rack) {}},
+		{"forward-reply", switchcore.Config{}, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
+			return allocFrame(t, rack.ClientAddr(0), rack.ServerAddr(1), netproto.Packet{
+				Op: netproto.OpGetReply, Seq: 1, Key: workload.KeyName(100), Value: workload.ValueFor(100, 128),
+			}), r.ServerPort(1)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, frame, inPort := pipelineBenchRig(t, tc.sw)
 			tc.setup(t, r)
+			if tc.frame != nil {
+				frame, inPort = tc.frame(t, r)
+			}
 			if allocs := pipelineAllocs(t, r, frame, inPort); allocs != 0 {
-				t.Errorf("cached Get allocates %.1f/op, want 0", allocs)
+				t.Errorf("%s allocates %.1f/op, want 0", tc.name, allocs)
 			}
 		})
 	}
+}
+
+func allocFrame(t *testing.T, dst, src netproto.Addr, pkt netproto.Packet) []byte {
+	t.Helper()
+	payload, err := pkt.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return netproto.MarshalFrame(dst, src, payload)
 }
 
 // clientGetAllocs is the allocations per blocking Get of key by the rack's

@@ -13,6 +13,12 @@
 // once a program fits, each pipe forwards one packet per clock cycle
 // regardless of what the program does, which is exactly the invariant behind
 // the flat curves of Figure 9 in the paper.
+//
+// Control flow between tables is gateway predication (TableSpec.When): a
+// table runs only when each of its conditions holds, and a condition tests
+// one PHV field against constants below 64 — what a Tofino gateway compares
+// before the stage's lookup, so opcodes and flag bits, not arbitrary code.
+// A table whose gateway fails is skipped without being entered.
 package dataplane
 
 import "fmt"

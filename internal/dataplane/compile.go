@@ -66,15 +66,31 @@ func (r ResourceReport) String() string {
 	return b.String()
 }
 
-// stage is the compiled form of one match-action stage: the tables that run
-// in it, in program order.
-type stage struct {
-	tables []*Table
+// step is one table of a gress walk, with the table's gateway.
+type step struct {
+	when  []gateCond
+	stage int
+	table *Table
 }
 
-// compiledGress is the stage sequence of one gress.
-type compiledGress struct {
-	stages []stage
+// newGress flattens the per-stage table lists of one gress into its walk:
+// stage order, declaration order within a stage. The gateways are slices of
+// one contiguous array, so the walk decides whether a table runs without
+// touching the Table.
+func newGress(stages [][]*Table) []step {
+	var steps []step
+	var conds []gateCond
+	for s, tables := range stages {
+		for _, t := range tables {
+			steps = append(steps, step{stage: s, table: t})
+			conds = append(conds, t.gate...)
+		}
+	}
+	for i := range steps {
+		n := len(steps[i].table.gate)
+		steps[i].when, conds = conds[:n:n], conds[n:]
+	}
+	return steps
 }
 
 // Compile lays the program's tables and register arrays onto the chip's
@@ -111,9 +127,9 @@ func Compile(p *Program, cfg ChipConfig) (*Pipeline, ResourceReport, error) {
 		return b
 	}
 	budgets := map[Gress][]budget{Ingress: mkBudgets(), Egress: mkBudgets()}
-	compiled := map[Gress]*compiledGress{
-		Ingress: {stages: make([]stage, cfg.StagesPerGress)},
-		Egress:  {stages: make([]stage, cfg.StagesPerGress)},
+	placed := map[Gress][][]*Table{
+		Ingress: make([][]*Table, cfg.StagesPerGress),
+		Egress:  make([][]*Table, cfg.StagesPerGress),
 	}
 
 	// Registers must fit the per-packet access width.
@@ -168,7 +184,7 @@ func Compile(p *Program, cfg ChipConfig) (*Pipeline, ResourceReport, error) {
 		}
 
 		cost := t.costBytes()
-		placed := false
+		ok := false
 		for s := minStage; s < cfg.StagesPerGress; s++ {
 			if pinned >= 0 && s != pinned {
 				if pinned < minStage {
@@ -204,11 +220,11 @@ func Compile(p *Program, cfg ChipConfig) (*Pipeline, ResourceReport, error) {
 					r.stage = s
 				}
 			}
-			compiled[g].stages[s].tables = append(compiled[g].stages[s].tables, t)
-			placed = true
+			placed[g][s] = append(placed[g][s], t)
+			ok = true
 			break
 		}
-		if !placed {
+		if !ok {
 			return nil, report, fmt.Errorf(
 				"dataplane: table %q (%s, %d bytes) does not fit: no stage >= %d has budget",
 				t.spec.Name, g, cost, minStage)
@@ -232,7 +248,7 @@ func Compile(p *Program, cfg ChipConfig) (*Pipeline, ResourceReport, error) {
 				SRAM:  cfg.SRAMPerStage - budgets[g][s].sram,
 				TCAM:  cfg.TCAMPerStage - budgets[g][s].tcam,
 			}
-			for _, t := range compiled[g].stages[s].tables {
+			for _, t := range placed[g][s] {
 				u.Tables = append(u.Tables, t.spec.Name)
 			}
 			for _, r := range p.registers {
@@ -245,6 +261,6 @@ func Compile(p *Program, cfg ChipConfig) (*Pipeline, ResourceReport, error) {
 	}
 
 	p.compiled = true
-	pl := newPipeline(p, cfg, compiled[Ingress], compiled[Egress])
+	pl := newPipeline(p, cfg, newGress(placed[Ingress]), newGress(placed[Egress]))
 	return pl, report, nil
 }

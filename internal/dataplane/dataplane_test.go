@@ -238,7 +238,7 @@ func TestGatePredication(t *testing.T) {
 	tab := p.TableBuild(TableSpec{
 		Name: "t", Gress: Ingress, MatchFields: []FieldID{f},
 		Kind: MatchExact, Size: 4,
-		Gate: func(ctx *Ctx) bool { return ctx.Get(enabled) == 1 },
+		When: []Cond{{Field: enabled, Values: []uint64{1}}},
 	})
 	tab.Action("nop", func(ctx *Ctx, data []uint64) {})
 	p.SetParser(func(raw []byte, ctx *Ctx) error {
@@ -263,6 +263,63 @@ func TestGatePredication(t *testing.T) {
 	if tab.Hits() != 1 {
 		t.Error("gated-on table should hit")
 	}
+}
+
+// A gateway holds when every condition does, and a condition when its field
+// is one of the listed constants; a field value of 64 or more matches none.
+func TestGatewayConditions(t *testing.T) {
+	p := NewProgram("gateway")
+	op := p.Field("op", 8)
+	flag := p.Field("flag", 1)
+	tab := p.TableBuild(TableSpec{
+		Name: "t", Gress: Ingress, MatchFields: []FieldID{op},
+		Kind: MatchExact, Size: 1,
+		When: []Cond{{Field: op, Values: []uint64{2, 5, 63}}, {Field: flag, Values: []uint64{1}}},
+	})
+	tab.Action("count", func(ctx *Ctx, data []uint64) {})
+	if err := tab.SetDefault("count", nil); err != nil {
+		t.Fatal(err)
+	}
+	p.SetParser(func(raw []byte, ctx *Ctx) error {
+		ctx.Set(op, uint64(raw[0]))
+		ctx.Set(flag, uint64(raw[1]))
+		ctx.EgressPort = 0
+		return nil
+	})
+	p.SetDeparser(func(ctx *Ctx, out []byte) []byte { return append(out, ctx.Raw...) })
+	pl, _, err := Compile(p, smallChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op, flag byte
+		runs     bool
+	}{
+		{2, 1, true}, {5, 1, true}, {63, 1, true},
+		{5, 0, false}, {3, 1, false}, {0, 1, false}, {64, 1, false}, {66, 1, false}, {255, 1, false},
+	} {
+		before := tab.Misses()
+		if _, err := pl.Process([]byte{tc.op, tc.flag}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ran := tab.Misses() > before; ran != tc.runs {
+			t.Errorf("op=%d flag=%d: table ran=%v, want %v", tc.op, tc.flag, ran, tc.runs)
+		}
+	}
+}
+
+func TestGatewayConstantLimit(t *testing.T) {
+	p := NewProgram("wide")
+	f := p.Field("f", 8)
+	defer func() {
+		if recover() == nil {
+			t.Error("a gateway constant of 64 should panic")
+		}
+	}()
+	p.TableBuild(TableSpec{
+		Name: "t", Gress: Ingress, MatchFields: []FieldID{f}, Kind: MatchExact, Size: 1,
+		When: []Cond{{Field: f, Values: []uint64{64}}},
+	})
 }
 
 func TestCompileRejectsOversizeTable(t *testing.T) {

@@ -100,6 +100,7 @@ func (p *Program) Register(spec RegisterSpec) *Register {
 	if err != nil {
 		panic(err)
 	}
+	r.id = len(p.registers)
 	p.registers = append(p.registers, r)
 	p.regByName[spec.Name] = r
 	return r
@@ -135,10 +136,26 @@ type TableSpec struct {
 	// After forces this table into a strictly later stage than the given
 	// tables (a data dependency). Independent tables may share a stage.
 	After []*Table
-	// Gate, if non-nil, predicates execution: when it returns false the
-	// table is skipped for the packet. This models control-flow
-	// predication (e.g. "only NetCache packets reach the cache tables").
-	Gate func(ctx *Ctx) bool
+	// When is the table's gateway: the table runs for a packet only when
+	// every condition holds (none: always). It models a Tofino gateway,
+	// which compares PHV fields with constants (e.g. "only NetCache reads
+	// reach the sample table"). Conditions are tested in order, so the one
+	// that fails most often goes first.
+	When []Cond
+}
+
+// Cond is one gateway condition: it holds when the value of Field is one of
+// Values. Values must be below 64 — gateways test opcodes and flag bits, and
+// the interpreter compiles a condition to a 64-bit membership mask.
+type Cond struct {
+	Field  FieldID
+	Values []uint64
+}
+
+// gateCond is a compiled Cond: bit v of mask is set for each value v.
+type gateCond struct {
+	field FieldID
+	mask  uint64
 }
 
 // TableBuild declares a table in the program. Tables execute in declaration
@@ -158,6 +175,16 @@ func (p *Program) TableBuild(spec TableSpec) *Table {
 		spec:    spec,
 		actions: make(map[string]ActionFunc),
 		stage:   -1,
+	}
+	for _, c := range spec.When {
+		g := gateCond{field: c.Field}
+		for _, v := range c.Values {
+			if v >= 64 {
+				panic(fmt.Sprintf("dataplane: table %q gateway constant %d is not below 64", spec.Name, v))
+			}
+			g.mask |= 1 << v
+		}
+		t.gate = append(t.gate, g)
 	}
 	st := &tableState{}
 	if spec.Kind == MatchExact {
@@ -267,6 +294,23 @@ func (st *tableState) refreshSmall() {
 	st.small = small
 }
 
+// find resolves an exact key against the snapshot: nil when no installed
+// entry matches (always, for a ternary table).
+func (st *tableState) find(k exactKey) *Entry {
+	if st.small != nil {
+		for i := range st.small {
+			if st.small[i].k == k {
+				return st.small[i].e
+			}
+		}
+		return nil
+	}
+	if st.exact == nil {
+		return nil
+	}
+	return st.exact[shardOf(k)][k]
+}
+
 // shardOf hashes an exact key onto a shard.
 func shardOf(k exactKey) int {
 	h := (k[0] ^ k[2]) * 0x9E3779B97F4A7C15
@@ -302,6 +346,7 @@ func (st *tableState) clone(dirtyShard int) *tableState {
 type Table struct {
 	spec    TableSpec
 	actions map[string]ActionFunc // fixed after program build
+	gate    []gateCond            // spec.When compiled
 
 	state atomic.Pointer[tableState]
 	ctlMu sync.Mutex // serializes mutators (COW writers)
@@ -343,21 +388,9 @@ func (t *Table) Misses() uint64 { return t.misses.Load() }
 // MatchExact tables. The probe reads the same immutable snapshot apply uses,
 // so it is safe against concurrent control-plane updates.
 func (t *Table) ProbeExact(match ...uint64) *Entry {
-	st := t.state.Load()
 	var k exactKey
 	copy(k[:], match)
-	if st.small != nil {
-		for i := range st.small {
-			if st.small[i].k == k {
-				return st.small[i].e
-			}
-		}
-		return nil
-	}
-	if st.exact == nil {
-		return nil
-	}
-	return st.exact[shardOf(k)][k]
+	return t.state.Load().find(k)
 }
 
 // NoteHit records an entry-matched traversal performed by a fast path that
@@ -532,73 +565,46 @@ func (t *Table) key(match []uint64) (exactKey, error) {
 	return k, nil
 }
 
-// apply executes the table on ctx: gate, lookup, action. It reports whether
-// an installed (non-default) entry matched.
-func (t *Table) apply(ctx *Ctx) bool {
-	if t.spec.Gate != nil && !t.spec.Gate(ctx) {
-		if ctx.trace != nil {
-			*ctx.trace = append(*ctx.trace, TraceEvent{
-				Gress: t.spec.Gress, Stage: t.stage, Table: t.spec.Name, Skipped: true,
-			})
-		}
-		return false
-	}
+// apply executes the table on a packet whose gateway passed: lookup, then
+// the matched entry's action or, on a miss, the default.
+func (t *Table) apply(ctx *Ctx) {
 	st := t.state.Load()
 	var e *Entry
-	switch t.spec.Kind {
-	case MatchExact:
+	if t.spec.Kind == MatchExact {
 		var k exactKey
 		for i, f := range t.spec.MatchFields {
 			k[i] = ctx.phv[f]
 		}
-		if st.small != nil {
-			for i := range st.small {
-				if st.small[i].k == k {
-					e = st.small[i].e
-					break
-				}
-			}
-		} else {
-			e = st.exact[shardOf(k)][k]
-		}
-	case MatchTernary:
+		e = st.find(k)
+	} else {
+	cands:
 		for _, cand := range st.ternary {
-			ok := true
 			for i, f := range t.spec.MatchFields {
 				if ctx.phv[f]&cand.Mask[i] != cand.Match[i]&cand.Mask[i] {
-					ok = false
-					break
+					continue cands
 				}
 			}
-			if ok {
-				e = cand
-				break
-			}
+			e = cand
+			break
 		}
 	}
-	if e == nil {
+	matched := e != nil
+	if matched {
+		t.hits.Add(1)
+	} else {
 		t.misses.Add(1)
-		if ctx.trace != nil {
-			ev := TraceEvent{Gress: t.spec.Gress, Stage: t.stage, Table: t.spec.Name}
-			if st.def != nil {
-				ev.Action = st.def.Action
-			}
-			*ctx.trace = append(*ctx.trace, ev)
-		}
-		if st.def != nil {
-			st.def.fn(ctx, st.def.Data)
-		}
-		return false
+		e = st.def
 	}
-	t.hits.Add(1)
 	if ctx.trace != nil {
-		*ctx.trace = append(*ctx.trace, TraceEvent{
-			Gress: t.spec.Gress, Stage: t.stage, Table: t.spec.Name,
-			Matched: true, Action: e.Action,
-		})
+		ev := TraceEvent{Gress: t.spec.Gress, Stage: t.stage, Table: t.spec.Name, Matched: matched}
+		if e != nil {
+			ev.Action = e.Action
+		}
+		*ctx.trace = append(*ctx.trace, ev)
 	}
-	e.fn(ctx, e.Data)
-	return true
+	if e != nil {
+		e.fn(ctx, e.Data)
+	}
 }
 
 // matchBytes is the SRAM/TCAM key width charged per entry.

@@ -44,6 +44,7 @@ type Register struct {
 	mu       sync.Mutex // serializes narrow-slot access when !lockfree
 
 	stage int // assigned at compile time, -1 before
+	id    int // index in the program's register list (per-packet access marks)
 }
 
 // RegisterSpec declares a register array in a Program.

@@ -50,7 +50,6 @@ type Ctx struct {
 	gress    Gress
 	accessed []uint32
 	epoch    uint32
-	pl       *Pipeline
 
 	// trace, when non-nil, collects per-table execution events
 	// (ProcessTraced).
@@ -122,11 +121,10 @@ func (c *Ctx) checkReg(r *Register) {
 		panic(fmt.Sprintf("dataplane: register %q (stage %d %s) accessed from stage %d %s",
 			r.name, r.stage, r.gress, c.stage, c.gress))
 	}
-	id := c.pl.regID[r]
-	if c.accessed[id] == c.epoch {
+	if c.accessed[r.id] == c.epoch {
 		panic(fmt.Sprintf("dataplane: register %q accessed twice by one packet", r.name))
 	}
-	c.accessed[id] = c.epoch
+	c.accessed[r.id] = c.epoch
 }
 
 // RegGet reads slot idx of r from the data plane.
@@ -247,10 +245,8 @@ type Pipeline struct {
 	prog *Program
 	cfg  ChipConfig
 
-	ingress *compiledGress
-	egress  *compiledGress
-
-	regID map[*Register]int
+	ingress []step
+	egress  []step
 
 	// ctlMu serializes control-plane critical sections (Control) against
 	// each other; the data plane never takes it.
@@ -275,27 +271,22 @@ type Pipeline struct {
 	ctxPool sync.Pool
 }
 
-func newPipeline(p *Program, cfg ChipConfig, in, eg *compiledGress) *Pipeline {
+func newPipeline(p *Program, cfg ChipConfig, in, eg []step) *Pipeline {
 	pl := &Pipeline{
 		prog:     p,
 		cfg:      cfg,
 		ingress:  in,
 		egress:   eg,
-		regID:    make(map[*Register]int, len(p.registers)),
 		digestCh: make(chan []byte, digestQueueCap),
 	}
 	pl.pendCond = sync.NewCond(&pl.pendMu)
 	pl.ctr.byEgressPipe = make([]atomic.Uint64, cfg.Pipes)
-	for i, r := range p.registers {
-		pl.regID[r] = i
-	}
 	nFields, nRegs := len(p.fields), len(p.registers)
 	pl.ctxPool.New = func() any {
 		return &Ctx{
 			phv:      make([]uint64, nFields),
 			accessed: make([]uint32, nRegs),
 			ValueBuf: make([]byte, 0, 160),
-			pl:       pl,
 		}
 	}
 	return pl
@@ -458,14 +449,28 @@ func (pl *Pipeline) process(raw []byte, inPort int, out []Emitted, trace *Trace)
 	return append(out, Emitted{Port: port, Frame: frame, Pooled: pooled}), nil
 }
 
-func (pl *Pipeline) run(g *compiledGress, ctx *Ctx) {
-	for si := range g.stages {
-		ctx.stage = si
-		for _, t := range g.stages[si].tables {
-			t.apply(ctx)
-			if ctx.dropped {
-				return
+// run walks one gress: each table whose gateway holds is applied in its
+// stage, and a table whose gateway fails is passed over on the step's own
+// conditions, without entering the table.
+func (pl *Pipeline) run(steps []step, ctx *Ctx) {
+	phv := ctx.phv
+next:
+	for i := range steps {
+		s := &steps[i]
+		for _, c := range s.when {
+			if c.mask>>phv[c.field]&1 == 0 {
+				if t := s.table; ctx.trace != nil {
+					*ctx.trace = append(*ctx.trace, TraceEvent{
+						Gress: t.spec.Gress, Stage: t.stage, Table: t.spec.Name, Skipped: true,
+					})
+				}
+				continue next
 			}
+		}
+		ctx.stage = s.stage
+		s.table.apply(ctx)
+		if ctx.dropped {
+			return
 		}
 	}
 }

@@ -62,7 +62,7 @@ func TestProcessTracedGateSkip(t *testing.T) {
 	tab := p.TableBuild(TableSpec{
 		Name: "gated", Gress: Ingress, MatchFields: []FieldID{f},
 		Kind: MatchExact, Size: 4,
-		Gate: func(ctx *Ctx) bool { return false },
+		When: []Cond{{Field: f, Values: []uint64{1}}}, // the parser leaves f at 0
 	})
 	tab.Action("nop", func(ctx *Ctx, data []uint64) {})
 	p.SetParser(func(raw []byte, ctx *Ctx) error {

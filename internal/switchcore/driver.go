@@ -308,7 +308,7 @@ func (sw *Switch) ReadLoadSignals() LoadSignals {
 
 // TraceQuery runs one frame through the pipeline with per-table tracing —
 // the debugging facility for inspecting how a query traverses the NetCache
-// program (which tables hit, which gates skipped).
+// program (which tables hit, which gateways skipped).
 func (sw *Switch) TraceQuery(frame []byte, inPort int) ([]dataplane.Emitted, dataplane.Trace, error) {
 	return sw.pl.ProcessTraced(frame, inPort)
 }

@@ -11,7 +11,7 @@ import (
 // The compiled cached-GET fast path. A valid cache-hit read is the packet
 // the whole NetCache design exists to serve, and on that packet the generic
 // table interpreter spends most of its time on machinery whose outcome is
-// statically known: gate closures over PHV fields the parser just set,
+// statically known: gateway checks on PHV fields the parser just set,
 // per-stage register bookkeeping, PHV container stores that the deparser
 // immediately reads back. fastGet is that traversal with the interpretation
 // folded away — parse the five header fields it needs by offset, probe the
@@ -143,7 +143,7 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	// Table statistics of the traversal: lookup hit, prep_route hit (the
 	// static {hit, Get} → route_on_src entry), route hit, sample default
 	// roll, status check hit, vlen read hit, the value-stage notes above,
-	// counter-bump default when sampled (its gate is closed otherwise), and
+	// counter-bump default when sampled (its gateway is closed otherwise), and
 	// the mirror default. Then the pipeline's own packet counters.
 	sw.lookup.NoteHit()
 	sw.prep.NoteHit()

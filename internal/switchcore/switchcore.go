@@ -347,13 +347,8 @@ func (sw *Switch) buildIngress(f phv) {
 		Kind:        dataplane.MatchExact,
 		Size:        sw.cfg.CacheSize,
 		// NetCache packets that carry a key: Get/Put/Delete/CacheUpdate.
-		Gate: func(ctx *dataplane.Ctx) bool {
-			if ctx.Get(f.isNC) == 0 {
-				return false
-			}
-			op := netproto.Op(ctx.Get(f.op))
-			return op == netproto.OpGet || op.IsWrite() || op == netproto.OpCacheUpdate
-		},
+		When: []dataplane.Cond{is(f.op, netproto.OpGet, netproto.OpPut, netproto.OpPutCached,
+			netproto.OpDelete, netproto.OpDeleteCached, netproto.OpCacheUpdate), is(f.isNC, 1)},
 		ActionDataWords: 1,
 	})
 	lookup.Action("hit", func(ctx *dataplane.Ctx, data []uint64) {
@@ -395,12 +390,8 @@ func (sw *Switch) buildIngress(f phv) {
 	prep.Action("route_on_dst", func(ctx *dataplane.Ctx, data []uint64) {
 		ctx.Set(f.routeKey, ctx.Get(f.l2Dst))
 	})
-	if err := prep.SetDefault("route_on_dst", nil); err != nil {
-		panic(err)
-	}
-	if err := prep.AddEntry([]uint64{1, uint64(netproto.OpGet)}, "route_on_src", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(prep, "route_on_dst")
+	mustAdd(prep, []uint64{1, uint64(netproto.OpGet)}, "route_on_src", nil)
 	sw.prep = prep
 
 	// route: standard L3-style forwarding on the selected address. For a
@@ -426,9 +417,7 @@ func (sw *Switch) buildIngress(f phv) {
 		ctx.EgressPort = port
 	})
 	route.Action("drop", func(ctx *dataplane.Ctx, data []uint64) { ctx.Drop() })
-	if err := route.SetDefault("drop", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(route, "drop")
 	sw.route = route
 }
 
@@ -443,18 +432,14 @@ func (sw *Switch) buildEgress(f phv) {
 		MatchFields: []dataplane.FieldID{f.op},
 		Kind:        dataplane.MatchExact,
 		Size:        1,
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.isNC) == 1 && netproto.Op(ctx.Get(f.op)) == netproto.OpGet
-		},
+		When:        []dataplane.Cond{is(f.op, netproto.OpGet), is(f.isNC, 1)},
 	})
 	sample.Action("roll", func(ctx *dataplane.Ctx, data []uint64) {
 		if sw.sampler.Sample() {
 			ctx.Set(f.sampled, 1)
 		}
 	})
-	if err := sample.SetDefault("roll", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(sample, "roll")
 	sw.sampleT = sample
 
 	// cache_status: the validity bit per cached key. Reads check it,
@@ -479,9 +464,7 @@ func (sw *Switch) buildEgress(f phv) {
 		Kind:        dataplane.MatchExact,
 		Size:        8,
 		Registers:   []*dataplane.Register{sw.valid, sw.ver},
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.isNC) == 1 && ctx.Get(f.hit) == 1
-		},
+		When:        []dataplane.Cond{is(f.hit, 1), is(f.isNC, 1)},
 	})
 	status.Action("check", func(ctx *dataplane.Ctx, data []uint64) {
 		ctx.Set(f.isValid, ctx.RegGet(sw.valid, int(ctx.Get(f.kidx))))
@@ -541,6 +524,7 @@ func (sw *Switch) buildEgress(f phv) {
 			return
 		}
 		ctx.RegSet(sw.valid, int(ctx.Get(f.kidx)), 1)
+		ctx.Set(f.isValid, 1) // opens the value stages' gateway
 	})
 	// invalidate_pass handles writes an upstream NetCache switch already
 	// rewrote (multi-switch deployments, §4.3: writes "invalidate any
@@ -572,9 +556,7 @@ func (sw *Switch) buildEgress(f phv) {
 		Size:        8,
 		Registers:   []*dataplane.Register{sw.vlen},
 		After:       []*dataplane.Table{status}, // consumes the overflow verdict
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.isNC) == 1 && ctx.Get(f.hit) == 1
-		},
+		When:        []dataplane.Cond{is(f.hit, 1), is(f.isNC, 1)},
 	})
 	vlenT.Action("read", func(ctx *dataplane.Ctx, data []uint64) {
 		ctx.Set(f.valLen, ctx.RegGet(sw.vlen, int(ctx.Get(f.kidx))))
@@ -602,31 +584,20 @@ func (sw *Switch) buildEgress(f phv) {
 		Size:        1,
 		Registers:   []*dataplane.Register{sw.ctr},
 		After:       []*dataplane.Table{status, sample},
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.hit) == 1 && ctx.Get(f.isValid) == 1 &&
-				ctx.Get(f.sampled) == 1 &&
-				netproto.Op(ctx.Get(f.op)) == netproto.OpGet
-		},
+		When:        []dataplane.Cond{is(f.sampled, 1), is(f.hit, 1), is(f.isValid, 1), is(f.op, netproto.OpGet)},
 	})
 	ctrT.Action("bump", func(ctx *dataplane.Ctx, data []uint64) {
 		ctx.RegAdd(sw.ctr, int(ctx.Get(f.kidx)), 1)
 	})
-	if err := ctrT.SetDefault("bump", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(ctrT, "bump")
 	sw.ctrT = ctrT
 
 	// Count-Min sketch: 4 rows across 4 stages, tracking sampled reads
 	// for *uncached* keys only — the design point that saves switch
 	// memory and controller work (§4.2).
-	missGate := func(ctx *dataplane.Ctx) bool {
-		return ctx.Get(f.isNC) == 1 && ctx.Get(f.hit) == 0 &&
-			ctx.Get(f.sampled) == 1 &&
-			netproto.Op(ctx.Get(f.op)) == netproto.OpGet
-	}
+	sampledMiss := []dataplane.Cond{is(f.sampled, 1), is(f.hit, 0), is(f.op, netproto.OpGet), is(f.isNC, 1)}
 	var prevCMS *dataplane.Table = sample
 	for row := 0; row < 4; row++ {
-		row := row
 		reg := p.Register(dataplane.RegisterSpec{
 			Name: fmt.Sprintf("cms_%d", row), Gress: dataplane.Egress,
 			Slots: sw.cfg.CMSWidth, SlotBits: 16,
@@ -640,7 +611,7 @@ func (sw *Switch) buildEgress(f phv) {
 			Size:        1,
 			Registers:   []*dataplane.Register{reg},
 			After:       []*dataplane.Table{prevCMS},
-			Gate:        missGate,
+			When:        sampledMiss,
 		})
 		tab.Action("count", func(ctx *dataplane.Ctx, data []uint64) {
 			idx := sw.cmsIndex(ctx.Get(f.keyHi), ctx.Get(f.keyLo), row)
@@ -649,9 +620,7 @@ func (sw *Switch) buildEgress(f phv) {
 				ctx.Set(f.cmMin, v)
 			}
 		})
-		if err := tab.SetDefault("count", nil); err != nil {
-			panic(err)
-		}
+		mustDefault(tab, "count")
 		prevCMS = tab
 	}
 
@@ -664,24 +633,20 @@ func (sw *Switch) buildEgress(f phv) {
 		Kind:        dataplane.MatchExact,
 		Size:        1,
 		After:       []*dataplane.Table{prevCMS},
-		Gate:        missGate,
+		When:        sampledMiss,
 	})
 	hhCheck.Action("compare", func(ctx *dataplane.Ctx, data []uint64) {
 		if ctx.Get(f.cmMin) >= sw.hotThreshold.Load() {
 			ctx.Set(f.hot, 1)
 		}
 	})
-	if err := hhCheck.SetDefault("compare", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(hhCheck, "compare")
 
 	// Bloom filter: 3 partitions across 3 stages; a hot key is reported
 	// only if at least one of its bits was clear (first report this
 	// cycle).
-	hotGate := func(ctx *dataplane.Ctx) bool { return ctx.Get(f.hot) == 1 }
 	var prevBloom = hhCheck
 	for part := 0; part < 3; part++ {
-		part := part
 		reg := p.Register(dataplane.RegisterSpec{
 			Name: fmt.Sprintf("bloom_%d", part), Gress: dataplane.Egress,
 			Slots: sw.cfg.BloomWidth, SlotBits: 1,
@@ -695,7 +660,7 @@ func (sw *Switch) buildEgress(f phv) {
 			Size:        1,
 			Registers:   []*dataplane.Register{reg},
 			After:       []*dataplane.Table{prevBloom},
-			Gate:        hotGate,
+			When:        []dataplane.Cond{is(f.hot, 1)},
 		})
 		tab.Action("test_set", func(ctx *dataplane.Ctx, data []uint64) {
 			idx := sw.bloomIndex(ctx.Get(f.keyHi), ctx.Get(f.keyLo), part)
@@ -704,9 +669,7 @@ func (sw *Switch) buildEgress(f phv) {
 				ctx.Set(f.bloomNu, 1)
 			}
 		})
-		if err := tab.SetDefault("test_set", nil); err != nil {
-			panic(err)
-		}
+		mustDefault(tab, "test_set")
 		prevBloom = tab
 	}
 
@@ -718,9 +681,7 @@ func (sw *Switch) buildEgress(f phv) {
 		Kind:        dataplane.MatchExact,
 		Size:        1,
 		After:       []*dataplane.Table{prevBloom},
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.hot) == 1 && ctx.Get(f.bloomNu) == 1
-		},
+		When:        []dataplane.Cond{is(f.hot, 1), is(f.bloomNu, 1)},
 	})
 	report.Action("digest", func(ctx *dataplane.Ctx, data []uint64) {
 		var d [25]byte
@@ -730,9 +691,7 @@ func (sw *Switch) buildEgress(f phv) {
 		binary.BigEndian.PutUint64(d[17:25], ctx.Get(f.cmMin))
 		ctx.Digest(d[:])
 	})
-	if err := report.SetDefault("digest", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(report, "digest")
 
 	// value_0..N: the variable-length value store of Fig. 6b. Each table
 	// is gated on its bitmap bit; Get appends the slot to the value
@@ -741,7 +700,6 @@ func (sw *Switch) buildEgress(f phv) {
 	sw.valueT = make([]*dataplane.Table, sw.cfg.ValueArrays)
 	var prevVal = status
 	for i := 0; i < sw.cfg.ValueArrays; i++ {
-		i := i
 		reg := p.Register(dataplane.RegisterSpec{
 			Name: fmt.Sprintf("value_%d", i), Gress: dataplane.Egress,
 			Slots: sw.cfg.ValueSlots, SlotBits: 128,
@@ -755,14 +713,9 @@ func (sw *Switch) buildEgress(f phv) {
 			Size:        2,
 			Registers:   []*dataplane.Register{reg},
 			After:       []*dataplane.Table{prevVal, vlenT},
-			Gate: func(ctx *dataplane.Ctx) bool {
-				if ctx.Get(f.hit) == 0 {
-					return false
-				}
-				op := netproto.Op(ctx.Get(f.op))
-				return (op == netproto.OpGet && ctx.Get(f.isValid) == 1) ||
-					(op == netproto.OpCacheUpdate && ctx.Get(f.ovfl) == 0)
-			},
+			// A valid cached Get or an accepted CacheUpdate: only those
+			// set cache_is_valid (status check / validate).
+			When: []dataplane.Cond{is(f.hit, 1), is(f.isValid, 1)},
 		})
 		tab.Action("process", func(ctx *dataplane.Ctx, data []uint64) {
 			idx := int(ctx.Get(f.vidx))
@@ -809,18 +762,13 @@ func (sw *Switch) buildEgress(f phv) {
 		Kind:        dataplane.MatchExact,
 		Size:        1,
 		After:       []*dataplane.Table{prevVal},
-		Gate: func(ctx *dataplane.Ctx) bool {
-			return ctx.Get(f.hit) == 1 && ctx.Get(f.isValid) == 1 &&
-				netproto.Op(ctx.Get(f.op)) == netproto.OpGet
-		},
+		When:        []dataplane.Cond{is(f.hit, 1), is(f.isValid, 1), is(f.op, netproto.OpGet)},
 	})
 	mirror.Action("to_client", func(ctx *dataplane.Ctx, data []uint64) {
 		ctx.Set(f.reply, 1)
 		ctx.Mirror(int(ctx.Get(f.clntPort)))
 	})
-	if err := mirror.SetDefault("to_client", nil); err != nil {
-		panic(err)
-	}
+	mustDefault(mirror, "to_client")
 	sw.mirrorT = mirror
 }
 
@@ -889,8 +837,24 @@ var bloomSeeds = [3]uint64{
 	0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B,
 }
 
+// is is the gateway condition "field f holds one of values"; values are
+// flag constants or NetCache ops.
+func is[V int | netproto.Op](f dataplane.FieldID, values ...V) dataplane.Cond {
+	c := dataplane.Cond{Field: f}
+	for _, v := range values {
+		c.Values = append(c.Values, uint64(v))
+	}
+	return c
+}
+
 func mustAdd(t *dataplane.Table, match []uint64, action string, data []uint64) {
 	if err := t.AddEntry(match, action, data); err != nil {
+		panic(err)
+	}
+}
+
+func mustDefault(t *dataplane.Table, action string) {
+	if err := t.SetDefault(action, nil); err != nil {
 		panic(err)
 	}
 }

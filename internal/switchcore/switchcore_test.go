@@ -2,6 +2,7 @@ package switchcore
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -499,7 +500,11 @@ func TestResetStatsClearsCounters(t *testing.T) {
 	}
 }
 
-func BenchmarkGetHit(b *testing.B) {
+// benchSwitch is the switch of the ProcessAppend microbenchmarks: the test
+// configuration at the paper's 0.25 sample rate, with client and server
+// routes installed.
+func benchSwitch(b *testing.B) *Switch {
+	b.Helper()
 	sw, err := New(TestConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -507,38 +512,66 @@ func BenchmarkGetHit(b *testing.B) {
 	sw.InstallRoute(clientAddr, clientPort)
 	sw.InstallRoute(serverAddr, serverPort)
 	sw.SetSampleRate(0.25)
+	return sw
+}
+
+// benchProcess runs frames[i%len(frames)] through sw in the steady-state
+// calling convention — one reused emission slice, every emitted frame
+// released — clearing the sketch and Bloom filter every resetEvery frames
+// (0: never), as the controller does between ticks.
+func benchProcess(b *testing.B, sw *Switch, frames [][]byte, inPort, resetEvery int) {
+	b.Helper()
+	out := make([]dataplane.Emitted, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resetEvery > 0 && i%resetEvery == resetEvery-1 {
+			sw.ResetStats(false)
+		}
+		var err error
+		out, err = sw.ProcessAppend(frames[i%len(frames)], inPort, out[:0])
+		if err != nil || len(out) != 1 {
+			b.Fatalf("ProcessAppend = %v, %v", out, err)
+		}
+		dataplane.ReleaseFrame(out[0])
+	}
+}
+
+func BenchmarkGetHit(b *testing.B) {
+	sw := benchSwitch(b)
 	alloc, _ := cachemem.New(sw.AllocatorConfig())
 	key := netproto.KeyFromString("bench")
 	value := make([]byte, 128)
 	p, _ := alloc.Insert(key, len(value))
 	sw.InstallCacheEntry(CacheEntry{Key: key, Placement: p, KeyIndex: 0, ServerPort: serverPort, Value: value})
 	pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: key}).Marshal()
-	f := netproto.MarshalFrame(serverAddr, clientAddr, pkt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sw.Process(f, clientPort); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, sw, [][]byte{netproto.MarshalFrame(serverAddr, clientAddr, pkt)}, clientPort, 0)
 }
 
+// BenchmarkGetMiss cycles Gets over 4096 uncached keys, clearing the sketch
+// every 20,000 frames like the benchmark's controller cadence, so a key
+// seldom turns hot and the miss is the one a workload sends: sample, sketch
+// and threshold stages, rarely the Bloom filter.
 func BenchmarkGetMiss(b *testing.B) {
-	sw, err := New(TestConfig())
-	if err != nil {
-		b.Fatal(err)
+	sw := benchSwitch(b)
+	frames := make([][]byte, 4096)
+	for i := range frames {
+		key := netproto.KeyFromString(fmt.Sprintf("absent-%d", i))
+		pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: key}).Marshal()
+		frames[i] = netproto.MarshalFrame(serverAddr, clientAddr, pkt)
 	}
-	sw.InstallRoute(clientAddr, clientPort)
-	sw.InstallRoute(serverAddr, serverPort)
-	pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: netproto.KeyFromString("absent")}).Marshal()
-	f := netproto.MarshalFrame(serverAddr, clientAddr, pkt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sw.Process(f, clientPort); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, sw, frames, clientPort, 20_000)
+}
+
+// BenchmarkForwardReply is a server's 128-byte GetReply entering on the
+// server port and routed on to the client: the pass that needs only the
+// routing tables.
+func BenchmarkForwardReply(b *testing.B) {
+	sw := benchSwitch(b)
+	pkt, _ := (&netproto.Packet{
+		Op: netproto.OpGetReply, Key: netproto.KeyFromString("absent"), Value: make([]byte, 128),
+	}).Marshal()
+	benchProcess(b, sw, [][]byte{netproto.MarshalFrame(clientAddr, serverAddr, pkt)}, serverPort, 0)
 }
 
 func TestTraceQueryShowsPipelinePath(t *testing.T) {
