@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-ab chaos failover experiments examples fuzz profile vet lint loc clean
+.PHONY: all test race bench bench-ab chaos failover flake experiments examples fuzz profile vet lint loc clean
 
 all: test
 
@@ -12,7 +12,8 @@ all: test
 # proves little. Performance is gated separately by the end-to-end benchmark
 # (bench/, BENCHMARK.json): `make bench-ab` runs it interleaved against a base
 # ref and judges every workload row; the exact allocation floors of the
-# packet path are tier-1 tests (allocs_test.go).
+# packet path are tier-1 tests (allocs_test.go). `make flake` counts how often
+# one test fails over N runs of the same test binary.
 #
 # bench/ is its own module (the end-to-end benchmark, see BENCHMARK.json), so
 # `go test ./...` here never compiles it; it is vetted and tested last, or
@@ -34,6 +35,25 @@ chaos:
 # controller-driven failover, rejoin + anti-entropy resync, failback.
 failover:
 	$(GO) test -race -v -timeout 10m -run 'TestChaosFailover' ./internal/chaos
+
+# Count a test's flakes: build the package's test binary once, run it N
+# times from the package directory, print the first failure line of each
+# failed run, then `failed k/N` (exit status 1 if k > 0):
+#   make flake PKG=./internal/chaos RUN=TestChaosFailover N=20
+# GOFLAGS=-race builds the binary under the race detector.
+PKG ?= .
+RUN ?= .
+N ?= 20
+FLAKE = $(CURDIR)/.bench_build/flake
+
+flake:
+	@mkdir -p $(FLAKE) && $(GO) test -c -o $(FLAKE)/pkg.test $(PKG)
+	@fails=0; for i in $$(seq 1 $(N)); do \
+		if ! (cd $(PKG) && $(FLAKE)/pkg.test -test.run '$(RUN)' > $(FLAKE)/run.log 2>&1); then \
+			fails=$$((fails + 1)); \
+			echo "run $$i: $$(grep -m1 -E '\.go:[0-9]+: |^panic:|DATA RACE' $(FLAKE)/run.log || grep -m1 FAIL $(FLAKE)/run.log)"; \
+		fi; \
+	done; echo "failed $$fails/$(N)"; [ $$fails -eq 0 ]
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -30,29 +30,27 @@ import (
 	"netcache/internal/workload"
 )
 
-// TestAllocsGetAppend: the seqlock read path of both storage engines. An
-// optimistic GetAppend into a buffer with capacity is pure probe + append —
-// exactly zero allocations, no slack: a single alloc/op here means the
-// engine fell back to copying (or the caller's buffer escaped), which is
-// the regression this test exists to catch.
+// TestAllocsGetAppend: the store's seqlock read path. An optimistic
+// GetAppend into a buffer with capacity is pure probe + append — exactly
+// zero allocations, no slack: a single alloc/op here means the store fell
+// back to copying (or the caller's buffer escaped), which is the regression
+// this test exists to catch.
 func TestAllocsGetAppend(t *testing.T) {
-	for _, name := range []string{"chained", "cuckoo"} {
-		t.Run(name, func(t *testing.T) {
-			s := kvstore.NewEngine(name, 4)
-			key := netproto.KeyFromString("user:1")
-			s.Put(key, workload.ValueFor(1, 128))
-			dst := make([]byte, 0, netproto.MaxValueSize)
-			allocs := testing.AllocsPerRun(1000, func() {
-				v, _, ok := s.GetAppend(key, dst[:0])
-				if !ok || len(v) != 128 {
-					t.Fatalf("GetAppend = %d bytes, %v", len(v), ok)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("GetAppend allocates %.1f/op, want 0", allocs)
+	t.Run("chained", func(t *testing.T) {
+		s := kvstore.New(4)
+		key := netproto.KeyFromString("user:1")
+		s.Put(key, workload.ValueFor(1, 128))
+		dst := make([]byte, 0, netproto.MaxValueSize)
+		allocs := testing.AllocsPerRun(1000, func() {
+			v, _, ok := s.GetAppend(key, dst[:0])
+			if !ok || len(v) != 128 {
+				t.Fatalf("GetAppend = %d bytes, %v", len(v), ok)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("GetAppend allocates %.1f/op, want 0", allocs)
+		}
+	})
 }
 
 // TestAllocsServerReplySegment: the store+reply segment of the server's
@@ -60,29 +58,27 @@ func TestAllocsGetAppend(t *testing.T) {
 // straight from the store, seal. This is the whole per-Get work of a
 // storage server past packet decode, and it must not allocate.
 func TestAllocsServerReplySegment(t *testing.T) {
-	for _, name := range []string{"chained", "cuckoo"} {
-		t.Run(name, func(t *testing.T) {
-			s := kvstore.NewEngine(name, 4)
-			key := netproto.KeyFromString("user:1")
-			s.Put(key, workload.ValueFor(1, 128))
-			frame := bufpool.Get()
-			defer bufpool.Put(frame)
-			allocs := testing.AllocsPerRun(1000, func() {
-				frame = netproto.ReplyInto(frame[:0], 0x8001, 1, netproto.OpGetReply, 7, key)
-				var ok bool
-				frame, _, ok = s.GetAppend(key, frame)
-				if !ok {
-					t.Fatal("miss")
-				}
-				if err := netproto.SealReply(frame); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("store+reply segment allocates %.1f/op, want 0", allocs)
+	t.Run("chained", func(t *testing.T) {
+		s := kvstore.New(4)
+		key := netproto.KeyFromString("user:1")
+		s.Put(key, workload.ValueFor(1, 128))
+		frame := bufpool.Get()
+		defer bufpool.Put(frame)
+		allocs := testing.AllocsPerRun(1000, func() {
+			frame = netproto.ReplyInto(frame[:0], 0x8001, 1, netproto.OpGetReply, 7, key)
+			var ok bool
+			frame, _, ok = s.GetAppend(key, frame)
+			if !ok {
+				t.Fatal("miss")
+			}
+			if err := netproto.SealReply(frame); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("store+reply segment allocates %.1f/op, want 0", allocs)
+		}
+	})
 }
 
 // TestAllocsEncodeDecode: building a frame into a pooled buffer and decoding

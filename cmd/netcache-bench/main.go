@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"netcache/internal/harness"
-	"netcache/internal/kvstore"
 	_ "netcache/internal/queuesim" // registers the fig10c-sim latency experiment
 	"netcache/internal/telemetry"
 	_ "netcache/internal/topo" // registers the fig10f scalability model
@@ -32,7 +31,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	format := flag.String("format", "table", "output format: table or csv")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /debug/pprof on this HTTP address while experiments run (empty disables)")
-	engine := flag.String("engine", "", "storage engine of the balance experiment's servers: chained or cuckoo (empty = chained)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
@@ -48,11 +46,6 @@ func main() {
 		harness.Telemetry = ts
 		fmt.Fprintf(os.Stderr, "netcache-bench: telemetry on http://%v/metrics (the balance experiment attaches its racks while it runs)\n", bound)
 	}
-	if kvstore.NewEngine(*engine, 1) == nil {
-		fmt.Fprintf(os.Stderr, "netcache-bench: unknown -engine %q (want chained or cuckoo)\n", *engine)
-		os.Exit(2)
-	}
-	harness.StorageEngine = *engine
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

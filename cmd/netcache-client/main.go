@@ -18,10 +18,6 @@
 // the dataset exists, then drive the Zipf workload against it and watch the
 // switch absorb the head (compare "stats" before and after a controller
 // cycle).
-//
-// The client is storage-agnostic: the storage engine backing a deployment
-// ("chained" or "cuckoo") is selected server-side with netcache-server
-// -engine, and for in-process experiments with netcache-bench -engine.
 package main
 
 import (

@@ -20,13 +20,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"netcache/internal/client"
-	"netcache/internal/kvstore"
 	"netcache/internal/netproto"
 	"netcache/internal/server"
 	"netcache/internal/stats"
@@ -39,7 +36,6 @@ func main() {
 	swAddr := flag.String("switch", "127.0.0.1:9000", "switch daemon UDP address")
 	addr := flag.Int("addr", 1, "this server's rack address (1..N)")
 	shards := flag.Int("shards", 4, "store shards (per-core sharding)")
-	engine := flag.String("engine", "chained", "storage engine: chained or cuckoo")
 	preload := flag.Int("preload", 0, "preload this many dataset items owned by this server")
 	servers := flag.Int("servers", 1, "total servers in the rack (for -preload ownership)")
 	valueSize := flag.Int("valuesize", 64, "preloaded value size in bytes")
@@ -49,13 +45,7 @@ func main() {
 	if *addr < 1 || *addr >= 0x8000 {
 		log.Fatalf("netcache-server: -addr must be in [1, 32767]")
 	}
-	// server.New falls back to chained for a name it does not know; a
-	// typo on the command line must not silently run the wrong engine.
-	if kvstore.NewEngine(*engine, 1) == nil {
-		fmt.Fprintf(os.Stderr, "netcache-server: unknown -engine %q (want chained or cuckoo)\n", *engine)
-		os.Exit(2)
-	}
-	srv := server.New(server.Config{Addr: netproto.Addr(*addr), Shards: *shards, Engine: *engine})
+	srv := server.New(server.Config{Addr: netproto.Addr(*addr), Shards: *shards})
 
 	ep, err := udptrans.Dial(*swAddr)
 	if err != nil {
@@ -99,7 +89,7 @@ func main() {
 	// be lost, leaving this server unreachable.
 	stopHello := ep.StartHello(netproto.Addr(*addr), 2*time.Second)
 	defer stopHello()
-	log.Printf("netcache-server: addr %d serving via switch %s (%d shards, %s engine)", *addr, *swAddr, *shards, *engine)
+	log.Printf("netcache-server: addr %d serving via switch %s (%d store shards)", *addr, *swAddr, *shards)
 	if err := ep.Run(srv.Receive); err != nil {
 		log.Fatalf("netcache-server: %v", err)
 	}

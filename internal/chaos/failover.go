@@ -31,9 +31,6 @@ type FailoverConfig struct {
 	CacheCapacity int
 	// HeartbeatMisses is the detector's death threshold. Default 3.
 	HeartbeatMisses int
-	// StorageEngine selects the servers' storage engine ("chained" or
-	// "cuckoo"); empty means chained.
-	StorageEngine string
 }
 
 func (c *FailoverConfig) fill() {
@@ -105,7 +102,7 @@ func buildFailover(cfg FailoverConfig) (*runner, scenario, *FailoverReport, erro
 	rep := &FailoverReport{Report: Report{Seed: cfg.Seed}}
 	r, rn, err := newRackRunner(Config{Seed: cfg.Seed, Servers: cfg.Servers, Clients: cfg.Clients,
 		Keys: cfg.Keys, OpsPerPhase: cfg.OpsPerPhase, ValueSize: cfg.ValueSize,
-		CacheCapacity: cfg.CacheCapacity, StorageEngine: cfg.StorageEngine}, cfg.HeartbeatMisses, &rep.Report)
+		CacheCapacity: cfg.CacheCapacity}, cfg.HeartbeatMisses, &rep.Report)
 	if err != nil {
 		return nil, scenario{}, nil, err
 	}

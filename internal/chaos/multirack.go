@@ -35,9 +35,6 @@ type MultiRackConfig struct {
 	ValueSize int
 	// SpineCache and TorCache cap the two cache layers. Defaults: 8 and 8.
 	SpineCache, TorCache int
-	// StorageEngine selects the servers' storage engine ("chained" or
-	// "cuckoo"); empty means chained.
-	StorageEngine string
 }
 
 func (c *MultiRackConfig) fill() {
@@ -74,7 +71,6 @@ func buildMultiRack(cfg MultiRackConfig) (*runner, scenario, error) {
 		ClientTimeout:  2 * time.Millisecond,
 		ClientRetries:  2,
 		ClientPolicy:   client.Policy{Seed: cfg.Seed},
-		StorageEngine:  cfg.StorageEngine,
 	})
 	if err != nil {
 		return nil, scenario{}, err

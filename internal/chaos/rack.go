@@ -25,9 +25,6 @@ type Config struct {
 	ValueSize int
 	// CacheCapacity caps the switch cache. Default 8.
 	CacheCapacity int
-	// StorageEngine selects the servers' storage engine ("chained" or
-	// "cuckoo"); empty means chained.
-	StorageEngine string
 }
 
 func (c *Config) fill() {
@@ -66,7 +63,6 @@ func newRackRunner(cfg Config, heartbeatMisses int, rep *Report) (*rack.Rack, *r
 		Servers:         cfg.Servers,
 		Clients:         cfg.Clients,
 		CacheCapacity:   cfg.CacheCapacity,
-		StorageEngine:   cfg.StorageEngine,
 		Replicate:       heartbeatMisses > 0,
 		HeartbeatMisses: heartbeatMisses,
 		ClientTimeout:   2 * time.Millisecond,

@@ -211,27 +211,28 @@ func now() time.Duration { return time.Since(epoch) }
 // waitReply waits up to wait for cl's reply and reports whether it arrived.
 // Receive hands the reply over by setting cl.done, so a reply that is
 // already in — a synchronous fabric delivers it inside the send — costs one
-// atomic load and no channel operation. Waits under the policy's SpinUnder
-// threshold poll that flag in a Gosched-yielding loop: a parked timer's
-// wakeup latency (~1ms on stock kernels) would otherwise quantize every
-// sub-millisecond RTO up to the millisecond scale, erasing exactly the gap
-// the estimator exists to close; a poll that reaches its deadline parks for
-// pollGrace before it gives up. Longer waits (UDP, a backed-off RTO) park
-// on the call's one-slot wake channel, which Receive signals only once the
-// waiter has set cl.parked, and on a fresh timer per attempt: reusing one
+// atomic load and no channel operation. With poll set (a query's first
+// attempt), waits under the policy's SpinUnder threshold poll that flag in
+// a Gosched-yielding loop: a parked timer's wakeup latency (~1ms on stock
+// kernels) would otherwise quantize every sub-millisecond RTO up to the
+// millisecond scale, erasing exactly the gap the estimator exists to close;
+// a poll that reaches its deadline parks for pollGrace before it gives up.
+// Longer waits (UDP, a backed-off RTO) and retransmissions park on the
+// call's one-slot wake channel, which Receive signals only once the waiter
+// has set cl.parked, and on a fresh timer per attempt: reusing one
 // timer across attempts with stop-drain-reset races the runtime's expiry
 // send — Stop can return false while the send is still in flight, the drain
 // select finds the channel empty, and the stale expiry then lands after
 // Reset, firing the next wait instantly and causing a spurious early
 // retransmit or timeout.
-func (c *Client) waitReply(cl *call, wait time.Duration) bool {
+func (c *Client) waitReply(cl *call, wait time.Duration, poll bool) bool {
 	if cl.done.Load() {
 		return true
 	}
 	if wait <= 0 {
 		return false
 	}
-	if wait < c.cfg.Policy.SpinUnder {
+	if poll && wait < c.cfg.Policy.SpinUnder {
 		deadline := now() + wait
 		for !cl.done.Load() {
 			if now() > deadline {
@@ -255,7 +256,10 @@ func (c *Client) waitReply(cl *call, wait time.Duration) bool {
 // expired timers; the reply, if it was only stranded, lands and wakes the
 // waiter at once. A reply that was really lost costs the grace on top of
 // the RTO, rounded up to the netpoller's millisecond when the process is
-// otherwise idle.
+// otherwise idle. The grace frees the P only if no other poller is queued,
+// so retransmissions do not poll at all: when a stranded reply stalls
+// several queries, their pollers would keep every P busy for the whole
+// stall, while parked retransmissions let a P go idle and steal.
 const pollGrace = 50 * time.Microsecond
 
 // park blocks on cl's wake channel until its reply lands or wait elapses,
@@ -539,7 +543,7 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		}
 		// The fabric may deliver synchronously, in which case the
 		// reply is already in.
-		if c.waitReply(cl, 0) {
+		if c.waitReply(cl, 0, false) {
 			return finish(attempt, start)
 		}
 		wait := c.cfg.Timeout
@@ -554,7 +558,7 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		if adaptive && c.cfg.Policy.Hedge && attempt == 0 && !hedged &&
 			cl.op == netproto.OpGet {
 			if hd := est.HedgeDelay(); hd > 0 && hd < wait {
-				if c.waitReply(cl, hd) {
+				if c.waitReply(cl, hd, true) {
 					return finish(attempt, start)
 				}
 				hedged = true
@@ -565,7 +569,7 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 				wait -= hd
 			}
 		}
-		if c.waitReply(cl, wait) {
+		if c.waitReply(cl, wait, attempt == 0) {
 			return finish(attempt, start)
 		}
 		if adaptive {

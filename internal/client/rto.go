@@ -33,9 +33,10 @@ type Policy struct {
 	// a second copy toward the owner instead of waiting out the full RTO.
 	// Only reads hedge — they are idempotent end to end.
 	Hedge bool
-	// SpinUnder is the poll-mode threshold: a wait shorter than this polls
-	// the call's reply flag in a yielding busy-loop instead of parking on
-	// the call's wake channel and a runtime timer. Parked-timer wakeups
+	// SpinUnder is the poll-mode threshold: a first attempt's wait shorter
+	// than this polls the call's reply flag in a yielding busy-loop
+	// instead of parking on the call's wake channel and a runtime timer
+	// (retransmissions always park). Parked-timer wakeups
 	// cost ~1ms on stock kernels (timer slack + HZ quantization), which
 	// would round every sub-millisecond RTO up to the millisecond scale —
 	// the reason the paper's testbed clients run poll-mode DPDK rather

@@ -29,12 +29,16 @@ import (
 )
 
 // StorageNode is the control-plane surface of a storage server: value
-// fetches for cache population and the write-block window of §4.3.
+// fetches for cache population and the write-block window of §4.3. Opening
+// the window also marks the key cached at the node; Uncached clears the
+// mark when the insertion fails or the key is evicted, so the node knows
+// which keys the switch may hold.
 type StorageNode interface {
 	Addr() netproto.Addr
 	FetchValue(key netproto.Key) (value []byte, version uint64, ok bool)
 	BlockWrites(key netproto.Key)
 	UnblockWrites(key netproto.Key)
+	Uncached(key netproto.Key)
 }
 
 // reportBuffer bounds the hot-report queue between the data plane and the
@@ -120,6 +124,9 @@ type entry struct {
 	placement cachemem.Placement
 	addr      netproto.Addr
 	port      int
+	// node is the node the value was fetched from, which marked the key
+	// cached; nil for an entry adopted from the switch.
+	node StorageNode
 
 	// freqHint is the reported frequency that justified inserting this
 	// entry, valid only within cycle hintCycle. A freshly-inserted item
@@ -402,9 +409,17 @@ func (c *Controller) insertLocked(key netproto.Key, freq uint64) bool {
 	}
 
 	// Block writes at the owner for the duration of the insertion, then
-	// fetch the authoritative value.
+	// fetch the authoritative value. A failed insertion clears the
+	// cached mark the block set; deferred last, that runs first, so the
+	// writes queued behind the window drain as writes to an uncached key.
 	node.BlockWrites(key)
 	defer node.UnblockWrites(key)
+	installed := false
+	defer func() {
+		if !installed {
+			node.Uncached(key)
+		}
+	}()
 	value, version, ok := node.FetchValue(key)
 	if !ok || len(value) == 0 || len(value) > netproto.MaxValueSize {
 		c.Metrics.FetchMisses.Inc()
@@ -448,10 +463,11 @@ func (c *Controller) insertLocked(key netproto.Key, freq uint64) bool {
 	}
 	c.entries[key] = &entry{
 		key: key, kidx: kidx, placement: placement, addr: addr, port: port,
-		freqHint: freq, hintCycle: c.cycle,
+		node: node, freqHint: freq, hintCycle: c.cycle,
 	}
 	c.order = append(c.order, key)
 	c.Metrics.Inserts.Inc()
+	installed = true
 	return true
 }
 
@@ -459,8 +475,24 @@ func (c *Controller) evictLocked(e *entry) {
 	if _, err := c.cfg.Switch.RemoveCacheEntry(e.key, e.kidx); err != nil {
 		return
 	}
+	node, ok := e.node, e.node != nil
+	if !ok {
+		node, ok = c.nodeOfLocked(e)
+	}
+	if ok {
+		node.Uncached(e.key)
+	}
 	c.dropEntryLocked(e)
 	c.Metrics.Evictions.Inc()
+}
+
+// nodeOfLocked returns the node an entry's value was fetched from.
+func (c *Controller) nodeOfLocked(e *entry) (StorageNode, bool) {
+	node, ok := c.cfg.Nodes[e.addr]
+	if !ok && c.cfg.Resolve != nil {
+		node, ok = c.cfg.Resolve(e.key)
+	}
+	return node, ok
 }
 
 // dropEntryLocked removes an entry from the controller's bookkeeping only —
@@ -493,10 +525,7 @@ func (c *Controller) resyncLocked() {
 			continue
 		}
 		e := c.entries[key]
-		node, ok := c.cfg.Nodes[e.addr]
-		if !ok && c.cfg.Resolve != nil {
-			node, ok = c.cfg.Resolve(key)
-		}
+		node, ok := c.nodeOfLocked(e)
 		if !ok {
 			c.dropEntryLocked(e)
 			continue
@@ -505,6 +534,7 @@ func (c *Controller) resyncLocked() {
 		value, version, vok := node.FetchValue(key)
 		if !vok || len(value) == 0 || len(value) > netproto.MaxValueSize ||
 			c.alloc.SlotsFor(len(value)) > e.placement.Slots() {
+			node.Uncached(key)
 			node.UnblockWrites(key)
 			c.Metrics.FetchMisses.Inc()
 			c.dropEntryLocked(e)
@@ -514,10 +544,15 @@ func (c *Controller) resyncLocked() {
 			Key: key, Placement: e.placement, KeyIndex: e.kidx, ServerPort: e.port,
 			Value: value, Version: version,
 		})
+		if err != nil {
+			node.Uncached(key)
+		}
 		node.UnblockWrites(key)
 		if err != nil {
 			c.dropEntryLocked(e)
+			continue
 		}
+		e.node = node
 	}
 }
 

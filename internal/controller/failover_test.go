@@ -40,6 +40,7 @@ func newFakeNode(addr netproto.Addr, gate *gateEngine) *fakeNode {
 func (n *fakeNode) Addr() netproto.Addr        { return n.addr }
 func (n *fakeNode) BlockWrites(netproto.Key)   {}
 func (n *fakeNode) UnblockWrites(netproto.Key) {}
+func (n *fakeNode) Uncached(netproto.Key)      {}
 func (n *fakeNode) Ping() bool                 { return n.alive.Load() }
 func (n *fakeNode) Incarnation() uint64        { return n.inc.Load() }
 func (n *fakeNode) Store() kvstore.Engine      { return n.store }
@@ -95,7 +96,8 @@ func (n *fakeNode) ReplicaApply(key netproto.Key, value []byte, version uint64) 
 		return false
 	}
 	n.stamps[key] = version
-	return n.store.PutAt(key, value, version)
+	n.store.PutAt(key, value, version)
+	return true
 }
 
 func (n *fakeNode) ReplicaStamp(key netproto.Key) uint64 {

@@ -1,7 +1,9 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/controller"
@@ -213,5 +215,63 @@ func TestDeploymentRacksAreDense(t *testing.T) {
 	if _, err := d.AddRack("narrow", switchcore.Config{}, 2, server.Config{Shards: 1},
 		0, 3, 0, controller.WritePolicy{}, 0); err == nil {
 		t.Error("a rack of another width should be refused")
+	}
+}
+
+// parkingNode runs park once, inside the first insertion window, before
+// the controller fetches the value to install.
+type parkingNode struct {
+	*server.Server
+	park func()
+}
+
+func (n *parkingNode) FetchValue(key netproto.Key) ([]byte, uint64, bool) {
+	if park := n.park; park != nil {
+		n.park = nil
+		park()
+	}
+	return n.Server.FetchValue(key)
+}
+
+// A Put that reaches the switch before a cache insertion and the server
+// inside the insertion's write-block window is applied after the fetch, so
+// the insertion installs the older value. The Put must not be acked while
+// the switch still serves that value.
+func TestWriteParkedInInsertionWindow(t *testing.T) {
+	_, b, cl, srv := twoTier(t)
+	key := netproto.Key{'h'}
+	if err := cl.Put(key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	put := make(chan error, 1)
+	node := &parkingNode{Server: srv, park: func() {
+		go func() { put <- cl.Put(key, []byte("new")) }()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Metrics.WritesQueued.Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the Put never queued behind the window")
+			}
+			runtime.Gosched()
+		}
+	}}
+	if err := b.SetController(controller.Config{
+		Nodes:     map[netproto.Addr]controller.StorageNode{1: node},
+		Partition: func(netproto.Key) netproto.Addr { return 1 },
+		PortOf:    func(netproto.Addr) (int, bool) { return 0, true },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Controller.InsertKey(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	hits := b.Switch.ReadLoadSignals().Hits
+	if v, err := cl.Get(key); err != nil || string(v) != "new" {
+		t.Fatalf("get after the acked Put = %q, %v; want %q", v, err, "new")
+	}
+	if b.Switch.ReadLoadSignals().Hits == hits {
+		t.Error("the read did not hit the cache")
 	}
 }

@@ -18,11 +18,6 @@ import (
 // /snapshot. Set by the netcache-bench -telemetry-addr flag.
 var Telemetry *telemetry.Server
 
-// StorageEngine selects the storage engine the balance experiment's racks
-// run their servers on ("chained" or "cuckoo"; empty = chained). Set by the
-// netcache-bench -engine flag.
-var StorageEngine string
-
 // BalanceBench reproduces the paper's load-balance claim end-to-end at the
 // packet level: the same zipf-0.99 read workload runs through one rack with
 // the cache disabled (no keys ever promoted) and one where the controller
@@ -88,7 +83,6 @@ func runBalance(cacheItems int, quick bool) (res balanceResult, err error) {
 	r, err := rack.New(rack.Config{
 		Servers: servers, Clients: clients, CacheCapacity: capacity,
 		ClientTimeout: 2 * time.Millisecond, ClientRetries: 2,
-		StorageEngine: StorageEngine,
 	})
 	if err != nil {
 		return res, err

@@ -152,6 +152,7 @@ func (n *simNode) FetchValue(key netproto.Key) ([]byte, uint64, bool) {
 
 func (n *simNode) BlockWrites(netproto.Key)   {}
 func (n *simNode) UnblockWrites(netproto.Key) {}
+func (n *simNode) Uncached(netproto.Key)      {}
 
 // RunDynamic executes the emulation and returns per-tick measurements.
 func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {

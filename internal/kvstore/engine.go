@@ -2,65 +2,21 @@ package kvstore
 
 import "netcache/internal/netproto"
 
-// Engine is the storage interface the server agent runs against. Two
-// engines ship: the sharded chained-hash Store (the default, in the spirit
-// of the paper's TommyDS-based store) and the CuckooStore (cuckoo hashing,
-// after the MemC3/libcuckoo line of work the paper cites as related).
+// Engine is the storage surface a storage node exposes to the control plane
+// and to harnesses. Store is its one implementation; the interface exists as
+// a seam, so a test can wrap a Store and interpose on a call (the failover
+// tests hold a resync's Range mid-flight). The method contracts are those of
+// the Store methods of the same names.
 type Engine interface {
-	// Get returns a copy of the value and its version.
 	Get(key netproto.Key) (value []byte, version uint64, ok bool)
-	// GetAppend appends the value to dst and returns the extended slice
-	// with the value's version; on a miss dst comes back unchanged. This
-	// is the zero-copy read path: both engines serve it with optimistic
-	// (seqlock / version-validated) reads that take no lock in the common
-	// case, so a hot read costs one chain or bucket probe plus the append.
 	GetAppend(key netproto.Key, dst []byte) (value []byte, version uint64, ok bool)
-	// ReadRetries returns how many optimistic read attempts had to be
-	// repeated because a structural writer was active (surfaced through
-	// stats.Registry as store.read_retries).
 	ReadRetries() uint64
-	// Put stores a copy of value and returns a version strictly greater
-	// than any previous version of the key.
 	Put(key netproto.Key, value []byte) (version uint64)
-	// PutAt installs a copy of value with an externally assigned version —
-	// the replication path, where a backup must preserve the primary's
-	// version so versions stay comparable across the pair. The install is
-	// unconditional: ordering between replicated writes is the caller's
-	// job (the server's per-key replication stamp), and the key's current
-	// version may come from a foreign, incomparable counter — e.g. a
-	// rejoined ex-primary whose shard counter ran ahead of the new
-	// primary's. The engine's own version source is advanced to at least
-	// version so later local Puts still return strictly larger versions.
-	PutAt(key netproto.Key, value []byte, version uint64) (ok bool)
-	// BumpVersion advances the version source serving key to at least
-	// version without touching data. A backup applying a replicated
-	// delete uses it so the tombstone's version can never be reissued to
-	// a later local write after promotion.
+	PutAt(key netproto.Key, value []byte, version uint64)
 	BumpVersion(key netproto.Key, version uint64)
-	// Delete removes the key, returning the deletion version.
 	Delete(key netproto.Key) (version uint64, ok bool)
-	// Len returns the number of stored items.
 	Len() int
-	// Range iterates items until fn returns false; values must not be
-	// retained.
 	Range(fn func(key netproto.Key, value []byte, version uint64) bool)
 }
 
-// Compile-time interface checks.
-var (
-	_ Engine = (*Store)(nil)
-	_ Engine = (*CuckooStore)(nil)
-)
-
-// NewEngine constructs a named engine: "chained" (default for "") or
-// "cuckoo". The shards hint sizes both: the chained store's shard count and
-// the cuckoo store's initial table. Unknown names return nil.
-func NewEngine(name string, shards int) Engine {
-	switch name {
-	case "", "chained":
-		return New(shards)
-	case "cuckoo":
-		return NewCuckooSized(shards)
-	}
-	return nil
-}
+var _ Engine = (*Store)(nil)

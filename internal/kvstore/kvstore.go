@@ -207,10 +207,16 @@ func (s *Store) Put(key netproto.Key, value []byte) (version uint64) {
 	return sh.version
 }
 
-// PutAt installs value under key with the given externally assigned version
-// (the replication path; see Engine.PutAt). The shard's version source is
-// bumped to at least version so local Puts never reuse or undercut it.
-func (s *Store) PutAt(key netproto.Key, value []byte, version uint64) bool {
+// PutAt installs a copy of value under key with an externally assigned
+// version — the replication path, where a backup must preserve the
+// primary's version so versions stay comparable across the pair. The
+// install is unconditional: ordering between replicated writes is the
+// caller's job (the server's per-key replication stamp), and the key's
+// current version may come from a foreign, incomparable counter, e.g. a
+// rejoined ex-primary whose shard counter ran ahead of the new primary's.
+// The shard's version source is bumped to at least version so local Puts
+// never reuse or undercut it.
+func (s *Store) PutAt(key netproto.Key, value []byte, version uint64) {
 	sh := &s.shards[s.ShardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -218,11 +224,12 @@ func (s *Store) PutAt(key netproto.Key, value []byte, version uint64) bool {
 		sh.version = version
 	}
 	s.putLocked(sh, key, value, version)
-	return true
 }
 
 // BumpVersion advances the version source of key's shard to at least
-// version without touching data (see Engine.BumpVersion).
+// version without touching data. A backup applying a replicated delete uses
+// it so the tombstone's version can never be reissued to a later local write
+// after promotion.
 func (s *Store) BumpVersion(key netproto.Key, version uint64) {
 	sh := &s.shards[s.ShardOf(key)]
 	sh.mu.Lock()

@@ -83,9 +83,6 @@ type Config struct {
 	// wired to the vectorized batch path either way, so GetBatch issues
 	// windowed bursts even across racks.
 	ClientWindow int
-	// StorageEngine selects every server's storage engine ("chained" or
-	// "cuckoo"); empty means the server default (chained).
-	StorageEngine string
 }
 
 // Fabric is the assembled leaf-spine deployment. The embedded deployment
@@ -131,7 +128,7 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	for r := 0; r < cfg.Racks; r++ {
 		tor, err := f.AddRack(fmt.Sprintf("tor%d", r), cfg.Switch, cfg.ServersPerRack,
-			server.Config{Shards: 2, Engine: cfg.StorageEngine},
+			server.Config{Shards: 2},
 			cfg.TorCache, int64(r+1), 0, controller.WritePolicy{}, 0)
 		if err != nil {
 			return nil, err

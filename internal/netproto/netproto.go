@@ -127,6 +127,11 @@ const (
 	// acknowledges the client (replicate-before-ack).
 	OpReplicateAck
 
+	// OpCtlUncached tells a storage server that KEY is not in the switch
+	// cache: the insertion whose OpCtlBlock window marked it cached
+	// failed, or the controller evicted it. Acknowledged with OpCtlAck.
+	OpCtlUncached
+
 	opSentinel // keep last
 )
 
@@ -152,6 +157,7 @@ var opNames = [...]string{
 	OpReplicate:       "Replicate",
 	OpReplicateDelete: "ReplicateDelete",
 	OpReplicateAck:    "ReplicateAck",
+	OpCtlUncached:     "CtlUncached",
 }
 
 // String returns the mnemonic name of the operation.

@@ -27,6 +27,7 @@ func TestOpString(t *testing.T) {
 		OpCtlAck:         "CtlAck",
 		OpCtlStats:       "CtlStats",
 		OpCtlStatsReply:  "CtlStatsReply",
+		OpCtlUncached:    "CtlUncached",
 		OpInvalid:        "Invalid",
 		Op(200):          "Op(200)",
 	}
@@ -251,7 +252,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	plain := []Op{OpGet, OpGetReplyMiss, OpPutReply, OpDelete, OpDeleteCached,
 		OpDeleteReply, OpCacheUpdateAck, OpHotReport,
 		OpCtlBlock, OpCtlUnblock, OpCtlAck, OpCtlStats,
-		OpReplicateDelete, OpReplicateAck}
+		OpReplicateDelete, OpReplicateAck, OpCtlUncached}
 	f := func(seq uint64, key [KeySize]byte, vlen uint8, pick uint8, withVal bool) bool {
 		var p Packet
 		p.Seq = seq

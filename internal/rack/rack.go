@@ -40,9 +40,6 @@ type Config struct {
 	CacheCapacity int
 	// ServerShards is the per-server store sharding. Zero means 4.
 	ServerShards int
-	// StorageEngine selects the servers' storage engine ("chained" or
-	// "cuckoo"); empty means chained.
-	StorageEngine string
 	// ControllerSampleK is the eviction sampling width. Zero means 8.
 	ControllerSampleK int
 	// WritePolicy optionally enables adaptive cache disabling under
@@ -114,7 +111,7 @@ func New(cfg Config) (*Rack, error) {
 
 	d := fabric.NewDeployment(cfg.Replicate)
 	node, err := d.AddRack("tor", cfg.Switch, cfg.Servers,
-		server.Config{Shards: cfg.ServerShards, Engine: cfg.StorageEngine},
+		server.Config{Shards: cfg.ServerShards},
 		cfg.CacheCapacity, 0, cfg.ControllerSampleK, cfg.WritePolicy, cfg.HeartbeatMisses)
 	if err != nil {
 		return nil, err

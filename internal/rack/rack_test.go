@@ -498,35 +498,6 @@ func TestConcurrentWritersToCachedKey(t *testing.T) {
 	}
 }
 
-func TestCuckooEngineEndToEnd(t *testing.T) {
-	// The storage engine is swappable (chained vs cuckoo); the coherence
-	// protocol and caching behave identically on both.
-	r, err := New(Config{Servers: 2, Clients: 1, CacheCapacity: 8, StorageEngine: "cuckoo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.LoadDataset(200, 64)
-	cli := r.Client(0)
-	hot := workload.KeyName(3)
-	for i := 0; i < 20; i++ {
-		v, err := cli.Get(hot)
-		if err != nil || !workload.CheckValue(3, v) {
-			t.Fatalf("Get = %v, %v", v, err)
-		}
-	}
-	r.Tick()
-	if !r.Controller.Cached(hot) {
-		t.Fatal("hot key not cached on the cuckoo engine")
-	}
-	if err := cli.Put(hot, []byte("rewritten")); err != nil {
-		t.Fatal(err)
-	}
-	v, err := cli.Get(hot)
-	if err != nil || string(v) != "rewritten" {
-		t.Fatalf("coherent write on cuckoo: %q, %v", v, err)
-	}
-}
-
 // Model-based test: a random single-threaded op sequence against the rack
 // must behave exactly like a map, across cache installs, evictions,
 // invalidations, refreshes and controller cycles. This is the sequential

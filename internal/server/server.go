@@ -13,7 +13,13 @@
 //
 // The controller uses the same blocking machinery while it inserts a key
 // into the cache (§4.3 "write queries to this key are blocked at the
-// storage servers until the insertion is finished").
+// storage servers until the insertion is finished"). A write that reaches
+// the server untagged while the key is cached passed the switch before the
+// insertion — parked behind that window, or still in flight when it closed
+// — so the switch neither invalidated the entry nor told the server, and
+// the entry holds the value fetched before the write. Such a write
+// refreshes the switch itself, and its client ack waits for the switch to
+// confirm.
 package server
 
 import (
@@ -34,8 +40,8 @@ type Config struct {
 	Addr netproto.Addr
 	// Shards is the per-core sharding factor of the backing store.
 	Shards int
-	// Engine selects the storage engine: "chained" (default) or
-	// "cuckoo" (see kvstore.NewEngine).
+	// Deprecated: Engine is ignored; the store is always the chained
+	// kvstore.Store.
 	Engine string
 	// RetryInterval is the cache-update retransmission period. Zero
 	// means 2ms.
@@ -70,20 +76,18 @@ type Metrics struct {
 	ReplicatesDeduped stats.Counter
 }
 
-// StoreStats is a snapshot of the storage engine's own counters, surfaced
-// through stats.Registry alongside the agent's Metrics (the engine is
-// replaceable across a wiping restart, so the registry resolves it lazily
-// via Server.StoreStats rather than holding the engine).
+// StoreStats is a snapshot of the store's own counters, surfaced through
+// stats.Registry alongside the agent's Metrics (the store is replaced by a
+// wiping restart, so the registry resolves it lazily via Server.StoreStats
+// rather than holding the store).
 type StoreStats struct {
 	Items       uint64
 	ReadRetries uint64
 }
 
-// StoreStats reads the current engine's counters.
+// StoreStats reads the current store's counters.
 func (s *Server) StoreStats() *StoreStats {
-	s.mu.Lock()
-	store := s.store
-	s.mu.Unlock()
+	store := s.store.Load()
 	return &StoreStats{
 		Items:       uint64(store.Len()),
 		ReadRetries: store.ReadRetries(),
@@ -93,8 +97,10 @@ func (s *Server) StoreStats() *StoreStats {
 // Server is one storage node. Attach it to the fabric with SetSend +
 // Receive. Safe for concurrent use.
 type Server struct {
-	cfg   Config
-	store kvstore.Engine
+	cfg Config
+	// store is swapped whole by a wiping Restart while reads run without
+	// s.mu, hence the atomic pointer.
+	store atomic.Pointer[kvstore.Store]
 	send  func(frame []byte)
 
 	mu   sync.Mutex
@@ -163,6 +169,13 @@ type writeStamp struct {
 type keyState struct {
 	// blocks counts controller-issued blocks (cache insertion windows).
 	blocks int
+	// cached is set when an insertion window opens and cleared when the
+	// controller reports the key not cached (a failed insertion or an
+	// eviction); the state outlives its other fields while it is set. An
+	// untagged write applied while it is set is fenced: it refreshes the
+	// switch (an empty refresh invalidates after a delete) and holds its
+	// client ack until the switch confirms.
+	cached bool
 	// pending is the in-flight cache update, if any.
 	pending *pendingUpdate
 	// repl is the in-flight replication of an applied write, if any. While
@@ -178,6 +191,15 @@ type pendingUpdate struct {
 	value []byte
 	tries int
 	timer *time.Timer
+	// held is the client ack of a fenced write (see keyState.cached),
+	// sent once the switch acks the update or the server gives up.
+	held *heldReply
+}
+
+// heldReply is a client ack parked on a cache update.
+type heldReply struct {
+	dst netproto.Addr
+	pkt netproto.Packet
 }
 
 // pendingRepl is a write applied at the primary whose client ack is parked
@@ -201,8 +223,7 @@ type queuedWrite struct {
 	pkt netproto.Packet
 }
 
-// New returns a server agent backed by a fresh store. An unknown engine
-// name falls back to the default chained store.
+// New returns a server agent backed by a fresh store.
 func New(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -213,16 +234,13 @@ func New(cfg Config) *Server {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 16
 	}
-	store := kvstore.NewEngine(cfg.Engine, cfg.Shards)
-	if store == nil {
-		store = kvstore.New(cfg.Shards)
-	}
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
-		store:   store,
 		keys:    make(map[netproto.Key]*keyState),
 		applied: make(map[netproto.Key]writeStamp),
 	}
+	s.store.Store(kvstore.New(cfg.Shards))
+	return s
 }
 
 // Crash models a process crash: the server stops receiving, every pending
@@ -251,7 +269,7 @@ func (s *Server) Crash() {
 	s.replicas = nil
 }
 
-// Restart brings a crashed server back. With wipeStore the backing engine is
+// Restart brings a crashed server back. With wipeStore the store is
 // replaced by an empty one (and the write replay guard forgets its stamps —
 // there is no old value left to resurrect); otherwise the store and guard
 // are preserved, as with durable storage.
@@ -259,11 +277,7 @@ func (s *Server) Restart(wipeStore bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if wipeStore {
-		store := kvstore.NewEngine(s.cfg.Engine, s.cfg.Shards)
-		if store == nil {
-			store = kvstore.New(s.cfg.Shards)
-		}
-		s.store = store
+		s.store.Store(kvstore.New(s.cfg.Shards))
 		s.applied = make(map[netproto.Key]writeStamp)
 		s.replStamp = nil
 	}
@@ -281,9 +295,9 @@ func (s *Server) Down() bool {
 // Addr returns the server's rack address.
 func (s *Server) Addr() netproto.Addr { return s.cfg.Addr }
 
-// Store exposes the backing storage engine (for preloading datasets in
-// harnesses).
-func (s *Server) Store() kvstore.Engine { return s.store }
+// Store exposes the backing store (for preloading datasets in harnesses,
+// and to the controller's anti-entropy snapshot).
+func (s *Server) Store() kvstore.Engine { return s.store.Load() }
 
 // SetSend installs the transmit function (frames leave toward the switch).
 // Must be called before traffic arrives.
@@ -316,16 +330,19 @@ func (s *Server) Receive(frame []byte) {
 		s.handleReplicate(fr.Src, pkt)
 	case netproto.OpReplicateAck:
 		s.handleReplAck(pkt)
-	case netproto.OpCtlBlock, netproto.OpCtlUnblock:
+	case netproto.OpCtlBlock, netproto.OpCtlUnblock, netproto.OpCtlUncached:
 		// The networked form of the controller's write-block window
 		// (§4.3), used when controller and server are separate
 		// processes. Retransmitted requests (lost acks) are deduped by
 		// SEQ so a block is never applied twice.
 		if s.ctlDedup(pkt.Seq) {
-			if pkt.Op == netproto.OpCtlBlock {
+			switch pkt.Op {
+			case netproto.OpCtlBlock:
 				s.BlockWrites(pkt.Key)
-			} else {
+			case netproto.OpCtlUnblock:
 				s.UnblockWrites(pkt.Key)
+			default:
+				s.Uncached(pkt.Key)
 			}
 		}
 		s.reply(fr.Src, netproto.Packet{Op: netproto.OpCtlAck, Seq: pkt.Seq, Key: pkt.Key})
@@ -360,7 +377,7 @@ func (s *Server) handleGet(src netproto.Addr, pkt netproto.Packet) {
 	s.trace.Load().Record(qtrace.ServerGet, pkt.Op, pkt.Seq, pkt.Key, false, false)
 	frame := bufpool.Get()
 	frame = netproto.ReplyInto(frame, src, s.cfg.Addr, netproto.OpGetReply, pkt.Seq, pkt.Key)
-	frame, _, ok := s.store.GetAppend(pkt.Key, frame)
+	frame, _, ok := s.store.Load().GetAppend(pkt.Key, frame)
 	if !ok {
 		netproto.SetFrameOp(frame, netproto.OpGetReplyMiss)
 	}
@@ -387,12 +404,13 @@ func (s *Server) handleWrite(src netproto.Addr, pkt netproto.Packet) {
 		s.mu.Unlock()
 		return
 	}
-	s.applyWriteLocked(src, pkt)
+	s.applyWriteLocked(src, pkt, st)
 }
 
 // applyWriteLocked applies the write, arranges the cache refresh for cached
-// keys, and releases the lock before sending anything.
-func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet) {
+// keys, and releases the lock before sending anything. st is the key's
+// state, nil if it has none.
+func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet, st *keyState) {
 	if ws, ok := s.applied[pkt.Key]; ok && ws.src == src && pkt.Seq <= ws.seq {
 		// Retransmitted or network-replayed write: already applied. Ack
 		// again (the first ack may have been lost) without touching the
@@ -411,11 +429,12 @@ func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet) {
 	}
 	var refresh *pendingUpdate
 	var repl *pendingRepl
+	fenced := st != nil && st.cached && (pkt.Op == netproto.OpPut || pkt.Op == netproto.OpDelete)
 	switch pkt.Op {
 	case netproto.OpPut, netproto.OpPutCached:
 		s.Metrics.Puts.Inc()
-		version := s.store.Put(pkt.Key, pkt.Value)
-		if pkt.Op == netproto.OpPutCached {
+		version := s.store.Load().Put(pkt.Key, pkt.Value)
+		if pkt.Op == netproto.OpPutCached || fenced {
 			// The key is cached: refresh the switch and block
 			// subsequent writes until the refresh is acked (§4.3).
 			refresh = &pendingUpdate{
@@ -433,7 +452,7 @@ func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet) {
 		}
 	case netproto.OpDelete, netproto.OpDeleteCached:
 		s.Metrics.Deletes.Inc()
-		version, ok := s.store.Delete(pkt.Key)
+		version, ok := s.store.Load().Delete(pkt.Key)
 		// A deleted cached key stays invalid in the switch until the
 		// controller evicts it; reads fall through here and miss. A
 		// delete that removed nothing leaves the pair in sync already,
@@ -441,6 +460,14 @@ func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet) {
 		if backup, bok := s.backupForLocked(pkt.Key); bok && ok {
 			repl = &pendingRepl{op: netproto.OpReplicateDelete, seq: version, backup: backup}
 		}
+		if fenced && ok {
+			// An insertion may have validated the deleted value:
+			// the empty update invalidates it.
+			refresh = &pendingUpdate{seq: version}
+		}
+	}
+	if fenced && refresh != nil {
+		refresh.held = &heldReply{dst: src, pkt: netproto.Reply(&pkt, nil, true)}
 	}
 	key := pkt.Key
 	if repl != nil {
@@ -468,8 +495,10 @@ func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet) {
 
 	// Reply to the client immediately — the agent does not wait for the
 	// switch cache to be updated (§4.3: lower write latency than a
-	// standard write-through cache).
-	s.reply(src, netproto.Reply(&pkt, nil, true))
+	// standard write-through cache) — unless the write is fenced.
+	if refresh == nil || refresh.held == nil {
+		s.reply(src, netproto.Reply(&pkt, nil, true))
+	}
 
 	if refresh != nil {
 		s.sendCacheUpdate(key, refresh)
@@ -535,18 +564,36 @@ func (s *Server) retry(key netproto.Key, seq uint64) {
 	// that invalidation, and a queued delete, which sends no refresh of its
 	// own, would leave it valid once acked. So a superseded update is
 	// dropped like one out of retries.
-	if u.tries >= s.cfg.MaxRetries || len(st.queue) > 0 {
+	if u.tries >= s.cfg.MaxRetries || supersededLocked(u, st.queue) {
 		// Give up: the key stays invalid in the switch (safe — reads
-		// fall through) and writers unblock.
+		// fall through) and writers unblock. A held ack goes out too:
+		// the write is applied, though after MaxRetries the switch may
+		// still serve the value fetched before it.
 		s.Metrics.CacheUpdateGiveUps.Inc()
-		st.pending = nil
-		s.drainLocked(key, st) // unlocks
+		s.finishUpdateLocked(key, st) // unlocks
 		return
 	}
 	s.Metrics.CacheUpdateRetries.Inc()
 	s.mu.Unlock()
 	s.sendCacheUpdate(key, u)
 	s.scheduleRetry(key, seq)
+}
+
+// supersededLocked reports whether a write queued behind u invalidated the
+// switch entry on its way here. For a fenced update only a tagged write
+// did: an untagged one passed the switch before the insertion and touched
+// nothing, and the switch may still hold the value fetched before u's
+// write, so u is resent.
+func supersededLocked(u *pendingUpdate, queue []queuedWrite) bool {
+	if u.held == nil {
+		return len(queue) > 0
+	}
+	for _, q := range queue {
+		if q.pkt.Op == netproto.OpPutCached || q.pkt.Op == netproto.OpDeleteCached {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleAck(pkt netproto.Packet) {
@@ -560,8 +607,27 @@ func (s *Server) handleAck(pkt netproto.Packet) {
 	if st.pending.timer != nil {
 		st.pending.timer.Stop()
 	}
+	s.finishUpdateLocked(pkt.Key, st) // unlocks
+}
+
+// finishUpdateLocked retires the key's pending cache update, sends the
+// client ack it held, if any, and drains the writes queued behind it. It is
+// called with the lock held and releases it.
+func (s *Server) finishUpdateLocked(key netproto.Key, st *keyState) {
+	held := st.pending.held
 	st.pending = nil
-	s.drainLocked(pkt.Key, st) // unlocks
+	if held == nil {
+		s.drainLocked(key, st) // unlocks
+		return
+	}
+	s.mu.Unlock()
+	s.reply(held.dst, held.pkt)
+	s.mu.Lock()
+	if st := s.keys[key]; st != nil {
+		s.drainLocked(key, st) // unlocks
+	} else {
+		s.mu.Unlock()
+	}
 }
 
 // backupForLocked resolves the backup address for key's home partition, if
@@ -643,7 +709,9 @@ func (s *Server) completeReplLocked(key netproto.Key, st *keyState, acked bool) 
 		st.pending = refresh
 	}
 	s.mu.Unlock()
-	s.reply(pr.src, pr.reply)
+	if refresh == nil || refresh.held == nil {
+		s.reply(pr.src, pr.reply)
+	}
 	if refresh != nil {
 		s.sendCacheUpdate(key, refresh)
 		s.scheduleRetry(key, refresh.seq)
@@ -683,10 +751,10 @@ func (s *Server) handleReplicate(src netproto.Addr, pkt netproto.Packet) {
 	if pkt.Seq > s.replStamp[pkt.Key] {
 		s.replStamp[pkt.Key] = pkt.Seq
 		if pkt.Op == netproto.OpReplicate {
-			s.store.PutAt(pkt.Key, pkt.Value, pkt.Seq)
+			s.store.Load().PutAt(pkt.Key, pkt.Value, pkt.Seq)
 		} else {
-			s.store.BumpVersion(pkt.Key, pkt.Seq)
-			s.store.Delete(pkt.Key)
+			s.store.Load().BumpVersion(pkt.Key, pkt.Seq)
+			s.store.Load().Delete(pkt.Key)
 		}
 		s.Metrics.ReplicatesApplied.Inc()
 	} else {
@@ -753,7 +821,8 @@ func (s *Server) ReplicaApply(key netproto.Key, value []byte, version uint64) bo
 		return false
 	}
 	s.replStamp[key] = version
-	return s.store.PutAt(key, value, version)
+	s.store.Load().PutAt(key, value, version)
+	return true
 }
 
 // ReplicaStamp returns the replication stamp recorded for key (0 if none).
@@ -774,7 +843,7 @@ func (s *Server) ReplicaDrop(key netproto.Key, stamp uint64) bool {
 	if s.down || s.replStamp[key] != stamp {
 		return false
 	}
-	s.store.Delete(key)
+	s.store.Load().Delete(key)
 	return true
 }
 
@@ -787,7 +856,9 @@ func (s *Server) BlockWrites(key netproto.Key) {
 	if s.down {
 		return
 	}
-	s.stateLocked(key).blocks++
+	st := s.stateLocked(key)
+	st.blocks++
+	st.cached = true
 }
 
 // UnblockWrites closes a controller write-block window and processes any
@@ -803,6 +874,19 @@ func (s *Server) UnblockWrites(key netproto.Key) {
 	s.drainLocked(key, st) // unlocks
 }
 
+// Uncached records that key is not in the switch cache: the insertion whose
+// window set the cached bit failed, or the controller evicted the key.
+func (s *Server) Uncached(key netproto.Key) {
+	s.mu.Lock()
+	st := s.keys[key]
+	if st == nil {
+		s.mu.Unlock()
+		return
+	}
+	st.cached = false
+	s.drainLocked(key, st) // unlocks
+}
+
 // FetchValue is the controller's read path when populating the cache. A
 // crashed server has no read path.
 func (s *Server) FetchValue(key netproto.Key) (value []byte, version uint64, ok bool) {
@@ -812,7 +896,7 @@ func (s *Server) FetchValue(key netproto.Key) (value []byte, version uint64, ok 
 	if down {
 		return nil, 0, false
 	}
-	return s.store.Get(key)
+	return s.store.Load().Get(key)
 }
 
 // ProbeValue reports whether key is present, distinguishing absence from
@@ -826,7 +910,7 @@ func (s *Server) ProbeValue(key netproto.Key) (present, alive bool) {
 	if down {
 		return false, false
 	}
-	_, _, ok := s.store.Get(key)
+	_, _, ok := s.store.Load().Get(key)
 	return ok, true
 }
 
@@ -835,7 +919,7 @@ func (s *Server) ProbeValue(key netproto.Key) (present, alive bool) {
 // releases it.
 func (s *Server) drainLocked(key netproto.Key, st *keyState) {
 	if st.blocks > 0 || st.pending != nil || st.repl != nil || len(st.queue) == 0 {
-		if st.blocks == 0 && st.pending == nil && st.repl == nil && len(st.queue) == 0 {
+		if st.blocks == 0 && st.pending == nil && st.repl == nil && len(st.queue) == 0 && !st.cached {
 			delete(s.keys, key)
 		}
 		s.mu.Unlock()
@@ -845,7 +929,7 @@ func (s *Server) drainLocked(key netproto.Key, st *keyState) {
 	st.queue = st.queue[1:]
 	// applyWriteLocked unlocks; it may re-block the key (PutCached), in
 	// which case remaining queued writes wait for the next ack.
-	s.applyWriteLocked(next.src, next.pkt)
+	s.applyWriteLocked(next.src, next.pkt, st)
 }
 
 func (s *Server) reply(dst netproto.Addr, pkt netproto.Packet) {

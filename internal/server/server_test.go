@@ -335,12 +335,110 @@ func TestControllerBlockWindow(t *testing.T) {
 		t.Fatal("still one block outstanding")
 	}
 	h.srv.UnblockWrites(key("k"))
+	// The parked write reached the switch before the insertion, so the
+	// entry holds the value fetched before it: the write refreshes the
+	// switch, and its ack waits for the switch to confirm.
 	out := h.takeSent()
-	if len(out) != 1 || out[0].Op != netproto.OpPutReply {
-		t.Fatalf("unblocked write = %+v", out)
+	if len(out) != 2 || out[0].Op != netproto.OpCacheUpdate || string(out[0].Value) != "v" ||
+		out[1].Op != netproto.OpPutReply {
+		t.Fatalf("unblocked write = %+v, want CacheUpdate then PutReply", out)
 	}
 	// Unblocking an unblocked key is a no-op.
 	h.srv.UnblockWrites(key("k"))
+}
+
+// A write that reaches the server untagged while its key is cached passed
+// the switch before the insertion, so the switch did not invalidate the
+// entry: the server refreshes it (an empty update after a delete) and holds
+// the client ack until the switch acks. Tagged writes keep the §4.3 order,
+// and once the controller reports the key uncached untagged writes are
+// plain again.
+func TestUntaggedWriteToCachedKeyHoldsAck(t *testing.T) {
+	h := newHarness(t, Config{RetryInterval: time.Hour}) // retries fired by hand
+	k := key("k")
+	h.srv.Store().Put(k, []byte("v0"))
+	h.srv.BlockWrites(k) // an insertion: the key is cached from here on
+	h.srv.UnblockWrites(k)
+	ackUpdate := func(seq uint64) {
+		ack := netproto.Packet{Op: netproto.OpCacheUpdateAck, Seq: seq, Key: k}
+		payload, _ := ack.Marshal()
+		h.srv.Receive(netproto.MarshalFrame(srvAddr, srvAddr, payload))
+	}
+
+	h.query(netproto.Packet{Op: netproto.OpPut, Seq: 1, Key: k, Value: []byte("v1")})
+	out := h.takeSent()
+	if len(out) != 1 || out[0].Op != netproto.OpCacheUpdate || string(out[0].Value) != "v1" {
+		t.Fatalf("late put = %+v, want only its CacheUpdate", out)
+	}
+	upd := out[0].Seq
+	// A write behind a held update does not supersede it: the update is
+	// resent, since the switch may still hold v0.
+	h.query(netproto.Packet{Op: netproto.OpDelete, Seq: 2, Key: k})
+	h.srv.retry(k, upd)
+	if out := h.takeSent(); len(out) != 1 || out[0].Op != netproto.OpCacheUpdate || out[0].Seq != upd {
+		t.Fatalf("retry of a held update = %+v, want it resent", out)
+	}
+	ackUpdate(upd)
+	out = h.takeSent()
+	if len(out) != 2 || out[0].Op != netproto.OpPutReply || out[0].Seq != 1 ||
+		out[1].Op != netproto.OpCacheUpdate || len(out[1].Value) != 0 {
+		t.Fatalf("after the ack = %+v, want the put's reply, then the delete's empty update", out)
+	}
+	ackUpdate(out[1].Seq)
+	if out := h.takeSent(); len(out) != 1 || out[0].Op != netproto.OpDeleteReply || out[0].Seq != 2 {
+		t.Fatalf("after the delete's ack = %+v", out)
+	}
+
+	// A tagged write: the switch invalidated in flight, so the client is
+	// answered first.
+	h.query(netproto.Packet{Op: netproto.OpPutCached, Seq: 3, Key: k, Value: []byte("v3")})
+	out = h.takeSent()
+	if len(out) != 2 || out[0].Op != netproto.OpPutReply || out[1].Op != netproto.OpCacheUpdate {
+		t.Fatalf("tagged put = %+v, want PutReply then CacheUpdate", out)
+	}
+	ackUpdate(out[1].Seq)
+
+	// The controller's Uncached, in its networked form.
+	h.query(netproto.Packet{Op: netproto.OpCtlUncached, Seq: 100, Key: k})
+	if out := h.takeSent(); len(out) != 1 || out[0].Op != netproto.OpCtlAck || out[0].Seq != 100 {
+		t.Fatalf("OpCtlUncached answered %+v, want its OpCtlAck", out)
+	}
+	h.query(netproto.Packet{Op: netproto.OpPut, Seq: 4, Key: k, Value: []byte("v4")})
+	if out := h.takeSent(); len(out) != 1 || out[0].Op != netproto.OpPutReply {
+		t.Fatalf("put after Uncached = %+v, want only its reply", out)
+	}
+	h.srv.mu.Lock()
+	n := len(h.srv.keys)
+	h.srv.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d key states left after Uncached, want 0", n)
+	}
+}
+
+// A tagged write queued behind a held update invalidated the switch entry
+// on its way in, so resending the held update's older value would validate
+// it again (window B): the update is dropped, and its held ack goes out
+// ahead of the queued write's.
+func TestHeldUpdateSupersededByTaggedWrite(t *testing.T) {
+	h := newHarness(t, Config{RetryInterval: time.Hour}) // retries fired by hand
+	k := key("k")
+	h.srv.BlockWrites(k)
+	h.srv.UnblockWrites(k)
+	h.query(netproto.Packet{Op: netproto.OpPut, Seq: 1, Key: k, Value: []byte("v1")})
+	out := h.takeSent()
+	if len(out) != 1 || out[0].Op != netproto.OpCacheUpdate {
+		t.Fatalf("late put = %+v, want only its CacheUpdate", out)
+	}
+	h.query(netproto.Packet{Op: netproto.OpDeleteCached, Seq: 2, Key: k})
+	h.srv.retry(k, out[0].Seq)
+	out = h.takeSent()
+	if len(out) != 2 || out[0].Op != netproto.OpPutReply || out[0].Seq != 1 ||
+		out[1].Op != netproto.OpDeleteReply || out[1].Seq != 2 {
+		t.Fatalf("after retry = %+v, want the put's and the delete's replies, no resent update", out)
+	}
+	if n := h.srv.Metrics.CacheUpdateRetries.Value(); n != 0 {
+		t.Errorf("CacheUpdateRetries = %d, want 0", n)
+	}
 }
 
 // TestQueuedWriteSurvivesFrameRecycle pins the aliasing rule behind the
@@ -409,4 +507,40 @@ func TestStaleAckIgnored(t *testing.T) {
 	if h.srv.Metrics.WritesQueued.Value() != 1 {
 		t.Error("write should still be blocked after stale ack")
 	}
+}
+
+// A wiping restart swaps the store while reads run without the server lock
+// (handleGet, Store, FetchValue, ProbeValue, StoreStats). Under -race this
+// fails if the swap is not atomic with those reads.
+func TestRestartWipeRacesReads(t *testing.T) {
+	srv := New(Config{Addr: srvAddr})
+	srv.SetSend(func([]byte) {})
+	payload, err := (&netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key("k")}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := netproto.MarshalFrame(srvAddr, cliAddr, payload)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			srv.Receive(get)
+			srv.Store().Put(key("k"), []byte("v"))
+			srv.FetchValue(key("k"))
+			srv.ProbeValue(key("k"))
+			srv.StoreStats()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		srv.Crash()
+		srv.Restart(true)
+	}
+	close(stop)
+	<-done
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"netcache/internal/netproto"
 )
@@ -244,5 +245,85 @@ func TestResetStatsRaceWithProcess(t *testing.T) {
 	cs := r.sw.ReadCounters([]int{kidx})
 	if len(cs) != 1 || cs[0].Hits != burst {
 		t.Errorf("hit counter after clear+burst = %+v, want Hits=%d", cs, burst)
+	}
+}
+
+// The controller recycles a cache index as soon as it evicts a key. A
+// cached GET for A that matched A's lookup entry must never reply with the
+// bytes of B, installed at A's key index and value slots after A's eviction
+// but before the GET reached the value stages. One goroutine cycles evict
+// A, install B in A's place, evict B, reinstall A, while Gets for A run; a
+// reply carrying anything but A's value fails, on both traversals.
+func TestCacheIndexReuse(t *testing.T) {
+	for _, disabled := range []bool{false, true} {
+		name := "fastpath"
+		if disabled {
+			name = "interpreter"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.DisableFastPath = disabled
+			r := newRigConfig(t, cfg)
+			keyA := netproto.KeyFromString("reuse-a")
+			keyB := netproto.KeyFromString("reuse-b")
+			valA := bytes.Repeat([]byte{0xAA}, 32)
+			valB := bytes.Repeat([]byte{0xBB}, 32)
+			place, kidx := r.install(t, keyA, valA)
+			entry := func(k netproto.Key, v []byte) CacheEntry {
+				return CacheEntry{Key: k, Placement: place, KeyIndex: kidx, ServerPort: serverPort, Value: v}
+			}
+
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, step := range []struct {
+						key netproto.Key
+						val []byte
+					}{{keyA, nil}, {keyB, valB}, {keyB, nil}, {keyA, valA}} {
+						var err error
+						if step.val == nil {
+							_, err = r.sw.RemoveCacheEntry(step.key, kidx)
+						} else {
+							err = r.sw.InstallCacheEntry(entry(step.key, step.val))
+						}
+						if err != nil {
+							t.Errorf("churn: %v", err)
+							return
+						}
+					}
+				}
+			}()
+			defer func() { close(stop); <-done }()
+
+			getA := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: keyA})
+			hits, wrong := 0, 0
+			for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
+				out, err := r.sw.Process(getA, clientPort)
+				if err != nil || len(out) != 1 {
+					t.Fatalf("Process: %d emissions, %v", len(out), err)
+				}
+				_, pkt, err := decodeErr(out[0].Frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pkt.Op != netproto.OpGetReply {
+					continue // uncached or invalid at that instant: forwarded
+				}
+				hits++
+				if !bytes.Equal(pkt.Value, valA) {
+					wrong++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d cache hits for A replied with another key's value", wrong, hits)
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ import (
 //
 //   - Bail-outs are free of side effects. Until the commit point below, the
 //     fast path performs only pure reads (header peeks, table probes, the
-//     validity bit under the stripe read lock). Any packet it declines —
+//     lookup re-probe and validity bit under the stripe read lock). Any packet it declines —
 //     wrong shape, cache miss, no reply route, bad checksum, invalid entry —
 //     falls through to the interpreter having consumed nothing, not even a
 //     roll of the sampler RNG, so the two paths' sampling streams stay
@@ -93,10 +93,13 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 
 	// §4.3 per-key serialization: the read lock spans the validity check and
 	// every vlen/value register read, exactly like the interpreted packet
-	// holds it from the lookup hit action to pipeline exit.
+	// holds it from the lookup hit action to pipeline exit. The probe ran
+	// before the lock, so the controller may since have evicted the key
+	// and reused its key index or value slots: the entry must still carry
+	// the data word the probe saw.
 	mu := sw.keyLock(kidx)
 	mu.RLock()
-	if sw.valid.Get(kidx) != 1 {
+	if le = sw.lookup.ProbeExact(keyHi, keyLo); le == nil || le.Data[0] != d || sw.valid.Get(kidx) != 1 {
 		mu.RUnlock()
 		return dataplane.Emitted{}, false // interpreter forwards to the server
 	}

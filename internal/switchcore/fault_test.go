@@ -92,6 +92,37 @@ func TestStaleCacheUpdateRejected(t *testing.T) {
 	}
 }
 
+// An empty OpCacheUpdate is an invalidation: a server that deleted a key
+// behind a cache insertion clears the value the insertion validated. It is
+// acked and version-guarded like any update, and a newer update validates
+// the entry again.
+func TestEmptyCacheUpdateInvalidates(t *testing.T) {
+	r := newRig(t)
+	key := netproto.KeyFromString("deleted")
+	_, idx := r.install(t, key, []byte("v-installed"))
+	refresh := func(seq uint64, val []byte) netproto.Packet {
+		upd := mkFrame(t, serverAddr, serverAddr,
+			netproto.Packet{Op: netproto.OpCacheUpdate, Seq: seq, Key: key, Value: val})
+		_, ack := decode(t, one(t, r.sw, upd, serverPort).Frame)
+		return ack
+	}
+	if ack := refresh(5, nil); ack.Op != netproto.OpCacheUpdateAck || ack.Seq != 5 {
+		t.Fatalf("empty update ack = %+v", ack)
+	}
+	if r.sw.IsValid(idx) {
+		t.Fatal("empty update left the entry valid")
+	}
+	get := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key})
+	if em := one(t, r.sw, get, clientPort); em.Port != serverPort {
+		t.Fatalf("read of the invalidated key went to port %d, want the server's", em.Port)
+	}
+	refresh(6, []byte("v-seq-6"))
+	_, pkt := decode(t, one(t, r.sw, get, clientPort).Frame)
+	if pkt.Op != netproto.OpGetReply || string(pkt.Value) != "v-seq-6" {
+		t.Fatalf("read after a newer update = %+v", pkt)
+	}
+}
+
 // Installing an entry with a Version seeds the guard: updates at or below
 // that version are rejected from the start.
 func TestInstallSeedsVersionGuard(t *testing.T) {

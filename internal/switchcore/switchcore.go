@@ -352,24 +352,48 @@ func (sw *Switch) buildIngress(f phv) {
 		ActionDataWords: 1,
 	})
 	lookup.Action("hit", func(ctx *dataplane.Ctx, data []uint64) {
+		// Per-key serialization (§4.3): a cached GET shares the key with
+		// other readers; writes and cache updates get exclusive access.
+		// Held until the packet leaves the pipeline, spanning the egress
+		// status/vlen/counter/value stages as one atomic step. The entry
+		// matched before the lock, so the controller may since have
+		// evicted the key and reused its key index or value slots: the
+		// lookup is re-probed under the lock, following a reinstalled
+		// entry to its stripe, and a key gone meanwhile is a lookup miss.
 		d := data[0]
+		read := netproto.Op(ctx.Get(f.op)) == netproto.OpGet
+		var mu *sync.RWMutex
+		for {
+			mu = sw.keyLock(int((d >> 16) & 0xFFFF))
+			if read {
+				mu.RLock()
+			} else {
+				mu.Lock()
+			}
+			e := sw.lookup.ProbeExact(ctx.Get(f.keyHi), ctx.Get(f.keyLo))
+			if e != nil && e.Data[0] == d {
+				break
+			}
+			if read {
+				mu.RUnlock()
+			} else {
+				mu.Unlock()
+			}
+			if e == nil {
+				return
+			}
+			d = e.Data[0]
+		}
+		if read {
+			ctx.OnCompleteRUnlock(mu)
+		} else {
+			ctx.OnCompleteUnlock(mu)
+		}
 		ctx.Set(f.hit, 1)
 		ctx.Set(f.bitmap, d>>48)
 		ctx.Set(f.vidx, (d>>32)&0xFFFF)
 		ctx.Set(f.kidx, (d>>16)&0xFFFF)
 		ctx.Set(f.srvPort, d&0xFFFF)
-		// Per-key serialization (§4.3): a cached GET shares the key with
-		// other readers; writes and cache updates get exclusive access.
-		// Held until the packet leaves the pipeline, spanning the egress
-		// status/vlen/counter/value stages as one atomic step.
-		mu := sw.keyLock(int((d >> 16) & 0xFFFF))
-		if netproto.Op(ctx.Get(f.op)) == netproto.OpGet {
-			mu.RLock()
-			ctx.OnCompleteRUnlock(mu)
-		} else {
-			mu.Lock()
-			ctx.OnCompleteUnlock(mu)
-		}
 	})
 	sw.lookup = lookup
 
@@ -504,6 +528,13 @@ func (sw *Switch) buildEgress(f phv) {
 		})
 		if stale {
 			ctx.Set(f.ovfl, 1) // suppress the vlen/value writes too
+			return
+		}
+		// An empty update invalidates: the server deleted a key whose
+		// stale value a cache insertion may have validated.
+		if ctx.Get(f.reqVlen) == 0 {
+			ctx.Set(f.ovfl, 1)
+			ctx.RegSet(sw.valid, int(ctx.Get(f.kidx)), 0)
 			return
 		}
 		// §4.3: only updates no larger than the allocated slots may be

@@ -28,7 +28,12 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	sw, err := New(TestConfig())
+	return newRigConfig(t, TestConfig())
+}
+
+func newRigConfig(t *testing.T, cfg Config) *rig {
+	t.Helper()
+	sw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

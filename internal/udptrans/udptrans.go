@@ -654,6 +654,10 @@ func (n *remoteNode) UnblockWrites(key netproto.Key) {
 	n.d.rpc(n.addr, netproto.Packet{Op: netproto.OpCtlUnblock, Key: key})
 }
 
+func (n *remoteNode) Uncached(key netproto.Key) {
+	n.d.rpc(n.addr, netproto.Packet{Op: netproto.OpCtlUncached, Key: key})
+}
+
 // resolveOwner probes the learned servers for the key; the owner is the one
 // that answers the fetch. Rack convention: server addresses sit below the
 // 0x8000 client space.

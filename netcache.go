@@ -146,9 +146,6 @@ type Config struct {
 	// WritePolicy optionally enables the §7.3 adaptive policy: flush and
 	// pause caching while write-triggered invalidations dominate hits.
 	WritePolicy WritePolicy
-	// StorageEngine selects the servers' storage engine: "chained"
-	// (default) or "cuckoo".
-	StorageEngine string
 	// Window is the clients' closed-loop pipelining depth for
 	// GetBatch/GetMulti (outstanding requests per batch); zero uses the
 	// client default of 32.
@@ -183,7 +180,6 @@ func New(cfg Config) (*Rack, error) {
 		CacheCapacity:   cfg.CacheCapacity,
 		ServerShards:    cfg.ServerShards,
 		WritePolicy:     cfg.WritePolicy,
-		StorageEngine:   cfg.StorageEngine,
 		ClientWindow:    cfg.Window,
 		Replicate:       cfg.Replicate,
 		HeartbeatMisses: cfg.HeartbeatMisses,
