@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-ab chaos failover flake experiments examples fuzz profile vet lint loc clean
+.PHONY: all test race bench bench-ab chaos failover flake experiments examples fuzz profile vet lint loc knobs clean
 
 all: test
 
@@ -134,6 +134,19 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; total += $$1 } \
 			END { for (d in loc) printf "%7d  %s\n", loc[d], d; printf "%7d  total\n", total }' | sort -k2
+
+# Exported fields of every exported *Config and *Policy struct in non-test Go
+# (bench/ excluded), then their total: the knob count CHANGES.md quotes for
+# simplification PRs. `A, B int` counts as two fields, an embedded exported
+# type as one.
+knobs:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | sort | xargs awk ' \
+		/^type (Config|Policy|[A-Z][A-Za-z0-9_]*(Config|Policy)) struct ?\{/ { \
+			name = FILENAME; sub("/[^/]*$$", "", name); name = name " " $$2; n = 0; inside = !/\{\}/; \
+			if (!inside) printf "%5d  %s\n", 0, name; next } \
+		inside && /^\}/ { printf "%5d  %s\n", n, name; total += n; inside = 0; next } \
+		inside && /^\t[A-Z]/ { k = 1; while ($$k ~ /,$$/) k++; n += k } \
+		END { printf "%5d  total\n", total }'
 
 clean:
 	$(GO) clean -testcache

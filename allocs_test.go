@@ -112,14 +112,16 @@ func TestAllocsEncodeDecode(t *testing.T) {
 }
 
 // pipelineAllocs is the allocations per frame (by default a cache-hit GET)
-// through r's switch pipeline in the steady-state calling convention
-// (reused emission buffer, emitted frame released to the pool).
-func pipelineAllocs(t *testing.T, r *rack.Rack, frame []byte, inPort int) float64 {
+// through process — r.Switch.ProcessAppend, or its Pipeline's to run the
+// table interpreter alone — in the steady-state calling convention (reused
+// emission buffer, emitted frame released to the pool).
+func pipelineAllocs(t *testing.T, process func([]byte, int, []dataplane.Emitted) ([]dataplane.Emitted, error),
+	frame []byte, inPort int) float64 {
 	t.Helper()
 	out := make([]dataplane.Emitted, 0, 1)
 	return testing.AllocsPerRun(1000, func() {
 		var err error
-		out, err = r.Switch.ProcessAppend(frame, inPort, out[:0])
+		out, err = process(frame, inPort, out[:0])
 		if err != nil || len(out) != 1 {
 			t.Fatalf("ProcessAppend = %v, %v", out, err)
 		}
@@ -132,7 +134,7 @@ func pipelineAllocs(t *testing.T, r *rack.Rack, frame []byte, inPort int) float6
 // TestAllocsPipeline pins exactly.
 func TestAllocsCachedGet(t *testing.T) {
 	r, frame, inPort := pipelineBenchRig(t, switchcore.Config{})
-	if allocs := pipelineAllocs(t, r, frame, inPort); allocs > 2 {
+	if allocs := pipelineAllocs(t, r.Switch.ProcessAppend, frame, inPort); allocs > 2 {
 		t.Errorf("cached Get allocates %.1f/op, budget is 2", allocs)
 	}
 }
@@ -149,51 +151,53 @@ func TestAllocsCachedGet(t *testing.T) {
 //     it. It does not reproduce BenchmarkTelemetryOnPipeline's 1ms
 //     monitor: AllocsPerRun counts every goroutine's allocations, so the
 //     Monitor keeps its default 1s interval and practically never polls;
-//   - interpreter: the DisableFastPath twin of BenchmarkFastPathCachedGet,
-//     the cached Get through the table interpreter.
+//   - interpreter: the interpreter twin of BenchmarkFastPathCachedGet, the
+//     cached Get through the table interpreter alone.
 //
 // The interpreter passes that are not cached Gets are pinned at 0 too:
 //   - miss: a Get of an uncached key, forwarded to its server;
 //   - forward-reply: the server's GetReply to a client, entering on the
 //     server's port and routed on by address.
 func TestAllocsPipeline(t *testing.T) {
-	interp := switchcore.TestConfig()
-	interp.DisableFastPath = true
 	none := func(*testing.T, *rack.Rack) {}
 	for _, tc := range []struct {
-		name  string
-		sw    switchcore.Config
-		setup func(t *testing.T, r *rack.Rack)
+		name   string
+		interp bool
+		setup  func(t *testing.T, r *rack.Rack)
 		// frame, when set, replaces the rig's cached Get.
 		frame func(t *testing.T, r *rack.Rack) ([]byte, int)
 	}{
-		{"trace-off", switchcore.Config{}, none, nil},
-		{"trace-on", switchcore.Config{}, func(_ *testing.T, r *rack.Rack) { r.EnableTrace(4096) }, nil},
-		{"telemetry-on", switchcore.Config{}, func(t *testing.T, r *rack.Rack) {
+		{"trace-off", false, none, nil},
+		{"trace-on", false, func(_ *testing.T, r *rack.Rack) { r.EnableTrace(4096) }, nil},
+		{"telemetry-on", false, func(t *testing.T, r *rack.Rack) {
 			mon := stats.NewMonitor(stats.MonitorConfig{Registry: r.Registry()})
 			mon.Start()
 			t.Cleanup(mon.Stop)
 			telemetry.New(telemetry.Config{Registry: r.Registry(), Monitor: mon})
 		}, nil},
-		{"interpreter", interp, none, nil},
-		{"miss", switchcore.Config{}, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
+		{"interpreter", true, none, nil},
+		{"miss", false, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
 			key := workload.KeyName(100) // never cached
 			return allocFrame(t, r.Partition(key), rack.ClientAddr(0),
 				netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key}), 4
 		}},
-		{"forward-reply", switchcore.Config{}, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
+		{"forward-reply", false, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
 			return allocFrame(t, rack.ClientAddr(0), rack.ServerAddr(1), netproto.Packet{
 				Op: netproto.OpGetReply, Seq: 1, Key: workload.KeyName(100), Value: workload.ValueFor(100, 128),
 			}), r.ServerPort(1)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, frame, inPort := pipelineBenchRig(t, tc.sw)
+			r, frame, inPort := pipelineBenchRig(t, switchcore.Config{})
 			tc.setup(t, r)
 			if tc.frame != nil {
 				frame, inPort = tc.frame(t, r)
 			}
-			if allocs := pipelineAllocs(t, r, frame, inPort); allocs != 0 {
+			process := r.Switch.ProcessAppend
+			if tc.interp {
+				process = r.Switch.Pipeline().ProcessAppend
+			}
+			if allocs := pipelineAllocs(t, process, frame, inPort); allocs != 0 {
 				t.Errorf("%s allocates %.1f/op, want 0", tc.name, allocs)
 			}
 		})

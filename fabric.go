@@ -25,7 +25,7 @@ type LeafSpineConfig struct {
 	// layers.
 	Switch SwitchConfig
 	// Window is the clients' closed-loop pipelining depth for
-	// GetBatch/GetMulti (outstanding requests per batch); zero uses the
+	// GetBatch (outstanding requests per batch); zero uses the
 	// client default of 32. Batches ride the vectorized injection path
 	// across the inter-switch trunks.
 	Window int

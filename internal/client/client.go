@@ -63,7 +63,7 @@ type Config struct {
 	// Policy tunes the adaptive retransmission path (RTT-estimated RTO,
 	// backoff, jitter, hedged reads). The zero value adapts with defaults.
 	Policy Policy
-	// Window is the closed-loop depth of GetBatch/GetMulti: how many
+	// Window is the closed-loop depth of GetBatch: how many
 	// requests the client keeps outstanding at once. Zero means 32.
 	Window int
 }
@@ -583,45 +583,19 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	}
 }
 
-// GetMulti fetches several keys concurrently — the fan-out pattern of web
-// workloads ("rendering even a single web page often requires hundreds ...
-// of storage accesses", §1). results[i] and errs[i] correspond to keys[i];
-// absent keys yield ErrNotFound in errs. It is GetBatch under its
-// historical name.
-func (c *Client) GetMulti(keys []netproto.Key) (results [][]byte, errs []error) {
-	return c.GetBatch(keys)
-}
-
 // GetBatch fetches several keys with Config.Window requests outstanding at
-// once — the closed-loop depth the paper's throughput figures assume. With a
-// batch sender installed (SetSendBatch), each window is prepared on this
-// goroutine, transmitted as one burst, and then awaited in order:
-// pipelining without a goroutine per request. Otherwise the window is a
-// semaphore over concurrent Gets. results[i] and errs[i] correspond to
-// keys[i]; absent keys yield ErrNotFound in errs.
+// once — the closed-loop depth the paper's throughput figures assume, and
+// the fan-out pattern of web workloads ("rendering even a single web page
+// often requires hundreds ... of storage accesses", §1). Each window is
+// prepared on this goroutine, transmitted as one burst (through the batch
+// sender if one is installed, SetSendBatch, else frame by frame), and then
+// awaited in order: pipelining without a goroutine per request.
+// results[i] and errs[i] correspond to keys[i]; absent keys yield
+// ErrNotFound in errs.
 func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) {
 	results = make([][]byte, len(keys))
 	errs = make([]error, len(keys))
 	w := c.cfg.Window
-
-	if c.sendBatch == nil {
-		var wg sync.WaitGroup
-		// Bound the fan-out: a rack client has one NIC, not unbounded
-		// parallelism.
-		sem := make(chan struct{}, w)
-		for i, key := range keys {
-			wg.Add(1)
-			go func(i int, key netproto.Key) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i], errs[i] = c.Get(key)
-			}(i, key)
-		}
-		wg.Wait()
-		return results, errs
-	}
-
 	window := make([]*call, w)
 	frames := make([][]byte, 0, w)
 	for base := 0; base < len(keys); base += w {
@@ -637,7 +611,13 @@ func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) 
 			frames = append(frames, cl.frame)
 		}
 		c.Metrics.Sent.Add(uint64(len(frames)))
-		c.sendBatch(frames)
+		if c.sendBatch != nil {
+			c.sendBatch(frames)
+		} else {
+			for _, f := range frames {
+				c.send(f)
+			}
+		}
 		for i := base; i < end; i++ {
 			cl := window[i-base]
 			if cl == nil {

@@ -249,7 +249,8 @@ func TestPartitionOfAgreesWithPartitioner(t *testing.T) {
 	}
 }
 
-func TestGetMulti(t *testing.T) {
+// With no batch sender installed, GetBatch sends each window frame by frame.
+func TestGetBatch(t *testing.T) {
 	cli, _ := newPair(t, 50*time.Millisecond, 3)
 	var keys []netproto.Key
 	for i := 0; i < 50; i++ {
@@ -261,7 +262,7 @@ func TestGetMulti(t *testing.T) {
 			}
 		}
 	}
-	results, errs := cli.GetMulti(keys)
+	results, errs := cli.GetBatch(keys)
 	if len(results) != 50 || len(errs) != 50 {
 		t.Fatalf("arity: %d/%d", len(results), len(errs))
 	}
@@ -276,9 +277,9 @@ func TestGetMulti(t *testing.T) {
 	}
 }
 
-func TestGetMultiEmpty(t *testing.T) {
+func TestGetBatchEmpty(t *testing.T) {
 	cli, _ := newPair(t, time.Millisecond, 1)
-	results, errs := cli.GetMulti(nil)
+	results, errs := cli.GetBatch(nil)
 	if len(results) != 0 || len(errs) != 0 {
 		t.Error("empty batch should return empty slices")
 	}

@@ -3,7 +3,6 @@ package controller
 import (
 	"sort"
 
-	"netcache/internal/kvstore"
 	"netcache/internal/netproto"
 )
 
@@ -38,8 +37,9 @@ type ReplicatedNode interface {
 	// homed at home on the node currently serving it as primary.
 	SetReplica(home, backup netproto.Addr)
 	DropReplica(home netproto.Addr)
-	// Store exposes the node's engine for the anti-entropy snapshot.
-	Store() kvstore.Engine
+	// Range walks the node's store for the anti-entropy snapshot, with the
+	// contract of kvstore.Store.Range.
+	Range(fn func(key netproto.Key, value []byte, version uint64) bool)
 	// ReplicaApply installs (value, version) if newer than anything the
 	// node has seen for key; ReplicaStamp and ReplicaDrop are the
 	// compare-and-drop pair that prunes keys deleted at the primary while
@@ -327,7 +327,7 @@ func (c *Controller) resyncPartition(t resyncTask) bool {
 		ver uint64
 	}
 	var snap []item
-	t.primary.Store().Range(func(key netproto.Key, value []byte, version uint64) bool {
+	t.primary.Range(func(key netproto.Key, value []byte, version uint64) bool {
 		if c.cfg.Partition(key) == t.home {
 			snap = append(snap, item{key, append([]byte(nil), value...), version})
 		}
@@ -350,7 +350,7 @@ func (c *Controller) resyncPartition(t resyncTask) bool {
 	// backup. Stop pruning instead; the epoch guard below aborts the
 	// certification.
 	var stale []netproto.Key
-	t.backup.Store().Range(func(key netproto.Key, _ []byte, _ uint64) bool {
+	t.backup.Range(func(key netproto.Key, _ []byte, _ uint64) bool {
 		if c.cfg.Partition(key) == t.home {
 			stale = append(stale, key)
 		}

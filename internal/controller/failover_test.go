@@ -43,7 +43,9 @@ func (n *fakeNode) UnblockWrites(netproto.Key) {}
 func (n *fakeNode) Uncached(netproto.Key)      {}
 func (n *fakeNode) Ping() bool                 { return n.alive.Load() }
 func (n *fakeNode) Incarnation() uint64        { return n.inc.Load() }
-func (n *fakeNode) Store() kvstore.Engine      { return n.store }
+func (n *fakeNode) Range(fn func(netproto.Key, []byte, uint64) bool) {
+	n.store.Range(fn)
+}
 
 // crashRestart models a crash-restart cycle faster than a heartbeat: the
 // node stays pingable throughout, but the new process has a fresh
@@ -116,11 +118,11 @@ func (n *fakeNode) ReplicaDrop(key netproto.Key, stamp uint64) bool {
 	return ok
 }
 
-// gateEngine wraps a store so a Range-based snapshot can be held mid-flight:
+// gateEngine embeds a store so a Range-based snapshot can be held mid-flight:
 // when armed, Range announces itself on entered and parks until release is
 // closed — the deterministic "resync in progress" window.
 type gateEngine struct {
-	kvstore.Engine
+	*kvstore.Store
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
@@ -131,7 +133,7 @@ func (g *gateEngine) Range(fn func(netproto.Key, []byte, uint64) bool) {
 		g.entered <- struct{}{}
 		<-g.release
 	}
-	g.Engine.Range(fn)
+	g.Store.Range(fn)
 }
 
 // TestResyncRacingMembershipChange declares the primary dead while its
@@ -151,12 +153,12 @@ func TestResyncRacingMembershipChange(t *testing.T) {
 		backAddr = netproto.Addr(2)
 	)
 	gate := &gateEngine{
-		Engine:  kvstore.New(1),
+		Store:   kvstore.New(1),
 		entered: make(chan struct{}, 4),
 		release: make(chan struct{}),
 	}
 	prim := newFakeNode(primAddr, gate)
-	back := newFakeNode(backAddr, &gateEngine{Engine: kvstore.New(1)})
+	back := newFakeNode(backAddr, &gateEngine{Store: kvstore.New(1)})
 	c, err := controller.New(controller.Config{
 		Switch:          sw,
 		Nodes:           map[netproto.Addr]controller.StorageNode{primAddr: prim, backAddr: back},
@@ -247,8 +249,8 @@ func TestRestartWithinDetectionWindow(t *testing.T) {
 		primAddr = netproto.Addr(1)
 		backAddr = netproto.Addr(2)
 	)
-	prim := newFakeNode(primAddr, &gateEngine{Engine: kvstore.New(1)})
-	back := newFakeNode(backAddr, &gateEngine{Engine: kvstore.New(1)})
+	prim := newFakeNode(primAddr, &gateEngine{Store: kvstore.New(1)})
+	back := newFakeNode(backAddr, &gateEngine{Store: kvstore.New(1)})
 	c, err := controller.New(controller.Config{
 		Switch:          sw,
 		Nodes:           map[netproto.Addr]controller.StorageNode{primAddr: prim, backAddr: back},

@@ -43,12 +43,13 @@ type Config struct {
 	// Deprecated: Engine is ignored; the store is always the chained
 	// kvstore.Store.
 	Engine string
-	// RetryInterval is the cache-update retransmission period. Zero
-	// means 2ms.
+	// RetryInterval is the retransmission period of a write's reliable
+	// messages (replication, cache refresh). Zero means 2ms.
 	RetryInterval time.Duration
-	// MaxRetries bounds cache-update retransmissions before the agent
-	// gives up and unblocks writers (the key stays invalid in the switch,
-	// which is safe: reads fall through to the server). Zero means 16.
+	// MaxRetries bounds each message's transmissions before the agent
+	// gives up and unblocks writers (after a refresh the key stays invalid
+	// in the switch, which is safe: reads fall through to the server).
+	// Zero means 16.
 	MaxRetries int
 	// PartitionOf maps a key to its home partition address — the stable
 	// hash address clients route by, independent of which node currently
@@ -176,46 +177,50 @@ type keyState struct {
 	// switch (an empty refresh invalidates after a delete) and holds its
 	// client ack until the switch confirms.
 	cached bool
-	// pending is the in-flight cache update, if any.
-	pending *pendingUpdate
-	// repl is the in-flight replication of an applied write, if any. While
-	// set, the client ack (and any cache refresh) is withheld and later
-	// writes to the key queue: replicate-before-ack.
-	repl *pendingRepl
+	// w is the applied write still owing reliable messages, if any; later
+	// writes to the key queue behind it.
+	w *write
 	// queue holds writes deferred until the key unblocks.
 	queue []queuedWrite
 }
 
-type pendingUpdate struct {
+// write is an applied write that still owes reliable messages: a
+// replication to the backup first (replicate-before-ack), then a refresh
+// of the switch cache (§4.3), one on the wire at a time, each resent until
+// acked. Both carry the write's store version as their seq.
+type write struct {
 	seq   uint64
-	value []byte
-	tries int
-	timer *time.Timer
-	// held is the client ack of a fenced write (see keyState.cached),
-	// sent once the switch acks the update or the server gives up.
-	held *heldReply
+	value []byte // nil for a delete
+	msgs  [2]outbound
+	n     int // messages owed
+	cur   int // index of the one on the wire; n once all are done
+	// client and reply are the client ack. It goes out once no replication
+	// is outstanding (the write is durable), or, if the write is fenced
+	// (see keyState.cached), once the last message is acked or given up.
+	client  netproto.Addr
+	reply   netproto.Packet
+	fenced  bool
+	durable bool
 }
 
-// heldReply is a client ack parked on a cache update.
-type heldReply struct {
-	dst netproto.Addr
-	pkt netproto.Packet
+// outbound is one reliable message of a write. Each kind counts into its
+// own Metrics counters.
+type outbound struct {
+	op                     netproto.Op // OpReplicate, OpReplicateDelete or OpCacheUpdate
+	dst, src               netproto.Addr
+	tries                  int
+	timer                  *time.Timer
+	sent, retries, giveUps *stats.Counter
 }
 
-// pendingRepl is a write applied at the primary whose client ack is parked
-// until the backup confirms (OpReplicateAck).
-type pendingRepl struct {
-	op     netproto.Op // OpReplicate or OpReplicateDelete
-	seq    uint64      // primary store version carried on the wire
-	value  []byte
-	backup netproto.Addr
-	src    netproto.Addr   // client to acknowledge on completion
-	reply  netproto.Packet // the withheld client ack
-	// refresh is the switch cache update to fire once replicated
-	// (OpPutCached writes); nil otherwise.
-	refresh *pendingUpdate
-	tries   int
-	timer   *time.Timer
+func (m *outbound) refresh() bool { return m.op == netproto.OpCacheUpdate }
+
+// current returns the message on the wire, nil once all are done.
+func (w *write) current() *outbound {
+	if w.cur == w.n {
+		return nil
+	}
+	return &w.msgs[w.cur]
 }
 
 type queuedWrite struct {
@@ -244,7 +249,7 @@ func New(cfg Config) *Server {
 }
 
 // Crash models a process crash: the server stops receiving, every pending
-// cache-update retransmission is cancelled, and all volatile protocol state
+// retransmission is cancelled, and all volatile protocol state
 // (write-block windows, queued writes, control dedup window) is discarded.
 // The store itself survives in memory — Restart decides whether it is
 // preserved (a disk-backed store reattached after a process restart) or
@@ -254,11 +259,10 @@ func (s *Server) Crash() {
 	defer s.mu.Unlock()
 	s.down = true
 	for _, st := range s.keys {
-		if st.pending != nil && st.pending.timer != nil {
-			st.pending.timer.Stop()
-		}
-		if st.repl != nil && st.repl.timer != nil {
-			st.repl.timer.Stop()
+		if st.w != nil {
+			if m := st.w.current(); m != nil && m.timer != nil {
+				m.timer.Stop()
+			}
 		}
 	}
 	s.keys = make(map[netproto.Key]*keyState)
@@ -295,9 +299,13 @@ func (s *Server) Down() bool {
 // Addr returns the server's rack address.
 func (s *Server) Addr() netproto.Addr { return s.cfg.Addr }
 
-// Store exposes the backing store (for preloading datasets in harnesses,
-// and to the controller's anti-entropy snapshot).
-func (s *Server) Store() kvstore.Engine { return s.store.Load() }
+// Store exposes the backing store (for preloading datasets in harnesses).
+func (s *Server) Store() *kvstore.Store { return s.store.Load() }
+
+// Range walks the store for the controller's anti-entropy snapshot.
+func (s *Server) Range(fn func(key netproto.Key, value []byte, version uint64) bool) {
+	s.store.Load().Range(fn)
+}
 
 // SetSend installs the transmit function (frames leave toward the switch).
 // Must be called before traffic arrives.
@@ -324,12 +332,10 @@ func (s *Server) Receive(frame []byte) {
 		s.handleGet(fr.Src, pkt)
 	case netproto.OpPut, netproto.OpPutCached, netproto.OpDelete, netproto.OpDeleteCached:
 		s.handleWrite(fr.Src, pkt)
-	case netproto.OpCacheUpdateAck:
+	case netproto.OpCacheUpdateAck, netproto.OpReplicateAck:
 		s.handleAck(pkt)
 	case netproto.OpReplicate, netproto.OpReplicateDelete:
 		s.handleReplicate(fr.Src, pkt)
-	case netproto.OpReplicateAck:
-		s.handleReplAck(pkt)
 	case netproto.OpCtlBlock, netproto.OpCtlUnblock, netproto.OpCtlUncached:
 		// The networked form of the controller's write-block window
 		// (§4.3), used when controller and server are separate
@@ -394,7 +400,7 @@ func (s *Server) handleWrite(src netproto.Addr, pkt netproto.Packet) {
 	s.trace.Load().Record(qtrace.ServerWrite, pkt.Op, pkt.Seq, pkt.Key, false, false)
 	s.mu.Lock()
 	st := s.keys[pkt.Key]
-	if st != nil && (st.blocks > 0 || st.pending != nil || st.repl != nil) {
+	if st != nil && (st.blocks > 0 || st.w != nil) {
 		// pkt.Value aliases the delivered frame, whose buffer the fabric
 		// recycles once Receive returns; a queued write outlives that, so
 		// it needs its own copy.
@@ -407,107 +413,116 @@ func (s *Server) handleWrite(src netproto.Addr, pkt netproto.Packet) {
 	s.applyWriteLocked(src, pkt, st)
 }
 
-// applyWriteLocked applies the write, arranges the cache refresh for cached
-// keys, and releases the lock before sending anything. st is the key's
-// state, nil if it has none.
+// applyWriteLocked applies the write, arranges the messages it owes, and
+// releases the lock before sending anything. st is the key's state, nil if
+// it has none.
 func (s *Server) applyWriteLocked(src netproto.Addr, pkt netproto.Packet, st *keyState) {
-	if ws, ok := s.applied[pkt.Key]; ok && ws.src == src && pkt.Seq <= ws.seq {
+	key := pkt.Key
+	reply := netproto.Reply(&pkt, nil, true)
+	if ws, ok := s.applied[key]; ok && ws.src == src && pkt.Seq <= ws.seq {
 		// Retransmitted or network-replayed write: already applied. Ack
 		// again (the first ack may have been lost) without touching the
 		// store, then keep draining any writes queued behind it.
 		s.Metrics.WritesDeduped.Inc()
-		key := pkt.Key
-		s.mu.Unlock()
-		s.reply(src, netproto.Reply(&pkt, nil, true))
-		s.mu.Lock()
-		if st := s.keys[key]; st != nil {
-			s.drainLocked(key, st) // unlocks
-		} else {
-			s.mu.Unlock()
-		}
+		s.ackThenDrainLocked(key, src, reply) // unlocks
 		return
 	}
-	var refresh *pendingUpdate
-	var repl *pendingRepl
 	fenced := st != nil && st.cached && (pkt.Op == netproto.OpPut || pkt.Op == netproto.OpDelete)
+	var version uint64
+	var replicate, refresh bool
+	var value []byte
+	backup, replicated := s.backupForLocked(key)
 	switch pkt.Op {
 	case netproto.OpPut, netproto.OpPutCached:
 		s.Metrics.Puts.Inc()
-		version := s.store.Load().Put(pkt.Key, pkt.Value)
-		if pkt.Op == netproto.OpPutCached || fenced {
-			// The key is cached: refresh the switch and block
-			// subsequent writes until the refresh is acked (§4.3).
-			refresh = &pendingUpdate{
-				seq:   version,
-				value: append([]byte(nil), pkt.Value...),
-			}
-		}
-		if backup, ok := s.backupForLocked(pkt.Key); ok {
-			repl = &pendingRepl{
-				op:     netproto.OpReplicate,
-				seq:    version,
-				value:  append([]byte(nil), pkt.Value...),
-				backup: backup,
-			}
-		}
+		version = s.store.Load().Put(key, pkt.Value)
+		// A cached key's switch entry is refreshed (§4.3).
+		replicate, refresh = replicated, pkt.Op == netproto.OpPutCached || fenced
+		value = pkt.Value
 	case netproto.OpDelete, netproto.OpDeleteCached:
 		s.Metrics.Deletes.Inc()
-		version, ok := s.store.Load().Delete(pkt.Key)
+		var ok bool
+		version, ok = s.store.Load().Delete(key)
 		// A deleted cached key stays invalid in the switch until the
 		// controller evicts it; reads fall through here and miss. A
-		// delete that removed nothing leaves the pair in sync already,
-		// so only an effective delete replicates.
-		if backup, bok := s.backupForLocked(pkt.Key); bok && ok {
-			repl = &pendingRepl{op: netproto.OpReplicateDelete, seq: version, backup: backup}
-		}
-		if fenced && ok {
-			// An insertion may have validated the deleted value:
-			// the empty update invalidates it.
-			refresh = &pendingUpdate{seq: version}
-		}
+		// delete that removed nothing leaves the pair in sync already, so
+		// only an effective delete replicates. A fenced one refreshes the
+		// switch with an empty update: an insertion may have validated the
+		// deleted value.
+		replicate, refresh = replicated && ok, fenced && ok
 	}
-	if fenced && refresh != nil {
-		refresh.held = &heldReply{dst: src, pkt: netproto.Reply(&pkt, nil, true)}
-	}
-	key := pkt.Key
-	if repl != nil {
-		// Replicate before acking (§4.3 order preserved: the switch
-		// invalidated the cached copy in flight, the primary applied; now
-		// the backup must confirm before the client ack and any cache
-		// refresh go out — an acked write survives a permanent primary
-		// failure). The applied-stamp is recorded on completion, so if
-		// replication gives up the client's retransmission re-applies and
-		// re-replicates instead of being deduped into a hollow ack.
-		repl.src = src
-		repl.reply = netproto.Reply(&pkt, nil, true)
-		repl.refresh = refresh
-		s.stateLocked(key).repl = repl
-		s.mu.Unlock()
-		s.sendReplicate(key, repl)
-		s.scheduleReplRetry(key, repl.seq)
+	if !replicate && !refresh {
+		s.applied[key] = writeStamp{src: src, seq: pkt.Seq}
+		s.ackThenDrainLocked(key, src, reply) // unlocks
 		return
 	}
-	s.applied[key] = writeStamp{src: src, seq: pkt.Seq}
-	if refresh != nil {
-		s.stateLocked(key).pending = refresh
+	w := &write{seq: version, value: append([]byte(nil), value...), client: src, reply: reply, fenced: fenced && refresh}
+	ms := &s.Metrics
+	if replicate {
+		// Replicate before acking: an acked write survives a permanent
+		// primary failure. Both ends use node aliases, not home addresses:
+		// the backup's home route may have been re-pointed at this very
+		// node by an earlier failover, and the backup's ack must reach this
+		// node even if our home route has moved. Aliases always route to
+		// the physical server.
+		op := netproto.OpReplicate
+		if pkt.Op == netproto.OpDelete || pkt.Op == netproto.OpDeleteCached {
+			op = netproto.OpReplicateDelete
+		}
+		w.msgs[w.n] = outbound{op: op, dst: netproto.NodeAlias(backup), src: netproto.NodeAlias(s.cfg.Addr),
+			sent: &ms.ReplicatesSent, retries: &ms.ReplicateRetries, giveUps: &ms.ReplicateGiveUps}
+		w.n++
+	}
+	if refresh {
+		// The refresh travels addressed to the server itself, so that the
+		// switch routes it through the egress pipe owning the key's value
+		// slots and bounces the ack straight back (§4.3: "the updates are
+		// purely in the data plane at line rate").
+		w.msgs[w.n] = outbound{op: netproto.OpCacheUpdate, dst: s.cfg.Addr, src: s.cfg.Addr,
+			sent: &ms.CacheUpdatesSent, retries: &ms.CacheUpdateRetries, giveUps: &ms.CacheUpdateGiveUps}
+		w.n++
+	}
+	st = s.stateLocked(key)
+	st.w = w
+	s.stepLocked(key, st) // unlocks
+}
+
+// stepLocked moves st.w on to its current message. Once no replication is
+// outstanding the write is durable: its replay stamp is recorded and the
+// client is acked before the refresh goes out — the agent does not wait for
+// the switch cache (§4.3: lower write latency than a standard write-through
+// cache) — unless the write is fenced, whose ack goes out once the last
+// message is done. Called with the lock held; releases it.
+func (s *Server) stepLocked(key netproto.Key, st *keyState) {
+	w := st.w
+	m := w.current()
+	ack := false
+	if !w.durable && (m == nil || m.refresh()) {
+		w.durable = true
+		s.applied[key] = writeStamp{src: w.client, seq: w.reply.Seq}
+		ack = !w.fenced
+	}
+	if m == nil {
+		st.w = nil
+		if ack || w.fenced {
+			s.ackThenDrainLocked(key, w.client, w.reply) // unlocks
+		} else {
+			s.drainLocked(key, st) // unlocks
+		}
+		return
 	}
 	s.mu.Unlock()
-
-	// Reply to the client immediately — the agent does not wait for the
-	// switch cache to be updated (§4.3: lower write latency than a
-	// standard write-through cache) — unless the write is fenced.
-	if refresh == nil || refresh.held == nil {
-		s.reply(src, netproto.Reply(&pkt, nil, true))
+	if ack {
+		s.reply(w.client, w.reply)
 	}
+	s.transmit(key, w, m)
+}
 
-	if refresh != nil {
-		s.sendCacheUpdate(key, refresh)
-		s.scheduleRetry(key, refresh.seq)
-		return
-	}
-	// No refresh armed: the key did not re-block, so continue draining any
-	// writes still queued behind this one (e.g. plain writes that queued
-	// while a now-evicted key's update was in flight).
+// ackThenDrainLocked sends a client ack outside the lock, then drains the
+// writes queued behind it. Called with the lock held; releases it.
+func (s *Server) ackThenDrainLocked(key netproto.Key, dst netproto.Addr, reply netproto.Packet) {
+	s.mu.Unlock()
+	s.reply(dst, reply)
 	s.mu.Lock()
 	if st := s.keys[key]; st != nil {
 		s.drainLocked(key, st) // unlocks
@@ -525,67 +540,70 @@ func (s *Server) stateLocked(key netproto.Key) *keyState {
 	return st
 }
 
-// sendCacheUpdate pushes the new value into the switch data plane. The
-// update travels addressed to the server itself so that the switch routes
-// it through the egress pipe owning the key's value slots and bounces the
-// ack straight back (§4.3: "the updates are purely in the data plane at
-// line rate").
-func (s *Server) sendCacheUpdate(key netproto.Key, u *pendingUpdate) {
-	s.Metrics.CacheUpdatesSent.Inc()
-	pkt := netproto.Packet{Op: netproto.OpCacheUpdate, Seq: u.seq, Key: key, Value: u.value}
-	s.sendPacket(s.cfg.Addr, &pkt)
-}
-
-// scheduleRetry arms the retransmission timer for a pending update — the
-// "light-weight high-performance reliable packet mechanism" of §6.
-func (s *Server) scheduleRetry(key netproto.Key, seq uint64) {
+// transmit sends m and, unless it was acked meanwhile, arms its
+// retransmission timer — the "light-weight high-performance reliable packet
+// mechanism" of §6.
+func (s *Server) transmit(key netproto.Key, w *write, m *outbound) {
+	m.sent.Inc()
+	pkt := netproto.Packet{Op: m.op, Seq: w.seq, Key: key, Value: w.value}
+	s.sendPacketFrom(m.dst, m.src, &pkt)
 	s.mu.Lock()
-	st := s.keys[key]
-	if st == nil || st.pending == nil || st.pending.seq != seq {
-		s.mu.Unlock()
-		return // already acked
+	if st := s.keys[key]; st != nil && st.w != nil && st.w.current() == m {
+		if m.timer == nil {
+			m.timer = time.AfterFunc(s.cfg.RetryInterval, func() { s.retry(key, m) })
+		} else {
+			m.timer.Reset(s.cfg.RetryInterval)
+		}
 	}
-	u := st.pending
-	u.timer = time.AfterFunc(s.cfg.RetryInterval, func() { s.retry(key, seq) })
 	s.mu.Unlock()
 }
 
-func (s *Server) retry(key netproto.Key, seq uint64) {
+func (s *Server) retry(key netproto.Key, m *outbound) {
 	s.mu.Lock()
 	st := s.keys[key]
-	if st == nil || st.pending == nil || st.pending.seq != seq {
+	if st == nil || st.w == nil || st.w.current() != m {
 		s.mu.Unlock()
 		return // acked in the meantime
 	}
-	u := st.pending
-	u.tries++
-	// A write queued behind the update invalidated the switch entry on its
+	w := st.w
+	m.tries++
+	// A write queued behind a refresh invalidated the switch entry on its
 	// way here. Resending the older value now would validate it again after
 	// that invalidation, and a queued delete, which sends no refresh of its
-	// own, would leave it valid once acked. So a superseded update is
+	// own, would leave it valid once acked. So a superseded refresh is
 	// dropped like one out of retries.
-	if u.tries >= s.cfg.MaxRetries || supersededLocked(u, st.queue) {
-		// Give up: the key stays invalid in the switch (safe — reads
-		// fall through) and writers unblock. A held ack goes out too:
-		// the write is applied, though after MaxRetries the switch may
-		// still serve the value fetched before it.
-		s.Metrics.CacheUpdateGiveUps.Inc()
-		s.finishUpdateLocked(key, st) // unlocks
+	if m.tries < s.cfg.MaxRetries && !(m.refresh() && supersededLocked(w, st.queue)) {
+		m.retries.Inc()
+		s.mu.Unlock()
+		s.transmit(key, w, m)
 		return
 	}
-	s.Metrics.CacheUpdateRetries.Inc()
-	s.mu.Unlock()
-	s.sendCacheUpdate(key, u)
-	s.scheduleRetry(key, seq)
+	m.giveUps.Inc()
+	if !m.refresh() {
+		// The backup is unreachable, and acking an unreplicated write would
+		// break the durability contract: the write is dropped unacked and
+		// unstamped, so the client's retransmission re-applies and
+		// re-replicates it, by which time the failure detector has usually
+		// reconfigured the pair.
+		st.w = nil
+		s.drainLocked(key, st) // unlocks
+		return
+	}
+	// The key stays invalid in the switch (safe — reads fall through) and
+	// writers unblock. A held ack goes out too: the write is applied,
+	// though after MaxRetries the switch may still serve the value fetched
+	// before it.
+	w.cur++
+	s.stepLocked(key, st) // unlocks
 }
 
-// supersededLocked reports whether a write queued behind u invalidated the
-// switch entry on its way here. For a fenced update only a tagged write
-// did: an untagged one passed the switch before the insertion and touched
-// nothing, and the switch may still hold the value fetched before u's
-// write, so u is resent.
-func supersededLocked(u *pendingUpdate, queue []queuedWrite) bool {
-	if u.held == nil {
+// supersededLocked reports whether a write queued behind w's refresh
+// invalidated the switch entry on its way here. For a fenced write only a
+// tagged write did: an untagged one passed the switch before the insertion
+// and touched nothing, and the switch may still hold the value fetched
+// before w, so the refresh is resent.
+func supersededLocked(w *write, queue []queuedWrite) bool {
+	if !w.fenced {
 		return len(queue) > 0
 	}
 	for _, q := range queue {
@@ -596,38 +614,25 @@ func supersededLocked(u *pendingUpdate, queue []queuedWrite) bool {
 	return false
 }
 
+// handleAck retires the message on the wire when an ack of its kind
+// (OpReplicateAck or OpCacheUpdateAck) carries its seq.
 func (s *Server) handleAck(pkt netproto.Packet) {
 	s.mu.Lock()
 	st := s.keys[pkt.Key]
-	if st == nil || st.pending == nil || st.pending.seq != pkt.Seq {
+	var m *outbound
+	if st != nil && st.w != nil && st.w.seq == pkt.Seq {
+		m = st.w.current()
+	}
+	if m == nil || m.refresh() != (pkt.Op == netproto.OpCacheUpdateAck) {
 		s.Metrics.StaleAcks.Inc()
 		s.mu.Unlock()
 		return
 	}
-	if st.pending.timer != nil {
-		st.pending.timer.Stop()
+	if m.timer != nil {
+		m.timer.Stop()
 	}
-	s.finishUpdateLocked(pkt.Key, st) // unlocks
-}
-
-// finishUpdateLocked retires the key's pending cache update, sends the
-// client ack it held, if any, and drains the writes queued behind it. It is
-// called with the lock held and releases it.
-func (s *Server) finishUpdateLocked(key netproto.Key, st *keyState) {
-	held := st.pending.held
-	st.pending = nil
-	if held == nil {
-		s.drainLocked(key, st) // unlocks
-		return
-	}
-	s.mu.Unlock()
-	s.reply(held.dst, held.pkt)
-	s.mu.Lock()
-	if st := s.keys[key]; st != nil {
-		s.drainLocked(key, st) // unlocks
-	} else {
-		s.mu.Unlock()
-	}
+	st.w.cur++
+	s.stepLocked(pkt.Key, st) // unlocks
 }
 
 // backupForLocked resolves the backup address for key's home partition, if
@@ -641,102 +646,6 @@ func (s *Server) backupForLocked(key netproto.Key) (netproto.Addr, bool) {
 		return 0, false
 	}
 	return b, true
-}
-
-// sendReplicate ships an applied write to the backup. Both ends use node
-// aliases, not home addresses: the backup's home route may have been
-// re-pointed at this very node by an earlier failover (a rejoined ex-primary
-// is addressed by a route that still targets its replacement), and the
-// backup's ack must likewise reach this node even if our home route has
-// moved. Aliases always route to the physical server.
-func (s *Server) sendReplicate(key netproto.Key, pr *pendingRepl) {
-	s.Metrics.ReplicatesSent.Inc()
-	pkt := netproto.Packet{Op: pr.op, Seq: pr.seq, Key: key, Value: pr.value}
-	s.sendPacketFrom(netproto.NodeAlias(pr.backup), netproto.NodeAlias(s.cfg.Addr), &pkt)
-}
-
-// scheduleReplRetry arms the replication retransmission timer, mirroring
-// the cache-update reliability protocol.
-func (s *Server) scheduleReplRetry(key netproto.Key, seq uint64) {
-	s.mu.Lock()
-	st := s.keys[key]
-	if st == nil || st.repl == nil || st.repl.seq != seq {
-		s.mu.Unlock()
-		return // already acked
-	}
-	pr := st.repl
-	pr.timer = time.AfterFunc(s.cfg.RetryInterval, func() { s.replRetry(key, seq) })
-	s.mu.Unlock()
-}
-
-func (s *Server) replRetry(key netproto.Key, seq uint64) {
-	s.mu.Lock()
-	st := s.keys[key]
-	if st == nil || st.repl == nil || st.repl.seq != seq {
-		s.mu.Unlock()
-		return // acked in the meantime
-	}
-	pr := st.repl
-	pr.tries++
-	if pr.tries >= s.cfg.MaxRetries {
-		s.completeReplLocked(key, st, false) // unlocks
-		return
-	}
-	s.Metrics.ReplicateRetries.Inc()
-	s.mu.Unlock()
-	s.sendReplicate(key, pr)
-	s.scheduleReplRetry(key, seq)
-}
-
-// completeReplLocked finishes an in-flight replication: on ack it records
-// the replay stamp, releases the client reply, and fires any parked cache
-// refresh; on give-up it withholds the ack entirely — the backup is
-// unreachable, and acknowledging an unreplicated write would break the
-// durability contract. The client's retransmission re-applies the write,
-// by which time the failure detector has usually reconfigured the pair.
-// Called with the lock held; releases it.
-func (s *Server) completeReplLocked(key netproto.Key, st *keyState, acked bool) {
-	pr := st.repl
-	st.repl = nil
-	if !acked {
-		s.Metrics.ReplicateGiveUps.Inc()
-		s.drainLocked(key, st) // unlocks
-		return
-	}
-	s.applied[key] = writeStamp{src: pr.src, seq: pr.reply.Seq}
-	refresh := pr.refresh
-	if refresh != nil {
-		st.pending = refresh
-	}
-	s.mu.Unlock()
-	if refresh == nil || refresh.held == nil {
-		s.reply(pr.src, pr.reply)
-	}
-	if refresh != nil {
-		s.sendCacheUpdate(key, refresh)
-		s.scheduleRetry(key, refresh.seq)
-		return
-	}
-	s.mu.Lock()
-	if st := s.keys[key]; st != nil {
-		s.drainLocked(key, st) // unlocks
-	} else {
-		s.mu.Unlock()
-	}
-}
-
-func (s *Server) handleReplAck(pkt netproto.Packet) {
-	s.mu.Lock()
-	st := s.keys[pkt.Key]
-	if st == nil || st.repl == nil || st.repl.seq != pkt.Seq {
-		s.Metrics.StaleAcks.Inc()
-		s.mu.Unlock()
-		return
-	}
-	if st.repl.timer != nil {
-		st.repl.timer.Stop()
-	}
-	s.completeReplLocked(pkt.Key, st, true) // unlocks
 }
 
 // handleReplicate is the backup side: apply the primary's write if it is
@@ -918,8 +827,8 @@ func (s *Server) ProbeValue(key netproto.Key) (present, alive bool) {
 // and garbage-collects empty states. It is called with the lock held and
 // releases it.
 func (s *Server) drainLocked(key netproto.Key, st *keyState) {
-	if st.blocks > 0 || st.pending != nil || st.repl != nil || len(st.queue) == 0 {
-		if st.blocks == 0 && st.pending == nil && st.repl == nil && len(st.queue) == 0 && !st.cached {
+	if st.blocks > 0 || st.w != nil || len(st.queue) == 0 {
+		if st.blocks == 0 && st.w == nil && len(st.queue) == 0 && !st.cached {
 			delete(s.keys, key)
 		}
 		s.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"netcache/internal/cachemem"
 	"netcache/internal/netproto"
 )
 
@@ -248,29 +249,51 @@ func TestResetStatsRaceWithProcess(t *testing.T) {
 	}
 }
 
-// The controller recycles a cache index as soon as it evicts a key. A
-// cached GET for A that matched A's lookup entry must never reply with the
-// bytes of B, installed at A's key index and value slots after A's eviction
-// but before the GET reached the value stages. One goroutine cycles evict
-// A, install B in A's place, evict B, reinstall A, while Gets for A run; a
-// reply carrying anything but A's value fails, on both traversals.
+// The controller recycles a cache index as soon as it evicts a key, and
+// reorganization moves a cached value to other slots. A cached GET for A
+// that matched A's lookup entry must never reply with the bytes of B,
+// installed at A's key index and old value slots after A's move and
+// eviction but before the GET reached the value stages. One goroutine
+// cycles move A to spare slots, evict A, install B in A's first place,
+// evict B, reinstall A, while Gets for A run; a reply carrying anything but
+// A's value fails, through the switch entry point (fast path first) and
+// through the table interpreter alone.
 func TestCacheIndexReuse(t *testing.T) {
-	for _, disabled := range []bool{false, true} {
+	for _, interpreter := range []bool{false, true} {
 		name := "fastpath"
-		if disabled {
+		if interpreter {
 			name = "interpreter"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := TestConfig()
-			cfg.DisableFastPath = disabled
-			r := newRigConfig(t, cfg)
+			r := newRigConfig(t, TestConfig())
+			process := r.sw.ProcessAppend
+			if interpreter {
+				process = r.sw.Pipeline().ProcessAppend
+			}
 			keyA := netproto.KeyFromString("reuse-a")
 			keyB := netproto.KeyFromString("reuse-b")
 			valA := bytes.Repeat([]byte{0xAA}, 32)
 			valB := bytes.Repeat([]byte{0xBB}, 32)
 			place, kidx := r.install(t, keyA, valA)
+			spare, err := r.alloc.Insert(netproto.KeyFromString("reuse-spare"), len(valA))
+			if err != nil {
+				t.Fatal(err)
+			}
 			entry := func(k netproto.Key, v []byte) CacheEntry {
 				return CacheEntry{Key: k, Placement: place, KeyIndex: kidx, ServerPort: serverPort, Value: v}
+			}
+			remove := func(k netproto.Key) error {
+				_, err := r.sw.RemoveCacheEntry(k, kidx)
+				return err
+			}
+			churn := []func() error{
+				func() error {
+					return r.sw.MoveCacheEntry(keyA, kidx, serverPort, cachemem.Move{Key: keyA, From: place, To: spare})
+				},
+				func() error { return remove(keyA) },
+				func() error { return r.sw.InstallCacheEntry(entry(keyB, valB)) },
+				func() error { return remove(keyB) },
+				func() error { return r.sw.InstallCacheEntry(entry(keyA, valA)) },
 			}
 
 			stop := make(chan struct{})
@@ -283,17 +306,8 @@ func TestCacheIndexReuse(t *testing.T) {
 						return
 					default:
 					}
-					for _, step := range []struct {
-						key netproto.Key
-						val []byte
-					}{{keyA, nil}, {keyB, valB}, {keyB, nil}, {keyA, valA}} {
-						var err error
-						if step.val == nil {
-							_, err = r.sw.RemoveCacheEntry(step.key, kidx)
-						} else {
-							err = r.sw.InstallCacheEntry(entry(step.key, step.val))
-						}
-						if err != nil {
+					for _, step := range churn {
+						if err := step(); err != nil {
 							t.Errorf("churn: %v", err)
 							return
 						}
@@ -305,7 +319,7 @@ func TestCacheIndexReuse(t *testing.T) {
 			getA := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: keyA})
 			hits, wrong := 0, 0
 			for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
-				out, err := r.sw.Process(getA, clientPort)
+				out, err := process(getA, clientPort, nil)
 				if err != nil || len(out) != 1 {
 					t.Fatalf("Process: %d emissions, %v", len(out), err)
 				}

@@ -46,9 +46,6 @@ import (
 // reply emission and true when it fully handled the packet; (zero, false)
 // means the caller must run the interpreter, and nothing has happened yet.
 func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
-	if sw.cfg.DisableFastPath {
-		return dataplane.Emitted{}, false
-	}
 	// Shape check: exactly a bare GET frame (frame header + packet header,
 	// VLEN 0, no trailing bytes). Writes, updates, replies, valued or
 	// malformed frames, and non-NetCache traffic all fall through.

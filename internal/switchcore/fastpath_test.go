@@ -36,16 +36,15 @@ func diffConfig() Config {
 	return cfg
 }
 
-// diffPair builds the two switches and provisions identical routes.
+// diffPair builds the two switches and provisions identical routes. Frames
+// reach interp through its table interpreter (see feedBoth).
 func diffPair(t testing.TB, cfg Config) (fast, interp *Switch) {
 	t.Helper()
-	slow := cfg
-	slow.DisableFastPath = true
 	var err error
 	if fast, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if interp, err = New(slow); err != nil {
+	if interp, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, sw := range []*Switch{fast, interp} {
@@ -92,12 +91,12 @@ func diffEntry(i int) CacheEntry {
 	}
 }
 
-// feedBoth sends one frame through both switches and requires identical
-// emissions and errors.
+// feedBoth sends one frame through fast's entry point and interp's table
+// interpreter and requires identical emissions and errors.
 func feedBoth(t testing.TB, fast, interp *Switch, frame []byte, inPort int) {
 	t.Helper()
 	fe, ferr := fast.Process(frame, inPort)
-	ie, ierr := interp.Process(frame, inPort)
+	ie, ierr := interp.Pipeline().ProcessAppend(frame, inPort, nil)
 	if (ferr == nil) != (ierr == nil) {
 		t.Fatalf("error divergence: fast=%v interp=%v", ferr, ierr)
 	}
@@ -502,22 +501,24 @@ func FuzzFastPathDifferential(f *testing.F) {
 }
 
 // BenchmarkFastPathCachedGet measures a valid cached read through the full
-// switch entry point with the fast path on and off — the headline number of
-// the read-path optimization.
+// switch entry point and through the table interpreter alone — the headline
+// number of the read-path optimization.
 func BenchmarkFastPathCachedGet(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
+	for _, interpreter := range []bool{false, true} {
 		name := "fastpath"
-		if disabled {
+		if interpreter {
 			name = "interpreter"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := TestConfig()
-			cfg.DisableFastPath = disabled
-			sw, err := New(cfg)
+			sw, err := New(TestConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer sw.Close()
+			process := sw.ProcessAppend
+			if interpreter {
+				process = sw.Pipeline().ProcessAppend
+			}
 			mustInstall(b, sw.InstallRoute(diffClientAddr, diffClientPort))
 			mustInstall(b, sw.InstallRoute(diffServerAddr, diffServerPort))
 			e := diffEntry(1)
@@ -534,7 +535,7 @@ func BenchmarkFastPathCachedGet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				out = out[:0]
-				out, err = sw.ProcessAppend(frame, diffClientPort, out)
+				out, err = process(frame, diffClientPort, out)
 				if err != nil {
 					b.Fatal(err)
 				}

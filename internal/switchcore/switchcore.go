@@ -67,12 +67,6 @@ type Config struct {
 	// updates through every port — the snake test — need it; production
 	// configurations should not.
 	AllowForeignUpdates bool
-	// DisableFastPath turns off the compiled cached-GET fast path and
-	// forces every packet through the generic table interpreter. The fast
-	// path is behavior-preserving (the differential tests hold the two
-	// paths byte- and counter-identical), so this exists for those tests
-	// and for debugging, not for production tuning.
-	DisableFastPath bool
 }
 
 // PaperConfig returns the prototype configuration of §6: 64K-entry lookup

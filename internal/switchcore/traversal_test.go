@@ -15,8 +15,8 @@ import (
 
 var updateTraversal = flag.Bool("update", false, "rewrite testdata/traversal.golden")
 
-// traversalSwitch is one interpreter-only switch of the traversal golden,
-// provisioned with the golden's routes and cached keys.
+// traversalSwitch is one switch of the traversal golden, driven through its
+// table interpreter only, provisioned with the golden's routes and cached keys.
 type traversalSwitch struct {
 	sw      *Switch
 	reports []string
@@ -37,7 +37,6 @@ func newTraversalSwitch(t *testing.T) *traversalSwitch {
 	cfg := TestConfig()
 	cfg.SampleRate = 0.5
 	cfg.SampleSeed = 7
-	cfg.DisableFastPath = true
 	sw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +78,9 @@ func tgKey(name string) netproto.Key { return netproto.KeyFromString("traversal:
 // TestTraversalGolden pins the interpreted traversal of every kind of frame
 // the switch sees, frame by frame: the TraceQuery text, the emissions, every
 // table's hit/miss counts, the pipeline counters and the digests delivered
-// to the controller. Two interpreter-only switches take the same frames, one
-// through TraceQuery and one through ProcessAppend, and must agree on
+// to the controller. Two switches take the same frames through the
+// interpreter, one by TraceQuery and one by Pipeline().ProcessAppend, and
+// must agree on
 // everything but the trace; the golden holds the result. Rewrite it with
 // -update only for a change meant to alter the traversal.
 func TestTraversalGolden(t *testing.T) {
@@ -148,7 +148,7 @@ func TestTraversalGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		out, err = plain.sw.ProcessAppend(f.frame, f.inPort, out[:0])
+		out, err = plain.sw.Pipeline().ProcessAppend(f.frame, f.inPort, out[:0])
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}

@@ -147,7 +147,7 @@ type Config struct {
 	// pause caching while write-triggered invalidations dominate hits.
 	WritePolicy WritePolicy
 	// Window is the clients' closed-loop pipelining depth for
-	// GetBatch/GetMulti (outstanding requests per batch); zero uses the
+	// GetBatch (outstanding requests per batch); zero uses the
 	// client default of 32.
 	Window int
 	// Replicate enables the replicated storage tier: every key partition
@@ -319,13 +319,10 @@ func (c *Client) Put(key Key, value []byte) error { return c.c.Put(key, value) }
 // Delete removes key; deleting an absent key is not an error.
 func (c *Client) Delete(key Key) error { return c.c.Delete(key) }
 
-// GetMulti fetches several keys concurrently; results and errors are
-// positional. Hot keys in the batch are served by the switch.
-func (c *Client) GetMulti(keys []Key) ([][]byte, []error) { return c.c.GetMulti(keys) }
-
 // GetBatch fetches several keys with Config.Window requests outstanding at
 // once, issuing each window as one batched burst into the fabric — the
-// closed-loop depth the paper's throughput figures assume.
+// closed-loop depth the paper's throughput figures assume. Results and
+// errors are positional; hot keys in the batch are served by the switch.
 func (c *Client) GetBatch(keys []Key) ([][]byte, []error) { return c.c.GetBatch(keys) }
 
 // Experiments returns the registry regenerating every table and figure of
