@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"netcache/internal/chaos"
+	"netcache/internal/client"
 	"netcache/internal/dataplane"
 	"netcache/internal/harness"
 	"netcache/internal/leafspine"
@@ -319,7 +320,7 @@ func BenchmarkRackParallelGet(b *testing.B) {
 func BenchmarkRackPipelinedGet(b *testing.B) {
 	const window = 32
 	r, err := rack.New(rack.Config{
-		Servers: 4, Clients: 1, CacheCapacity: 64, ClientWindow: window,
+		Servers: 4, Clients: 1, CacheCapacity: 64, Client: client.Config{Window: window},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -356,7 +357,7 @@ func multiRackBenchRig(b *testing.B, window int) (f *leafspine.Fabric, spineKey,
 	b.Helper()
 	f, err := leafspine.New(leafspine.Config{
 		Racks: 2, ServersPerRack: 2, Clients: 1,
-		SpineCache: 8, TorCache: 8, ClientWindow: window,
+		SpineCache: 8, TorCache: 8, Client: client.Config{Window: window},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -472,7 +473,7 @@ func BenchmarkFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		detect, failover, failback, hot, postTimeouts = 0, 0, 0, 0, 0
 		for _, seed := range []uint64{1, 20260806, 0xC0FFEE} {
-			rep, err := chaos.RunFailover(chaos.FailoverConfig{Seed: seed})
+			rep, err := chaos.RunFailover(seed)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,6 +6,7 @@ package netcache
 import (
 	"time"
 
+	"netcache/internal/client"
 	"netcache/internal/leafspine"
 )
 
@@ -21,9 +22,6 @@ type LeafSpineConfig struct {
 	// SpineCache / TorCache cap each layer's cached items (0 = switch
 	// limit).
 	SpineCache, TorCache int
-	// Switch optionally overrides the switch program used at both
-	// layers.
-	Switch SwitchConfig
 	// Window is the clients' closed-loop pipelining depth for
 	// GetBatch (outstanding requests per batch); zero uses the
 	// client default of 32. Batches ride the vectorized injection path
@@ -45,10 +43,9 @@ func NewLeafSpine(cfg LeafSpineConfig) (*Fabric, error) {
 		Racks:          cfg.Racks,
 		ServersPerRack: cfg.ServersPerRack,
 		Clients:        cfg.Clients,
-		Switch:         cfg.Switch,
 		SpineCache:     cfg.SpineCache,
 		TorCache:       cfg.TorCache,
-		ClientWindow:   cfg.Window,
+		Client:         client.Config{Window: cfg.Window},
 	})
 	if err != nil {
 		return nil, err

@@ -74,12 +74,16 @@ func (r *prng) rate(lo, hi float64) float64 {
 	return lo + (hi-lo)*(float64(r.next()>>11)/(1<<53))
 }
 
-// def fills a zero-or-negative size with its default.
-func def(v *int, d int) {
-	if *v <= 0 {
-		*v = d
-	}
-}
+// Every scenario drives the same load, scaled down to a unit-test budget.
+// The golden timelines (testdata) are pure functions of the seed and these
+// sizes.
+const (
+	numClients  = 2  // each the single writer of its share of the keys
+	numKeys     = 24 // the working set
+	opsPerPhase = 30 // per-client ops in each workload phase
+	valueSize   = 24 // nominal value bytes
+	cacheSize   = 8  // switch cache capacity, at each tier
+)
 
 // opKind records what a given oracle version was.
 type opKind uint8

@@ -64,7 +64,7 @@ func TestChaos(t *testing.T) {
 	for _, seed := range seeds() {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rep, err := Run(Config{Seed: seed})
+			rep, err := Run(seed)
 			mustPass(t, seed, rep, err)
 			// The scenario must actually have bitten.
 			if rep.ServerCrashes == 0 || rep.SwitchReboots == 0 || rep.ControllerRestarts == 0 {
@@ -87,21 +87,18 @@ var scenarios = []struct {
 	run   func(seed uint64) (*Report, error)
 }{
 	{"rack",
-		func(seed uint64) (scenario, error) { _, sc, err := buildRack(Config{Seed: seed}); return sc, err },
-		func(seed uint64) (*Report, error) { return Run(Config{Seed: seed}) }},
+		func(seed uint64) (scenario, error) { _, sc, err := buildRack(seed); return sc, err },
+		Run},
 	{"multirack",
-		func(seed uint64) (scenario, error) {
-			_, sc, err := buildMultiRack(MultiRackConfig{Seed: seed})
-			return sc, err
-		},
-		func(seed uint64) (*Report, error) { return RunMultiRack(MultiRackConfig{Seed: seed}) }},
+		func(seed uint64) (scenario, error) { _, sc, err := buildMultiRack(seed); return sc, err },
+		RunMultiRack},
 	{"failover",
 		func(seed uint64) (scenario, error) {
-			_, sc, _, err := buildFailover(FailoverConfig{Seed: seed})
+			_, sc, _, err := buildFailover(seed)
 			return sc, err
 		},
 		func(seed uint64) (*Report, error) {
-			rep, err := RunFailover(FailoverConfig{Seed: seed})
+			rep, err := RunFailover(seed)
 			if err != nil {
 				return nil, err
 			}

@@ -30,9 +30,6 @@ type node struct {
 	sw  *switchcore.Switch
 }
 
-// load sizes the workload every scenario drives.
-type load struct{ clients, keys, ops, valueSize int }
-
 // fault is one impairment held for a phase on a port of the first node's
 // net (the rack's, or the spine's, whose ports are the trunks and client
 // links): a fault rule, an unplugged port (down), or a partition between
@@ -98,7 +95,6 @@ type scenario struct {
 type runner struct {
 	tgt     target
 	nodes   []node
-	load    load
 	keys    []netproto.Key
 	oracles []*keyOracle
 
@@ -115,11 +111,11 @@ type runner struct {
 	issued map[*client.Client]uint64
 }
 
-func newRunner(tgt target, nodes []node, l load, rep *Report) *runner {
+func newRunner(tgt target, nodes []node, rep *Report) *runner {
 	rn := &runner{
-		tgt: tgt, nodes: nodes, load: l, report: rep,
-		keys:    make([]netproto.Key, l.keys),
-		oracles: make([]*keyOracle, l.keys),
+		tgt: tgt, nodes: nodes, report: rep,
+		keys:    make([]netproto.Key, numKeys),
+		oracles: make([]*keyOracle, numKeys),
 		down:    make(map[string]func()),
 		issued:  make(map[*client.Client]uint64),
 	}
@@ -208,7 +204,7 @@ func (rn *runner) run(sc scenario) error {
 // eachClient runs fn for every client concurrently and waits for all.
 func (rn *runner) eachClient(fn func(c int, cli *client.Client)) {
 	var wg sync.WaitGroup
-	for c := 0; c < rn.load.clients; c++ {
+	for c := 0; c < numClients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -225,7 +221,7 @@ func (rn *runner) eachClient(fn func(c int, cli *client.Client)) {
 func (rn *runner) runWorkload() error {
 	seed := rn.report.Seed ^ rn.ph.salt
 	var half sync.WaitGroup
-	half.Add(rn.load.clients)
+	half.Add(numClients)
 	midErr := make(chan error, 1)
 	go func() {
 		half.Wait()
@@ -234,13 +230,13 @@ func (rn *runner) runWorkload() error {
 	rn.eachClient(func(c int, cli *client.Client) {
 		r := prng(seed + uint64(c)*rng.Seeds[0])
 		owned := rn.ownedKeys(c)
-		for i := 0; i < rn.load.ops; i++ {
-			if i == rn.load.ops/2 {
+		for i := 0; i < opsPerPhase; i++ {
+			if i == opsPerPhase/2 {
 				half.Done()
 			}
 			switch roll := r.intn(100); {
 			case roll < 50 || len(owned) == 0:
-				rn.get(cli, r.intn(rn.load.keys))
+				rn.get(cli, r.intn(numKeys))
 			case roll < 85:
 				rn.put(cli, owned[r.intn(len(owned))])
 			default:
@@ -255,7 +251,7 @@ func (rn *runner) runWorkload() error {
 // current phase's read-only set.
 func (rn *runner) ownedKeys(c int) []int {
 	var owned []int
-	for kid := c; kid < rn.load.keys; kid += rn.load.clients {
+	for kid := c; kid < numKeys; kid += numClients {
 		if !rn.ph.readOnly[kid] {
 			owned = append(owned, kid)
 		}
@@ -281,7 +277,7 @@ func (rn *runner) get(cli *client.Client, kid int) ([]byte, error) {
 	floor := o.floor()
 	val, err := cli.Get(rn.keys[kid])
 	rn.countOp(cli, err)
-	if msg := o.checkRead(kid, floor, val, err, rn.load.valueSize); msg != "" {
+	if msg := o.checkRead(kid, floor, val, err, valueSize); msg != "" {
 		rn.violate("%s", msg)
 	}
 	return val, err
@@ -290,7 +286,7 @@ func (rn *runner) get(cli *client.Client, kid int) ([]byte, error) {
 func (rn *runner) put(cli *client.Client, kid int) error {
 	o := rn.oracles[kid]
 	ver := o.issue(opPut)
-	err := cli.Put(rn.keys[kid], encodeValue(kid, ver, rn.load.valueSize))
+	err := cli.Put(rn.keys[kid], encodeValue(kid, ver, valueSize))
 	rn.countOp(cli, err)
 	if err == nil {
 		o.ack(ver)
@@ -342,7 +338,7 @@ func (rn *runner) settle() {
 // across clients and matches the store of the node now serving it; then
 // fresh writes land and read back exactly.
 func (rn *runner) converge() {
-	cliA, cliB := rn.tgt.Client(0), rn.tgt.Client(rn.load.clients-1)
+	cliA, cliB := rn.tgt.Client(0), rn.tgt.Client(numClients-1)
 	for kid, key := range rn.keys {
 		vA, errA := rn.get(cliA, kid)
 		vB, errB := rn.get(cliB, kid)
@@ -361,7 +357,7 @@ func (rn *runner) converge() {
 			rn.violate("key %d: client view %q/%v disagrees with serving store %q/%v", kid, vA, errA, stored, inStore)
 		}
 	}
-	for c := 0; c < rn.load.clients; c++ {
+	for c := 0; c < numClients; c++ {
 		cli := rn.tgt.Client(c)
 		for _, kid := range rn.ownedKeys(c) {
 			// The probe write is acked, so the oracle inside get accepts
@@ -427,7 +423,7 @@ func conservation(clients []clientCounts, nodes []nodeCounts) []string {
 // checkConservation totals the fabric counters into the report and holds
 // the run to the conservation laws.
 func (rn *runner) checkConservation() {
-	clients := make([]clientCounts, rn.load.clients)
+	clients := make([]clientCounts, numClients)
 	for c := range clients {
 		cli := rn.tgt.Client(c)
 		m := &cli.Metrics

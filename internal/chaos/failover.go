@@ -11,37 +11,13 @@ import (
 	"netcache/internal/simnet"
 )
 
-// FailoverConfig sizes a replicated-tier chaos run. Zero values pick
-// scaled-down defaults suitable for a unit-test budget.
-type FailoverConfig struct {
-	// Seed drives every random decision in the scenario.
-	Seed uint64
-	// Servers and Clients size the rack. Defaults: 4 and 2. Servers must
-	// be >= 3 so that losing a primary and later its promoted backup still
-	// leaves the other partitions intact.
-	Servers, Clients int
-	// Keys is the working-set size. Default 24.
-	Keys int
-	// OpsPerPhase is the per-client op count in each workload phase.
-	// Default 30.
-	OpsPerPhase int
-	// ValueSize is the nominal value size in bytes. Default 24.
-	ValueSize int
-	// CacheCapacity caps the switch cache. Default 8.
-	CacheCapacity int
-	// HeartbeatMisses is the detector's death threshold. Default 3.
-	HeartbeatMisses int
-}
-
-func (c *FailoverConfig) fill() {
-	def(&c.Servers, 4)
-	def(&c.Clients, 2)
-	def(&c.Keys, 24)
-	def(&c.OpsPerPhase, 30)
-	def(&c.ValueSize, 24)
-	def(&c.CacheCapacity, 8)
-	def(&c.HeartbeatMisses, 3)
-}
+// The failover scenario's replicated rack: failoverServers servers (enough
+// that losing a primary and later its promoted backup still leaves the
+// other partitions intact) and the detector's death threshold.
+const (
+	failoverServers = 4
+	heartbeatMisses = 3
+)
 
 // FailoverReport is the outcome of a replicated-tier chaos run: the engine's
 // Report plus what only this scenario measures.
@@ -82,8 +58,8 @@ type FailoverReport struct {
 // crash and its detection window, fault-free service from the promoted
 // backup, rejoin and resync, then the promoted node dies too and the
 // partition fails back — with a full durability check after each failure.
-func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
-	rn, sc, rep, err := buildFailover(cfg)
+func RunFailover(seed uint64) (*FailoverReport, error) {
+	rn, sc, rep, err := buildFailover(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -94,25 +70,18 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 
 // buildFailover assembles the replicated rack, the engine over it and the
 // scenario table.
-func buildFailover(cfg FailoverConfig) (*runner, scenario, *FailoverReport, error) {
-	cfg.fill()
-	if cfg.Servers < 3 {
-		return nil, scenario{}, nil, fmt.Errorf("chaos failover: need >= 3 servers, got %d", cfg.Servers)
-	}
-	rep := &FailoverReport{Report: Report{Seed: cfg.Seed}}
-	r, rn, err := newRackRunner(Config{Seed: cfg.Seed, Servers: cfg.Servers, Clients: cfg.Clients,
-		Keys: cfg.Keys, OpsPerPhase: cfg.OpsPerPhase, ValueSize: cfg.ValueSize,
-		CacheCapacity: cfg.CacheCapacity}, cfg.HeartbeatMisses, &rep.Report)
+func buildFailover(seed uint64) (*runner, scenario, *FailoverReport, error) {
+	rep := &FailoverReport{Report: Report{Seed: seed}}
+	r, rn, err := newRackRunner(seed, failoverServers, heartbeatMisses, &rep.Report)
 	if err != nil {
 		return nil, scenario{}, nil, err
 	}
-	f := &failover{cfg: cfg, rack: r, rn: rn, report: rep}
+	f := &failover{rack: r, rn: rn, report: rep}
 	return rn, f.scenario(), rep, nil
 }
 
 // failover is what the failover table's steps share.
 type failover struct {
-	cfg    FailoverConfig
 	rack   *rack.Rack
 	rn     *runner
 	report *FailoverReport
@@ -128,13 +97,13 @@ func (f *failover) homeIndex(kid int) int {
 // things: the table never calls settle, so nothing restarts the dead and no
 // controller cycle runs between a workload and its converge.
 func (f *failover) scenario() scenario {
-	cfg, r, rn := f.cfg, f.rack, f.rn
+	r, rn := f.rack, f.rn
 	// The hot key is seed-chosen; its home partition is the crash target,
 	// so the run always exercises "hot keys keep serving through failover".
-	g := prng(cfg.Seed)
-	f.hotKid = g.intn(cfg.Keys)
+	g := prng(f.report.Seed)
+	f.hotKid = g.intn(numKeys)
 	crashTarget := f.homeIndex(f.hotKid)
-	promoted := (crashTarget + 1) % cfg.Servers
+	promoted := (crashTarget + 1) % failoverServers
 	home := rack.ServerAddr(crashTarget)
 
 	// The hot key is never written after warmup, so its cache entry stays
@@ -142,7 +111,7 @@ func (f *failover) scenario() scenario {
 	// are the keys homed at it.
 	hotOnly := map[int]bool{f.hotKid: true}
 	noPromoted := map[int]bool{f.hotKid: true}
-	for kid := 0; kid < cfg.Keys; kid++ {
+	for kid := 0; kid < numKeys; kid++ {
 		if f.homeIndex(kid) == promoted {
 			noPromoted[kid] = true
 		}
@@ -154,7 +123,7 @@ func (f *failover) scenario() scenario {
 			if err := r.Controller.InsertKey(rn.keys[f.hotKid]); err != nil {
 				return fmt.Errorf("chaos failover: pre-cache hot key: %w", err)
 			}
-			for kid := 0; kid < cfg.Keys && r.Controller.Len() < cfg.CacheCapacity/2; kid += 5 {
+			for kid := 0; kid < numKeys && r.Controller.Len() < cacheSize/2; kid += 5 {
 				if kid == f.hotKid {
 					continue
 				}
@@ -162,7 +131,7 @@ func (f *failover) scenario() scenario {
 					return fmt.Errorf("chaos failover: pre-cache key %d: %w", kid, err)
 				}
 			}
-			rn.event("warmup: %d keys written, %d pre-cached", cfg.Keys, r.Controller.Len())
+			rn.event("warmup: %d keys written, %d pre-cached", numKeys, r.Controller.Len())
 			return nil
 		},
 	}
@@ -239,7 +208,7 @@ func (f *failover) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool
 	deadAddr := rack.ServerAddr(deadIdx)
 	start := time.Now()
 	ticks := 0
-	for ; ticks < 10*f.cfg.HeartbeatMisses; ticks++ {
+	for ; ticks < 10*heartbeatMisses; ticks++ {
 		// The pre-cached hot key answers from the switch no matter which
 		// server is dead: its value slot was never touched by the crash.
 		if _, err := rn.get(cli, f.hotKid); err != nil {
@@ -250,7 +219,7 @@ func (f *failover) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool
 		// Healthy partitions keep answering while the detector works: a
 		// key whose current serving primary is neither the fresh corpse
 		// nor a declared-dead node must read cleanly.
-		for kid := 0; kid < f.cfg.Keys; kid++ {
+		for kid := 0; kid < numKeys; kid++ {
 			serving := r.Controller.CurrentPrimary(rn.keys[kid])
 			if serving == deadAddr || r.Controller.NodeDead(serving) {
 				continue
@@ -268,7 +237,7 @@ func (f *failover) awaitFailover(deadIdx int, home netproto.Addr, probeCold bool
 		// Cold keys of the dead partition time out until the flip: the
 		// detection window is real, not instantaneous.
 		if probeCold && ticks == 0 {
-			for kid := 0; kid < f.cfg.Keys; kid++ {
+			for kid := 0; kid < numKeys; kid++ {
 				if kid != f.hotKid && f.homeIndex(kid) == deadIdx && !r.Controller.Cached(rn.keys[kid]) {
 					if _, err := rn.get(cli, kid); errors.Is(err, client.ErrTimeout) {
 						f.report.ColdTimeouts++

@@ -15,7 +15,7 @@ func TestChaosFailover(t *testing.T) {
 	for _, seed := range seeds() {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rep, err := RunFailover(FailoverConfig{Seed: seed})
+			rep, err := RunFailover(seed)
 			if err != nil {
 				t.Fatalf("failover run error (rerun with -chaos.seed=%d): %v", seed, err)
 			}

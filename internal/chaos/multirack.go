@@ -10,48 +10,21 @@ package chaos
 
 import (
 	"fmt"
-	"time"
 
-	"netcache/internal/client"
 	"netcache/internal/leafspine"
 	"netcache/internal/simnet"
 )
 
-// MultiRackConfig sizes a multi-rack chaos run. Zero values pick
-// scaled-down defaults suitable for a unit-test budget.
-type MultiRackConfig struct {
-	// Seed drives every random decision in the scenario.
-	Seed uint64
-	// Racks and ServersPerRack size the leaf tier. Defaults: 2 and 2.
-	Racks, ServersPerRack int
-	// Clients attach to the spine. Default 2.
-	Clients int
-	// Keys is the working-set size. Default 24.
-	Keys int
-	// OpsPerPhase is the per-client op count in each scenario phase.
-	// Default 30.
-	OpsPerPhase int
-	// ValueSize is the nominal value size in bytes. Default 24.
-	ValueSize int
-	// SpineCache and TorCache cap the two cache layers. Defaults: 8 and 8.
-	SpineCache, TorCache int
-}
-
-func (c *MultiRackConfig) fill() {
-	def(&c.Racks, 2)
-	def(&c.ServersPerRack, 2)
-	def(&c.Clients, 2)
-	def(&c.Keys, 24)
-	def(&c.OpsPerPhase, 30)
-	def(&c.ValueSize, 24)
-	def(&c.SpineCache, 8)
-	def(&c.TorCache, 8)
-}
+// The leaf-spine scenario's leaf tier: racks of serversPerRack servers.
+const (
+	numRacks       = 2
+	serversPerRack = 2
+)
 
 // RunMultiRack executes one seeded multi-rack chaos scenario and reports
 // what happened.
-func RunMultiRack(cfg MultiRackConfig) (*Report, error) {
-	rn, sc, err := buildMultiRack(cfg)
+func RunMultiRack(seed uint64) (*Report, error) {
+	rn, sc, err := buildMultiRack(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -60,47 +33,43 @@ func RunMultiRack(cfg MultiRackConfig) (*Report, error) {
 
 // buildMultiRack assembles the fabric, the engine over it and the scenario
 // table.
-func buildMultiRack(cfg MultiRackConfig) (*runner, scenario, error) {
-	cfg.fill()
+func buildMultiRack(seed uint64) (*runner, scenario, error) {
 	fab, err := leafspine.New(leafspine.Config{
-		Racks:          cfg.Racks,
-		ServersPerRack: cfg.ServersPerRack,
-		Clients:        cfg.Clients,
-		SpineCache:     cfg.SpineCache,
-		TorCache:       cfg.TorCache,
-		ClientTimeout:  2 * time.Millisecond,
-		ClientRetries:  2,
-		ClientPolicy:   client.Policy{Seed: cfg.Seed},
+		Racks:          numRacks,
+		ServersPerRack: serversPerRack,
+		Clients:        numClients,
+		SpineCache:     cacheSize,
+		TorCache:       cacheSize,
+		Client:         clientTemplate(seed),
 	})
 	if err != nil {
 		return nil, scenario{}, err
 	}
 	// The spine's net comes first: it is the one scenario faults address
-	// (downlink trunks at ports [0,Racks), client links above them).
+	// (downlink trunks at ports [0,numRacks), client links above them).
 	nodes := []node{{fab.SpineNode().Net, fab.SpineNode().Switch}}
-	nodes[0].net.Reseed(cfg.Seed)
-	for r := 0; r < cfg.Racks; r++ {
+	nodes[0].net.Reseed(seed)
+	for r := 0; r < numRacks; r++ {
 		tor := fab.TorNode(r)
-		tor.Net.Reseed(cfg.Seed + uint64(r+1))
+		tor.Net.Reseed(seed + uint64(r+1))
 		nodes = append(nodes, node{tor.Net, tor.Switch})
 	}
-	rn := newRunner(fab, nodes,
-		load{cfg.Clients, cfg.Keys, cfg.OpsPerPhase, cfg.ValueSize}, &Report{Seed: cfg.Seed})
-	return rn, multiRackScenario(cfg, fab, rn), nil
+	rn := newRunner(fab, nodes, &Report{Seed: seed})
+	return rn, multiRackScenario(seed, fab, rn), nil
 }
 
 // multiRackScenario derives the leaf-spine timeline from the seed: a pure
-// function of (seed, cfg sizes), closed over the fabric it will act on.
-func multiRackScenario(cfg MultiRackConfig, fab *leafspine.Fabric, rn *runner) scenario {
-	g := prng(cfg.Seed ^ 0x5EAF59135EAF5913)
-	targetRack := g.intn(cfg.Racks) // the rack whose uplink the scenario abuses
-	crashSrv := g.intn(cfg.ServersPerRack)
+// function of the seed, closed over the fabric it will act on.
+func multiRackScenario(seed uint64, fab *leafspine.Fabric, rn *runner) scenario {
+	g := prng(seed ^ 0x5EAF59135EAF5913)
+	targetRack := g.intn(numRacks) // the rack whose uplink the scenario abuses
+	crashSrv := g.intn(serversPerRack)
 	spineCtlReb := g.intn(2) == 1
 	torCtlReb := g.intn(2) == 1
-	otherRack := (targetRack + 1) % cfg.Racks
+	otherRack := (targetRack + 1) % numRacks
 
 	trunk := targetRack // spine downlink port of the target rack
-	clientPort := cfg.Racks + g.intn(cfg.Clients)
+	clientPort := numRacks + g.intn(numClients)
 	crashed := fmt.Sprintf("r%d/s%d", targetRack, crashSrv)
 	tick := func(ph int) step {
 		return step{fmt.Sprintf("phase %d: controller cycle (tors, then spine)", ph), act(fab.Tick)}
@@ -115,20 +84,20 @@ func multiRackScenario(cfg MultiRackConfig, fab *leafspine.Fabric, rn *runner) s
 		precache: func() error {
 			_, spineCtl := fab.Spine()
 			spined, tored := 0, 0
-			for kid := 0; kid < cfg.Keys && spined < cfg.SpineCache; kid += 3 {
+			for kid := 0; kid < numKeys && spined < cacheSize; kid += 3 {
 				if err := spineCtl.InsertKey(rn.keys[kid]); err != nil {
 					return fmt.Errorf("chaos multirack warmup: spine pre-cache key %d: %w", kid, err)
 				}
 				spined++
 			}
-			for kid := 1; kid < cfg.Keys && tored < cfg.TorCache; kid += 3 {
+			for kid := 1; kid < numKeys && tored < cacheSize; kid += 3 {
 				_, torCtl := fab.Tor(fab.RackOf(rn.keys[kid]))
 				if err := torCtl.InsertKey(rn.keys[kid]); err != nil {
 					return fmt.Errorf("chaos multirack warmup: tor pre-cache key %d: %w", kid, err)
 				}
 				tored++
 			}
-			rn.event("warmup: %d keys written, %d spine-cached, %d tor-cached", cfg.Keys, spined, tored)
+			rn.event("warmup: %d keys written, %d spine-cached, %d tor-cached", numKeys, spined, tored)
 			return nil
 		},
 	}

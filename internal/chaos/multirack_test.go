@@ -14,7 +14,7 @@ func TestChaosMultiRack(t *testing.T) {
 	for _, seed := range seeds() {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rep, err := RunMultiRack(MultiRackConfig{Seed: seed})
+			rep, err := RunMultiRack(seed)
 			mustPass(t, seed, rep, err)
 			// Lifecycle coverage: the scenario always crashes a server,
 			// reboots the spine AND a ToR, and restarts both tiers'

@@ -9,37 +9,13 @@ import (
 	"netcache/internal/simnet"
 )
 
-// Config sizes a chaos run. Zero values pick scaled-down defaults suitable
-// for a unit-test budget.
-type Config struct {
-	// Seed drives every random decision in the scenario.
-	Seed uint64
-	// Servers and Clients size the rack. Defaults: 3 and 2.
-	Servers, Clients int
-	// Keys is the working-set size. Default 24.
-	Keys int
-	// OpsPerPhase is the per-client op count in each scenario phase.
-	// Default 30.
-	OpsPerPhase int
-	// ValueSize is the nominal value size in bytes. Default 24.
-	ValueSize int
-	// CacheCapacity caps the switch cache. Default 8.
-	CacheCapacity int
-}
-
-func (c *Config) fill() {
-	def(&c.Servers, 3)
-	def(&c.Clients, 2)
-	def(&c.Keys, 24)
-	def(&c.OpsPerPhase, 30)
-	def(&c.ValueSize, 24)
-	def(&c.CacheCapacity, 8)
-}
+// rackServers is the single-rack scenario's server count.
+const rackServers = 3
 
 // Run executes one seeded single-rack chaos scenario and reports what
 // happened.
-func Run(cfg Config) (*Report, error) {
-	rn, sc, err := buildRack(cfg)
+func Run(seed uint64) (*Report, error) {
+	rn, sc, err := buildRack(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -47,54 +23,60 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // buildRack assembles the rack, the engine over it and the scenario table.
-func buildRack(cfg Config) (*runner, scenario, error) {
-	cfg.fill()
-	r, rn, err := newRackRunner(cfg, 0, &Report{Seed: cfg.Seed})
+func buildRack(seed uint64) (*runner, scenario, error) {
+	r, rn, err := newRackRunner(seed, rackServers, 0, &Report{Seed: seed})
 	if err != nil {
 		return nil, scenario{}, err
 	}
-	return rn, rackScenario(cfg, r, rn), nil
+	return rn, rackScenario(seed, r, rn), nil
 }
 
-// newRackRunner builds the rack a single-rack scenario tortures, replicated
-// when heartbeatMisses > 0, and the engine over it reporting into rep.
-func newRackRunner(cfg Config, heartbeatMisses int, rep *Report) (*rack.Rack, *runner, error) {
+// newRackRunner builds the rack of servers a single-rack scenario tortures,
+// replicated when heartbeatMisses > 0, and the engine over it reporting
+// into rep.
+func newRackRunner(seed uint64, servers, heartbeatMisses int, rep *Report) (*rack.Rack, *runner, error) {
 	r, err := rack.New(rack.Config{
-		Servers:         cfg.Servers,
-		Clients:         cfg.Clients,
-		CacheCapacity:   cfg.CacheCapacity,
+		Servers:         servers,
+		Clients:         numClients,
+		CacheCapacity:   cacheSize,
 		Replicate:       heartbeatMisses > 0,
 		HeartbeatMisses: heartbeatMisses,
-		ClientTimeout:   2 * time.Millisecond,
-		ClientRetries:   2,
-		// The clients' retransmission jitter draws from the scenario seed
-		// (splitmix64, like every other random decision here), keeping the
-		// whole run a pure function of the seed.
-		ClientPolicy: client.Policy{Seed: cfg.Seed},
+		Client:          clientTemplate(seed),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	r.Net.Reseed(cfg.Seed)
-	return r, newRunner(r, []node{{r.Net, r.Switch}},
-		load{cfg.Clients, cfg.Keys, cfg.OpsPerPhase, cfg.ValueSize}, rep), nil
+	r.Net.Reseed(seed)
+	return r, newRunner(r, []node{{r.Net, r.Switch}}, rep), nil
+}
+
+// clientTemplate configures every scenario's clients: a short timeout and
+// retry budget so timed-out queries don't dominate wall-clock time, and
+// retransmission jitter drawn from the scenario seed (splitmix64, like every
+// other random decision here), keeping the whole run a pure function of the
+// seed.
+func clientTemplate(seed uint64) client.Config {
+	return client.Config{
+		Timeout: 2 * time.Millisecond,
+		Retries: 2,
+		Policy:  client.Policy{Seed: seed},
+	}
 }
 
 // rackScenario derives the single-rack fault/lifecycle timeline from the
-// seed: a pure function of (seed, cfg sizes), closed over the rack it will
-// act on.
-func rackScenario(cfg Config, r *rack.Rack, rn *runner) scenario {
-	g := prng(cfg.Seed)
-	crashTarget := g.intn(cfg.Servers)
-	partitionTarget := g.intn(cfg.Servers)
+// seed: a pure function of the seed, closed over the rack it will act on.
+func rackScenario(seed uint64, r *rack.Rack, rn *runner) scenario {
+	g := prng(seed)
+	crashTarget := g.intn(rackServers)
+	partitionTarget := g.intn(rackServers)
 	ctlRebuild := g.intn(2) == 1
 	crashed := fmt.Sprint(crashTarget)
 
-	clientPorts := make([]int, cfg.Clients)
+	clientPorts := make([]int, numClients)
 	for i := range clientPorts {
-		clientPorts[i] = cfg.Servers + i
+		clientPorts[i] = rackServers + i
 	}
-	randServer := func() int { return g.intn(cfg.Servers) }
+	randServer := func() int { return g.intn(rackServers) }
 	randClientPort := func() int { return clientPorts[g.intn(len(clientPorts))] }
 	tick := func(ph int) step {
 		return step{fmt.Sprintf("phase %d: controller tick", ph), act(r.Tick)}
@@ -105,12 +87,12 @@ func rackScenario(cfg Config, r *rack.Rack, rn *runner) scenario {
 			crashTarget, partitionTarget, ctlRebuild),
 		// A seed-independent slice of the keys starts out cached.
 		precache: func() error {
-			for kid := 0; kid < cfg.Keys && kid/3 < cfg.CacheCapacity; kid += 3 {
+			for kid := 0; kid < numKeys && kid/3 < cacheSize; kid += 3 {
 				if err := r.Controller.InsertKey(rn.keys[kid]); err != nil {
 					return fmt.Errorf("chaos warmup: pre-cache key %d: %w", kid, err)
 				}
 			}
-			rn.event("warmup: %d keys written, %d pre-cached", cfg.Keys, r.Controller.Len())
+			rn.event("warmup: %d keys written, %d pre-cached", numKeys, r.Controller.Len())
 			return nil
 		},
 	}

@@ -53,9 +53,9 @@ type Config struct {
 	Addr netproto.Addr
 	// Partition routes keys to server addresses.
 	Partition Partitioner
-	// Timeout is the per-attempt reply timeout in FixedRTO mode, and the
-	// initial RTO (before the first sample) in adaptive mode. Zero means
-	// 10ms; NoWait (any negative) means an explicit zero.
+	// Timeout is the initial RTO, before the first RTT sample, and lifts
+	// the RTO ceiling when it is above DefaultRTOCeil. Zero means 10ms;
+	// NoWait (any negative) means an explicit zero.
 	Timeout time.Duration
 	// Retries is the number of retransmissions after the first attempt.
 	// Zero means 3; NoRetries (any negative) means an explicit zero.
@@ -508,7 +508,6 @@ func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
 func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	defer c.release(cl)
 
-	adaptive := !c.cfg.Policy.FixedRTO
 	est := c.estimatorFor(cl.dst)
 	hedged := false
 	// finish reads the clock once for a reply that arrived: the read ends
@@ -516,13 +515,11 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	// only for an attempt that was never retransmitted or hedged.
 	finish := func(attempt int, start time.Duration) (netproto.Packet, error) {
 		end := now()
-		if adaptive {
-			if attempt > 0 || hedged {
-				c.Metrics.KarnSkipped.Inc()
-			} else {
-				est.Observe(end - start)
-				c.Metrics.RTTSamples.Inc()
-			}
+		if attempt > 0 || hedged {
+			c.Metrics.KarnSkipped.Inc()
+		} else {
+			est.Observe(end - start)
+			c.Metrics.RTTSamples.Inc()
 		}
 		c.complete(cl, end)
 		return cl.reply, nil
@@ -546,17 +543,13 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		if c.waitReply(cl, 0, false) {
 			return finish(attempt, start)
 		}
-		wait := c.cfg.Timeout
-		if adaptive {
-			rto := est.RTO()
-			wait = rto + c.jitter(rto)
-		}
+		rto := est.RTO()
+		wait := rto + c.jitter(rto)
 		// Hedged read: instead of waiting out the whole RTO, a first-attempt
 		// Get fires a second copy after the observed P99 reply latency. The
 		// duplicate is idempotent; whichever reply lands first wins, and the
 		// replica reply is absorbed as Unmatched.
-		if adaptive && c.cfg.Policy.Hedge && attempt == 0 && !hedged &&
-			cl.op == netproto.OpGet {
+		if c.cfg.Policy.Hedge && attempt == 0 && !hedged && cl.op == netproto.OpGet {
 			if hd := est.HedgeDelay(); hd > 0 && hd < wait {
 				if c.waitReply(cl, hd, true) {
 					return finish(attempt, start)
@@ -572,12 +565,10 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		if c.waitReply(cl, wait, attempt == 0) {
 			return finish(attempt, start)
 		}
-		if adaptive {
-			est.TimedOut()
-		}
+		est.TimedOut()
 		if attempt >= c.cfg.Retries {
 			c.Metrics.Timeouts.Inc()
-			c.trace.Load().Record(qtrace.ClientTimeout, cl.op, cl.seq, cl.key, false, false)
+			c.trace.Load().Record(qtrace.ClientTimedOut, cl.op, cl.seq, cl.key, false, false)
 			return netproto.Packet{}, ErrTimeout
 		}
 	}

@@ -18,13 +18,11 @@ import (
 	"netcache/internal/stats"
 )
 
-// Policy tunes the adaptive retransmission path. The zero value enables
-// adaptation with the defaults below; FixedRTO restores the fixed-timeout
-// client (every attempt waits exactly Config.Timeout).
+// Policy tunes the adaptive retransmission path. The zero value adapts
+// with the defaults below. Setting RTOFloor to Config.Timeout pins every
+// attempt's RTO there: the ceiling is then that same value, so neither the
+// estimate nor backoff can move it, and only jitter is added.
 type Policy struct {
-	// FixedRTO disables RTT estimation, backoff and jitter: every attempt
-	// waits exactly Config.Timeout, as the pre-adaptive client did.
-	FixedRTO bool
 	// RTOFloor clamps the adaptive RTO from below, absorbing scheduling
 	// noise the estimator cannot see. Zero means 200µs.
 	RTOFloor time.Duration

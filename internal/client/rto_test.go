@@ -423,42 +423,41 @@ func TestAdaptiveRTOTracksFastPath(t *testing.T) {
 	}
 }
 
-// FixedRTO restores the legacy behavior: every attempt waits Config.Timeout
-// regardless of observed RTT.
-func TestFixedRTOIgnoresEstimator(t *testing.T) {
+// Timeout = RTOFloor pins the RTO: the ceiling is max(DefaultRTOCeil,
+// Timeout, floor), so at 100ms floor and ceiling coincide, a fast sample
+// cannot pull the RTO down, backoff cannot push it up, and every attempt
+// waits the pinned RTO plus under 10% jitter. Deployments that assert
+// wall-clock patience windows rely on this.
+func TestPinnedRTOIgnoresEstimator(t *testing.T) {
+	const pin = 100 * time.Millisecond
 	cli, err := New(Config{
 		Addr:      cliAddr,
 		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
-		Timeout:   20 * time.Millisecond,
-		Retries:   1,
-		Policy:    Policy{FixedRTO: true},
+		Timeout:   pin,
+		Policy:    Policy{RTOFloor: pin},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &echoServer{t: t, cli: cli, store: make(map[netproto.Key][]byte)}
-	cli.SetSend(srv.handle)
-	key := netproto.KeyFromString("k")
-	if err := cli.Put(key, []byte("v")); err != nil {
-		t.Fatal(err)
+	e := cli.estimatorFor(srvAddr)
+	if got := e.RTO(); got != pin {
+		t.Fatalf("pre-sample RTO = %v, want %v", got, pin)
 	}
-	for i := 0; i < 20; i++ {
-		if _, err := cli.Get(key); err != nil {
-			t.Fatal(err)
+	e.Observe(10 * time.Microsecond)
+	if got := e.RTO(); got != pin {
+		t.Errorf("RTO after a 10µs sample = %v, want %v", got, pin)
+	}
+	for i := 0; i < DefaultBackoffMax; i++ {
+		e.TimedOut()
+	}
+	if got := e.RTO(); got != pin {
+		t.Errorf("RTO after %d timeouts = %v, want %v", DefaultBackoffMax, got, pin)
+	}
+	for i := 0; i < 256; i++ {
+		rto := e.RTO()
+		if wait := rto + cli.jitter(rto); wait < pin || wait >= pin+pin/10 {
+			t.Fatalf("draw %d: wait %v outside [%v, %v)", i, wait, pin, pin+pin/10)
 		}
-	}
-	if s := cli.Estimator(srvAddr); s.Samples != 0 {
-		t.Errorf("FixedRTO client collected %d samples, want 0", s.Samples)
-	}
-	srv.mu.Lock()
-	srv.dropN = 1
-	srv.mu.Unlock()
-	start := time.Now()
-	if _, err := cli.Get(key); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("fixed-RTO loss recovery took %v, want >= the 20ms timeout", elapsed)
 	}
 }
 

@@ -14,17 +14,18 @@ import (
 // invalidations against the hits it served. When invalidations dominate for
 // several consecutive cycles, caching is costing more coherence work than
 // it saves: the controller flushes the cache and pauses insertions for a
-// cooldown, then re-enables and re-learns. All thresholds are configurable;
-// the zero value disables the policy (the paper's manual-operator default).
+// cooldown, then re-enables and re-learns. The zero value disables the
+// policy (the paper's manual-operator default).
+
+// disableRatio is the invalidations-per-hit level considered
+// write-dominated: the Fig. 10d crossover corresponds to roughly one
+// invalidation per served hit.
+const disableRatio = 1.0
 
 // WritePolicy configures adaptive cache disabling.
 type WritePolicy struct {
 	// Enable turns the policy on.
 	Enable bool
-	// DisableRatio is the invalidations-per-hit level considered
-	// write-dominated. The Fig. 10d crossover corresponds to roughly one
-	// invalidation per served hit; zero means 1.0.
-	DisableRatio float64
 	// WindowCycles is how many consecutive write-dominated cycles
 	// trigger the disable. Zero means 3.
 	WindowCycles int
@@ -34,9 +35,6 @@ type WritePolicy struct {
 }
 
 func (p WritePolicy) withDefaults() WritePolicy {
-	if p.DisableRatio <= 0 {
-		p.DisableRatio = 1.0
-	}
 	if p.WindowCycles <= 0 {
 		p.WindowCycles = 3
 	}
@@ -96,7 +94,7 @@ func (c *Controller) applyWritePolicy() bool {
 	}
 
 	writeDominated := len(c.entries) > 0 &&
-		float64(dInv) > st.cfg.DisableRatio*float64(dHits)
+		float64(dInv) > disableRatio*float64(dHits)
 	if !writeDominated {
 		st.hotCycles = 0
 		c.mu.Unlock()

@@ -86,9 +86,6 @@ func (r *Register) Name() string { return r.name }
 // Slots returns the number of slots.
 func (r *Register) Slots() int { return r.slots }
 
-// SlotBits returns the width of each slot in bits.
-func (r *Register) SlotBits() int { return r.slotBits }
-
 // SizeBytes returns the SRAM the array consumes.
 func (r *Register) SizeBytes() int { return (r.slots*r.slotBits + 7) / 8 }
 

@@ -65,9 +65,6 @@ func (c *Ctx) Set(f FieldID, v uint64) { c.phv[f] = v }
 // Drop marks the packet to be discarded.
 func (c *Ctx) Drop() { c.dropped = true }
 
-// Dropped reports whether the packet has been marked for discard.
-func (c *Ctx) Dropped() bool { return c.dropped }
-
 // Mirror redirects the final emission to port, modeling egress packet
 // mirroring. The packet still traversed — and consumed — its original egress
 // pipe, which the pipe counters reflect.

@@ -63,12 +63,14 @@ func (d *Deployment) AddSpine(sw switchcore.Config) (*Node, error) {
 
 // AddRack builds one rack: a ToR node named name with n storage servers
 // configured from srv on ports [0,n), their addresses continuing the
-// deployment's dense range, and the ToR controller managing its cache with
-// the given capacity, sampling seed and width, write policy and heartbeat
-// threshold. Every rack has the same width, and keeps at least one port
+// deployment's dense range, and the ToR controller configured from ctl
+// (cache capacity, sampling, write policy, heartbeat threshold) managing
+// its cache. AddRack sets the servers' Addr and, when replicated,
+// PartitionOf, and the controller's Nodes, Partition, PortOf, Backups and
+// InstallRoute. Every rack has the same width, and keeps at least one port
 // free for clients or an uplink.
 func (d *Deployment) AddRack(name string, sw switchcore.Config, n int, srv server.Config,
-	capacity int, seed int64, sampleK int, wp controller.WritePolicy, heartbeatMisses int) (*Node, error) {
+	ctl controller.Config) (*Node, error) {
 	if d.width != 0 && n != d.width {
 		return nil, fmt.Errorf("fabric: %s: %d servers, other racks have %d", name, n, d.width)
 	}
@@ -102,17 +104,9 @@ func (d *Deployment) AddRack(name string, sw switchcore.Config, n int, srv serve
 	}
 	d.Partition = client.HashPartitioner(addrs)
 
-	ctl := controller.Config{
-		Nodes:     nodes,
-		Partition: partition,
-		PortOf: func(addr netproto.Addr) (int, bool) {
-			return int(addr - first), addr >= first && addr < first+netproto.Addr(n)
-		},
-		Capacity:        capacity,
-		Seed:            seed,
-		SampleK:         sampleK,
-		WritePolicy:     wp,
-		HeartbeatMisses: heartbeatMisses,
+	ctl.Nodes, ctl.Partition = nodes, partition
+	ctl.PortOf = func(addr netproto.Addr) (int, bool) {
+		return int(addr - first), addr >= first && addr < first+netproto.Addr(n)
 	}
 	if d.replicate {
 		// Ring pairing within the rack. The route-flip hook goes through

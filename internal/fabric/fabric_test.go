@@ -189,7 +189,7 @@ func TestDeploymentRacksAreDense(t *testing.T) {
 	d := NewDeployment(true)
 	for r := 0; r < 2; r++ {
 		if _, err := d.AddRack("tor", switchcore.Config{}, 3, server.Config{Shards: 1},
-			0, int64(r+1), 0, controller.WritePolicy{}, 0); err != nil {
+			controller.Config{Seed: int64(r + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestDeploymentRacksAreDense(t *testing.T) {
 		t.Error("tor1 maps a server of rack 0 to a port")
 	}
 	if _, err := d.AddRack("narrow", switchcore.Config{}, 2, server.Config{Shards: 1},
-		0, 3, 0, controller.WritePolicy{}, 0); err == nil {
+		controller.Config{Seed: 3}); err == nil {
 		t.Error("a rack of another width should be refused")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"netcache/internal/balance"
+	"netcache/internal/client"
 	"netcache/internal/netproto"
 	"netcache/internal/rack"
 	"netcache/internal/stats"
@@ -82,7 +83,7 @@ func runBalance(cacheItems int, quick bool) (res balanceResult, err error) {
 	}
 	r, err := rack.New(rack.Config{
 		Servers: servers, Clients: clients, CacheCapacity: capacity,
-		ClientTimeout: 2 * time.Millisecond, ClientRetries: 2,
+		Client: client.Config{Timeout: 2 * time.Millisecond, Retries: 2},
 	})
 	if err != nil {
 		return res, err

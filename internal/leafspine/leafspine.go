@@ -44,7 +44,6 @@ package leafspine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/controller"
@@ -64,25 +63,14 @@ type Config struct {
 	ServersPerRack int
 	// Clients attach to the spine (≥1).
 	Clients int
-	// Switch configures every switch; zero value means TestConfig.
-	Switch switchcore.Config
 	// SpineCache and TorCache cap each layer's cached items; zero means
 	// the switch limit.
 	SpineCache, TorCache int
-	// ClientTimeout overrides the clients' per-attempt reply timeout;
-	// zero keeps the client default.
-	ClientTimeout time.Duration
-	// ClientRetries overrides the clients' retransmission budget; zero
-	// keeps the client default (client.NoRetries requests zero).
-	ClientRetries int
-	// ClientPolicy tunes the clients' adaptive retransmission path; the
-	// zero value adapts with the client defaults.
-	ClientPolicy client.Policy
-	// ClientWindow sets the clients' closed-loop pipelining depth
-	// (client.Config.Window); zero keeps the client default. Clients are
-	// wired to the vectorized batch path either way, so GetBatch issues
-	// windowed bursts even across racks.
-	ClientWindow int
+	// Client is the template every client is configured from; its Addr
+	// and Partition are set per client. The zero value keeps the client
+	// defaults. Clients are wired to the vectorized batch path either
+	// way, so GetBatch issues windowed bursts even across racks.
+	Client client.Config
 }
 
 // Fabric is the assembled leaf-spine deployment. The embedded deployment
@@ -90,7 +78,6 @@ type Config struct {
 // loading and Tick.
 type Fabric struct {
 	*fabric.Deployment
-	cfg   Config
 	spine *fabric.Node
 }
 
@@ -104,12 +91,6 @@ func (c Config) torUplinkPort() int        { return c.ServersPerRack }
 // spine-side handle for uplink fault injection.
 func (f *Fabric) SpineDownlinkPort(r int) int { return r }
 
-// SpineClientPort returns the spine port of client i.
-func (f *Fabric) SpineClientPort(i int) int { return f.cfg.spineClientPort(i) }
-
-// TorUplinkPort returns the ToR-side port of every rack's trunk.
-func (f *Fabric) TorUplinkPort() int { return f.cfg.torUplinkPort() }
-
 // New assembles and wires the fabric: Racks racks of the fabric recipe,
 // each with its uplink trunk cabled to the spine, and the clients on the
 // spine. Server addresses are dense across racks: rack r, server s has
@@ -118,18 +99,17 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Racks < 1 || cfg.ServersPerRack < 1 || cfg.Clients < 1 {
 		return nil, fmt.Errorf("leafspine: racks, servers and clients must all be >= 1")
 	}
-	f := &Fabric{Deployment: fabric.NewDeployment(false), cfg: cfg}
+	f := &Fabric{Deployment: fabric.NewDeployment(false)}
 	var err error
-	if f.spine, err = f.AddSpine(cfg.Switch); err != nil {
+	if f.spine, err = f.AddSpine(switchcore.Config{}); err != nil {
 		return nil, err
 	}
 	if cfg.Racks+cfg.Clients > f.spine.NumPorts() {
 		return nil, fmt.Errorf("leafspine: topology exceeds switch ports")
 	}
 	for r := 0; r < cfg.Racks; r++ {
-		tor, err := f.AddRack(fmt.Sprintf("tor%d", r), cfg.Switch, cfg.ServersPerRack,
-			server.Config{Shards: 2},
-			cfg.TorCache, int64(r+1), 0, controller.WritePolicy{}, 0)
+		tor, err := f.AddRack(fmt.Sprintf("tor%d", r), switchcore.Config{}, cfg.ServersPerRack,
+			server.Config{Shards: 2}, controller.Config{Capacity: cfg.TorCache, Seed: int64(r + 1)})
 		if err != nil {
 			return nil, err
 		}
@@ -165,10 +145,7 @@ func New(cfg Config) (*Fabric, error) {
 
 	// Clients attach to the spine, batch path and pipelining window
 	// included — GetBatch issues windowed bursts across the whole fabric.
-	if err := f.AttachClients(f.spine, cfg.spineClientPort(0), cfg.Clients, client.Config{
-		Timeout: cfg.ClientTimeout, Retries: cfg.ClientRetries,
-		Policy: cfg.ClientPolicy, Window: cfg.ClientWindow,
-	}); err != nil {
+	if err := f.AttachClients(f.spine, cfg.spineClientPort(0), cfg.Clients, cfg.Client); err != nil {
 		return nil, err
 	}
 
@@ -231,9 +208,6 @@ func (f *Fabric) Tor(r int) (*switchcore.Switch, *controller.Controller) {
 // SpineNode returns the spine's fabric node — fault rules installed on its
 // net address the downlink trunks (ports [0,Racks)) and client links.
 func (f *Fabric) SpineNode() *fabric.Node { return f.spine }
-
-// Server returns server s of rack r.
-func (f *Fabric) Server(r, s int) *server.Server { return f.Servers[r*f.cfg.ServersPerRack+s] }
 
 // CrashServer crashes server s of rack r: process state discarded, ToR
 // port down.

@@ -260,8 +260,10 @@ func faultFabric(t *testing.T, racks, servers int) *Fabric {
 	f, err := New(Config{
 		Racks: racks, ServersPerRack: servers, Clients: 1,
 		SpineCache: 16, TorCache: 16,
-		ClientTimeout: 2 * time.Millisecond, ClientRetries: 2,
-		ClientPolicy: client.Policy{Seed: 1},
+		Client: client.Config{
+			Timeout: 2 * time.Millisecond, Retries: 2,
+			Policy: client.Policy{Seed: 1},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +475,7 @@ func TestSpineRebootFallsThroughToTors(t *testing.T) {
 func TestBatchedGetAcrossRacks(t *testing.T) {
 	f, err := New(Config{
 		Racks: 3, ServersPerRack: 2, Clients: 1,
-		SpineCache: 16, TorCache: 16, ClientWindow: 8,
+		SpineCache: 16, TorCache: 16, Client: client.Config{Window: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,7 @@ import "encoding/binary"
 // server or the switch's cached-GET fast path) leases a pooled buffer,
 // opens the reply with ReplyInto, appends the value bytes straight from its
 // store into the frame — no intermediate value slice, no Packet — and
-// closes it with SealReply. AppendReply is the one-shot form for callers
-// that already hold the value contiguously.
+// closes it with SealReply.
 
 // Frame-relative offsets of the embedded packet header fields, assuming the
 // frame starts at index 0 of the slice.
@@ -61,17 +60,4 @@ func SealReply(frame []byte) error {
 	frame[FrameVlenOff] = byte(vlen)
 	FinalizeFrame(frame)
 	return nil
-}
-
-// AppendReply appends one complete reply frame to buf in a single pass —
-// AppendFramePacket without constructing the intermediate Packet. The frame
-// must start at index 0 of buf.
-func AppendReply(buf []byte, dst, src Addr, op Op, seq uint64, key Key, value []byte) ([]byte, error) {
-	start := len(buf)
-	buf = ReplyInto(buf, dst, src, op, seq, key)
-	buf = append(buf, value...)
-	if err := SealReply(buf); err != nil {
-		return buf[:start], err
-	}
-	return buf, nil
 }

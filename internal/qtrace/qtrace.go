@@ -22,7 +22,7 @@ const (
 	ClientRetransmit
 	ClientHedge
 	ClientRecv
-	ClientTimeout
+	ClientTimedOut
 	SwitchHit
 	SwitchMiss
 	SwitchWrite
@@ -35,7 +35,7 @@ var stageNames = [...]string{
 	ClientRetransmit: "client_retransmit",
 	ClientHedge:      "client_hedge",
 	ClientRecv:       "client_recv",
-	ClientTimeout:    "client_timeout",
+	ClientTimedOut:   "client_timeout",
 	SwitchHit:        "switch_hit",
 	SwitchMiss:       "switch_miss",
 	SwitchWrite:      "switch_write",

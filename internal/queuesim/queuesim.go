@@ -41,17 +41,16 @@ type Config struct {
 	Queries int
 	// Seed makes runs deterministic.
 	Seed int64
-
-	// ServerQPS is each server's service rate (default: the paper's
-	// 10 MQPS).
-	ServerQPS float64
-	// HitLatency is the fixed switch-served round trip (default 7 µs).
-	HitLatency float64
-	// ServerOverhead is the fixed network+client portion of the server
-	// path, excluding queueing and service (default: 15 µs minus one
-	// service time).
-	ServerOverhead float64
 }
+
+// The service model is the paper's (harness): each server serves
+// harness.ServerQPS, a switch-served read takes harness.HitLatencySec, and
+// the server path adds queueing and service to a fixed network+client
+// overhead, which with one service time sums to harness.ServerLatencySec.
+const (
+	service        = 1 / harness.ServerQPS
+	serverOverhead = harness.ServerLatencySec - service
+)
 
 // PaperConfig returns the Fig. 10c setup at simulation scale: 128
 // partitions over 10⁶ keys with the cache sized to the paper's ~49% hit
@@ -86,16 +85,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Partitions <= 0 || cfg.Keys <= 0 || cfg.Queries <= 0 || cfg.OfferedQPS <= 0 {
 		return Result{}, fmt.Errorf("queuesim: config needs positive partitions, keys, queries, load")
 	}
-	if cfg.ServerQPS == 0 {
-		cfg.ServerQPS = harness.ServerQPS
-	}
-	if cfg.HitLatency == 0 {
-		cfg.HitLatency = harness.HitLatencySec
-	}
-	service := 1 / cfg.ServerQPS
-	if cfg.ServerOverhead == 0 {
-		cfg.ServerOverhead = harness.ServerLatencySec - service
-	}
 
 	zipf, err := workload.NewZipf(cfg.Keys, cfg.Theta)
 	if err != nil {
@@ -121,7 +110,7 @@ func Run(cfg Config) (Result, error) {
 		rank := zipf.SampleRank(rng)
 		if cfg.CacheItems > 0 && rank < cfg.CacheItems {
 			hits++
-			lat = append(lat, cfg.HitLatency)
+			lat = append(lat, harness.HitLatencySec)
 			continue
 		}
 		var part int
@@ -132,7 +121,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		start := math.Max(now, busyUntil[part])
 		busyUntil[part] = start + service
-		lat = append(lat, cfg.ServerOverhead+busyUntil[part]-now)
+		lat = append(lat, serverOverhead+busyUntil[part]-now)
 	}
 
 	res := Result{Cfg: cfg, HitRatio: float64(hits) / float64(cfg.Queries)}

@@ -15,7 +15,6 @@ package rack
 
 import (
 	"fmt"
-	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/controller"
@@ -38,29 +37,17 @@ type Config struct {
 	Clients int
 	// CacheCapacity caps cached items; zero means the switch limit.
 	CacheCapacity int
-	// ServerShards is the per-server store sharding. Zero means 4.
-	ServerShards int
 	// ControllerSampleK is the eviction sampling width. Zero means 8.
 	ControllerSampleK int
 	// WritePolicy optionally enables adaptive cache disabling under
 	// write-dominated load (§7.3).
 	WritePolicy controller.WritePolicy
-	// ClientTimeout overrides the clients' per-attempt reply timeout;
-	// zero keeps the client default. Fault-injection harnesses shrink it
-	// so timed-out queries don't dominate wall-clock time.
-	ClientTimeout time.Duration
-	// ClientRetries overrides the clients' retransmission budget; zero
-	// keeps the client default (client.NoRetries requests zero).
-	ClientRetries int
-	// ClientPolicy tunes the clients' adaptive retransmission path (RTO
-	// estimation, backoff, jitter, hedged reads). The zero value adapts
-	// with the client defaults; each client's jitter stream is derived
-	// from Policy.Seed and its own address, so a seeded rack is
+	// Client is the template every client is configured from; its Addr
+	// and Partition are set per client. The zero value keeps the client
+	// defaults. Each client's retransmission jitter stream is derived
+	// from Client.Policy.Seed and its own address, so a seeded rack is
 	// reproducible.
-	ClientPolicy client.Policy
-	// ClientWindow sets the clients' closed-loop pipelining depth
-	// (client.Config.Window); zero keeps the client default.
-	ClientWindow int
+	Client client.Config
 	// Replicate enables the replicated storage tier: server i's partition
 	// is backed by server (i+1) mod Servers (primary-backup, synchronous
 	// replicate-before-ack), the controller heartbeats the servers and
@@ -102,17 +89,18 @@ func New(cfg Config) (*Rack, error) {
 	if cfg.Clients < 1 {
 		return nil, fmt.Errorf("rack: need at least one client, got %d", cfg.Clients)
 	}
-	if cfg.ServerShards <= 0 {
-		cfg.ServerShards = 4
-	}
 	if cfg.Replicate && cfg.Servers < 2 {
 		return nil, fmt.Errorf("rack: replication needs at least two servers, got %d", cfg.Servers)
 	}
 
 	d := fabric.NewDeployment(cfg.Replicate)
-	node, err := d.AddRack("tor", cfg.Switch, cfg.Servers,
-		server.Config{Shards: cfg.ServerShards},
-		cfg.CacheCapacity, 0, cfg.ControllerSampleK, cfg.WritePolicy, cfg.HeartbeatMisses)
+	node, err := d.AddRack("tor", cfg.Switch, cfg.Servers, server.Config{Shards: 4},
+		controller.Config{
+			Capacity:        cfg.CacheCapacity,
+			SampleK:         cfg.ControllerSampleK,
+			WritePolicy:     cfg.WritePolicy,
+			HeartbeatMisses: cfg.HeartbeatMisses,
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -120,10 +108,7 @@ func New(cfg Config) (*Rack, error) {
 		return nil, fmt.Errorf("rack: %d servers + %d clients exceed %d switch ports",
 			cfg.Servers, cfg.Clients, node.NumPorts())
 	}
-	if err := d.AttachClients(node, cfg.Servers, cfg.Clients, client.Config{
-		Timeout: cfg.ClientTimeout, Retries: cfg.ClientRetries,
-		Policy: cfg.ClientPolicy, Window: cfg.ClientWindow,
-	}); err != nil {
+	if err := d.AttachClients(node, cfg.Servers, cfg.Clients, cfg.Client); err != nil {
 		return nil, err
 	}
 	return &Rack{Deployment: d, node: node, Switch: node.Switch, Net: node.Net, Controller: node.Controller}, nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"netcache/internal/client"
 	"netcache/internal/netproto"
@@ -547,33 +548,35 @@ func TestModelBasedSequentialOps(t *testing.T) {
 	}
 }
 
-// ClientPolicy reaches every client: an adaptive rack's clients collect RTT
-// samples toward the servers they query, a FixedRTO rack's clients none.
+// The Client template reaches every client: each one's estimator toward
+// the servers it queried respects the template's RTO floor, and collected
+// the RTT samples its reads produced.
 func TestClientPolicyPlumbing(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		r, err := New(Config{
-			Servers: 2, Clients: 2, CacheCapacity: 8,
-			ClientPolicy: client.Policy{FixedRTO: fixed, Seed: 9},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.LoadDataset(32, 16)
-		var samples uint64
-		for i := 0; i < 2; i++ {
-			cli := r.Client(i)
-			for id := 0; id < 32; id++ {
-				if _, err := cli.Get(workload.KeyName(id)); err != nil {
-					t.Fatalf("fixed=%v get %d: %v", fixed, id, err)
-				}
+	const floor = 3 * time.Millisecond
+	r, err := New(Config{
+		Servers: 2, Clients: 2, CacheCapacity: 8,
+		Client: client.Config{Policy: client.Policy{RTOFloor: floor, Seed: 9}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.LoadDataset(32, 16)
+	for i := 0; i < 2; i++ {
+		cli := r.Client(i)
+		for id := 0; id < 32; id++ {
+			if _, err := cli.Get(workload.KeyName(id)); err != nil {
+				t.Fatalf("client %d get %d: %v", i, id, err)
 			}
-			samples += cli.Metrics.RTTSamples.Value()
 		}
-		if fixed && samples != 0 {
-			t.Errorf("FixedRTO rack collected %d RTT samples, want 0", samples)
-		}
-		if !fixed && samples == 0 {
-			t.Error("adaptive rack collected no RTT samples")
+		for _, srv := range r.Servers {
+			s := cli.Estimator(srv.Addr())
+			if s.Samples == 0 {
+				t.Errorf("client %d collected no RTT samples toward server %d", i, srv.Addr())
+			}
+			if s.RTO < floor {
+				t.Errorf("client %d RTO toward server %d = %v, below the template's %v floor",
+					i, srv.Addr(), s.RTO, floor)
+			}
 		}
 	}
 }

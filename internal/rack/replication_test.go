@@ -13,8 +13,8 @@ func newReplicatedRack(t *testing.T, servers int) *Rack {
 	t.Helper()
 	r, err := New(Config{
 		Servers: servers, Clients: 2, CacheCapacity: 8,
-		Replicate:     true,
-		ClientTimeout: 2 * time.Millisecond, ClientRetries: 2,
+		Replicate: true,
+		Client:    client.Config{Timeout: 2 * time.Millisecond, Retries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -289,13 +289,6 @@ func (s *Server) Restart(wipeStore bool) {
 	s.down = false
 }
 
-// Down reports whether the server is crashed.
-func (s *Server) Down() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.down
-}
-
 // Addr returns the server's rack address.
 func (s *Server) Addr() netproto.Addr { return s.cfg.Addr }
 

@@ -38,18 +38,13 @@ import (
 	"netcache/internal/stats"
 )
 
-// Switch is the data-plane surface simnet drives.
+// Switch is the data-plane surface simnet drives (switchcore's). It
+// appends a frame's emissions to out; the fabric passes a reused emission
+// slice and takes ownership of pool-backed emitted frames, releasing each
+// one back to the frame pool as soon as the endpoint handler returns.
+// Handlers must therefore not retain delivered frames — the contract
+// Handler documents.
 type Switch interface {
-	Process(frame []byte, inPort int) ([]dataplane.Emitted, error)
-}
-
-// batchSwitch is the allocation-free variant of Switch. When the wrapped
-// switch provides it (switchcore does), the fabric processes packets through
-// a reused emission slice and takes ownership of pool-backed emitted frames:
-// it releases each one back to the frame pool as soon as the endpoint handler
-// returns. Handlers must therefore not retain delivered frames — the
-// contract Handler documents.
-type batchSwitch interface {
 	ProcessAppend(frame []byte, inPort int, out []dataplane.Emitted) ([]dataplane.Emitted, error)
 }
 
@@ -180,8 +175,7 @@ type plug struct {
 // each other. Inject and the fault controls (SetLoss, SetFault,
 // SetPartitioned, SetPortDown, Reseed, Flush) are safe from any goroutine.
 type Net struct {
-	sw  Switch
-	bsw batchSwitch // non-nil when sw supports ProcessAppend
+	sw Switch
 	// plugs is indexed by port. Attach and Cable publish a grown copy, so
 	// a delivery reads it with one load and no lock.
 	plugs atomic.Pointer[[]plug]
@@ -229,9 +223,6 @@ func New(sw Switch) *Net {
 		reorder: make(map[faultKey]*reorderBuf),
 		parts:   make(map[uint64]struct{}),
 		down:    make(map[int]uint8),
-	}
-	if bsw, ok := sw.(batchSwitch); ok {
-		n.bsw = bsw
 	}
 	n.plugs.Store(new([]plug))
 	n.clean.Store(true)
@@ -618,21 +609,15 @@ var emitScratch = sync.Pool{
 // output twice; only the last occurrence carries the release tag, so the
 // buffer outlives every delivery of it.
 func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
-	var out []dataplane.Emitted
-	var err error
-	if n.bsw != nil {
-		scratch := emitScratch.Get().(*[]dataplane.Emitted)
-		out, err = n.bsw.ProcessAppend(frame, inPort, (*scratch)[:0])
-		defer func() {
-			for i := range out {
-				out[i] = dataplane.Emitted{}
-			}
-			*scratch = out[:0]
-			emitScratch.Put(scratch)
-		}()
-	} else {
-		out, err = n.sw.Process(frame, inPort)
-	}
+	scratch := emitScratch.Get().(*[]dataplane.Emitted)
+	out, err := n.sw.ProcessAppend(frame, inPort, (*scratch)[:0])
+	defer func() {
+		for i := range out {
+			out[i] = dataplane.Emitted{}
+		}
+		*scratch = out[:0]
+		emitScratch.Put(scratch)
+	}()
 	if err != nil {
 		n.ProcessErrors.Inc()
 		return err

@@ -12,12 +12,12 @@ import (
 // by the frame's first byte.
 type loopSwitch struct{ processed int }
 
-func (s *loopSwitch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
+func (s *loopSwitch) ProcessAppend(frame []byte, _ int, out []dataplane.Emitted) ([]dataplane.Emitted, error) {
 	s.processed++
 	if len(frame) == 0 {
-		return nil, nil
+		return out, nil
 	}
-	return []dataplane.Emitted{{Port: int(frame[0]), Frame: frame}}, nil
+	return append(out, dataplane.Emitted{Port: int(frame[0]), Frame: frame}), nil
 }
 
 func TestDeliveryToHandler(t *testing.T) {
@@ -67,9 +67,9 @@ func TestCableReinjects(t *testing.T) {
 // a snake.
 type hopSwitch struct{ hops int }
 
-func (s *hopSwitch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
+func (s *hopSwitch) ProcessAppend(frame []byte, inPort int, out []dataplane.Emitted) ([]dataplane.Emitted, error) {
 	s.hops++
-	return []dataplane.Emitted{{Port: inPort + 1, Frame: frame}}, nil
+	return append(out, dataplane.Emitted{Port: inPort + 1, Frame: frame}), nil
 }
 
 func TestLossInjection(t *testing.T) {
@@ -151,9 +151,9 @@ func TestReentrantHandler(t *testing.T) {
 // traversals atomically so concurrent Injects can share it.
 type atomicSwitch struct{ processed atomic.Int64 }
 
-func (s *atomicSwitch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
+func (s *atomicSwitch) ProcessAppend(frame []byte, _ int, out []dataplane.Emitted) ([]dataplane.Emitted, error) {
 	s.processed.Add(1)
-	return []dataplane.Emitted{{Port: int(frame[0]), Frame: frame}}, nil
+	return append(out, dataplane.Emitted{Port: int(frame[0]), Frame: frame}), nil
 }
 
 // Concurrent Inject: every frame is delivered exactly once, and no endpoint

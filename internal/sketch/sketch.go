@@ -147,9 +147,6 @@ func NewBloom(probes, width int) *Bloom {
 	return &Bloom{probes: probes, width: width, bits: make([]uint64, (probes*width+63)/64)}
 }
 
-// Probes returns the number of probe partitions.
-func (b *Bloom) Probes() int { return b.probes }
-
 // Width returns bits per partition.
 func (b *Bloom) Width() int { return b.width }
 

@@ -95,9 +95,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	}
 }
 
-// Interval returns the configured polling period.
-func (m *Monitor) Interval() time.Duration { return m.interval }
-
 // Poll closes the current window now: one registry collection, one Window
 // appended to the ring (evicting the oldest when full). Returns the new
 // window. Callers mixing Poll with Start get interleaved windows — the

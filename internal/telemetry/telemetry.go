@@ -26,15 +26,14 @@ import (
 )
 
 // Config names the sources a new Server scrapes. Every field is optional
-// and swappable later via the Set* methods.
+// and swappable later via the Set* methods; the query-trace ring behind
+// /trace is attached with SetTrace.
 type Config struct {
 	// Registry backs /metrics and the snapshot half of /snapshot.
 	Registry *stats.Registry
 	// Monitor backs the windows half of /snapshot; when set, /metrics also
 	// exports the latest window's rates as netcache_rate_* gauges.
 	Monitor *stats.Monitor
-	// Trace backs /trace.
-	Trace *qtrace.Ring
 }
 
 // Server is one telemetry endpoint: an http.Handler plus an optional
@@ -55,7 +54,6 @@ func New(cfg Config) *Server {
 	s := &Server{mux: http.NewServeMux()}
 	s.SetRegistry(cfg.Registry)
 	s.SetMonitor(cfg.Monitor)
-	s.SetTrace(cfg.Trace)
 
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/snapshot", s.handleSnapshot)

@@ -60,9 +60,11 @@ type Config struct {
 	Theta float64
 	// TorQPS bounds one ToR switch's query-serving capacity.
 	TorQPS float64
-	// HeadRanks bounds the exactly-attributed head (0 = 262144).
-	HeadRanks int
 }
+
+// headRanks bounds the head attributed to servers rank by rank; the tail
+// below it is spread evenly.
+const headRanks = 262144
 
 // PaperConfig returns the Fig. 10f setup: up to 32 racks × 128 servers,
 // Zipf 0.99 reads, 10K items per switch.
@@ -82,13 +84,7 @@ func PaperConfig(racks int) Config {
 // switches.
 func (c Config) Throughput(mode Mode) float64 {
 	servers := c.Racks * c.ServersPerRack
-	head := c.HeadRanks
-	if head == 0 {
-		head = 262144
-	}
-	if head > c.Keys {
-		head = c.Keys
-	}
+	head := min(headRanks, c.Keys)
 
 	model := harness.RackModel{Partitions: servers, Keys: c.Keys, Theta: c.Theta}
 

@@ -80,10 +80,11 @@ func attach(t *testing.T, d *SwitchDaemon, nServers int) *deployment {
 		Retries:   5,
 		// These deployment tests assert wall-clock patience windows (e.g.
 		// a Put outlasting a 300ms §4.3 write-block) rather than loss
-		// recovery, so they pin the fixed 100ms-per-attempt timing; the
-		// adaptive estimator would retransmit at loopback RTT scale and
-		// exhaust the retry budget in milliseconds.
-		Policy: client.Policy{FixedRTO: true},
+		// recovery, so they pin every attempt at 100ms: a floor equal to
+		// Timeout is also the ceiling. Left free, the estimator would
+		// retransmit at loopback RTT scale and exhaust the retry budget in
+		// milliseconds.
+		Policy: client.Policy{RTOFloor: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -141,15 +141,9 @@ type Config struct {
 	// the zero value selects a small fast-compiling program. Use
 	// PaperSwitchConfig for the prototype's full 64K×128 B dimensions.
 	Switch SwitchConfig
-	// ServerShards is each server's per-core sharding factor (default 4).
-	ServerShards int
 	// WritePolicy optionally enables the §7.3 adaptive policy: flush and
 	// pause caching while write-triggered invalidations dominate hits.
 	WritePolicy WritePolicy
-	// Window is the clients' closed-loop pipelining depth for
-	// GetBatch (outstanding requests per batch); zero uses the
-	// client default of 32.
-	Window int
 	// Replicate enables the replicated storage tier: every key partition
 	// gets a backup server (ring pairing), writes replicate before they
 	// are acked, and the controller's failure detector fails a dead
@@ -178,9 +172,7 @@ func New(cfg Config) (*Rack, error) {
 		Servers:         cfg.Servers,
 		Clients:         cfg.Clients,
 		CacheCapacity:   cfg.CacheCapacity,
-		ServerShards:    cfg.ServerShards,
 		WritePolicy:     cfg.WritePolicy,
-		ClientWindow:    cfg.Window,
 		Replicate:       cfg.Replicate,
 		HeartbeatMisses: cfg.HeartbeatMisses,
 	})
@@ -201,9 +193,6 @@ func (r *Rack) NumServers() int { return len(r.r.Servers) }
 // ServerGets returns how many read queries storage server i has served —
 // the per-server load signal behind the paper's Fig. 10b breakdown.
 func (r *Rack) ServerGets(i int) uint64 { return r.r.Servers[i].Metrics.Gets.Value() }
-
-// ServerItems returns how many items storage server i currently stores.
-func (r *Rack) ServerItems(i int) int { return r.r.Servers[i].Store().Len() }
 
 // Tick runs one controller cycle: process heavy-hitter reports, update the
 // cached set, reset the statistics window. The paper runs this once per
@@ -319,8 +308,9 @@ func (c *Client) Put(key Key, value []byte) error { return c.c.Put(key, value) }
 // Delete removes key; deleting an absent key is not an error.
 func (c *Client) Delete(key Key) error { return c.c.Delete(key) }
 
-// GetBatch fetches several keys with Config.Window requests outstanding at
-// once, issuing each window as one batched burst into the fabric — the
+// GetBatch fetches several keys with a window of requests outstanding at
+// once (32 for a Rack's clients, LeafSpineConfig.Window for a Fabric's),
+// issuing each window as one batched burst into the fabric — the
 // closed-loop depth the paper's throughput figures assume. Results and
 // errors are positional; hot keys in the batch are served by the switch.
 func (c *Client) GetBatch(keys []Key) ([][]byte, []error) { return c.c.GetBatch(keys) }
