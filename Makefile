@@ -37,8 +37,10 @@ failover:
 	$(GO) test -race -v -timeout 10m -run 'TestChaosFailover' ./internal/chaos
 
 # Count a test's flakes: build the package's test binary once, run it N
-# times from the package directory, print the first failure line of each
-# failed run, then `failed k/N` (exit status 1 if k > 0):
+# times from the package directory, print for each failed run its innermost
+# `--- FAIL:` line (the deepest subtest, so `TestChaos/seed=…` keeps the
+# seed) and its first failure line, then `failed k/N` (exit status 1 if
+# k > 0):
 #   make flake PKG=./internal/chaos RUN=TestChaosFailover N=20
 # GOFLAGS=-race builds the binary under the race detector.
 PKG ?= .
@@ -51,7 +53,10 @@ flake:
 	@fails=0; for i in $$(seq 1 $(N)); do \
 		if ! (cd $(PKG) && $(FLAKE)/pkg.test -test.run '$(RUN)' > $(FLAKE)/run.log 2>&1); then \
 			fails=$$((fails + 1)); \
-			echo "run $$i: $$(grep -m1 -E '\.go:[0-9]+: |^panic:|DATA RACE' $(FLAKE)/run.log || grep -m1 FAIL $(FLAKE)/run.log)"; \
+			sub=$$(awk '/--- FAIL:/ { n = match($$0, /[^ \t]/); if (n > d) { d = n; l = $$0 } } \
+				END { sub(/^[ \t]+/, "", l); print l }' $(FLAKE)/run.log); \
+			first=$$(grep -m1 -E '\.go:[0-9]+: |^panic:|DATA RACE' $(FLAKE)/run.log || grep -m1 FAIL $(FLAKE)/run.log); \
+			echo "run $$i: $${sub:+$$sub: }$$(echo "$$first" | sed 's/^[[:space:]]*//')"; \
 		fi; \
 	done; echo "failed $$fails/$(N)"; [ $$fails -eq 0 ]
 

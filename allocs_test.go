@@ -154,10 +154,13 @@ func TestAllocsCachedGet(t *testing.T) {
 //   - interpreter: the interpreter twin of BenchmarkFastPathCachedGet, the
 //     cached Get through the table interpreter alone.
 //
-// The interpreter passes that are not cached Gets are pinned at 0 too:
-//   - miss: a Get of an uncached key, forwarded to its server;
-//   - forward-reply: the server's GetReply to a client, entering on the
-//     server's port and routed on by address.
+// The two passes of an uncached Get take the compiled forward path, and
+// are pinned at 0 there and through the interpreter alone, which keeps its
+// floor on the frames it no longer serves in production:
+//   - miss, miss-interpreter: a Get of an uncached key, forwarded to its
+//     server;
+//   - forward-reply, forward-reply-interpreter: the server's GetReply to a
+//     client, entering on the server's port and routed on by address.
 func TestAllocsPipeline(t *testing.T) {
 	none := func(*testing.T, *rack.Rack) {}
 	for _, tc := range []struct {
@@ -176,16 +179,10 @@ func TestAllocsPipeline(t *testing.T) {
 			telemetry.New(telemetry.Config{Registry: r.Registry(), Monitor: mon})
 		}, nil},
 		{"interpreter", true, none, nil},
-		{"miss", false, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
-			key := workload.KeyName(100) // never cached
-			return allocFrame(t, r.Partition(key), rack.ClientAddr(0),
-				netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key}), 4
-		}},
-		{"forward-reply", false, none, func(t *testing.T, r *rack.Rack) ([]byte, int) {
-			return allocFrame(t, rack.ClientAddr(0), rack.ServerAddr(1), netproto.Packet{
-				Op: netproto.OpGetReply, Seq: 1, Key: workload.KeyName(100), Value: workload.ValueFor(100, 128),
-			}), r.ServerPort(1)
-		}},
+		{"miss", false, none, missFrame},
+		{"miss-interpreter", true, none, missFrame},
+		{"forward-reply", false, none, replyFrame},
+		{"forward-reply-interpreter", true, none, replyFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, frame, inPort := pipelineBenchRig(t, switchcore.Config{})
@@ -202,6 +199,20 @@ func TestAllocsPipeline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// missFrame is a client's Get of a key that is never cached.
+func missFrame(t *testing.T, r *rack.Rack) ([]byte, int) {
+	key := workload.KeyName(100)
+	return allocFrame(t, r.Partition(key), rack.ClientAddr(0),
+		netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key}), 4
+}
+
+// replyFrame is a server's GetReply to a client.
+func replyFrame(t *testing.T, r *rack.Rack) ([]byte, int) {
+	return allocFrame(t, rack.ClientAddr(0), rack.ServerAddr(1), netproto.Packet{
+		Op: netproto.OpGetReply, Seq: 1, Key: workload.KeyName(100), Value: workload.ValueFor(100, 128),
+	}), r.ServerPort(1)
 }
 
 func allocFrame(t *testing.T, dst, src netproto.Addr, pkt netproto.Packet) []byte {

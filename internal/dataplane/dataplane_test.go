@@ -2,7 +2,10 @@ package dataplane
 
 import (
 	"encoding/binary"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +114,46 @@ func TestCompileAndForward(t *testing.T) {
 	st := pl.Stats()
 	if st.RxPackets != 2 || st.TxPackets != 1 || st.PipeDrops != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestPathClassCounts: a path class's packets add into the tables it names
+// and into the pipeline counters, as the interpreter would have counted the
+// same packets, and a compiled path's digest is counted and delivered like
+// an action's.
+func TestPathClassCounts(t *testing.T) {
+	p, count, _, _ := testProgram(t)
+	pl, _, err := Compile(p, smallChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	route, _ := p.TableByName("route")
+	if err := route.AddEntry([]uint64{7}, "fwd", []uint64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Process(pkt(7), 0); err != nil { // interpreted: route hit, count miss
+		t.Fatal(err)
+	}
+	fwd := pl.NewPathClass(false, []*Table{route}, []*Table{count})
+	mirrored := pl.NewPathClass(true, []*Table{route, count}, nil)
+	fwd.Count(3)  // pipe 0
+	fwd.Count(12) // pipe 1
+	mirrored.Count(9)
+	if route.Hits() != 4 || route.Misses() != 0 || count.Hits() != 1 || count.Misses() != 3 {
+		t.Errorf("route %d/%d count %d/%d, want 4/0 and 1/3",
+			route.Hits(), route.Misses(), count.Hits(), count.Misses())
+	}
+	var got []byte
+	pl.OnDigest(func(d []byte) { got = d })
+	report := []byte("hot")
+	pl.Digest(report)
+	report[0] = 'x' // the payload was copied
+	pl.SyncDigests()
+	st := pl.Stats()
+	want := Counters{RxPackets: 4, TxPackets: 4, Mirrored: 1, Digests: 1, ByEgressPipe: []uint64{2, 2}}
+	if !reflect.DeepEqual(st, want) || string(got) != "hot" {
+		t.Errorf("stats %+v digest %q, want %+v and \"hot\"", st, got, want)
 	}
 }
 
@@ -562,16 +605,44 @@ func TestRegisterOneBit(t *testing.T) {
 }
 
 func TestRegisterSaturation(t *testing.T) {
-	r, _ := newRegister(RegisterSpec{Name: "c", Slots: 1, SlotBits: 16})
-	r.Set(0, 0xFFFE)
-	if v := r.AddSat(0, 1); v != 0xFFFF {
-		t.Errorf("AddSat to max = %d", v)
+	// 16-bit slots take the lock-free path, 12-bit ones the mutex.
+	for _, bits := range []int{16, 12} {
+		r, _ := newRegister(RegisterSpec{Name: "c", Slots: 8, SlotBits: bits})
+		max := r.mask()
+		r.Set(5, max-1)
+		if v := r.AddSat(5, 1); v != max {
+			t.Errorf("%d bits: AddSat to max = %d", bits, v)
+		}
+		if v := r.AddSat(5, 1); v != max {
+			t.Errorf("%d bits: AddSat at max should saturate, got %d", bits, v)
+		}
+		if v := r.AddSat(5, 100); v != max {
+			t.Errorf("%d bits: AddSat big delta should saturate, got %d", bits, v)
+		}
+		if r.Get(4) != 0 || r.Get(6) != 0 {
+			t.Errorf("%d bits: AddSat touched a neighbor slot", bits)
+		}
 	}
-	if v := r.AddSat(0, 1); v != 0xFFFF {
-		t.Errorf("AddSat at max should saturate, got %d", v)
+}
+
+// Swap is an atomic test-and-set: of many goroutines setting one Bloom bit,
+// exactly one sees it clear.
+func TestRegisterSwapConcurrent(t *testing.T) {
+	r, _ := newRegister(RegisterSpec{Name: "bloom", Slots: 64, SlotBits: 1})
+	var fresh atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r.Swap(9, 1) == 0 {
+				fresh.Add(1)
+			}
+		}()
 	}
-	if v := r.AddSat(0, 100); v != 0xFFFF {
-		t.Errorf("AddSat big delta should saturate, got %d", v)
+	wg.Wait()
+	if fresh.Load() != 1 || r.Get(9) != 1 || r.Get(8) != 0 {
+		t.Errorf("%d goroutines saw the bit clear, want 1", fresh.Load())
 	}
 }
 

@@ -353,7 +353,16 @@ type Table struct {
 
 	stage int
 
+	// hits and misses count the interpreter's lookups; paths are the path
+	// classes whose packets traversed the table, added in when read.
 	hits, misses atomic.Uint64
+	paths        atomic.Pointer[[]classRef]
+}
+
+// classRef names a path class whose every packet hit (or missed) a table.
+type classRef struct {
+	c   *PathClass
+	hit bool
 }
 
 // Name returns the table name.
@@ -374,32 +383,37 @@ func (t *Table) Stage() int { return t.stage }
 // Len returns the number of installed entries.
 func (t *Table) Len() int { return t.state.Load().count }
 
-// Hits and Misses report data-plane lookup statistics.
-func (t *Table) Hits() uint64 { return t.hits.Load() }
+// Hits reports the number of lookups that matched an installed entry, by
+// the interpreter and by the compiled paths together.
+func (t *Table) Hits() uint64 { return t.hits.Load() + t.pathCount(true) }
 
 // Misses reports the number of lookups that fell through to the default.
-func (t *Table) Misses() uint64 { return t.misses.Load() }
+func (t *Table) Misses() uint64 { return t.misses.Load() + t.pathCount(false) }
+
+func (t *Table) pathCount(hit bool) uint64 {
+	var n uint64
+	if refs := t.paths.Load(); refs != nil {
+		for _, r := range *refs {
+			if r.hit == hit {
+				n += r.c.packets()
+			}
+		}
+	}
+	return n
+}
 
 // ProbeExact resolves an exact-match lookup for the given field values
 // without running any action and without touching the hit/miss statistics —
-// the read side of a program-compiled fast path that consults a table before
-// committing to handle the packet outside the interpreter. Returns nil when
-// no entry matches; the default action is not consulted. Only meaningful on
-// MatchExact tables. The probe reads the same immutable snapshot apply uses,
+// the read side of a program-compiled path that consults a table before
+// committing to handle the packet outside the interpreter (see PathClass).
+// Returns nil when no entry matches; the default action is not consulted.
+// Only meaningful on MatchExact tables. The probe reads the same immutable snapshot apply uses,
 // so it is safe against concurrent control-plane updates.
 func (t *Table) ProbeExact(match ...uint64) *Entry {
 	var k exactKey
 	copy(k[:], match)
 	return t.state.Load().find(k)
 }
-
-// NoteHit records an entry-matched traversal performed by a fast path that
-// resolved this table outside apply, keeping Hits truthful for tables the
-// packet logically traversed.
-func (t *Table) NoteHit() { t.hits.Add(1) }
-
-// NoteMiss records a default-action traversal performed by a fast path.
-func (t *Table) NoteMiss() { t.misses.Add(1) }
 
 // Action registers a named action implementation on the table.
 func (t *Table) Action(name string, fn ActionFunc) *Table {

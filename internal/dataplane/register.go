@@ -191,16 +191,44 @@ func (r *Register) update(idx int, fn func(old uint64) uint64) (old, new uint64)
 
 // AddSat adds delta to slot idx with saturation at the slot's maximum —
 // the semantics of the ASIC's counter ALU (a 16-bit counter sticks at 0xFFFF
-// rather than wrapping, §4.4.3). The whole operation is atomic.
+// rather than wrapping, §4.4.3). The whole operation is atomic. It is
+// update's loop written out, so the hottest read-modify-write of the
+// statistics stages makes no indirect call.
 func (r *Register) AddSat(idx int, delta uint64) uint64 {
-	maxVal := r.mask()
-	_, new := r.update(idx, func(cur uint64) uint64 {
-		if cur > maxVal-delta {
-			return maxVal
+	r.checkIdx(idx)
+	if r.words == nil {
+		panic(fmt.Sprintf("dataplane: AddSat on 128-bit register %q", r.name))
+	}
+	mask := r.mask()
+	if r.lockfree {
+		word, off := r.loadWordIdx(idx)
+		for {
+			w := atomic.LoadUint64(&r.words[word])
+			new := addSat(w>>off&mask, delta, mask)
+			if atomic.CompareAndSwapUint64(&r.words[word], w, w&^(mask<<off)|new<<off) {
+				return new
+			}
 		}
-		return cur + delta
-	})
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	new := addSat(r.getLocked(idx), delta, mask)
+	r.setLocked(idx, new)
 	return new
+}
+
+func addSat(cur, delta, max uint64) uint64 {
+	if cur > max-delta {
+		return max
+	}
+	return cur + delta
+}
+
+// Swap stores v into slot idx and returns the slot's previous value, as one
+// atomic read-modify-write: the test-and-set of a Bloom filter stage.
+func (r *Register) Swap(idx int, v uint64) uint64 {
+	old, _ := r.update(idx, func(uint64) uint64 { return v })
+	return old
 }
 
 // GetBytes copies slot idx of a 128-bit array into dst and returns the number

@@ -264,6 +264,10 @@ type Pipeline struct {
 	pending  int
 
 	ctr pipeCounters
+	// paths are the registered path classes (NewPathClass), copy-on-write
+	// under pathMu so Stats reads them without a lock.
+	paths  atomic.Pointer[[]*PathClass]
+	pathMu sync.Mutex
 
 	ctxPool sync.Pool
 }
@@ -360,18 +364,67 @@ func (pl *Pipeline) ProcessAppend(raw []byte, inPort int, out []Emitted) ([]Emit
 	return pl.process(raw, inPort, out, nil)
 }
 
-// CountBypass accounts one packet that a program-compiled fast path carried
-// around the interpreter as a mirrored reply: received, bound for
-// egressPort's pipe, mirrored to its final port, transmitted — the same
-// pipeline counters process bumps for an interpreted cache-hit read. Fast
-// paths call it exactly once per packet they fully handle so Stats stays
-// truthful; a fast path that bails out must not call it (the interpreter
-// then accounts the packet itself).
-func (pl *Pipeline) CountBypass(egressPort int) {
-	pl.ctr.rx.Add(1)
-	pl.ctr.byEgressPipe[pl.cfg.PipeOfPort(egressPort)].Add(1)
-	pl.ctr.mirrored.Add(1)
-	pl.ctr.tx.Add(1)
+// PathClass counts the packets that a program-compiled path carried around
+// the interpreter along one fixed traversal: the same tables hit and missed,
+// mirrored or not. Count is one atomic add per packet; the tables' Hits and
+// Misses and the pipeline's Stats add the class in when read, so they report
+// what the interpreter would have counted for the same packets.
+type PathClass struct {
+	pl       *Pipeline
+	mirrored bool
+	pipes    []atomic.Uint64 // packets, by egress pipe
+}
+
+// NewPathClass registers a traversal that hits the tables in hits and
+// misses (takes the default of) those in misses; mirrored marks a packet
+// that leaves on a mirror port. Registration takes a lock, so a program
+// registers its classes ahead of the packets they count — at build time or
+// in the driver operation that makes the traversal possible.
+func (pl *Pipeline) NewPathClass(mirrored bool, hits, misses []*Table) *PathClass {
+	c := &PathClass{pl: pl, mirrored: mirrored, pipes: make([]atomic.Uint64, pl.cfg.Pipes)}
+	pl.pathMu.Lock()
+	defer pl.pathMu.Unlock()
+	appendCOW(&pl.paths, c)
+	for _, t := range hits {
+		appendCOW(&t.paths, classRef{c, true})
+	}
+	for _, t := range misses {
+		appendCOW(&t.paths, classRef{c, false})
+	}
+	return c
+}
+
+// appendCOW publishes a copy of *p with v appended. Callers serialize.
+func appendCOW[T any](p *atomic.Pointer[[]T], v T) {
+	var s []T
+	if old := p.Load(); old != nil {
+		s = append(s, *old...)
+	}
+	s = append(s, v)
+	p.Store(&s)
+}
+
+// Count accounts one packet of the class, bound for egressPort's pipe:
+// received, through that egress pipe, mirrored if the class is, and
+// transmitted. A compiled path calls it exactly once per packet it fully
+// handles; one that bails out to the interpreter must not.
+func (c *PathClass) Count(egressPort int) {
+	c.pipes[c.pl.cfg.PipeOfPort(egressPort)].Add(1)
+}
+
+func (c *PathClass) packets() uint64 {
+	var n uint64
+	for i := range c.pipes {
+		n += c.pipes[i].Load()
+	}
+	return n
+}
+
+// Digest queues a learn digest raised by a program-compiled path, counted
+// and delivered exactly like one raised by an action (Ctx.Digest). The
+// payload is copied.
+func (pl *Pipeline) Digest(payload []byte) {
+	pl.queueDigest(append([]byte(nil), payload...))
 }
 
 func (pl *Pipeline) process(raw []byte, inPort int, out []Emitted, trace *Trace) ([]Emitted, error) {
@@ -473,31 +526,31 @@ next:
 }
 
 func (pl *Pipeline) flushDigests(ctx *Ctx) {
-	if len(ctx.digests) == 0 {
-		return
-	}
-	pl.ctr.digests.Add(uint64(len(ctx.digests)))
-	if pl.digestFn.Load() == nil {
-		ctx.digests = ctx.digests[:0]
-		return
-	}
 	for _, d := range ctx.digests {
-		pl.pendMu.Lock()
-		pl.pending++
-		pl.pendMu.Unlock()
-		select {
-		case pl.digestCh <- d:
-		default:
-			pl.ctr.digestsDropped.Add(1)
-			pl.pendMu.Lock()
-			pl.pending--
-			if pl.pending == 0 {
-				pl.pendCond.Broadcast()
-			}
-			pl.pendMu.Unlock()
-		}
+		pl.queueDigest(d)
 	}
 	ctx.digests = ctx.digests[:0]
+}
+
+func (pl *Pipeline) queueDigest(d []byte) {
+	pl.ctr.digests.Add(1)
+	if pl.digestFn.Load() == nil {
+		return
+	}
+	pl.pendMu.Lock()
+	pl.pending++
+	pl.pendMu.Unlock()
+	select {
+	case pl.digestCh <- d:
+	default:
+		pl.ctr.digestsDropped.Add(1)
+		pl.pendMu.Lock()
+		pl.pending--
+		if pl.pending == 0 {
+			pl.pendCond.Broadcast()
+		}
+		pl.pendMu.Unlock()
+	}
 }
 
 func (c *Ctx) reset(inPort int, raw []byte) {
@@ -535,8 +588,8 @@ func (pl *Pipeline) Control(fn func()) {
 	fn()
 }
 
-// Stats returns a snapshot of the pipeline counters. Individual counters are
-// read atomically; the snapshot as a whole is not a consistent cut across
+// Stats returns a snapshot of the pipeline counters, the interpreter's and
+// every path class's together. Individual counters are read atomically; the snapshot as a whole is not a consistent cut across
 // counters under concurrent traffic.
 func (pl *Pipeline) Stats() Counters {
 	c := Counters{
@@ -552,6 +605,19 @@ func (pl *Pipeline) Stats() Counters {
 	}
 	for i := range pl.ctr.byEgressPipe {
 		c.ByEgressPipe[i] = pl.ctr.byEgressPipe[i].Load()
+	}
+	if paths := pl.paths.Load(); paths != nil {
+		for _, pc := range *paths {
+			for i := range pc.pipes {
+				n := pc.pipes[i].Load()
+				c.ByEgressPipe[i] += n
+				c.RxPackets += n
+				c.TxPackets += n
+				if pc.mirrored {
+					c.Mirrored += n
+				}
+			}
+		}
 	}
 	return c
 }

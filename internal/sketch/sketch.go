@@ -23,11 +23,37 @@ import (
 // models the independent hardware hash functions of the Tofino ASIC
 // ("random XORing of bits of the key field", §6).
 func Hash64(key []byte, seed uint64) uint64 {
-	h := seed ^ 14695981039346656037
+	h := seed ^ fnvOffset
 	for _, c := range key {
 		h ^= uint64(c)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
+	return fmix(h)
+}
+
+// Hash64x4 is Hash64 of key under each of four seeds, computed in one pass:
+// the four lanes' multiply chains are interleaved so they overlap in the
+// CPU instead of running one after another. Lane i equals
+// Hash64(key, seeds[i]) bit for bit.
+func Hash64x4(key []byte, seeds [4]uint64) [4]uint64 {
+	h0, h1, h2, h3 := seeds[0]^fnvOffset, seeds[1]^fnvOffset, seeds[2]^fnvOffset, seeds[3]^fnvOffset
+	for _, c := range key {
+		x := uint64(c)
+		h0 = (h0 ^ x) * fnvPrime
+		h1 = (h1 ^ x) * fnvPrime
+		h2 = (h2 ^ x) * fnvPrime
+		h3 = (h3 ^ x) * fnvPrime
+	}
+	return [4]uint64{fmix(h0), fmix(h1), fmix(h2), fmix(h3)}
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fmix is the murmur3 finalizer that spreads FNV's weak high bits.
+func fmix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33

@@ -29,6 +29,28 @@ func TestHash64Independence(t *testing.T) {
 	}
 }
 
+// TestHash64x4MatchesHash64: each lane of the one-pass hash is Hash64 under
+// its seed, for random keys of every length up to 40 bytes and random seeds
+// as well as the sketch's own.
+func TestHash64x4MatchesHash64(t *testing.T) {
+	f := func(key []byte, seeds [4]uint64, own bool) bool {
+		key = key[:len(key)%41]
+		if own {
+			seeds = [4]uint64(rng.Seeds[:4])
+		}
+		h := Hash64x4(key, seeds)
+		for i, seed := range seeds {
+			if h[i] != Hash64(key, seed) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHash64Uniformity(t *testing.T) {
 	// Chi-squared-ish sanity: bucket 100k hashes into 64 bins; no bin
 	// should deviate more than 25% from the mean.

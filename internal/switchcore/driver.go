@@ -70,6 +70,7 @@ func (sw *Switch) InstallCacheEntry(e CacheEntry) error {
 		sw.ver.Set(e.KeyIndex, uint64(uint32(e.Version)))
 		sw.ctr.Set(e.KeyIndex, 0)
 		sw.valid.Set(e.KeyIndex, 1)
+		sw.registerHit(e.Placement.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(e.Key), "hit",
 			[]uint64{packHitData(e.Placement.Bitmap, e.Placement.Index, e.KeyIndex, e.ServerPort)})
 	})
@@ -114,6 +115,7 @@ func (sw *Switch) RebindCacheEntry(key netproto.Key, keyIndex int, p cachemem.Pl
 		mu := sw.keyLock(keyIndex)
 		mu.Lock()
 		defer mu.Unlock()
+		sw.registerHit(p.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(key), "hit",
 			[]uint64{packHitData(p.Bitmap, p.Index, keyIndex, serverPort)})
 	})
@@ -132,6 +134,7 @@ func (sw *Switch) MoveCacheEntry(key netproto.Key, keyIndex, serverPort int, mv 
 		n := int(sw.vlen.Get(keyIndex))
 		value := sw.readValueLocked(mv.From, n)
 		sw.writeValueLocked(mv.To, value)
+		sw.registerHit(mv.To.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(key), "hit",
 			[]uint64{packHitData(mv.To.Bitmap, mv.To.Index, keyIndex, serverPort)})
 	})
@@ -211,8 +214,9 @@ func (sw *Switch) EstimateFreq(key netproto.Key) uint64 {
 	kf := keyFields(key)
 	est := ^uint64(0)
 	sw.pl.Control(func() {
+		idx := sw.cmsIndexes(kf[0], kf[1])
 		for row := range sw.cms {
-			v := sw.cms[row].Get(sw.cmsIndex(kf[0], kf[1], row))
+			v := sw.cms[row].Get(idx[row])
 			if v < est {
 				est = v
 			}

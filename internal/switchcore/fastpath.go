@@ -2,57 +2,104 @@ package switchcore
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 
 	"netcache/internal/bufpool"
 	"netcache/internal/dataplane"
 	"netcache/internal/netproto"
 )
 
-// The compiled cached-GET fast path. A valid cache-hit read is the packet
-// the whole NetCache design exists to serve, and on that packet the generic
-// table interpreter spends most of its time on machinery whose outcome is
-// statically known: gateway checks on PHV fields the parser just set,
-// per-stage register bookkeeping, PHV container stores that the deparser
-// immediately reads back. fastGet is that traversal with the interpretation
-// folded away — parse the five header fields it needs by offset, probe the
-// lookup and route tables, read the status/vlen/value registers under the
-// key's stripe lock, and emit the reply frame directly into a pooled lease.
+// The compiled traversal (DESIGN.md §12). Most frames cross the program
+// along a few fixed paths whose every gateway outcome is known once the
+// op and the cache_lookup probe are: a valid cached Get is answered from
+// the value stages; an uncached Get (after the sampled Count-Min and Bloom
+// stages, §4.4.3), an uncached write, and any op the lookup does not match
+// are forwarded unchanged on route[dst]. compiled is those paths with the
+// interpretation folded away. The interpreter keeps CacheUpdate (its
+// deparser acks it even on a lookup miss), writes to cached keys, invalid
+// entries, and corrupt, foreign, trailing-byte or unrouted frames.
 //
-// The contract is strict behavior preservation, held by differential tests
-// (fastpath_test.go) that run the same traffic through a fast-path and an
-// interpreter-only switch and require byte-identical emissions and identical
-// counters:
+// Behavior is preserved exactly, as the differential tests in
+// fastpath_test.go check:
 //
-//   - Bail-outs are free of side effects. Until the commit point below, the
-//     fast path performs only pure reads (header peeks, table probes, the
-//     lookup re-probe and validity bit under the stripe read lock). Any packet it declines —
-//     wrong shape, cache miss, no reply route, bad checksum, invalid entry —
-//     falls through to the interpreter having consumed nothing, not even a
-//     roll of the sampler RNG, so the two paths' sampling streams stay
-//     aligned.
-//   - The commit path replicates every observable effect of the interpreted
-//     traversal: each table the packet logically traversed gets its hit or
-//     miss recorded (including the per-bitmap-bit hits of the value stages),
-//     the sampler advances exactly once, a sampled hit bumps the per-key
-//     counter, the pipeline's rx/pipe/mirror/tx counters move, and the §4.3
-//     stripe lock spans the validity check and every value read, so a
-//     concurrent invalidation or driver update is never observed torn.
-//
-// The sketch, Bloom filter and heavy-hitter stages are gated to cache
-// misses, and the digest feed only fires on misses and refused updates, so a
-// valid cache hit touches none of them on either path.
+//   - A bail-out has no side effect. Before its commit point the compiled
+//     path only reads (header, table probes, checksum, and a hit's re-probe
+//     and validity bit under the stripe read lock), so even the sampler
+//     stream stays aligned with the interpreter's.
+//   - A commit replicates every effect of the interpreted traversal: the
+//     sampler roll, the sampled hit's counter bump, the sampled miss's
+//     sketch rows, Bloom test-and-sets and hh_report digest, and the §4.3
+//     stripe lock from a hit's validity check to its last value read.
+//   - Counters move by path class (dataplane.PathClass): one per-pipe
+//     atomic per packet, which Table.Hits/Misses and Pipeline.Stats add in
+//     when read. A hit's classes depend on the entry's value bitmap, so the
+//     driver registers them when it installs an entry with a new bitmap.
 
-// fastGet attempts to serve frame as a valid cached GET. It returns the
-// reply emission and true when it fully handled the packet; (zero, false)
-// means the caller must run the interpreter, and nothing has happened yet.
-func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
-	// Shape check: exactly a bare GET frame (frame header + packet header,
-	// VLEN 0, no trailing bytes). Writes, updates, replies, valued or
-	// malformed frames, and non-NetCache traffic all fall through.
-	if len(frame) != frameValueOff ||
-		netproto.Op(frame[frameOpOff]) != netproto.OpGet ||
-		frame[frameVlenOff] != 0 ||
+// paths are the switch's path classes.
+type paths struct {
+	// Forwarded frames: an op the lookup does not match, an uncached
+	// write, and an uncached Get unsampled, sampled, hot (already reported
+	// this cycle) or newly hot (reported).
+	other, write                   *dataplane.PathClass
+	get, sampled, hot, reportedHot *dataplane.PathClass
+	// hit holds a valid cached Get's classes, unsampled and sampled, by
+	// value bitmap; nil until the driver installs an entry with it.
+	hit []atomic.Pointer[[2]*dataplane.PathClass]
+}
+
+// newPaths registers the forward classes; hit classes come with entries.
+func (sw *Switch) newPaths() {
+	pl := sw.pl
+	route := []*dataplane.Table{sw.route}
+	sw.paths.other = pl.NewPathClass(false, route, []*dataplane.Table{sw.prep})
+	sw.paths.write = pl.NewPathClass(false, route, []*dataplane.Table{sw.lookup, sw.prep})
+	get := []*dataplane.Table{sw.lookup, sw.prep, sw.sampleT}
+	sw.paths.get = pl.NewPathClass(false, route, get)
+	sw.paths.sampled = pl.NewPathClass(false, route, append(get, sw.statsT[:5]...))
+	sw.paths.hot = pl.NewPathClass(false, route, append(get, sw.statsT[:8]...))
+	sw.paths.reportedHot = pl.NewPathClass(false, route, append(get, sw.statsT...))
+	sw.paths.hit = make([]atomic.Pointer[[2]*dataplane.PathClass], 1<<sw.cfg.ValueArrays)
+}
+
+// registerHit makes sure a cached Get of an entry with bitmap has its path
+// classes. Driver operations call it, under the pipeline's control mutex,
+// before they install such an entry.
+func (sw *Switch) registerHit(bitmap uint16) {
+	slot := &sw.paths.hit[int(bitmap)&(len(sw.paths.hit)-1)]
+	if slot.Load() != nil {
+		return
+	}
+	hits := []*dataplane.Table{sw.lookup, sw.prep, sw.route, sw.statusT, sw.vlenT}
+	misses := []*dataplane.Table{sw.sampleT, sw.mirrorT}
+	for i, t := range sw.valueT {
+		if bitmap&(1<<i) != 0 {
+			hits = append(hits, t)
+		} else {
+			misses = append(misses, t)
+		}
+	}
+	slot.Store(&[2]*dataplane.PathClass{
+		sw.pl.NewPathClass(true, hits, misses),
+		sw.pl.NewPathClass(true, hits, append(misses, sw.ctrT)),
+	})
+}
+
+// compiled attempts to carry frame along one of the compiled paths. It
+// returns the emission and true when it fully handled the packet; (zero,
+// false) means the caller must run the interpreter, and nothing has
+// happened yet.
+func (sw *Switch) compiled(frame []byte, inPort int) (dataplane.Emitted, bool) {
+	// Shape and the parser's Decode checks, by offset: a NetCache frame
+	// of exactly header + VLEN bytes, a valid op, a value only on an op
+	// that carries one.
+	if len(frame) < frameValueOff ||
 		binary.BigEndian.Uint16(frame[netproto.FrameHeaderSize:]) != netproto.Magic {
+		return dataplane.Emitted{}, false
+	}
+	op := netproto.Op(frame[frameOpOff])
+	vlen := int(frame[frameVlenOff])
+	if len(frame) != frameValueOff+vlen || !op.Valid() || op == netproto.OpCacheUpdate ||
+		vlen > netproto.MaxValueSize || vlen > 0 && !op.HasValue() {
 		return dataplane.Emitted{}, false
 	}
 	if inPort < 0 || inPort >= sw.cfg.Chip.NumPorts() {
@@ -60,15 +107,71 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	}
 	keyHi := binary.BigEndian.Uint64(frame[frameKeyOff : frameKeyOff+8])
 	keyLo := binary.BigEndian.Uint64(frame[frameKeyOff+8 : frameKeyOff+16])
-	// Pure probes, no statistics yet: is the key cached, and does the reply
-	// route (back toward the requesting client, §4.4.4) exist? Probing
-	// before the checksum keeps the dominant bail-out — an uncached key —
-	// from paying the frame hash twice.
-	le := sw.lookup.ProbeExact(keyHi, keyLo)
-	if le == nil {
-		return dataplane.Emitted{}, false
+	class := sw.paths.other
+	switch op {
+	case netproto.OpGet:
+		if le := sw.lookup.ProbeExact(keyHi, keyLo); le != nil {
+			return sw.serveHit(frame, le.Data[0], keyHi, keyLo)
+		}
+		class = nil // decided by the statistics stages, after the commit
+	case netproto.OpPut, netproto.OpPutCached, netproto.OpDelete, netproto.OpDeleteCached:
+		if sw.lookup.ProbeExact(keyHi, keyLo) != nil {
+			return dataplane.Emitted{}, false // invalidation: interpreted
+		}
+		class = sw.paths.write
 	}
-	d := le.Data[0]
+	re := sw.route.ProbeExact(uint64(binary.BigEndian.Uint16(frame[0:2])))
+	if re == nil || re.Action != "set_port" || re.Data[0] >= uint64(sw.cfg.Chip.NumPorts()) {
+		return dataplane.Emitted{}, false // the interpreter drops it
+	}
+	if !netproto.VerifyFrame(frame) {
+		return dataplane.Emitted{}, false // the interpreter's parser counts it
+	}
+
+	// Commit: the frame leaves unchanged on its route.
+	port := int(re.Data[0])
+	if class == nil {
+		class = sw.missStats(keyHi, keyLo)
+	}
+	class.Count(port)
+	return dataplane.Emitted{Port: port, Frame: append(bufpool.Get(), frame...), Pooled: true}, true
+}
+
+// missStats runs the statistics stages of an uncached Get — sample, the
+// four Count-Min rows and hh_check, then for a hot key the Bloom test-and-
+// sets and hh_report — and returns the path class the Get took.
+func (sw *Switch) missStats(keyHi, keyLo uint64) *dataplane.PathClass {
+	if !sw.sampler.Sample() {
+		return sw.paths.get
+	}
+	idx := sw.cmsIndexes(keyHi, keyLo)
+	var est uint64
+	for row, r := range sw.cms {
+		if v := r.AddSat(idx[row], 1); row == 0 || v < est {
+			est = v
+		}
+	}
+	if est < sw.hotThreshold.Load() {
+		return sw.paths.sampled
+	}
+	fresh := false
+	for part, r := range sw.bloom {
+		if r.Swap(sw.bloomIndex(keyHi, keyLo, part), 1) == 0 {
+			fresh = true
+		}
+	}
+	if !fresh {
+		return sw.paths.hot
+	}
+	d := digest(digestHot, keyHi, keyLo, est)
+	sw.pl.Digest(d[:])
+	return sw.paths.reportedHot
+}
+
+// serveHit answers a Get whose key the lookup probe found, entry data d,
+// from the value stages — or declines it, side-effect free, when the reply
+// route is missing or the entry is not (or no longer) valid.
+func (sw *Switch) serveHit(frame []byte, d, keyHi, keyLo uint64) (dataplane.Emitted, bool) {
 	bitmap := d >> 48
 	vidx := int((d >> 32) & 0xFFFF)
 	kidx := int((d >> 16) & 0xFFFF)
@@ -76,14 +179,17 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	if srvPort >= sw.cfg.Chip.NumPorts() {
 		return dataplane.Emitted{}, false // interpreter counts the pipe drop
 	}
+	classes := sw.paths.hit[int(bitmap)&(len(sw.paths.hit)-1)].Load()
+	if classes == nil {
+		return dataplane.Emitted{}, false // no driver install registered it
+	}
+	// The reply goes back toward the requesting client (§4.4.4).
 	l2Src := netproto.Addr(binary.BigEndian.Uint16(frame[2:4]))
 	re := sw.route.ProbeExact(uint64(l2Src))
 	if re == nil || re.Action != "set_port" {
 		return dataplane.Emitted{}, false // default action drops; let it
 	}
 	clntPort := int(re.Data[0])
-	// Integrity last: a corrupt frame that probed this far is re-verified
-	// and counted by the interpreter's parser.
 	if !netproto.VerifyFrame(frame) {
 		return dataplane.Emitted{}, false
 	}
@@ -96,16 +202,16 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	// the data word the probe saw.
 	mu := sw.keyLock(kidx)
 	mu.RLock()
-	if le = sw.lookup.ProbeExact(keyHi, keyLo); le == nil || le.Data[0] != d || sw.valid.Get(kidx) != 1 {
+	if le := sw.lookup.ProbeExact(keyHi, keyLo); le == nil || le.Data[0] != d || sw.valid.Get(kidx) != 1 {
 		mu.RUnlock()
 		return dataplane.Emitted{}, false // interpreter forwards to the server
 	}
 
-	// Commit: from here the packet is ours, and every effect of the
-	// interpreted traversal is replicated.
-	sampled := sw.sampler.Sample()
-	if sampled {
+	// Commit: from here the packet is ours.
+	class := classes[0]
+	if sw.sampler.Sample() {
 		sw.ctr.AddSat(kidx, 1)
+		class = classes[1]
 	}
 	vlen := int(sw.vlen.Get(kidx))
 
@@ -117,20 +223,12 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	out := netproto.ReplyInto(lease, l2Src, l2Dst, netproto.OpGetReply, seq, key)
 	var tmp [16]byte
 	for i := 0; i < sw.cfg.ValueArrays; i++ {
-		if bitmap&(1<<i) == 0 {
-			sw.valueT[i].NoteMiss()
-			continue
-		}
-		sw.valueT[i].NoteHit()
 		remaining := vlen - (len(out) - netproto.FrameValueOff)
-		if remaining <= 0 {
+		if bitmap&(1<<i) == 0 || remaining <= 0 {
 			continue
-		}
-		if remaining > 16 {
-			remaining = 16
 		}
 		sw.values[i].GetBytes(vidx, tmp[:])
-		out = append(out, tmp[:remaining]...)
+		out = append(out, tmp[:min(remaining, 16)]...)
 	}
 	mu.RUnlock()
 	if err := netproto.SealReply(out); err != nil {
@@ -139,22 +237,6 @@ func (sw *Switch) fastGet(frame []byte, inPort int) (dataplane.Emitted, bool) {
 		// unsealed rather than diverge on a can't-happen branch.
 		_ = err
 	}
-
-	// Table statistics of the traversal: lookup hit, prep_route hit (the
-	// static {hit, Get} → route_on_src entry), route hit, sample default
-	// roll, status check hit, vlen read hit, the value-stage notes above,
-	// counter-bump default when sampled (its gateway is closed otherwise), and
-	// the mirror default. Then the pipeline's own packet counters.
-	sw.lookup.NoteHit()
-	sw.prep.NoteHit()
-	sw.route.NoteHit()
-	sw.sampleT.NoteMiss()
-	sw.statusT.NoteHit()
-	sw.vlenT.NoteHit()
-	if sampled {
-		sw.ctrT.NoteMiss()
-	}
-	sw.mirrorT.NoteMiss()
-	sw.pl.CountBypass(srvPort)
+	class.Count(srvPort)
 	return dataplane.Emitted{Port: clntPort, Frame: out, Pooled: true}, true
 }

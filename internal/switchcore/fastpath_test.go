@@ -2,8 +2,10 @@ package switchcore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,17 +15,21 @@ import (
 )
 
 // The differential harness: the same configuration, traffic and driver
-// operations applied to a fast-path switch and an interpreter-only switch
-// must be indistinguishable — byte-identical emissions on every packet,
-// identical pipeline and per-table counters, identical register state for
-// the cached keys. SampleRate sits strictly between 0 and 1 so both the
-// sampled and unsampled commit paths run, and counter equality at the end
-// proves the two switches' sampler RNG streams never diverged.
+// operations applied to a switch through its entry point (compiled paths
+// first) and to a twin through its table interpreter alone must be
+// indistinguishable — byte-identical emissions on every packet, identical
+// pipeline and per-table counters, identical registers (cache state and the
+// Count-Min and Bloom statistics) and the same digests. SampleRate sits
+// strictly between 0 and 1 so both the sampled and unsampled commit paths
+// run, and counter equality at the end proves the two switches' sampler RNG
+// streams never diverged. The hot threshold is low enough for the Bloom and
+// hh_report stages to fire on a short stream.
 
 const (
 	diffClientAddr netproto.Addr = 100
 	diffClient2    netproto.Addr = 101
 	diffServerAddr netproto.Addr = 200
+	diffUnrouted   netproto.Addr = 999
 	diffClientPort               = 2
 	diffClient2Prt               = 3
 	diffServerPort               = 1
@@ -33,26 +39,67 @@ func diffConfig() Config {
 	cfg := TestConfig()
 	cfg.SampleRate = 0.5
 	cfg.SampleSeed = 7
+	cfg.HotThreshold = 2
 	return cfg
 }
 
-// diffPair builds the two switches and provisions identical routes. Frames
-// reach interp through its table interpreter (see feedBoth).
-func diffPair(t testing.TB, cfg Config) (fast, interp *Switch) {
+// diffRig is the differential pair: fast takes frames through its entry
+// point, interp through its table interpreter (see feed). digests records
+// each switch's data-plane digests.
+type diffRig struct {
+	fast, interp *Switch
+	mu           sync.Mutex
+	digests      map[*Switch][]string
+}
+
+// newDiffRig builds the two switches and provisions identical routes.
+func newDiffRig(t testing.TB, cfg Config) *diffRig {
 	t.Helper()
-	var err error
-	if fast, err = New(cfg); err != nil {
-		t.Fatal(err)
+	r := &diffRig{digests: map[*Switch][]string{}}
+	for _, sw := range []**Switch{&r.fast, &r.interp} {
+		var err error
+		if *sw, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup((*sw).Close)
+		s := *sw
+		s.pl.OnDigest(func(payload []byte) {
+			r.mu.Lock()
+			r.digests[s] = append(r.digests[s], fmt.Sprintf("%x", payload))
+			r.mu.Unlock()
+		})
+		mustInstall(t, s.InstallRoute(diffClientAddr, diffClientPort))
+		mustInstall(t, s.InstallRoute(diffClient2, diffClient2Prt))
+		mustInstall(t, s.InstallRoute(diffServerAddr, diffServerPort))
 	}
-	if interp, err = New(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, sw := range []*Switch{fast, interp} {
-		mustInstall(t, sw.InstallRoute(diffClientAddr, diffClientPort))
-		mustInstall(t, sw.InstallRoute(diffClient2, diffClient2Prt))
-		mustInstall(t, sw.InstallRoute(diffServerAddr, diffServerPort))
-	}
-	return fast, interp
+	return r
+}
+
+// both applies a driver operation to both switches.
+func (r *diffRig) both(t testing.TB, op func(sw *Switch) error) {
+	t.Helper()
+	mustInstall(t, op(r.fast))
+	mustInstall(t, op(r.interp))
+}
+
+func (r *diffRig) install(t testing.TB, e CacheEntry) {
+	t.Helper()
+	r.both(t, func(sw *Switch) error { return sw.InstallCacheEntry(e) })
+}
+
+func (r *diffRig) remove(t testing.TB, e CacheEntry) {
+	t.Helper()
+	r.both(t, func(sw *Switch) error {
+		_, err := sw.RemoveCacheEntry(e.Key, e.KeyIndex)
+		return err
+	})
+}
+
+func (r *diffRig) resetStats(t testing.TB) {
+	r.both(t, func(sw *Switch) error {
+		sw.ResetStats(false)
+		return nil
+	})
 }
 
 func mustInstall(t testing.TB, err error) {
@@ -91,12 +138,12 @@ func diffEntry(i int) CacheEntry {
 	}
 }
 
-// feedBoth sends one frame through fast's entry point and interp's table
+// feed sends one frame through fast's entry point and interp's table
 // interpreter and requires identical emissions and errors.
-func feedBoth(t testing.TB, fast, interp *Switch, frame []byte, inPort int) {
+func (r *diffRig) feed(t testing.TB, frame []byte, inPort int) {
 	t.Helper()
-	fe, ferr := fast.Process(frame, inPort)
-	ie, ierr := interp.Pipeline().ProcessAppend(frame, inPort, nil)
+	fe, ferr := r.fast.Process(frame, inPort)
+	ie, ierr := r.interp.Pipeline().ProcessAppend(frame, inPort, nil)
 	if (ferr == nil) != (ierr == nil) {
 		t.Fatalf("error divergence: fast=%v interp=%v", ferr, ierr)
 	}
@@ -129,34 +176,68 @@ func encodeFrame(t testing.TB, dst, src netproto.Addr, pkt netproto.Packet) []by
 	return frame
 }
 
-// assertSameState compares everything observable after the streams quiesce.
-func assertSameState(t testing.TB, fast, interp *Switch, nKeys int) {
+// passFrame is a frame no cache_lookup entry matches, chosen by sel: one of
+// the replies, replication and its ack, toward a client or a server.
+func passFrame(t testing.TB, sel, seq uint64, key netproto.Key) (frame []byte, inPort int) {
 	t.Helper()
+	toClient := netproto.Packet{Seq: seq, Key: key}
+	switch sel % 6 {
+	case 0:
+		toClient.Op, toClient.Value = netproto.OpGetReply, diffValue(int(seq), 1+int(seq%netproto.MaxValueSize))
+	case 1:
+		toClient.Op = netproto.OpGetReplyMiss
+	case 2:
+		toClient.Op = netproto.OpPutReply
+	case 3:
+		toClient.Op = netproto.OpDeleteReply
+	case 4: // primary to backup, entering on a client port
+		return encodeFrame(t, diffServerAddr, diffClientAddr, netproto.Packet{
+			Op: netproto.OpReplicate, Seq: seq, Key: key, Value: diffValue(int(seq), 1+int(seq%17)),
+		}), diffClientPort
+	case 5:
+		toClient.Op = netproto.OpReplicateAck
+	}
+	return encodeFrame(t, diffClientAddr, diffServerAddr, toClient), diffServerPort
+}
+
+// oddFrame is a frame the compiled paths decline by shape or route, chosen
+// by sel: a reply or a write with a trailing byte, or a write, a reply or a
+// Get toward an unrouted address.
+func oddFrame(t testing.TB, sel, seq uint64, key netproto.Key) (frame []byte, inPort int) {
+	t.Helper()
+	switch sel % 5 {
+	case 0:
+		frame, inPort = passFrame(t, sel/5, seq, key)
+	case 1:
+		frame, inPort = encodeFrame(t, diffServerAddr, diffClientAddr,
+			netproto.Packet{Op: netproto.OpPut, Seq: seq, Key: key, Value: []byte("v")}), diffClientPort
+	case 2:
+		return encodeFrame(t, diffUnrouted, diffClientAddr,
+			netproto.Packet{Op: netproto.OpPut, Seq: seq, Key: key, Value: []byte("v")}), diffClientPort
+	case 3:
+		return encodeFrame(t, diffUnrouted, diffServerAddr,
+			netproto.Packet{Op: netproto.OpGetReplyMiss, Seq: seq, Key: key}), diffServerPort
+	default:
+		return encodeFrame(t, diffUnrouted, diffClientAddr,
+			netproto.Packet{Op: netproto.OpGet, Seq: seq, Key: key}), diffClientPort
+	}
+	frame = append(frame, 0xEE)
+	netproto.FinalizeFrame(frame)
+	return frame, inPort
+}
+
+// assertSame compares everything observable after the streams quiesce.
+func (r *diffRig) assertSame(t testing.TB, nKeys int) {
+	t.Helper()
+	fast, interp := r.fast, r.interp
+	fast.SyncDigests()
+	interp.SyncDigests()
 	fs, is := fast.pl.Stats(), interp.pl.Stats()
 	if !reflect.DeepEqual(fs, is) {
 		t.Fatalf("pipeline counter divergence:\nfast:   %+v\ninterp: %+v", fs, is)
 	}
-	type tc struct {
-		name         string
-		hits, misses uint64
-	}
-	counts := func(sw *Switch) []tc {
-		ts := []*dataplane.Table{
-			sw.lookup, sw.prep, sw.route, sw.sampleT,
-			sw.statusT, sw.vlenT, sw.ctrT, sw.mirrorT,
-		}
-		ts = append(ts, sw.valueT...)
-		out := make([]tc, len(ts))
-		for i, tb := range ts {
-			out[i] = tc{tb.Name(), tb.Hits(), tb.Misses()}
-		}
-		return out
-	}
-	fc, ic := counts(fast), counts(interp)
-	for i := range fc {
-		if fc[i] != ic[i] {
-			t.Fatalf("table %q counter divergence: fast=%+v interp=%+v", fc[i].name, fc[i], ic[i])
-		}
+	if fc, ic := tableLines(fast), tableLines(interp); fc != ic {
+		t.Fatalf("table counter divergence:\nfast:   %sinterp: %s", fc, ic)
 	}
 	if fi, ii := fast.invalidations.Load(), interp.invalidations.Load(); fi != ii {
 		t.Fatalf("invalidation divergence: fast=%d interp=%d", fi, ii)
@@ -172,37 +253,38 @@ func assertSameState(t testing.TB, fast, interp *Switch, nKeys int) {
 			t.Fatalf("vlen[%d] divergence: fast=%d interp=%d", k, fv, iv)
 		}
 	}
+	stats := func(sw *Switch) []*dataplane.Register { return append(sw.cms[:], sw.bloom[:]...) }
+	for i, fr := range stats(fast) {
+		ir := stats(interp)[i]
+		for slot := 0; slot < fr.Slots(); slot++ {
+			if fv, iv := fr.Get(slot), ir.Get(slot); fv != iv {
+				t.Fatalf("%s[%d] divergence: fast=%d interp=%d", fr.Name(), slot, fv, iv)
+			}
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fd, id := slices.Clone(r.digests[fast]), slices.Clone(r.digests[interp])
+	slices.Sort(fd)
+	slices.Sort(id)
+	if !slices.Equal(fd, id) {
+		t.Fatalf("digest divergence:\nfast:   %v\ninterp: %v", fd, id)
+	}
 }
 
 // TestFastPathDifferential drives a randomized op stream — cached and
 // uncached reads, writes, data-plane updates (owned and foreign ports),
-// installs/evicts, corrupted and junk-extended frames — through both
-// switches and requires equality packet by packet and in the final state.
+// replies and replication, installs/evicts, statistics resets, corrupted,
+// junk-extended and unrouted frames — through both switches and requires
+// equality packet by packet and in the final state.
 func TestFastPathDifferential(t *testing.T) {
-	fast, interp := diffPair(t, diffConfig())
-	defer fast.Close()
-	defer interp.Close()
+	r := newDiffRig(t, diffConfig())
 
 	const nKeys = 24
 	installed := make([]bool, nKeys)
-	install := func(i int) {
-		e := diffEntry(i)
-		mustInstall(t, fast.InstallCacheEntry(e))
-		mustInstall(t, interp.InstallCacheEntry(e))
-		installed[i] = true
-	}
-	remove := func(i int) {
-		e := diffEntry(i)
-		if _, err := fast.RemoveCacheEntry(e.Key, e.KeyIndex); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := interp.RemoveCacheEntry(e.Key, e.KeyIndex); err != nil {
-			t.Fatal(err)
-		}
-		installed[i] = false
-	}
 	for i := 0; i < nKeys/2; i++ {
-		install(i)
+		r.install(t, diffEntry(i))
+		installed[i] = true
 	}
 
 	rng := rand.New(rand.NewSource(0xD1FF))
@@ -211,7 +293,7 @@ func TestFastPathDifferential(t *testing.T) {
 		i := rng.Intn(nKeys)
 		key := diffKey(i)
 		seq++
-		switch op := rng.Intn(10); op {
+		switch op := rng.Intn(13); op {
 		case 0, 1, 2, 3: // GET (cached, uncached, or invalidated)
 			src, port := diffClientAddr, diffClientPort
 			if rng.Intn(2) == 1 {
@@ -225,16 +307,16 @@ func TestFastPathDifferential(t *testing.T) {
 				frame = append(frame, 0xEE)
 				netproto.FinalizeFrame(frame)
 			}
-			feedBoth(t, fast, interp, frame, port)
+			r.feed(t, frame, port)
 		case 4, 5: // PUT — invalidates a cached key in flight
 			val := diffValue(i+rng.Intn(3), 1+rng.Intn(netproto.MaxValueSize))
 			frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 				netproto.Packet{Op: netproto.OpPut, Seq: seq, Key: key, Value: val})
-			feedBoth(t, fast, interp, frame, diffClientPort)
+			r.feed(t, frame, diffClientPort)
 		case 6: // DELETE
 			frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 				netproto.Packet{Op: netproto.OpDelete, Seq: seq, Key: key})
-			feedBoth(t, fast, interp, frame, diffClientPort)
+			r.feed(t, frame, diffClientPort)
 		case 7: // data-plane cache update, sometimes from a foreign port
 			e := diffEntry(i)
 			val := diffValue(i, len(e.Value))
@@ -244,65 +326,89 @@ func TestFastPathDifferential(t *testing.T) {
 			}
 			frame := encodeFrame(t, diffClientAddr, diffServerAddr,
 				netproto.Packet{Op: netproto.OpCacheUpdate, Seq: seq, Key: key, Value: val})
-			feedBoth(t, fast, interp, frame, port)
+			r.feed(t, frame, port)
 		case 8: // driver churn: flip installation
 			if installed[i] {
-				remove(i)
+				r.remove(t, diffEntry(i))
 			} else {
-				install(i)
+				r.install(t, diffEntry(i))
 			}
-		case 9: // reply passthrough traffic (never cache-handled)
-			frame := encodeFrame(t, diffClientAddr, diffServerAddr,
-				netproto.Packet{Op: netproto.OpGetReply, Seq: seq, Key: key, Value: diffValue(i, 8)})
-			feedBoth(t, fast, interp, frame, diffServerPort)
+			installed[i] = !installed[i]
+		case 9, 10: // replies and replication: forwarded, never cache-handled
+			frame, port := passFrame(t, uint64(rng.Intn(6)), seq, key)
+			r.feed(t, frame, port)
+		case 11: // trailing bytes or no route: both interpreted
+			frame, port := oddFrame(t, uint64(rng.Intn(25)), seq, key)
+			r.feed(t, frame, port)
+		case 12: // a statistics refresh, so hot keys are reported again
+			if rng.Intn(8) == 0 {
+				r.resetStats(t)
+			}
 		}
 	}
-	fast.SyncDigests()
-	interp.SyncDigests()
-	assertSameState(t, fast, interp, nKeys)
+	r.assertSame(t, nKeys)
+	if len(r.digests[r.fast]) == 0 {
+		t.Fatal("no hot-key digest: the Bloom and hh_report stages never ran")
+	}
 }
 
 // TestFastPathBailouts pins the zero-side-effect property of every bail-out:
-// a packet the fast path declines leaves the fast switch in exactly the
+// a packet the compiled paths decline leaves the fast switch in exactly the
 // state of the interpreter-only switch, including the sampler stream (pinned
-// through the per-key counters on a subsequent burst of cached reads).
+// through the per-key counters and the sketch on subsequent bursts of
+// cached and uncached reads).
 func TestFastPathBailouts(t *testing.T) {
-	fast, interp := diffPair(t, diffConfig())
-	defer fast.Close()
-	defer interp.Close()
+	r := newDiffRig(t, diffConfig())
 	e := diffEntry(0)
-	mustInstall(t, fast.InstallCacheEntry(e))
-	mustInstall(t, interp.InstallCacheEntry(e))
+	r.install(t, e)
 
 	get := encodeFrame(t, diffServerAddr, diffClientAddr,
 		netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: e.Key})
 
 	// Out-of-range input port: both must return an error, count nothing.
-	feedBoth(t, fast, interp, get, 99999)
+	r.feed(t, get, 99999)
 	// Corrupted checksum on a cached key: probes hit, integrity fails.
 	bad := append([]byte(nil), get...)
 	bad[len(bad)-1] ^= 0x01
-	feedBoth(t, fast, interp, bad, diffClientPort)
+	r.feed(t, bad, diffClientPort)
+	// Corrupted checksum on an uncached key and on a reply.
+	cold := encodeFrame(t, diffServerAddr, diffClientAddr,
+		netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: diffKey(1)})
+	cold[len(cold)-1] ^= 0x01
+	r.feed(t, cold, diffClientPort)
+	reply, port := passFrame(t, 0, 1, diffKey(1))
+	reply[len(reply)-1] ^= 0x01
+	r.feed(t, reply, port)
 	// GET for a key with no reply route: routing drops it at ingress.
-	orphan := encodeFrame(t, diffServerAddr, 999,
+	orphan := encodeFrame(t, diffServerAddr, diffUnrouted,
 		netproto.Packet{Op: netproto.OpGet, Seq: 2, Key: e.Key})
-	feedBoth(t, fast, interp, orphan, diffClientPort)
+	r.feed(t, orphan, diffClientPort)
+	// Unrouted destinations and trailing bytes.
+	for sel := uint64(0); sel < 5; sel++ {
+		frame, port := oddFrame(t, sel, 3, diffKey(1))
+		r.feed(t, frame, port)
+	}
+	// A CacheUpdate for an uncached key is acked by the deparser.
+	r.feed(t, encodeFrame(t, diffClientAddr, diffServerAddr,
+		netproto.Packet{Op: netproto.OpCacheUpdate, Seq: 4, Key: diffKey(1), Value: []byte("u")}), diffServerPort)
 	// Invalidated entry: a PUT clears the valid bit, then a GET falls
 	// through to the server on both paths.
 	put := encodeFrame(t, diffServerAddr, diffClientAddr,
 		netproto.Packet{Op: netproto.OpPut, Seq: 3, Key: e.Key, Value: []byte("x")})
-	feedBoth(t, fast, interp, put, diffClientPort)
-	feedBoth(t, fast, interp, get, diffClientPort)
-	// Reinstall and serve a burst: counter equality after the burst proves
-	// none of the bail-outs above consumed a sampler roll on either side.
-	mustInstall(t, fast.InstallCacheEntry(e))
-	mustInstall(t, interp.InstallCacheEntry(e))
+	r.feed(t, put, diffClientPort)
+	r.feed(t, get, diffClientPort)
+	// Reinstall and serve bursts: counter and sketch equality after them
+	// prove none of the bail-outs above consumed a sampler roll on either
+	// side.
+	r.install(t, e)
 	for i := 0; i < 64; i++ {
-		g := encodeFrame(t, diffServerAddr, diffClientAddr,
-			netproto.Packet{Op: netproto.OpGet, Seq: uint64(10 + i), Key: e.Key})
-		feedBoth(t, fast, interp, g, diffClientPort)
+		for _, k := range []netproto.Key{e.Key, diffKey(1 + i%3)} {
+			g := encodeFrame(t, diffServerAddr, diffClientAddr,
+				netproto.Packet{Op: netproto.OpGet, Seq: uint64(10 + i), Key: k})
+			r.feed(t, g, diffClientPort)
+		}
 	}
-	assertSameState(t, fast, interp, 1)
+	r.assertSame(t, 4)
 }
 
 // TestFastPathConcurrentInvalidation hammers one fast-path switch with
@@ -433,23 +539,21 @@ func TestFastPathConcurrentInvalidation(t *testing.T) {
 
 // FuzzFastPathDifferential feeds fuzz-shaped op streams to the differential
 // pair: every byte pair of the input picks an operation and a key, and any
-// divergence in emissions or final counters fails.
+// divergence in emissions or final state fails.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x42, 0x03, 0x10, 0x00})
 	f.Add([]byte{0x20, 0x00, 0x61, 0x01, 0x00, 0x02, 0x83, 0x04})
 	f.Add([]byte{0xFF, 0xFE, 0xFD, 0xFC, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50})
+	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x01, 0x09, 0x00, 0x00, 0x01})
+	f.Add([]byte{0x07, 0x03, 0x08, 0x04, 0x07, 0x05, 0x08, 0x0A, 0x07, 0x14})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 512 {
 			t.Skip()
 		}
-		fast, interp := diffPair(t, diffConfig())
-		defer fast.Close()
-		defer interp.Close()
+		r := newDiffRig(t, diffConfig())
 		const nKeys = 8
 		for i := 0; i < nKeys; i += 2 {
-			e := diffEntry(i)
-			mustInstall(t, fast.InstallCacheEntry(e))
-			mustInstall(t, interp.InstallCacheEntry(e))
+			r.install(t, diffEntry(i))
 		}
 		var seq uint64
 		for p := 0; p+1 < len(data); p += 2 {
@@ -457,92 +561,102 @@ func FuzzFastPathDifferential(f *testing.F) {
 			i := int(sel) % nKeys
 			key := diffKey(i)
 			seq++
-			switch op % 7 {
+			switch op % 10 {
 			case 0:
 				frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 					netproto.Packet{Op: netproto.OpGet, Seq: seq, Key: key})
-				feedBoth(t, fast, interp, frame, diffClientPort)
+				r.feed(t, frame, diffClientPort)
 			case 1:
 				frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 					netproto.Packet{Op: netproto.OpGet, Seq: seq, Key: key})
 				frame[int(sel)%len(frame)] ^= 1 << (op % 8)
-				feedBoth(t, fast, interp, frame, diffClientPort)
+				r.feed(t, frame, diffClientPort)
 			case 2:
 				frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 					netproto.Packet{Op: netproto.OpPut, Seq: seq, Key: key, Value: diffValue(i, 1+int(sel)%netproto.MaxValueSize)})
-				feedBoth(t, fast, interp, frame, diffClientPort)
+				r.feed(t, frame, diffClientPort)
 			case 3:
 				e := diffEntry(i)
 				frame := encodeFrame(t, diffClientAddr, diffServerAddr,
 					netproto.Packet{Op: netproto.OpCacheUpdate, Seq: seq, Key: key, Value: diffValue(i, len(e.Value))})
-				feedBoth(t, fast, interp, frame, diffServerPort)
+				r.feed(t, frame, diffServerPort)
 			case 4:
 				frame := encodeFrame(t, diffServerAddr, diffClientAddr,
 					netproto.Packet{Op: netproto.OpDelete, Seq: seq, Key: key})
-				feedBoth(t, fast, interp, frame, diffClientPort)
+				r.feed(t, frame, diffClientPort)
 			case 5:
-				e := diffEntry(i)
-				if _, err := fast.RemoveCacheEntry(e.Key, e.KeyIndex); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := interp.RemoveCacheEntry(e.Key, e.KeyIndex); err != nil {
-					t.Fatal(err)
-				}
+				r.remove(t, diffEntry(i))
 			case 6:
-				e := diffEntry(i)
-				mustInstall(t, fast.InstallCacheEntry(e))
-				mustInstall(t, interp.InstallCacheEntry(e))
+				r.install(t, diffEntry(i))
+			case 7:
+				frame, port := passFrame(t, uint64(sel/nKeys), seq, key)
+				r.feed(t, frame, port)
+			case 8:
+				frame, port := oddFrame(t, uint64(sel/nKeys), seq, key)
+				r.feed(t, frame, port)
+			case 9:
+				r.resetStats(t)
 			}
 		}
-		fast.SyncDigests()
-		interp.SyncDigests()
-		assertSameState(t, fast, interp, nKeys)
+		r.assertSame(t, nKeys)
 	})
+}
+
+// benchTraversals runs one benchmark case as "fastpath", through the switch
+// entry point, and as "interpreter", through the table interpreter alone.
+func benchTraversals(b *testing.B, sw func(b *testing.B) *Switch, frames [][]byte, inPort, resetEvery int) {
+	for _, name := range []string{"fastpath", "interpreter"} {
+		b.Run(name, func(b *testing.B) {
+			s := sw(b)
+			defer s.Close()
+			process := s.ProcessAppend
+			if name == "interpreter" {
+				process = s.Pipeline().ProcessAppend
+			}
+			benchProcess(b, s, process, frames, inPort, resetEvery)
+		})
+	}
 }
 
 // BenchmarkFastPathCachedGet measures a valid cached read through the full
 // switch entry point and through the table interpreter alone — the headline
 // number of the read-path optimization.
 func BenchmarkFastPathCachedGet(b *testing.B) {
-	for _, interpreter := range []bool{false, true} {
-		name := "fastpath"
-		if interpreter {
-			name = "interpreter"
+	e := diffEntry(1)
+	e.Value = diffValue(1, 128)
+	e.Placement = cachemem.Placement{Bitmap: 0xFF, Index: 1, Size: 128}
+	frame := encodeFrame(b, diffServerAddr, diffClientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: e.Key})
+	benchTraversals(b, func(b *testing.B) *Switch {
+		sw, err := New(TestConfig())
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			sw, err := New(TestConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sw.Close()
-			process := sw.ProcessAppend
-			if interpreter {
-				process = sw.Pipeline().ProcessAppend
-			}
-			mustInstall(b, sw.InstallRoute(diffClientAddr, diffClientPort))
-			mustInstall(b, sw.InstallRoute(diffServerAddr, diffServerPort))
-			e := diffEntry(1)
-			e.Value = diffValue(1, 128)
-			e.Placement = cachemem.Placement{Bitmap: 0xFF, Index: 1, Size: 128}
-			mustInstall(b, sw.InstallCacheEntry(e))
-			pkt := netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: e.Key}
-			frame, err := netproto.AppendFramePacket(nil, diffServerAddr, diffClientAddr, &pkt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var out []dataplane.Emitted
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = out[:0]
-				out, err = process(frame, diffClientPort, out)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, em := range out {
-					dataplane.ReleaseFrame(em)
-				}
-			}
-		})
+		mustInstall(b, sw.InstallRoute(diffClientAddr, diffClientPort))
+		mustInstall(b, sw.InstallRoute(diffServerAddr, diffServerPort))
+		mustInstall(b, sw.InstallCacheEntry(e))
+		return sw
+	}, [][]byte{frame}, diffClientPort, 0)
+}
+
+// BenchmarkFastPathForward measures the two forwarded passes of an uncached
+// Get, through the switch entry point and through the table interpreter
+// alone, on benchSwitch (0.25 sample rate):
+//   - miss cycles Gets over 4096 uncached keys, clearing the sketch every
+//     20,000 frames like the benchmark's controller cadence, so a key
+//     seldom turns hot and the miss is the one a workload sends: sample,
+//     sketch and threshold stages, rarely the Bloom filter;
+//   - reply is a server's 128-byte GetReply entering on the server port
+//     and routed on to the client: the pass that needs only the routing
+//     tables.
+func BenchmarkFastPathForward(b *testing.B) {
+	misses := make([][]byte, 4096)
+	for i := range misses {
+		key := netproto.KeyFromString(fmt.Sprintf("absent-%d", i))
+		misses[i] = encodeFrame(b, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
 	}
+	reply := encodeFrame(b, clientAddr, serverAddr, netproto.Packet{
+		Op: netproto.OpGetReply, Key: netproto.KeyFromString("absent"), Value: make([]byte, 128),
+	})
+	b.Run("miss", func(b *testing.B) { benchTraversals(b, benchSwitch, misses, clientPort, 20_000) })
+	b.Run("reply", func(b *testing.B) { benchTraversals(b, benchSwitch, [][]byte{reply}, serverPort, 0) })
 }

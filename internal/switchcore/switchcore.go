@@ -148,15 +148,17 @@ type Switch struct {
 	bloom  [3]*dataplane.Register
 	values []*dataplane.Register
 
-	// remaining table handles on the cached-GET traversal, kept so the
-	// fast path (fastpath.go) can replicate their hit/miss statistics.
+	// the remaining tables, named by the compiled paths' classes
+	// (fastpath.go)
 	prep    *dataplane.Table
 	sampleT *dataplane.Table
 	statusT *dataplane.Table
 	vlenT   *dataplane.Table
 	ctrT    *dataplane.Table
+	statsT  []*dataplane.Table // cms_0..3, hh_check, bloom_0..2, hh_report
 	mirrorT *dataplane.Table
 	valueT  []*dataplane.Table
+	paths   paths
 
 	sampler      *sketch.Sampler
 	hotThreshold atomic.Uint64
@@ -271,6 +273,7 @@ func New(cfg Config) (*Switch, error) {
 	}
 	sw.pl = pl
 	sw.rep = rep
+	sw.newPaths()
 	return sw, nil
 }
 
@@ -540,11 +543,7 @@ func (sw *Switch) buildEgress(f phv) {
 		if need > have {
 			ctx.Set(f.ovfl, 1)
 			ctx.RegSet(sw.valid, int(ctx.Get(f.kidx)), 0)
-			var d [25]byte
-			d[0] = digestOverflow
-			binary.BigEndian.PutUint64(d[1:9], ctx.Get(f.keyHi))
-			binary.BigEndian.PutUint64(d[9:17], ctx.Get(f.keyLo))
-			binary.BigEndian.PutUint64(d[17:25], ctx.Get(f.reqVlen))
+			d := digest(digestOverflow, ctx.Get(f.keyHi), ctx.Get(f.keyLo), ctx.Get(f.reqVlen))
 			ctx.Digest(d[:])
 			return
 		}
@@ -646,6 +645,7 @@ func (sw *Switch) buildEgress(f phv) {
 			}
 		})
 		mustDefault(tab, "count")
+		sw.statsT = append(sw.statsT, tab)
 		prevCMS = tab
 	}
 
@@ -666,6 +666,7 @@ func (sw *Switch) buildEgress(f phv) {
 		}
 	})
 	mustDefault(hhCheck, "compare")
+	sw.statsT = append(sw.statsT, hhCheck)
 
 	// Bloom filter: 3 partitions across 3 stages; a hot key is reported
 	// only if at least one of its bits was clear (first report this
@@ -695,6 +696,7 @@ func (sw *Switch) buildEgress(f phv) {
 			}
 		})
 		mustDefault(tab, "test_set")
+		sw.statsT = append(sw.statsT, tab)
 		prevBloom = tab
 	}
 
@@ -709,14 +711,11 @@ func (sw *Switch) buildEgress(f phv) {
 		When:        []dataplane.Cond{is(f.hot, 1), is(f.bloomNu, 1)},
 	})
 	report.Action("digest", func(ctx *dataplane.Ctx, data []uint64) {
-		var d [25]byte
-		d[0] = digestHot
-		binary.BigEndian.PutUint64(d[1:9], ctx.Get(f.keyHi))
-		binary.BigEndian.PutUint64(d[9:17], ctx.Get(f.keyLo))
-		binary.BigEndian.PutUint64(d[17:25], ctx.Get(f.cmMin))
+		d := digest(digestHot, ctx.Get(f.keyHi), ctx.Get(f.keyLo), ctx.Get(f.cmMin))
 		ctx.Digest(d[:])
 	})
 	mustDefault(report, "digest")
+	sw.statsT = append(sw.statsT, report)
 
 	// value_0..N: the variable-length value store of Fig. 6b. Each table
 	// is gated on its bitmap bit; Get appends the slot to the value
@@ -844,11 +843,32 @@ func (sw *Switch) buildDeparser(f phv) {
 	})
 }
 
+// digest encodes a data-plane report: its kind, the key, and the reported
+// number (a hot key's frequency, an overflowing update's size).
+func digest(kind byte, hi, lo, n uint64) [25]byte {
+	var d [25]byte
+	d[0] = kind
+	binary.BigEndian.PutUint64(d[1:9], hi)
+	binary.BigEndian.PutUint64(d[9:17], lo)
+	binary.BigEndian.PutUint64(d[17:25], n)
+	return d
+}
+
 func (sw *Switch) cmsIndex(hi, lo uint64, row int) int {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[0:8], hi)
 	binary.BigEndian.PutUint64(b[8:16], lo)
 	return int(sketch.Hash64(b[:], rng.Seeds[row]) & uint64(sw.cfg.CMSWidth-1))
+}
+
+// cmsIndexes is cmsIndex of every row, from one interleaved hash pass.
+func (sw *Switch) cmsIndexes(hi, lo uint64) [4]int {
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[0:8], hi)
+	binary.BigEndian.PutUint64(b[8:16], lo)
+	h := sketch.Hash64x4(b[:], [4]uint64(rng.Seeds[:4]))
+	mask := uint64(sw.cfg.CMSWidth - 1)
+	return [4]int{int(h[0] & mask), int(h[1] & mask), int(h[2] & mask), int(h[3] & mask)}
 }
 
 func (sw *Switch) bloomIndex(hi, lo uint64, part int) int {
@@ -892,9 +912,7 @@ func keyFields(key netproto.Key) []uint64 {
 	}
 }
 
-// Process runs one frame through the switch data plane. Valid cached reads
-// are served by the compiled fast path (fastpath.go); everything else runs
-// the generic table interpreter.
+// Process runs one frame through the switch data plane. See ProcessAppend.
 func (sw *Switch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
 	return sw.ProcessAppend(frame, inPort, nil)
 }
@@ -902,10 +920,15 @@ func (sw *Switch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error)
 // ProcessAppend is Process appending emissions to out, reusing the caller's
 // slice across packets. Emitted frames may be pool-backed; see
 // dataplane.ReleaseFrame.
+//
+// The compiled traversal (fastpath.go) serves valid cached Gets and
+// forwards uncached Gets, uncached writes, replies and replication; the
+// table interpreter runs the rest (CacheUpdate, writes to cached keys,
+// invalid entries, odd frames). Both count into the same statistics.
 func (sw *Switch) ProcessAppend(frame []byte, inPort int, out []dataplane.Emitted) ([]dataplane.Emitted, error) {
 	nOld := len(out)
 	var err error
-	if em, ok := sw.fastGet(frame, inPort); ok {
+	if em, ok := sw.compiled(frame, inPort); ok {
 		out = append(out, em)
 	} else {
 		out, err = sw.pl.ProcessAppend(frame, inPort, out)

@@ -2,9 +2,9 @@ package switchcore
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"netcache/internal/cachemem"
 	"netcache/internal/dataplane"
@@ -493,6 +493,28 @@ func TestCacheLen(t *testing.T) {
 	}
 }
 
+// TestCMSIndexesMatchRows: the compiled path's one-pass row indexes equal
+// the interpreter's per-row cmsIndex over random keys.
+func TestCMSIndexesMatchRows(t *testing.T) {
+	sw, err := New(TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	f := func(hi, lo uint64) bool {
+		idx := sw.cmsIndexes(hi, lo)
+		for row := range idx {
+			if idx[row] != sw.cmsIndex(hi, lo, row) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestResetStatsClearsCounters(t *testing.T) {
 	r := newRig(t)
 	key := netproto.KeyFromString("c")
@@ -520,11 +542,13 @@ func benchSwitch(b *testing.B) *Switch {
 	return sw
 }
 
-// benchProcess runs frames[i%len(frames)] through sw in the steady-state
-// calling convention — one reused emission slice, every emitted frame
-// released — clearing the sketch and Bloom filter every resetEvery frames
-// (0: never), as the controller does between ticks.
-func benchProcess(b *testing.B, sw *Switch, frames [][]byte, inPort, resetEvery int) {
+// benchProcess runs frames[i%len(frames)] through process — sw's entry
+// point, or its pipeline's to run the interpreter alone — in the
+// steady-state calling convention — one reused emission slice, every
+// emitted frame released — clearing the sketch and Bloom filter every
+// resetEvery frames (0: never), as the controller does between ticks.
+func benchProcess(b *testing.B, sw *Switch, process func([]byte, int, []dataplane.Emitted) ([]dataplane.Emitted, error),
+	frames [][]byte, inPort, resetEvery int) {
 	b.Helper()
 	out := make([]dataplane.Emitted, 0, 1)
 	b.ReportAllocs()
@@ -534,7 +558,7 @@ func benchProcess(b *testing.B, sw *Switch, frames [][]byte, inPort, resetEvery 
 			sw.ResetStats(false)
 		}
 		var err error
-		out, err = sw.ProcessAppend(frames[i%len(frames)], inPort, out[:0])
+		out, err = process(frames[i%len(frames)], inPort, out[:0])
 		if err != nil || len(out) != 1 {
 			b.Fatalf("ProcessAppend = %v, %v", out, err)
 		}
@@ -550,33 +574,7 @@ func BenchmarkGetHit(b *testing.B) {
 	p, _ := alloc.Insert(key, len(value))
 	sw.InstallCacheEntry(CacheEntry{Key: key, Placement: p, KeyIndex: 0, ServerPort: serverPort, Value: value})
 	pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: key}).Marshal()
-	benchProcess(b, sw, [][]byte{netproto.MarshalFrame(serverAddr, clientAddr, pkt)}, clientPort, 0)
-}
-
-// BenchmarkGetMiss cycles Gets over 4096 uncached keys, clearing the sketch
-// every 20,000 frames like the benchmark's controller cadence, so a key
-// seldom turns hot and the miss is the one a workload sends: sample, sketch
-// and threshold stages, rarely the Bloom filter.
-func BenchmarkGetMiss(b *testing.B) {
-	sw := benchSwitch(b)
-	frames := make([][]byte, 4096)
-	for i := range frames {
-		key := netproto.KeyFromString(fmt.Sprintf("absent-%d", i))
-		pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: key}).Marshal()
-		frames[i] = netproto.MarshalFrame(serverAddr, clientAddr, pkt)
-	}
-	benchProcess(b, sw, frames, clientPort, 20_000)
-}
-
-// BenchmarkForwardReply is a server's 128-byte GetReply entering on the
-// server port and routed on to the client: the pass that needs only the
-// routing tables.
-func BenchmarkForwardReply(b *testing.B) {
-	sw := benchSwitch(b)
-	pkt, _ := (&netproto.Packet{
-		Op: netproto.OpGetReply, Key: netproto.KeyFromString("absent"), Value: make([]byte, 128),
-	}).Marshal()
-	benchProcess(b, sw, [][]byte{netproto.MarshalFrame(clientAddr, serverAddr, pkt)}, serverPort, 0)
+	benchProcess(b, sw, sw.ProcessAppend, [][]byte{netproto.MarshalFrame(serverAddr, clientAddr, pkt)}, clientPort, 0)
 }
 
 func TestTraceQueryShowsPipelinePath(t *testing.T) {
