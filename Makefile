@@ -133,12 +133,14 @@ lint:
 		echo "lint: staticcheck/golangci-lint not installed; go vet only"; \
 	fi
 
-# Non-test Go lines per package (bench/ excluded) and in total: the figure
-# CHANGES.md quotes for simplification PRs.
+# Non-test Go lines per package (bench/ excluded) and in total, then the
+# line counts of DESIGN.md and EXPERIMENTS.md: the figures CHANGES.md quotes
+# for simplification PRs.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); loc[d] += $$1; total += $$1 } \
 			END { for (d in loc) printf "%7d  %s\n", loc[d], d; printf "%7d  total\n", total }' | sort -k2
+	@wc -l DESIGN.md EXPERIMENTS.md | awk '$$2 != "total" { printf "%7d  %s\n", $$1, $$2 }'
 
 # Exported fields of every exported *Config and *Policy struct in non-test Go
 # (bench/ excluded), then their total: the knob count CHANGES.md quotes for

@@ -47,8 +47,9 @@ func main() {
 	// level locks the estimator into a spurious-retransmit storm: Karn's
 	// rule then only admits the unusually fast replies, which keeps SRTT
 	// biased low (the same survivorship bias that motivates TCP's 1 s
-	// minimum RTO). 5 ms also clears Policy.SpinUnder, so waits park in the
-	// scheduler instead of busy-polling the CPU the servers need.
+	// minimum RTO). 5 ms also clears the client's 2 ms poll threshold, so
+	// waits park in the scheduler instead of busy-polling the CPU the
+	// servers need.
 	rtoFloor := flag.Duration("rto-floor", 5*time.Millisecond, "minimum adaptive retransmission timeout")
 	window := flag.Int("window", 1, "pipelining depth: reads issued through GetBatch with this many outstanding (bench subcommand; 1 = one at a time)")
 	flag.Parse()

@@ -64,20 +64,7 @@ func (fb *Fabric) Tick() { fb.f.Tick() }
 
 // StartControllers runs Tick on the given interval until stopped.
 func (fb *Fabric) StartControllers(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				fb.f.Tick()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done) }
+	return every(interval, fb.f.Tick)
 }
 
 // SpineCacheLen returns the number of items cached at the spine layer.

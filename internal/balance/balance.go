@@ -138,10 +138,10 @@ func FromSnapshot(snap stats.Snapshot) *Report {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var series stats.Series
+	ys := make([]float64, len(names))
 	var total uint64
 	for i, name := range names {
-		series.Add(float64(i), float64(loads[name]))
+		ys[i] = float64(loads[name])
 		total += loads[name]
 	}
 	r.ServerOps = total
@@ -149,7 +149,7 @@ func FromSnapshot(snap stats.Snapshot) *Report {
 	if total == 0 {
 		return r
 	}
-	sorted := append([]float64(nil), series.Y...)
+	sorted := append([]float64(nil), ys...)
 	sort.Float64s(sorted)
 	mean := float64(total) / float64(len(names))
 	r.MinShare = sorted[0] / float64(total)
@@ -161,7 +161,7 @@ func FromSnapshot(snap stats.Snapshot) *Report {
 	if med := quantile(sorted, 0.5); med > 0 {
 		r.TailRatio = quantile(sorted, 0.99) / med
 	}
-	r.Gini = series.Gini()
+	r.Gini = stats.Gini(ys)
 	return r
 }
 

@@ -94,8 +94,9 @@ func (f *failover) homeIndex(kid int) int {
 
 // scenario derives the failover lifecycle from the seed. The crashes are
 // permanent, and the durability checks must hold as the failure left
-// things: the table never calls settle, so nothing restarts the dead and no
-// controller cycle runs between a workload and its converge.
+// things: the table never calls settle, so nothing restarts the dead. Each
+// converge follows a heal and two controller cycles (quiesce), so a read
+// that a cycle leaves stale after the failure (window C) fails its check.
 func (f *failover) scenario() scenario {
 	r, rn := f.rack, f.rn
 	// The hot key is seed-chosen; its home partition is the crash target,
@@ -116,6 +117,12 @@ func (f *failover) scenario() scenario {
 			noPromoted[kid] = true
 		}
 	}
+
+	quiesce := step{do: act(func() {
+		rn.heal()
+		r.Tick()
+		r.Tick()
+	})}
 
 	sc := scenario{
 		header: fmt.Sprintf("scenario: crash-target=s%d promoted=s%d hot-key=%d", crashTarget, promoted, f.hotKid),
@@ -160,6 +167,7 @@ func (f *failover) scenario() scenario {
 		// and catches up through the versioned resync.
 		salt: 0x5A5A5A5A5A5A5A5A, readOnly: hotOnly, faultFree: true,
 		after: []step{
+			quiesce,
 			{"phase 3: post-failover workload and durability check done", act(rn.converge)},
 			{fmt.Sprintf("phase 4: restart server %d", crashTarget), act(func() { r.RestartServer(crashTarget, false) })},
 			{do: act(func() { f.awaitReadyBackup(home) })},
@@ -183,6 +191,7 @@ func (f *failover) scenario() scenario {
 	}, {
 		salt: 0x6969696969696969, readOnly: noPromoted, faultFree: true,
 		after: []step{
+			quiesce,
 			{"phase 5: failed back, final durability check done", act(rn.converge)},
 			{do: act(func() {
 				m := &r.Controller.Metrics

@@ -212,11 +212,12 @@ func now() time.Duration { return time.Since(epoch) }
 // Receive hands the reply over by setting cl.done, so a reply that is
 // already in — a synchronous fabric delivers it inside the send — costs one
 // atomic load and no channel operation. With poll set (a query's first
-// attempt), waits under the policy's SpinUnder threshold poll that flag in
-// a Gosched-yielding loop: a parked timer's wakeup latency (~1ms on stock
-// kernels) would otherwise quantize every sub-millisecond RTO up to the
-// millisecond scale, erasing exactly the gap the estimator exists to close;
-// a poll that reaches its deadline parks for pollGrace before it gives up.
+// attempt), waits under the policy's spinUnder threshold (2ms) poll that
+// flag in a Gosched-yielding loop: a parked timer's wakeup latency (~1ms on
+// stock kernels) would otherwise quantize every sub-millisecond RTO up to
+// the millisecond scale, erasing exactly the gap the estimator exists to
+// close; a poll that reaches its deadline parks for pollGrace before it
+// gives up.
 // Longer waits (UDP, a backed-off RTO) and retransmissions park on the
 // call's one-slot wake channel, which Receive signals only once the waiter
 // has set cl.parked, and on a fresh timer per attempt: reusing one
@@ -232,7 +233,7 @@ func (c *Client) waitReply(cl *call, wait time.Duration, poll bool) bool {
 	if wait <= 0 {
 		return false
 	}
-	if poll && wait < c.cfg.Policy.SpinUnder {
+	if poll && wait < c.cfg.Policy.spinUnder {
 		deadline := now() + wait
 		for !cl.done.Load() {
 			if now() > deadline {

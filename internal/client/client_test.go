@@ -573,7 +573,7 @@ func TestDuplicateAfterCallRecycledCountsUnmatched(t *testing.T) {
 // reply per answered query claims it and every other reply counts
 // Unmatched, bar those claiming a query just after its final expiry; each
 // Get returns its own reply, so a goroutine's values carry its key and
-// strictly rising sequence numbers. The poll case waits in the SpinUnder
+// strictly rising sequence numbers. The poll case waits in the spinUnder
 // loop, the park case on the call's wake channel.
 func TestDuplicateRepliesRaceCompletion(t *testing.T) {
 	for _, tc := range []struct {
@@ -590,7 +590,7 @@ func duplicateRepliesRace(t *testing.T, spinUnder time.Duration) {
 		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
 		Timeout:   200 * time.Microsecond,
 		Retries:   NoRetries,
-		Policy:    Policy{SpinUnder: spinUnder},
+		Policy:    Policy{spinUnder: spinUnder},
 	})
 	if err != nil {
 		t.Fatal(err)

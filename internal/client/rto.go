@@ -31,7 +31,13 @@ type Policy struct {
 	// a second copy toward the owner instead of waiting out the full RTO.
 	// Only reads hedge — they are idempotent end to end.
 	Hedge bool
-	// SpinUnder is the poll-mode threshold: a first attempt's wait shorter
+	// Seed seeds the client's splitmix64 jitter stream. The client mixes
+	// its own address in, so clients sharing a seed draw distinct but
+	// reproducible sequences. Jitter never reads the clock or the global
+	// math/rand state: a seeded run is replayable.
+	Seed uint64
+
+	// spinUnder is the poll-mode threshold: a first attempt's wait shorter
 	// than this polls the call's reply flag in a yielding busy-loop
 	// instead of parking on the call's wake channel and a runtime timer
 	// (retransmissions always park). Parked-timer wakeups
@@ -39,14 +45,10 @@ type Policy struct {
 	// would round every sub-millisecond RTO up to the millisecond scale —
 	// the reason the paper's testbed clients run poll-mode DPDK rather
 	// than interrupt I/O. A poll that reaches its deadline parks once, for
-	// pollGrace, before the attempt counts as lost. Zero means 2ms;
-	// negative disables polling entirely.
-	SpinUnder time.Duration
-	// Seed seeds the client's splitmix64 jitter stream. The client mixes
-	// its own address in, so clients sharing a seed draw distinct but
-	// reproducible sequences. Jitter never reads the clock or the global
-	// math/rand state: a seeded run is replayable.
-	Seed uint64
+	// pollGrace, before the attempt counts as lost. Zero means
+	// defaultSpinUnder; negative disables polling entirely, which only
+	// in-package tests ask for.
+	spinUnder time.Duration
 }
 
 // Policy defaults and the fixed shape of the adaptive path, exported so
@@ -60,8 +62,10 @@ const (
 	DefaultRTOCeil    = 100 * time.Millisecond
 	DefaultBackoffMax = 6
 	DefaultJitterFrac = 0.1
-	DefaultSpinUnder  = 2 * time.Millisecond
 )
+
+// defaultSpinUnder is the poll-mode threshold (Policy.spinUnder).
+const defaultSpinUnder = 2 * time.Millisecond
 
 // hedgeMinSamples is how many clean RTT samples the estimator needs before
 // the P99 is trusted enough to hedge against.
@@ -72,10 +76,10 @@ func (p Policy) normalize() Policy {
 	if p.RTOFloor <= 0 {
 		p.RTOFloor = DefaultRTOFloor
 	}
-	if p.SpinUnder == 0 {
-		p.SpinUnder = DefaultSpinUnder
-	} else if p.SpinUnder < 0 {
-		p.SpinUnder = 0
+	if p.spinUnder == 0 {
+		p.spinUnder = defaultSpinUnder
+	} else if p.spinUnder < 0 {
+		p.spinUnder = 0
 	}
 	return p
 }

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -11,23 +10,22 @@ import (
 // gress. The data plane reads and writes it at line rate; the control plane
 // reads and writes it through the switch driver (§4.4.2).
 //
-// Slot widths of 1–64 bits are stored bit-packed; 128-bit slots (the value
-// slots of NetCache) are stored as two 64-bit words each. A register array
-// may be accessed at most once per packet, and at most
-// MaxRegisterAccessBytes per access — the ASIC timing constraints that shape
-// the NetCache design.
+// Slot widths that divide 64 (1, 2, 4, 8, 16, 32 or 64 bits) are stored
+// bit-packed; 128-bit slots (the value slots of NetCache) are stored as two
+// 64-bit words each. A register array may be accessed at most once per
+// packet, and at most MaxRegisterAccessBytes per access — the ASIC timing
+// constraints that shape the NetCache design.
 //
 // Every narrow access is individually atomic, standing in for the per-stage
 // ALU of the ASIC: a read-modify-write on one slot can never observe or
-// produce a torn value, no matter how many packets are in flight. Arrays
-// whose slot width divides 64 (all of NetCache's counter-shaped arrays) use
-// lock-free compare-and-swap on the containing word; odd widths fall back to
-// a per-register mutex. A 128-bit slot is two atomic words, each loaded and
-// stored on its own, with no lock: the value stages only ever read or
-// overwrite a whole slot, and the program keeps a reader from racing a
-// writer of the same slot. Multi-slot invariants (e.g. "valid bit implies
-// consistent value slots") are the program's to enforce, just as on hardware
-// — see switchcore's per-key locks.
+// produce a torn value, no matter how many packets are in flight. A narrow
+// slot never spans two words, so every access is one load or one
+// compare-and-swap loop on its word. A 128-bit slot is two atomic words,
+// each loaded and stored on its own, with no lock: the value stages only
+// ever read or overwrite a whole slot, and the program keeps a reader from
+// racing a writer of the same slot. Multi-slot invariants (e.g. "valid bit
+// implies consistent value slots") are the program's to enforce, just as on
+// hardware — see switchcore's per-key locks.
 type Register struct {
 	name     string
 	gress    Gress
@@ -38,11 +36,6 @@ type Register struct {
 	words []uint64        // slotBits <= 64, bit-packed
 	wide  []atomic.Uint64 // slotBits == 128: slot i is wide[2i] (bytes 0-7), wide[2i+1]
 
-	// lockfree is true when a slot can never span two words (slotBits
-	// divides 64), enabling single-word CAS access.
-	lockfree bool
-	mu       sync.Mutex // serializes narrow-slot access when !lockfree
-
 	stage int // assigned at compile time, -1 before
 	id    int // index in the program's register list (per-packet access marks)
 }
@@ -52,16 +45,16 @@ type RegisterSpec struct {
 	Name     string
 	Gress    Gress
 	Slots    int
-	SlotBits int // 1..64, or 128
+	SlotBits int // 1, 2, 4, 8, 16, 32, 64 or 128
 }
 
 func newRegister(spec RegisterSpec) (*Register, error) {
 	if spec.Slots <= 0 {
 		return nil, fmt.Errorf("dataplane: register %q needs positive slot count", spec.Name)
 	}
-	ok := spec.SlotBits >= 1 && spec.SlotBits <= 64 || spec.SlotBits == 128
+	ok := spec.SlotBits >= 1 && spec.SlotBits <= 64 && 64%spec.SlotBits == 0 || spec.SlotBits == 128
 	if !ok {
-		return nil, fmt.Errorf("dataplane: register %q slot width %d unsupported (1-64 or 128 bits)", spec.Name, spec.SlotBits)
+		return nil, fmt.Errorf("dataplane: register %q slot width %d unsupported (a divisor of 64, or 128 bits)", spec.Name, spec.SlotBits)
 	}
 	r := &Register{
 		name:     spec.Name,
@@ -75,7 +68,6 @@ func newRegister(spec RegisterSpec) (*Register, error) {
 	} else {
 		totalBits := spec.Slots * spec.SlotBits
 		r.words = make([]uint64, (totalBits+63)/64)
-		r.lockfree = 64%spec.SlotBits == 0
 	}
 	return r, nil
 }
@@ -93,8 +85,7 @@ func (r *Register) SizeBytes() int { return (r.slots*r.slotBits + 7) / 8 }
 // program has not been compiled.
 func (r *Register) Stage() int { return r.stage }
 
-// loadSlot extracts slot idx from an already-loaded word pair. off+slotBits
-// may exceed 64 only on the mutex path.
+// loadWordIdx locates slot idx: the word that holds it and its bit offset.
 func (r *Register) loadWordIdx(idx int) (word, off int) {
 	bitPos := idx * r.slotBits
 	return bitPos / 64, bitPos % 64
@@ -106,24 +97,8 @@ func (r *Register) Get(idx int) uint64 {
 	if r.words == nil {
 		panic(fmt.Sprintf("dataplane: Get on 128-bit register %q; use GetBytes", r.name))
 	}
-	if r.lockfree {
-		word, off := r.loadWordIdx(idx)
-		return atomic.LoadUint64(&r.words[word]) >> off & r.mask()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.getLocked(idx)
-}
-
-func (r *Register) getLocked(idx int) uint64 {
-	bitPos := idx * r.slotBits
-	word, off := bitPos/64, bitPos%64
-	mask := r.mask()
-	v := r.words[word] >> off
-	if off+r.slotBits > 64 {
-		v |= r.words[word+1] << (64 - off)
-	}
-	return v & mask
+	word, off := r.loadWordIdx(idx)
+	return atomic.LoadUint64(&r.words[word]) >> off & r.mask()
 }
 
 // Set stores v into slot idx, truncating to the slot width.
@@ -132,33 +107,15 @@ func (r *Register) Set(idx int, v uint64) {
 	if r.words == nil {
 		panic(fmt.Sprintf("dataplane: Set on 128-bit register %q; use SetBytes", r.name))
 	}
-	if r.lockfree {
-		word, off := r.loadWordIdx(idx)
-		mask := r.mask()
-		v &= mask
-		for {
-			old := atomic.LoadUint64(&r.words[word])
-			new := old&^(mask<<off) | v<<off
-			if atomic.CompareAndSwapUint64(&r.words[word], old, new) {
-				return
-			}
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setLocked(idx, v)
-}
-
-func (r *Register) setLocked(idx int, v uint64) {
-	bitPos := idx * r.slotBits
-	word, off := bitPos/64, bitPos%64
+	word, off := r.loadWordIdx(idx)
 	mask := r.mask()
 	v &= mask
-	r.words[word] = r.words[word]&^(mask<<off) | v<<off
-	if off+r.slotBits > 64 {
-		hiBits := r.slotBits - (64 - off)
-		hiMask := uint64(1)<<hiBits - 1
-		r.words[word+1] = r.words[word+1]&^hiMask | v>>(64-off)
+	for {
+		old := atomic.LoadUint64(&r.words[word])
+		new := old&^(mask<<off) | v<<off
+		if atomic.CompareAndSwapUint64(&r.words[word], old, new) {
+			return
+		}
 	}
 }
 
@@ -170,23 +127,15 @@ func (r *Register) update(idx int, fn func(old uint64) uint64) (old, new uint64)
 		panic(fmt.Sprintf("dataplane: update on 128-bit register %q", r.name))
 	}
 	mask := r.mask()
-	if r.lockfree {
-		word, off := r.loadWordIdx(idx)
-		for {
-			w := atomic.LoadUint64(&r.words[word])
-			old = w >> off & mask
-			new = fn(old) & mask
-			if atomic.CompareAndSwapUint64(&r.words[word], w, w&^(mask<<off)|new<<off) {
-				return old, new
-			}
+	word, off := r.loadWordIdx(idx)
+	for {
+		w := atomic.LoadUint64(&r.words[word])
+		old = w >> off & mask
+		new = fn(old) & mask
+		if atomic.CompareAndSwapUint64(&r.words[word], w, w&^(mask<<off)|new<<off) {
+			return old, new
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old = r.getLocked(idx)
-	new = fn(old) & mask
-	r.setLocked(idx, new)
-	return old, new
 }
 
 // AddSat adds delta to slot idx with saturation at the slot's maximum —
@@ -200,21 +149,14 @@ func (r *Register) AddSat(idx int, delta uint64) uint64 {
 		panic(fmt.Sprintf("dataplane: AddSat on 128-bit register %q", r.name))
 	}
 	mask := r.mask()
-	if r.lockfree {
-		word, off := r.loadWordIdx(idx)
-		for {
-			w := atomic.LoadUint64(&r.words[word])
-			new := addSat(w>>off&mask, delta, mask)
-			if atomic.CompareAndSwapUint64(&r.words[word], w, w&^(mask<<off)|new<<off) {
-				return new
-			}
+	word, off := r.loadWordIdx(idx)
+	for {
+		w := atomic.LoadUint64(&r.words[word])
+		new := addSat(w>>off&mask, delta, mask)
+		if atomic.CompareAndSwapUint64(&r.words[word], w, w&^(mask<<off)|new<<off) {
+			return new
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	new := addSat(r.getLocked(idx), delta, mask)
-	r.setLocked(idx, new)
-	return new
 }
 
 func addSat(cur, delta, max uint64) uint64 {

@@ -86,8 +86,8 @@ func TestFig10bBalance(t *testing.T) {
 	// The cache must flatten the per-server load distribution.
 	noc := harness.PaperRack(0.99).StaticThroughput(false)
 	nc := harness.PaperRack(0.99).StaticThroughput(true)
-	gNoc := (&stats.Series{Y: noc.PerServerQPS}).Gini()
-	gNc := (&stats.Series{Y: nc.PerServerQPS}).Gini()
+	gNoc := stats.Gini(noc.PerServerQPS)
+	gNc := stats.Gini(nc.PerServerQPS)
 	if gNc > gNoc/3 {
 		t.Errorf("cache should flatten load: Gini %.3f (cached) vs %.3f (uncached)", gNc, gNoc)
 	}

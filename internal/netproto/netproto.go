@@ -117,8 +117,8 @@ const (
 	// OpReplicate carries a primary's applied write to its backup. SEQ is
 	// the primary's store version of the write, so duplicated or reordered
 	// replication frames are idempotent at the backup. The switch routes it
-	// by destination address only: it is deliberately not IsWrite, so the
-	// cache pipeline never rewrites or invalidates on replication traffic.
+	// by destination address only: it is deliberately not a Put or Delete, so
+	// the cache pipeline never rewrites or invalidates on replication traffic.
 	OpReplicate
 	// OpReplicateDelete replicates a delete; SEQ is the deletion version.
 	OpReplicateDelete
@@ -170,25 +170,6 @@ func (op Op) String() string {
 
 // Valid reports whether op is a defined NetCache operation.
 func (op Op) Valid() bool { return op > OpInvalid && op < opSentinel }
-
-// IsRead reports whether op travels on the read (UDP) path.
-func (op Op) IsRead() bool {
-	switch op {
-	case OpGet, OpGetReply, OpGetReplyMiss:
-		return true
-	}
-	return false
-}
-
-// IsWrite reports whether op mutates storage state and therefore travels on
-// the write (TCP) path.
-func (op Op) IsWrite() bool {
-	switch op {
-	case OpPut, OpPutCached, OpDelete, OpDeleteCached:
-		return true
-	}
-	return false
-}
 
 // IsReply reports whether op is a response delivered to a client.
 func (op Op) IsReply() bool {

@@ -39,8 +39,6 @@ func TestOpString(t *testing.T) {
 }
 
 func TestOpClassification(t *testing.T) {
-	reads := []Op{OpGet, OpGetReply, OpGetReplyMiss}
-	writes := []Op{OpPut, OpPutCached, OpDelete, OpDeleteCached}
 	replies := []Op{OpGetReply, OpGetReplyMiss, OpPutReply, OpDeleteReply}
 	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate}
 
@@ -53,12 +51,6 @@ func TestOpClassification(t *testing.T) {
 		return false
 	}
 	for op := OpInvalid; op < opSentinel; op++ {
-		if got, want := op.IsRead(), in(reads, op); got != want {
-			t.Errorf("%s.IsRead() = %v, want %v", op, got, want)
-		}
-		if got, want := op.IsWrite(), in(writes, op); got != want {
-			t.Errorf("%s.IsWrite() = %v, want %v", op, got, want)
-		}
 		if got, want := op.IsReply(), in(replies, op); got != want {
 			t.Errorf("%s.IsReply() = %v, want %v", op, got, want)
 		}

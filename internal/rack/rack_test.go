@@ -10,6 +10,7 @@ import (
 
 	"netcache/internal/client"
 	"netcache/internal/netproto"
+	"netcache/internal/simnet"
 	"netcache/internal/workload"
 )
 
@@ -300,9 +301,9 @@ func TestCacheUpdateSurvivesLoss(t *testing.T) {
 	// Drop 70% of frames toward the owning server's port: cache-update
 	// acks get lost and the reliable-update retry must recover.
 	srvIdx := int(r.Partition(key)) - 1
-	r.Net.SetLoss(srvIdx, 0.7)
+	r.Net.SetFault(srvIdx, simnet.FromSwitch, simnet.FaultRule{Loss: 0.7})
 	err := cli.Put(key, []byte("survives"))
-	r.Net.SetLoss(srvIdx, 0)
+	r.Net.SetFault(srvIdx, simnet.FromSwitch, simnet.FaultRule{})
 	if err != nil {
 		t.Fatalf("put under loss: %v", err)
 	}

@@ -2,8 +2,7 @@
 // storage servers to the NetCache switch: the stand-in for the testbed's
 // NICs and cables (SOSP'17 §7.1). Frames injected at a port traverse the
 // switch data plane; emissions are delivered to the endpoint attached to the
-// output port, or re-injected through a loopback cable — the wiring used by
-// the industry-standard snake test the paper benchmarks with.
+// output port.
 //
 // Inject is safe for any number of concurrent goroutines — the fabric is as
 // parallel as the switch underneath it. Delivery to any one endpoint is
@@ -162,23 +161,16 @@ type reorderBuf struct {
 	held []heldFrame
 }
 
-// plug is what is plugged into one switch port: an endpoint's delivery queue,
-// or one end of a loopback cable whose other end is peer.
-type plug struct {
-	q      *portQueue
-	peer   int
-	cabled bool
-}
-
-// Net wires endpoints and cables to a switch. Attach all endpoints before
-// traffic starts; Attach/Cable are not safe to call concurrently with
-// each other. Inject and the fault controls (SetLoss, SetFault,
-// SetPartitioned, SetPortDown, Reseed, Flush) are safe from any goroutine.
+// Net wires endpoints to a switch. Attach all endpoints before traffic
+// starts; Attach is not safe to call concurrently with itself. Inject and
+// the fault controls (SetFault, SetPartitioned, SetPortDown, Reseed, Flush)
+// are safe from any goroutine.
 type Net struct {
 	sw Switch
-	// plugs is indexed by port. Attach and Cable publish a grown copy, so
-	// a delivery reads it with one load and no lock.
-	plugs atomic.Pointer[[]plug]
+	// ports holds each port's delivery queue (nil if nothing is attached).
+	// Attach publishes a grown copy, so a delivery reads it with one load
+	// and no lock.
+	ports atomic.Pointer[[]*portQueue]
 
 	// faultMu guards the fault configuration: rules, partitions, downed
 	// ports, and the reorder-buffer map (each buffer has its own mutex).
@@ -195,7 +187,7 @@ type Net struct {
 	rngCtr atomic.Uint64 // splitmix64 counter stream for fault draws
 
 	// Delivered counts frames handed to endpoints; Unattached counts
-	// emissions to ports with no endpoint or cable; ProcessErrors counts
+	// emissions to ports with no endpoint; ProcessErrors counts
 	// frames the switch refused with an error (Inject still returns the
 	// error to its caller, but trunk handlers and endpoint send closures
 	// have no caller to return it to — the counter is how those paths
@@ -224,76 +216,34 @@ func New(sw Switch) *Net {
 		parts:   make(map[uint64]struct{}),
 		down:    make(map[int]uint8),
 	}
-	n.plugs.Store(new([]plug))
+	n.ports.Store(new([]*portQueue))
 	n.clean.Store(true)
 	n.rngCtr.Store(1) // fixed seed: reproducible fault patterns
 	return n
 }
 
-// plugAt returns what is plugged into port (the zero plug if nothing is).
-func (n *Net) plugAt(port int) plug {
-	if ps := *n.plugs.Load(); uint(port) < uint(len(ps)) {
+// queueAt returns the delivery queue attached to port, or nil.
+func (n *Net) queueAt(port int) *portQueue {
+	if ps := *n.ports.Load(); uint(port) < uint(len(ps)) {
 		return ps[port]
 	}
-	return plug{}
+	return nil
 }
 
-// freePlugs returns a copy of the port table grown to cover ports,
-// panicking if any of them is negative or already in use. The caller fills
-// in the new plugs and publishes the copy.
-func (n *Net) freePlugs(ports ...int) []plug {
-	old := *n.plugs.Load()
-	size := len(old)
-	for _, p := range ports {
-		switch cur := n.plugAt(p); {
-		case p < 0:
-			panic(fmt.Sprintf("simnet: negative port %d", p))
-		case cur.q != nil:
-			panic(fmt.Sprintf("simnet: port %d already attached", p))
-		case cur.cabled:
-			panic(fmt.Sprintf("simnet: port %d already cabled", p))
-		}
-		size = max(size, p+1)
-	}
-	ps := make([]plug, size)
-	copy(ps, old)
-	return ps
-}
-
-// Attach connects an endpoint to a switch port.
+// Attach connects an endpoint to a switch port. It panics if the port is
+// negative or already attached.
 func (n *Net) Attach(port int, h Handler) {
-	ps := n.freePlugs(port)
-	ps[port] = plug{q: &portQueue{h: h}}
-	n.plugs.Store(&ps)
-}
-
-// Cable connects two switch ports with a loopback cable: frames emitted on
-// one are re-injected at the other, in both directions — the snake-test
-// wiring ("port 2i-1 is connected to port 2i", §7.1).
-func (n *Net) Cable(a, b int) {
-	ps := n.freePlugs(a, b)
-	ps[a] = plug{peer: b, cabled: true}
-	ps[b] = plug{peer: a, cabled: true}
-	n.plugs.Store(&ps)
-}
-
-// SetLoss configures the probability of discarding a frame emitted toward
-// the given port — shorthand for editing the Loss field of the port's
-// FromSwitch rule. Safe to call at any time, including during traffic.
-func (n *Net) SetLoss(port int, p float64) {
-	if p < 0 {
-		p = 0
+	switch {
+	case port < 0:
+		panic(fmt.Sprintf("simnet: negative port %d", port))
+	case n.queueAt(port) != nil:
+		panic(fmt.Sprintf("simnet: port %d already attached", port))
 	}
-	if p > 1 {
-		p = 1
-	}
-	n.faultMu.Lock()
-	defer n.faultMu.Unlock()
-	k := faultKey{port, FromSwitch}
-	r := n.faults[k]
-	r.Loss = p
-	n.setFaultLocked(k, r)
-	n.recleanLocked()
+	old := *n.ports.Load()
+	ps := make([]*portQueue, max(len(old), port+1))
+	copy(ps, old)
+	ps[port] = &portQueue{h: h}
+	n.ports.Store(&ps)
 }
 
 // SetFault replaces the fault rule of one port+direction; the zero rule
@@ -547,10 +497,8 @@ type batchSink struct {
 
 // InjectBatch pushes a burst of frames into the switch at one port,
 // coalescing deliveries: every destination endpoint has its queue locked
-// once for all the batch's frames to it. Emissions that leave through a
-// loopback cable re-enter the switch immediately, unbatched (cable hops are
-// the snake-test topology, not the hot path). Like Inject, the injected
-// frames are not retained.
+// once for all the batch's frames to it. Like Inject, the injected frames
+// are not retained.
 func (n *Net) InjectBatch(frames [][]byte, port int) error {
 	if n.isDown(port, ToSwitch) {
 		for range frames {
@@ -604,7 +552,7 @@ var emitScratch = sync.Pool{
 // Pool-backed emissions (Emitted.Pooled) are owned by this function: every
 // path either hands the buffer to a port queue exactly once — tagging the
 // delivery so the drainer releases it after the handler — or releases it
-// here (fault loss, partition/down drops, cable re-injection, reorder
+// here (fault loss, partition/down drops, unattached ports, reorder
 // holdback of a copy). Fault duplication can put the same buffer in the
 // output twice; only the last occurrence carries the release tag, so the
 // buffer outlives every delivery of it.
@@ -634,10 +582,7 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 			continue
 		}
 		if !n.hasFaults(em.Port, FromSwitch) {
-			pooled := em.Pooled && len(em.Frame) > 0
-			if err := n.deliverFinal(em.Frame, em.Port, pooled, sink); err != nil {
-				return err
-			}
+			n.deliverFinal(em.Frame, em.Port, em.Pooled && len(em.Frame) > 0, sink)
 			continue
 		}
 		fs := n.applyFaults(em.Frame, em.Port, FromSwitch)
@@ -655,43 +600,30 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 			}
 		}
 		for i, f := range fs {
-			if err := n.deliverFinal(f, em.Port, i == last, sink); err != nil {
-				return err
-			}
+			n.deliverFinal(f, em.Port, i == last, sink)
 		}
 	}
 	return nil
 }
 
-// deliverFinal hands one post-fault frame to the endpoint or cable at port.
-// pooled marks a frame whose buffer returns to the pool once it has no
-// reader: after the endpoint handler runs, or here when the frame's journey
-// ends (cable re-injection and unattached ports — the switch copies what it
-// needs before Inject returns).
-func (n *Net) deliverFinal(frame []byte, port int, pooled bool, sink *batchSink) error {
-	pl := n.plugAt(port)
-	if pq := pl.q; pq != nil {
-		n.Delivered.Inc()
-		d := delivery{frame: frame, pooled: pooled}
-		if sink != nil {
-			sink.items = append(sink.items, batchItem{pq: pq, d: d})
-			return nil
-		}
-		pq.deliver(d)
-		return nil
-	}
-	if pl.cabled {
-		err := n.Inject(frame, pl.peer)
+// deliverFinal hands one post-fault frame to the endpoint at port. pooled
+// marks a frame whose buffer returns to the pool once it has no reader:
+// after the endpoint handler runs, or here if no endpoint is attached.
+func (n *Net) deliverFinal(frame []byte, port int, pooled bool, sink *batchSink) {
+	pq := n.queueAt(port)
+	switch {
+	case pq == nil:
+		n.Unattached.Inc()
 		if pooled {
 			bufpool.Put(frame)
 		}
-		return err
+	case sink != nil:
+		n.Delivered.Inc()
+		sink.items = append(sink.items, batchItem{pq: pq, d: delivery{frame: frame, pooled: pooled}})
+	default:
+		n.Delivered.Inc()
+		pq.deliver(delivery{frame: frame, pooled: pooled})
 	}
-	n.Unattached.Inc()
-	if pooled {
-		bufpool.Put(frame)
-	}
-	return nil
 }
 
 // Flush releases every frame still held in a reorder delay queue: ToSwitch
@@ -741,13 +673,9 @@ func (n *Net) Flush() error {
 				n.DownDropped.Inc()
 				continue
 			}
-			var err error
-			if p.key.dir == ToSwitch {
-				err = n.forward(p.frame, p.key.port, nil)
-			} else {
-				err = n.deliverFinal(p.frame, p.key.port, false, nil)
-			}
-			if err != nil {
+			if p.key.dir == FromSwitch {
+				n.deliverFinal(p.frame, p.key.port, false, nil)
+			} else if err := n.forward(p.frame, p.key.port, nil); err != nil {
 				return err
 			}
 		}

@@ -44,40 +44,12 @@ func TestUnattachedCounted(t *testing.T) {
 	}
 }
 
-func TestCableReinjects(t *testing.T) {
-	// Snake: frame bounces 0→1 (cable 1-2) →2 ... until port 5 handler.
-	sw := &hopSwitch{}
-	n := New(sw)
-	n.Cable(1, 2)
-	n.Cable(3, 4)
-	var got []byte
-	n.Attach(5, func(f []byte) { got = f })
-	if err := n.Inject([]byte{0}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got == nil {
-		t.Fatal("frame never reached port 5")
-	}
-	if sw.hops != 3 {
-		t.Errorf("switch traversals = %d, want 3 (snake)", sw.hops)
-	}
-}
-
-// hopSwitch emits each frame on inPort+1 — combined with cables this forms
-// a snake.
-type hopSwitch struct{ hops int }
-
-func (s *hopSwitch) ProcessAppend(frame []byte, inPort int, out []dataplane.Emitted) ([]dataplane.Emitted, error) {
-	s.hops++
-	return append(out, dataplane.Emitted{Port: inPort + 1, Frame: frame}), nil
-}
-
 func TestLossInjection(t *testing.T) {
 	sw := &loopSwitch{}
 	n := New(sw)
 	delivered := 0
 	n.Attach(1, func([]byte) { delivered++ })
-	n.SetLoss(1, 1.0)
+	n.SetFault(1, FromSwitch, FaultRule{Loss: 1})
 	for i := 0; i < 100; i++ {
 		n.Inject([]byte{1}, 0)
 	}
@@ -87,15 +59,10 @@ func TestLossInjection(t *testing.T) {
 	if n.LossDropped.Value() != 100 {
 		t.Errorf("LossDropped = %d", n.LossDropped.Value())
 	}
-	n.SetLoss(1, 0) // clear
+	n.SetFault(1, FromSwitch, FaultRule{}) // clear
 	n.Inject([]byte{1}, 0)
 	if delivered != 1 {
 		t.Error("clearing loss should restore delivery")
-	}
-	n.SetLoss(1, 42) // clamps to 1
-	n.Inject([]byte{1}, 0)
-	if delivered != 1 {
-		t.Error("clamped loss should drop")
 	}
 }
 
@@ -104,7 +71,7 @@ func TestPartialLossRate(t *testing.T) {
 	n := New(sw)
 	delivered := 0
 	n.Attach(1, func([]byte) { delivered++ })
-	n.SetLoss(1, 0.5)
+	n.SetFault(1, FromSwitch, FaultRule{Loss: 0.5})
 	const total = 10000
 	for i := 0; i < total; i++ {
 		n.Inject([]byte{1}, 0)
@@ -119,7 +86,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 	n.Attach(0, func([]byte) {})
 	for i, fn := range []func(){
 		func() { n.Attach(0, func([]byte) {}) },
-		func() { n.Cable(0, 5) },
+		func() { n.Attach(-1, func([]byte) {}) },
 	} {
 		func() {
 			defer func() {
@@ -221,7 +188,7 @@ func TestConcurrentLoss(t *testing.T) {
 	n := New(sw)
 	var delivered atomic.Int64
 	n.Attach(1, func([]byte) { delivered.Add(1) })
-	n.SetLoss(1, 0.5)
+	n.SetFault(1, FromSwitch, FaultRule{Loss: 0.5})
 	const goroutines, per = 4, 2500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -470,10 +437,6 @@ func TestCleanFlagFollowsEveryMutator(t *testing.T) {
 		{"SetFault",
 			func(n *Net) { n.SetFault(1, FromSwitch, FaultRule{Loss: 1}) },
 			func(n *Net) { n.SetFault(1, FromSwitch, FaultRule{}) },
-			func(n *Net) uint64 { return n.LossDropped.Value() }},
-		{"SetLoss",
-			func(n *Net) { n.SetLoss(1, 1) },
-			func(n *Net) { n.SetLoss(1, 0) },
 			func(n *Net) uint64 { return n.LossDropped.Value() }},
 		{"SetPartitioned",
 			func(n *Net) { n.SetPartitioned([]int{0}, []int{1}, true) },

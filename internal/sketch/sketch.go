@@ -11,7 +11,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"math"
 	"sync/atomic"
 
@@ -60,13 +59,6 @@ func fmix(h uint64) uint64 {
 	h *= 0xC4CEB9FE1A85EC53
 	h ^= h >> 33
 	return h
-}
-
-// Hash64U is Hash64 over a uint64 key without allocation.
-func Hash64U(key uint64, seed uint64) uint64 {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], key)
-	return Hash64(b[:], seed)
 }
 
 // CountMin is a Count-Min sketch with saturating counters. The paper's

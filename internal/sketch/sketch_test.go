@@ -24,9 +24,6 @@ func TestHash64Independence(t *testing.T) {
 	if Hash64(k, rng.Seeds[0]) != h1 {
 		t.Error("hash must be deterministic")
 	}
-	if Hash64U(42, 7) != Hash64(key(42), 7) {
-		t.Error("Hash64U must agree with Hash64 over big-endian bytes")
-	}
 }
 
 // TestHash64x4MatchesHash64: each lane of the one-pass hash is Hash64 under

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -113,13 +112,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Max returns the largest observed value.
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
@@ -169,37 +161,6 @@ func (h *Histogram) Reset() {
 	}
 	h.count, h.sum, h.maxSeen = 0, 0, 0
 	h.rejected.n.Store(0)
-}
-
-// AddFrom merges another histogram with the same layout into h (used to
-// aggregate per-client latency distributions into one fleet view). The
-// source is snapshotted under its own lock first, so the two locks are
-// never held together. Mismatched layouts merge what overlaps: extra
-// source buckets fold into h's last bucket.
-func (h *Histogram) AddFrom(o *Histogram) {
-	if o == nil || o == h {
-		return
-	}
-	o.mu.Lock()
-	buckets := append([]uint64(nil), o.buckets...)
-	count, sum, maxSeen := o.count, o.sum, o.maxSeen
-	o.mu.Unlock()
-	h.rejected.Add(o.rejected.Value())
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	last := len(h.buckets) - 1
-	for i, b := range buckets {
-		if i < last {
-			h.buckets[i] += b
-		} else {
-			h.buckets[last] += b
-		}
-	}
-	h.count += count
-	h.sum += sum
-	if maxSeen > h.maxSeen {
-		h.maxSeen = maxSeen
-	}
 }
 
 // Clone returns an independent snapshot copy of h (same layout, same
@@ -283,71 +244,15 @@ func (h *Histogram) Sub(prev *Histogram) *Histogram {
 	return cur
 }
 
-// Summary renders count/mean/p50/p99/max, treating values as nanoseconds.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.0fns p50=%.0fns p99=%.0fns max=%.0fns",
-		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
-
-// Series is a named sequence of (x, y) points — the harness's unit of
-// figure output.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// YAt returns the y value for the given x, or 0 if absent.
-func (s *Series) YAt(x float64) float64 {
-	for i, xv := range s.X {
-		if xv == x {
-			return s.Y[i]
-		}
-	}
-	return 0
-}
-
-// MaxY returns the largest y value (0 when empty).
-func (s *Series) MaxY() float64 {
-	m := 0.0
-	for _, y := range s.Y {
-		if y > m {
-			m = y
-		}
-	}
-	return m
-}
-
-// MeanY returns the mean of y values (0 when empty).
-func (s *Series) MeanY() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, y := range s.Y {
-		sum += y
-	}
-	return sum / float64(len(s.Y))
-}
-
-// Gini returns the Gini coefficient of the y values — the load-imbalance
-// measure used to judge how well the cache balances per-server load
-// (0 = perfectly even, →1 = concentrated).
-func (s *Series) Gini() float64 {
-	n := len(s.Y)
+// Gini returns the Gini coefficient of ys — the load-imbalance measure used
+// to judge how well the cache balances per-server load (0 = perfectly even,
+// →1 = concentrated). ys is not modified.
+func Gini(ys []float64) float64 {
+	n := len(ys)
 	if n == 0 {
 		return 0
 	}
-	ys := append([]float64(nil), s.Y...)
+	ys = append([]float64(nil), ys...)
 	sort.Float64s(ys)
 	var cum, total float64
 	for i, y := range ys {

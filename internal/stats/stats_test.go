@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -181,52 +182,26 @@ func TestQuickHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramSummary(t *testing.T) {
-	h := NewLatencyHistogram()
-	h.Observe(5000)
-	if s := h.Summary(); s == "" {
-		t.Error("empty summary")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(1, 10)
-	s.Add(2, 30)
-	s.Add(3, 20)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if s.YAt(2) != 30 || s.YAt(99) != 0 {
-		t.Error("YAt wrong")
-	}
-	if s.MaxY() != 30 {
-		t.Errorf("MaxY = %f", s.MaxY())
-	}
-	if s.MeanY() != 20 {
-		t.Errorf("MeanY = %f", s.MeanY())
-	}
-}
-
-func TestSeriesEmpty(t *testing.T) {
-	var s Series
-	if s.MaxY() != 0 || s.MeanY() != 0 || s.Gini() != 0 {
-		t.Error("empty series should be all-zero")
-	}
-}
-
 func TestGini(t *testing.T) {
-	even := Series{Y: []float64{5, 5, 5, 5}}
-	if g := even.Gini(); math.Abs(g) > 1e-9 {
+	if g := Gini([]float64{5, 5, 5, 5}); math.Abs(g) > 1e-9 {
 		t.Errorf("even Gini = %f", g)
 	}
-	skewed := Series{Y: []float64{0, 0, 0, 100}}
-	if g := skewed.Gini(); g < 0.7 {
+	skewed := []float64{100, 0, 0, 0}
+	if g := Gini(skewed); g < 0.7 {
 		t.Errorf("skewed Gini = %f, want high", g)
 	}
-	zero := Series{Y: []float64{0, 0}}
-	if zero.Gini() != 0 {
+	if skewed[0] != 100 {
+		t.Error("Gini reordered its argument")
+	}
+	if Gini([]float64{0, 0}) != 0 {
 		t.Error("all-zero Gini should be 0")
+	}
+}
+
+// An empty load series (no servers reported yet) has no imbalance.
+func TestSeriesEmpty(t *testing.T) {
+	if Gini(nil) != 0 || Gini([]float64{}) != 0 {
+		t.Error("empty series Gini should be 0")
 	}
 }
 
@@ -332,42 +307,6 @@ func TestObserveRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestHistogramAddFrom(t *testing.T) {
-	a := NewLatencyHistogram()
-	b := NewLatencyHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(float64(i) * 1000)
-	}
-	for i := 101; i <= 200; i++ {
-		b.Observe(float64(i) * 1000)
-	}
-	b.Observe(-5) // rejected, should carry over
-
-	a.AddFrom(b)
-	if got := a.Count(); got != 200 {
-		t.Errorf("merged Count = %d, want 200", got)
-	}
-	if got := a.Max(); got != 200_000 {
-		t.Errorf("merged Max = %f, want 200000", got)
-	}
-	if got := a.Rejected(); got != 1 {
-		t.Errorf("merged Rejected = %d, want 1", got)
-	}
-	if m := a.Mean(); math.Abs(m-100_500) > 1 {
-		t.Errorf("merged Mean = %f, want 100500", m)
-	}
-	if q := a.Quantile(0.5); q < 85_000 || q > 115_000 {
-		t.Errorf("merged p50 = %f, want ~100500", q)
-	}
-
-	// Self- and nil-merge are no-ops.
-	a.AddFrom(a)
-	a.AddFrom(nil)
-	if got := a.Count(); got != 200 {
-		t.Errorf("Count after self/nil merge = %d, want 200", got)
-	}
-}
-
 func TestHistogramClone(t *testing.T) {
 	h := NewHistogram(1, 2, 8)
 	h.Observe(1)
@@ -375,13 +314,13 @@ func TestHistogramClone(t *testing.T) {
 	h.Observe(-1)
 	c := h.Clone()
 	if c.Count() != 2 || c.Mean() != 2.5 || c.Max() != 4 || c.Rejected() != 1 {
-		t.Fatalf("clone = %s rejected=%d, want the original's state", c.Summary(), c.Rejected())
+		t.Fatalf("clone = %s rejected=%d, want the original's state", desc(c), c.Rejected())
 	}
 	// The clone is independent: new observations on either side stay there.
 	h.Observe(8)
 	c.Observe(2)
 	if h.Count() != 3 || c.Count() != 3 || h.Max() != 8 || c.Max() != 4 {
-		t.Errorf("clone not independent: h=%s c=%s", h.Summary(), c.Summary())
+		t.Errorf("clone not independent: h=%s c=%s", desc(h), desc(c))
 	}
 }
 
@@ -419,7 +358,7 @@ func TestHistogramSubNilAndSelf(t *testing.T) {
 		t.Errorf("Sub(nil) count = %d, want full copy (1)", d.Count())
 	}
 	if d := h.Sub(h); d.Count() != 0 || d.Mean() != 0 || d.Max() != 0 {
-		t.Errorf("Sub(self) = %s, want empty", d.Summary())
+		t.Errorf("Sub(self) = %s, want empty", desc(d))
 	}
 }
 
@@ -440,8 +379,8 @@ func TestHistogramSubUnderflow(t *testing.T) {
 	}
 	// Fully-reset source with nothing new: the delta is empty.
 	h.Reset()
-	if d := h.Sub(prev); d.Count() != 0 || d.Sum() != 0 {
-		t.Errorf("post-reset delta = count %d sum %g, want 0 0", d.Count(), d.Sum())
+	if d := h.Sub(prev); d.Count() != 0 || d.sum != 0 {
+		t.Errorf("post-reset delta = count %d sum %g, want 0 0", d.Count(), d.sum)
 	}
 }
 
@@ -481,4 +420,9 @@ func TestHistogramSubRejectedPropagation(t *testing.T) {
 	if d := h.Sub(prev); d.Rejected() != 0 {
 		t.Errorf("post-reset delta rejected = %d, want 0", d.Rejected())
 	}
+}
+
+// desc renders a histogram's count, mean and max for failure messages.
+func desc(h *Histogram) string {
+	return fmt.Sprintf("n=%d mean=%g max=%g", h.Count(), h.Mean(), h.Max())
 }

@@ -261,13 +261,6 @@ func (sw *Switch) SetHotThreshold(th uint64) {
 	sw.hotThreshold.Store(th)
 }
 
-// OnHotReport registers the controller's heavy-hitter report receiver,
-// discarding other digest kinds. The callback runs on the digest drain
-// goroutine, off the packet path.
-func (sw *Switch) OnHotReport(fn func(HotReport)) {
-	sw.OnEvents(fn, nil)
-}
-
 // OnEvents registers receivers for both digest kinds the data plane emits:
 // heavy-hitter reports and refused-update overflow reports. Either callback
 // may be nil. The callbacks run on the pipeline's digest drain goroutine,

@@ -332,7 +332,7 @@ func TestCacheUpdateForUncachedKeyStillAcked(t *testing.T) {
 func TestHotReportOncePerCycle(t *testing.T) {
 	r := newRig(t)
 	var reports []HotReport
-	r.sw.OnHotReport(func(h HotReport) { reports = append(reports, h) })
+	r.sw.OnEvents(func(h HotReport) { reports = append(reports, h) }, nil)
 
 	key := netproto.KeyFromString("uncached-hot")
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
@@ -362,7 +362,7 @@ func TestHotReportOncePerCycle(t *testing.T) {
 func TestColdKeysNotReported(t *testing.T) {
 	r := newRig(t)
 	var reports []HotReport
-	r.sw.OnHotReport(func(h HotReport) { reports = append(reports, h) })
+	r.sw.OnEvents(func(h HotReport) { reports = append(reports, h) }, nil)
 	// Many distinct keys, each touched once: none crosses the threshold.
 	for i := 0; i < 500; i++ {
 		key := netproto.KeyFromString(string(rune('a'+i%26)) + string(rune('0'+i%10)) + "cold")
@@ -380,7 +380,7 @@ func TestColdKeysNotReported(t *testing.T) {
 func TestSetHotThreshold(t *testing.T) {
 	r := newRig(t)
 	var reports int
-	r.sw.OnHotReport(func(HotReport) { reports++ })
+	r.sw.OnEvents(func(HotReport) { reports++ }, nil)
 	r.sw.SetHotThreshold(3)
 	key := netproto.KeyFromString("quick-hot")
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})

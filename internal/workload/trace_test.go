@@ -6,9 +6,15 @@ import (
 	"testing"
 )
 
+// traceGen is a read-mostly Zipf 0.99 stream over 1000 keys, 5 % writes.
 func traceGen(t *testing.T) *Generator {
 	t.Helper()
-	g, _, err := YCSB(YCSBB, 1000, 42)
+	z, err := NewZipf(1000, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := ZipfDist{Z: z, Pop: NewPopularity(1000)}
+	g, err := NewGenerator(GeneratorConfig{Reads: dist, Writes: dist, WriteRatio: 0.05, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,6 +202,12 @@ func (r *Rack) Tick() { r.r.Tick() }
 // StartController runs Tick on the given interval until the returned stop
 // function is called.
 func (r *Rack) StartController(interval time.Duration) (stop func()) {
+	return every(interval, r.r.Tick)
+}
+
+// every calls tick on the given interval from its own goroutine until the
+// returned stop function is called.
+func every(interval time.Duration, tick func()) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)
@@ -209,7 +215,7 @@ func (r *Rack) StartController(interval time.Duration) (stop func()) {
 		for {
 			select {
 			case <-t.C:
-				r.r.Tick()
+				tick()
 			case <-done:
 				return
 			}
