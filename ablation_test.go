@@ -8,13 +8,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"netcache/internal/cachemem"
 	"netcache/internal/dataplane"
 	"netcache/internal/harness"
 	"netcache/internal/netproto"
-	"netcache/internal/sketch"
+	"netcache/internal/switchcore"
 	"netcache/internal/workload"
 )
 
@@ -124,6 +125,70 @@ func BenchmarkAblationAllocatorPolicy(b *testing.B) {
 	b.ReportMetric(100*bf, "best_fit_occupancy_pct")
 }
 
+// statsRun drives the paper-sized switch (§6) of one statistics ablation
+// arm: a client on port 0, the storage server on port 1, and the
+// controller's sample rate and hot threshold.
+type statsRun struct {
+	b   *testing.B
+	sw  *switchcore.Switch
+	out []dataplane.Emitted
+}
+
+func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
+	sw, err := switchcore.New(switchcore.PaperConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(sw.Close)
+	if err := sw.InstallRoute(ablationClient, 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := sw.InstallRoute(ablationServer, 1); err != nil {
+		b.Fatal(err)
+	}
+	sw.SetSampleRate(rate)
+	sw.SetHotThreshold(threshold)
+	return &statsRun{b: b, sw: sw}
+}
+
+const (
+	ablationClient = netproto.Addr(0x8001)
+	ablationServer = netproto.Addr(1)
+	ablationKeys   = 100_000
+)
+
+// getFrames holds one client Get frame per Zipf rank.
+var getFrames = sync.OnceValue(func() [][]byte {
+	frames := make([][]byte, ablationKeys)
+	for rank := range frames {
+		pkt, _ := (&netproto.Packet{Op: netproto.OpGet, Key: workload.KeyName(rank)}).Marshal()
+		frames[rank] = netproto.MarshalFrame(ablationServer, ablationClient, pkt)
+	}
+	return frames
+})
+
+// get runs the Get for rank through the switch and reports whether the
+// switch answered it from its cache.
+func (r *statsRun) get(rank int) (hit bool) {
+	var err error
+	r.out, err = r.sw.ProcessAppend(getFrames()[rank], 0, r.out[:0])
+	if err != nil || len(r.out) != 1 {
+		r.b.Fatalf("Get of rank %d: %d emissions, %v", rank, len(r.out), err)
+	}
+	dataplane.ReleaseFrame(r.out[0])
+	return r.out[0].Port == 0
+}
+
+// estimate is the switch's Count-Min estimate for rank's key.
+func (r *statsRun) estimate(rank int) uint64 { return r.sw.EstimateFreq(workload.KeyName(rank)) }
+
+// sketchUpdates is how many Gets the first Count-Min row has counted: the
+// stage's runs, which for a keyless stage are its default action's misses.
+func (r *statsRun) sketchUpdates() int {
+	t, _ := r.sw.Pipeline().Program().TableByName("cms_0")
+	return int(t.Hits() + t.Misses())
+}
+
 // BenchmarkAblationSampling — the statistics sampling front-end vs counting
 // every query: with 16-bit counters and a heavy head, unsampled counting
 // saturates the hottest Count-Min slots (losing the ability to rank the
@@ -131,28 +196,20 @@ func BenchmarkAblationAllocatorPolicy(b *testing.B) {
 // work (§4.4.3).
 func BenchmarkAblationSampling(b *testing.B) {
 	const queries = 3_000_000
-	zipf, _ := workload.NewZipf(100_000, 0.99)
+	zipf, _ := workload.NewZipf(ablationKeys, 0.99)
 
 	run := func(rate float64) (saturated int, updates int) {
-		cms := sketch.NewCountMin(4, 1<<16, 16)
-		smp := sketch.NewSampler(rate, 11)
+		r := newStatsRun(b, rate, 64)
 		rng := rand.New(rand.NewSource(3))
-		var key [8]byte
 		for q := 0; q < queries; q++ {
-			if !smp.Sample() {
-				continue
-			}
-			binary.BigEndian.PutUint64(key[:], uint64(zipf.SampleRank(rng)))
-			cms.Add(key[:])
-			updates++
+			r.get(zipf.SampleRank(rng))
 		}
 		for rank := 0; rank < 64; rank++ {
-			binary.BigEndian.PutUint64(key[:], uint64(rank))
-			if cms.Estimate(key[:]) >= 0xFFFF {
+			if r.estimate(rank) >= 0xFFFF {
 				saturated++
 			}
 		}
-		return
+		return saturated, r.sketchUpdates()
 	}
 	var satFull, updFull, satSampled, updSampled int
 	for i := 0; i < b.N; i++ {
@@ -172,36 +229,27 @@ func BenchmarkAblationSampling(b *testing.B) {
 
 // BenchmarkAblationBloomDedup — the Bloom filter after the Count-Min sketch
 // exists only to stop re-reporting a hot key on every subsequent query
-// (§4.4.3). Measures controller reports per cycle with and without it.
+// (§4.4.3). Measures controller reports per cycle with it (the switch's
+// digests) and without it (every query whose estimate after the update is
+// at or above the threshold).
 func BenchmarkAblationBloomDedup(b *testing.B) {
 	const queries = 200_000
 	const threshold = 64
-	zipf, _ := workload.NewZipf(100_000, 0.99)
+	zipf, _ := workload.NewZipf(ablationKeys, 0.99)
 
-	run := func(dedup bool) (reports int) {
-		cms := sketch.NewCountMin(4, 1<<16, 16)
-		bloom := sketch.NewBloom(3, 1<<18)
-		rng := rand.New(rand.NewSource(5))
-		var key [8]byte
-		for q := 0; q < queries; q++ {
-			binary.BigEndian.PutUint64(key[:], uint64(zipf.SampleRank(rng)))
-			if cms.Add(key[:]) < threshold {
-				continue
-			}
-			if dedup {
-				if bloom.AddIfAbsent(key[:]) {
-					reports++
-				}
-			} else {
-				reports++
-			}
-		}
-		return
-	}
 	var with, without int
 	for i := 0; i < b.N; i++ {
-		with = run(true)
-		without = run(false)
+		r := newStatsRun(b, 1, threshold)
+		rng := rand.New(rand.NewSource(5))
+		without = 0
+		for q := 0; q < queries; q++ {
+			rank := zipf.SampleRank(rng)
+			r.get(rank)
+			if r.estimate(rank) >= threshold {
+				without++
+			}
+		}
+		with = int(r.sw.Pipeline().Stats().Digests)
 	}
 	if with >= without {
 		b.Fatal("dedup should reduce reports")
@@ -214,29 +262,43 @@ func BenchmarkAblationBloomDedup(b *testing.B) {
 // BenchmarkAblationHHScope — counting only *uncached* keys in the heavy-
 // hitter detector (the paper's choice, §4.2) vs counting every read: the
 // cached head would otherwise dominate the sketch, wasting its resolution
-// and re-reporting keys the controller already cached.
+// and re-reporting keys the controller already cached. The paper's arm
+// caches the head in the switch, whose hits never reach the sketch; the
+// other arm leaves the head uncached so every read is counted.
 func BenchmarkAblationHHScope(b *testing.B) {
 	const queries = 500_000
 	const cacheSize = 1000
 	const threshold = 64
-	zipf, _ := workload.NewZipf(100_000, 0.99)
+	zipf, _ := workload.NewZipf(ablationKeys, 0.99)
 
 	run := func(uncachedOnly bool) (updates, redundantHot int) {
-		cms := sketch.NewCountMin(4, 1<<14, 16)
-		rng := rand.New(rand.NewSource(9))
-		var key [8]byte
-		for q := 0; q < queries; q++ {
-			rank := zipf.SampleRank(rng)
-			if uncachedOnly && rank < cacheSize {
-				continue // served by the cache; not counted
+		r := newStatsRun(b, 1, threshold)
+		if uncachedOnly {
+			alloc, err := cachemem.New(r.sw.AllocatorConfig())
+			if err != nil {
+				b.Fatal(err)
 			}
-			binary.BigEndian.PutUint64(key[:], uint64(rank))
-			est := cms.Add(key[:])
-			if est >= threshold && rank < cacheSize {
-				redundantHot++ // report for an already-cached key
+			for rank := 0; rank < cacheSize; rank++ {
+				key, value := workload.KeyName(rank), workload.ValueFor(rank, 16)
+				p, err := alloc.Insert(key, len(value))
+				if err == nil {
+					err = r.sw.InstallCacheEntry(switchcore.CacheEntry{
+						Key: key, Placement: p, KeyIndex: rank, ServerPort: 1, Value: value,
+					})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-		return queries - queriesSkipped(zipf, uncachedOnly, cacheSize, queries), redundantHot
+		rng := rand.New(rand.NewSource(9))
+		for q := 0; q < queries; q++ {
+			rank := zipf.SampleRank(rng)
+			if !r.get(rank) && rank < cacheSize && r.estimate(rank) >= threshold {
+				redundantHot++ // hot in the sketch, yet its key belongs in the cache
+			}
+		}
+		return r.sketchUpdates(), redundantHot
 	}
 	var updAll, redAll, updUnc, redUnc int
 	for i := 0; i < b.N; i++ {
@@ -248,16 +310,6 @@ func BenchmarkAblationHHScope(b *testing.B) {
 	}
 	b.ReportMetric(float64(redAll), "redundant_hot_count_all")
 	b.ReportMetric(float64(updAll)/float64(updUnc), "sketch_update_ratio")
-	_ = redAll
-}
-
-// queriesSkipped estimates how many of n Zipf queries land in the cached
-// head (analytically, to avoid a second sampling pass).
-func queriesSkipped(z *workload.Zipf, uncachedOnly bool, cacheSize, n int) int {
-	if !uncachedOnly {
-		return 0
-	}
-	return int(z.CumTop(cacheSize) * float64(n))
 }
 
 // BenchmarkAblationUpdatePath — §4.3's choice of *data-plane* cache updates

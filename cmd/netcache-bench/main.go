@@ -20,9 +20,7 @@ import (
 	"time"
 
 	"netcache/internal/harness"
-	_ "netcache/internal/queuesim" // registers the fig10c-sim latency experiment
 	"netcache/internal/telemetry"
-	_ "netcache/internal/topo" // registers the fig10f scalability model
 )
 
 func main() {

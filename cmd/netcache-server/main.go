@@ -42,10 +42,11 @@ func main() {
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /debug/pprof on this HTTP address (empty disables)")
 	flag.Parse()
 
-	if *addr < 1 || *addr >= 0x8000 {
-		log.Fatalf("netcache-server: -addr must be in [1, 32767]")
+	home := netproto.Addr(*addr)
+	if int(home) != *addr || !home.IsServerHome() {
+		log.Fatalf("netcache-server: -addr must be a server home address, in [1, %d]", netproto.NodeAlias(0)-1)
 	}
-	srv := server.New(server.Config{Addr: netproto.Addr(*addr), Shards: *shards})
+	srv := server.New(server.Config{Addr: home, Shards: *shards})
 
 	ep, err := udptrans.Dial(*swAddr)
 	if err != nil {
@@ -87,7 +88,7 @@ func main() {
 	// Teach the switch our address before any traffic targets us, and
 	// keep re-announcing: a single Hello can race the switch's startup or
 	// be lost, leaving this server unreachable.
-	stopHello := ep.StartHello(netproto.Addr(*addr), 2*time.Second)
+	stopHello := ep.StartHello(home, 2*time.Second)
 	defer stopHello()
 	log.Printf("netcache-server: addr %d serving via switch %s (%d store shards)", *addr, *swAddr, *shards)
 	if err := ep.Run(srv.Receive); err != nil {

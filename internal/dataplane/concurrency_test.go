@@ -70,14 +70,14 @@ func TestDigestHandlerReentersPipeline(t *testing.T) {
 	pl.OnDigest(func(b []byte) {
 		// Immediately push another packet through the pipeline the
 		// digest came from — the exact call the old contract forbade.
-		out, err := pl.Process([]byte{7}, 0)
+		out, err := pl.ProcessAppend([]byte{7}, 0, nil)
 		if err != nil || len(out) != 1 {
 			t.Errorf("re-entrant Process = %v, %v", out, err)
 			return
 		}
 		reentered.Store(true)
 	})
-	if _, err := pl.Process([]byte{9}, 0); err != nil {
+	if _, err := pl.ProcessAppend([]byte{9}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	pl.SyncDigests()
@@ -100,7 +100,7 @@ func TestConcurrentProcess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				out, err := pl.Process([]byte{1}, 0)
+				out, err := pl.ProcessAppend([]byte{1}, 0, nil)
 				if err != nil || len(out) != 1 {
 					t.Errorf("Process = %v, %v", out, err)
 					return
@@ -212,7 +212,7 @@ func TestTableMutationDuringLookups(t *testing.T) {
 			}
 			return
 		default:
-			out, err := pl.Process([]byte{1}, 0)
+			out, err := pl.ProcessAppend([]byte{1}, 0, nil)
 			if err != nil || len(out) != 1 {
 				t.Fatalf("Process during mutation = %v, %v", out, err)
 			}

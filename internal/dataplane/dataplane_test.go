@@ -92,7 +92,7 @@ func TestCompileAndForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := pl.Process(pkt(7), 0)
+	out, err := pl.ProcessAppend(pkt(7), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCompileAndForward(t *testing.T) {
 	}
 
 	// Unrouted destination hits the drop default.
-	out, err = pl.Process(pkt(9), 0)
+	out, err = pl.ProcessAppend(pkt(9), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPathClassCounts(t *testing.T) {
 	if err := route.AddEntry([]uint64{7}, "fwd", []uint64{3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Process(pkt(7), 0); err != nil { // interpreted: route hit, count miss
+	if _, err := pl.ProcessAppend(pkt(7), 0, nil); err != nil { // interpreted: route hit, count miss
 		t.Fatal(err)
 	}
 	fwd := pl.NewPathClass(false, []*Table{route}, []*Table{count})
@@ -163,7 +163,7 @@ func TestParserExceptionDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pl.Process([]byte{0x1}, 0)
+	out, err := pl.ProcessAppend([]byte{0x1}, 0, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("short packet: out=%v err=%v", out, err)
 	}
@@ -178,7 +178,7 @@ func TestBadInputPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Process(pkt(1), 999); err == nil {
+	if _, err := pl.ProcessAppend(pkt(1), 999, nil); err == nil {
 		t.Error("expected error for out-of-range port")
 	}
 }
@@ -260,15 +260,15 @@ func TestTernaryMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, _ := pl.Process([]byte{0b1010}, 0)
+	out, _ := pl.ProcessAppend([]byte{0b1010}, 0, nil)
 	if out[0].Frame[0] != 2 {
 		t.Errorf("specific entry should win: got mark %d", out[0].Frame[0])
 	}
-	out, _ = pl.Process([]byte{0b0110}, 0)
+	out, _ = pl.ProcessAppend([]byte{0b0110}, 0, nil)
 	if out[0].Frame[0] != 1 {
 		t.Errorf("wildcard entry should match: got mark %d", out[0].Frame[0])
 	}
-	out, _ = pl.Process([]byte{0b0100}, 0)
+	out, _ = pl.ProcessAppend([]byte{0b0100}, 0, nil)
 	if out[0].Frame[0] != 0 {
 		t.Errorf("no entry should match: got mark %d", out[0].Frame[0])
 	}
@@ -298,11 +298,11 @@ func TestGatePredication(t *testing.T) {
 	if err := tab.AddEntry([]uint64{1}, "nop", nil); err != nil {
 		t.Fatal(err)
 	}
-	pl.Process([]byte{1, 0}, 0)
+	pl.ProcessAppend([]byte{1, 0}, 0, nil)
 	if tab.Hits() != 0 {
 		t.Error("gated-off table should not be consulted")
 	}
-	pl.Process([]byte{1, 1}, 0)
+	pl.ProcessAppend([]byte{1, 1}, 0, nil)
 	if tab.Hits() != 1 {
 		t.Error("gated-on table should hit")
 	}
@@ -342,7 +342,7 @@ func TestGatewayConditions(t *testing.T) {
 		{5, 0, false}, {3, 1, false}, {0, 1, false}, {64, 1, false}, {66, 1, false}, {255, 1, false},
 	} {
 		before := tab.Misses()
-		if _, err := pl.Process([]byte{tc.op, tc.flag}, 0); err != nil {
+		if _, err := pl.ProcessAppend([]byte{tc.op, tc.flag}, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if ran := tab.Misses() > before; ran != tc.runs {
@@ -496,7 +496,7 @@ func TestSingleAccessEnforced(t *testing.T) {
 			t.Error("double register access should panic")
 		}
 	}()
-	pl.Process([]byte{1}, 0)
+	pl.ProcessAppend([]byte{1}, 0, nil)
 }
 
 func TestDigestDelivery(t *testing.T) {
@@ -523,7 +523,7 @@ func TestDigestDelivery(t *testing.T) {
 	}
 	var got []byte
 	pl.OnDigest(func(b []byte) { got = append(got, b...) })
-	pl.Process([]byte{9}, 0)
+	pl.ProcessAppend([]byte{9}, 0, nil)
 	pl.SyncDigests()
 	if len(got) != 1 || got[0] != 9 {
 		t.Errorf("digest = %v", got)
@@ -556,7 +556,7 @@ func TestMirrorOverridesPort(t *testing.T) {
 	}
 	ing.AddEntry([]uint64{5}, "to1", nil)
 	tab.AddEntry([]uint64{5}, "mirror", []uint64{7})
-	out, _ := pl.Process([]byte{5}, 0)
+	out, _ := pl.ProcessAppend([]byte{5}, 0, nil)
 	if len(out) != 1 || out[0].Port != 7 {
 		t.Fatalf("mirror should emit on port 7, got %+v", out)
 	}
@@ -781,7 +781,7 @@ func BenchmarkProcessForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pl.Process(frame, 0); err != nil {
+		if _, err := pl.ProcessAppend(frame, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // Ctx is the per-packet execution context: the PHV (parsed header fields and
 // metadata), forwarding decisions, and the value scratch buffer that NetCache
 // stages append register data to. A Ctx is valid only for the duration of one
-// Pipeline.Process call.
+// Pipeline.ProcessAppend call.
 type Ctx struct {
 	phv []uint64
 
@@ -232,7 +232,7 @@ type pipeCounters struct {
 const digestQueueCap = 8192
 
 // Pipeline is a compiled program bound to a chip configuration: the
-// executable switch. Process is the data-plane entry point and is safe for
+// executable switch. ProcessAppend is the data-plane entry point and is safe for
 // any number of concurrent callers — the unit of serialization is the
 // individual register slot and table snapshot, standing in for the ASIC's
 // per-stage atomic ALUs, not the chip. Control-plane mutators serialize on a
@@ -301,7 +301,7 @@ func (pl *Pipeline) Program() *Program { return pl.prog }
 
 // OnDigest registers the control-plane digest receiver. The handler runs on
 // a dedicated drain goroutine, outside the packet path, so it may call back
-// into the pipeline (including Process) without restriction. Digests queue
+// into the pipeline (including ProcessAppend) without restriction. Digests queue
 // through a bounded buffer; when it overflows the digest is dropped and
 // counted in DigestsDropped, like a full learn filter.
 func (pl *Pipeline) OnDigest(fn func(payload []byte)) {
@@ -327,7 +327,7 @@ func (pl *Pipeline) drainDigests() {
 	}
 }
 
-// SyncDigests blocks until every digest emitted by already-completed Process
+// SyncDigests blocks until every digest emitted by already-completed ProcessAppend
 // calls has been delivered to the OnDigest handler. Controllers call it
 // before a Tick so hot-key reports from prior traffic are visible — the
 // simulator's stand-in for the (bounded) report latency of the real switch.
@@ -340,7 +340,7 @@ func (pl *Pipeline) SyncDigests() {
 }
 
 // Close shuts down the digest drain goroutine. Call only after traffic has
-// quiesced; Process calls racing a Close may panic on the closed queue.
+// quiesced; ProcessAppend calls racing a Close may panic on the closed queue.
 func (pl *Pipeline) Close() {
 	pl.closeOnce.Do(func() {
 		pl.drainOnce.Do(func() {}) // prevent a future drain start
@@ -348,18 +348,13 @@ func (pl *Pipeline) Close() {
 	})
 }
 
-// Process runs one packet through the switch: parser, ingress pipe of the
-// arrival port, traffic manager, egress pipe of the chosen port, deparser.
-// It returns the emitted packets (zero if dropped, one normally). It is safe
-// to call from any number of goroutines concurrently.
-func (pl *Pipeline) Process(raw []byte, inPort int) ([]Emitted, error) {
-	return pl.process(raw, inPort, nil, nil)
-}
-
-// ProcessAppend is Process appending its emissions to out, so a caller in a
-// loop reuses one slice instead of allocating a fresh one per packet. The
-// emitted frames may be pool-backed (Emitted.Pooled); hot-path callers
-// release them with ReleaseFrame once consumed.
+// ProcessAppend runs one packet through the switch: parser, ingress pipe of
+// the arrival port, traffic manager, egress pipe of the chosen port,
+// deparser. It appends the emitted packets (zero if dropped, one normally)
+// to out, so a caller in a loop reuses one slice instead of allocating a
+// fresh one per packet. The emitted frames may be pool-backed
+// (Emitted.Pooled); hot-path callers release them with ReleaseFrame once
+// consumed. It is safe to call from any number of goroutines concurrently.
 func (pl *Pipeline) ProcessAppend(raw []byte, inPort int, out []Emitted) ([]Emitted, error) {
 	return pl.process(raw, inPort, out, nil)
 }

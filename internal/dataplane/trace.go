@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// TraceEvent records one table execution during a traced Process call — the
+// TraceEvent records one table execution during a traced ProcessAppend call — the
 // equivalent of a switch OS's packet-trace debugging facility.
 type TraceEvent struct {
 	Gress   Gress
@@ -43,9 +43,9 @@ func (tr Trace) String() string {
 	return b.String()
 }
 
-// ProcessTraced is Process with per-table tracing: it returns the emitted
-// packets plus the execution history. Slower than Process; intended for
-// debugging and tests, not the data path. Like Process, it is safe for
+// ProcessTraced is ProcessAppend with per-table tracing: it returns the emitted
+// packets plus the execution history. Slower than ProcessAppend; intended for
+// debugging and tests, not the data path. Like ProcessAppend, it is safe for
 // concurrent callers (the trace covers only its own packet).
 func (pl *Pipeline) ProcessTraced(raw []byte, inPort int) ([]Emitted, Trace, error) {
 	var trace Trace

@@ -108,7 +108,7 @@ func TestUntracedProcessUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := pl.Process(pkt(7), 0); err != nil {
+		if _, err := pl.ProcessAppend(pkt(7), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

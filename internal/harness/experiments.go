@@ -114,18 +114,10 @@ type Experiment struct {
 	Run func(quick bool) (*Table, error)
 }
 
-// extra holds experiments registered by packages that build on the harness
-// (e.g. the queueing simulator); they follow the built-in figures.
-var extra []Experiment
-
-// Register appends an experiment to the registry. Call from init; not safe
-// for concurrent use with Experiments.
-func Register(e Experiment) { extra = append(extra, e) }
-
 // Experiments returns the full registry, one entry per table/figure of the
-// evaluation (§7) in paper order, followed by registered extensions.
+// evaluation (§7) in paper order, followed by the extensions.
 func Experiments() []Experiment {
-	builtin := []Experiment{
+	return []Experiment{
 		{"fig9a", "Switch throughput vs. value size (snake test)", Fig9a},
 		{"fig9b", "Switch throughput vs. cache size (snake test)", Fig9b},
 		{"fig10a", "System throughput vs. skew, NoCache vs. NetCache", Fig10a},
@@ -140,8 +132,8 @@ func Experiments() []Experiment {
 		{"resources", "Switch resource usage (§6)", Resources},
 		{"xval", "Packet-level cross-validation of the capacity model", XVal},
 		{"balance", "Load balance analytics: per-server load with the cache on vs off", BalanceBench},
+		{"fig10c-sim", "Simulated latency distribution vs throughput", Fig10cSim},
 	}
-	return append(builtin, extra...)
 }
 
 // Lookup finds an experiment by ID.
@@ -331,15 +323,9 @@ func Fig10e(bool) (*Table, error) {
 	return t, nil
 }
 
-// Fig10f scales the fabric to 32 racks under the three deployments. The
-// topo package holds the model; this wrapper keeps the registry uniform.
-var Fig10fModel func(racks int) (noCache, leaf, leafSpine float64)
-
-// Fig10f runs the multi-rack scalability simulation.
+// Fig10f scales the fabric to 32 racks under the three deployments
+// (scaleout.go).
 func Fig10f(bool) (*Table, error) {
-	if Fig10fModel == nil {
-		return nil, fmt.Errorf("harness: topo model not registered")
-	}
 	t := &Table{
 		ID: "fig10f", Title: "scalability across racks (BQPS)",
 		Columns: []string{"racks", "servers", "nocache", "leaf_cache", "leaf_spine_cache"},
@@ -348,8 +334,9 @@ func Fig10f(bool) (*Table, error) {
 		},
 	}
 	for _, racks := range []int{1, 2, 4, 8, 16, 32} {
-		noc, leaf, spine := Fig10fModel(racks)
-		t.Add(float64(racks), float64(racks*128), noc/1e9, leaf/1e9, spine/1e9)
+		c := paperScaleOut(racks)
+		t.Add(float64(racks), float64(racks*c.ServersPerRack),
+			c.throughput(noCache)/1e9, c.throughput(leafCache)/1e9, c.throughput(leafSpineCache)/1e9)
 	}
 	return t, nil
 }

@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"netcache/internal/harness"
-	_ "netcache/internal/queuesim" // registers fig10c-sim
 	"netcache/internal/stats"
-	"netcache/internal/topo"
 	"netcache/internal/workload"
 )
 
@@ -183,44 +181,6 @@ func throughputAt(t *testing.T, cache int) float64 {
 	m := harness.PaperRack(0.99)
 	m.CacheSize = cache
 	return m.StaticThroughput(true).TotalQPS
-}
-
-func TestFig10fShape(t *testing.T) {
-	get := func(racks int, mode topo.Mode) float64 {
-		return topo.PaperConfig(racks).Throughput(mode)
-	}
-	// NoCache stays flat: 32 racks buy less than 30% over 1 rack.
-	if r := get(32, topo.NoCache) / get(1, topo.NoCache); r > 1.3 {
-		t.Errorf("NoCache should not scale: 32-rack gain %.2fx", r)
-	}
-	// Leaf-Spine scales with servers: 32 racks at least 20x one rack.
-	if r := get(32, topo.LeafSpineCache) / get(1, topo.LeafSpineCache); r < 20 {
-		t.Errorf("Leaf-Spine should scale: 32-rack gain %.1fx", r)
-	}
-	// Leaf-only flattens at tens of racks: the 16->32 step gains far less
-	// than doubling, and Leaf-Spine beats Leaf clearly at 32 racks.
-	step := get(32, topo.LeafCache) / get(16, topo.LeafCache)
-	if step > 1.6 {
-		t.Errorf("Leaf-Cache 16->32 racks gained %.2fx; paper shows a plateau", step)
-	}
-	if get(32, topo.LeafSpineCache) < 2*get(32, topo.LeafCache) {
-		t.Error("Leaf-Spine should clearly beat Leaf-only at 32 racks")
-	}
-	// Every mode beats or equals NoCache.
-	for _, racks := range []int{1, 8, 32} {
-		if get(racks, topo.LeafCache) < get(racks, topo.NoCache) {
-			t.Errorf("LeafCache below NoCache at %d racks", racks)
-		}
-	}
-}
-
-func TestTopoModeString(t *testing.T) {
-	if topo.NoCache.String() != "NoCache" || topo.LeafSpineCache.String() != "Leaf-Spine-Cache" {
-		t.Error("mode names wrong")
-	}
-	if topo.Mode(9).String() == "" {
-		t.Error("unknown mode should still print")
-	}
 }
 
 func TestSnakeLineRateInvariant(t *testing.T) {

@@ -15,7 +15,8 @@
 // key (§5: variable-length keys are supported by hashing them to this fixed
 // size and verifying the original key stored alongside the value). VALUE is
 // present only on Get replies, Put requests, and cache-update messages, and
-// is at most 128 bytes — the capacity of the switch's eight value stages.
+// is at most 128 bytes — the capacity of the switch's eight value stages
+// (a control fetch reply adds the item's 8-byte store version in front).
 //
 // Switches that do not run NetCache forward these packets untouched; the
 // NetCache switch recognizes them by the reserved L4 port carried by the
@@ -46,8 +47,13 @@ const Magic = 0x4E43 // "NC"
 // headerSize is MAGIC + OP + SEQ + KEY + VLEN.
 const headerSize = 2 + 1 + 8 + KeySize + 1
 
-// MaxPacketSize is the largest encoded NetCache message.
-const MaxPacketSize = headerSize + MaxValueSize
+// MaxPacketSize is the largest encoded NetCache message: an OpCtlFetchReply
+// carrying a MaxValueSize value behind its version.
+const MaxPacketSize = headerSize + VersionSize + MaxValueSize
+
+// VersionSize is the width of the store version an OpCtlFetchReply VALUE
+// opens with.
+const VersionSize = 8
 
 // Op enumerates NetCache operations. The first three are the client-facing
 // API (§3); the rest are internal to the cache-coherence and cache-update
@@ -132,6 +138,16 @@ const (
 	// failed, or the controller evicted it. Acknowledged with OpCtlAck.
 	OpCtlUncached
 
+	// OpCtlFetch asks a storage server for KEY's value and store version:
+	// the controller's cache-insertion read when controller and server are
+	// separate processes. Answered with OpCtlFetchReply, or OpGetReplyMiss
+	// when KEY is absent; both echo the request's SEQ.
+	OpCtlFetch
+	// OpCtlFetchReply answers OpCtlFetch. Its VALUE is the store version
+	// (VersionSize bytes, big-endian) followed by the value, so it may run
+	// VersionSize bytes past MaxValueSize; see AppendVersioned.
+	OpCtlFetchReply
+
 	opSentinel // keep last
 )
 
@@ -158,6 +174,8 @@ var opNames = [...]string{
 	OpReplicateDelete: "ReplicateDelete",
 	OpReplicateAck:    "ReplicateAck",
 	OpCtlUncached:     "CtlUncached",
+	OpCtlFetch:        "CtlFetch",
+	OpCtlFetchReply:   "CtlFetchReply",
 }
 
 // String returns the mnemonic name of the operation.
@@ -183,10 +201,33 @@ func (op Op) IsReply() bool {
 // HasValue reports whether packets with this op may carry a VALUE field.
 func (op Op) HasValue() bool {
 	switch op {
-	case OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate:
+	case OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate, OpCtlFetchReply:
 		return true
 	}
 	return false
+}
+
+// maxValue is the largest VALUE packets with this op may carry.
+func (op Op) maxValue() int {
+	if op == OpCtlFetchReply {
+		return VersionSize + MaxValueSize
+	}
+	return MaxValueSize
+}
+
+// AppendVersioned appends the OpCtlFetchReply VALUE for a value at a store
+// version to dst.
+func AppendVersioned(dst []byte, version uint64, value []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(dst, version), value...)
+}
+
+// SplitVersioned is the inverse of AppendVersioned; ok is false when v is
+// too short to hold a version and a non-empty value.
+func SplitVersioned(v []byte) (value []byte, version uint64, ok bool) {
+	if len(v) <= VersionSize {
+		return nil, 0, false
+	}
+	return v[VersionSize:], binary.BigEndian.Uint64(v), true
 }
 
 // Key is the fixed-size NetCache key.
@@ -273,7 +314,7 @@ func (p *Packet) Validate() error {
 	if !p.Op.Valid() {
 		return ErrBadOp
 	}
-	if len(p.Value) > MaxValueSize {
+	if len(p.Value) > p.Op.maxValue() {
 		return ErrValueTooBig
 	}
 	if len(p.Value) > 0 && !p.Op.HasValue() {
@@ -321,7 +362,7 @@ func Decode(b []byte, p *Packet) error {
 		return ErrBadOp
 	}
 	vlen := int(b[11+KeySize])
-	if vlen > MaxValueSize {
+	if vlen > op.maxValue() {
 		return ErrValueTooBig
 	}
 	if len(b) < headerSize+vlen {

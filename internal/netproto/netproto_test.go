@@ -40,7 +40,7 @@ func TestOpString(t *testing.T) {
 
 func TestOpClassification(t *testing.T) {
 	replies := []Op{OpGetReply, OpGetReplyMiss, OpPutReply, OpDeleteReply}
-	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate}
+	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate, OpCtlFetchReply}
 
 	in := func(ops []Op, op Op) bool {
 		for _, o := range ops {
@@ -88,6 +88,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Op != orig.Op || got.Seq != orig.Seq || got.Key != orig.Key || !bytes.Equal(got.Value, orig.Value) {
 		t.Fatalf("round-trip mismatch: got %+v want %+v", got, orig)
+	}
+}
+
+// TestCtlFetchReplyRoundTrip: a control fetch reply carries the store
+// version in front of a full-size value, through Marshal and Decode, and
+// the version split comes back out.
+func TestCtlFetchReplyRoundTrip(t *testing.T) {
+	val := bytes.Repeat([]byte{0xCD}, MaxValueSize)
+	orig := Packet{Op: OpCtlFetchReply, Seq: 1<<63 + 5, Key: KeyFromString("hot"),
+		Value: AppendVersioned(nil, 0x0102030405060708, val)}
+	b, err := orig.Marshal()
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if len(b) != MaxPacketSize {
+		t.Fatalf("encoded %d bytes, MaxPacketSize is %d", len(b), MaxPacketSize)
+	}
+	var got Packet
+	if err := Decode(b, &got); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.Op != orig.Op || got.Seq != orig.Seq || got.Key != orig.Key {
+		t.Fatalf("round-trip mismatch: got %+v want %+v", got, orig)
+	}
+	value, version, ok := SplitVersioned(got.Value)
+	if !ok || version != 0x0102030405060708 || !bytes.Equal(value, val) {
+		t.Fatalf("SplitVersioned = %d bytes, version %#x, %v", len(value), version, ok)
+	}
+	if _, _, ok := SplitVersioned(AppendVersioned(nil, 9, nil)); ok {
+		t.Error("a version without a value must not split")
+	}
+	if _, err := (&Packet{Op: OpCtlFetchReply, Value: make([]byte, VersionSize+MaxValueSize+1)}).Marshal(); err != ErrValueTooBig {
+		t.Errorf("oversize fetch reply: err = %v, want ErrValueTooBig", err)
 	}
 }
 
@@ -240,7 +273,7 @@ func TestReply(t *testing.T) {
 // Property: every structurally valid packet round-trips exactly.
 func TestQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate}
+	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate, OpCtlFetchReply}
 	plain := []Op{OpGet, OpGetReplyMiss, OpPutReply, OpDelete, OpDeleteCached,
 		OpDeleteReply, OpCacheUpdateAck, OpHotReport,
 		OpCtlBlock, OpCtlUnblock, OpCtlAck, OpCtlStats,

@@ -1,17 +1,16 @@
 // Package rng is the repo's one splitmix64: the seeded, math/rand-free
 // generator behind every reproducible random decision (chaos scenarios,
 // simnet fault draws, the statistics sampler, client backoff jitter), plus
-// the table of well-spread 64-bit constants the sketches hash with.
+// the table of well-spread 64-bit constants the switch's sketch hashes with.
 // Streams are stable across Go versions, so a seed printed by a failing
 // run replays the same decisions.
 package rng
 
 import "sync/atomic"
 
-// Seeds are well-spread odd 64-bit constants: per-row hash seeds for the
-// Count-Min sketch and Bloom filter (the switch's sketch uses the first
-// four). Seeds[0] is the golden-ratio increment every splitmix64 stream
-// here advances by.
+// Seeds are well-spread odd 64-bit constants; the switch's four Count-Min
+// rows hash with the first four. Seeds[0] is the golden-ratio increment
+// every splitmix64 stream here advances by.
 var Seeds = [8]uint64{
 	gamma, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
 	0x85EBCA77C2B2AE63, 0x2545F4914F6CDD1D, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53,

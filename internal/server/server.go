@@ -329,6 +329,14 @@ func (s *Server) Receive(frame []byte) {
 		s.handleAck(pkt)
 	case netproto.OpReplicate, netproto.OpReplicateDelete:
 		s.handleReplicate(fr.Src, pkt)
+	case netproto.OpCtlFetch:
+		// The networked form of FetchValue: the version rides in the
+		// VALUE, because SEQ must echo the request for the RPC to match.
+		reply := netproto.Packet{Op: netproto.OpGetReplyMiss, Seq: pkt.Seq, Key: pkt.Key}
+		if value, version, ok := s.FetchValue(pkt.Key); ok {
+			reply.Op, reply.Value = netproto.OpCtlFetchReply, netproto.AppendVersioned(nil, version, value)
+		}
+		s.reply(fr.Src, reply)
 	case netproto.OpCtlBlock, netproto.OpCtlUnblock, netproto.OpCtlUncached:
 		// The networked form of the controller's write-block window
 		// (§4.3), used when controller and server are separate

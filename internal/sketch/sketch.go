@@ -1,13 +1,12 @@
-// Package sketch implements the probabilistic data structures behind
-// NetCache's query-statistics engine (SOSP'17 §4.4.3, Fig. 7): a Count-Min
-// sketch that estimates the frequency of uncached keys, a Bloom filter that
-// suppresses duplicate hot-key reports, and the sampling front-end that acts
-// as a high-pass filter so 16-bit counters do not overflow.
+// Package sketch holds the hashing and sampling primitives of NetCache's
+// query-statistics engine (SOSP'17 §4.4.3, Fig. 7): the seeded hash that
+// indexes the Count-Min rows and Bloom partitions, and the sampling
+// front-end that acts as a high-pass filter so 16-bit counters do not
+// overflow.
 //
-// The same row-update math is executed inside the switch data plane (package
-// switchcore) against per-stage register arrays; the standalone types here
-// back the controller's bookkeeping, the simulations, and the ablation
-// benchmarks, and serve as the reference implementation for property tests.
+// The sketch and the filter themselves are register arrays of the switch
+// data plane (package switchcore); kvstore and the facade use Hash64 for
+// their own bucket and key hashing.
 package sketch
 
 import (
@@ -59,164 +58,6 @@ func fmix(h uint64) uint64 {
 	h *= 0xC4CEB9FE1A85EC53
 	h ^= h >> 33
 	return h
-}
-
-// CountMin is a Count-Min sketch with saturating counters. The paper's
-// configuration is 4 rows of 64K 16-bit slots (§6); NewCountMin defaults the
-// counter width to 16 bits to match.
-type CountMin struct {
-	rows  int
-	width int
-	max   uint64 // saturation ceiling per counter
-	data  []uint64
-}
-
-// NewCountMin returns a rows×width sketch with counterBits-wide saturating
-// counters. rows must be 1..8 and width a power of two.
-func NewCountMin(rows, width, counterBits int) *CountMin {
-	if rows < 1 || rows > len(rng.Seeds) {
-		panic("sketch: CountMin rows must be 1..8")
-	}
-	if width <= 0 || width&(width-1) != 0 {
-		panic("sketch: CountMin width must be a power of two")
-	}
-	if counterBits < 1 || counterBits > 64 {
-		panic("sketch: CountMin counter width must be 1..64 bits")
-	}
-	maxVal := ^uint64(0)
-	if counterBits < 64 {
-		maxVal = uint64(1)<<counterBits - 1
-	}
-	return &CountMin{rows: rows, width: width, max: maxVal, data: make([]uint64, rows*width)}
-}
-
-// Rows returns the number of hash rows.
-func (c *CountMin) Rows() int { return c.rows }
-
-// Width returns the number of slots per row.
-func (c *CountMin) Width() int { return c.width }
-
-// SizeBytes returns the memory footprint charged for resource accounting,
-// assuming counters are stored at their logical width.
-func (c *CountMin) SizeBytes(counterBits int) int {
-	return c.rows * c.width * counterBits / 8
-}
-
-// Index returns the slot index of key in the given row.
-func (c *CountMin) Index(key []byte, row int) int {
-	return int(Hash64(key, rng.Seeds[row]) & uint64(c.width-1))
-}
-
-// Add increments the key's counter in every row (saturating) and returns the
-// new estimate: the minimum across rows, the classic Count-Min read.
-func (c *CountMin) Add(key []byte) uint64 {
-	est := ^uint64(0)
-	for r := 0; r < c.rows; r++ {
-		slot := &c.data[r*c.width+c.Index(key, r)]
-		if *slot < c.max {
-			*slot++
-		}
-		if *slot < est {
-			est = *slot
-		}
-	}
-	return est
-}
-
-// Estimate returns the current estimate for key without modifying state.
-func (c *CountMin) Estimate(key []byte) uint64 {
-	est := ^uint64(0)
-	for r := 0; r < c.rows; r++ {
-		v := c.data[r*c.width+c.Index(key, r)]
-		if v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// Reset zeroes all counters; the controller does this on every statistics
-// refresh cycle (every second in the paper's experiments).
-func (c *CountMin) Reset() {
-	for i := range c.data {
-		c.data[i] = 0
-	}
-}
-
-// Bloom is a Bloom filter. The paper's configuration is 3 arrays of 256K
-// 1-bit slots (§6), i.e. k=3 probes over m=3*256K bits arranged as one bit
-// array per probe (a partitioned Bloom filter, which is what per-stage
-// register arrays force).
-type Bloom struct {
-	probes int
-	width  int // bits per partition, power of two
-	bits   []uint64
-}
-
-// NewBloom returns a partitioned Bloom filter with the given number of
-// probes (1..8) and bits per partition (power of two).
-func NewBloom(probes, width int) *Bloom {
-	if probes < 1 || probes > len(rng.Seeds) {
-		panic("sketch: Bloom probes must be 1..8")
-	}
-	if width <= 0 || width&(width-1) != 0 {
-		panic("sketch: Bloom width must be a power of two")
-	}
-	return &Bloom{probes: probes, width: width, bits: make([]uint64, (probes*width+63)/64)}
-}
-
-// Width returns bits per partition.
-func (b *Bloom) Width() int { return b.width }
-
-// SizeBytes returns the filter's memory footprint.
-func (b *Bloom) SizeBytes() int { return b.probes * b.width / 8 }
-
-// Index returns the bit index of key within partition p (relative to the
-// partition).
-func (b *Bloom) Index(key []byte, p int) int {
-	// Invert the hash relative to CountMin rows so the two structures are
-	// independent even for identical seeds.
-	return int(Hash64(key, ^rng.Seeds[p]) & uint64(b.width-1))
-}
-
-func (b *Bloom) bit(p, idx int) (word int, mask uint64) {
-	pos := p*b.width + idx
-	return pos / 64, uint64(1) << (pos % 64)
-}
-
-// Contains reports whether key may have been added (false positives
-// possible, false negatives not).
-func (b *Bloom) Contains(key []byte) bool {
-	for p := 0; p < b.probes; p++ {
-		w, m := b.bit(p, b.Index(key, p))
-		if b.bits[w]&m == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AddIfAbsent inserts key and reports whether it was (possibly) new: true
-// means at least one probe bit was previously clear, so the key had not been
-// reported before. This is the exact data-plane sequence NetCache uses to
-// report each hot key to the controller only once per cycle.
-func (b *Bloom) AddIfAbsent(key []byte) bool {
-	wasNew := false
-	for p := 0; p < b.probes; p++ {
-		w, m := b.bit(p, b.Index(key, p))
-		if b.bits[w]&m == 0 {
-			wasNew = true
-			b.bits[w] |= m
-		}
-	}
-	return wasNew
-}
-
-// Reset clears the filter.
-func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
 }
 
 // Sampler is the statistics front-end: it admits each query independently

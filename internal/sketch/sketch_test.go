@@ -3,7 +3,6 @@ package sketch
 import (
 	"encoding/binary"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -61,153 +60,6 @@ func TestHash64Uniformity(t *testing.T) {
 		if math.Abs(float64(c)-mean) > 0.25*mean {
 			t.Errorf("bin %d count %d deviates from mean %.0f", b, c, mean)
 		}
-	}
-}
-
-func TestCountMinBasics(t *testing.T) {
-	cm := NewCountMin(4, 1<<16, 16)
-	if cm.Rows() != 4 || cm.Width() != 1<<16 {
-		t.Fatalf("dims = %d x %d", cm.Rows(), cm.Width())
-	}
-	// Paper config: 4 x 64K x 16 bit = 512 KB.
-	if got := cm.SizeBytes(16); got != 4*65536*2 {
-		t.Errorf("SizeBytes = %d", got)
-	}
-	k := key(1)
-	for i := 1; i <= 10; i++ {
-		if est := cm.Add(k); est != uint64(i) {
-			t.Fatalf("Add #%d estimate = %d", i, est)
-		}
-	}
-	if est := cm.Estimate(k); est != 10 {
-		t.Errorf("Estimate = %d, want 10", est)
-	}
-	if est := cm.Estimate(key(2)); est != 0 {
-		t.Errorf("untouched key estimate = %d, want 0", est)
-	}
-	cm.Reset()
-	if est := cm.Estimate(k); est != 0 {
-		t.Errorf("after Reset estimate = %d", est)
-	}
-}
-
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm := NewCountMin(4, 1<<10, 16) // small width to force collisions
-	truth := make(map[int]uint64)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50000; i++ {
-		k := rng.Intn(5000)
-		truth[k]++
-		cm.Add(key(k))
-	}
-	for k, want := range truth {
-		if got := cm.Estimate(key(k)); got < want {
-			t.Fatalf("key %d: estimate %d < true count %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinSaturates(t *testing.T) {
-	cm := NewCountMin(2, 8, 4) // 4-bit counters saturate at 15
-	k := key(3)
-	for i := 0; i < 100; i++ {
-		cm.Add(k)
-	}
-	if est := cm.Estimate(k); est != 15 {
-		t.Errorf("4-bit counter should saturate at 15, got %d", est)
-	}
-}
-
-func TestCountMinPanics(t *testing.T) {
-	cases := []func(){
-		func() { NewCountMin(0, 16, 16) },
-		func() { NewCountMin(9, 16, 16) },
-		func() { NewCountMin(4, 15, 16) }, // not a power of two
-		func() { NewCountMin(4, 16, 0) },
-		func() { NewCountMin(4, 16, 65) },
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestBloomBasics(t *testing.T) {
-	b := NewBloom(3, 1<<18)
-	// Paper config: 3 x 256K x 1 bit = 96 KB.
-	if got := b.SizeBytes(); got != 3*(1<<18)/8 {
-		t.Errorf("SizeBytes = %d", got)
-	}
-	k := key(9)
-	if b.Contains(k) {
-		t.Error("empty filter should not contain anything")
-	}
-	if !b.AddIfAbsent(k) {
-		t.Error("first add should report new")
-	}
-	if b.AddIfAbsent(k) {
-		t.Error("second add should report duplicate")
-	}
-	if !b.Contains(k) {
-		t.Error("added key must be contained")
-	}
-	b.Reset()
-	if b.Contains(k) {
-		t.Error("Reset should clear")
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(3, 1<<12)
-	for i := 0; i < 2000; i++ {
-		b.AddIfAbsent(key(i))
-	}
-	for i := 0; i < 2000; i++ {
-		if !b.Contains(key(i)) {
-			t.Fatalf("false negative for key %d", i)
-		}
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	// Paper-sized filter with a cycle's worth of hot keys should have a
-	// tiny false-positive rate.
-	b := NewBloom(3, 1<<18)
-	for i := 0; i < 10000; i++ {
-		b.AddIfAbsent(key(i))
-	}
-	fp := 0
-	const probes = 100000
-	for i := 0; i < probes; i++ {
-		if b.Contains(key(1_000_000 + i)) {
-			fp++
-		}
-	}
-	if rate := float64(fp) / probes; rate > 0.001 {
-		t.Errorf("false positive rate %.4f too high for paper-sized filter", rate)
-	}
-}
-
-func TestBloomPanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() { NewBloom(0, 16) },
-		func() { NewBloom(9, 16) },
-		func() { NewBloom(3, 100) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			fn()
-		}()
 	}
 }
 
@@ -269,71 +121,6 @@ func TestSamplerZeroSeed(t *testing.T) {
 	}
 	if a == 0 || b == 0 {
 		t.Errorf("zero-seed sampler degenerate: %d/%d", a, b)
-	}
-}
-
-// Property: CMS estimate is always >= true count (one-sided error), for any
-// insertion multiset.
-func TestQuickCountMinOneSided(t *testing.T) {
-	f := func(keys []uint16) bool {
-		cm := NewCountMin(3, 1<<8, 32)
-		truth := make(map[uint16]uint64)
-		for _, k := range keys {
-			truth[k]++
-			cm.Add(key(int(k)))
-		}
-		for k, want := range truth {
-			if cm.Estimate(key(int(k))) < want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Bloom filter has no false negatives for any insertion set, and
-// AddIfAbsent returns true at most once per distinct key.
-func TestQuickBloomProperties(t *testing.T) {
-	f := func(keys []uint16) bool {
-		b := NewBloom(3, 1<<10)
-		seen := make(map[uint16]bool)
-		for _, k := range keys {
-			fresh := b.AddIfAbsent(key(int(k)))
-			if seen[k] && fresh {
-				return false // duplicate reported as new
-			}
-			seen[k] = true
-		}
-		for k := range seen {
-			if !b.Contains(key(int(k))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkCountMinAdd(b *testing.B) {
-	cm := NewCountMin(4, 1<<16, 16)
-	k := key(123)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cm.Add(k)
-	}
-}
-
-func BenchmarkBloomAddIfAbsent(b *testing.B) {
-	bl := NewBloom(3, 1<<18)
-	k := key(123)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bl.AddIfAbsent(k)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestNoTornValueReads(t *testing.T) {
 			if i&1 == 1 {
 				f = updB
 			}
-			if _, err := r.sw.Process(f, serverPort); err != nil {
+			if _, err := r.sw.ProcessAppend(f, serverPort, nil); err != nil {
 				t.Errorf("updater: %v", err)
 				return
 			}
@@ -118,7 +118,7 @@ func TestNoTornValueReads(t *testing.T) {
 
 	check := func(frame []byte, iters int, ok func(pkt netproto.Packet) error) {
 		for i := 0; i < iters; i++ {
-			out, err := r.sw.Process(frame, clientPort)
+			out, err := r.sw.ProcessAppend(frame, clientPort, nil)
 			if err != nil {
 				t.Errorf("reader: %v", err)
 				return
@@ -217,7 +217,7 @@ func TestResetStatsRaceWithProcess(t *testing.T) {
 				default:
 				}
 				for _, f := range frames[w] {
-					if _, err := r.sw.Process(f, clientPort); err != nil {
+					if _, err := r.sw.ProcessAppend(f, clientPort, nil); err != nil {
 						t.Errorf("Process: %v", err)
 						return
 					}
@@ -239,7 +239,7 @@ func TestResetStatsRaceWithProcess(t *testing.T) {
 	const burst = 5
 	hitF := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 9, Key: cached})
 	for i := 0; i < burst; i++ {
-		if _, err := r.sw.Process(hitF, clientPort); err != nil {
+		if _, err := r.sw.ProcessAppend(hitF, clientPort, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

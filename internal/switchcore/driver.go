@@ -265,7 +265,7 @@ func (sw *Switch) SetHotThreshold(th uint64) {
 // heavy-hitter reports and refused-update overflow reports. Either callback
 // may be nil. The callbacks run on the pipeline's digest drain goroutine,
 // outside the packet path, and may freely call back into the switch
-// (including Process and the driver operations).
+// (including ProcessAppend and the driver operations).
 func (sw *Switch) OnEvents(onHot func(HotReport), onOverflow func(OverflowReport)) {
 	sw.pl.OnDigest(func(payload []byte) {
 		if len(payload) != 25 {

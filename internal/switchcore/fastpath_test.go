@@ -142,7 +142,7 @@ func diffEntry(i int) CacheEntry {
 // interpreter and requires identical emissions and errors.
 func (r *diffRig) feed(t testing.TB, frame []byte, inPort int) {
 	t.Helper()
-	fe, ferr := r.fast.Process(frame, inPort)
+	fe, ferr := r.fast.ProcessAppend(frame, inPort, nil)
 	ie, ierr := r.interp.Pipeline().ProcessAppend(frame, inPort, nil)
 	if (ferr == nil) != (ierr == nil) {
 		t.Fatalf("error divergence: fast=%v interp=%v", ferr, ierr)
@@ -509,7 +509,7 @@ func TestFastPathConcurrentInvalidation(t *testing.T) {
 			e := diffEntry(i)
 			pkt := netproto.Packet{Op: netproto.OpPut, Seq: uint64(n), Key: diffKey(i), Value: e.Value}
 			frame, _ := netproto.AppendFramePacket(nil, diffServerAddr, diffClientAddr, &pkt)
-			out, err := sw.Process(frame, diffClientPort)
+			out, err := sw.ProcessAppend(frame, diffClientPort, nil)
 			if err != nil {
 				t.Errorf("put: %v", err)
 				return
@@ -520,7 +520,7 @@ func TestFastPathConcurrentInvalidation(t *testing.T) {
 			// Refresh through the data plane so the valid bit comes back.
 			upd := netproto.Packet{Op: netproto.OpCacheUpdate, Seq: uint64(n), Key: diffKey(i), Value: e.Value}
 			frame, _ = netproto.AppendFramePacket(nil, diffClientAddr, diffServerAddr, &upd)
-			out, err = sw.Process(frame, diffServerPort)
+			out, err = sw.ProcessAppend(frame, diffServerPort, nil)
 			if err != nil {
 				t.Errorf("update: %v", err)
 				return

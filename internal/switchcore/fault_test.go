@@ -17,7 +17,7 @@ func TestCorruptFrameDroppedAtParser(t *testing.T) {
 	frame := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key})
 	frame[len(frame)-1] ^= 0x5A
 
-	out, err := r.sw.Process(frame, clientPort)
+	out, err := r.sw.ProcessAppend(frame, clientPort, nil)
 	if err != nil {
 		t.Fatalf("corrupt frame must be dropped silently, got error %v", err)
 	}
@@ -170,7 +170,7 @@ func TestRebootWipesSwitchState(t *testing.T) {
 		t.Errorf("DumpCache returned %d entries after reboot", len(d))
 	}
 	get := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key})
-	out, err := r.sw.Process(get, clientPort)
+	out, err := r.sw.ProcessAppend(get, clientPort, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("unrouted post-reboot frame: out=%d err=%v", len(out), err)
 	}

@@ -912,14 +912,9 @@ func keyFields(key netproto.Key) []uint64 {
 	}
 }
 
-// Process runs one frame through the switch data plane. See ProcessAppend.
-func (sw *Switch) Process(frame []byte, inPort int) ([]dataplane.Emitted, error) {
-	return sw.ProcessAppend(frame, inPort, nil)
-}
-
-// ProcessAppend is Process appending emissions to out, reusing the caller's
-// slice across packets. Emitted frames may be pool-backed; see
-// dataplane.ReleaseFrame.
+// ProcessAppend runs one frame through the switch data plane, appending
+// its emissions to out so the caller reuses one slice across packets.
+// Emitted frames may be pool-backed; see dataplane.ReleaseFrame.
 //
 // The compiled traversal (fastpath.go) serves valid cached Gets and
 // forwards uncached Gets, uncached writes, replies and replication; the
@@ -979,7 +974,7 @@ func (sw *Switch) traceFrame(tap *qtrace.Tap, frame []byte, emitted []dataplane.
 func (sw *Switch) Pipeline() *dataplane.Pipeline { return sw.pl }
 
 // SyncDigests blocks until every hot-key / overflow digest emitted by
-// already-completed Process calls has reached the registered handler.
+// already-completed ProcessAppend calls has reached the registered handler.
 // Controllers call it before acting on reports so a tick observes all the
 // traffic that preceded it.
 func (sw *Switch) SyncDigests() { sw.pl.SyncDigests() }

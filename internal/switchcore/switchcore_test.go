@@ -83,7 +83,7 @@ func mkFrame(t *testing.T, dst, src netproto.Addr, pkt netproto.Packet) []byte {
 // one sends a frame and expects exactly one emitted packet.
 func one(t *testing.T, sw *Switch, frame []byte, inPort int) dataplane.Emitted {
 	t.Helper()
-	out, err := sw.Process(frame, inPort)
+	out, err := sw.ProcessAppend(frame, inPort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestNonNetCacheTrafficRouted(t *testing.T) {
 func TestUnroutableDropped(t *testing.T) {
 	r := newRig(t)
 	f := netproto.MarshalFrame(netproto.Addr(999), clientAddr, []byte("x"))
-	out, err := r.sw.Process(f, clientPort)
+	out, err := r.sw.ProcessAppend(f, clientPort, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("unroutable frame should drop: %v %v", out, err)
 	}

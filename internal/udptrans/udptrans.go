@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sync"
@@ -329,7 +330,10 @@ type SwitchDaemon struct {
 	mu    sync.Mutex // serializes learn's copy-and-publish
 	table atomic.Pointer[portTable]
 
-	rpcMu   sync.Mutex
+	rpcMu sync.Mutex
+	// rpcSeq numbers control requests from a random start: servers dedup
+	// them on SEQ alone, so a restarted daemon counting from 1 again would
+	// have its blocks acked and never applied.
 	rpcSeq  uint64
 	pending map[uint64]chan netproto.Packet
 
@@ -366,6 +370,7 @@ func NewSwitch(cfg SwitchConfig) (*SwitchDaemon, error) {
 		sw:      sw,
 		conn:    conn,
 		logf:    logf,
+		rpcSeq:  rand.Uint64(),
 		pending: make(map[uint64]chan netproto.Packet),
 		done:    make(chan struct{}),
 	}
@@ -576,7 +581,7 @@ func (w *worker) handleCtl(fr netproto.Frame, from netip.AddrPort) {
 		reply := netproto.Packet{Op: netproto.OpCtlStatsReply, Seq: pkt.Seq, Key: pkt.Key, Value: val}
 		payload, _ := reply.Marshal()
 		w.b.send(w.port, from, netproto.MarshalFrame(fr.Src, CtlAddr, payload))
-	case netproto.OpGetReply, netproto.OpGetReplyMiss, netproto.OpCtlAck:
+	case netproto.OpCtlFetchReply, netproto.OpGetReplyMiss, netproto.OpCtlAck:
 		d.rpcMu.Lock()
 		ch, ok := d.pending[pkt.Seq]
 		if ok {
@@ -638,12 +643,14 @@ type remoteNode struct {
 
 func (n *remoteNode) Addr() netproto.Addr { return n.addr }
 
+// FetchValue returns the value with its store version, which seeds the
+// switch's version guard: a data-plane refresh must carry a newer one.
 func (n *remoteNode) FetchValue(key netproto.Key) ([]byte, uint64, bool) {
-	reply, err := n.d.rpc(n.addr, netproto.Packet{Op: netproto.OpGet, Key: key})
-	if err != nil || reply.Op != netproto.OpGetReply {
+	reply, err := n.d.rpc(n.addr, netproto.Packet{Op: netproto.OpCtlFetch, Key: key})
+	if err != nil || reply.Op != netproto.OpCtlFetchReply {
 		return nil, 0, false
 	}
-	return reply.Value, reply.Seq, true
+	return netproto.SplitVersioned(reply.Value)
 }
 
 func (n *remoteNode) BlockWrites(key netproto.Key) {
@@ -659,11 +666,10 @@ func (n *remoteNode) Uncached(key netproto.Key) {
 }
 
 // resolveOwner probes the learned servers for the key; the owner is the one
-// that answers the fetch. Rack convention: server addresses sit below the
-// 0x8000 client space.
+// that answers the fetch.
 func (d *SwitchDaemon) resolveOwner(key netproto.Key) (controller.StorageNode, bool) {
 	for a := range d.table.Load().portOf {
-		if a >= 0x8000 {
+		if !a.IsServerHome() {
 			continue
 		}
 		node := &remoteNode{d: d, addr: a}

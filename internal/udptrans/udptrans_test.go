@@ -184,6 +184,44 @@ func TestUDPCoherentWriteToCachedKey(t *testing.T) {
 	}
 }
 
+// TestUDPCachedKeyServedAfterWrite: the daemon's controller installs a key
+// at its store version, so the data-plane refresh a write triggers (which
+// carries the next version) passes the switch's version guard and reads
+// are served by the switch again.
+func TestUDPCachedKeyServedAfterWrite(t *testing.T) {
+	dep := deploy(t, 1, 50*time.Millisecond)
+	key := workload.KeyName(5)
+	if err := dep.cli.Put(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !dep.daemon.Controller().Cached(key) {
+		if time.Now().After(deadline) {
+			t.Fatal("key never cached")
+		}
+		dep.cli.Get(key)
+	}
+	if err := dep.cli.Put(key, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	// The client is acked before the refresh lands, so allow it a moment.
+	srv := dep.servers[0]
+	for reads := 1; ; reads++ {
+		gets := srv.Metrics.Gets.Value()
+		v, err := dep.cli.Get(key)
+		if err != nil || string(v) != "v2" {
+			t.Fatalf("post-write Get = %q, %v", v, err)
+		}
+		if srv.Metrics.Gets.Value() == gets {
+			return // served by the switch
+		}
+		if reads == 20 {
+			t.Fatalf("%d reads after the write all went to the server: the switch refused the refresh", reads)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestBatchWireFormatRoundTrip(t *testing.T) {
 	frames := [][]byte{
 		[]byte("alpha"), []byte("b"), bytes.Repeat([]byte{0x42}, 164),
@@ -342,6 +380,52 @@ func TestUDPRemoteBlockWindow(t *testing.T) {
 	}
 	if v, _, ok := dep.servers[0].Store().Get(key); !ok || string(v) != "v" {
 		t.Errorf("store = %q %v", v, ok)
+	}
+}
+
+// TestUDPRestartedDaemonBlockWindow: a daemon that replaces another on the
+// same address numbers its control requests afresh, and the server must
+// still apply them rather than take them for the old daemon's retransmits.
+func TestUDPRestartedDaemonBlockWindow(t *testing.T) {
+	dep := deploy(t, 1, time.Hour)
+	if _, err := dep.cli.Get(netproto.KeyFromString("warm")); err != client.ErrNotFound {
+		t.Fatalf("warm-up Get: %v", err)
+	}
+	first := &remoteNode{d: dep.daemon, addr: 1}
+	first.BlockWrites(netproto.KeyFromString("a"))
+	first.UnblockWrites(netproto.KeyFromString("a"))
+
+	listen := dep.daemon.Addr().String()
+	dep.daemon.Close()
+	d, err := NewSwitch(SwitchConfig{Listen: listen, CacheCapacity: 64, Cycle: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Run()
+	t.Cleanup(d.Close)
+	dep.eps[0].Hello(1)
+	key := netproto.KeyFromString("blocked")
+	if _, err := dep.cli.Get(key); err != client.ErrNotFound {
+		t.Fatalf("warm-up Get through the new daemon: %v", err)
+	}
+
+	node := &remoteNode{d: d, addr: 1}
+	node.BlockWrites(key)
+	done := make(chan error, 1)
+	go func() { done <- dep.cli.Put(key, []byte("v")) }()
+	select {
+	case <-done:
+		t.Fatal("write completed during the new daemon's block window")
+	case <-time.After(300 * time.Millisecond):
+	}
+	node.UnblockWrites(key)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("write after unblock: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("write never completed after unblock")
 	}
 }
 

@@ -42,11 +42,9 @@ import (
 	"netcache/internal/harness"
 	"netcache/internal/netproto"
 	"netcache/internal/qtrace"
-	_ "netcache/internal/queuesim" // registers the fig10c-sim latency experiment
 	"netcache/internal/rack"
 	"netcache/internal/stats"
 	"netcache/internal/switchcore"
-	_ "netcache/internal/topo" // registers the fig10f scalability model
 	"netcache/internal/workload"
 )
 

@@ -129,9 +129,8 @@ func TestFacadeExperiments(t *testing.T) {
 	if _, err := RunExperiment("nope", true); err == nil {
 		t.Error("unknown experiment should error")
 	}
-	// fig10f requires the topo model registration via the blank import.
 	if _, err := RunExperiment("fig10f", true); err != nil {
-		t.Errorf("fig10f model not registered: %v", err)
+		t.Errorf("fig10f: %v", err)
 	}
 }
 
