@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench bench-ab chaos failover flake experiments examples fuzz profile vet lint loc knobs clean
+.PHONY: all test race bench bench-ab chaos failover flake experiments examples fuzz profile vet lint loc knobs callers clean
 
 all: test
 
@@ -13,7 +13,9 @@ all: test
 # (bench/, BENCHMARK.json): `make bench-ab` runs it interleaved against a base
 # ref and judges every workload row; the exact allocation floors of the
 # packet path are tier-1 tests (allocs_test.go). `make flake` counts how often
-# one test fails over N runs of the same test binary.
+# one test fails over N runs of the same test binary. `make loc`, `make knobs`
+# and `make callers` print the size, knob and no-caller figures that
+# simplification changes quote.
 #
 # bench/ is its own module (the end-to-end benchmark, see BENCHMARK.json), so
 # `go test ./...` here never compiles it; it is vetted and tested last, or
@@ -154,6 +156,33 @@ knobs:
 		inside && /^\}/ { printf "%5d  %s\n", n, name; total += n; inside = 0; next } \
 		inside && /^\t[A-Z]/ { k = 1; while ($$k ~ /,$$/) k++; n += k } \
 		END { printf "%5d  total\n", total }'
+
+# Exported functions and methods declared under internal/ that no non-test
+# Go file names (the root facade, cmd/, examples/, bench/ and internal/ all
+# count as callers; words in comments and string literals do not): the
+# candidates of a no-caller audit. The match is by name alone, so a method
+# that shares its name with any identifier in use is never listed.
+callers:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { str = ""; blk = 0 } \
+		{ code = ""; n = length($$0); \
+			for (i = 1; i <= n; i++) { \
+				c = substr($$0, i, 1); c2 = substr($$0, i, 2); \
+				if (blk) { if (c2 == "*/") { blk = 0; i++ } continue } \
+				if (str != "") { if (c == "\\" && str != "`") i++; else if (c == str) str = ""; continue } \
+				if (c2 == "//") break; \
+				if (c2 == "/*") { blk = 1; i++; continue } \
+				if (c == "\"" || c == "`" || c == "\047") str = c; \
+				code = code c } \
+			skip = ""; \
+			if (FILENAME ~ /^\.\/internal\// && match(code, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/)) { \
+				decl = substr(code, 1, RLENGTH); skip = decl; sub(/.*[ )]/, "", skip); recv = ""; \
+				if (decl ~ /^func \(/) { recv = decl; sub(/^func \([^ )]* \**/, "", recv); sub(/^func \(\**/, "", recv); \
+					sub(/[[)].*/, "", recv); recv = recv "." } \
+				dir = FILENAME; sub("/[^/]*$$", "", dir); sub("^\\./", "", dir); decls[dir "  " recv skip] = skip } \
+			gsub(/[^A-Za-z0-9_]+/, " ", code); k = split(code, tok, " "); \
+			for (j = 1; j <= k; j++) if (tok[j] != skip) refs[tok[j]]++ } \
+		END { for (d in decls) if (!(decls[d] in refs)) print d }' | sort
 
 clean:
 	$(GO) clean -testcache

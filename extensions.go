@@ -223,17 +223,18 @@ func (cc *ChunkedClient) Delete(rawKey []byte) error {
 	return nil
 }
 
-// RebootSwitch simulates a ToR switch failure and reboot (§3): the cache is
-// flushed and the statistics are cleared; the system keeps serving from the
-// storage servers and the cache refills over the following controller
-// cycles. Returns the number of items that were flushed.
+// RebootSwitch power-cycles the ToR switch (§3): its cache and statistics
+// are wiped and its routes re-provisioned, so the rack keeps serving from
+// the storage servers while the controller's next Tick reinstalls the
+// entries it tracks. Returns the number of entries the switch held.
 func (r *Rack) RebootSwitch() int {
-	keys := r.r.Controller.CachedKeys()
-	for _, k := range keys {
-		r.r.Controller.EvictKey(k)
+	n := r.r.Switch.CacheLen()
+	if err := r.r.RebootSwitch(); err != nil {
+		// Unreachable: the reboot re-provisions only routes the switch
+		// held before it, which fit the emptied table.
+		panic(err)
 	}
-	r.r.Switch.ResetStats(true)
-	return len(keys)
+	return n
 }
 
 // CrashServer crashes storage server i. Without Replicate its partition

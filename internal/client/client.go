@@ -164,6 +164,10 @@ func New(cfg Config) (*Client, error) {
 		cfg:     cfg,
 		pending: make(map[uint64]*call),
 	}
+	// Numbering starts at the clock: a server drops a write whose SEQ is at
+	// or below the last it applied from the same address, so a restarted
+	// client counting from 1 again would have its writes acked, not applied.
+	c.seq.Store(uint64(time.Now().UnixNano()))
 	c.est.Store(&map[netproto.Addr]*rtoEstimator{})
 	c.Metrics.GetLatency = stats.NewLatencyHistogram()
 	c.Metrics.PutLatency = stats.NewLatencyHistogram()

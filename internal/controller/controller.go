@@ -56,10 +56,10 @@ type Config struct {
 	PortOf func(addr netproto.Addr) (int, bool)
 	// Partition maps keys to their owning server address.
 	Partition func(key netproto.Key) netproto.Addr
-	// Resolve, if non-nil, locates the owner of a key when Partition's
-	// answer is not in Nodes — deployments that learn the topology
-	// dynamically (the UDP switch daemon) probe the servers here.
-	Resolve func(key netproto.Key) (StorageNode, bool)
+	// Resolve, if non-nil, looks up the node at an address missing from
+	// Nodes: deployments that learn their servers from the wire (the UDP
+	// switch daemon) return the learned server there.
+	Resolve func(addr netproto.Addr) (StorageNode, bool)
 	// Capacity caps the number of cached items (the experiments use
 	// 10,000 of the switch's 64K). Zero means the switch's CacheSize.
 	Capacity int
@@ -125,7 +125,7 @@ type entry struct {
 	addr      netproto.Addr
 	port      int
 	// node is the node the value was fetched from, which marked the key
-	// cached; nil for an entry adopted from the switch.
+	// cached (for an adopted entry, its owner at adoption).
 	node StorageNode
 
 	// freqHint is the reported frequency that justified inserting this
@@ -248,14 +248,13 @@ func (c *Controller) Tick() {
 
 	// Recovery first: a switch holding fewer lookup entries than the
 	// controller tracks has lost state (a reboot wiped its tables). The
-	// controller is the authority on what should be cached — reinstall
-	// the missing entries from its own bookkeeping, so the cache recovers
-	// without manual intervention while reads keep falling through to the
+	// controller is the authority on what should be cached, so it
+	// reinstalls the missing entries while reads fall through to the
 	// servers.
 	c.mu.Lock()
 	if len(c.entries) > 0 && c.cfg.Switch.CacheLen() < len(c.entries) {
 		c.Metrics.Resyncs.Inc()
-		c.resyncLocked()
+		c.reconcileLocked(false)
 	}
 	c.mu.Unlock()
 
@@ -475,24 +474,9 @@ func (c *Controller) evictLocked(e *entry) {
 	if _, err := c.cfg.Switch.RemoveCacheEntry(e.key, e.kidx); err != nil {
 		return
 	}
-	node, ok := e.node, e.node != nil
-	if !ok {
-		node, ok = c.nodeOfLocked(e)
-	}
-	if ok {
-		node.Uncached(e.key)
-	}
+	e.node.Uncached(e.key)
 	c.dropEntryLocked(e)
 	c.Metrics.Evictions.Inc()
-}
-
-// nodeOfLocked returns the node an entry's value was fetched from.
-func (c *Controller) nodeOfLocked(e *entry) (StorageNode, bool) {
-	node, ok := c.cfg.Nodes[e.addr]
-	if !ok && c.cfg.Resolve != nil {
-		node, ok = c.cfg.Resolve(e.key)
-	}
-	return node, ok
 }
 
 // dropEntryLocked removes an entry from the controller's bookkeeping only —
@@ -511,87 +495,67 @@ func (c *Controller) dropEntryLocked(e *entry) {
 	}
 }
 
-// resyncLocked reinstalls every tracked entry missing from the switch,
-// keeping its existing placement and key index. Entries whose value can no
-// longer be fetched, or has grown past the old placement, are dropped from
-// the bookkeeping — they can re-enter through the normal hot-key path.
-func (c *Controller) resyncLocked() {
+// Reconcile makes the controller's bookkeeping and the switch's installed
+// entries agree. A switch entry the controller does not track is adopted
+// when adopt is set and its placement, key index and owner are free and
+// known (a restarted controller attaching to a warm switch); otherwise it
+// is removed from the switch and its owner told it is uncached, so writes
+// to it stop refreshing the switch. A tracked entry the switch lost (a reboot
+// wiped its tables) is dropped and reinstalled through the §4.3 insertion;
+// if that fails, the key can re-enter through the hot-key path.
+func (c *Controller) Reconcile(adopt bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reconcileLocked(adopt)
+}
+
+func (c *Controller) reconcileLocked(adopt bool) {
 	installed := make(map[netproto.Key]bool)
 	for _, ie := range c.cfg.Switch.DumpCache() {
 		installed[ie.Key] = true
+		if _, tracked := c.entries[ie.Key]; tracked {
+			continue
+		}
+		if !adopt || !c.adoptLocked(ie) {
+			c.cfg.Switch.RemoveCacheEntry(ie.Key, ie.KeyIndex)
+			if node, _, ok := c.ownerLocked(ie.Key); ok {
+				node.Uncached(ie.Key)
+			}
+		}
 	}
-	for _, key := range append([]netproto.Key(nil), c.order...) {
-		if installed[key] {
-			continue
+	var lost []*entry
+	for _, key := range c.order {
+		if !installed[key] {
+			lost = append(lost, c.entries[key])
 		}
-		e := c.entries[key]
-		node, ok := c.nodeOfLocked(e)
-		if !ok {
-			c.dropEntryLocked(e)
-			continue
-		}
-		node.BlockWrites(key)
-		value, version, vok := node.FetchValue(key)
-		if !vok || len(value) == 0 || len(value) > netproto.MaxValueSize ||
-			c.alloc.SlotsFor(len(value)) > e.placement.Slots() {
-			node.Uncached(key)
-			node.UnblockWrites(key)
-			c.Metrics.FetchMisses.Inc()
-			c.dropEntryLocked(e)
-			continue
-		}
-		err := c.cfg.Switch.InstallCacheEntry(switchcore.CacheEntry{
-			Key: key, Placement: e.placement, KeyIndex: e.kidx, ServerPort: e.port,
-			Value: value, Version: version,
-		})
-		if err != nil {
-			node.Uncached(key)
-		}
-		node.UnblockWrites(key)
-		if err != nil {
-			c.dropEntryLocked(e)
-			continue
-		}
-		e.node = node
+	}
+	// Every lost entry leaves the bookkeeping before any is reinstalled,
+	// so a reorganization inside an insertion moves only installed entries.
+	for _, e := range lost {
+		c.dropEntryLocked(e)
+	}
+	for _, e := range lost {
+		c.insertLocked(e.key, 0)
 	}
 }
 
-// AdoptFromSwitch rebuilds the controller's bookkeeping from the entries
-// installed in the switch — the recovery path of a restarted controller
-// attaching to a warm switch without wiping its cache. Entries that cannot
-// be adopted (conflicting placement or key index, unknown owner) are removed
-// from the switch instead, so the two views end consistent. It requires an
-// empty controller.
-func (c *Controller) AdoptFromSwitch() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) > 0 {
-		return fmt.Errorf("controller: AdoptFromSwitch requires an empty controller, have %d entries", len(c.entries))
+// adoptLocked takes over an installed entry the controller does not track.
+func (c *Controller) adoptLocked(ie switchcore.InstalledEntry) bool {
+	node, addr, ok := c.ownerLocked(ie.Key)
+	if !ok || c.alloc.Adopt(ie.Key, ie.Placement) != nil {
+		return false
 	}
-	for _, ie := range c.cfg.Switch.DumpCache() {
-		addr := c.cfg.Partition(ie.Key)
-		adopted := false
-		if _, known := c.cfg.Nodes[addr]; known || c.cfg.Resolve != nil {
-			if err := c.alloc.Adopt(ie.Key, ie.Placement); err == nil {
-				if c.kidx.Reserve(ie.KeyIndex) {
-					adopted = true
-				} else {
-					c.alloc.Evict(ie.Key)
-				}
-			}
-		}
-		if !adopted {
-			c.cfg.Switch.RemoveCacheEntry(ie.Key, ie.KeyIndex)
-			continue
-		}
-		c.entries[ie.Key] = &entry{
-			key: ie.Key, kidx: ie.KeyIndex, placement: ie.Placement,
-			addr: addr, port: ie.ServerPort,
-		}
-		c.order = append(c.order, ie.Key)
-		c.Metrics.Adopted.Inc()
+	if !c.kidx.Reserve(ie.KeyIndex) {
+		c.alloc.Evict(ie.Key)
+		return false
 	}
-	return nil
+	c.entries[ie.Key] = &entry{
+		key: ie.Key, kidx: ie.KeyIndex, placement: ie.Placement,
+		addr: addr, port: ie.ServerPort, node: node,
+	}
+	c.order = append(c.order, ie.Key)
+	c.Metrics.Adopted.Inc()
+	return true
 }
 
 // sampleVictimLocked samples up to SampleK cached keys and returns the one

@@ -407,9 +407,7 @@ func (c *Controller) ownerLocked(key netproto.Key) (StorageNode, netproto.Addr, 
 	}
 	node, ok := c.cfg.Nodes[addr]
 	if !ok && c.cfg.Resolve != nil {
-		if node, ok = c.cfg.Resolve(key); ok {
-			addr = node.Addr()
-		}
+		node, ok = c.cfg.Resolve(addr)
 	}
 	return node, addr, ok
 }

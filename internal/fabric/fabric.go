@@ -156,30 +156,19 @@ func (n *Node) SetController(cfg controller.Config) error {
 	return nil
 }
 
-// RestartController replaces the controller process. With rebuild the new
-// controller adopts the entries installed in the warm switch; without it
-// the switch cache is wiped first, so the empty controller and the switch
-// agree and the cache refills through the normal hot-key path.
+// RestartController replaces the controller process. The new controller
+// reconciles with the switch: with rebuild it adopts the entries installed
+// in the warm switch, without it removes them and the cache refills through
+// the normal hot-key path.
 func (n *Node) RestartController(rebuild bool) error {
 	if !n.hasCtl {
 		return fmt.Errorf("fabric: %s: no controller installed", n.Name)
-	}
-	if !rebuild {
-		for _, ie := range n.Switch.DumpCache() {
-			if _, err := n.Switch.RemoveCacheEntry(ie.Key, ie.KeyIndex); err != nil {
-				return fmt.Errorf("fabric: %s: %w", n.Name, err)
-			}
-		}
 	}
 	ctl, err := controller.New(n.ctlCfg)
 	if err != nil {
 		return fmt.Errorf("fabric: %s: %w", n.Name, err)
 	}
-	if rebuild {
-		if err := ctl.AdoptFromSwitch(); err != nil {
-			return fmt.Errorf("fabric: %s: %w", n.Name, err)
-		}
-	}
+	ctl.Reconcile(rebuild)
 	n.Controller = ctl
 	return nil
 }

@@ -13,7 +13,7 @@ func FuzzDecode(f *testing.F) {
 		{Op: OpGetReply, Seq: 2, Key: KeyFromString("k"), Value: []byte("v")},
 		{Op: OpPut, Seq: 3, Key: KeyFromString("kk"), Value: bytes.Repeat([]byte{7}, 128)},
 		{Op: OpCacheUpdate, Seq: 4, Key: KeyFromString("u"), Value: []byte("new")},
-		{Op: OpHotReport, Seq: 5, Key: KeyFromString("h")},
+		{Op: OpCtlFetch, Seq: 5, Key: KeyFromString("h")},
 	}
 	for _, p := range seed {
 		b, err := p.Marshal()

@@ -27,6 +27,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"netcache/internal/rng"
+	"netcache/internal/sketch"
 )
 
 // Port is the reserved L4 port that identifies NetCache traffic (§4.1).
@@ -100,10 +103,9 @@ const (
 	// updates until acked (reliable update protocol, §6).
 	OpCacheUpdateAck
 
-	// OpHotReport is emitted by the switch data plane toward the
-	// controller when the heavy-hitter detector classifies an uncached
-	// key as hot (§4.4.3). SEQ carries the estimated frequency.
-	OpHotReport
+	// Op 12 is retired: hot keys reach the controller as switch digests,
+	// never as frames. The ops after it keep their wire numbers.
+	_
 
 	// OpCtlBlock asks a storage server to open a write-block window on
 	// KEY — the controller's insertion protocol (§4.3) when controller
@@ -164,7 +166,6 @@ var opNames = [...]string{
 	OpDeleteReply:     "DeleteReply",
 	OpCacheUpdate:     "CacheUpdate",
 	OpCacheUpdateAck:  "CacheUpdateAck",
-	OpHotReport:       "HotReport",
 	OpCtlBlock:        "CtlBlock",
 	OpCtlUnblock:      "CtlUnblock",
 	OpCtlAck:          "CtlAck",
@@ -187,7 +188,9 @@ func (op Op) String() string {
 }
 
 // Valid reports whether op is a defined NetCache operation.
-func (op Op) Valid() bool { return op > OpInvalid && op < opSentinel }
+func (op Op) Valid() bool {
+	return op > OpInvalid && op < opSentinel && opNames[op] != ""
+}
 
 // IsReply reports whether op is a response delivered to a client.
 func (op Op) IsReply() bool {
@@ -263,32 +266,16 @@ func (k Key) String() string {
 	return fmt.Sprintf("%x", k[:])
 }
 
-// HashKey maps a variable-length key to a fixed 16-byte Key using two
-// independent 64-bit mixes. Clients keep the original key to verify replies
-// against hash collisions (§5).
+// HashKey maps a variable-length key to a fixed 16-byte Key: its halves are
+// sketch.Hash64 under two seeds. Clients keep the original key to verify
+// replies against hash collisions (§5).
 func HashKey(raw []byte) Key {
 	var k Key
-	h1 := fnvMix(raw, 0x9E3779B97F4A7C15)
-	h2 := fnvMix(raw, 0xC2B2AE3D27D4EB4F)
+	h1 := sketch.Hash64(raw, rng.Seeds[0])
+	h2 := sketch.Hash64(raw, rng.Seeds[1])
 	binary.BigEndian.PutUint64(k[0:8], h1)
 	binary.BigEndian.PutUint64(k[8:16], h2)
 	return k
-}
-
-// fnvMix is an FNV-1a pass strengthened with a final avalanche, seeded so two
-// calls give independent halves.
-func fnvMix(b []byte, seed uint64) uint64 {
-	h := seed ^ 14695981039346656037
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	h *= 0xC4CEB9FE1A85EC53
-	h ^= h >> 33
-	return h
 }
 
 // Packet is a decoded NetCache message. The zero Packet is invalid (OpInvalid).

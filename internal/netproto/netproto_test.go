@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,6 @@ func TestOpString(t *testing.T) {
 		OpDeleteReply:    "DeleteReply",
 		OpCacheUpdate:    "CacheUpdate",
 		OpCacheUpdateAck: "CacheUpdateAck",
-		OpHotReport:      "HotReport",
 		OpCtlBlock:       "CtlBlock",
 		OpCtlUnblock:     "CtlUnblock",
 		OpCtlAck:         "CtlAck",
@@ -29,6 +29,7 @@ func TestOpString(t *testing.T) {
 		OpCtlStatsReply:  "CtlStatsReply",
 		OpCtlUncached:    "CtlUncached",
 		OpInvalid:        "Invalid",
+		Op(12):           "Op(12)", // retired
 		Op(200):          "Op(200)",
 	}
 	for op, want := range cases {
@@ -67,8 +68,11 @@ func TestOpValid(t *testing.T) {
 	if opSentinel.Valid() {
 		t.Error("opSentinel should not be Valid")
 	}
-	if !OpGet.Valid() || !OpHotReport.Valid() {
+	if !OpGet.Valid() || !OpCtlFetchReply.Valid() {
 		t.Error("real ops should be Valid")
+	}
+	if Op(12).Valid() {
+		t.Error("the retired op 12 should not be Valid")
 	}
 }
 
@@ -230,6 +234,21 @@ func TestKeyString(t *testing.T) {
 	}
 }
 
+// TestHashKeyPinned pins HashKey's output: variable-length keys stored by
+// one build must be found by the next.
+func TestHashKeyPinned(t *testing.T) {
+	for raw, want := range map[string]string{
+		"":             "6bcb9d63eb8eab8bd2417755d9ea1a71",
+		"a":            "4e7e6b73b43d4b332758c565c2defcf2",
+		"user:42":      "e510f9977578ef7d710ab4cb04b9e2b6",
+		"the-same-key": "1c5671ea0efcb8e5dd3c464e89a9202d",
+	} {
+		if k := HashKey([]byte(raw)); hex.EncodeToString(k[:]) != want {
+			t.Errorf("HashKey(%q) = %x, want %s", raw, k[:], want)
+		}
+	}
+}
+
 func TestHashKeyDeterministicAndSpread(t *testing.T) {
 	a := HashKey([]byte("the-same-key"))
 	b := HashKey([]byte("the-same-key"))
@@ -264,7 +283,7 @@ func TestReply(t *testing.T) {
 	if r = Reply(&del, nil, true); r.Op != OpDeleteReply {
 		t.Errorf("delete reply = %+v", r)
 	}
-	bogus := Packet{Op: OpHotReport}
+	bogus := Packet{Op: OpCtlAck}
 	if r = Reply(&bogus, nil, true); r.Op != OpInvalid {
 		t.Errorf("non-request reply should be invalid, got %+v", r)
 	}
@@ -275,7 +294,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	valued := []Op{OpGetReply, OpPut, OpPutCached, OpCacheUpdate, OpCtlStatsReply, OpReplicate, OpCtlFetchReply}
 	plain := []Op{OpGet, OpGetReplyMiss, OpPutReply, OpDelete, OpDeleteCached,
-		OpDeleteReply, OpCacheUpdateAck, OpHotReport,
+		OpDeleteReply, OpCacheUpdateAck,
 		OpCtlBlock, OpCtlUnblock, OpCtlAck, OpCtlStats,
 		OpReplicateDelete, OpReplicateAck, OpCtlUncached}
 	f := func(seq uint64, key [KeySize]byte, vlen uint8, pick uint8, withVal bool) bool {

@@ -8,6 +8,7 @@ import (
 	"netcache/internal/client"
 	"netcache/internal/netproto"
 	"netcache/internal/simnet"
+	"netcache/internal/switchcore"
 	"netcache/internal/workload"
 )
 
@@ -205,6 +206,31 @@ func TestRestartControllerFromScratch(t *testing.T) {
 	}
 }
 
+// A cold controller restart removes the switch's entries and tells their
+// owners the keys are uncached, so a write to a formerly cached key no
+// longer sends the switch a refresh for an entry it does not hold.
+func TestRestartControllerFromScratchUncachesKeys(t *testing.T) {
+	r := newTestRack(t, 2, 8)
+	r.LoadDataset(20, 32)
+	key := workload.KeyName(3)
+	if err := r.PrePopulate([]netproto.Key{key}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestartController(false); err != nil {
+		t.Fatal(err)
+	}
+	srv := r.ServerOf(key)
+	sent := srv.Metrics.CacheUpdatesSent.Value()
+	for i := 0; i < 5; i++ {
+		if err := r.Client(0).Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := srv.Metrics.CacheUpdatesSent.Value() - sent; n != 0 {
+		t.Errorf("%d writes after the restart refreshed an entry the switch no longer holds", n)
+	}
+}
+
 // Controller restart with rebuild: the new controller adopts the warm
 // switch cache — placements, key indexes and versions — and coherence keeps
 // holding for both reads and writes.
@@ -253,6 +279,56 @@ func TestRestartControllerAdoptsWarmSwitch(t *testing.T) {
 	r.Tick()
 	if r.Controller.Len() != len(keys) {
 		t.Errorf("post-adopt tick changed cache to %d entries", r.Controller.Len())
+	}
+}
+
+// TestReconcileConflictingEntry: one Reconcile call both ways. The switch
+// lost a tracked entry and holds, in its old slots, an entry the controller
+// does not track. The stranger cannot be adopted (its placement and key
+// index are still the lost entry's), so it is removed; the lost entry is
+// reinstalled and served by the switch again.
+func TestReconcileConflictingEntry(t *testing.T) {
+	r := newTestRack(t, 2, 8)
+	r.LoadDataset(20, 32)
+	kept, lost, stranger := workload.KeyName(1), workload.KeyName(2), workload.KeyName(3)
+	for _, k := range []netproto.Key{kept, lost} {
+		if err := r.Controller.InsertKey(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ie := range r.Switch.DumpCache() {
+		if ie.Key != lost {
+			continue
+		}
+		if _, err := r.Switch.RemoveCacheEntry(lost, ie.KeyIndex); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Switch.InstallCacheEntry(switchcore.CacheEntry{
+			Key: stranger, Placement: ie.Placement, KeyIndex: ie.KeyIndex,
+			ServerPort: ie.ServerPort, Value: []byte("stranger"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r.Controller.Reconcile(true)
+	if n := r.Controller.Metrics.Adopted.Value(); n != 0 {
+		t.Errorf("adopted %d entries in slots the controller holds", n)
+	}
+	installed := map[netproto.Key]bool{}
+	for _, ie := range r.Switch.DumpCache() {
+		installed[ie.Key] = true
+	}
+	if !installed[kept] || !installed[lost] || installed[stranger] || len(installed) != 2 {
+		t.Errorf("switch holds %v, want the kept and the lost key", installed)
+	}
+	srv := r.ServerOf(lost)
+	gets := srv.Metrics.Gets.Value()
+	if v, err := r.Client(0).Get(lost); err != nil || !workload.CheckValue(2, v) {
+		t.Fatalf("Get of the reinstalled key = %q, %v", v, err)
+	}
+	if srv.Metrics.Gets.Value() != gets {
+		t.Error("the reinstalled key was not served by the switch")
 	}
 }
 

@@ -1,20 +1,18 @@
 // Package rng is the repo's one splitmix64: the seeded, math/rand-free
 // generator behind every reproducible random decision (chaos scenarios,
 // simnet fault draws, the statistics sampler, client backoff jitter), plus
-// the table of well-spread 64-bit constants the switch's sketch hashes with.
+// the table of well-spread 64-bit constants the switch's sketch and
+// netproto.HashKey hash with.
 // Streams are stable across Go versions, so a seed printed by a failing
 // run replays the same decisions.
 package rng
 
 import "sync/atomic"
 
-// Seeds are well-spread odd 64-bit constants; the switch's four Count-Min
-// rows hash with the first four. Seeds[0] is the golden-ratio increment
-// every splitmix64 stream here advances by.
-var Seeds = [8]uint64{
-	gamma, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
-	0x85EBCA77C2B2AE63, 0x2545F4914F6CDD1D, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53,
-}
+// Seeds are well-spread odd 64-bit constants: the switch's four Count-Min
+// rows hash with them, netproto.HashKey with the first two. Seeds[0] is the
+// golden-ratio increment every splitmix64 stream here advances by.
+var Seeds = [4]uint64{gamma, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5}
 
 const gamma = 0x9E3779B97F4A7C15
 

@@ -32,7 +32,7 @@ func TestHash64x4MatchesHash64(t *testing.T) {
 	f := func(key []byte, seeds [4]uint64, own bool) bool {
 		key = key[:len(key)%41]
 		if own {
-			seeds = [4]uint64(rng.Seeds[:4])
+			seeds = rng.Seeds
 		}
 		h := Hash64x4(key, seeds)
 		for i, seed := range seeds {

@@ -866,7 +866,7 @@ func (sw *Switch) cmsIndexes(hi, lo uint64) [4]int {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[0:8], hi)
 	binary.BigEndian.PutUint64(b[8:16], lo)
-	h := sketch.Hash64x4(b[:], [4]uint64(rng.Seeds[:4]))
+	h := sketch.Hash64x4(b[:], rng.Seeds)
 	mask := uint64(sw.cfg.CMSWidth - 1)
 	return [4]int{int(h[0] & mask), int(h[1] & mask), int(h[2] & mask), int(h[3] & mask)}
 }

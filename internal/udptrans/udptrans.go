@@ -23,10 +23,12 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"netcache/internal/client"
 	"netcache/internal/controller"
 	"netcache/internal/dataplane"
 	"netcache/internal/netproto"
@@ -314,7 +316,8 @@ type peer struct {
 // it without a lock, learn publishes a modified copy.
 type portTable struct {
 	portOf map[netproto.Addr]int
-	peers  []peer // by switch port
+	peers  []peer             // by switch port
+	owner  client.Partitioner // the clients' partition of the learned servers
 }
 
 // SwitchDaemon is a running userspace NetCache switch.
@@ -378,13 +381,16 @@ func NewSwitch(cfg SwitchConfig) (*SwitchDaemon, error) {
 	d.table.Store(&portTable{portOf: map[netproto.Addr]int{}})
 	ctl, err := controller.New(controller.Config{
 		Switch: sw,
-		Nodes:  map[netproto.Addr]controller.StorageNode{},
-		// The daemon does not know the client-side partitioning, so
-		// Partition never resolves and ownership falls through to
-		// Resolve, which probes the learned servers: the owner is
-		// whichever server answers the fetch.
-		Partition: func(netproto.Key) netproto.Addr { return 0 },
-		Resolve:   d.resolveOwner,
+		Partition: func(key netproto.Key) netproto.Addr {
+			if owner := d.table.Load().owner; owner != nil {
+				return owner(key)
+			}
+			return 0 // no server learned: no key has an owner
+		},
+		Resolve: func(a netproto.Addr) (controller.StorageNode, bool) {
+			_, ok := d.table.Load().portOf[a]
+			return &remoteNode{d: d, addr: a}, ok && a.IsServerHome()
+		},
 		PortOf: func(a netproto.Addr) (int, bool) {
 			p, ok := d.table.Load().portOf[a]
 			return p, ok
@@ -518,7 +524,7 @@ func (d *SwitchDaemon) learn(addr netproto.Addr, from netip.AddrPort) (t *portTa
 		d.logf("switch: out of ports for %v", addr)
 		return t, 0, false
 	}
-	nt := &portTable{portOf: t.portOf, peers: append([]peer(nil), t.peers...)}
+	nt := &portTable{portOf: t.portOf, peers: append([]peer(nil), t.peers...), owner: t.owner}
 	if known {
 		nt.peers[p].ep = from // endpoint may move (client restart)
 		d.table.Store(nt)
@@ -534,6 +540,14 @@ func (d *SwitchDaemon) learn(addr netproto.Addr, from netip.AddrPort) (t *portTa
 	if addr.IsServerHome() {
 		ld := &ServerLoad{}
 		nt.peers[p].load = ld
+		var homes []netproto.Addr // ascending, as the clients list servers 1..N
+		for a := range nt.portOf {
+			if a.IsServerHome() {
+				homes = append(homes, a)
+			}
+		}
+		slices.Sort(homes)
+		nt.owner = client.HashPartitioner(homes)
 		if d.cfg.Registry != nil {
 			// Named after the rack convention ("server<i>.gets" …) so the
 			// balance analytics pick the counters up unchanged.
@@ -663,21 +677,6 @@ func (n *remoteNode) UnblockWrites(key netproto.Key) {
 
 func (n *remoteNode) Uncached(key netproto.Key) {
 	n.d.rpc(n.addr, netproto.Packet{Op: netproto.OpCtlUncached, Key: key})
-}
-
-// resolveOwner probes the learned servers for the key; the owner is the one
-// that answers the fetch.
-func (d *SwitchDaemon) resolveOwner(key netproto.Key) (controller.StorageNode, bool) {
-	for a := range d.table.Load().portOf {
-		if !a.IsServerHome() {
-			continue
-		}
-		node := &remoteNode{d: d, addr: a}
-		if _, _, ok := node.FetchValue(key); ok {
-			return node, true
-		}
-	}
-	return nil, false
 }
 
 // controllerLoop runs the cache-update cycle on the configured period, like

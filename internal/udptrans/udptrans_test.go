@@ -6,6 +6,8 @@ package udptrans
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -426,6 +428,116 @@ func TestUDPRestartedDaemonBlockWindow(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("write never completed after unblock")
+	}
+}
+
+// TestUDPRestartedClientWritesApply: a client process that replaces another
+// on the same rack address must have its writes applied, not taken for the
+// old process's retransmits by the server's replay guard.
+func TestUDPRestartedClientWritesApply(t *testing.T) {
+	dep := deploy(t, 1, time.Hour)
+	key := netproto.KeyFromString("user:1")
+	if err := dep.cli.Put(key, []byte("alice")); err != nil {
+		t.Fatal(err)
+	}
+	dep.eps[len(dep.eps)-1].Close() // the first client process exits
+
+	ep, err := Dial(dep.daemon.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ep.Close)
+	cli, err := client.New(client.Config{
+		Addr:      0x8001,
+		Partition: func(netproto.Key) netproto.Addr { return 1 },
+		Timeout:   100 * time.Millisecond,
+		Retries:   5,
+		Policy:    client.Policy{RTOFloor: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.SetSend(ep.Send)
+	go ep.Run(cli.Receive)
+	if err := cli.Put(key, []byte("bob")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cli.Get(key); err != nil || string(v) != "bob" {
+		t.Errorf("Get after the restarted client's Put = %q, %v", v, err)
+	}
+	if n := dep.servers[0].Metrics.WritesDeduped.Value(); n != 0 {
+		t.Errorf("server deduped %d of the restarted client's writes", n)
+	}
+}
+
+// TestUDPControllerFetchesFromOwner: the daemon's controller finds a key's
+// owner through the clients' partition of the learned servers, so every
+// cache-insertion fetch goes to the owner and no other server is asked.
+func TestUDPControllerFetchesFromOwner(t *testing.T) {
+	const nServers, perServer = 4, 2
+	d, err := NewSwitch(SwitchConfig{Listen: "127.0.0.1:0", CacheCapacity: 64, Cycle: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Run()
+	t.Cleanup(d.Close)
+
+	type fetch struct {
+		server int
+		key    netproto.Key
+	}
+	var mu sync.Mutex
+	var fetches []fetch
+	var hot []netproto.Key // perServer keys owned by each server
+	for i := 0; i < nServers; i++ {
+		i, addr := i, netproto.Addr(i+1)
+		srv := server.New(server.Config{Addr: addr, Shards: 1})
+		ep, err := Dial(d.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ep.Close)
+		srv.SetSend(ep.Send)
+		go ep.Run(func(frame []byte) {
+			var pkt netproto.Packet
+			if fr, err := netproto.DecodeFrame(frame); err == nil &&
+				netproto.Decode(fr.Payload, &pkt) == nil && pkt.Op == netproto.OpCtlFetch {
+				mu.Lock()
+				fetches = append(fetches, fetch{i, pkt.Key})
+				mu.Unlock()
+			}
+			srv.Receive(frame)
+		})
+		ep.Hello(addr)
+		for id, n := 0, 0; n < perServer; id++ {
+			if key := workload.KeyName(id); client.PartitionOf(key, nServers) == i {
+				srv.Store().Put(key, workload.ValueFor(id, 16))
+				hot = append(hot, key)
+				n++
+			}
+		}
+	}
+	for a := netproto.Addr(1); a <= nServers; a++ {
+		await(t, fmt.Sprintf("server %d learned", a), func() bool { return d.ServerLoadOf(a) != nil })
+	}
+
+	for _, key := range hot {
+		if err := d.Controller().InsertKey(key); err != nil {
+			t.Fatalf("InsertKey(%v): %v", key, err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	fetched := map[netproto.Key]bool{}
+	for _, f := range fetches {
+		fetched[f.key] = true
+		if owner := client.PartitionOf(f.key, nServers); f.server != owner {
+			t.Errorf("fetch of %v went to server %d, owner is %d", f.key, f.server+1, owner+1)
+		}
+	}
+	if len(fetched) != len(hot) {
+		t.Errorf("%d of %d cached keys were fetched", len(fetched), len(hot))
 	}
 }
 

@@ -222,8 +222,10 @@ func every(interval time.Duration, tick func()) (stop func()) {
 	return func() { close(done) }
 }
 
-// CacheLen returns the number of items currently cached in the switch.
-func (r *Rack) CacheLen() int { return r.r.Controller.Len() }
+// CacheLen returns the number of entries installed in the switch cache. It
+// reads the switch, not the controller: after RebootSwitch it is 0 until
+// the controller's next Tick reinstalls what it tracks.
+func (r *Rack) CacheLen() int { return r.r.Switch.CacheLen() }
 
 // CachingDisabled reports whether the adaptive write policy has currently
 // turned the cache off.
