@@ -53,6 +53,26 @@ func TestAllocsGetAppend(t *testing.T) {
 	})
 }
 
+// TestAllocsStorePut: a write to a stored key, local or replicated, is
+// exactly one allocation — the immutable box holding its version and value.
+// A second object per write means the store went back to boxing the value
+// apart from its version.
+func TestAllocsStorePut(t *testing.T) {
+	s := kvstore.New(4)
+	key := netproto.KeyFromString("user:1")
+	val := workload.ValueFor(1, 128)
+	s.Put(key, val)
+	var ver uint64
+	for name, put := range map[string]func(){
+		"Put":   func() { s.Put(key, val) },
+		"PutAt": func() { ver++; s.PutAt(key, val, ver) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, put); allocs != 1 {
+			t.Errorf("%s on a stored key allocates %.1f/op, want 1", name, allocs)
+		}
+	}
+}
+
 // TestAllocsServerReplySegment: the store+reply segment of the server's
 // handleGet — open the reply headers in a pooled frame, append the value
 // straight from the store, seal. This is the whole per-Get work of a

@@ -225,10 +225,10 @@ func (d *Deployment) PrimaryOf(key netproto.Key) *server.Server {
 // and the backup is promotable immediately.
 func (d *Deployment) LoadDataset(n, valueSize int) {
 	for id := 0; id < n; id++ {
-		key := workload.KeyName(id)
-		ver := d.ServerOf(key).Store().Put(key, workload.ValueFor(id, valueSize))
+		key, value := workload.KeyName(id), workload.ValueFor(id, valueSize)
+		ver := d.ServerOf(key).Store().Put(key, value)
 		if d.replicate {
-			d.BackupOf(key).Store().PutAt(key, workload.ValueFor(id, valueSize), ver)
+			d.BackupOf(key).Store().PutAt(key, value, ver)
 		}
 	}
 }

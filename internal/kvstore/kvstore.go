@@ -3,25 +3,28 @@
 // store built on the TommyDS C library; this package is its from-scratch Go
 // equivalent).
 //
-// The store is a sharded chained hash table with per-shard locking. Shards
-// emulate the per-core sharding the paper relies on for high concurrency
-// (§1, §6: "per-core sharding with Receive Side Scaling"): a key's shard is
-// a pure function of the key, as RSS makes it a pure function of the flow.
-// Every mutation stamps a monotonically increasing version used as the value
-// version number (SEQ) of the cache-coherence protocol.
+// The store is a sharded open-addressed hash table with per-shard locking.
+// Shards emulate the per-core sharding the paper relies on for high
+// concurrency (§1, §6: "per-core sharding with Receive Side Scaling"): a
+// key's shard is a pure function of the key, as RSS makes it a pure function
+// of the flow. Every mutation stamps a monotonically increasing version used
+// as the value version number (SEQ) of the cache-coherence protocol.
 //
-// Reads are optimistic, in the MemC3/libcuckoo lineage the paper cites as
-// related work: a per-shard seqlock lets GetAppend walk the chain without
-// taking the shard lock. Writers still serialize on the shard mutex; only
-// structural mutations (unlink, rehash) bump the sequence, so in-place value
-// updates never force readers to retry. Every shared field a reader touches
-// is an atomic pointer to immutable data, which keeps the optimistic path
-// clean under the race detector and makes a torn read impossible — a
-// sequence mismatch only ever means "retry", never "undefined behavior".
+// A shard's table is a linear-probing array of slots, each holding the key
+// as two words and a pointer to an immutable box: the version and the value
+// inline, one pointer-free allocation per write. A write publishes a fresh
+// box; a delete leaves a tombstone; an insert writes the key words, then
+// publishes the box. Reads take no lock: GetAppend loads the box pointer,
+// compares the key words, and re-loads the pointer, retrying if it changed.
+// A box is never reused while a reader holds it, so an unchanged pointer
+// means the key words belonged to that box. A table that grow replaces is
+// never written again, so a reader still probing it sees a past state, not a
+// torn one. Every shared word is accessed atomically, which keeps the read
+// clean under the race detector.
 package kvstore
 
 import (
-	"fmt"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -30,41 +33,39 @@ import (
 )
 
 const (
-	initialBuckets = 64
-	maxLoadFactor  = 0.75
+	initialSlots  = 64
+	maxLoadFactor = 0.75 // live plus tombstoned slots, as a share of the table
 
 	// maxReadAttempts bounds the optimistic read loop before falling back
 	// to the shard lock — liveness under pathological writer churn.
 	maxReadAttempts = 8
-	// maxChainWalk bounds one optimistic chain traversal. A reader racing a
-	// rehash can wander across chains; the sequence check catches the wrong
-	// answer, but only the step bound catches a transient cycle.
-	maxChainWalk = 1 << 12
 )
 
-// versioned is one immutable (value, version) snapshot. Writers publish a
-// fresh box on every update; readers load the pointer once and get both
-// fields consistent by construction.
-type versioned struct {
-	data    []byte
+// box is one immutable (version, value) snapshot. It holds no pointers, so
+// the garbage collector never scans it.
+type box struct {
 	version uint64
+	n       uint8
+	data    [netproto.MaxValueSize]byte
 }
 
-type entry struct {
-	key  netproto.Key
-	val  atomic.Pointer[versioned]
-	next atomic.Pointer[entry]
+func (b *box) value() []byte { return b.data[:b.n] }
+
+// tombstone marks a deleted slot: probes continue past it, inserts reuse it.
+var tombstone = new(box)
+
+type slot struct {
+	k0, k1 atomic.Uint64
+	box    atomic.Pointer[box] // nil: never used
 }
 
 type shard struct {
-	mu sync.RWMutex
-	// seq is the seqlock generation: odd while a structural writer
-	// (unlink or rehash) is in progress. Readers snapshot it before the
-	// walk and revalidate after.
-	seq     atomic.Uint64
-	buckets atomic.Pointer[[]atomic.Pointer[entry]]
-	n       int
-	version uint64 // monotonic per-shard version source
+	mu    sync.RWMutex
+	slots atomic.Pointer[[]slot] // power-of-two length
+	n     int                    // live keys
+	used  int                    // live keys plus tombstones
+	// version is the monotonic per-shard version source.
+	version uint64
 }
 
 // Store is a sharded in-memory key-value store. The zero value is not
@@ -86,31 +87,55 @@ func New(nShards int) *Store {
 	}
 	s := &Store{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range s.shards {
-		b := make([]atomic.Pointer[entry], initialBuckets)
-		s.shards[i].buckets.Store(&b)
+		t := make([]slot, initialSlots)
+		s.shards[i].slots.Store(&t)
 	}
 	return s
 }
-
-// NumShards returns the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 // Len returns the number of stored items.
 func (s *Store) Len() int { return int(s.len.Load()) }
 
 // ReadRetries returns the number of optimistic read attempts that had to be
-// repeated (or fell through to the shard lock) because a structural writer
-// was active.
+// repeated (or fell through to the shard lock) because a writer replaced
+// the box the read was checking.
 func (s *Store) ReadRetries() uint64 { return s.retries.Load() }
 
-// ShardOf returns the shard index serving key — the RSS emulation used by
-// the server agent to pick a queue.
-func (s *Store) ShardOf(key netproto.Key) int {
-	return int(sketch.Hash64(key[:], 0xA076_1D64_78BD_642F) & s.mask)
+// hash is the key's one hash: its high word picks the shard, its low bits
+// the first probe slot.
+func hash(key netproto.Key) uint64 {
+	return sketch.Hash64(key[:], 0xE703_7ED1_A0B4_28DB)
 }
 
-func bucketHash(key netproto.Key) uint64 {
-	return sketch.Hash64(key[:], 0xE703_7ED1_A0B4_28DB)
+// shardOf returns the index of the shard serving the key with hash h — the
+// RSS emulation.
+func (s *Store) shardOf(h uint64) int { return int((h >> 32) & s.mask) }
+
+func words(key netproto.Key) (uint64, uint64) {
+	return binary.LittleEndian.Uint64(key[:8]), binary.LittleEndian.Uint64(key[8:])
+}
+
+func (sl *slot) key() (k netproto.Key) {
+	binary.LittleEndian.PutUint64(k[:8], sl.k0.Load())
+	binary.LittleEndian.PutUint64(k[8:], sl.k1.Load())
+	return k
+}
+
+// find probes t for the key with hash h and words k0, k1 and returns its
+// slot and the box it loaded there, or a nil slot on a miss. The probe ends
+// at a never-used slot; the load factor keeps one in every table.
+func find(t []slot, h, k0, k1 uint64) (*slot, *box) {
+	mask := uint64(len(t) - 1)
+	for i := h; ; i++ {
+		sl := &t[i&mask]
+		b := sl.box.Load()
+		if b == nil {
+			return nil, nil
+		}
+		if b != tombstone && sl.k0.Load() == k0 && sl.k1.Load() == k1 {
+			return sl, b
+		}
+	}
 }
 
 // Get returns the value and version of key. The returned slice is a copy;
@@ -121,76 +146,70 @@ func (s *Store) Get(key netproto.Key) (value []byte, version uint64, ok bool) {
 
 // GetAppend appends key's value to dst and returns the extended slice with
 // the value's version. On a miss it returns dst unchanged. The common case
-// takes no lock: the chain walk runs under the shard seqlock and retries on
-// interference, falling back to the read lock after maxReadAttempts.
+// takes no lock: the probe retries when a writer reused the slot it was
+// reading, falling back to the read lock after maxReadAttempts.
 func (s *Store) GetAppend(key netproto.Key, dst []byte) (value []byte, version uint64, ok bool) {
-	sh := &s.shards[s.ShardOf(key)]
-	h := bucketHash(key)
-	for attempt := 0; attempt < maxReadAttempts; attempt++ {
-		seq := sh.seq.Load()
-		if seq&1 != 0 {
-			s.retries.Add(1)
-			continue
+	h := hash(key)
+	sh := &s.shards[s.shardOf(h)]
+	k0, k1 := words(key)
+	var b *box
+	for attempt := 1; ; attempt++ {
+		var sl *slot
+		if sl, b = find(*sh.slots.Load(), h, k0, k1); sl == nil || sl.box.Load() == b {
+			break // the key words read belong to b
 		}
-		bkts := *sh.buckets.Load()
-		var box *versioned
-		overrun := false
-		steps := 0
-		for e := bkts[h&uint64(len(bkts)-1)].Load(); e != nil; e = e.next.Load() {
-			if steps++; steps > maxChainWalk {
-				overrun = true
-				break
-			}
-			if e.key == key {
-				box = e.val.Load()
-				break
-			}
-		}
-		if overrun || sh.seq.Load() != seq {
-			s.retries.Add(1)
-			continue
-		}
-		if box == nil {
-			return dst, 0, false
-		}
-		// box.data is immutable, so the copy can happen after validation.
-		return append(dst, box.data...), box.version, true
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	bkts := *sh.buckets.Load()
-	for e := bkts[h&uint64(len(bkts)-1)].Load(); e != nil; e = e.next.Load() {
-		if e.key == key {
-			box := e.val.Load()
-			return append(dst, box.data...), box.version, true
+		s.retries.Add(1)
+		if attempt == maxReadAttempts {
+			sh.mu.RLock()
+			_, b = find(*sh.slots.Load(), h, k0, k1)
+			sh.mu.RUnlock()
+			break
 		}
 	}
-	return dst, 0, false
+	if b == nil {
+		return dst, 0, false
+	}
+	// The box is immutable, so the copy needs no validation.
+	return append(dst, b.value()...), b.version, true
 }
 
-// putLocked installs (value, version) under key, assuming the shard lock is
-// held and the version source already advanced. value is copied.
-func (s *Store) putLocked(sh *shard, key netproto.Key, value []byte, version uint64) {
-	box := &versioned{data: append([]byte(nil), value...), version: version}
-	bkts := *sh.buckets.Load()
-	idx := bucketHash(key) & uint64(len(bkts)-1)
-	for e := bkts[idx].Load(); e != nil; e = e.next.Load() {
-		if e.key == key {
-			// In-place update: publishing the new box is atomic, so
-			// concurrent optimistic readers need no retry.
-			e.val.Store(box)
-			return
+// newBox copies value into a fresh box. A value longer than
+// netproto.MaxValueSize is a caller bug: no frame can carry one.
+func newBox(value []byte, version uint64) *box {
+	if len(value) > netproto.MaxValueSize {
+		panic("kvstore: value longer than netproto.MaxValueSize")
+	}
+	b := &box{version: version, n: uint8(len(value))}
+	copy(b.data[:], value)
+	return b
+}
+
+// putLocked publishes b under key, assuming the shard lock is held: in the
+// key's slot if it is stored, else in the first tombstone or never-used
+// slot of its probe sequence, key words first so no reader matches the key
+// before its box is there.
+func (s *Store) putLocked(sh *shard, h uint64, key netproto.Key, b *box) {
+	t := *sh.slots.Load()
+	k0, k1 := words(key)
+	if sl, _ := find(t, h, k0, k1); sl != nil {
+		sl.box.Store(b)
+		return
+	}
+	for i := h; ; i++ {
+		sl := &t[i&uint64(len(t)-1)]
+		if old := sl.box.Load(); old == nil || old == tombstone {
+			if old == nil {
+				sh.used++
+			}
+			sl.k0.Store(k0)
+			sl.k1.Store(k1)
+			sl.box.Store(b)
+			break
 		}
 	}
-	// Head insert: the node is fully built before the bucket pointer
-	// publishes it, so this too is invisible-or-complete to readers.
-	e := &entry{key: key}
-	e.val.Store(box)
-	e.next.Store(bkts[idx].Load())
-	bkts[idx].Store(e)
 	sh.n++
 	s.len.Add(1)
-	if float64(sh.n) > maxLoadFactor*float64(len(bkts)) {
+	if float64(sh.used) > maxLoadFactor*float64(len(t)) {
 		sh.grow()
 	}
 }
@@ -199,11 +218,14 @@ func (s *Store) putLocked(sh *shard, key netproto.Key, value []byte, version uin
 // Versions from one shard are strictly increasing, so two writes to the same
 // key are always ordered.
 func (s *Store) Put(key netproto.Key, value []byte) (version uint64) {
-	sh := &s.shards[s.ShardOf(key)]
+	h := hash(key)
+	sh := &s.shards[s.shardOf(h)]
+	b := newBox(value, 0)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.version++
-	s.putLocked(sh, key, value, sh.version)
+	b.version = sh.version
+	s.putLocked(sh, h, key, b)
 	return sh.version
 }
 
@@ -217,13 +239,13 @@ func (s *Store) Put(key netproto.Key, value []byte) (version uint64) {
 // The shard's version source is bumped to at least version so local Puts
 // never reuse or undercut it.
 func (s *Store) PutAt(key netproto.Key, value []byte, version uint64) {
-	sh := &s.shards[s.ShardOf(key)]
+	h := hash(key)
+	sh := &s.shards[s.shardOf(h)]
+	b := newBox(value, version)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.version < version {
-		sh.version = version
-	}
-	s.putLocked(sh, key, value, version)
+	sh.version = max(sh.version, version)
+	s.putLocked(sh, h, key, b)
 }
 
 // BumpVersion advances the version source of key's shard to at least
@@ -231,42 +253,29 @@ func (s *Store) PutAt(key netproto.Key, value []byte, version uint64) {
 // it so the tombstone's version can never be reissued to a later local write
 // after promotion.
 func (s *Store) BumpVersion(key netproto.Key, version uint64) {
-	sh := &s.shards[s.ShardOf(key)]
+	sh := &s.shards[s.shardOf(hash(key))]
 	sh.mu.Lock()
-	if sh.version < version {
-		sh.version = version
-	}
+	sh.version = max(sh.version, version)
 	sh.mu.Unlock()
 }
 
 // Delete removes key and returns the deletion version; ok is false if the
 // key was absent.
 func (s *Store) Delete(key netproto.Key) (version uint64, ok bool) {
-	sh := &s.shards[s.ShardOf(key)]
+	h := hash(key)
+	sh := &s.shards[s.shardOf(h)]
+	k0, k1 := words(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	bkts := *sh.buckets.Load()
-	idx := bucketHash(key) & uint64(len(bkts)-1)
-	var prev *entry
-	for e := bkts[idx].Load(); e != nil; e = e.next.Load() {
-		if e.key == key {
-			// Unlinking re-routes a chain a reader may be walking:
-			// announce the structural change through the seqlock.
-			sh.seq.Add(1)
-			if prev == nil {
-				bkts[idx].Store(e.next.Load())
-			} else {
-				prev.next.Store(e.next.Load())
-			}
-			sh.seq.Add(1)
-			sh.n--
-			s.len.Add(-1)
-			sh.version++
-			return sh.version, true
-		}
-		prev = e
+	sl, _ := find(*sh.slots.Load(), h, k0, k1)
+	if sl == nil {
+		return 0, false
 	}
-	return 0, false
+	sl.box.Store(tombstone)
+	sh.n--
+	s.len.Add(-1)
+	sh.version++
+	return sh.version, true
 }
 
 // Range calls fn for every item until fn returns false. The iteration holds
@@ -275,82 +284,42 @@ func (s *Store) Range(fn func(key netproto.Key, value []byte, version uint64) bo
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		bkts := *sh.buckets.Load()
-		for b := range bkts {
-			for e := bkts[b].Load(); e != nil; e = e.next.Load() {
-				box := e.val.Load()
-				if !fn(e.key, box.data, box.version) {
-					sh.mu.RUnlock()
-					return
-				}
+		t := *sh.slots.Load()
+		for j := range t {
+			if b := t[j].box.Load(); b != nil && b != tombstone && !fn(t[j].key(), b.value(), b.version) {
+				sh.mu.RUnlock()
+				return
 			}
 		}
 		sh.mu.RUnlock()
 	}
 }
 
-// grow doubles the shard's bucket array, relinking the existing entry nodes.
-// Caller holds the shard lock; the whole rehash runs inside one seqlock
-// window since readers mid-walk would otherwise follow next pointers across
-// chains.
+// grow rehashes the shard's live keys into a new table, twice the size, or
+// the same size when tombstones make up most of the used slots. Caller holds
+// the shard lock. The old table is never written again.
 func (sh *shard) grow() {
-	old := *sh.buckets.Load()
-	nb := make([]atomic.Pointer[entry], 2*len(old))
-	mask := uint64(len(nb) - 1)
-	sh.seq.Add(1)
-	for i := range old {
-		for e := old[i].Load(); e != nil; {
-			next := e.next.Load()
-			idx := bucketHash(e.key) & mask
-			e.next.Store(nb[idx].Load())
-			nb[idx].Store(e)
-			e = next
+	old := *sh.slots.Load()
+	size := len(old)
+	if 2*sh.n > sh.used {
+		size *= 2
+	}
+	t := make([]slot, size)
+	mask := uint64(size - 1)
+	for j := range old {
+		b := old[j].box.Load()
+		if b == nil || b == tombstone {
+			continue
 		}
-	}
-	sh.buckets.Store(&nb)
-	sh.seq.Add(1)
-}
-
-// Stats describes the store's internal shape, for diagnostics.
-type Stats struct {
-	Shards       int
-	Items        int
-	Buckets      int
-	MaxChain     int
-	LoadFactor   float64
-	ItemsByShard []int
-}
-
-// Stats returns a consistent-enough snapshot (shard locks taken one at a
-// time).
-func (s *Store) Stats() Stats {
-	st := Stats{Shards: len(s.shards), ItemsByShard: make([]int, len(s.shards))}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		bkts := *sh.buckets.Load()
-		st.Items += sh.n
-		st.Buckets += len(bkts)
-		st.ItemsByShard[i] = sh.n
-		for b := range bkts {
-			chain := 0
-			for e := bkts[b].Load(); e != nil; e = e.next.Load() {
-				chain++
-			}
-			if chain > st.MaxChain {
-				st.MaxChain = chain
-			}
+		i := hash(old[j].key())
+		for t[i&mask].box.Load() != nil {
+			i++
 		}
-		sh.mu.RUnlock()
+		sl := &t[i&mask]
+		sl.k0.Store(old[j].k0.Load())
+		sl.k1.Store(old[j].k1.Load())
+		sl.box.Store(b)
 	}
-	if st.Buckets > 0 {
-		st.LoadFactor = float64(st.Items) / float64(st.Buckets)
-	}
-	return st
-}
-
-// String summarizes the stats.
-func (st Stats) String() string {
-	return fmt.Sprintf("kvstore: %d items, %d shards, %d buckets, load %.2f, max chain %d",
-		st.Items, st.Shards, st.Buckets, st.LoadFactor, st.MaxChain)
+	sh.used = sh.n
+	sh.slots.Store(&t)
 }

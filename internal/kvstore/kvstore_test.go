@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -78,19 +79,19 @@ func TestGrowthKeepsAllItems(t *testing.T) {
 			t.Fatalf("key %d: %q %v", i, got, ok)
 		}
 	}
-	st := s.Stats()
-	if st.LoadFactor > maxLoadFactor+0.01 {
-		t.Errorf("load factor %.2f exceeds threshold", st.LoadFactor)
+	sh := &s.shards[0]
+	if load := float64(sh.used) / float64(len(*sh.slots.Load())); load > maxLoadFactor+0.01 {
+		t.Errorf("load factor %.2f exceeds threshold", load)
 	}
 }
 
 func TestShardOfStable(t *testing.T) {
 	s := New(8)
-	if s.NumShards() != 8 {
-		t.Fatalf("NumShards = %d", s.NumShards())
+	if len(s.shards) != 8 {
+		t.Fatalf("shards = %d", len(s.shards))
 	}
 	for i := 0; i < 100; i++ {
-		a, b := s.ShardOf(key(i)), s.ShardOf(key(i))
+		a, b := s.shardOf(hash(key(i))), s.shardOf(hash(key(i)))
 		if a != b || a < 0 || a >= 8 {
 			t.Fatalf("ShardOf unstable or out of range: %d %d", a, b)
 		}
@@ -98,10 +99,10 @@ func TestShardOfStable(t *testing.T) {
 }
 
 func TestShardRounding(t *testing.T) {
-	if got := New(5).NumShards(); got != 8 {
+	if got := len(New(5).shards); got != 8 {
 		t.Errorf("5 shards should round to 8, got %d", got)
 	}
-	if got := New(0).NumShards(); got != 1 {
+	if got := len(New(0).shards); got != 1 {
 		t.Errorf("0 shards should round to 1, got %d", got)
 	}
 }
@@ -225,15 +226,102 @@ func TestQuickMapEquivalence(t *testing.T) {
 	}
 }
 
+// TestStatsString checks the shard bookkeeping: one stored item is counted
+// once, in n and used of the shard its hash picks.
 func TestStatsString(t *testing.T) {
 	s := New(2)
 	s.Put(key(1), []byte("x"))
-	st := s.Stats()
-	if st.Items != 1 || st.Shards != 2 {
-		t.Errorf("stats = %+v", st)
+	if len(s.shards) != 2 {
+		t.Fatalf("shards = %d", len(s.shards))
 	}
-	if st.String() == "" {
-		t.Error("empty String()")
+	home := s.shardOf(hash(key(1)))
+	for i := range s.shards {
+		want := 0
+		if i == home {
+			want = 1
+		}
+		if s.shards[i].n != want || s.shards[i].used != want {
+			t.Errorf("shard %d: n=%d used=%d, want %d", i, s.shards[i].n, s.shards[i].used, want)
+		}
+	}
+}
+
+// TestTombstonesDoNotGrowTable: churn through many distinct keys with few
+// live at once. Tombstones fill the table, and grow rehashes it at the same
+// size instead of doubling it.
+func TestTombstonesDoNotGrowTable(t *testing.T) {
+	s := New(1)
+	for i := 0; i < 10000; i++ {
+		s.Put(key(i), []byte("v"))
+		if i >= 8 {
+			s.Delete(key(i - 8))
+		}
+	}
+	if n := len(*s.shards[0].slots.Load()); n != initialSlots {
+		t.Errorf("table has %d slots after churn over 8 live keys, want %d", n, initialSlots)
+	}
+	for i := 10000 - 8; i < 10000; i++ {
+		if _, _, ok := s.Get(key(i)); !ok {
+			t.Fatalf("key %d lost in a same-size rehash", i)
+		}
+	}
+}
+
+// TestSlotReuseRace: two keys whose probe sequences start at the same slot
+// of one small shard take turns in it, the writer deleting each and
+// re-inserting the other, so the slot a reader is checking is handed from
+// key to key. Every 16th turn the writer also inserts and deletes a fresh
+// key, whose tombstones make grow rehash the table. Every value embeds its
+// key's id; a reader that matched one key's words against the other key's
+// box would return a foreign id. Run under -race as part of the race suite.
+func TestSlotReuseRace(t *testing.T) {
+	s := New(1)
+	var ids []int
+	fresh := 0
+	for ; len(ids) < 2; fresh++ {
+		if hash(key(fresh))&(initialSlots-1) == 0 {
+			ids = append(ids, fresh)
+		}
+	}
+	value := func(id int) []byte {
+		v := make([]byte, 64)
+		binary.LittleEndian.PutUint64(v, uint64(id))
+		return v
+	}
+	const ops = 100000
+	tables := map[*[]slot]bool{s.shards[0].slots.Load(): true}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < ops; i++ {
+			from, to := ids[i%2], ids[1-i%2]
+			s.Delete(key(from))
+			s.Put(key(to), value(to))
+			if i%16 == 0 {
+				s.Put(key(fresh+i), value(fresh+i))
+				s.Delete(key(fresh + i))
+				tables[s.shards[0].slots.Load()] = true
+			}
+		}
+	}()
+	// One reader, reading until the writer is done: on two CPUs the two run
+	// side by side throughout, which is what lands a slot's hand-over
+	// inside a read.
+	dst := make([]byte, 0, netproto.MaxValueSize)
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			if len(tables) < 2 {
+				t.Error("grow never replaced the table; the test no longer covers a rehash")
+			}
+			return
+		default:
+		}
+		id := ids[i%2]
+		v, _, ok := s.GetAppend(key(id), dst[:0])
+		if ok && binary.LittleEndian.Uint64(v) != uint64(id) {
+			t.Fatalf("GetAppend(key %d) returned the value of key %d", id, binary.LittleEndian.Uint64(v))
+		}
 	}
 }
 

@@ -40,8 +40,7 @@ type Config struct {
 	Addr netproto.Addr
 	// Shards is the per-core sharding factor of the backing store.
 	Shards int
-	// Deprecated: Engine is ignored; the store is always the chained
-	// kvstore.Store.
+	// Deprecated: Engine is ignored; the store is always kvstore.Store.
 	Engine string
 	// RetryInterval is the retransmission period of a write's reliable
 	// messages (replication, cache refresh). Zero means 2ms.
