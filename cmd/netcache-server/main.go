@@ -20,6 +20,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"time"
 
@@ -38,13 +39,18 @@ func main() {
 	shards := flag.Int("shards", 4, "store shards (per-core sharding)")
 	preload := flag.Int("preload", 0, "preload this many dataset items owned by this server")
 	servers := flag.Int("servers", 1, "total servers in the rack (for -preload ownership)")
-	valueSize := flag.Int("valuesize", 64, "preloaded value size in bytes")
+	valueSize := flag.Int("valuesize", 64, fmt.Sprintf("preloaded value size in bytes (1..%d)", netproto.MaxValueSize))
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /snapshot, /debug/pprof on this HTTP address (empty disables)")
 	flag.Parse()
 
 	home := netproto.Addr(*addr)
 	if int(home) != *addr || !home.IsServerHome() {
 		log.Fatalf("netcache-server: -addr must be a server home address, in [1, %d]", netproto.NodeAlias(0)-1)
+	}
+	if *preload > 0 {
+		if err := checkPreload(*valueSize, *servers, *addr); err != nil {
+			log.Fatalf("netcache-server: %v", err)
+		}
 	}
 	srv := server.New(server.Config{Addr: home, Shards: *shards})
 
@@ -73,16 +79,20 @@ func main() {
 	}
 
 	if *preload > 0 {
-		owned := 0
+		var owned []int
 		for id := 0; id < *preload; id++ {
-			key := workload.KeyName(id)
-			if client.PartitionOf(key, *servers)+1 != *addr {
-				continue
+			if client.PartitionOf(workload.KeyName(id), *servers)+1 == *addr {
+				owned = append(owned, id)
 			}
-			srv.Store().Put(key, workload.ValueFor(id, *valueSize))
-			owned++
 		}
-		log.Printf("netcache-server: preloaded %d of %d items owned by addr %d", owned, *preload, *addr)
+		st := srv.Store()
+		st.Grow(len(owned))
+		var value []byte
+		for _, id := range owned {
+			value = workload.AppendValue(value[:0], id, *valueSize)
+			st.Put(workload.KeyName(id), value)
+		}
+		log.Printf("netcache-server: preloaded %d of %d items owned by addr %d", len(owned), *preload, *addr)
 	}
 
 	// Teach the switch our address before any traffic targets us, and
@@ -94,4 +104,17 @@ func main() {
 	if err := ep.Run(srv.Receive); err != nil {
 		log.Fatalf("netcache-server: %v", err)
 	}
+}
+
+// checkPreload checks the flags -preload reads: every preloaded value must
+// fit a frame and be one a client could Put, and the partition must count
+// this server.
+func checkPreload(valueSize, servers, addr int) error {
+	if valueSize < 1 || valueSize > netproto.MaxValueSize {
+		return fmt.Errorf("-valuesize %d with -preload: want [1, %d]", valueSize, netproto.MaxValueSize)
+	}
+	if want := max(1, addr); servers < want {
+		return fmt.Errorf("-servers %d with -preload: want at least max(1, -addr) = %d", servers, want)
+	}
+	return nil
 }

@@ -2,6 +2,9 @@ package fabric
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"netcache/internal/balance"
 	"netcache/internal/client"
@@ -208,9 +211,12 @@ func (d *Deployment) RackOf(key netproto.Key) int { return int(d.Partition(key)-
 // BackupOf returns the server configured as the in-rack ring backup of
 // key's home partition (meaningful only in a replicated deployment).
 func (d *Deployment) BackupOf(key netproto.Key) *server.Server {
-	i := int(d.Partition(key) - 1)
-	return d.Servers[i-i%d.width+(i+1)%d.width]
+	return d.Servers[d.backupIndex(int(d.Partition(key)-1))]
 }
+
+// backupIndex returns the index in Servers of the ring backup of server i's
+// partition: the next server of the same rack.
+func (d *Deployment) backupIndex(i int) int { return i - i%d.width + (i+1)%d.width }
 
 // PrimaryOf returns the server currently serving key's partition: ServerOf
 // unless its rack's controller failed the partition over to its backup.
@@ -223,14 +229,71 @@ func (d *Deployment) PrimaryOf(key netproto.Key) *server.Server {
 // pre-loaded dataset of the experiments. A replicated deployment mirrors
 // each item to its backup at the same version, so the pair starts in sync
 // and the backup is promotable immediately.
+//
+// The servers load in parallel, on at most GOMAXPROCS goroutines. Each
+// store is written by one goroutine per phase, in id order, so its contents
+// and versions do not depend on the schedule: phase 1 Puts every home
+// partition into its own store, presized for everything both phases add to
+// it, and phase 2 PutAts each partition into its backup at the versions
+// phase 1 returned.
 func (d *Deployment) LoadDataset(n, valueSize int) {
+	ids := make([][]int, len(d.Servers))
 	for id := 0; id < n; id++ {
-		key, value := workload.KeyName(id), workload.ValueFor(id, valueSize)
-		ver := d.ServerOf(key).Store().Put(key, value)
-		if d.replicate {
-			d.BackupOf(key).Store().PutAt(key, value, ver)
+		i := d.Partition(workload.KeyName(id)) - 1
+		ids[i] = append(ids[i], id)
+	}
+	grow := make([]int, len(d.Servers))
+	for i := range ids {
+		grow[i] += len(ids[i])
+		if b := d.backupIndex(i); d.replicate && b != i { // a one-server rack backs itself up
+			grow[b] += len(ids[i])
 		}
 	}
+	versions := make([][]uint64, len(d.Servers))
+	forEachServer(len(d.Servers), func(i int) {
+		st := d.Servers[i].Store()
+		st.Grow(grow[i])
+		if d.replicate {
+			versions[i] = make([]uint64, len(ids[i]))
+		}
+		var value []byte
+		for j, id := range ids[i] {
+			value = workload.AppendValue(value[:0], id, valueSize)
+			ver := st.Put(workload.KeyName(id), value)
+			if d.replicate {
+				versions[i][j] = ver
+			}
+		}
+	})
+	if !d.replicate {
+		return
+	}
+	forEachServer(len(d.Servers), func(i int) {
+		st := d.Servers[d.backupIndex(i)].Store()
+		var value []byte
+		for j, id := range ids[i] {
+			value = workload.AppendValue(value[:0], id, valueSize)
+			st.PutAt(workload.KeyName(id), value, versions[i][j])
+		}
+	})
+}
+
+// forEachServer calls fn(i) once for every i in [0, n), on min(GOMAXPROCS,
+// n) goroutines, and returns when every call has.
+func forEachServer(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), n)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Tick runs one controller cycle at every switch: the ToRs first (rack-local

@@ -21,10 +21,14 @@
 // never written again, so a reader still probing it sees a past state, not a
 // torn one. Every shared word is accessed atomically, which keeps the read
 // clean under the race detector.
+//
+// A bulk load calls Grow with the number of keys it will add, so each shard
+// reaches its final size in one rehash instead of doubling its way there.
 package kvstore
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -295,15 +299,46 @@ func (s *Store) Range(fn func(key netproto.Key, value []byte, version uint64) bo
 	}
 }
 
-// grow rehashes the shard's live keys into a new table, twice the size, or
-// the same size when tombstones make up most of the used slots. Caller holds
-// the shard lock. The old table is never written again.
+// Grow sizes every shard so that n more keys fit without a rehash, as
+// bytes.Buffer.Grow does for bytes. A shard's share of n keys depends on
+// their hashes, which Grow does not see, so each shard makes room for its
+// even share plus eight standard deviations of it; a shard that still draws
+// more grows as usual. A bulk load calls it before its first Put.
+func (s *Store) Grow(n int) {
+	share := (n + len(s.shards) - 1) / len(s.shards)
+	if len(s.shards) > 1 {
+		share += 8*int(math.Sqrt(float64(share))) + 8
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		size := len(*sh.slots.Load())
+		if float64(sh.used+share) > maxLoadFactor*float64(size) {
+			for float64(sh.n+share) > maxLoadFactor*float64(size) {
+				size *= 2
+			}
+			sh.rehash(size)
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// grow makes room after an insert filled the shard's table: it doubles the
+// table, or rehashes it at its size when tombstones make up most of the used
+// slots. Caller holds the shard lock.
 func (sh *shard) grow() {
-	old := *sh.slots.Load()
-	size := len(old)
+	size := len(*sh.slots.Load())
 	if 2*sh.n > sh.used {
 		size *= 2
 	}
+	sh.rehash(size)
+}
+
+// rehash moves the shard's live keys into a new table of size slots, which
+// drops the tombstones. Caller holds the shard lock. The old table is never
+// written again.
+func (sh *shard) rehash(size int) {
+	old := *sh.slots.Load()
 	t := make([]slot, size)
 	mask := uint64(size - 1)
 	for j := range old {

@@ -267,6 +267,53 @@ func TestTombstonesDoNotGrowTable(t *testing.T) {
 	}
 }
 
+// TestGrowPresizes: after Grow(n), n fresh Puts replace no shard table, on
+// an empty store and on one holding items and tombstones, and every earlier
+// item stays.
+func TestGrowPresizes(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, held := range []int{0, 1000} {
+			for _, n := range []int{1, 100, 20000} {
+				t.Run(fmt.Sprintf("shards=%d/held=%d/n=%d", shards, held, n), func(t *testing.T) {
+					s := New(shards)
+					for i := 0; i < held; i++ {
+						s.Put(key(i), []byte(fmt.Sprintf("val-%d", i)))
+						if i%3 == 0 {
+							s.Delete(key(i))
+						}
+					}
+					s.Grow(n)
+					tables := make([]*[]slot, len(s.shards))
+					for i := range s.shards {
+						tables[i] = s.shards[i].slots.Load()
+					}
+					for i := held; i < held+n; i++ {
+						s.Put(key(i), []byte("fresh"))
+					}
+					for i := range s.shards {
+						sh := &s.shards[i]
+						if sh.slots.Load() != tables[i] {
+							t.Errorf("shard %d: a Put replaced the table Grow sized", i)
+						}
+						if load := float64(sh.used) / float64(len(*sh.slots.Load())); load > maxLoadFactor {
+							t.Errorf("shard %d: load factor %.3f exceeds %.2f", i, load, maxLoadFactor)
+						}
+					}
+					for i := 0; i < held; i++ {
+						got, _, ok := s.Get(key(i))
+						if want := i%3 != 0; ok != want || ok && string(got) != fmt.Sprintf("val-%d", i) {
+							t.Fatalf("key %d: %q %v, want present=%v", i, got, ok, want)
+						}
+					}
+					if want := held - (held+2)/3 + n; s.Len() != want {
+						t.Errorf("Len = %d, want %d", s.Len(), want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestSlotReuseRace: two keys whose probe sequences start at the same slot
 // of one small shard take turns in it, the writer deleting each and
 // re-inserting the other, so the slot a reader is checking is handed from

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -435,6 +436,37 @@ func BenchmarkEndToEndUncachedGet(b *testing.B) {
 		if _, err := cli.Get(key); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLoadDataset times the set-up every experiment starts from: the
+// dataset of the end-to-end benchmark (100 000 keys of 128 B) loaded into a
+// four-server rack, per key, with and without backup mirroring.
+func BenchmarkLoadDataset(b *testing.B) {
+	const keys, valueSize = 100_000, 128
+	for _, replicate := range []bool{false, true} {
+		b.Run(fmt.Sprintf("replicate=%v", replicate), func(b *testing.B) {
+			var ms runtime.MemStats
+			var mallocs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r, err := New(Config{Servers: 4, Clients: 1, Replicate: replicate})
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				b.StartTimer()
+				r.LoadDataset(keys, valueSize)
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - before
+				b.StartTimer()
+			}
+			n := float64(b.N) * keys
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/key")
+			b.ReportMetric(float64(mallocs)/n, "allocs/key")
+		})
 	}
 }
 

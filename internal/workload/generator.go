@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netcache/internal/netproto"
 )
@@ -115,15 +116,30 @@ func KeyID(k netproto.Key) int {
 
 // ValueFor returns the deterministic test value for a key ID with the given
 // size: a repeating pattern derived from the ID, verifiable by clients (the
-// snake-test servers "verify the values", §7.1).
-func ValueFor(id, size int) []byte {
-	v := make([]byte, size)
-	var seed [8]byte
-	binary.BigEndian.PutUint64(seed[:], uint64(id)*0x9E3779B97F4A7C15+1)
-	for i := range v {
-		v[i] = seed[i%8] ^ byte(i)
+// snake-test servers "verify the values", §7.1). Byte i is byte i%8 of the
+// big-endian seed id*0x9E3779B97F4A7C15+1, XORed with byte(i).
+func ValueFor(id, size int) []byte { return AppendValue(nil, id, size) }
+
+// AppendValue appends ValueFor(id, size) to dst and returns the extended
+// slice. It writes a word at a time: over bytes [i, i+8), i a multiple of 8,
+// byte(i) counts up from i&0xFF without wrapping, so the word XORed into the
+// seed is 0x0001020304050607 plus i&0xFF in every byte.
+func AppendValue(dst []byte, id, size int) []byte {
+	seed := uint64(id)*0x9E3779B97F4A7C15 + 1
+	n := len(dst)
+	dst = slices.Grow(dst, size)[:n+size]
+	v := dst[n:]
+	for i := 0; i < size; i += 8 {
+		word := seed ^ (0x0001020304050607 + uint64(i&0xFF)*0x0101010101010101)
+		if i+8 <= size {
+			binary.BigEndian.PutUint64(v[i:], word)
+			continue
+		}
+		var tail [8]byte
+		binary.BigEndian.PutUint64(tail[:], word)
+		copy(v[i:], tail[:])
 	}
-	return v
+	return dst
 }
 
 // CheckValue reports whether v is the canonical value for id.

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -324,6 +327,43 @@ func TestValueForCheckValue(t *testing.T) {
 	}
 	if CheckValue(7, nil) {
 		t.Error("empty value should fail")
+	}
+}
+
+// valueForBytes is ValueFor's definition, byte by byte: the reference
+// AppendValue's word loop must match.
+func valueForBytes(id, size int) []byte {
+	v := make([]byte, size)
+	var seed [8]byte
+	binary.BigEndian.PutUint64(seed[:], uint64(id)*0x9E3779B97F4A7C15+1)
+	for i := range v {
+		v[i] = seed[i%8] ^ byte(i)
+	}
+	return v
+}
+
+// TestAppendValueMatchesDefinition covers sizes past 256, where byte(i)
+// wraps: a word formula that carried i past 0xFF would differ there.
+func TestAppendValueMatchesDefinition(t *testing.T) {
+	prefix := []byte("prefix")
+	for _, id := range []int{0, 1, 7, 99999, 1 << 40} {
+		for size := 0; size <= 300; size++ {
+			want := valueForBytes(id, size)
+			if got := ValueFor(id, size); !bytes.Equal(got, want) {
+				t.Fatalf("ValueFor(%d, %d) = %x, want %x", id, size, got, want)
+			}
+			got := AppendValue(slices.Clone(prefix), id, size)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("AppendValue(prefix, %d, %d) = %x, want prefix then %x", id, size, got, want)
+			}
+		}
+	}
+}
+
+func TestAllocsAppendValue(t *testing.T) {
+	buf := make([]byte, 0, 300)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendValue(buf[:0], 12345, 300) }); n != 0 {
+		t.Errorf("AppendValue into a buffer with room: %v allocs, want 0", n)
 	}
 }
 
