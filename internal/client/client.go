@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netcache/internal/bufpool"
 	"netcache/internal/netproto"
 	"netcache/internal/qtrace"
 	"netcache/internal/rng"
@@ -111,9 +110,10 @@ type Client struct {
 	sendBatch func(frames [][]byte)
 
 	seq atomic.Uint64
-	// mu guards pending, and every write Receive makes to a pending call.
-	mu      sync.Mutex
-	pending map[uint64]*call
+	// calls is the pending-call table: the query numbered seq holds
+	// calls[seq&mask] from prepare until await releases it.
+	calls []call
+	mask  uint64
 
 	// est holds one RTT estimator per destination server. The map is
 	// copy-on-write: a query finds its estimator with one atomic load, and
@@ -160,9 +160,19 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	c := &Client{
-		cfg:     cfg,
-		pending: make(map[uint64]*call),
+	c := &Client{cfg: cfg}
+	// Four windows of slots, at least 64, each framing its requests in its
+	// own part of one buffer.
+	n := 64
+	for n < 4*cfg.Window {
+		n <<= 1
+	}
+	const frameCap = netproto.FrameHeaderSize + netproto.MaxPacketSize
+	frames := make([]byte, n*frameCap)
+	c.calls = make([]call, n)
+	c.mask = uint64(n - 1)
+	for i := range c.calls {
+		c.calls[i].frame = frames[i*frameCap : i*frameCap : (i+1)*frameCap]
 	}
 	// Numbering starts at the clock: a server drops a write whose SEQ is at
 	// or below the last it applied from the same address, so a restarted
@@ -217,19 +227,12 @@ func now() time.Duration { return time.Since(epoch) }
 // already in — a synchronous fabric delivers it inside the send — costs one
 // atomic load and no channel operation. With poll set (a query's first
 // attempt), waits under the policy's spinUnder threshold (2ms) poll that
-// flag in a Gosched-yielding loop: a parked timer's wakeup latency (~1ms on
-// stock kernels) would otherwise quantize every sub-millisecond RTO up to
-// the millisecond scale, erasing exactly the gap the estimator exists to
-// close; a poll that reaches its deadline parks for pollGrace before it
-// gives up.
-// Longer waits (UDP, a backed-off RTO) and retransmissions park on the
-// call's one-slot wake channel, which Receive signals only once the waiter
-// has set cl.parked, and on a fresh timer per attempt: reusing one
-// timer across attempts with stop-drain-reset races the runtime's expiry
-// send — Stop can return false while the send is still in flight, the drain
-// select finds the channel empty, and the stale expiry then lands after
-// Reset, firing the next wait instantly and causing a spurious early
-// retransmit or timeout.
+// flag in a Gosched-yielding loop, since a parked timer's ~1ms wakeup would
+// round every sub-millisecond RTO up (DESIGN.md §7, "Poll-mode short
+// waits"); a poll that reaches its deadline parks for pollGrace before it
+// gives up. Longer waits and retransmissions park on a fresh timer per
+// attempt: reusing one with stop-drain-reset races the runtime's expiry
+// send, and a stale expiry would fire the next wait at once.
 func (c *Client) waitReply(cl *call, wait time.Duration, poll bool) bool {
 	if cl.done.Load() {
 		return true
@@ -251,20 +254,9 @@ func (c *Client) waitReply(cl *call, wait time.Duration, poll bool) bool {
 }
 
 // pollGrace is how long an expired poll-mode wait parks before it reports a
-// timeout. A Gosched loop never lets its P steal: the yielding goroutine
-// goes to the global run queue and is picked straight back up, so a
-// goroutine queued on another P (the drainer holding the reply in a fabric
-// queue) or a timer in another P's heap (a server's retry) waits for that
-// P alone. When that P's thread is descheduled, the reply is stranded for
-// as long as the host keeps it off the CPU. Parking empties this P, and the
-// scheduler then steals the stranded goroutine and runs the other heap's
-// expired timers; the reply, if it was only stranded, lands and wakes the
-// waiter at once. A reply that was really lost costs the grace on top of
-// the RTO, rounded up to the netpoller's millisecond when the process is
-// otherwise idle. The grace frees the P only if no other poller is queued,
-// so retransmissions do not poll at all: when a stranded reply stalls
-// several queries, their pollers would keep every P busy for the whole
-// stall, while parked retransmissions let a P go idle and steal.
+// timeout. A Gosched loop never lets its P steal, so a reply stranded on
+// another P's queue or timer heap waits for that P alone; parking lets the
+// scheduler steal it (DESIGN.md §7, "An expired poll parks once").
 const pollGrace = 50 * time.Microsecond
 
 // park blocks on cl's wake channel until its reply lands or wait elapses,
@@ -330,32 +322,28 @@ func (c *Client) Receive(frame []byte) {
 		c.Metrics.DroppedFrames.Inc()
 		return
 	}
+	// The first reply to a pending call claims it: its slot goes from
+	// pending to answered. A duplicate, a reply to a released call or to one
+	// whose slot a later query holds, and a seq that seq<<1 cannot carry
+	// whole fail the swap and count as Unmatched. Nothing here blocks: on a
+	// synchronous fabric Receive runs inside the sender's own call stack.
+	cl := &c.calls[pkt.Seq&c.mask]
+	want := pkt.Seq << 1
+	if want == 0 || want>>1 != pkt.Seq || !cl.state.CompareAndSwap(want, want|1) {
+		c.Metrics.Unmatched.Inc()
+		return
+	}
 	// Copy the value out of the transport buffer before handing off.
 	if pkt.Value != nil {
-		pkt.Value = append([]byte(nil), pkt.Value...)
+		pkt.Value = append(make([]byte, 0, len(pkt.Value)), pkt.Value...)
 	}
-	// The first reply to a pending call claims it: it leaves pending, so a
-	// duplicate (a retransmission answered twice, a hedge, a late reply from
-	// a failed-over primary) finds nothing and counts as Unmatched. Nothing
-	// here blocks — on a synchronous fabric Receive runs inside the sender's
-	// own call stack — and every write to the call happens under mu, which
-	// release also takes before the call is recycled.
-	c.mu.Lock()
-	cl, ok := c.pending[pkt.Seq]
-	if ok {
-		delete(c.pending, pkt.Seq)
-		cl.reply = pkt
-		cl.done.Store(true)
-		if cl.parked.Load() {
-			select {
-			case cl.wake <- struct{}{}:
-			default:
-			}
+	cl.reply = pkt
+	cl.done.Store(true)
+	if cl.parked.Load() {
+		select {
+		case cl.wake <- struct{}{}:
+		default:
 		}
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.Metrics.Unmatched.Inc()
 	}
 }
 
@@ -388,12 +376,16 @@ func (c *Client) Delete(key netproto.Key) error {
 	return err
 }
 
-// call is one in-flight query: its sequence number, destination, the
-// encoded request frame (a pooled buffer, reused verbatim by every
-// retransmission and hedge), and the slot its reply is handed over in.
-// Calls are pooled; one is registered in pending from prepare until await
-// releases it.
+// call is one slot of the pending-call table and, while claimed, one
+// in-flight query: its sequence number, destination, the encoded request
+// frame (the slot's own buffer, reused verbatim by every retransmission and
+// hedge), and the reply Receive hands over.
 type call struct {
+	// state is 0 while the slot is free, seq<<1 while its query waits and
+	// seq<<1|1 once a reply has claimed it. Each move is one CAS, and the
+	// seq in the word keeps a reply to an earlier query in this slot from
+	// claiming a later one.
+	state atomic.Uint64
 	seq   uint64
 	dst   netproto.Addr
 	op    netproto.Op
@@ -401,68 +393,75 @@ type call struct {
 	start time.Duration // prepare's clock read, also attempt 0's start
 	frame []byte
 
-	// reply is written by Receive, under Client.mu, before it sets done;
-	// the waiter reads it only after it has seen done.
+	// reply is written by the Receive that claimed the call, before it
+	// sets done; the waiter reads it only after it has seen done.
 	reply netproto.Packet
 	done  atomic.Bool
 	// parked is set by a waiter about to block on wake. Only then does
 	// Receive signal wake, so a reply that beats its waiter costs no
-	// channel operation. wake is made on the call's first park and kept
-	// across reuse.
+	// channel operation. wake is made on the slot's first park; a signal
+	// an earlier query left only makes the next waiter look at done again.
 	parked atomic.Bool
 	wake   chan struct{}
 }
 
-var calls = sync.Pool{New: func() any { return new(call) }}
-
-// prepare assigns a sequence number, encodes the request into a pooled
-// frame, and registers a pooled call — everything up to (but not including)
-// the first transmission. Every successful prepare must be paired with
-// exactly one await, which unregisters and releases.
-func (c *Client) prepare(pkt netproto.Packet) (*call, error) {
-	seq := c.seq.Add(1)
-	pkt.Seq = seq
-	dst := c.cfg.Partition(pkt.Key)
-	frame := bufpool.Get()
-	frame, err := netproto.AppendFramePacket(frame, dst, c.cfg.Addr, &pkt)
-	if err != nil {
-		bufpool.Put(frame)
-		return nil, err
+// claim takes a free slot for the next sequence number. A slot still held
+// by a waiting query is passed over for the next number. After a pass
+// over the table's worth of numbers finds none free, claim yields and tries
+// again, or with wait unset returns nil.
+func (c *Client) claim(wait bool) *call {
+	for tries := 1; ; tries++ {
+		seq := c.seq.Add(1)
+		if cl := &c.calls[seq&c.mask]; cl.state.CompareAndSwap(0, seq<<1) {
+			cl.seq = seq
+			return cl
+		}
+		if tries%len(c.calls) == 0 {
+			if !wait {
+				return nil
+			}
+			runtime.Gosched()
+		}
 	}
-	cl := calls.Get().(*call)
-	cl.seq = seq
+}
+
+// prepare encodes the request into cl's frame and stamps its start:
+// everything up to (but not including) the first transmission. Every
+// successful prepare must be paired with exactly one await, which releases
+// the slot; a failed one releases it itself.
+func (c *Client) prepare(cl *call, pkt netproto.Packet) error {
+	pkt.Seq = cl.seq
+	dst := c.cfg.Partition(pkt.Key)
+	frame, err := netproto.AppendFramePacket(cl.frame[:0], dst, c.cfg.Addr, &pkt)
+	cl.frame = frame
+	if err != nil {
+		c.release(cl)
+		return err
+	}
 	cl.dst = dst
 	cl.op = pkt.Op
 	cl.key = pkt.Key
 	cl.start = now()
-	cl.frame = frame
-	c.mu.Lock()
-	c.pending[seq] = cl
-	c.mu.Unlock()
-	c.trace.Load().Record(qtrace.ClientSend, cl.op, seq, cl.key, false, false)
-	return cl, nil
+	c.trace.Load().Record(qtrace.ClientSend, cl.op, cl.seq, cl.key, false, false)
+	return nil
 }
 
-// release unregisters cl, returns its frame and the call itself to their
-// pools. Taking mu orders it after any Receive still writing the call, and
-// once cl has left pending no Receive can reach it, so the next query that
-// draws cl from the pool never sees this one's reply or wake signal.
+// release frees cl's slot. A call no reply claimed is freed by one CAS. A
+// claimed one first waits until its Receive has handed the reply over, so
+// no Receive writes a slot the next query holds. The slot keeps the reply
+// until the next one overwrites it.
 func (c *Client) release(cl *call) {
-	c.mu.Lock()
-	delete(c.pending, cl.seq)
-	c.mu.Unlock()
-	bufpool.Put(cl.frame)
-	cl.frame = nil
-	cl.reply = netproto.Packet{}
-	cl.done.Store(false)
 	if cl.parked.Load() {
-		select {
-		case <-cl.wake:
-		default:
-		}
 		cl.parked.Store(false)
 	}
-	calls.Put(cl)
+	if !cl.done.Load() && cl.state.CompareAndSwap(cl.seq<<1, 0) {
+		return
+	}
+	for !cl.done.Load() {
+		runtime.Gosched()
+	}
+	cl.done.Store(false)
+	cl.state.Store(0)
 }
 
 // complete records the end-to-end latency of a successful call, ending at
@@ -488,8 +487,8 @@ func (c *Client) SetTrace(t *qtrace.Tap) { c.trace.Store(t) }
 // roundTrip sends the query and awaits the matching reply, retransmitting
 // per the configured policy.
 func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
-	cl, err := c.prepare(pkt)
-	if err != nil {
+	cl := c.claim(true)
+	if err := c.prepare(cl, pkt); err != nil {
 		return netproto.Packet{}, err
 	}
 	return c.await(cl, false)
@@ -497,19 +496,12 @@ func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
 
 // await drives one prepared call to completion: transmit (unless preSent
 // says the first copy already left in a batch), wait, retransmit, and on
-// return release the call and its request frame. The release is safe
+// return release its slot, request frame included. The release is safe
 // because no transmit path retains a sent frame: the simnet fabric and the
 // switch copy what they keep before Inject returns, and the UDP endpoint
-// hands the bytes to the kernel.
-//
-// Accounting contract (the chaos engine's conservation check and the
-// benchmark's retransmit count depend on it): Sent counts every frame
-// transmitted — first attempts, retransmissions and hedges — so first
-// attempts == Sent - Retransmit - Hedges. Each intermediate expiry
-// increments Retransmit exactly once (when the retransmission goes out),
-// and a query that fails increments Timeouts exactly once, on the final
-// attempt's expiry. Batched first attempts are counted by GetBatch at the
-// moment the burst goes out.
+// hands the bytes to the kernel. It keeps the accounting contract of
+// DESIGN.md §7: Sent counts every frame transmitted (GetBatch counts its
+// bursts), Retransmit each retransmission, Timeouts each failed query.
 func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	defer c.release(cl)
 
@@ -585,7 +577,10 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 // often requires hundreds ... of storage accesses", §1). Each window is
 // prepared on this goroutine, transmitted as one burst (through the batch
 // sender if one is installed, SetSendBatch, else frame by frame), and then
-// awaited in order: pipelining without a goroutine per request.
+// awaited in order: pipelining without a goroutine per request. Only a
+// window's first request waits for a free slot: requests holding slots
+// while they wait for more could deadlock the callers sharing the client,
+// so a full table ends the window early instead.
 // results[i] and errs[i] correspond to keys[i]; absent keys yield
 // ErrNotFound in errs.
 func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) {
@@ -594,17 +589,21 @@ func (c *Client) GetBatch(keys []netproto.Key) (results [][]byte, errs []error) 
 	w := c.cfg.Window
 	window := make([]*call, w)
 	frames := make([][]byte, 0, w)
-	for base := 0; base < len(keys); base += w {
-		end := min(base+w, len(keys))
+	for base, end := 0, 0; base < len(keys); base = end {
+		end = min(base+w, len(keys))
 		frames = frames[:0]
 		for i := base; i < end; i++ {
-			cl, err := c.prepare(netproto.Packet{Op: netproto.OpGet, Key: keys[i]})
-			window[i-base] = cl
-			if err != nil {
-				errs[i] = err
-				continue
+			cl := c.claim(i == base)
+			if cl == nil {
+				end = i
+				break
 			}
-			frames = append(frames, cl.frame)
+			if err := c.prepare(cl, netproto.Packet{Op: netproto.OpGet, Key: keys[i]}); err != nil {
+				errs[i], cl = err, nil
+			} else {
+				frames = append(frames, cl.frame)
+			}
+			window[i-base] = cl
 		}
 		c.Metrics.Sent.Add(uint64(len(frames)))
 		if c.sendBatch != nil {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -509,9 +510,9 @@ func echoSeq(frame []byte) (uint64, []byte) {
 	return pkt.Seq, netproto.MarshalFrame(fr.Src, fr.Dst, payload)
 }
 
-// A duplicate of a completed query's reply, delivered while that query's
-// pooled call is serving a new query, counts Unmatched and neither completes
-// nor corrupts the new call.
+// A reply to query s that arrives once query s+N holds s's slot, N being
+// the table size, counts Unmatched and neither completes nor corrupts the
+// new query.
 func TestDuplicateAfterCallRecycledCountsUnmatched(t *testing.T) {
 	cli, err := New(Config{
 		Addr:      cliAddr,
@@ -522,33 +523,33 @@ func TestDuplicateAfterCallRecycledCountsUnmatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := uint64(len(cli.calls))
 	var (
-		prevReply []byte
-		prevCall  *call
-		lastSeq   uint64
-		recycled  bool
+		first   []byte // the reply to the first query
+		s0      uint64 // its sequence number
+		lastSeq uint64
+		reused  bool
 	)
 	cli.SetSend(func(frame []byte) {
 		seq, reply := echoSeq(frame)
 		lastSeq = seq
-		cli.mu.Lock()
-		cl := cli.pending[seq]
-		cli.mu.Unlock()
-		if cl == prevCall {
-			recycled = true
+		switch {
+		case first == nil:
+			first, s0 = reply, seq
+		case seq == s0+n:
+			reused = true
 			unmatched := cli.Metrics.Unmatched.Value()
-			cli.Receive(prevReply)
+			cli.Receive(first)
 			if got := cli.Metrics.Unmatched.Value(); got != unmatched+1 {
-				t.Errorf("duplicate into a recycled call: Unmatched %d -> %d, want +1", unmatched, got)
+				t.Errorf("reply to seq %d into the slot of seq %d: Unmatched %d -> %d, want +1", s0, seq, unmatched, got)
 			}
-			if cl.done.Load() {
-				t.Error("duplicate of the previous query completed the recycled call")
+			if cl := &cli.calls[seq&cli.mask]; cl.done.Load() || cl.state.Load() != seq<<1 {
+				t.Errorf("the stale reply claimed seq %d's slot: state %#x, done %v", seq, cl.state.Load(), cl.done.Load())
 			}
 		}
-		prevReply, prevCall = reply, cl
 		cli.Receive(reply)
 	})
-	for i := 0; i < 50 && !recycled; i++ {
+	for i := uint64(0); i <= n; i++ {
 		v, err := cli.Get(netproto.KeyFromString("k"))
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
@@ -557,11 +558,162 @@ func TestDuplicateAfterCallRecycledCountsUnmatched(t *testing.T) {
 			t.Fatalf("get %d = %q, want its own reply %q", i, v, want)
 		}
 	}
-	if !recycled {
-		t.Fatal("no query reused its predecessor's call in 50 tries")
+	if !reused {
+		t.Fatalf("seq %d never came round to seq %d's slot", s0+n, s0)
 	}
 	if got := cli.Metrics.Unmatched.Value(); got != 1 {
 		t.Errorf("Unmatched = %d, want 1", got)
+	}
+	if held := heldSlots(cli); held != 0 {
+		t.Errorf("%d slots still claimed", held)
+	}
+}
+
+// A query that gives up while a Receive has claimed its reply but not yet
+// handed it over keeps its slot until the handover, so the reply cannot
+// land in the next query to take the slot.
+func TestReleaseWaitsForClaimedReply(t *testing.T) {
+	cli, _ := newPair(t, time.Millisecond, NoRetries)
+	cl := cli.claim(true)
+	if !cl.state.CompareAndSwap(cl.seq<<1, cl.seq<<1|1) { // Receive's claim
+		t.Fatal("a fresh slot is not pending")
+	}
+	released := make(chan struct{})
+	go func() {
+		cli.release(cl)
+		close(released)
+	}()
+	select {
+	case <-released:
+		t.Fatal("release freed the slot before the claimed reply was handed over")
+	case <-time.After(5 * time.Millisecond):
+	}
+	cl.done.Store(true) // the handover
+	<-released
+	if cl.state.Load() != 0 || cl.done.Load() {
+		t.Errorf("after release: state %#x, done %v; want a free, cleared slot", cl.state.Load(), cl.done.Load())
+	}
+}
+
+// heldSlots counts the slots of cli's pending-call table that are not free.
+func heldSlots(cli *Client) int {
+	held := 0
+	for i := range cli.calls {
+		if cli.calls[i].state.Load() != 0 {
+			held++
+		}
+	}
+	return held
+}
+
+// Run under -race: four times as many callers as slots share one client
+// whose responder answers out of order, answers one request in four twice
+// and drops one in five. Every Get ends once, with its own reply or
+// ErrTimeout; GetBatch callers, whose windows hold several slots at once,
+// share the table with them; and once the replies have drained no slot is
+// left claimed.
+func TestCallersOutnumberSlots(t *testing.T) {
+	cli, err := New(Config{
+		Addr:      cliAddr,
+		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
+		Timeout:   2 * time.Millisecond,
+		Retries:   1,
+		Window:    4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := len(cli.calls)
+	requests := make(chan []byte, 4*slots) // a request per caller, so sends seldom wait on the responder
+	var sent atomic.Uint64
+	cli.SetSend(func(frame []byte) {
+		// The frame is the slot's buffer, reused once the call is released.
+		requests <- append([]byte(nil), frame...)
+	})
+	responded := make(chan struct{})
+	go func() {
+		defer close(responded)
+		var batch [][]byte
+		for frame := range requests {
+			batch = append(batch[:0], frame)
+			for more := true; more && len(batch) < 32; {
+				select {
+				case f, ok := <-requests:
+					if ok {
+						batch = append(batch, f)
+					} else {
+						more = false
+					}
+				default:
+					more = false
+				}
+			}
+			// Answer the batch backwards, duplicating and dropping by a
+			// running count.
+			for i := len(batch) - 1; i >= 0; i-- {
+				n := sent.Add(1)
+				if n%5 == 0 {
+					continue
+				}
+				_, reply := echoSeq(batch[i])
+				cli.Receive(reply)
+				if n%4 == 0 {
+					cli.Receive(reply)
+				}
+			}
+		}
+	}()
+
+	callers, per := 4*slots, 8
+	var wg sync.WaitGroup
+	var answered, timedOut atomic.Uint64
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			key := fmt.Sprintf("g%d", g)
+			check := func(v []byte, err error) {
+				if err == ErrTimeout {
+					timedOut.Add(1)
+					return
+				}
+				if err != nil || !bytes.HasPrefix(v, []byte(key+":")) {
+					t.Errorf("%s: got %q, %v", key, v, err)
+					return
+				}
+				answered.Add(1)
+			}
+			if g%16 == 0 {
+				keys := make([]netproto.Key, per)
+				for i := range keys {
+					keys[i] = netproto.KeyFromString(key)
+				}
+				vs, errs := cli.GetBatch(keys)
+				for i := range keys {
+					check(vs[i], errs[i])
+				}
+				return
+			}
+			for i := 0; i < per; i++ {
+				check(cli.Get(netproto.KeyFromString(key)))
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(requests)
+	<-responded
+	if got, want := answered.Load()+timedOut.Load(), uint64(callers*per); got != want {
+		t.Errorf("answered %d + timed out %d = %d Gets, want %d", answered.Load(), timedOut.Load(), got, want)
+	}
+	if got := cli.Metrics.Timeouts.Value(); got != timedOut.Load() {
+		t.Errorf("Timeouts = %d, callers saw %d", got, timedOut.Load())
+	}
+	if answered.Load() == 0 || timedOut.Load() == 0 {
+		t.Errorf("answered %d, timed out %d: both outcomes should occur", answered.Load(), timedOut.Load())
+	}
+	t.Logf("%d Gets: %d answered, %d timed out, %d unmatched replies", callers*per, answered.Load(), timedOut.Load(), cli.Metrics.Unmatched.Value())
+	if held := heldSlots(cli); held != 0 {
+		t.Errorf("%d of %d slots still claimed", held, slots)
 	}
 }
 
@@ -664,9 +816,42 @@ func duplicateRepliesRace(t *testing.T, spinUnder time.Duration) {
 	if r := cli.Metrics.Retransmit.Value(); r != 0 {
 		t.Errorf("retransmits = %d with NoRetries", r)
 	}
-	cli.mu.Lock()
-	defer cli.mu.Unlock()
-	if len(cli.pending) != 0 {
-		t.Errorf("%d calls left pending", len(cli.pending))
+	if held := heldSlots(cli); held != 0 {
+		t.Errorf("%d slots left claimed", held)
+	}
+}
+
+// BenchmarkClientGet is the client's half of a cached Get, alone: the
+// sender answers inline the way the switch's hit path does (open a reply
+// to the request's seq and key, append a 128-byte value, seal), with no
+// switch and no fabric in between.
+func BenchmarkClientGet(b *testing.B) {
+	cli, err := New(Config{
+		Addr:      cliAddr,
+		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{'v'}, netproto.MaxValueSize)
+	reply := make([]byte, 0, netproto.FrameValueOff+len(value))
+	cli.SetSend(func(frame []byte) {
+		p := frame[netproto.FrameHeaderSize:]
+		seq := binary.BigEndian.Uint64(p[3:11])
+		key := netproto.Key(p[11 : 11+netproto.KeySize])
+		reply = netproto.ReplyInto(reply[:0], cliAddr, srvAddr, netproto.OpGetReply, seq, key)
+		reply = append(reply, value...)
+		if err := netproto.SealReply(reply); err != nil {
+			b.Fatal(err)
+		}
+		cli.Receive(reply)
+	})
+	key := netproto.KeyFromString("k")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Get(key); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

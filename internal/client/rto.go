@@ -103,7 +103,8 @@ type rtoEstimator struct {
 	samples uint64
 
 	// hist tracks clean reply latencies for the hedge delay; nil unless
-	// hedging is enabled (the histogram costs a mutex + log per sample).
+	// hedging is enabled (the histogram costs a mutex and a table lookup
+	// per sample).
 	hist *stats.Histogram
 }
 

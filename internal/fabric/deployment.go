@@ -199,27 +199,16 @@ func (d *Deployment) SetTraceRing(ring *qtrace.Ring) {
 // Client returns client i's handle.
 func (d *Deployment) Client(i int) *client.Client { return d.Clients[i] }
 
-// ServerOf returns the server whose address is key's home partition — the
-// node that serves it when no failover has occurred.
-func (d *Deployment) ServerOf(key netproto.Key) *server.Server {
-	return d.Servers[d.Partition(key)-1]
-}
-
 // RackOf returns the index of the rack owning key.
 func (d *Deployment) RackOf(key netproto.Key) int { return int(d.Partition(key)-1) / d.width }
-
-// BackupOf returns the server configured as the in-rack ring backup of
-// key's home partition (meaningful only in a replicated deployment).
-func (d *Deployment) BackupOf(key netproto.Key) *server.Server {
-	return d.Servers[d.backupIndex(int(d.Partition(key)-1))]
-}
 
 // backupIndex returns the index in Servers of the ring backup of server i's
 // partition: the next server of the same rack.
 func (d *Deployment) backupIndex(i int) int { return i - i%d.width + (i+1)%d.width }
 
-// PrimaryOf returns the server currently serving key's partition: ServerOf
-// unless its rack's controller failed the partition over to its backup.
+// PrimaryOf returns the server currently serving key's partition: its home,
+// Servers[Partition(key)-1], unless its rack's controller failed the
+// partition over to its backup.
 func (d *Deployment) PrimaryOf(key netproto.Key) *server.Server {
 	return d.Servers[d.tors[d.RackOf(key)].Controller.CurrentPrimary(key)-1]
 }

@@ -95,8 +95,9 @@ func TestLoadDatasetReplicatedPairsAgree(t *testing.T) {
 
 			for id := 0; id < loadKeys; id++ {
 				key := workload.KeyName(id)
-				pv, pver, pok := d.ServerOf(key).Store().Get(key)
-				bv, bver, bok := d.BackupOf(key).Store().Get(key)
+				home := int(d.Partition(key) - 1)
+				pv, pver, pok := d.Servers[home].Store().Get(key)
+				bv, bver, bok := d.Servers[d.backupIndex(home)].Store().Get(key)
 				if !pok || !bok || pver != bver || !bytes.Equal(pv, bv) {
 					t.Fatalf("key %d: primary (%v, v%d) and backup (%v, v%d) disagree", id, pok, pver, bok, bver)
 				}

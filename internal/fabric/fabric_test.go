@@ -200,8 +200,9 @@ func TestDeploymentRacksAreDense(t *testing.T) {
 	}
 	for id := 0; id < 64; id++ {
 		key := netproto.Key{byte(id), 'k'}
-		home, backup := d.ServerOf(key).Addr(), d.BackupOf(key).Addr()
-		if d.Partition(key) != home || (home-1)/3 != (backup-1)/3 || backup == home {
+		home := d.Partition(key)
+		backup := d.Servers[d.backupIndex(int(home-1))].Addr()
+		if d.Servers[home-1].Addr() != home || (home-1)/3 != (backup-1)/3 || backup == home {
 			t.Fatalf("key %d: home %d, backup %d: want a distinct backup in the same rack", id, home, backup)
 		}
 	}

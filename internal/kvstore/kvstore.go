@@ -191,26 +191,34 @@ func newBox(value []byte, version uint64) *box {
 // putLocked publishes b under key, assuming the shard lock is held: in the
 // key's slot if it is stored, else in the first tombstone or never-used
 // slot of its probe sequence, key words first so no reader matches the key
-// before its box is there.
+// before its box is there. One walk finds both: it remembers the first
+// tombstone and ends at the key or at a never-used slot.
 func (s *Store) putLocked(sh *shard, h uint64, key netproto.Key, b *box) {
 	t := *sh.slots.Load()
 	k0, k1 := words(key)
-	if sl, _ := find(t, h, k0, k1); sl != nil {
-		sl.box.Store(b)
-		return
-	}
+	var free *slot
 	for i := h; ; i++ {
 		sl := &t[i&uint64(len(t)-1)]
-		if old := sl.box.Load(); old == nil || old == tombstone {
-			if old == nil {
+		old := sl.box.Load()
+		if old == nil {
+			if free == nil {
+				free = sl
 				sh.used++
 			}
-			sl.k0.Store(k0)
-			sl.k1.Store(k1)
-			sl.box.Store(b)
 			break
 		}
+		if old == tombstone {
+			if free == nil {
+				free = sl
+			}
+		} else if sl.k0.Load() == k0 && sl.k1.Load() == k1 {
+			sl.box.Store(b)
+			return
+		}
 	}
+	free.k0.Store(k0)
+	free.k1.Store(k1)
+	free.box.Store(b)
 	sh.n++
 	s.len.Add(1)
 	if float64(sh.used) > maxLoadFactor*float64(len(t)) {

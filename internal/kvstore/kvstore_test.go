@@ -246,6 +246,60 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// TestPutWalksPastTombstone: with keys a, b and c sharing a home slot, a
+// deleted a leaves a tombstone in front of b. Rewriting b updates it where
+// it is rather than storing it a second time in the tombstone, and the new
+// key c takes the tombstone instead of a never-used slot.
+func TestPutWalksPastTombstone(t *testing.T) {
+	s := New(1)
+	sh := &s.shards[0]
+	mask := uint64(initialSlots - 1)
+	var same []netproto.Key
+	home := hash(key(0)) & mask
+	for i := 0; len(same) < 3; i++ {
+		if hash(key(i))&mask == home {
+			same = append(same, key(i))
+		}
+	}
+	a, b, c := same[0], same[1], same[2]
+	slotOf := func(i uint64) *slot { return &(*sh.slots.Load())[(home+i)&mask] }
+	check := func(step string, n, used int) {
+		t.Helper()
+		if sh.n != n || sh.used != used {
+			t.Fatalf("%s: n=%d used=%d, want n=%d used=%d", step, sh.n, sh.used, n, used)
+		}
+	}
+	s.Put(a, []byte("a"))
+	s.Put(b, []byte("b1"))
+	check("a and b stored", 2, 2)
+	if slotOf(1).key() != b {
+		t.Fatal("b is not in the slot after its home")
+	}
+	s.Delete(a)
+	check("a deleted", 1, 2)
+	s.Put(b, []byte("b2"))
+	check("b rewritten", 1, 2)
+	if slotOf(0).box.Load() != tombstone {
+		t.Error("rewriting b filled a's tombstone")
+	}
+	if v, _, _ := s.Get(b); string(v) != "b2" {
+		t.Errorf("b = %q after its rewrite, want b2", v)
+	}
+	s.Put(c, []byte("c"))
+	check("c stored", 2, 2)
+	if slotOf(0).key() != c {
+		t.Error("c did not take a's tombstone")
+	}
+	for k, want := range map[netproto.Key]string{b: "b2", c: "c"} {
+		if v, _, ok := s.Get(k); !ok || string(v) != want {
+			t.Errorf("Get(%v) = %q, %v; want %q", k, v, ok, want)
+		}
+	}
+	if _, _, ok := s.Get(a); ok {
+		t.Error("deleted a is back")
+	}
+}
+
 // TestTombstonesDoNotGrowTable: churn through many distinct keys with few
 // live at once. Tombstones fill the table, and grow rehashes it at the same
 // size instead of doubling it.

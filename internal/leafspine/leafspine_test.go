@@ -81,7 +81,7 @@ func TestTorCachesRackLocalHotKey(t *testing.T) {
 	if !torCtl.Cached(hot) {
 		t.Fatal("ToR should cache its rack's hot key")
 	}
-	srv := f.ServerOf(hot)
+	srv := f.Servers[f.Partition(hot)-1]
 	gets := srv.Metrics.Gets.Value()
 	for i := 0; i < 10; i++ {
 		v, err := cli.Get(hot)
@@ -161,7 +161,7 @@ func TestWriteCoherenceAcrossBothLayers(t *testing.T) {
 	// The server refreshed its ToR (data-plane update); the spine copy
 	// stays invalid until its controller re-installs — reads above fell
 	// through correctly either way.
-	srv := f.ServerOf(key)
+	srv := f.Servers[f.Partition(key)-1]
 	if srv.Metrics.CacheUpdatesSent.Value() == 0 {
 		t.Error("server never refreshed the ToR")
 	}
@@ -201,7 +201,7 @@ func TestSpineReinstallsAfterWrite(t *testing.T) {
 	f.Tick()
 	// Evict+reinsert shows up as spine controller activity; reads keep
 	// returning the new value, now spine-served again.
-	srv := f.ServerOf(key)
+	srv := f.Servers[f.Partition(key)-1]
 	gets := srv.Metrics.Gets.Value()
 	for i := 0; i < 5; i++ {
 		v, err := cli.Get(key)
@@ -322,7 +322,7 @@ func TestUplinkPartitionServesSpineCachedKeys(t *testing.T) {
 	}
 
 	f.SetUplinkDown(1, true)
-	srv := f.ServerOf(cached)
+	srv := f.Servers[f.Partition(cached)-1]
 	gets := srv.Metrics.Gets.Value()
 	for i := 0; i < 5; i++ {
 		if _, err := cli.Get(cached); err != nil {
@@ -428,7 +428,7 @@ func TestWriteCoherenceUnderUplinkFaults(t *testing.T) {
 	if err != nil || string(v) != string(want) {
 		t.Fatalf("post-heal read: %q %v", v, err)
 	}
-	stored, _, ok := f.ServerOf(key).Store().Get(key)
+	stored, _, ok := f.Servers[f.Partition(key)-1].Store().Get(key)
 	if !ok || string(stored) != string(want) {
 		t.Fatalf("store diverged: %q %v", stored, ok)
 	}
@@ -514,7 +514,7 @@ func TestAsymmetricTrunkDirectionDown(t *testing.T) {
 	f.LoadDataset(nKeys, 24)
 	cli := f.Client(0)
 	key := keyInRack(t, f, 1, nKeys)
-	srv := f.ServerOf(key)
+	srv := f.Servers[f.Partition(key)-1]
 
 	// Forward direction down: the request never reaches the rack.
 	f.SetUplinkTxDown(1, true)

@@ -32,7 +32,7 @@ func TestRebootSwitchControllerRepopulates(t *testing.T) {
 	}
 
 	// The rack stays available: reads fall through to the servers.
-	srv := r.ServerOf(keys[0])
+	srv := r.Servers[r.Partition(keys[0])-1]
 	gets := srv.Metrics.Gets.Value()
 	v, err := cli.Get(keys[0])
 	if err != nil || !workload.CheckValue(1, v) {
@@ -51,12 +51,12 @@ func TestRebootSwitchControllerRepopulates(t *testing.T) {
 		t.Errorf("switch holds %d entries after resync, want %d", n, len(keys))
 	}
 	for i, k := range keys {
-		gets := r.ServerOf(k).Metrics.Gets.Value()
+		gets := r.Servers[r.Partition(k)-1].Metrics.Gets.Value()
 		v, err := cli.Get(k)
 		if err != nil || !workload.CheckValue(i+1, v) {
 			t.Fatalf("post-resync Get(%d) = %q, %v", i+1, v, err)
 		}
-		if r.ServerOf(k).Metrics.Gets.Value() != gets {
+		if r.Servers[r.Partition(k)-1].Metrics.Gets.Value() != gets {
 			t.Errorf("post-resync read of key %d should be served by the switch", i+1)
 		}
 	}
@@ -219,7 +219,7 @@ func TestRestartControllerFromScratchUncachesKeys(t *testing.T) {
 	if err := r.RestartController(false); err != nil {
 		t.Fatal(err)
 	}
-	srv := r.ServerOf(key)
+	srv := r.Servers[r.Partition(key)-1]
 	sent := srv.Metrics.CacheUpdatesSent.Value()
 	for i := 0; i < 5; i++ {
 		if err := r.Client(0).Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -256,7 +256,7 @@ func TestRestartControllerAdoptsWarmSwitch(t *testing.T) {
 	}
 
 	// Reads are still switch hits.
-	srv := r.ServerOf(keys[0])
+	srv := r.Servers[r.Partition(keys[0])-1]
 	gets := srv.Metrics.Gets.Value()
 	v, err := cli.Get(keys[0])
 	if err != nil || !workload.CheckValue(8, v) {
@@ -322,7 +322,7 @@ func TestReconcileConflictingEntry(t *testing.T) {
 	if !installed[kept] || !installed[lost] || installed[stranger] || len(installed) != 2 {
 		t.Errorf("switch holds %v, want the kept and the lost key", installed)
 	}
-	srv := r.ServerOf(lost)
+	srv := r.Servers[r.Partition(lost)-1]
 	gets := srv.Metrics.Gets.Value()
 	if v, err := r.Client(0).Get(lost); err != nil || !workload.CheckValue(2, v) {
 		t.Fatalf("Get of the reinstalled key = %q, %v", v, err)

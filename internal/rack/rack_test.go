@@ -86,7 +86,7 @@ func TestHotKeyGetsCachedAutomatically(t *testing.T) {
 	cli := r.Client(0)
 	hot := workload.KeyName(7)
 
-	srv := r.ServerOf(hot)
+	srv := r.Servers[r.Partition(hot)-1]
 	before := srv.Metrics.Gets.Value()
 	// Drive reads past the heavy-hitter threshold (TestConfig: 8,
 	// sample rate 1.0).
@@ -135,7 +135,7 @@ func TestCoherenceWriteToCachedKey(t *testing.T) {
 	}
 	// The read must return the new value — and from the switch, since
 	// the server refreshed the cache.
-	srv := r.ServerOf(key)
+	srv := r.Servers[r.Partition(key)-1]
 	gets := srv.Metrics.Gets.Value()
 	v, err := cli.Get(key)
 	if err != nil || string(v) != "fresh-value" {
@@ -205,7 +205,7 @@ func TestGrowingValueKeepsCoherence(t *testing.T) {
 	}
 	// The switch refused the oversized data-plane update, so the read
 	// falls through to the server and returns the new value.
-	srv := r.ServerOf(key)
+	srv := r.Servers[r.Partition(key)-1]
 	gets := srv.Metrics.Gets.Value()
 	v, err := cli.Get(key)
 	if err != nil || !bytes.Equal(v, grown) {
@@ -310,7 +310,7 @@ func TestCacheUpdateSurvivesLoss(t *testing.T) {
 	}
 
 	// Eventually the value must be consistent through the cache.
-	srv := r.ServerOf(key)
+	srv := r.Servers[r.Partition(key)-1]
 	deadline := 200
 	for i := 0; ; i++ {
 		v, err := cli.Get(key)
@@ -521,7 +521,7 @@ func TestConcurrentWritersToCachedKey(t *testing.T) {
 	wg.Wait()
 
 	// Converged: cache serves exactly what the store holds.
-	srv := r.ServerOf(key)
+	srv := r.Servers[r.Partition(key)-1]
 	stored, _, ok := srv.Store().Get(key)
 	if !ok {
 		t.Fatal("key vanished")

@@ -50,15 +50,16 @@ func TestWriteReplicatesBeforeAck(t *testing.T) {
 	r := newReplicatedRack(t, 3)
 	cli := r.Client(0)
 	key := keyHomedAt(t, r, 0)
+	primary, backup := r.Servers[0], r.Servers[1] // the ring backs server i up on i+1
 
 	if err := cli.Put(key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	pv, pver, ok := r.ServerOf(key).Store().Get(key)
+	pv, pver, ok := primary.Store().Get(key)
 	if !ok || string(pv) != "v1" {
 		t.Fatalf("primary store: %q, %v", pv, ok)
 	}
-	bv, bver, ok := r.BackupOf(key).Store().Get(key)
+	bv, bver, ok := backup.Store().Get(key)
 	if !ok || string(bv) != "v1" {
 		t.Fatalf("backup store after acked Put: %q, %v", bv, ok)
 	}
@@ -69,13 +70,13 @@ func TestWriteReplicatesBeforeAck(t *testing.T) {
 	if err := cli.Delete(key); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r.BackupOf(key).Store().Get(key); ok {
+	if _, _, ok := backup.Store().Get(key); ok {
 		t.Fatal("backup still holds key after acked Delete")
 	}
-	if got := r.ServerOf(key).Metrics.ReplicatesSent.Value(); got < 2 {
+	if got := primary.Metrics.ReplicatesSent.Value(); got < 2 {
 		t.Fatalf("ReplicatesSent = %d, want >= 2", got)
 	}
-	if got := r.BackupOf(key).Metrics.ReplicatesApplied.Value(); got < 2 {
+	if got := backup.Metrics.ReplicatesApplied.Value(); got < 2 {
 		t.Fatalf("ReplicatesApplied = %d, want >= 2", got)
 	}
 }

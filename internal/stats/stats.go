@@ -30,33 +30,146 @@ func (c *Counter) Value() uint64 { return c.n.Load() }
 // ready; construct with NewHistogram.
 type Histogram struct {
 	// rejected counts Observe calls dropped because the value was not a
-	// positive finite number. Outside the mutex: rejection must not pay
+	// positive number (NaN included). Outside the mutex: rejection must not pay
 	// for a lock, and the counter is already atomic.
 	rejected Counter
 
-	mu     sync.Mutex
-	min    float64
-	growth float64
-	// logGrowth is ln(growth), precomputed so Observe takes one log per
-	// sample. It is ln(growth) and not its reciprocal: dividing by the same
-	// constant keeps every bucket index bit-identical to log(v/min)/log(growth),
-	// while multiplying by 1/ln(growth) moves some values at bucket edges
-	// into the neighbouring bucket.
-	logGrowth float64
-	buckets   []uint64
-	count     uint64
-	sum       float64
-	maxSeen   float64
+	// lay is the bucket layout with its lookup tables, shared by every
+	// histogram of the same layout.
+	lay *layout
+
+	mu      sync.Mutex
+	buckets []uint64
+	count   uint64
+	sum     float64
+	maxSeen float64
+}
+
+// layout is one bucket layout and the tables that find a value's bucket
+// without a logarithm. Bucket i > 0 holds v when int(log(v/min)/log(growth))
+// is i, the last bucket everything above. A layout is built once, by
+// bisection against that formula, so every value lands in the bucket the
+// formula gives; it is never written again.
+type layout struct {
+	layoutKey
+	// edges[i], 0 < i < buckets, is the least value the formula puts in
+	// bucket i or above: +Inf when no finite value gets there, and at
+	// edges[buckets] always.
+	edges []float64
+	// cells maps a value above min, by its exponent and top mantissa bits
+	// (its bits above shift, less base), to the bucket of the cell's lowest
+	// value. A cell is narrower than half a bucket, so it holds at most one
+	// edge and v lies in that bucket or the next. Values past the last cell
+	// land in top, the bucket of the last finite edge.
+	cells []int32
+	shift uint
+	base  uint64
+	top   int
+}
+
+type layoutKey struct {
+	min, growth float64
+	buckets     int
+}
+
+var layouts = struct {
+	sync.Mutex
+	m map[layoutKey]*layout
+}{m: map[layoutKey]*layout{}}
+
+// layoutOf returns the shared layout of k, building it on first use.
+func layoutOf(k layoutKey) *layout {
+	layouts.Lock()
+	defer layouts.Unlock()
+	l := layouts.m[k]
+	if l == nil {
+		l = newLayout(k)
+		layouts.m[k] = l
+	}
+	return l
+}
+
+func newLayout(k layoutKey) *layout {
+	l := &layout{layoutKey: k, edges: make([]float64, k.buckets+1)}
+	lg := math.Log(k.growth)
+	reaches := func(bits uint64, i int) bool {
+		return math.Log(math.Float64frombits(bits)/k.min)/lg >= float64(i)
+	}
+	// Invariant: the value with bits lo is below edge i, the one with hi is
+	// not. Bisect from a bracket around min*growth^i when that holds one:
+	// from the whole float range, the build takes about four times longer.
+	lo, top := math.Float64bits(k.min), math.Float64bits(math.MaxFloat64)
+	for i := 1; i <= k.buckets; i++ {
+		if i == k.buckets || !reaches(top, i) {
+			l.edges[i] = math.Inf(1)
+			continue
+		}
+		hi := top
+		const span = 1 << 12 // ulps: far wider than the formula's rounding
+		if g := math.Float64bits(k.min * math.Pow(k.growth, float64(i))); g > lo+span && g+span < hi {
+			if !reaches(g-span, i) {
+				lo = g - span
+			}
+			if reaches(g+span, i) {
+				hi = g + span
+			}
+		}
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; reaches(mid, i) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		l.edges[i] = math.Float64frombits(hi)
+		l.top = i
+	}
+	// Cells of relative width at most (growth-1)/2.
+	m := 0
+	for m < 52 && math.Ldexp(1, -m) > (k.growth-1)/2 {
+		m++
+	}
+	l.shift = uint(52 - m)
+	l.base = math.Float64bits(k.min) >> l.shift
+	if l.top == 0 {
+		return l
+	}
+	l.cells = make([]int32, math.Float64bits(l.edges[l.top])>>l.shift-l.base+1)
+	b := 0
+	for c := range l.cells {
+		low := math.Float64frombits((l.base + uint64(c)) << l.shift)
+		for b < l.top && l.edges[b+1] <= low {
+			b++
+		}
+		l.cells[c] = int32(b)
+	}
+	return l
+}
+
+// bucket returns the index of the bucket holding v > 0.
+func (l *layout) bucket(v float64) int {
+	if v <= l.min {
+		return 0
+	}
+	c := math.Float64bits(v)>>l.shift - l.base
+	if c >= uint64(len(l.cells)) {
+		return l.top
+	}
+	b := int(l.cells[c])
+	if v >= l.edges[b+1] {
+		b++
+	}
+	return b
 }
 
 // NewHistogram returns a histogram spanning [min, min*growth^buckets).
 // Values below min land in bucket 0; values above the span land in the last
 // bucket.
 func NewHistogram(min, growth float64, buckets int) *Histogram {
-	if min <= 0 || growth <= 1 || buckets < 1 {
+	if !(min > 0) || !(growth > 1) || buckets < 1 {
 		panic("stats: bad histogram layout")
 	}
-	return &Histogram{min: min, growth: growth, logGrowth: math.Log(growth), buckets: make([]uint64, buckets)}
+	return &Histogram{lay: layoutOf(layoutKey{min, growth, buckets}), buckets: make([]uint64, buckets)}
 }
 
 // NewLatencyHistogram returns a histogram suitable for 100 ns – 10 s
@@ -74,13 +187,7 @@ func (h *Histogram) Observe(v float64) {
 		h.rejected.Inc()
 		return
 	}
-	idx := 0
-	if v > h.min {
-		idx = int(math.Log(v/h.min) / h.logGrowth)
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
-		}
-	}
+	idx := h.lay.bucket(v)
 	h.mu.Lock()
 	h.buckets[idx]++
 	h.count++
@@ -146,7 +253,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += b
 		if cum > target {
 			// Geometric midpoint of bucket i, clamped to the observed max.
-			return math.Min(h.min*math.Pow(h.growth, float64(i)+0.5), h.maxSeen)
+			return math.Min(h.lay.min*math.Pow(h.lay.growth, float64(i)+0.5), h.maxSeen)
 		}
 	}
 	return h.maxSeen
@@ -169,23 +276,15 @@ func (h *Histogram) Reset() {
 func (h *Histogram) Clone() *Histogram {
 	h.mu.Lock()
 	c := &Histogram{
-		min:       h.min,
-		growth:    h.growth,
-		logGrowth: h.logGrowth,
-		buckets:   append([]uint64(nil), h.buckets...),
-		count:     h.count,
-		sum:       h.sum,
-		maxSeen:   h.maxSeen,
+		lay:     h.lay,
+		buckets: append([]uint64(nil), h.buckets...),
+		count:   h.count,
+		sum:     h.sum,
+		maxSeen: h.maxSeen,
 	}
 	h.mu.Unlock()
 	c.rejected.Add(h.rejected.Value())
 	return c
-}
-
-// sameLayout reports whether two histograms bucket identically, so their
-// bucket arrays are directly comparable.
-func (h *Histogram) sameLayout(o *Histogram) bool {
-	return h.min == o.min && h.growth == o.growth && len(h.buckets) == len(o.buckets)
 }
 
 // Sub returns the windowed delta h − prev: a histogram holding only the
@@ -211,7 +310,7 @@ func (h *Histogram) Sub(prev *Histogram) *Histogram {
 	// Snapshot both sides without holding the two locks together.
 	cur := h.Clone()
 	old := prev.Clone()
-	if !cur.sameLayout(old) {
+	if cur.lay != old.lay {
 		return cur
 	}
 	var count uint64

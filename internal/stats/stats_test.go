@@ -71,8 +71,9 @@ func TestHistogramClamping(t *testing.T) {
 	h := NewHistogram(100, 2, 4) // spans [100, 1600)
 	h.Observe(1)                 // below min → bucket 0
 	h.Observe(1e12)              // above span → last bucket
-	if h.Count() != 2 {
-		t.Errorf("Count = %d", h.Count())
+	h.Observe(math.Inf(1))       // so is +Inf
+	if h.Count() != 3 || h.buckets[3] != 2 {
+		t.Errorf("Count = %d, last bucket %d; want 3 and 2", h.Count(), h.buckets[3])
 	}
 	if q := h.Quantile(0); q <= 0 {
 		t.Errorf("q0 = %f", q)
@@ -82,7 +83,7 @@ func TestHistogramClamping(t *testing.T) {
 	}
 }
 
-// Observe's one-log bucket index is identical to the two-log formula
+// Observe's table-lookup bucket index is identical to the two-log formula
 // log(v/min)/log(growth) over a sweep of every bucket edge, the 32 floats on
 // either side of it, and a geometric sweep across the whole span.
 func TestHistogramBucketIndexMatchesTwoLogFormula(t *testing.T) {
@@ -425,4 +426,43 @@ func TestHistogramSubRejectedPropagation(t *testing.T) {
 // desc renders a histogram's count, mean and max for failure messages.
 func desc(h *Histogram) string {
 	return fmt.Sprintf("n=%d mean=%g max=%g", h.Count(), h.Mean(), h.Max())
+}
+
+// A layout's lookup tables are built once and shared: after the first
+// histogram of a layout, the next allocates only its struct and buckets,
+// and Clone and Sub reuse the tables, so a clone buckets every value as
+// its original does.
+func TestHistogramLayoutShared(t *testing.T) {
+	h := NewLatencyHistogram()
+	if allocs := testing.AllocsPerRun(100, func() { NewLatencyHistogram() }); allocs != 2 {
+		t.Errorf("NewLatencyHistogram allocates %v times once its layout exists, want 2", allocs)
+	}
+	h.Observe(1000)
+	c, d := h.Clone(), h.Sub(nil)
+	if c.lay != h.lay || d.lay != h.lay || NewLatencyHistogram().lay != h.lay {
+		t.Fatal("a clone, a delta or a second histogram of the layout built its own tables")
+	}
+	for v := 50.0; v < 1e11; v *= 1.0137 {
+		h.Reset()
+		c.Reset()
+		h.Observe(v)
+		c.Observe(v)
+		for i := range h.buckets {
+			if h.buckets[i] != c.buckets[i] {
+				t.Fatalf("Observe(%v): bucket %d holds %d in the histogram, %d in its clone", v, i, h.buckets[i], c.buckets[i])
+			}
+		}
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewLatencyHistogram()
+	var vs [1024]float64
+	for i := range vs {
+		vs[i] = 500 * math.Pow(1.01, float64(i%512))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vs[i&(len(vs)-1)])
+	}
 }
