@@ -13,9 +13,9 @@ all: test
 # (bench/, BENCHMARK.json): `make bench-ab` runs it interleaved against a base
 # ref and judges every workload row; the exact allocation floors of the
 # packet path are tier-1 tests (allocs_test.go). `make flake` counts how often
-# one test fails over N runs of the same test binary. `make loc`, `make knobs`
-# and `make callers` print the size, knob and no-caller figures that
-# simplification changes quote.
+# one test fails over N runs of the same test binary. `make loc` and
+# `make knobs` print the size and knob figures that simplification changes
+# quote; `make callers` fails on an exported name that only tests call.
 #
 # bench/ is its own module (the end-to-end benchmark, see BENCHMARK.json), so
 # `go test ./...` here never compiles it; it is vetted and tested last, or
@@ -159,9 +159,21 @@ knobs:
 
 # Exported functions and methods declared under internal/ that no non-test
 # Go file names (the root facade, cmd/, examples/, bench/ and internal/ all
-# count as callers; words in comments and string literals do not): the
-# candidates of a no-caller audit. The match is by name alone, so a method
-# that shares its name with any identifier in use is never listed.
+# count as callers; words in comments and string literals do not). The match
+# is by name alone, so a method that shares its name with any identifier in
+# use is never listed. The names below are kept on purpose and filtered out;
+# any other name is printed and fails the target, so a new test-only export
+# shows up at once:
+#   chaos.RunFailover, chaos.RunMultiRack: the scenario entry points of a
+#     package that exists for its tests (TestChaosFailover,
+#     TestChaosMultiRack, `make chaos`, BenchmarkFailover).
+#   client.Client.Estimator: TestClientPolicyPlumbing (internal/rack) reads
+#     it to see the rack's client template reach the RTO estimator.
+#   dataplane.Table.Misses, switchcore.Switch.TraceQuery: what
+#     TestTraversalGolden prints; the ablation benchmarks count sketch
+#     updates with Misses.
+CALLERS_KEPT = internal/chaos  RunFailover|internal/chaos  RunMultiRack|internal/client  Client.Estimator|internal/dataplane  Table.Misses|internal/switchcore  Switch.TraceQuery
+
 callers:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \
 		FNR == 1 { str = ""; blk = 0 } \
@@ -182,7 +194,8 @@ callers:
 				dir = FILENAME; sub("/[^/]*$$", "", dir); sub("^\\./", "", dir); decls[dir "  " recv skip] = skip } \
 			gsub(/[^A-Za-z0-9_]+/, " ", code); k = split(code, tok, " "); \
 			for (j = 1; j <= k; j++) if (tok[j] != skip) refs[tok[j]]++ } \
-		END { for (d in decls) if (!(decls[d] in refs)) print d }' | sort
+		END { for (d in decls) if (!(decls[d] in refs)) print d }' | sort | \
+		grep -vxE '$(CALLERS_KEPT)'; [ $$? -eq 1 ]
 
 clean:
 	$(GO) clean -testcache

@@ -110,7 +110,12 @@ func BenchmarkAblationAllocatorPolicy(b *testing.B) {
 				continue
 			}
 			if _, err := a.Insert(key(next), 16+rng.Intn(113)); err != nil {
-				return a.Occupancy()
+				used := 0
+				for _, k := range a.Keys() {
+					p, _ := a.Lookup(k)
+					used += p.Slots()
+				}
+				return float64(used) / float64(a.Arrays()*a.Indexes())
 			}
 			live = append(live, next)
 			next++
@@ -135,7 +140,9 @@ type statsRun struct {
 }
 
 func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
-	sw, err := switchcore.New(switchcore.PaperConfig())
+	cfg := switchcore.PaperConfig()
+	cfg.HotThreshold = threshold
+	sw, err := switchcore.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +154,6 @@ func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
 		b.Fatal(err)
 	}
 	sw.SetSampleRate(rate)
-	sw.SetHotThreshold(threshold)
 	return &statsRun{b: b, sw: sw}
 }
 
@@ -185,8 +191,13 @@ func (r *statsRun) estimate(rank int) uint64 { return r.sw.EstimateFreq(workload
 // sketchUpdates is how many Gets the first Count-Min row has counted: the
 // stage's runs, which for a keyless stage are its default action's misses.
 func (r *statsRun) sketchUpdates() int {
-	t, _ := r.sw.Pipeline().Program().TableByName("cms_0")
-	return int(t.Hits() + t.Misses())
+	for _, t := range r.sw.Pipeline().Program().Tables(dataplane.Egress) {
+		if t.Name() == "cms_0" {
+			return int(t.Hits() + t.Misses())
+		}
+	}
+	r.b.Fatal("no cms_0 table")
+	return 0
 }
 
 // BenchmarkAblationSampling — the statistics sampling front-end vs counting

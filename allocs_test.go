@@ -30,7 +30,7 @@ import (
 	"netcache/internal/workload"
 )
 
-// TestAllocsGetAppend: the store's seqlock read path. An optimistic
+// TestAllocsGetAppend: the store's lock-free read path. An optimistic
 // GetAppend into a buffer with capacity is pure probe + append — exactly
 // zero allocations, no slack: a single alloc/op here means the store fell
 // back to copying (or the caller's buffer escaped), which is the regression

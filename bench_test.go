@@ -314,9 +314,9 @@ func BenchmarkRackParallelGet(b *testing.B) {
 }
 
 // BenchmarkRackPipelinedGet is the batched counterpart of RackParallelGet:
-// one client keeps a window of cache-hit reads outstanding via GetBatch, so
-// each burst enters the fabric as one InjectBatch (one actor wakeup for the
-// whole window) instead of a goroutine per query. ns/op is per Get.
+// one client keeps a window of cache-hit reads outstanding via GetBatch,
+// sending each burst frame by frame instead of a goroutine per query. ns/op
+// is per Get.
 func BenchmarkRackPipelinedGet(b *testing.B) {
 	const window = 32
 	r, err := rack.New(rack.Config{
@@ -419,8 +419,8 @@ func BenchmarkMultiRackServerGet(b *testing.B) {
 }
 
 // BenchmarkMultiRackPipelinedGet: one client keeps a window of reads
-// outstanding across both racks via GetBatch (ns/op is per Get) — the
-// batched injection path riding the trunks.
+// outstanding across both racks via GetBatch (ns/op is per Get), the
+// pipelined window riding the trunks.
 func BenchmarkMultiRackPipelinedGet(b *testing.B) {
 	const window = 32
 	f, _, _ := multiRackBenchRig(b, window)

@@ -1,8 +1,8 @@
 // Package bufpool provides the frame buffer pool behind the zero-allocation
-// packet path. Every layer that builds a wire frame — the client encoding a
-// request, the switch deparser building a reply, the server encoding an
-// acknowledgment — leases a buffer here and releases it when the frame has
-// left its hands.
+// packet path. The switch deparser building a reply and the server encoding
+// a reply or acknowledgment lease a buffer here, and whoever delivers the
+// frame releases it once it has left their hands. The client leases nothing:
+// each of its call slots owns its request buffer.
 //
 // The ownership discipline is deliberately asymmetric, and that asymmetry is
 // the safety property of the whole design:

@@ -142,20 +142,8 @@ func (a *Allocator) Indexes() int { return a.indexes }
 // UnitBytes returns the slot granularity.
 func (a *Allocator) UnitBytes() int { return a.unit }
 
-// MaxValueBytes returns the largest value the arrays can hold.
-func (a *Allocator) MaxValueBytes() int { return a.arrays * a.unit }
-
 // Len returns the number of cached items.
 func (a *Allocator) Len() int { return len(a.keyMap) }
-
-// FreeSlots returns the number of unoccupied register slots.
-func (a *Allocator) FreeSlots() int { return a.freeSlots }
-
-// Occupancy returns the fraction of slots in use.
-func (a *Allocator) Occupancy() float64 {
-	total := a.arrays * a.indexes
-	return float64(total-a.freeSlots) / float64(total)
-}
 
 // SlotsFor returns how many slots a value of the given size needs.
 func (a *Allocator) SlotsFor(valueSize int) int {
@@ -273,14 +261,6 @@ func (a *Allocator) Evict(key netproto.Key) bool {
 	return true
 }
 
-// CanUpdateInPlace reports whether a new value of newSize bytes fits the
-// existing placement of key — the §4.3 constraint that data-plane cache
-// updates may not grow an item beyond its allocated slots.
-func (a *Allocator) CanUpdateInPlace(key netproto.Key, newSize int) bool {
-	p, ok := a.keyMap[key]
-	return ok && newSize > 0 && a.SlotsFor(newSize) <= p.Slots()
-}
-
 // Reorganize computes a dense repacking of all cached items: items are
 // sorted by descending slot count and re-placed first-fit into fresh bins
 // (first-fit decreasing). It mutates the allocator to the new layout and
@@ -344,18 +324,6 @@ func (a *Allocator) Reorganize() []Move {
 	return moves
 }
 
-// LargestFreeBin returns the maximum number of free slots available in any
-// single bin — the largest value (in slots) that Insert can currently place.
-func (a *Allocator) LargestFreeBin() int {
-	best := 0
-	for _, f := range a.free {
-		if c := bits.OnesCount16(f); c > best {
-			best = c
-		}
-	}
-	return best
-}
-
 func (a *Allocator) advanceHint() {
 	for a.firstFree < a.indexes && a.free[a.firstFree] == 0 {
 		a.firstFree++
@@ -401,12 +369,6 @@ func NewIndexPool(n int) *IndexPool {
 	}
 	return p
 }
-
-// Cap returns the pool size.
-func (p *IndexPool) Cap() int { return p.cap }
-
-// InUse returns the number of allocated indexes.
-func (p *IndexPool) InUse() int { return len(p.used) }
 
 // Alloc returns a free index, or -1 if the pool is exhausted.
 func (p *IndexPool) Alloc() int {

@@ -26,6 +26,19 @@ func small(t *testing.T, pol Policy) *Allocator {
 	return a
 }
 
+// occupancy is the fraction of the allocator's slots in use.
+func occupancy(a *Allocator) float64 {
+	total := a.arrays * a.indexes
+	return float64(total-a.freeSlots) / float64(total)
+}
+
+// fitsInPlace reports whether a newSize-byte value fits key's current
+// placement: the §4.3 rule that a data-plane update may not grow an item.
+func fitsInPlace(a *Allocator, key netproto.Key, newSize int) bool {
+	p, ok := a.Lookup(key)
+	return ok && newSize > 0 && a.SlotsFor(newSize) <= p.Slots()
+}
+
 func TestNewValidation(t *testing.T) {
 	bad := []Config{
 		{Arrays: 0, Indexes: 1, UnitBytes: 1},
@@ -45,8 +58,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestPaperConfigDimensions(t *testing.T) {
 	a, _ := New(PaperConfig())
-	if a.MaxValueBytes() != 128 {
-		t.Errorf("paper config max value = %d, want 128", a.MaxValueBytes())
+	if a.arrays*a.unit != 128 {
+		t.Errorf("paper config max value = %d, want 128", a.arrays*a.unit)
 	}
 	if got := a.Arrays() * a.Indexes() * a.UnitBytes(); got != 8<<20 {
 		t.Errorf("paper config capacity = %d bytes, want 8 MB", got)
@@ -62,8 +75,8 @@ func TestInsertEvictRoundTrip(t *testing.T) {
 	if p.Slots() != 3 {
 		t.Errorf("48-byte value should take 3 slots, got %d", p.Slots())
 	}
-	if a.Len() != 1 || a.FreeSlots() != 8*16-3 {
-		t.Errorf("Len=%d FreeSlots=%d", a.Len(), a.FreeSlots())
+	if a.Len() != 1 || a.freeSlots != 8*16-3 {
+		t.Errorf("Len=%d FreeSlots=%d", a.Len(), a.freeSlots)
 	}
 	got, ok := a.Lookup(key(1))
 	if !ok || got != p {
@@ -75,8 +88,8 @@ func TestInsertEvictRoundTrip(t *testing.T) {
 	if a.Evict(key(1)) {
 		t.Error("double Evict should fail")
 	}
-	if a.FreeSlots() != 8*16 {
-		t.Errorf("slots leaked: %d", a.FreeSlots())
+	if a.freeSlots != 8*16 {
+		t.Errorf("slots leaked: %d", a.freeSlots)
 	}
 }
 
@@ -108,8 +121,8 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := a.Insert(key(998), 112); err != nil {
 		t.Errorf("partial bin: %v", err)
 	}
-	if a.FreeSlots() != 0 {
-		t.Errorf("FreeSlots = %d, want 0", a.FreeSlots())
+	if a.freeSlots != 0 {
+		t.Errorf("FreeSlots = %d, want 0", a.freeSlots)
 	}
 }
 
@@ -175,16 +188,16 @@ func TestPoliciesDiverge(t *testing.T) {
 func TestCanUpdateInPlace(t *testing.T) {
 	a := small(t, FirstFit)
 	a.Insert(key(1), 40) // 3 slots = up to 48 bytes
-	if !a.CanUpdateInPlace(key(1), 48) {
+	if !fitsInPlace(a, key(1), 48) {
 		t.Error("48 bytes fits 3 slots")
 	}
-	if a.CanUpdateInPlace(key(1), 49) {
+	if fitsInPlace(a, key(1), 49) {
 		t.Error("49 bytes needs 4 slots; §4.3 forbids growth in place")
 	}
-	if a.CanUpdateInPlace(key(2), 8) {
+	if fitsInPlace(a, key(2), 8) {
 		t.Error("uncached key cannot update in place")
 	}
-	if a.CanUpdateInPlace(key(1), 0) {
+	if fitsInPlace(a, key(1), 0) {
 		t.Error("zero size invalid")
 	}
 }
@@ -233,11 +246,11 @@ func TestReorganizePreservesItems(t *testing.T) {
 		}
 	}
 	before := a.Len()
-	freeBefore := a.FreeSlots()
+	freeBefore := a.freeSlots
 	moves := a.Reorganize()
-	if a.Len() != before || a.FreeSlots() != freeBefore {
+	if a.Len() != before || a.freeSlots != freeBefore {
 		t.Errorf("reorganize changed inventory: len %d→%d free %d→%d",
-			before, a.Len(), freeBefore, a.FreeSlots())
+			before, a.Len(), freeBefore, a.freeSlots)
 	}
 	for k, sz := range sizes {
 		p, ok := a.Lookup(key(k))
@@ -259,25 +272,29 @@ func TestReorganizePreservesItems(t *testing.T) {
 
 func TestLargestFreeBin(t *testing.T) {
 	a := small(t, FirstFit)
-	if a.LargestFreeBin() != 8 {
-		t.Errorf("empty allocator largest bin = %d", a.LargestFreeBin())
+	if _, err := a.Insert(key(100), 128); err != nil {
+		t.Errorf("empty allocator refused an 8-slot value: %v", err)
 	}
+	a.Evict(key(100))
 	for i := 0; i < 16; i++ {
 		a.Insert(key(i), 112) // 7 slots per bin
 	}
-	if a.LargestFreeBin() != 1 {
-		t.Errorf("largest bin = %d, want 1", a.LargestFreeBin())
+	if _, err := a.Insert(key(100), 32); err != ErrNoSpace {
+		t.Errorf("2-slot insert with one free slot per bin: %v, want ErrNoSpace", err)
+	}
+	if _, err := a.Insert(key(101), 16); err != nil {
+		t.Errorf("1-slot insert with one free slot per bin: %v", err)
 	}
 }
 
 func TestOccupancy(t *testing.T) {
 	a := small(t, FirstFit)
-	if a.Occupancy() != 0 {
-		t.Errorf("empty occupancy = %f", a.Occupancy())
+	if occupancy(a) != 0 {
+		t.Errorf("empty occupancy = %f", occupancy(a))
 	}
 	a.Insert(key(1), 16*8*16/2) // impossible (too big); ignore error
 	a.Insert(key(2), 64)        // 4 slots of 128
-	if got := a.Occupancy(); got != 4.0/128 {
+	if got := occupancy(a); got != 4.0/128 {
 		t.Errorf("occupancy = %f", got)
 	}
 }
@@ -389,13 +406,13 @@ func checkConsistent(a *Allocator) bool {
 			return false // slot neither used nor free (leak)
 		}
 	}
-	return a.FreeSlots() == a.arrays*a.indexes-total
+	return a.freeSlots == a.arrays*a.indexes-total
 }
 
 func TestIndexPool(t *testing.T) {
 	p := NewIndexPool(3)
-	if p.Cap() != 3 || p.InUse() != 0 {
-		t.Fatalf("fresh pool: cap=%d inuse=%d", p.Cap(), p.InUse())
+	if p.cap != 3 || len(p.used) != 0 {
+		t.Fatalf("fresh pool: cap=%d inuse=%d", p.cap, len(p.used))
 	}
 	a, b, c := p.Alloc(), p.Alloc(), p.Alloc()
 	if a != 0 || b != 1 || c != 2 {
@@ -468,7 +485,7 @@ func TestPackingEfficiency(t *testing.T) {
 			}
 			i++
 		}
-		if occ := a.Occupancy(); occ < 0.90 {
+		if occ := occupancy(a); occ < 0.90 {
 			t.Errorf("%v: first-failure occupancy %.2f < 0.90", pol, occ)
 		}
 	}

@@ -383,18 +383,6 @@ func (c *Controller) InsertKey(key netproto.Key) error {
 	return nil
 }
 
-// EvictKey force-evicts a key; it reports whether the key was cached.
-func (c *Controller) EvictKey(key netproto.Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.evictLocked(e)
-	return true
-}
-
 // insertLocked performs the full §4.3 insertion protocol. freq is the
 // reported frequency justifying the insertion (0 for forced inserts).
 func (c *Controller) insertLocked(key netproto.Key, freq uint64) bool {

@@ -265,36 +265,6 @@ func (c *Controller) repairLocked() []resyncTask {
 	return tasks
 }
 
-// Resync drives the versioned anti-entropy catch-up for every partition
-// addr is currently assigned to back up, returning how many became
-// promotable. It is safe to call concurrently with Tick: a membership
-// change that lands mid-resync (the primary declared dead, the assignment
-// moved) invalidates the partition's epoch and the catch-up is discarded
-// instead of certifying stale state.
-func (c *Controller) Resync(addr netproto.Addr) int {
-	c.mu.Lock()
-	var tasks []resyncTask
-	for _, home := range c.partOrder {
-		p := c.parts[home]
-		if p.backup != addr || p.backupReady {
-			continue
-		}
-		pm, bm := c.members[p.primary], c.members[p.backup]
-		if pm == nil || pm.dead || bm == nil || bm.dead {
-			continue
-		}
-		tasks = append(tasks, resyncTask{home: home, primary: pm.node, backup: bm.node, epoch: p.epoch})
-	}
-	c.mu.Unlock()
-	ready := 0
-	for _, t := range tasks {
-		if c.resyncPartition(t) {
-			ready++
-		}
-	}
-	return ready
-}
-
 // resyncPartition copies one partition from its primary to its backup.
 // Live replication is enabled first, so writes that land during the copy
 // stream to the backup on their own; the snapshot and the live stream

@@ -141,8 +141,8 @@ func (g *gateEngine) Range(fn func(netproto.Key, []byte, uint64) bool) {
 // refuse to certify the backup (a copy of a corpse proves nothing), no
 // promotion may happen off the stale copy, and once the primary rejoins the
 // partition converges to a caught-up, promotable backup. Run under -race:
-// the resync, the public Resync entry point and the detector ticks all
-// touch the partition table concurrently.
+// the resyncs of two concurrent ticks and the detector tick all touch the
+// partition table concurrently.
 func TestResyncRacingMembershipChange(t *testing.T) {
 	sw, err := switchcore.New(switchcore.TestConfig())
 	if err != nil {
@@ -183,13 +183,13 @@ func TestResyncRacingMembershipChange(t *testing.T) {
 	back.alive.Store(true)
 
 	// Arm the gate and start the rejoin tick: it reassigns the backup and
-	// blocks mid-snapshot inside the resync. A concurrent public Resync
-	// call dives into the same window.
+	// blocks mid-snapshot inside the resync. A second concurrent tick
+	// finds the same not-ready backup and dives into the same window.
 	gate.armed.Store(true)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); c.Tick() }()
-	go func() { defer wg.Done(); c.Resync(backAddr) }()
+	go func() { defer wg.Done(); c.Tick() }()
 
 	// Wait for at least one snapshot to be in flight, then kill the
 	// primary: the detector declares it dead mid-resync and the partition's

@@ -121,7 +121,3 @@ func (c ChipConfig) PipeOfPort(port int) int { return port / c.PortsPerPipe }
 
 // ChipPPS returns the aggregate packets-per-second capacity of the chip.
 func (c ChipConfig) ChipPPS() float64 { return float64(c.Pipes) * c.ClockHz }
-
-// PipePPS returns the packets-per-second capacity of one pipe — the bound
-// that applies when all traffic concentrates on one egress pipe (§4.4.4).
-func (c ChipConfig) PipePPS() float64 { return c.ClockHz }

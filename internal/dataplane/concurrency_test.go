@@ -180,7 +180,7 @@ func TestRegisterSaturationConcurrent(t *testing.T) {
 // assertions guard the accounting.
 func TestTableMutationDuringLookups(t *testing.T) {
 	pl, _ := countProgram(t)
-	tab, _ := pl.Program().TableByName("t")
+	tab := pl.Program().tableByName["t"]
 
 	stop := make(chan struct{})
 	var mutations int

@@ -88,9 +88,6 @@ func (p *Program) Field(name string, bits int) FieldID {
 	return FieldID(len(p.fields) - 1)
 }
 
-// NumFields returns the number of declared fields.
-func (p *Program) NumFields() int { return len(p.fields) }
-
 // Register declares a stateful register array and returns its handle.
 func (p *Program) Register(spec RegisterSpec) *Register {
 	if _, dup := p.regByName[spec.Name]; dup {
@@ -198,18 +195,6 @@ func (p *Program) TableBuild(spec TableSpec) *Table {
 	p.tables = append(p.tables, t)
 	p.tableByName[spec.Name] = t
 	return t
-}
-
-// TableByName looks up a declared table; ok is false if absent.
-func (p *Program) TableByName(name string) (t *Table, ok bool) {
-	t, ok = p.tableByName[name]
-	return
-}
-
-// RegisterByName looks up a declared register array; ok is false if absent.
-func (p *Program) RegisterByName(name string) (r *Register, ok bool) {
-	r, ok = p.regByName[name]
-	return
 }
 
 // Tables returns the declared tables of one gress in execution order.

@@ -11,7 +11,7 @@ func TestProcessTracedRecordsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, _ := p.TableByName("route")
+	route := p.tableByName["route"]
 	if err := route.AddEntry([]uint64{7}, "fwd", []uint64{3}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestUntracedProcessUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, _ := p.TableByName("route")
+	route := p.tableByName["route"]
 	route.AddEntry([]uint64{7}, "fwd", []uint64{3})
 	if _, _, err := pl.ProcessTraced(pkt(7), 0); err != nil {
 		t.Fatal(err)

@@ -119,12 +119,10 @@ func (n *Node) AttachServer(port int, srv *server.Server) error {
 	return nil
 }
 
-// AttachClient cables a client endpoint to port, including the vectorized
-// batch path (client.SetSendBatch → simnet.InjectBatch), and provisions a
-// route for its address.
+// AttachClient cables a client endpoint to port and provisions a route for
+// its address. A pipelined GetBatch sends frame by frame through Inject.
 func (n *Node) AttachClient(port int, cl *client.Client) error {
 	cl.SetSend(func(frame []byte) { _ = n.Net.Inject(frame, port) })
-	cl.SetSendBatch(func(frames [][]byte) { _ = n.Net.InjectBatch(frames, port) })
 	n.Net.Attach(port, cl.Receive)
 	return n.InstallRoute(cl.Addr(), port)
 }

@@ -50,7 +50,6 @@ import (
 	"netcache/internal/fabric"
 	"netcache/internal/netproto"
 	"netcache/internal/server"
-	"netcache/internal/simnet"
 	"netcache/internal/stats"
 	"netcache/internal/switchcore"
 )
@@ -86,10 +85,6 @@ type Fabric struct {
 // servers, port ServersPerRack is the uplink trunk.
 func (c Config) spineClientPort(i int) int { return c.Racks + i }
 func (c Config) torUplinkPort() int        { return c.ServersPerRack }
-
-// SpineDownlinkPort returns the spine port of rack r's trunk — the
-// spine-side handle for uplink fault injection.
-func (f *Fabric) SpineDownlinkPort(r int) int { return r }
 
 // New assembles and wires the fabric: Racks racks of the fabric recipe,
 // each with its uplink trunk cabled to the spine, and the clients on the
@@ -245,20 +240,4 @@ func (f *Fabric) RestartTorController(r int, rebuild bool) error {
 // toward the rack times out at the clients until the link comes back.
 func (f *Fabric) SetUplinkDown(r int, down bool) {
 	f.spine.Net.SetPortDown(r, down)
-}
-
-// SetUplinkTxDown cuts (or restores) only the spine→rack direction of rack
-// r's trunk: frames the spine emits toward the rack are discarded, but
-// frames climbing up from the rack's ToR still get in — an asymmetric cable
-// fault. Requests into the rack time out at the clients while late replies
-// already inside the rack still drain upward.
-func (f *Fabric) SetUplinkTxDown(r int, down bool) {
-	f.spine.Net.SetPortDirDown(r, simnet.FromSwitch, down)
-}
-
-// SetUplinkRxDown cuts (or restores) only the rack→spine direction of rack
-// r's trunk: the spine keeps pushing frames down, but nothing the rack
-// sends back gets through.
-func (f *Fabric) SetUplinkRxDown(r int, down bool) {
-	f.spine.Net.SetPortDirDown(r, simnet.ToSwitch, down)
 }

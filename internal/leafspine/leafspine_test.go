@@ -294,7 +294,7 @@ func TestUplinkLossAppliesToTrunk(t *testing.T) {
 	cli := f.Client(0)
 	key := keyInRack(t, f, 1, nKeys)
 
-	f.SpineNode().Net.SetFault(f.SpineDownlinkPort(1), simnet.FromSwitch, simnet.FaultRule{Loss: 1})
+	f.spine.Net.SetFault(1, simnet.FromSwitch, simnet.FaultRule{Loss: 1})
 	if _, err := cli.Get(key); err != client.ErrTimeout {
 		t.Fatalf("get across a fully lossy uplink: %v", err)
 	}
@@ -382,8 +382,8 @@ func TestWriteCoherenceUnderUplinkFaults(t *testing.T) {
 
 	rule := simnet.FaultRule{Loss: 0.15, Dup: 0.3, Reorder: 0.3, ReorderDepth: 3}
 	f.SpineNode().Net.Reseed(7)
-	f.SpineNode().Net.SetFault(f.SpineDownlinkPort(1), simnet.FromSwitch, rule)
-	f.SpineNode().Net.SetFault(f.SpineDownlinkPort(1), simnet.ToSwitch, rule)
+	f.spine.Net.SetFault(1, simnet.FromSwitch, rule)
+	f.spine.Net.SetFault(1, simnet.ToSwitch, rule)
 
 	version := func(v []byte) int {
 		var n int
@@ -469,9 +469,8 @@ func TestSpineRebootFallsThroughToTors(t *testing.T) {
 	}
 }
 
-// Leaf-spine clients ride the batched path now: GetBatch issues windowed
-// bursts through simnet.InjectBatch even when the keys fan out across
-// racks, with no retransmissions on a clean fabric.
+// Leaf-spine clients pipeline: GetBatch issues windowed bursts even when
+// the keys fan out across racks, with no retransmissions on a clean fabric.
 func TestBatchedGetAcrossRacks(t *testing.T) {
 	f, err := New(Config{
 		Racks: 3, ServersPerRack: 2, Clients: 1,
@@ -517,7 +516,7 @@ func TestAsymmetricTrunkDirectionDown(t *testing.T) {
 	srv := f.Servers[f.Partition(key)-1]
 
 	// Forward direction down: the request never reaches the rack.
-	f.SetUplinkTxDown(1, true)
+	f.spine.Net.SetPortDirDown(1, simnet.FromSwitch, true)
 	gets := srv.Metrics.Gets.Value()
 	if _, err := cli.Get(key); err != client.ErrTimeout {
 		t.Fatalf("get with spine->rack direction down: %v", err)
@@ -525,13 +524,13 @@ func TestAsymmetricTrunkDirectionDown(t *testing.T) {
 	if d := srv.Metrics.Gets.Value() - gets; d != 0 {
 		t.Errorf("server saw %d gets through a dark forward direction", d)
 	}
-	f.SetUplinkTxDown(1, false)
+	f.spine.Net.SetPortDirDown(1, simnet.FromSwitch, false)
 	if _, err := cli.Get(key); err != nil {
 		t.Fatalf("get after restoring forward direction: %v", err)
 	}
 
 	// Reverse direction down: requests arrive and are served, replies die.
-	f.SetUplinkRxDown(1, true)
+	f.spine.Net.SetPortDirDown(1, simnet.ToSwitch, true)
 	gets = srv.Metrics.Gets.Value()
 	if _, err := cli.Get(key); err != client.ErrTimeout {
 		t.Fatalf("get with rack->spine direction down: %v", err)
@@ -539,7 +538,7 @@ func TestAsymmetricTrunkDirectionDown(t *testing.T) {
 	if srv.Metrics.Gets.Value() == gets {
 		t.Error("server saw no gets: reverse-direction cut also blocked requests")
 	}
-	f.SetUplinkRxDown(1, false)
+	f.spine.Net.SetPortDirDown(1, simnet.ToSwitch, false)
 	if _, err := cli.Get(key); err != nil {
 		t.Fatalf("get after restoring reverse direction: %v", err)
 	}
@@ -547,7 +546,7 @@ func TestAsymmetricTrunkDirectionDown(t *testing.T) {
 	// Asymmetric delay: replies are held on the trunk instead of dropped.
 	// The client gives up, then the late replies drain — each one lands as
 	// Unmatched, matching the number of requests the server answered.
-	f.SpineNode().Net.SetFault(f.SpineDownlinkPort(1), simnet.ToSwitch,
+	f.spine.Net.SetFault(1, simnet.ToSwitch,
 		simnet.FaultRule{Reorder: 1, ReorderDepth: 64})
 	gets = srv.Metrics.Gets.Value()
 	unmatched := cli.Metrics.Unmatched.Value()

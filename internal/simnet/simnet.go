@@ -63,8 +63,7 @@ type delivery struct {
 // the queue idle becomes the drainer and runs the handler for every queued
 // frame (including frames other goroutines append meanwhile); the rest
 // enqueue and leave. The queue is a power-of-two ring so steady-state
-// traffic enqueues without allocating, and a batch of N frames costs one
-// lock acquisition instead of N.
+// traffic enqueues without allocating.
 type portQueue struct {
 	h          Handler
 	mu         sync.Mutex
@@ -472,72 +471,14 @@ func (n *Net) Inject(frame []byte, port int) error {
 		return nil
 	}
 	if !n.hasFaults(port, ToSwitch) {
-		return n.forward(frame, port, nil)
+		return n.forward(frame, port)
 	}
 	for _, f := range n.applyFaults(frame, port, ToSwitch) {
-		if err := n.forward(f, port, nil); err != nil {
+		if err := n.forward(f, port); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// batchItem is one buffered port-queue delivery of an InjectBatch.
-type batchItem struct {
-	pq *portQueue
-	d  delivery
-}
-
-// batchSink accumulates port-queue deliveries across a batch so each
-// destination's actor is woken (and its lock taken) once per batch rather
-// than once per frame.
-type batchSink struct {
-	items []batchItem
-}
-
-// InjectBatch pushes a burst of frames into the switch at one port,
-// coalescing deliveries: every destination endpoint has its queue locked
-// once for all the batch's frames to it. Like Inject, the injected frames
-// are not retained.
-func (n *Net) InjectBatch(frames [][]byte, port int) error {
-	if n.isDown(port, ToSwitch) {
-		for range frames {
-			n.DownDropped.Inc()
-		}
-		return nil
-	}
-	var sink batchSink
-	var firstErr error
-	faulty := n.hasFaults(port, ToSwitch)
-	for _, frame := range frames {
-		if !faulty {
-			if err := n.forward(frame, port, &sink); err != nil {
-				firstErr = err
-				break
-			}
-			continue
-		}
-		for _, f := range n.applyFaults(frame, port, ToSwitch) {
-			if err := n.forward(f, port, &sink); err != nil {
-				firstErr = err
-				break
-			}
-		}
-		if firstErr != nil {
-			break
-		}
-	}
-	// Flush buffered deliveries in arrival order, one lock per run of
-	// consecutive same-destination items.
-	for i := 0; i < len(sink.items); {
-		j := i + 1
-		for j < len(sink.items) && sink.items[j].pq == sink.items[i].pq {
-			j++
-		}
-		sink.items[i].pq.deliverBatch(sink.items[i:j])
-		i = j
-	}
-	return firstErr
 }
 
 // emitScratch pools the emission slices forward passes to ProcessAppend.
@@ -546,8 +487,6 @@ var emitScratch = sync.Pool{
 }
 
 // forward runs one frame through the switch and fans out its emissions.
-// When sink is non-nil, port-queue deliveries are buffered there instead of
-// being delivered immediately (InjectBatch).
 //
 // Pool-backed emissions (Emitted.Pooled) are owned by this function: every
 // path either hands the buffer to a port queue exactly once — tagging the
@@ -556,7 +495,7 @@ var emitScratch = sync.Pool{
 // holdback of a copy). Fault duplication can put the same buffer in the
 // output twice; only the last occurrence carries the release tag, so the
 // buffer outlives every delivery of it.
-func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
+func (n *Net) forward(frame []byte, inPort int) error {
 	scratch := emitScratch.Get().(*[]dataplane.Emitted)
 	out, err := n.sw.ProcessAppend(frame, inPort, (*scratch)[:0])
 	defer func() {
@@ -582,7 +521,7 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 			continue
 		}
 		if !n.hasFaults(em.Port, FromSwitch) {
-			n.deliverFinal(em.Frame, em.Port, em.Pooled && len(em.Frame) > 0, sink)
+			n.deliverFinal(em.Frame, em.Port, em.Pooled && len(em.Frame) > 0)
 			continue
 		}
 		fs := n.applyFaults(em.Frame, em.Port, FromSwitch)
@@ -600,7 +539,7 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 			}
 		}
 		for i, f := range fs {
-			n.deliverFinal(f, em.Port, i == last, sink)
+			n.deliverFinal(f, em.Port, i == last)
 		}
 	}
 	return nil
@@ -609,21 +548,17 @@ func (n *Net) forward(frame []byte, inPort int, sink *batchSink) error {
 // deliverFinal hands one post-fault frame to the endpoint at port. pooled
 // marks a frame whose buffer returns to the pool once it has no reader:
 // after the endpoint handler runs, or here if no endpoint is attached.
-func (n *Net) deliverFinal(frame []byte, port int, pooled bool, sink *batchSink) {
+func (n *Net) deliverFinal(frame []byte, port int, pooled bool) {
 	pq := n.queueAt(port)
-	switch {
-	case pq == nil:
+	if pq == nil {
 		n.Unattached.Inc()
 		if pooled {
 			bufpool.Put(frame)
 		}
-	case sink != nil:
-		n.Delivered.Inc()
-		sink.items = append(sink.items, batchItem{pq: pq, d: delivery{frame: frame, pooled: pooled}})
-	default:
-		n.Delivered.Inc()
-		pq.deliver(delivery{frame: frame, pooled: pooled})
+		return
 	}
+	n.Delivered.Inc()
+	pq.deliver(delivery{frame: frame, pooled: pooled})
 }
 
 // Flush releases every frame still held in a reorder delay queue: ToSwitch
@@ -674,8 +609,8 @@ func (n *Net) Flush() error {
 				continue
 			}
 			if p.key.dir == FromSwitch {
-				n.deliverFinal(p.frame, p.key.port, false, nil)
-			} else if err := n.forward(p.frame, p.key.port, nil); err != nil {
+				n.deliverFinal(p.frame, p.key.port, false)
+			} else if err := n.forward(p.frame, p.key.port); err != nil {
 				return err
 			}
 		}
@@ -691,20 +626,6 @@ func (n *Net) Flush() error {
 func (pq *portQueue) deliver(d delivery) {
 	pq.mu.Lock()
 	pq.push(d)
-	if pq.busy {
-		pq.mu.Unlock()
-		return
-	}
-	pq.drainLocked()
-}
-
-// deliverBatch enqueues a run of deliveries under one lock acquisition —
-// the single actor wakeup InjectBatch buys for N in-flight frames.
-func (pq *portQueue) deliverBatch(items []batchItem) {
-	pq.mu.Lock()
-	for i := range items {
-		pq.push(items[i].d)
-	}
 	if pq.busy {
 		pq.mu.Unlock()
 		return

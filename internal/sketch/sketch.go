@@ -10,7 +10,6 @@
 package sketch
 
 import (
-	"math"
 	"sync/atomic"
 
 	"netcache/internal/rng"
@@ -72,9 +71,8 @@ func fmix(h uint64) uint64 {
 // contend. Called from a single goroutine the sequence is a pure function of
 // the seed and the call count, keeping deterministic tests deterministic.
 type Sampler struct {
-	ctr  atomic.Uint64 // splitmix64 counter stream, advanced per call
-	thr  atomic.Uint64 // admit when the 32-bit draw < thr; in [0, 1<<32]
-	rate atomic.Uint64 // Float64bits of the configured rate
+	ctr atomic.Uint64 // splitmix64 counter stream, advanced per call
+	thr atomic.Uint64 // admit when the 32-bit draw < thr; in [0, 1<<32]
 }
 
 // NewSampler returns a sampler admitting queries with the given probability
@@ -98,12 +96,8 @@ func (s *Sampler) SetRate(rate float64) {
 	if rate > 1 {
 		rate = 1
 	}
-	s.rate.Store(math.Float64bits(rate))
 	s.thr.Store(uint64(rate * float64(uint64(1)<<32)))
 }
-
-// Rate returns the configured sampling probability.
-func (s *Sampler) Rate() float64 { return math.Float64frombits(s.rate.Load()) }
 
 // Sample reports whether this query is admitted to the statistics engine.
 func (s *Sampler) Sample() bool {

@@ -99,12 +99,12 @@ func TestSamplerExtremes(t *testing.T) {
 		t.Errorf("rate 0.0 sampled %d times", miss)
 	}
 	clamped := NewSampler(7, 1)
-	if clamped.Rate() != 1 {
-		t.Errorf("rate should clamp to 1, got %f", clamped.Rate())
+	if got := clamped.thr.Load(); got != 1<<32 {
+		t.Errorf("rate should clamp to 1 (threshold 2^32), got threshold %d", got)
 	}
 	clamped.SetRate(-3)
-	if clamped.Rate() != 0 {
-		t.Errorf("rate should clamp to 0, got %f", clamped.Rate())
+	if got := clamped.thr.Load(); got != 0 {
+		t.Errorf("rate should clamp to 0, got threshold %d", got)
 	}
 }
 

@@ -33,10 +33,6 @@ type Window struct {
 // Duration returns the window length.
 func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// Rate returns the named counter's per-second rate over the window (0 when
-// absent).
-func (w Window) Rate(name string) float64 { return w.Rates[name] }
-
 // MonitorConfig sizes a Monitor.
 type MonitorConfig struct {
 	// Registry is the metric source set to watch. Required.

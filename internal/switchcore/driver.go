@@ -177,16 +177,6 @@ func (sw *Switch) readValueLocked(p cachemem.Placement, n int) []byte {
 	return out
 }
 
-// ReadValue returns the current cached bytes for a placement (driver-side
-// read, e.g. for verification in tests and the controller's consistency
-// checks).
-func (sw *Switch) ReadValue(p cachemem.Placement, keyIndex int) []byte {
-	mu := sw.keyLock(keyIndex)
-	mu.RLock()
-	defer mu.RUnlock()
-	return sw.readValueLocked(p, int(sw.vlen.Get(keyIndex)))
-}
-
 // CounterSnapshot holds one cached key's sampled hit count.
 type CounterSnapshot struct {
 	KeyIndex int
@@ -225,13 +215,6 @@ func (sw *Switch) EstimateFreq(key netproto.Key) uint64 {
 	return est
 }
 
-// IsValid reports the validity bit of a key index (diagnostics).
-func (sw *Switch) IsValid(keyIndex int) bool {
-	var v uint64
-	sw.pl.Control(func() { v = sw.valid.Get(keyIndex) })
-	return v == 1
-}
-
 // ResetStats clears the Count-Min sketch and the Bloom filter — the periodic
 // refresh that bounds staleness (§4.4.3; every second in the paper's
 // experiments). When clearCounters is true the per-key hit counters are
@@ -254,11 +237,6 @@ func (sw *Switch) ResetStats(clearCounters bool) {
 // "the sample rate can be dynamically configured by the controller").
 func (sw *Switch) SetSampleRate(rate float64) {
 	sw.pl.Control(func() { sw.sampler.SetRate(rate) })
-}
-
-// SetHotThreshold reconfigures the heavy-hitter report threshold.
-func (sw *Switch) SetHotThreshold(th uint64) {
-	sw.hotThreshold.Store(th)
 }
 
 // OnEvents registers receivers for both digest kinds the data plane emits:

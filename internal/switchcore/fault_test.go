@@ -81,7 +81,7 @@ func TestStaleCacheUpdateRejected(t *testing.T) {
 	if got := read(); got != "v-seq-10" {
 		t.Errorf("duplicate seq-10 update changed value to %q", got)
 	}
-	if !r.sw.IsValid(idx) {
+	if !isValid(r.sw, idx) {
 		t.Error("rejected updates must not invalidate the entry")
 	}
 
@@ -109,7 +109,7 @@ func TestEmptyCacheUpdateInvalidates(t *testing.T) {
 	if ack := refresh(5, nil); ack.Op != netproto.OpCacheUpdateAck || ack.Seq != 5 {
 		t.Fatalf("empty update ack = %+v", ack)
 	}
-	if r.sw.IsValid(idx) {
+	if isValid(r.sw, idx) {
 		t.Fatal("empty update left the entry valid")
 	}
 	get := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: key})
@@ -221,7 +221,7 @@ func TestDumpCacheRoundTrip(t *testing.T) {
 	if a.Placement.Size != len("value-of-alpha") {
 		t.Errorf("size = %d, want %d", a.Placement.Size, len("value-of-alpha"))
 	}
-	if got := r.sw.ReadValue(a.Placement, a.KeyIndex); string(got) != "value-of-alpha" {
-		t.Errorf("ReadValue via dump placement = %q", got)
+	if got := readValue(r.sw, a.Placement, a.KeyIndex); string(got) != "value-of-alpha" {
+		t.Errorf("value read via dump placement = %q", got)
 	}
 }

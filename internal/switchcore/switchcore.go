@@ -56,8 +56,8 @@ type Config struct {
 	BloomWidth int
 	// SampleRate is the initial statistics sampling probability.
 	SampleRate float64
-	// HotThreshold is the initial Count-Min frequency above which a key
-	// is reported hot.
+	// HotThreshold is the Count-Min frequency above which a key is
+	// reported hot.
 	HotThreshold uint64
 	// SampleSeed seeds the data-plane sampling RNG.
 	SampleSeed uint64

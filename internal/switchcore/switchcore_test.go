@@ -26,6 +26,21 @@ type rig struct {
 	kidx  *cachemem.IndexPool
 }
 
+// isValid reads the validity bit of a key index.
+func isValid(sw *Switch, keyIndex int) bool {
+	var v uint64
+	sw.pl.Control(func() { v = sw.valid.Get(keyIndex) })
+	return v == 1
+}
+
+// readValue reads the cached bytes of a placement under its key lock.
+func readValue(sw *Switch, p cachemem.Placement, keyIndex int) []byte {
+	mu := sw.keyLock(keyIndex)
+	mu.RLock()
+	defer mu.RUnlock()
+	return sw.readValueLocked(p, int(sw.vlen.Get(keyIndex)))
+}
+
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	return newRigConfig(t, TestConfig())
@@ -230,7 +245,7 @@ func TestWriteInvalidatesAndRewritesOp(t *testing.T) {
 	r := newRig(t)
 	key := netproto.KeyFromString("written")
 	_, idx := r.install(t, key, []byte("old-value"))
-	if !r.sw.IsValid(idx) {
+	if !isValid(r.sw, idx) {
 		t.Fatal("fresh entry should be valid")
 	}
 
@@ -247,7 +262,7 @@ func TestWriteInvalidatesAndRewritesOp(t *testing.T) {
 	if string(pkt.Value) != "new-value" || pkt.Seq != 9 {
 		t.Errorf("write payload altered: %+v", pkt)
 	}
-	if r.sw.IsValid(idx) {
+	if isValid(r.sw, idx) {
 		t.Error("write must invalidate the cached copy")
 	}
 
@@ -273,7 +288,7 @@ func TestDeleteInvalidates(t *testing.T) {
 	if pkt.Op != netproto.OpDeleteCached {
 		t.Errorf("op = %v, want DeleteCached", pkt.Op)
 	}
-	if r.sw.IsValid(idx) {
+	if isValid(r.sw, idx) {
 		t.Error("delete must invalidate")
 	}
 }
@@ -299,7 +314,7 @@ func TestCacheUpdateRestoresValidityAndValue(t *testing.T) {
 	if ack.Op != netproto.OpCacheUpdateAck || ack.Seq != 2 || ack.Key != key {
 		t.Errorf("ack = %+v", ack)
 	}
-	if !r.sw.IsValid(idx) {
+	if !isValid(r.sw, idx) {
 		t.Error("update must re-validate")
 	}
 
@@ -378,10 +393,11 @@ func TestColdKeysNotReported(t *testing.T) {
 }
 
 func TestSetHotThreshold(t *testing.T) {
-	r := newRig(t)
+	cfg := TestConfig()
+	cfg.HotThreshold = 3
+	r := newRigConfig(t, cfg)
 	var reports int
 	r.sw.OnEvents(func(HotReport) { reports++ }, nil)
-	r.sw.SetHotThreshold(3)
 	key := netproto.KeyFromString("quick-hot")
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
 	for i := 0; i < 3; i++ {
@@ -433,7 +449,7 @@ func TestMoveCacheEntry(t *testing.T) {
 	if !bytes.Equal(pkt.Value, value) {
 		t.Errorf("moved value = %q", pkt.Value)
 	}
-	if got := r.sw.ReadValue(to, idx); !bytes.Equal(got, value) {
+	if got := readValue(r.sw, to, idx); !bytes.Equal(got, value) {
 		t.Errorf("driver read after move = %q", got)
 	}
 }
@@ -693,7 +709,7 @@ func TestSpoofedCacheUpdateIgnored(t *testing.T) {
 		netproto.Packet{Op: netproto.OpCacheUpdate, Seq: 99, Key: key, Value: []byte("evil!!!")})
 	one(t, r.sw, spoof, clientPort) // injected at the CLIENT port
 
-	if !r.sw.IsValid(idx) {
+	if !isValid(r.sw, idx) {
 		t.Error("spoof must not invalidate the entry")
 	}
 	get := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})

@@ -37,12 +37,12 @@ func newTraversalSwitch(t *testing.T) *traversalSwitch {
 	cfg := TestConfig()
 	cfg.SampleRate = 0.5
 	cfg.SampleSeed = 7
+	cfg.HotThreshold = 3
 	sw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sw.Close)
-	sw.SetHotThreshold(3)
 	ts := &traversalSwitch{sw: sw}
 	sw.OnEvents(func(r HotReport) {
 		ts.reports = append(ts.reports, fmt.Sprintf("hot %x freq=%d", r.Key[:], r.Freq))

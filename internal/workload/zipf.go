@@ -90,21 +90,6 @@ func (z *Zipf) Prob(rank int) float64 {
 	return 1 / (math.Pow(float64(rank+1), z.theta) * z.zetan)
 }
 
-// CumTop returns the total probability mass of ranks [0, k) — the cache hit
-// ratio achievable by caching the k hottest items.
-func (z *Zipf) CumTop(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k > z.n {
-		k = z.n
-	}
-	if z.theta == 0 {
-		return float64(k) / float64(z.n)
-	}
-	return zeta(k, z.theta) / z.zetan
-}
-
 // Popularity maps popularity ranks to key IDs and supports the three
 // dynamic-workload mutations of §7.1. A fresh Popularity is the identity
 // mapping: rank i is key i.
