@@ -40,7 +40,6 @@ func main() {
 	servers := flag.Int("servers", 1, "number of storage servers (addresses 1..N)")
 	myAddr := flag.Int("addr", 0x8001, "this client's rack address (>= 0x8000)")
 	timeout := flag.Duration("timeout", 50*time.Millisecond, "initial retransmission timeout, before the first RTT sample")
-	hedge := flag.Bool("hedge", false, "hedge reads after the observed P99 reply latency")
 	// Real-UDP deployments share the host (and often a single CPU) with the
 	// switch and server processes, so scheduling noise puts the achievable
 	// RTT well above the in-process simnet floor. A floor below that noise
@@ -73,7 +72,7 @@ func main() {
 		Partition: client.HashPartitioner(addrs),
 		Timeout:   *timeout,
 		Retries:   5,
-		Policy:    client.Policy{Hedge: *hedge, RTOFloor: *rtoFloor},
+		Policy:    client.Policy{RTOFloor: *rtoFloor},
 		Window:    *window,
 	})
 	if err != nil {

@@ -215,98 +215,6 @@ func TestRebootSwitchRecovers(t *testing.T) {
 	}
 }
 
-func TestWritePolicyDisablesAndReenables(t *testing.T) {
-	r, err := New(Config{
-		Servers: 2, Clients: 1, CacheCapacity: 8,
-		WritePolicy: WritePolicy{Enable: true, WindowCycles: 2, CooldownCycles: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.LoadDataset(50, 32)
-	cli := r.Client(0)
-	hot := KeyName(1)
-	if err := r.PrePopulateTopK(4); err != nil {
-		t.Fatal(err)
-	}
-
-	// Write-dominated phase: hammer the cached keys with writes and read
-	// them rarely — invalidations swamp hits.
-	writeStorm := func() {
-		for i := 0; i < 30; i++ {
-			for k := 0; k < 4; k++ {
-				if err := cli.Put(KeyName(k), []byte{byte(i)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	writeStorm()
-	r.Tick() // cycle 1: write-dominated
-	if r.CachingDisabled() {
-		t.Fatal("one cycle below the window must not disable yet")
-	}
-	writeStorm()
-	r.Tick() // cycle 2: window reached -> disable + flush
-	if !r.CachingDisabled() {
-		t.Fatal("write-dominated window should disable caching")
-	}
-	if r.CacheLen() != 0 {
-		t.Fatalf("disable should flush the cache, %d left", r.CacheLen())
-	}
-
-	// During cooldown, hot reads do not refill the cache.
-	for i := 0; i < 30; i++ {
-		cli.Get(hot)
-	}
-	r.Tick() // cooldown 2
-	if r.CacheLen() != 0 || !r.CachingDisabled() {
-		t.Fatal("cache refilled during cooldown")
-	}
-	r.Tick() // cooldown 1 -> re-enable on the next cycle
-
-	// Read-only again: the cache comes back.
-	for i := 0; i < 30; i++ {
-		cli.Get(hot)
-	}
-	r.Tick()
-	if r.CachingDisabled() {
-		t.Fatal("policy should have re-enabled after cooldown")
-	}
-	for i := 0; i < 30; i++ {
-		cli.Get(hot)
-	}
-	r.Tick()
-	if !r.Cached(hot) {
-		t.Fatal("hot key not re-cached after re-enable")
-	}
-}
-
-func TestWritePolicyIgnoresReadOnlyLoad(t *testing.T) {
-	r, err := New(Config{
-		Servers: 2, Clients: 1, CacheCapacity: 8,
-		WritePolicy: WritePolicy{Enable: true, WindowCycles: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.LoadDataset(50, 32)
-	r.PrePopulateTopK(4)
-	cli := r.Client(0)
-	for cycle := 0; cycle < 5; cycle++ {
-		for i := 0; i < 50; i++ {
-			cli.Get(KeyName(i % 4))
-		}
-		r.Tick()
-		if r.CachingDisabled() {
-			t.Fatal("read-only load must never trip the write policy")
-		}
-	}
-	if r.CacheLen() != 4 {
-		t.Errorf("cache len = %d", r.CacheLen())
-	}
-}
-
 func TestChunkedClientShrinkCollectsStaleChunks(t *testing.T) {
 	r := newRack(t)
 	cc := r.ChunkedClient(0)

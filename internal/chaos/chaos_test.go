@@ -184,7 +184,7 @@ func TestGoldenTimeline(t *testing.T) {
 // and a consistent counter set passes; deleting any single law from
 // conservation fails this test.
 func TestConservationLaws(t *testing.T) {
-	okClient := clientCounts{sent: 14, retransmit: 3, hedges: 1, timeouts: 2, issued: 10}
+	okClient := clientCounts{sent: 13, retransmit: 3, timeouts: 2, issued: 10}
 	okNode := nodeCounts{tx: 100, arrived: 98, duplicated: 5, dropped: 7}
 	// A clean client and node lead every set but the empty one, proving a
 	// violation is pinned to its own index, not smeared across the set.
@@ -195,9 +195,9 @@ func TestConservationLaws(t *testing.T) {
 		want    string // substring of the single violation; "" = none
 	}{
 		{"consistent", []clientCounts{okClient, okClient}, []nodeCounts{okNode, okNode}, ""},
-		{"first attempts != issued", []clientCounts{okClient, {sent: 15, retransmit: 3, hedges: 1, timeouts: 2, issued: 10}},
+		{"first attempts != issued", []clientCounts{okClient, {sent: 14, retransmit: 3, timeouts: 2, issued: 10}},
 			[]nodeCounts{okNode}, "client 1: first attempts"},
-		{"timeouts > issued", []clientCounts{okClient, {sent: 14, retransmit: 3, hedges: 1, timeouts: 11, issued: 10}},
+		{"timeouts > issued", []clientCounts{okClient, {sent: 13, retransmit: 3, timeouts: 11, issued: 10}},
 			[]nodeCounts{okNode}, "client 1: more timeouts"},
 		{"nothing issued", []clientCounts{{}}, []nodeCounts{okNode}, "no ops issued"},
 		{"arrived > tx + duplicated", []clientCounts{okClient},

@@ -375,7 +375,7 @@ func (rn *runner) converge() {
 // client, and per node the frames its switch emitted (tx), the net handed
 // to an endpoint, trunk or unattached port (arrived), forged (duplicated)
 // and discarded by loss, partition or a downed port (dropped).
-type clientCounts struct{ sent, retransmit, hedges, timeouts, issued uint64 }
+type clientCounts struct{ sent, retransmit, timeouts, issued uint64 }
 
 type nodeCounts struct{ tx, arrived, duplicated, dropped uint64 }
 
@@ -384,8 +384,8 @@ type nodeCounts struct{ tx, arrived, duplicated, dropped uint64 }
 // the chaos suite instead of skewing every report built on the counters.
 //
 // Client laws (exact): every query call transmits its first attempt exactly
-// once — success, retry and timeout paths alike — so Sent - Retransmit -
-// Hedges equals the calls issued on that client; timeouts cannot exceed
+// once — success, retry and timeout paths alike — so Sent - Retransmit
+// equals the calls issued on that client; timeouts cannot exceed
 // them; and a run that issued nothing tested nothing.
 //
 // Fabric laws (bounds, per node): every frame an endpoint or trunk peer
@@ -399,7 +399,7 @@ func conservation(clients []clientCounts, nodes []nodeCounts) []string {
 	var total uint64
 	for c, m := range clients {
 		total += m.issued
-		if m.sent-m.retransmit-m.hedges != m.issued {
+		if m.sent-m.retransmit != m.issued {
 			bad = append(bad, fmt.Sprintf("client %d: first attempts != issued ops: %+v", c, m))
 		}
 		if m.timeouts > m.issued {
@@ -427,8 +427,7 @@ func (rn *runner) checkConservation() {
 	for c := range clients {
 		cli := rn.tgt.Client(c)
 		m := &cli.Metrics
-		clients[c] = clientCounts{m.Sent.Value(), m.Retransmit.Value(), m.Hedges.Value(),
-			m.Timeouts.Value(), rn.issued[cli]}
+		clients[c] = clientCounts{m.Sent.Value(), m.Retransmit.Value(), m.Timeouts.Value(), rn.issued[cli]}
 	}
 	nodes := make([]nodeCounts, len(rn.nodes))
 	rep := rn.report

@@ -8,10 +8,9 @@
 // transmissions by UDP Get queries"). The retransmission timer is adaptive
 // by default: a per-destination Jacobson/Karn RTT estimator derives the RTO,
 // successive timeouts back off exponentially with deterministic seeded
-// jitter, and an optional hedged-read mode races a duplicate Get against the
-// tail (see rto.go and Policy). The client is unaware of the switch cache: a
-// reply served by the switch is indistinguishable from one served by a
-// server, which is exactly the transparency the architecture promises.
+// jitter (see rto.go and Policy). The client is unaware of the switch
+// cache: a reply served by the switch is indistinguishable from one served
+// by a server, which is exactly the transparency the architecture promises.
 package client
 
 import (
@@ -60,7 +59,7 @@ type Config struct {
 	// Zero means 3; NoRetries (any negative) means an explicit zero.
 	Retries int
 	// Policy tunes the adaptive retransmission path (RTT-estimated RTO,
-	// backoff, jitter, hedged reads). The zero value adapts with defaults.
+	// backoff, jitter). The zero value adapts with defaults.
 	Policy Policy
 	// Window is the closed-loop depth of GetBatch: how many
 	// requests the client keeps outstanding at once. Zero means 32.
@@ -72,9 +71,6 @@ type Metrics struct {
 	Sent       stats.Counter
 	Retransmit stats.Counter
 	Timeouts   stats.Counter
-	// Hedges counts hedged-read duplicates (not retransmissions: they fire
-	// before the RTO, on the P99 hedge delay).
-	Hedges stats.Counter
 	// DroppedFrames counts frames Receive discarded before matching: frame
 	// decode failures, packet decode failures, and non-reply opcodes — the
 	// client-side mirror of the switch's Corrupted counter.
@@ -86,7 +82,7 @@ type Metrics struct {
 	Unmatched stats.Counter
 	// RTTSamples counts clean (Karn-admissible) samples fed to the
 	// estimators; KarnSkipped counts replies whose RTT was discarded as
-	// ambiguous because the attempt had been retransmitted or hedged.
+	// ambiguous because the attempt had been retransmitted.
 	RTTSamples  stats.Counter
 	KarnSkipped stats.Counter
 	// GetLatency/PutLatency/DeleteLatency are end-to-end per-op latency
@@ -378,8 +374,8 @@ func (c *Client) Delete(key netproto.Key) error {
 
 // call is one slot of the pending-call table and, while claimed, one
 // in-flight query: its sequence number, destination, the encoded request
-// frame (the slot's own buffer, reused verbatim by every retransmission and
-// hedge), and the reply Receive hands over.
+// frame (the slot's own buffer, reused verbatim by every retransmission),
+// and the reply Receive hands over.
 type call struct {
 	// state is 0 while the slot is free, seq<<1 while its query waits and
 	// seq<<1|1 once a reply has claimed it. Each move is one CAS, and the
@@ -442,7 +438,7 @@ func (c *Client) prepare(cl *call, pkt netproto.Packet) error {
 	cl.op = pkt.Op
 	cl.key = pkt.Key
 	cl.start = now()
-	c.trace.Load().Record(qtrace.ClientSend, cl.op, cl.seq, cl.key, false, false)
+	c.trace.Load().Record(qtrace.ClientSend, cl.op, cl.seq, cl.key, false)
 	return nil
 }
 
@@ -477,7 +473,7 @@ func (c *Client) complete(cl *call, end time.Duration) {
 	case netproto.OpDelete:
 		c.Metrics.DeleteLatency.Observe(d)
 	}
-	c.trace.Load().Record(qtrace.ClientRecv, cl.op, cl.seq, cl.key, false, false)
+	c.trace.Load().Record(qtrace.ClientRecv, cl.op, cl.seq, cl.key, false)
 }
 
 // SetTrace installs (or, with nil, removes) the query-trace tap. Safe to
@@ -506,13 +502,12 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	defer c.release(cl)
 
 	est := c.estimatorFor(cl.dst)
-	hedged := false
 	// finish reads the clock once for a reply that arrived: the read ends
 	// both the op's latency and its RTT sample, which Karn's rule admits
-	// only for an attempt that was never retransmitted or hedged.
+	// only for an attempt that was never retransmitted.
 	finish := func(attempt int, start time.Duration) (netproto.Packet, error) {
 		end := now()
-		if attempt > 0 || hedged {
+		if attempt > 0 {
 			c.Metrics.KarnSkipped.Inc()
 		} else {
 			est.Observe(end - start)
@@ -531,7 +526,7 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 			c.Metrics.Sent.Inc()
 			if attempt > 0 {
 				c.Metrics.Retransmit.Inc()
-				c.trace.Load().Record(qtrace.ClientRetransmit, cl.op, cl.seq, cl.key, true, false)
+				c.trace.Load().Record(qtrace.ClientRetransmit, cl.op, cl.seq, cl.key, true)
 			}
 			c.send(cl.frame)
 		}
@@ -542,30 +537,13 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		}
 		rto := est.RTO()
 		wait := rto + c.jitter(rto)
-		// Hedged read: instead of waiting out the whole RTO, a first-attempt
-		// Get fires a second copy after the observed P99 reply latency. The
-		// duplicate is idempotent; whichever reply lands first wins, and the
-		// replica reply is absorbed as Unmatched.
-		if c.cfg.Policy.Hedge && attempt == 0 && !hedged && cl.op == netproto.OpGet {
-			if hd := est.HedgeDelay(); hd > 0 && hd < wait {
-				if c.waitReply(cl, hd, true) {
-					return finish(attempt, start)
-				}
-				hedged = true
-				c.Metrics.Sent.Inc()
-				c.Metrics.Hedges.Inc()
-				c.trace.Load().Record(qtrace.ClientHedge, cl.op, cl.seq, cl.key, false, true)
-				c.send(cl.frame)
-				wait -= hd
-			}
-		}
 		if c.waitReply(cl, wait, attempt == 0) {
 			return finish(attempt, start)
 		}
 		est.TimedOut()
 		if attempt >= c.cfg.Retries {
 			c.Metrics.Timeouts.Inc()
-			c.trace.Load().Record(qtrace.ClientTimedOut, cl.op, cl.seq, cl.key, false, false)
+			c.trace.Load().Record(qtrace.ClientTimedOut, cl.op, cl.seq, cl.key, false)
 			return netproto.Packet{}, ErrTimeout
 		}
 	}

@@ -1,6 +1,6 @@
 // Adaptive retransmission: a per-destination RTT estimator in the
 // Jacobson/Karn style (RFC 6298), exponential backoff with deterministic
-// seeded jitter, and an optional hedged-read mode.
+// seeded jitter.
 //
 // The paper leaves reliable transmission of UDP Get queries to the client
 // (§4.1: SEQ "can be used as a sequence number for reliable transmissions").
@@ -14,8 +14,6 @@ package client
 import (
 	"sync"
 	"time"
-
-	"netcache/internal/stats"
 )
 
 // Policy tunes the adaptive retransmission path. The zero value adapts
@@ -26,11 +24,6 @@ type Policy struct {
 	// RTOFloor clamps the adaptive RTO from below, absorbing scheduling
 	// noise the estimator cannot see. Zero means 200µs.
 	RTOFloor time.Duration
-	// Hedge enables hedged reads: once the estimator has enough samples, a
-	// Get whose reply has not arrived after the observed P99 latency fires
-	// a second copy toward the owner instead of waiting out the full RTO.
-	// Only reads hedge — they are idempotent end to end.
-	Hedge bool
 	// Seed seeds the client's splitmix64 jitter stream. The client mixes
 	// its own address in, so clients sharing a seed draw distinct but
 	// reproducible sequences. Jitter never reads the clock or the global
@@ -67,10 +60,6 @@ const (
 // defaultSpinUnder is the poll-mode threshold (Policy.spinUnder).
 const defaultSpinUnder = 2 * time.Millisecond
 
-// hedgeMinSamples is how many clean RTT samples the estimator needs before
-// the P99 is trusted enough to hedge against.
-const hedgeMinSamples = 16
-
 // normalize fills policy defaults.
 func (p Policy) normalize() Policy {
 	if p.RTOFloor <= 0 {
@@ -87,9 +76,9 @@ func (p Policy) normalize() Policy {
 // rtoEstimator tracks smoothed RTT state for one destination (RFC 6298 /
 // Jacobson): SRTT ← 7/8·SRTT + 1/8·R, RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT−R|,
 // RTO = clamp(SRTT + 4·RTTVAR) doubled per backoff step. Karn's rule is
-// enforced by the caller: only replies to never-retransmitted, never-hedged
-// attempts reach Observe, so a retransmission's ambiguous RTT cannot
-// corrupt the estimate.
+// enforced by the caller: only replies to never-retransmitted attempts
+// reach Observe, so a retransmission's ambiguous RTT cannot corrupt the
+// estimate.
 type rtoEstimator struct {
 	mu sync.Mutex
 
@@ -101,26 +90,17 @@ type rtoEstimator struct {
 	rttvar  time.Duration
 	backoff int
 	samples uint64
-
-	// hist tracks clean reply latencies for the hedge delay; nil unless
-	// hedging is enabled (the histogram costs a mutex and a table lookup
-	// per sample).
-	hist *stats.Histogram
 }
 
 // newEstimator starts an estimator at the per-attempt timeout, which also
 // lifts the ceiling when it is above DefaultRTOCeil.
 func newEstimator(timeout time.Duration, p Policy) *rtoEstimator {
 	ceil := max(DefaultRTOCeil, timeout, p.RTOFloor)
-	e := &rtoEstimator{
+	return &rtoEstimator{
 		initial: clampDur(timeout, p.RTOFloor, ceil),
 		floor:   p.RTOFloor,
 		ceil:    ceil,
 	}
-	if p.Hedge {
-		e.hist = stats.NewLatencyHistogram()
-	}
-	return e
 }
 
 func clampDur(d, lo, hi time.Duration) time.Duration {
@@ -156,9 +136,6 @@ func (e *rtoEstimator) Observe(rtt time.Duration) {
 	e.backoff = 0
 	e.samples++
 	e.mu.Unlock()
-	if e.hist != nil {
-		e.hist.Observe(float64(rtt))
-	}
 }
 
 // TimedOut records one retransmission timeout: the next RTO doubles, up to
@@ -191,28 +168,6 @@ func (e *rtoEstimator) rtoLocked() time.Duration {
 		base *= 2
 	}
 	return clampDur(base, e.floor, e.ceil)
-}
-
-// HedgeDelay returns how long a Get should wait before firing its hedge
-// copy: the P99 of clean reply latencies, clamped below the current RTO.
-// Zero means "do not hedge" — before hedgeMinSamples the tail estimate is
-// noise, and hedging on noise just doubles traffic.
-func (e *rtoEstimator) HedgeDelay() time.Duration {
-	if e.hist == nil {
-		return 0
-	}
-	e.mu.Lock()
-	enough := e.samples >= hedgeMinSamples
-	rto := e.rtoLocked()
-	e.mu.Unlock()
-	if !enough {
-		return 0
-	}
-	d := time.Duration(e.hist.Quantile(0.99))
-	if d <= 0 || d >= rto {
-		return 0
-	}
-	return d
 }
 
 // EstimatorState is a read-only snapshot of one destination's estimator,

@@ -298,97 +298,6 @@ func TestDuplicateReplyCountsUnmatched(t *testing.T) {
 	}
 }
 
-// Hedged reads: after the estimator has warmed up, a Get whose first copy
-// was lost is answered by the hedge long before the RTO expires, without a
-// retransmission.
-func TestHedgedReadRecoversLoss(t *testing.T) {
-	cli, err := New(Config{
-		Addr:      cliAddr,
-		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
-		Timeout:   50 * time.Millisecond,
-		Retries:   2,
-		Policy:    Policy{Hedge: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &echoServer{t: t, cli: cli, store: make(map[netproto.Key][]byte)}
-	cli.SetSend(srv.handle)
-	key := netproto.KeyFromString("k")
-	if err := cli.Put(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the estimator past hedgeMinSamples with clean reads.
-	for i := 0; i < 2*hedgeMinSamples; i++ {
-		if _, err := cli.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hd := cli.estimatorFor(srvAddr).HedgeDelay(); hd <= 0 {
-		t.Fatalf("estimator warm but HedgeDelay = %v, want > 0", hd)
-	}
-	srv.mu.Lock()
-	srv.dropN = 1
-	srv.mu.Unlock()
-	start := time.Now()
-	v, err := cli.Get(key)
-	if err != nil || string(v) != "v" {
-		t.Fatalf("hedged Get = %q, %v", v, err)
-	}
-	if cli.Metrics.Hedges.Value() == 0 {
-		t.Error("lost first copy should have fired a hedge")
-	}
-	if retx := cli.Metrics.Retransmit.Value(); retx != 0 {
-		t.Errorf("hedge recovered the loss, yet Retransmit = %d", retx)
-	}
-	// The hedge delay tracks the P99 of microsecond-scale replies; even with
-	// scheduler noise (e.g. under -race) the recovery must come nowhere near
-	// the 50ms initial timeout a fixed client would burn.
-	if elapsed := time.Since(start); elapsed > 25*time.Millisecond {
-		t.Errorf("hedged recovery took %v, want well under the 50ms fixed timeout", elapsed)
-	}
-}
-
-// Hedging never fires for writes: Put and Delete are not idempotent at the
-// protocol level (the replay guard absorbs duplicates, but the client
-// should not rely on it) and must go through the plain RTO path.
-func TestHedgeOnlyForReads(t *testing.T) {
-	cli, err := New(Config{
-		Addr:      cliAddr,
-		Partition: func(netproto.Key) netproto.Addr { return srvAddr },
-		Timeout:   5 * time.Millisecond,
-		Retries:   3,
-		Policy:    Policy{Hedge: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &echoServer{t: t, cli: cli, store: make(map[netproto.Key][]byte)}
-	cli.SetSend(srv.handle)
-	key := netproto.KeyFromString("k")
-	for i := 0; i < 2*hedgeMinSamples; i++ {
-		if err := cli.Put(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hedges := cli.Metrics.Hedges.Value()
-	srv.mu.Lock()
-	srv.dropN = 1
-	srv.mu.Unlock()
-	if err := cli.Put(key, []byte("w")); err != nil { // recovered by retransmit
-		t.Fatal(err)
-	}
-	if got := cli.Metrics.Hedges.Value(); got != hedges {
-		t.Errorf("Put fired %d hedges, want 0", got-hedges)
-	}
-	if cli.Metrics.Retransmit.Value() == 0 {
-		t.Error("lost Put should have been retransmitted")
-	}
-}
-
 // The adaptive RTO actually adapts: after clean traffic on a microsecond
 // fabric the estimator sits at the floor, orders of magnitude below the
 // 10ms initial timeout a fixed client would burn per loss.
@@ -458,33 +367,5 @@ func TestPinnedRTOIgnoresEstimator(t *testing.T) {
 		if wait := rto + cli.jitter(rto); wait < pin || wait >= pin+pin/10 {
 			t.Fatalf("draw %d: wait %v outside [%v, %v)", i, wait, pin, pin+pin/10)
 		}
-	}
-}
-
-// Regression for the Quantile upper-edge bug: with a tight latency
-// distribution, the histogram's p99 overshot the true p99 by a full
-// bucket-growth factor (~5%), landing above the converged RTO — so
-// HedgeDelay returned 0 and hedging silently disabled itself exactly when
-// the estimator was most confident. The fixed quantile never exceeds the
-// observed max, so the hedge delay stays strictly below the RTO.
-func TestHedgeDelayDoesNotOvershootP99(t *testing.T) {
-	p := Policy{RTOFloor: time.Microsecond, Hedge: true}.normalize()
-	e := newEstimator(10*time.Millisecond, p)
-
-	// A perfectly stable 500µs RTT: rttvar decays to ~0, so the RTO
-	// converges to barely above 500µs. Every observed latency is exactly
-	// 500µs, so the true p99 is 500µs.
-	const rtt = 500 * time.Microsecond
-	for i := 0; i < 2*hedgeMinSamples; i++ {
-		e.Observe(rtt)
-	}
-
-	hd := e.HedgeDelay()
-	if hd <= 0 {
-		t.Fatalf("HedgeDelay = %v, want > 0: the p99 estimate overshot the RTO "+
-			"and disabled hedging (upper-edge quantile bug)", hd)
-	}
-	if hd > rtt {
-		t.Fatalf("HedgeDelay = %v exceeds the true p99 %v", hd, rtt)
 	}
 }

@@ -45,6 +45,10 @@ type StorageNode interface {
 // controller; reports beyond it are dropped and counted.
 const reportBuffer = 16384
 
+// sampleK is how many cached keys are sampled when hunting for an eviction
+// victim.
+const sampleK = 8
+
 // Config wires a controller.
 type Config struct {
 	// Switch is the managed switch.
@@ -63,14 +67,8 @@ type Config struct {
 	// Capacity caps the number of cached items (the experiments use
 	// 10,000 of the switch's 64K). Zero means the switch's CacheSize.
 	Capacity int
-	// SampleK is how many cached keys are sampled when hunting for an
-	// eviction victim. Zero means 8.
-	SampleK int
 	// Seed seeds eviction sampling.
 	Seed int64
-	// WritePolicy optionally disables caching under write-dominated load
-	// (§7.3); the zero value leaves caching always on.
-	WritePolicy WritePolicy
 	// Backups maps a home partition address to its backup node, enabling
 	// primary-backup replication with controller-driven failover for that
 	// partition. Both ends must be ReplicatedNodes in Nodes. Empty leaves
@@ -98,8 +96,6 @@ type Metrics struct {
 	Reorganized    stats.Counter
 	Regrown        stats.Counter
 	Cycles         stats.Counter
-	CacheDisabled  stats.Counter
-	CacheReenabled stats.Counter
 	Resyncs        stats.Counter
 	Adopted        stats.Counter
 
@@ -152,7 +148,6 @@ type Controller struct {
 	order   []netproto.Key // sampling support
 	rng     *rand.Rand
 	cycle   uint64
-	wp      writePolicyState
 
 	// Failure-detector membership and partition replication state (see
 	// failover.go).
@@ -176,9 +171,6 @@ func New(cfg Config) (*Controller, error) {
 	swCap := cfg.Switch.Config().CacheSize
 	if cfg.Capacity <= 0 || cfg.Capacity > swCap {
 		cfg.Capacity = swCap
-	}
-	if cfg.SampleK <= 0 {
-		cfg.SampleK = 8
 	}
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 3
@@ -307,21 +299,6 @@ drain:
 		default:
 			break drain
 		}
-	}
-
-	// Under write-dominated load the policy turns caching off: discard
-	// this cycle's candidates and keep the statistics window fresh.
-	if c.applyWritePolicy() {
-	discardReports:
-		for {
-			select {
-			case <-c.reports:
-			default:
-				break discardReports
-			}
-		}
-		c.cfg.Switch.ResetStats(true)
-		return
 	}
 
 	// Hottest first, so the most valuable keys win the free slots.
@@ -546,16 +523,13 @@ func (c *Controller) adoptLocked(ie switchcore.InstalledEntry) bool {
 	return true
 }
 
-// sampleVictimLocked samples up to SampleK cached keys and returns the one
+// sampleVictimLocked samples up to sampleK cached keys and returns the one
 // with the fewest sampled hits this cycle, along with that count.
 func (c *Controller) sampleVictimLocked() (*entry, uint64) {
 	if len(c.order) == 0 {
 		return nil, 0
 	}
-	k := c.cfg.SampleK
-	if k > len(c.order) {
-		k = len(c.order)
-	}
+	k := min(sampleK, len(c.order))
 	var victim *entry
 	best := ^uint64(0)
 	idxs := make([]int, 0, k)

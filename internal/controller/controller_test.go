@@ -15,10 +15,10 @@ import (
 // The controller is exercised against a real rack: switch, servers and
 // fabric, with the test driving traffic and Tick cycles.
 
-func newRack(t *testing.T, capacity, sampleK int) *rack.Rack {
+func newRack(t *testing.T, capacity int) *rack.Rack {
 	t.Helper()
 	r, err := rack.New(rack.Config{
-		Servers: 4, Clients: 1, CacheCapacity: capacity, ControllerSampleK: sampleK,
+		Servers: 4, Clients: 1, CacheCapacity: capacity,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestInsertAndEvictKey(t *testing.T) {
-	r := newRack(t, 4, 4)
+	r := newRack(t, 4)
 	key := workload.KeyName(1)
 	if err := r.Controller.InsertKey(key); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestInsertAndEvictKey(t *testing.T) {
 }
 
 func TestInsertAtCapacityFails(t *testing.T) {
-	r := newRack(t, 2, 2)
+	r := newRack(t, 2)
 	r.Controller.InsertKey(workload.KeyName(1))
 	r.Controller.InsertKey(workload.KeyName(2))
 	if err := r.Controller.InsertKey(workload.KeyName(3)); err == nil {
@@ -77,7 +77,7 @@ func TestInsertAtCapacityFails(t *testing.T) {
 }
 
 func TestInsertMissingKeySkipped(t *testing.T) {
-	r := newRack(t, 4, 4)
+	r := newRack(t, 4)
 	ghost := netproto.KeyFromString("not-in-any-store")
 	if err := r.Controller.InsertKey(ghost); err == nil {
 		t.Error("inserting a nonexistent key should fail")
@@ -88,7 +88,7 @@ func TestInsertMissingKeySkipped(t *testing.T) {
 }
 
 func TestTickCachesHottestFirst(t *testing.T) {
-	r := newRack(t, 2, 2)
+	r := newRack(t, 2)
 	cli := r.Client(0)
 	// Three keys cross the threshold with different intensities; only
 	// two fit.
@@ -110,7 +110,7 @@ func TestTickCachesHottestFirst(t *testing.T) {
 }
 
 func TestCachedKeysSnapshot(t *testing.T) {
-	r := newRack(t, 4, 4)
+	r := newRack(t, 4)
 	r.Controller.InsertKey(workload.KeyName(1))
 	r.Controller.InsertKey(workload.KeyName(2))
 	keys := r.Controller.CachedKeys()
@@ -127,7 +127,7 @@ func TestCachedKeysSnapshot(t *testing.T) {
 }
 
 func TestStatisticsResetEachCycle(t *testing.T) {
-	r := newRack(t, 8, 4)
+	r := newRack(t, 8)
 	cli := r.Client(0)
 	key := workload.KeyName(30)
 	// Below threshold this cycle.
@@ -153,7 +153,7 @@ func TestChurnManyCycles(t *testing.T) {
 	// Sustained operation: rotating hot sets over many cycles must keep
 	// the controller's bookkeeping (allocator, index pool, switch table)
 	// consistent.
-	r := newRack(t, 8, 4)
+	r := newRack(t, 8)
 	cli := r.Client(0)
 	for cycle := 0; cycle < 20; cycle++ {
 		base := (cycle * 13) % 300
@@ -233,7 +233,7 @@ func TestInsertFailsWithoutPortMapping(t *testing.T) {
 }
 
 func TestTickWithNoTrafficIsHarmless(t *testing.T) {
-	r := newRack(t, 4, 4)
+	r := newRack(t, 4)
 	for i := 0; i < 5; i++ {
 		r.Tick()
 	}
@@ -249,7 +249,7 @@ func TestTickWithNoTrafficIsHarmless(t *testing.T) {
 // resync and the hot-key machinery; functionally, the controller and switch
 // must agree on the cache contents afterwards.
 func TestInsertEvictRacingTick(t *testing.T) {
-	r := newRack(t, 16, 4)
+	r := newRack(t, 16)
 	cli := r.Client(0)
 
 	// Background read traffic so ticks have digests to chew on.

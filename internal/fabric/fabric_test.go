@@ -268,11 +268,11 @@ func TestWriteParkedInInsertionWindow(t *testing.T) {
 	if err := <-put; err != nil {
 		t.Fatal(err)
 	}
-	hits := b.Switch.ReadLoadSignals().Hits
+	hits := b.Switch.Pipeline().Stats().Mirrored
 	if v, err := cl.Get(key); err != nil || string(v) != "new" {
 		t.Fatalf("get after the acked Put = %q, %v; want %q", v, err, "new")
 	}
-	if b.Switch.ReadLoadSignals().Hits == hits {
+	if b.Switch.Pipeline().Stats().Mirrored == hits {
 		t.Error("the read did not hit the cache")
 	}
 }

@@ -207,7 +207,6 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 			return p, ok
 		},
 		Capacity: cfg.CacheItems,
-		SampleK:  8,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ type Stage uint8
 const (
 	ClientSend Stage = iota
 	ClientRetransmit
-	ClientHedge
 	ClientRecv
 	ClientTimedOut
 	SwitchHit
@@ -33,7 +32,6 @@ const (
 var stageNames = [...]string{
 	ClientSend:       "client_send",
 	ClientRetransmit: "client_retransmit",
-	ClientHedge:      "client_hedge",
 	ClientRecv:       "client_recv",
 	ClientTimedOut:   "client_timeout",
 	SwitchHit:        "switch_hit",
@@ -59,16 +57,12 @@ type Record struct {
 	Seq        uint64
 	Key        netproto.Key
 	Retransmit bool
-	Hedge      bool
 }
 
 func (r Record) String() string {
 	flags := ""
 	if r.Retransmit {
-		flags += " retx"
-	}
-	if r.Hedge {
-		flags += " hedge"
+		flags = " retx"
 	}
 	return fmt.Sprintf("%s %-12s %-17s op=%s seq=%d key=%x%s",
 		r.When.Format("15:04:05.000000"), r.Node, r.Stage, opName(r.Op), r.Seq, r.Key[:4], flags)
@@ -184,7 +178,7 @@ type Tap struct {
 }
 
 // Record appends one observation. Safe on a nil tap (no-op).
-func (t *Tap) Record(stage Stage, op netproto.Op, seq uint64, key netproto.Key, retransmit, hedge bool) {
+func (t *Tap) Record(stage Stage, op netproto.Op, seq uint64, key netproto.Key, retransmit bool) {
 	if t == nil {
 		return
 	}
@@ -196,6 +190,5 @@ func (t *Tap) Record(stage Stage, op netproto.Op, seq uint64, key netproto.Key, 
 		Seq:        seq,
 		Key:        key,
 		Retransmit: retransmit,
-		Hedge:      hedge,
 	})
 }

@@ -37,11 +37,6 @@ type Config struct {
 	Clients int
 	// CacheCapacity caps cached items; zero means the switch limit.
 	CacheCapacity int
-	// ControllerSampleK is the eviction sampling width. Zero means 8.
-	ControllerSampleK int
-	// WritePolicy optionally enables adaptive cache disabling under
-	// write-dominated load (§7.3).
-	WritePolicy controller.WritePolicy
 	// Client is the template every client is configured from; its Addr
 	// and Partition are set per client. The zero value keeps the client
 	// defaults. Each client's retransmission jitter stream is derived
@@ -97,8 +92,6 @@ func New(cfg Config) (*Rack, error) {
 	node, err := d.AddRack("tor", cfg.Switch, cfg.Servers, server.Config{Shards: 4},
 		controller.Config{
 			Capacity:        cfg.CacheCapacity,
-			SampleK:         cfg.ControllerSampleK,
-			WritePolicy:     cfg.WritePolicy,
 			HeartbeatMisses: cfg.HeartbeatMisses,
 		})
 	if err != nil {

@@ -231,7 +231,7 @@ func TestGrowingValueKeepsCoherence(t *testing.T) {
 }
 
 func TestEvictionPrefersColderKeys(t *testing.T) {
-	r, err := New(Config{Servers: 4, Clients: 2, CacheCapacity: 4, ControllerSampleK: 4})
+	r, err := New(Config{Servers: 4, Clients: 2, CacheCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestEvictionPrefersColderKeys(t *testing.T) {
 }
 
 func TestColdReportDoesNotEvictHotter(t *testing.T) {
-	r, err := New(Config{Servers: 4, Clients: 2, CacheCapacity: 2, ControllerSampleK: 2})
+	r, err := New(Config{Servers: 4, Clients: 2, CacheCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestConcurrentWritersToCachedKey(t *testing.T) {
 // invalidations, refreshes and controller cycles. This is the sequential
 // consistency oracle for the whole stack.
 func TestModelBasedSequentialOps(t *testing.T) {
-	r, err := New(Config{Servers: 3, Clients: 1, CacheCapacity: 8, ControllerSampleK: 4})
+	r, err := New(Config{Servers: 3, Clients: 1, CacheCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

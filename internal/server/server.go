@@ -380,7 +380,7 @@ func (s *Server) ctlDedup(seq uint64) bool {
 // intermediate value slice, no Packet), and the frame is sealed and sent.
 func (s *Server) handleGet(src netproto.Addr, pkt netproto.Packet) {
 	s.Metrics.Gets.Inc()
-	s.trace.Load().Record(qtrace.ServerGet, pkt.Op, pkt.Seq, pkt.Key, false, false)
+	s.trace.Load().Record(qtrace.ServerGet, pkt.Op, pkt.Seq, pkt.Key, false)
 	frame := bufpool.Get()
 	frame = netproto.ReplyInto(frame, src, s.cfg.Addr, netproto.OpGetReply, pkt.Seq, pkt.Key)
 	frame, _, ok := s.store.Load().GetAppend(pkt.Key, frame)
@@ -397,7 +397,7 @@ func (s *Server) handleGet(src netproto.Addr, pkt netproto.Packet) {
 
 // handleWrite applies a write or queues it if the key is blocked.
 func (s *Server) handleWrite(src netproto.Addr, pkt netproto.Packet) {
-	s.trace.Load().Record(qtrace.ServerWrite, pkt.Op, pkt.Seq, pkt.Key, false, false)
+	s.trace.Load().Record(qtrace.ServerWrite, pkt.Op, pkt.Seq, pkt.Key, false)
 	s.mu.Lock()
 	st := s.keys[pkt.Key]
 	if st != nil && (st.blocks > 0 || st.w != nil) {

@@ -16,10 +16,12 @@
 // The fabric doubles as the fault-injection layer for robustness testing:
 // per-port, per-direction rules (SetFault) lose, duplicate, corrupt, and
 // reorder frames; SetPartitioned drops all traffic between two port groups,
-// and SetPortDown unplugs a port entirely. All probabilistic draws come from
-// one lock-free splitmix64 stream over an atomic counter, so concurrent
-// packets never contend on it, single-goroutine tests stay deterministic,
-// and Reseed reproduces a fault schedule from a seed. Loss injection
+// and SetPortDown unplugs a port entirely. Each installed rule draws from
+// its own lock-free splitmix64 stream over an atomic counter, started from
+// the net's seed, the port+direction and how many rules that port+direction
+// has had: the faults the n-th frame under a rule meets depend on the seed
+// alone, never on how traffic at other ports interleaves, and Reseed
+// reproduces a fault schedule from a seed. Loss injection
 // exercises the reliable cache-update retry path; corruption exercises the
 // frame-checksum parse boundary; reordering and duplication exercise the
 // switch's stale-update protection.
@@ -154,10 +156,29 @@ type heldFrame struct {
 	ttl   int
 }
 
-// reorderBuf is the bounded delay queue of one port+direction.
-type reorderBuf struct {
+// portFaults is the fault state of one port+direction: the splitmix64 draw
+// stream of its current rule and its bounded reorder delay queue.
+type portFaults struct {
+	draws atomic.Uint64
+	// installs counts the rules installed since the last Reseed; guarded
+	// by Net.faultMu.
+	installs uint64
+
 	mu   sync.Mutex
 	held []heldFrame
+}
+
+// restart starts the draw stream of a rule installed on k: one stream per
+// seed, port+direction and install.
+func (pf *portFaults) restart(k faultKey, seed uint64) {
+	pf.draws.Store(rng.Mix(seed^(uint64(uint32(k.port))<<1|uint64(k.dir))) + pf.installs)
+	pf.installs++
+}
+
+func (pf *portFaults) randU64() uint64 { return rng.NextAtomic(&pf.draws) }
+
+func (pf *portFaults) rand01() float64 {
+	return float64(pf.randU64()>>11) / float64(1<<53)
 }
 
 // Net wires endpoints to a switch. Attach all endpoints before traffic
@@ -172,18 +193,18 @@ type Net struct {
 	ports atomic.Pointer[[]*portQueue]
 
 	// faultMu guards the fault configuration: rules, partitions, downed
-	// ports, and the reorder-buffer map (each buffer has its own mutex).
+	// ports, the seed, and the per-port+direction state map (each state
+	// has its own mutex and atomic stream).
 	faultMu sync.RWMutex
 	faults  map[faultKey]FaultRule
-	reorder map[faultKey]*reorderBuf
+	state   map[faultKey]*portFaults
 	parts   map[uint64]struct{} // partitioned (in,out) port pairs
 	down    map[int]uint8       // per-port bitmask of downed Dir segments
+	seed    uint64
 	// clean is true while no fault rule, partition or downed port is
 	// installed. Every mutator recomputes it under faultMu, so on a clean
 	// fabric the per-frame fault checks cost one atomic load each.
 	clean atomic.Bool
-
-	rngCtr atomic.Uint64 // splitmix64 counter stream for fault draws
 
 	// Delivered counts frames handed to endpoints; Unattached counts
 	// emissions to ports with no endpoint; ProcessErrors counts
@@ -209,15 +230,15 @@ type Net struct {
 // New returns a fabric around sw.
 func New(sw Switch) *Net {
 	n := &Net{
-		sw:      sw,
-		faults:  make(map[faultKey]FaultRule),
-		reorder: make(map[faultKey]*reorderBuf),
-		parts:   make(map[uint64]struct{}),
-		down:    make(map[int]uint8),
+		sw:     sw,
+		faults: make(map[faultKey]FaultRule),
+		state:  make(map[faultKey]*portFaults),
+		parts:  make(map[uint64]struct{}),
+		down:   make(map[int]uint8),
 	}
 	n.ports.Store(new([]*portQueue))
 	n.clean.Store(true)
-	n.rngCtr.Store(1) // fixed seed: reproducible fault patterns
+	n.seed = 1 // fixed seed: reproducible fault patterns
 	return n
 }
 
@@ -261,9 +282,12 @@ func (n *Net) setFaultLocked(k faultKey, r FaultRule) {
 		return
 	}
 	n.faults[k] = r
-	if r.Reorder > 0 && n.reorder[k] == nil {
-		n.reorder[k] = &reorderBuf{}
+	pf := n.state[k]
+	if pf == nil {
+		pf = &portFaults{}
+		n.state[k] = pf
 	}
+	pf.restart(k, n.seed)
 }
 
 // ClearFaults removes every fault rule (held reorder frames remain until
@@ -332,20 +356,24 @@ func (n *Net) SetPortDirDown(port int, dir Dir, isDown bool) {
 	n.recleanLocked()
 }
 
-// Reseed restarts the fault PRNG stream. Two runs with the same seed, the
-// same rules, and the same frame sequence draw identical fault schedules.
-func (n *Net) Reseed(seed uint64) { n.rngCtr.Store(seed) }
+// Reseed restarts the fault streams from seed, each installed rule's as if
+// it had just been installed first. Two runs with the same seed, the same
+// rules, and the same frame sequence at each port+direction draw identical
+// fault schedules.
+func (n *Net) Reseed(seed uint64) {
+	n.faultMu.Lock()
+	defer n.faultMu.Unlock()
+	n.seed = seed
+	for k, pf := range n.state {
+		pf.installs = 0
+		if _, ok := n.faults[k]; ok {
+			pf.restart(k, seed)
+		}
+	}
+}
 
 func pairKey(in, out int) uint64 {
 	return uint64(uint32(in))<<32 | uint64(uint32(out))
-}
-
-// randU64 draws from the splitmix64 stream over an atomically advanced
-// counter: one fetch-and-add, no shared RNG state to lock.
-func (n *Net) randU64() uint64 { return rng.NextAtomic(&n.rngCtr) }
-
-func (n *Net) rand01() float64 {
-	return float64(n.randU64()>>11) / float64(1<<53)
 }
 
 func (n *Net) isDown(port int, dir Dir) bool {
@@ -390,26 +418,26 @@ func (n *Net) applyFaults(frame []byte, port int, dir Dir) [][]byte {
 	k := faultKey{port, dir}
 	n.faultMu.RLock()
 	r, ok := n.faults[k]
-	rb := n.reorder[k]
+	pf := n.state[k]
 	n.faultMu.RUnlock()
 	if !ok {
 		return [][]byte{frame}
 	}
-	if r.Loss > 0 && n.rand01() < r.Loss {
+	if r.Loss > 0 && pf.rand01() < r.Loss {
 		n.LossDropped.Inc()
 		return nil
 	}
-	if r.Corrupt > 0 && n.rand01() < r.Corrupt && len(frame) > 0 {
-		frame = n.corruptCopy(frame)
+	if r.Corrupt > 0 && pf.rand01() < r.Corrupt && len(frame) > 0 {
+		frame = pf.corruptCopy(frame)
 		n.CorruptInjected.Inc()
 	}
 	out := [][]byte{frame}
-	if r.Dup > 0 && n.rand01() < r.Dup {
+	if r.Dup > 0 && pf.rand01() < r.Dup {
 		n.Duplicated.Inc()
 		out = append(out, frame)
 	}
-	if r.Reorder > 0 && rb != nil {
-		out = rb.pass(n, r, out)
+	if r.Reorder > 0 {
+		out = pf.pass(n, r, out)
 	}
 	return out
 }
@@ -418,14 +446,14 @@ func (n *Net) applyFaults(frame []byte, port int, dir Dir) [][]byte {
 // (probabilistically, queue permitting), and frames passing age the held
 // ones, releasing any that have waited ReorderDepth frames — behind the
 // newer traffic, which is the reordering.
-func (rb *reorderBuf) pass(n *Net, r FaultRule, frames [][]byte) [][]byte {
+func (pf *portFaults) pass(n *Net, r FaultRule, frames [][]byte) [][]byte {
 	depth := r.depth()
 	var out [][]byte
-	rb.mu.Lock()
+	pf.mu.Lock()
 	for _, f := range frames {
-		if len(rb.held) < depth && n.rand01() < r.Reorder {
+		if len(pf.held) < depth && pf.rand01() < r.Reorder {
 			n.Reordered.Inc()
-			rb.held = append(rb.held, heldFrame{
+			pf.held = append(pf.held, heldFrame{
 				frame: append([]byte(nil), f...), ttl: depth,
 			})
 			continue
@@ -433,8 +461,8 @@ func (rb *reorderBuf) pass(n *Net, r FaultRule, frames [][]byte) [][]byte {
 		out = append(out, f)
 	}
 	if len(out) > 0 {
-		keep := rb.held[:0]
-		for _, h := range rb.held {
+		keep := pf.held[:0]
+		for _, h := range pf.held {
 			h.ttl -= len(out)
 			if h.ttl <= 0 {
 				out = append(out, h.frame)
@@ -442,19 +470,19 @@ func (rb *reorderBuf) pass(n *Net, r FaultRule, frames [][]byte) [][]byte {
 				keep = append(keep, h)
 			}
 		}
-		rb.held = keep
+		pf.held = keep
 	}
-	rb.mu.Unlock()
+	pf.mu.Unlock()
 	return out
 }
 
 // corruptCopy flips 1–3 bytes of a copy of frame.
-func (n *Net) corruptCopy(frame []byte) []byte {
+func (pf *portFaults) corruptCopy(frame []byte) []byte {
 	buf := append([]byte(nil), frame...)
-	flips := 1 + int(n.randU64()%3)
+	flips := 1 + int(pf.randU64()%3)
 	for i := 0; i < flips; i++ {
-		pos := int(n.randU64() % uint64(len(buf)))
-		buf[pos] ^= byte(1 + n.randU64()%255)
+		pos := int(pf.randU64() % uint64(len(buf)))
+		buf[pos] ^= byte(1 + pf.randU64()%255)
 	}
 	return buf
 }
@@ -575,8 +603,8 @@ func (n *Net) Flush() error {
 		}
 		var todo []pending
 		n.faultMu.RLock()
-		keys := make([]faultKey, 0, len(n.reorder))
-		for k := range n.reorder {
+		keys := make([]faultKey, 0, len(n.state))
+		for k := range n.state {
 			keys = append(keys, k)
 		}
 		n.faultMu.RUnlock()
@@ -588,17 +616,14 @@ func (n *Net) Flush() error {
 		})
 		for _, k := range keys {
 			n.faultMu.RLock()
-			rb := n.reorder[k]
+			pf := n.state[k]
 			n.faultMu.RUnlock()
-			if rb == nil {
-				continue
-			}
-			rb.mu.Lock()
-			for _, h := range rb.held {
+			pf.mu.Lock()
+			for _, h := range pf.held {
 				todo = append(todo, pending{key: k, frame: h.frame})
 			}
-			rb.held = nil
-			rb.mu.Unlock()
+			pf.held = nil
+			pf.mu.Unlock()
 		}
 		if len(todo) == 0 {
 			return nil

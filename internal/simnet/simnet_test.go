@@ -380,6 +380,42 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
+// A rule's fault schedule depends only on the seed and its own frames:
+// traffic through another faulted port, interleaved in any amount, and an
+// earlier rule on the same port+direction do not move which frames it hits.
+func TestFaultStreamPerPortDir(t *testing.T) {
+	run := func(crossTraffic int) []byte {
+		n := New(&loopSwitch{})
+		n.Reseed(99)
+		var got []byte
+		n.Attach(1, func(f []byte) { got = append(got, f[1]) })
+		n.Attach(2, func([]byte) {})
+		n.SetFault(2, FromSwitch, FaultRule{Loss: 0.5, Corrupt: 0.5})
+		n.SetFault(1, FromSwitch, FaultRule{Dup: 0.5})
+		for i := 0; i < crossTraffic; i++ {
+			n.Inject([]byte{1, 0xff}, 0)
+		}
+		got = got[:0]
+		n.SetFault(1, FromSwitch, FaultRule{Loss: 0.3})
+		for i := 0; i < 100; i++ {
+			for j := 0; j < crossTraffic; j++ {
+				n.Inject([]byte{2, byte(j)}, 0)
+			}
+			n.Inject([]byte{1, byte(i)}, 0)
+		}
+		return got
+	}
+	want := run(0)
+	if len(want) == 0 || len(want) == 100 {
+		t.Fatalf("loss 0.3 delivered %d of 100 frames", len(want))
+	}
+	for _, cross := range []int{1, 3} {
+		if got := run(cross); string(got) != string(want) {
+			t.Errorf("cross traffic %d moved the schedule:\n%v\n%v", cross, got, want)
+		}
+	}
+}
+
 func TestPortDirDown(t *testing.T) {
 	n := New(&loopSwitch{})
 	delivered := 0

@@ -229,9 +229,7 @@ func (h *Histogram) Max() float64 {
 // Quantile returns the approximate q-quantile (q in [0,1]); 0 when empty.
 // The estimate is the geometric midpoint of the bucket holding the target
 // observation, clamped to Max(): a reported quantile never exceeds the
-// largest value actually observed. (The old upper-edge estimate could
-// overshoot Max() by a full bucket-growth factor — enough to silently
-// disable the client's hedged reads, whose delay must stay below the RTO.)
+// largest value actually observed.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

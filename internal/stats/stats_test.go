@@ -210,7 +210,7 @@ func TestSeriesEmpty(t *testing.T) {
 // single observation Quantile(0.99) could exceed Max() by a full growth
 // factor. A quantile must never exceed the largest observed value.
 func TestQuantileNeverExceedsMax(t *testing.T) {
-	// Single observation: the pathological case that disabled hedged reads.
+	// Single observation: the bucket's upper edge lies above the one value.
 	h := NewLatencyHistogram()
 	h.Observe(500_000)
 	if q := h.Quantile(0.99); q > h.Max() {

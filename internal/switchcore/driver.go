@@ -265,22 +265,6 @@ func (sw *Switch) OnEvents(onHot func(HotReport), onOverflow func(OverflowReport
 	})
 }
 
-// LoadSignals summarizes the data-plane activity the controller's adaptive
-// write policy watches: served cache hits (mirrored replies) and
-// write-triggered invalidations of cached keys.
-type LoadSignals struct {
-	Hits          uint64
-	Invalidations uint64
-}
-
-// ReadLoadSignals returns cumulative hit and invalidation counts.
-func (sw *Switch) ReadLoadSignals() LoadSignals {
-	var s LoadSignals
-	s.Invalidations = sw.invalidations.Load()
-	s.Hits = sw.pl.Stats().Mirrored
-	return s
-}
-
 // TraceQuery runs one frame through the pipeline with per-table tracing —
 // the debugging facility for inspecting how a query traverses the NetCache
 // program (which tables hit, which gateways skipped).

@@ -151,7 +151,7 @@ func (sw *Switch) missStats(keyHi, keyLo uint64) *dataplane.PathClass {
 			est = v
 		}
 	}
-	if est < sw.hotThreshold.Load() {
+	if est < sw.cfg.HotThreshold {
 		return sw.paths.sampled
 	}
 	fresh := false

@@ -239,9 +239,6 @@ func (r *diffRig) assertSame(t testing.TB, nKeys int) {
 	if fc, ic := tableLines(fast), tableLines(interp); fc != ic {
 		t.Fatalf("table counter divergence:\nfast:   %sinterp: %s", fc, ic)
 	}
-	if fi, ii := fast.invalidations.Load(), interp.invalidations.Load(); fi != ii {
-		t.Fatalf("invalidation divergence: fast=%d interp=%d", fi, ii)
-	}
 	for k := 0; k < nKeys; k++ {
 		if fv, iv := fast.valid.Get(k), interp.valid.Get(k); fv != iv {
 			t.Fatalf("valid[%d] divergence: fast=%d interp=%d", k, fv, iv)

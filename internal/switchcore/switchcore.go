@@ -160,13 +160,7 @@ type Switch struct {
 	valueT  []*dataplane.Table
 	paths   paths
 
-	sampler      *sketch.Sampler
-	hotThreshold atomic.Uint64
-
-	// invalidations counts write-triggered invalidations of cached keys;
-	// read through the driver. The controller's write policy compares it
-	// against served hits.
-	invalidations atomic.Uint64
+	sampler *sketch.Sampler
 
 	// trace, when set, receives per-query hop records (hit/miss/write
 	// classification). Disabled cost: one atomic load and a nil branch per
@@ -232,7 +226,6 @@ func New(cfg Config) (*Switch, error) {
 		cfg:     cfg,
 		sampler: sketch.NewSampler(cfg.SampleRate, cfg.SampleSeed),
 	}
-	sw.hotThreshold.Store(cfg.HotThreshold)
 	p := dataplane.NewProgram("netcache")
 	sw.prog = p
 
@@ -491,7 +484,6 @@ func (sw *Switch) buildEgress(f phv) {
 		ctx.Set(f.isValid, ctx.RegGet(sw.valid, int(ctx.Get(f.kidx))))
 	})
 	status.Action("invalidate", func(ctx *dataplane.Ctx, data []uint64) {
-		sw.invalidations.Add(1)
 		ctx.RegSet(sw.valid, int(ctx.Get(f.kidx)), 0)
 		// Tell the server the key is cached by rewriting the op (§4.3).
 		if netproto.Op(ctx.Get(f.op)) == netproto.OpPut {
@@ -555,7 +547,6 @@ func (sw *Switch) buildEgress(f phv) {
 	// copies stored in the switches on the routes to storage servers"):
 	// this switch's copy is invalidated too, the op stays as it is.
 	status.Action("invalidate_pass", func(ctx *dataplane.Ctx, data []uint64) {
-		sw.invalidations.Add(1)
 		ctx.RegSet(sw.valid, int(ctx.Get(f.kidx)), 0)
 	})
 	mustAdd(status, []uint64{uint64(netproto.OpGet)}, "check", nil)
@@ -661,7 +652,7 @@ func (sw *Switch) buildEgress(f phv) {
 		When:        sampledMiss,
 	})
 	hhCheck.Action("compare", func(ctx *dataplane.Ctx, data []uint64) {
-		if ctx.Get(f.cmMin) >= sw.hotThreshold.Load() {
+		if ctx.Get(f.cmMin) >= sw.cfg.HotThreshold {
 			ctx.Set(f.hot, 1)
 		}
 	})
@@ -967,7 +958,7 @@ func (sw *Switch) traceFrame(tap *qtrace.Tap, frame []byte, emitted []dataplane.
 	seq := binary.BigEndian.Uint64(frame[frameSeqOff : frameSeqOff+8])
 	var key netproto.Key
 	copy(key[:], frame[frameKeyOff:frameKeyOff+netproto.KeySize])
-	tap.Record(stage, op, seq, key, false, false)
+	tap.Record(stage, op, seq, key, false)
 }
 
 // Pipeline exposes the underlying pipeline (counters, config).

@@ -121,7 +121,7 @@ func TestTraceTail(t *testing.T) {
 	ring := qtrace.NewRing(8)
 	tap := ring.Tap("client0")
 	for i := 0; i < 5; i++ {
-		tap.Record(qtrace.ClientSend, netproto.OpGet, uint64(i), netproto.Key{}, false, false)
+		tap.Record(qtrace.ClientSend, netproto.OpGet, uint64(i), netproto.Key{}, false)
 	}
 	s.SetTrace(ring)
 

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"netcache/internal/client"
-	"netcache/internal/controller"
 	"netcache/internal/harness"
 	"netcache/internal/netproto"
 	"netcache/internal/qtrace"
@@ -68,9 +67,6 @@ type (
 	DynamicResult = harness.DynamicResult
 	// SwitchConfig sizes the switch data-plane program.
 	SwitchConfig = switchcore.Config
-	// WritePolicy configures adaptive cache disabling under
-	// write-dominated load (§7.3).
-	WritePolicy = controller.WritePolicy
 	// Zipf samples popularity ranks with the bounded Zipf law the
 	// paper's workloads use (rank 0 hottest).
 	Zipf = workload.Zipf
@@ -139,9 +135,6 @@ type Config struct {
 	// the zero value selects a small fast-compiling program. Use
 	// PaperSwitchConfig for the prototype's full 64K×128 B dimensions.
 	Switch SwitchConfig
-	// WritePolicy optionally enables the §7.3 adaptive policy: flush and
-	// pause caching while write-triggered invalidations dominate hits.
-	WritePolicy WritePolicy
 	// Replicate enables the replicated storage tier: every key partition
 	// gets a backup server (ring pairing), writes replicate before they
 	// are acked, and the controller's failure detector fails a dead
@@ -170,7 +163,6 @@ func New(cfg Config) (*Rack, error) {
 		Servers:         cfg.Servers,
 		Clients:         cfg.Clients,
 		CacheCapacity:   cfg.CacheCapacity,
-		WritePolicy:     cfg.WritePolicy,
 		Replicate:       cfg.Replicate,
 		HeartbeatMisses: cfg.HeartbeatMisses,
 	})
@@ -227,10 +219,6 @@ func every(interval time.Duration, tick func()) (stop func()) {
 // the controller's next Tick reinstalls what it tracks.
 func (r *Rack) CacheLen() int { return r.r.Switch.CacheLen() }
 
-// CachingDisabled reports whether the adaptive write policy has currently
-// turned the cache off.
-func (r *Rack) CachingDisabled() bool { return r.r.Controller.CachingDisabled() }
-
 // Cached reports whether key currently lives in the switch cache.
 func (r *Rack) Cached(key Key) bool { return r.r.Controller.Cached(key) }
 
@@ -284,7 +272,7 @@ func (r *Rack) Snapshot() Snapshot { return r.r.Snapshot() }
 
 // EnableTrace turns on query tracing into a bounded ring of per-query hop
 // records (client send → switch hit/miss → server → reply, with
-// retransmit/hedge flags). Tracing off — the default — costs one atomic
+// retransmit flags). Tracing off — the default — costs one atomic
 // load per packet. Pass the returned ring to inspect; call DisableTrace to
 // turn it back off.
 func (r *Rack) EnableTrace(capacity int) *TraceRing { return r.r.EnableTrace(capacity) }
