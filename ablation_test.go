@@ -146,7 +146,6 @@ func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(sw.Close)
 	if err := sw.InstallRoute(ablationClient, 0); err != nil {
 		b.Fatal(err)
 	}

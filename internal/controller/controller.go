@@ -2,14 +2,14 @@
 // Fig. 4): the control-plane process that keeps the switch cache populated
 // with the hottest keys.
 //
-// The controller receives heavy-hitter reports from the switch data plane,
-// compares reported frequencies against the (sampled) hit counters of keys
-// already cached, evicts less-popular keys and inserts more-popular ones.
-// Eviction candidates are chosen by sampling a few cached keys — the same
-// approximation Redis uses for LRU — because reading every counter each
-// cycle would be too expensive (§4.3). Cache coherence during insertion is
-// preserved by blocking writes to the key at its storage server until the
-// switch entry is fully installed.
+// Once per cycle the controller pulls the heavy-hitter reports the switch
+// data plane queued, compares reported frequencies against the (sampled) hit
+// counters of keys already cached, evicts less-popular keys and inserts
+// more-popular ones. Eviction candidates are chosen by sampling a few cached
+// keys — the same approximation Redis uses for LRU — because reading every
+// counter each cycle would be too expensive (§4.3). Cache coherence during
+// insertion is preserved by blocking writes to the key at its storage server
+// until the switch entry is fully installed.
 //
 // The controller is deliberately not an SDN controller: it manages only its
 // own state (the key-value cache and the query statistics); routing tables
@@ -40,10 +40,6 @@ type StorageNode interface {
 	UnblockWrites(key netproto.Key)
 	Uncached(key netproto.Key)
 }
-
-// reportBuffer bounds the hot-report queue between the data plane and the
-// controller; reports beyond it are dropped and counted.
-const reportBuffer = 16384
 
 // sampleK is how many cached keys are sampled when hunting for an eviction
 // victim.
@@ -88,7 +84,6 @@ type Config struct {
 // Metrics counts controller activity.
 type Metrics struct {
 	Reports        stats.Counter
-	ReportsDropped stats.Counter
 	Inserts        stats.Counter
 	Evictions      stats.Counter
 	RejectedColder stats.Counter
@@ -138,9 +133,6 @@ type entry struct {
 type Controller struct {
 	cfg Config
 
-	reports   chan switchcore.HotReport
-	overflows chan switchcore.OverflowReport
-
 	mu      sync.Mutex
 	alloc   *cachemem.Allocator
 	kidx    *cachemem.IndexPool
@@ -159,8 +151,7 @@ type Controller struct {
 	Metrics Metrics
 }
 
-// New wires a controller to its switch and registers the hot-report
-// receiver.
+// New wires a controller to its switch.
 func New(cfg Config) (*Controller, error) {
 	if cfg.Switch == nil {
 		return nil, fmt.Errorf("controller: config needs a switch")
@@ -180,34 +171,13 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:       cfg,
-		reports:   make(chan switchcore.HotReport, reportBuffer),
-		overflows: make(chan switchcore.OverflowReport, 1024),
-		alloc:     alloc,
-		kidx:      cachemem.NewIndexPool(swCap),
-		entries:   make(map[netproto.Key]*entry),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		cfg:     cfg,
+		alloc:   alloc,
+		kidx:    cachemem.NewIndexPool(swCap),
+		entries: make(map[netproto.Key]*entry),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.initReplication()
-	// The digest callbacks run on the pipeline's digest drain goroutine,
-	// concurrent with Tick, so they must not touch controller state
-	// directly: enqueue or drop.
-	cfg.Switch.OnEvents(
-		func(r switchcore.HotReport) {
-			select {
-			case c.reports <- r:
-				c.Metrics.Reports.Inc()
-			default:
-				c.Metrics.ReportsDropped.Inc()
-			}
-		},
-		func(r switchcore.OverflowReport) {
-			select {
-			case c.overflows <- r:
-			default:
-			}
-		},
-	)
 	return c, nil
 }
 
@@ -257,22 +227,43 @@ func (c *Controller) Tick() {
 		c.resyncPartition(t)
 	}
 
+	// Pull the reports the switch queued since the last cycle, in arrival
+	// order, so equal estimates rank the same way for the same traffic. A
+	// hot report fires when the key first crosses the threshold, so its
+	// frequency says little about how hot the key ultimately got this
+	// cycle: re-read the current Count-Min estimate through the driver for
+	// the comparison (§4.3 "compares the hits of the HHs and the counters
+	// of the cached items").
+	type cand struct {
+		key  netproto.Key
+		freq uint64
+	}
+	var cands []cand
+	var grown []netproto.Key
+	hotSeen := make(map[netproto.Key]bool)
+	grownSeen := make(map[netproto.Key]bool)
+	c.cfg.Switch.DrainEvents(
+		func(r switchcore.HotReport) {
+			c.Metrics.Reports.Inc()
+			if !hotSeen[r.Key] {
+				hotSeen[r.Key] = true
+				cands = append(cands, cand{r.Key, c.cfg.Switch.EstimateFreq(r.Key)})
+			}
+		},
+		func(r switchcore.OverflowReport) {
+			if !grownSeen[r.Key] {
+				grownSeen[r.Key] = true
+				grown = append(grown, r.Key)
+			}
+		},
+	)
+
 	// Then the control-plane value updates: items whose values outgrew
 	// their slot allocation are reinstalled with a fresh placement (§4.3:
 	// "the new values must be updated by the control plane").
-	grown := make(map[netproto.Key]bool)
-drainOverflow:
-	for {
-		select {
-		case r := <-c.overflows:
-			grown[r.Key] = true
-		default:
-			break drainOverflow
-		}
-	}
 	if len(grown) > 0 {
 		c.mu.Lock()
-		for key := range grown {
+		for _, key := range grown {
 			if e, ok := c.entries[key]; ok {
 				c.evictLocked(e)
 				c.insertLocked(key, 0)
@@ -282,35 +273,8 @@ drainOverflow:
 		c.mu.Unlock()
 	}
 
-	// Drain and deduplicate this cycle's reports. A report fires when the
-	// key first crosses the threshold, so its frequency says little about
-	// how hot the key ultimately got this cycle — re-read the current
-	// Count-Min estimate through the driver for the comparison (§4.3
-	// "compares the hits of the HHs and the counters of the cached
-	// items").
-	hot := make(map[netproto.Key]uint64)
-drain:
-	for {
-		select {
-		case r := <-c.reports:
-			if _, seen := hot[r.Key]; !seen {
-				hot[r.Key] = c.cfg.Switch.EstimateFreq(r.Key)
-			}
-		default:
-			break drain
-		}
-	}
-
 	// Hottest first, so the most valuable keys win the free slots.
-	type cand struct {
-		key  netproto.Key
-		freq uint64
-	}
-	cands := make([]cand, 0, len(hot))
-	for k, f := range hot {
-		cands = append(cands, cand{k, f})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].freq > cands[j].freq })
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].freq > cands[j].freq })
 
 	c.mu.Lock()
 	c.cycle++

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -34,59 +33,6 @@ func countProgram(t *testing.T) (*Pipeline, *Register) {
 		t.Fatal(err)
 	}
 	return pl, reg
-}
-
-// Regression for the old OnDigest hazard: the handler used to run with the
-// pipeline lock held and deadlocked if it called back in. With queued
-// delivery the handler may immediately re-enter Process.
-func TestDigestHandlerReentersPipeline(t *testing.T) {
-	p := NewProgram("reenter")
-	f := p.Field("f", 8)
-	tab := p.TableBuild(TableSpec{
-		Name: "t", Gress: Ingress, MatchFields: []FieldID{f}, Kind: MatchExact, Size: 4,
-	})
-	tab.Action("report", func(ctx *Ctx, data []uint64) {
-		ctx.Digest([]byte{byte(ctx.Get(f))})
-		ctx.EgressPort = 0
-	})
-	tab.Action("fwd", func(ctx *Ctx, data []uint64) { ctx.EgressPort = 0 })
-	p.SetParser(func(raw []byte, ctx *Ctx) error {
-		ctx.Set(f, uint64(raw[0]))
-		return nil
-	})
-	p.SetDeparser(func(ctx *Ctx, out []byte) []byte { return append(out, ctx.Raw...) })
-	pl, _, err := Compile(p, smallChip())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddEntry([]uint64{9}, "report", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddEntry([]uint64{7}, "fwd", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	var reentered atomic.Bool
-	pl.OnDigest(func(b []byte) {
-		// Immediately push another packet through the pipeline the
-		// digest came from — the exact call the old contract forbade.
-		out, err := pl.ProcessAppend([]byte{7}, 0, nil)
-		if err != nil || len(out) != 1 {
-			t.Errorf("re-entrant Process = %v, %v", out, err)
-			return
-		}
-		reentered.Store(true)
-	})
-	if _, err := pl.ProcessAppend([]byte{9}, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	pl.SyncDigests()
-	if !reentered.Load() {
-		t.Fatal("digest handler did not re-enter the pipeline")
-	}
-	if st := pl.Stats(); st.RxPackets != 2 {
-		t.Errorf("RxPackets = %d, want 2 (original + re-entrant)", st.RxPackets)
-	}
 }
 
 // Process from many goroutines: every packet and every register bump must be

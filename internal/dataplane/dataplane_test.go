@@ -127,7 +127,6 @@ func TestPathClassCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pl.Close()
 	route := p.tableByName["route"]
 	if err := route.AddEntry([]uint64{7}, "fwd", []uint64{3}); err != nil {
 		t.Fatal(err)
@@ -145,11 +144,10 @@ func TestPathClassCounts(t *testing.T) {
 			route.Hits(), route.Misses(), count.Hits(), count.Misses())
 	}
 	var got []byte
-	pl.OnDigest(func(d []byte) { got = d })
 	report := []byte("hot")
 	pl.Digest(report)
 	report[0] = 'x' // the payload was copied
-	pl.SyncDigests()
+	pl.DrainDigests(func(d []byte) { got = d })
 	st := pl.Stats()
 	want := Counters{RxPackets: 4, TxPackets: 4, Mirrored: 1, Digests: 1, ByEgressPipe: []uint64{2, 2}}
 	if !reflect.DeepEqual(st, want) || string(got) != "hot" {
@@ -522,15 +520,44 @@ func TestDigestDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	pl.OnDigest(func(b []byte) { got = append(got, b...) })
 	pl.ProcessAppend([]byte{9}, 0, nil)
-	pl.SyncDigests()
+	pl.DrainDigests(func(b []byte) { got = append(got, b...) })
 	if len(got) != 1 || got[0] != 9 {
 		t.Errorf("digest = %v", got)
 	}
 	if st := pl.Stats(); st.Digests != 1 {
 		t.Errorf("digest counter = %d", st.Digests)
 	}
+}
+
+// TestDigestQueueBound: an undrained queue holds digestQueueCap digests and
+// drops the rest, each drop counted once; a drain returns what it held,
+// oldest first, and leaves the queue empty.
+func TestDigestQueueBound(t *testing.T) {
+	p, _, _, _ := testProgram(t)
+	pl, _, err := Compile(p, smallChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 5
+	for i := 0; i < digestQueueCap+extra; i++ {
+		pl.Digest([]byte{byte(i)})
+	}
+	if st := pl.Stats(); st.Digests != digestQueueCap+extra || st.DigestsDropped != extra {
+		t.Errorf("Digests %d DigestsDropped %d, want %d and %d",
+			st.Digests, st.DigestsDropped, digestQueueCap+extra, extra)
+	}
+	n := 0
+	pl.DrainDigests(func(d []byte) {
+		if d[0] != byte(n) {
+			t.Fatalf("digest %d = %d, want %d", n, d[0], byte(n))
+		}
+		n++
+	})
+	if n != digestQueueCap {
+		t.Errorf("drained %d digests, want %d", n, digestQueueCap)
+	}
+	pl.DrainDigests(func([]byte) { t.Error("second drain found a digest") })
 }
 
 func TestMirrorOverridesPort(t *testing.T) {

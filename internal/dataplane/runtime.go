@@ -228,8 +228,9 @@ type pipeCounters struct {
 }
 
 // digestQueueCap bounds the learn-digest queue, like the finite learn-filter
-// buffer on the ASIC; overflow drops the digest and counts it.
-const digestQueueCap = 8192
+// buffer on the ASIC; overflow drops the digest and counts it. It holds one
+// controller cycle's worth: 16,384 hot-key reports and 1,024 overflows.
+const digestQueueCap = 16384 + 1024
 
 // Pipeline is a compiled program bound to a chip configuration: the
 // executable switch. ProcessAppend is the data-plane entry point and is safe for
@@ -249,19 +250,10 @@ type Pipeline struct {
 	// each other; the data plane never takes it.
 	ctlMu sync.Mutex
 
-	// Learn digests are forwarded through a bounded queue drained by a
-	// dedicated goroutine, so handlers run outside the packet path and
-	// may freely call back into the pipeline.
-	digestFn  atomic.Pointer[func(payload []byte)]
-	digestCh  chan []byte
-	drainOnce sync.Once
-	closeOnce sync.Once
-
-	// pending counts digests enqueued but not yet handled; SyncDigests
-	// waits on it for deterministic tests and controller ticks.
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	pending  int
+	// digestCh is the learn-filter queue: the packet path enqueues
+	// digests without blocking, and the control plane drains them
+	// (DrainDigests).
+	digestCh chan []byte
 
 	ctr pipeCounters
 	// paths are the registered path classes (NewPathClass), copy-on-write
@@ -280,7 +272,6 @@ func newPipeline(p *Program, cfg ChipConfig, in, eg []step) *Pipeline {
 		egress:   eg,
 		digestCh: make(chan []byte, digestQueueCap),
 	}
-	pl.pendCond = sync.NewCond(&pl.pendMu)
 	pl.ctr.byEgressPipe = make([]atomic.Uint64, cfg.Pipes)
 	nFields, nRegs := len(p.fields), len(p.registers)
 	pl.ctxPool.New = func() any {
@@ -299,53 +290,19 @@ func (pl *Pipeline) Config() ChipConfig { return pl.cfg }
 // Program returns the compiled program.
 func (pl *Pipeline) Program() *Program { return pl.prog }
 
-// OnDigest registers the control-plane digest receiver. The handler runs on
-// a dedicated drain goroutine, outside the packet path, so it may call back
-// into the pipeline (including ProcessAppend) without restriction. Digests queue
-// through a bounded buffer; when it overflows the digest is dropped and
-// counted in DigestsDropped, like a full learn filter.
-func (pl *Pipeline) OnDigest(fn func(payload []byte)) {
-	if fn == nil {
-		pl.digestFn.Store(nil)
-		return
-	}
-	pl.digestFn.Store(&fn)
-	pl.drainOnce.Do(func() { go pl.drainDigests() })
-}
-
-func (pl *Pipeline) drainDigests() {
-	for d := range pl.digestCh {
-		if fnp := pl.digestFn.Load(); fnp != nil {
-			(*fnp)(d)
+// DrainDigests hands the learn digests queued at the call to fn, oldest
+// first, without waiting for more: digests raised while it runs are left for
+// the next drain. fn runs on the caller's goroutine and may call back into
+// the pipeline.
+func (pl *Pipeline) DrainDigests(fn func(payload []byte)) {
+	for n := len(pl.digestCh); n > 0; n-- {
+		select {
+		case d := <-pl.digestCh:
+			fn(d)
+		default: // a concurrent drain took the rest
+			return
 		}
-		pl.pendMu.Lock()
-		pl.pending--
-		if pl.pending == 0 {
-			pl.pendCond.Broadcast()
-		}
-		pl.pendMu.Unlock()
 	}
-}
-
-// SyncDigests blocks until every digest emitted by already-completed ProcessAppend
-// calls has been delivered to the OnDigest handler. Controllers call it
-// before a Tick so hot-key reports from prior traffic are visible — the
-// simulator's stand-in for the (bounded) report latency of the real switch.
-func (pl *Pipeline) SyncDigests() {
-	pl.pendMu.Lock()
-	for pl.pending > 0 {
-		pl.pendCond.Wait()
-	}
-	pl.pendMu.Unlock()
-}
-
-// Close shuts down the digest drain goroutine. Call only after traffic has
-// quiesced; ProcessAppend calls racing a Close may panic on the closed queue.
-func (pl *Pipeline) Close() {
-	pl.closeOnce.Do(func() {
-		pl.drainOnce.Do(func() {}) // prevent a future drain start
-		close(pl.digestCh)
-	})
 }
 
 // ProcessAppend runs one packet through the switch: parser, ingress pipe of
@@ -529,22 +486,10 @@ func (pl *Pipeline) flushDigests(ctx *Ctx) {
 
 func (pl *Pipeline) queueDigest(d []byte) {
 	pl.ctr.digests.Add(1)
-	if pl.digestFn.Load() == nil {
-		return
-	}
-	pl.pendMu.Lock()
-	pl.pending++
-	pl.pendMu.Unlock()
 	select {
 	case pl.digestCh <- d:
 	default:
 		pl.ctr.digestsDropped.Add(1)
-		pl.pendMu.Lock()
-		pl.pending--
-		if pl.pending == 0 {
-			pl.pendCond.Broadcast()
-		}
-		pl.pendMu.Unlock()
 	}
 }
 

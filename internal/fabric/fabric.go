@@ -185,11 +185,8 @@ func (n *Node) Reboot() error {
 	return nil
 }
 
-// Tick runs one controller cycle, first waiting for in-flight hot-key
-// digests so the cycle sees all the traffic that preceded it. A node
-// without a controller just syncs digests.
+// Tick runs one controller cycle; a node without a controller does nothing.
 func (n *Node) Tick() {
-	n.Switch.SyncDigests()
 	if n.Controller != nil {
 		n.Controller.Tick()
 	}

@@ -288,7 +288,6 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 		// Controller cycle: cache update + statistics reset (§7.4:
 		// "refreshes the query statistics module every second").
 		if !cfg.DisableCache {
-			sw.SyncDigests()
 			ctl.Tick()
 		}
 

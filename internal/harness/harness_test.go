@@ -242,6 +242,25 @@ func quickDynamic(t *testing.T, churn workload.Churn) harness.DynamicResult {
 	return res
 }
 
+// TestDynamicDeterministicPerSeed: two runs of one seeded Fig. 11 setup
+// measure the same ticks. Random churn keeps the cache full, so each Tick's
+// insertions and evictions must depend on the traffic alone.
+func TestDynamicDeterministicPerSeed(t *testing.T) {
+	cfg := harness.PaperDynamic(workload.ChurnRandom)
+	cfg.Ticks = 6
+	var runs [2]harness.DynamicResult
+	for i := range runs {
+		res, err := harness.RunDynamic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
+	}
+	if !reflect.DeepEqual(runs[0].Ticks, runs[1].Ticks) {
+		t.Errorf("same seed, different ticks:\n%+v\n%+v", runs[0].Ticks, runs[1].Ticks)
+	}
+}
+
 func TestFig11HotInDipsAndRecovers(t *testing.T) {
 	res := quickDynamic(t, workload.ChurnHotIn)
 	// Churn hits at ticks 10 and 20: loss spikes there, then clears.

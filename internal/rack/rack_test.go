@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -610,6 +611,40 @@ func TestClientPolicyPlumbing(t *testing.T) {
 				t.Errorf("client %d RTO toward server %d = %v, below the template's %v floor",
 					i, srv.Addr(), s.RTO, floor)
 			}
+		}
+	}
+}
+
+// TestTickDecisionsFollowTraffic: racks built alike and given the same
+// traffic cache the same keys. Thirty-two keys reach the same estimate, four
+// fit, and the controller ranks ties by the order their reports arrived.
+func TestTickDecisionsFollowTraffic(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		r, err := New(Config{Servers: 2, Clients: 1, CacheCapacity: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LoadDataset(32, 16)
+		cli := r.Client(0)
+		for k := 0; k < 32; k++ {
+			for g := 0; g < 10; g++ {
+				if _, err := cli.Get(workload.KeyName(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r.Tick()
+		keys := r.Controller.CachedKeys()
+		if len(keys) != 4 {
+			t.Fatalf("rack %d cached %d keys, want 4", i, len(keys))
+		}
+		slices.SortFunc(keys, func(a, b netproto.Key) int { return bytes.Compare(a[:], b[:]) })
+		got := fmt.Sprintf("%x", keys)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("rack %d cached %s, rack 0 cached %s", i, got, first)
 		}
 	}
 }

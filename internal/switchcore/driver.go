@@ -239,13 +239,13 @@ func (sw *Switch) SetSampleRate(rate float64) {
 	sw.pl.Control(func() { sw.sampler.SetRate(rate) })
 }
 
-// OnEvents registers receivers for both digest kinds the data plane emits:
-// heavy-hitter reports and refused-update overflow reports. Either callback
-// may be nil. The callbacks run on the pipeline's digest drain goroutine,
-// outside the packet path, and may freely call back into the switch
-// (including ProcessAppend and the driver operations).
-func (sw *Switch) OnEvents(onHot func(HotReport), onOverflow func(OverflowReport)) {
-	sw.pl.OnDigest(func(payload []byte) {
+// DrainEvents decodes the digests the data plane queued since the last drain
+// into heavy-hitter and refused-update overflow reports, oldest first, and
+// hands each to its callback; either may be nil. It does not wait for
+// traffic. The callbacks run on the caller's goroutine and may call back into
+// the switch.
+func (sw *Switch) DrainEvents(onHot func(HotReport), onOverflow func(OverflowReport)) {
+	sw.pl.DrainDigests(func(payload []byte) {
 		if len(payload) != 25 {
 			return
 		}

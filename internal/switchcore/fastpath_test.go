@@ -45,10 +45,9 @@ func diffConfig() Config {
 
 // diffRig is the differential pair: fast takes frames through its entry
 // point, interp through its table interpreter (see feed). digests records
-// each switch's data-plane digests.
+// each switch's data-plane digests, as assertSame drains them.
 type diffRig struct {
 	fast, interp *Switch
-	mu           sync.Mutex
 	digests      map[*Switch][]string
 }
 
@@ -61,13 +60,7 @@ func newDiffRig(t testing.TB, cfg Config) *diffRig {
 		if *sw, err = New(cfg); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup((*sw).Close)
 		s := *sw
-		s.pl.OnDigest(func(payload []byte) {
-			r.mu.Lock()
-			r.digests[s] = append(r.digests[s], fmt.Sprintf("%x", payload))
-			r.mu.Unlock()
-		})
 		mustInstall(t, s.InstallRoute(diffClientAddr, diffClientPort))
 		mustInstall(t, s.InstallRoute(diffClient2, diffClient2Prt))
 		mustInstall(t, s.InstallRoute(diffServerAddr, diffServerPort))
@@ -230,8 +223,6 @@ func oddFrame(t testing.TB, sel, seq uint64, key netproto.Key) (frame []byte, in
 func (r *diffRig) assertSame(t testing.TB, nKeys int) {
 	t.Helper()
 	fast, interp := r.fast, r.interp
-	fast.SyncDigests()
-	interp.SyncDigests()
 	fs, is := fast.pl.Stats(), interp.pl.Stats()
 	if !reflect.DeepEqual(fs, is) {
 		t.Fatalf("pipeline counter divergence:\nfast:   %+v\ninterp: %+v", fs, is)
@@ -259,8 +250,11 @@ func (r *diffRig) assertSame(t testing.TB, nKeys int) {
 			}
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	for _, s := range []*Switch{fast, interp} {
+		s.pl.DrainDigests(func(payload []byte) {
+			r.digests[s] = append(r.digests[s], fmt.Sprintf("%x", payload))
+		})
+	}
 	fd, id := slices.Clone(r.digests[fast]), slices.Clone(r.digests[interp])
 	slices.Sort(fd)
 	slices.Sort(id)
@@ -419,7 +413,6 @@ func TestFastPathConcurrentInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
 	mustInstall(t, sw.InstallRoute(diffClientAddr, diffClientPort))
 	mustInstall(t, sw.InstallRoute(diffServerAddr, diffServerPort))
 
@@ -605,7 +598,6 @@ func benchTraversals(b *testing.B, sw func(b *testing.B) *Switch, frames [][]byt
 	for _, name := range []string{"fastpath", "interpreter"} {
 		b.Run(name, func(b *testing.B) {
 			s := sw(b)
-			defer s.Close()
 			process := s.ProcessAppend
 			if name == "interpreter" {
 				process = s.Pipeline().ProcessAppend

@@ -114,7 +114,7 @@ type OverflowReport struct {
 	NewSize int
 }
 
-// digest kinds on the data-plane→controller channel.
+// digest kinds on the data-plane→controller queue.
 const (
 	digestHot      = 1
 	digestOverflow = 2
@@ -964,14 +964,9 @@ func (sw *Switch) traceFrame(tap *qtrace.Tap, frame []byte, emitted []dataplane.
 // Pipeline exposes the underlying pipeline (counters, config).
 func (sw *Switch) Pipeline() *dataplane.Pipeline { return sw.pl }
 
-// SyncDigests blocks until every hot-key / overflow digest emitted by
-// already-completed ProcessAppend calls has reached the registered handler.
-// Controllers call it before acting on reports so a tick observes all the
-// traffic that preceded it.
-func (sw *Switch) SyncDigests() { sw.pl.SyncDigests() }
-
-// Close stops the digest drain goroutine. Call after traffic has quiesced.
-func (sw *Switch) Close() { sw.pl.Close() }
+// Close does nothing: a switch holds no goroutine or handle. It stays only
+// for the end-to-end benchmark's callers.
+func (sw *Switch) Close() {}
 
 // Config returns the switch configuration.
 func (sw *Switch) Config() Config { return sw.cfg }

@@ -347,7 +347,7 @@ func TestCacheUpdateForUncachedKeyStillAcked(t *testing.T) {
 func TestHotReportOncePerCycle(t *testing.T) {
 	r := newRig(t)
 	var reports []HotReport
-	r.sw.OnEvents(func(h HotReport) { reports = append(reports, h) }, nil)
+	drain := func() { r.sw.DrainEvents(func(h HotReport) { reports = append(reports, h) }, nil) }
 
 	key := netproto.KeyFromString("uncached-hot")
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
@@ -355,7 +355,7 @@ func TestHotReportOncePerCycle(t *testing.T) {
 	for i := 0; i < th*3; i++ {
 		one(t, r.sw, f, clientPort)
 	}
-	r.sw.SyncDigests()
+	drain()
 	if len(reports) != 1 {
 		t.Fatalf("got %d reports, want exactly 1 (Bloom dedup)", len(reports))
 	}
@@ -368,7 +368,7 @@ func TestHotReportOncePerCycle(t *testing.T) {
 	for i := 0; i < th*2; i++ {
 		one(t, r.sw, f, clientPort)
 	}
-	r.sw.SyncDigests()
+	drain()
 	if len(reports) != 2 {
 		t.Errorf("after reset got %d reports, want 2", len(reports))
 	}
@@ -376,8 +376,6 @@ func TestHotReportOncePerCycle(t *testing.T) {
 
 func TestColdKeysNotReported(t *testing.T) {
 	r := newRig(t)
-	var reports []HotReport
-	r.sw.OnEvents(func(h HotReport) { reports = append(reports, h) }, nil)
 	// Many distinct keys, each touched once: none crosses the threshold.
 	for i := 0; i < 500; i++ {
 		key := netproto.KeyFromString(string(rune('a'+i%26)) + string(rune('0'+i%10)) + "cold")
@@ -386,7 +384,8 @@ func TestColdKeysNotReported(t *testing.T) {
 		f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
 		one(t, r.sw, f, clientPort)
 	}
-	r.sw.SyncDigests()
+	var reports []HotReport
+	r.sw.DrainEvents(func(h HotReport) { reports = append(reports, h) }, nil)
 	if len(reports) != 0 {
 		t.Errorf("cold keys produced %d hot reports", len(reports))
 	}
@@ -396,14 +395,13 @@ func TestSetHotThreshold(t *testing.T) {
 	cfg := TestConfig()
 	cfg.HotThreshold = 3
 	r := newRigConfig(t, cfg)
-	var reports int
-	r.sw.OnEvents(func(HotReport) { reports++ }, nil)
 	key := netproto.KeyFromString("quick-hot")
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
 	for i := 0; i < 3; i++ {
 		one(t, r.sw, f, clientPort)
 	}
-	r.sw.SyncDigests()
+	var reports int
+	r.sw.DrainEvents(func(HotReport) { reports++ }, nil)
 	if reports != 1 {
 		t.Errorf("threshold 3: %d reports after 3 queries", reports)
 	}
@@ -516,7 +514,6 @@ func TestCMSIndexesMatchRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
 	f := func(hi, lo uint64) bool {
 		idx := sw.cmsIndexes(hi, lo)
 		for row := range idx {

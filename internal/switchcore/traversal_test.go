@@ -15,13 +15,6 @@ import (
 
 var updateTraversal = flag.Bool("update", false, "rewrite testdata/traversal.golden")
 
-// traversalSwitch is one switch of the traversal golden, driven through its
-// table interpreter only, provisioned with the golden's routes and cached keys.
-type traversalSwitch struct {
-	sw      *Switch
-	reports []string
-}
-
 // traversal golden addresses and ports: a client, an owning server, and a
 // replica server on a second pipe.
 const (
@@ -32,7 +25,10 @@ const (
 	tgServerPort               = 1
 )
 
-func newTraversalSwitch(t *testing.T) *traversalSwitch {
+// newTraversalSwitch builds one switch of the traversal golden, driven
+// through its table interpreter only, provisioned with the golden's routes
+// and cached keys.
+func newTraversalSwitch(t *testing.T) *Switch {
 	t.Helper()
 	cfg := TestConfig()
 	cfg.SampleRate = 0.5
@@ -42,13 +38,6 @@ func newTraversalSwitch(t *testing.T) *traversalSwitch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sw.Close)
-	ts := &traversalSwitch{sw: sw}
-	sw.OnEvents(func(r HotReport) {
-		ts.reports = append(ts.reports, fmt.Sprintf("hot %x freq=%d", r.Key[:], r.Freq))
-	}, func(r OverflowReport) {
-		ts.reports = append(ts.reports, fmt.Sprintf("overflow %x size=%d", r.Key[:], r.NewSize))
-	})
 	replicaPort := cfg.Chip.PortsPerPipe + 1
 	mustInstall(t, sw.InstallRoute(tgClient, tgClientPort))
 	mustInstall(t, sw.InstallRoute(tgServer, tgServerPort))
@@ -70,7 +59,17 @@ func newTraversalSwitch(t *testing.T) *traversalSwitch {
 			Value: diffValue(i, c.size), Version: 10,
 		}))
 	}
-	return ts
+	return sw
+}
+
+// drainLines renders the digests sw queued since the last drain.
+func drainLines(sw *Switch) (lines []string) {
+	sw.DrainEvents(func(r HotReport) {
+		lines = append(lines, fmt.Sprintf("hot %x freq=%d", r.Key[:], r.Freq))
+	}, func(r OverflowReport) {
+		lines = append(lines, fmt.Sprintf("overflow %x size=%d", r.Key[:], r.NewSize))
+	})
+	return lines
 }
 
 func tgKey(name string) netproto.Key { return netproto.KeyFromString("traversal:" + name) }
@@ -144,16 +143,14 @@ func TestTraversalGolden(t *testing.T) {
 	var b strings.Builder
 	out := make([]dataplane.Emitted, 0, 1)
 	for _, f := range frames {
-		em, tr, err := traced.sw.TraceQuery(f.frame, f.inPort)
+		em, tr, err := traced.TraceQuery(f.frame, f.inPort)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		out, err = plain.sw.Pipeline().ProcessAppend(f.frame, f.inPort, out[:0])
+		out, err = plain.Pipeline().ProcessAppend(f.frame, f.inPort, out[:0])
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		traced.sw.SyncDigests()
-		plain.sw.SyncDigests()
 
 		fmt.Fprintf(&b, "== %s (port %d)\n%s", f.name, f.inPort, tr)
 		got := emissionLines(em)
@@ -164,23 +161,23 @@ func TestTraversalGolden(t *testing.T) {
 		for _, e := range out {
 			dataplane.ReleaseFrame(e)
 		}
-		got = tableLines(traced.sw)
-		if pl := tableLines(plain.sw); pl != got {
+		got = tableLines(traced)
+		if pl := tableLines(plain); pl != got {
 			t.Errorf("%s: table counters diverge:\n%s\nvs\n%s", f.name, pl, got)
 		}
 		b.WriteString(got)
-		st := traced.sw.Pipeline().Stats()
-		if pst := plain.sw.Pipeline().Stats(); !reflect.DeepEqual(st, pst) {
+		st := traced.Pipeline().Stats()
+		if pst := plain.Pipeline().Stats(); !reflect.DeepEqual(st, pst) {
 			t.Errorf("%s: pipeline counters diverge: %+v vs %+v", f.name, pst, st)
 		}
 		fmt.Fprintf(&b, "pipeline %+v\n", st)
-		if !reflect.DeepEqual(traced.reports, plain.reports) {
-			t.Errorf("%s: digests diverge: %v vs %v", f.name, plain.reports, traced.reports)
+		tracedDigests, plainDigests := drainLines(traced), drainLines(plain)
+		if !reflect.DeepEqual(tracedDigests, plainDigests) {
+			t.Errorf("%s: digests diverge: %v vs %v", f.name, plainDigests, tracedDigests)
 		}
-		for _, r := range traced.reports {
+		for _, r := range tracedDigests {
 			fmt.Fprintf(&b, "digest %s\n", r)
 		}
-		traced.reports, plain.reports = nil, nil
 	}
 
 	const path = "testdata/traversal.golden"

@@ -690,7 +690,6 @@ func (d *SwitchDaemon) controllerLoop() {
 			return
 		case <-t.C:
 			before := d.ctl.Metrics.Inserts.Value()
-			d.sw.SyncDigests()
 			d.ctl.Tick()
 			if n := d.ctl.Metrics.Inserts.Value() - before; n > 0 {
 				d.logf("switch: controller cycle cached %d hot key(s), cache=%d", n, d.ctl.Len())

@@ -2,6 +2,7 @@ package netcache
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -192,5 +193,43 @@ func TestFacadeLeafSpine(t *testing.T) {
 	if fb.SpineCacheLen() != 0 {
 		// Not an error — just exercise the accessor.
 		t.Logf("spine cached %d items", fb.SpineCacheLen())
+	}
+}
+
+// TestNoGoroutineOutlivesDeployment: a rack or a leaf-spine that has served
+// traffic and been dropped leaves no goroutine behind. The controller pulls
+// the switch's hot-key reports inside Tick, so no switch runs a goroutine
+// of its own.
+func TestNoGoroutineOutlivesDeployment(t *testing.T) {
+	start := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		r, err := New(Config{Servers: 2, Clients: 1, CacheCapacity: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.LoadDataset(8, 16)
+		if _, err := r.Client(0).Get(KeyName(1)); err != nil {
+			t.Fatal(err)
+		}
+		r.Tick()
+	}
+	fb, err := NewLeafSpine(LeafSpineConfig{Racks: 2, ServersPerRack: 2, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.LoadDataset(8, 16)
+	if _, err := fb.Client(0).Get(KeyName(1)); err != nil {
+		t.Fatal(err)
+	}
+	fb.Tick()
+	// A goroutine that is on its way out may still be counted: wait for
+	// the count to settle rather than sample it once.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines left running, %d at the start:\n%s", n, start, buf[:runtime.Stack(buf, true)])
 	}
 }
