@@ -169,10 +169,8 @@ knobs:
 #     TestChaosMultiRack, `make chaos`, BenchmarkFailover).
 #   client.Client.Estimator: TestClientPolicyPlumbing (internal/rack) reads
 #     it to see the rack's client template reach the RTO estimator.
-#   dataplane.Table.Misses, switchcore.Switch.TraceQuery: what
-#     TestTraversalGolden prints; the ablation benchmarks count sketch
-#     updates with Misses.
-CALLERS_KEPT = internal/chaos  RunFailover|internal/chaos  RunMultiRack|internal/client  Client.Estimator|internal/dataplane  Table.Misses|internal/switchcore  Switch.TraceQuery
+#   switchcore.Switch.TraceQuery: what TestTraversalGolden prints.
+CALLERS_KEPT = internal/chaos  RunFailover|internal/chaos  RunMultiRack|internal/client  Client.Estimator|internal/switchcore  Switch.TraceQuery
 
 callers:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \

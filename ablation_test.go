@@ -15,6 +15,7 @@ import (
 	"netcache/internal/dataplane"
 	"netcache/internal/harness"
 	"netcache/internal/netproto"
+	"netcache/internal/sketch"
 	"netcache/internal/switchcore"
 	"netcache/internal/workload"
 )
@@ -137,6 +138,12 @@ type statsRun struct {
 	b   *testing.B
 	sw  *switchcore.Switch
 	out []dataplane.Emitted
+	// sampler replays the switch's sampler stream, which every Get rolls
+	// once; sketchUpdates counts the Gets it admitted that the switch did
+	// not answer from a valid cache entry — the Gets the Count-Min rows
+	// counted.
+	sampler       *sketch.Sampler
+	sketchUpdates int
 }
 
 func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
@@ -153,7 +160,7 @@ func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
 		b.Fatal(err)
 	}
 	sw.SetSampleRate(rate)
-	return &statsRun{b: b, sw: sw}
+	return &statsRun{b: b, sw: sw, sampler: sketch.NewSampler(rate, cfg.SampleSeed)}
 }
 
 const (
@@ -181,23 +188,15 @@ func (r *statsRun) get(rank int) (hit bool) {
 		r.b.Fatalf("Get of rank %d: %d emissions, %v", rank, len(r.out), err)
 	}
 	dataplane.ReleaseFrame(r.out[0])
-	return r.out[0].Port == 0
+	hit = r.out[0].Port == 0
+	if r.sampler.Sample() && !hit {
+		r.sketchUpdates++
+	}
+	return hit
 }
 
 // estimate is the switch's Count-Min estimate for rank's key.
 func (r *statsRun) estimate(rank int) uint64 { return r.sw.EstimateFreq(workload.KeyName(rank)) }
-
-// sketchUpdates is how many Gets the first Count-Min row has counted: the
-// stage's runs, which for a keyless stage are its default action's misses.
-func (r *statsRun) sketchUpdates() int {
-	for _, t := range r.sw.Pipeline().Program().Tables(dataplane.Egress) {
-		if t.Name() == "cms_0" {
-			return int(t.Hits() + t.Misses())
-		}
-	}
-	r.b.Fatal("no cms_0 table")
-	return 0
-}
 
 // BenchmarkAblationSampling — the statistics sampling front-end vs counting
 // every query: with 16-bit counters and a heavy head, unsampled counting
@@ -219,7 +218,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 				saturated++
 			}
 		}
-		return saturated, r.sketchUpdates()
+		return saturated, r.sketchUpdates
 	}
 	var satFull, updFull, satSampled, updSampled int
 	for i := 0; i < b.N; i++ {
@@ -308,7 +307,7 @@ func BenchmarkAblationHHScope(b *testing.B) {
 				redundantHot++ // hot in the sketch, yet its key belongs in the cache
 			}
 		}
-		return r.sketchUpdates(), redundantHot
+		return r.sketchUpdates, redundantHot
 	}
 	var updAll, redAll, updUnc, redUnc int
 	for i := 0; i < b.N; i++ {

@@ -117,12 +117,12 @@ func TestCompileAndForward(t *testing.T) {
 	}
 }
 
-// TestPathClassCounts: a path class's packets add into the tables it names
-// and into the pipeline counters, as the interpreter would have counted the
-// same packets, and a compiled path's digest is counted and delivered like
-// an action's.
+// TestPathClassCounts: packets a compiled path counts (CountCompiled) add
+// into the pipeline counters as the interpreter would have counted the same
+// packets, and a compiled path's digest is counted and delivered like an
+// action's.
 func TestPathClassCounts(t *testing.T) {
-	p, count, _, _ := testProgram(t)
+	p, _, _, _ := testProgram(t)
 	pl, _, err := Compile(p, smallChip())
 	if err != nil {
 		t.Fatal(err)
@@ -131,18 +131,12 @@ func TestPathClassCounts(t *testing.T) {
 	if err := route.AddEntry([]uint64{7}, "fwd", []uint64{3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.ProcessAppend(pkt(7), 0, nil); err != nil { // interpreted: route hit, count miss
+	if _, err := pl.ProcessAppend(pkt(7), 0, nil); err != nil { // interpreted, to port 3
 		t.Fatal(err)
 	}
-	fwd := pl.NewPathClass(false, []*Table{route}, []*Table{count})
-	mirrored := pl.NewPathClass(true, []*Table{route, count}, nil)
-	fwd.Count(3)  // pipe 0
-	fwd.Count(12) // pipe 1
-	mirrored.Count(9)
-	if route.Hits() != 4 || route.Misses() != 0 || count.Hits() != 1 || count.Misses() != 3 {
-		t.Errorf("route %d/%d count %d/%d, want 4/0 and 1/3",
-			route.Hits(), route.Misses(), count.Hits(), count.Misses())
-	}
+	pl.CountCompiled(0, 3, false)  // pipe 0
+	pl.CountCompiled(5, 12, false) // pipe 1
+	pl.CountCompiled(15, 9, true)  // pipe 1, mirrored
 	var got []byte
 	report := []byte("hot")
 	pl.Digest(report)
@@ -296,13 +290,11 @@ func TestGatePredication(t *testing.T) {
 	if err := tab.AddEntry([]uint64{1}, "nop", nil); err != nil {
 		t.Fatal(err)
 	}
-	pl.ProcessAppend([]byte{1, 0}, 0, nil)
-	if tab.Hits() != 0 {
-		t.Error("gated-off table should not be consulted")
+	if _, tr, _ := pl.ProcessTraced([]byte{1, 0}, 0); len(tr) != 1 || !tr[0].Skipped {
+		t.Errorf("gated-off table should not be consulted: %v", tr)
 	}
-	pl.ProcessAppend([]byte{1, 1}, 0, nil)
-	if tab.Hits() != 1 {
-		t.Error("gated-on table should hit")
+	if _, tr, _ := pl.ProcessTraced([]byte{1, 1}, 0); len(tr) != 1 || tr[0].Skipped || !tr[0].Matched {
+		t.Errorf("gated-on table should hit: %v", tr)
 	}
 }
 
@@ -339,11 +331,11 @@ func TestGatewayConditions(t *testing.T) {
 		{2, 1, true}, {5, 1, true}, {63, 1, true},
 		{5, 0, false}, {3, 1, false}, {0, 1, false}, {64, 1, false}, {66, 1, false}, {255, 1, false},
 	} {
-		before := tab.Misses()
-		if _, err := pl.ProcessAppend([]byte{tc.op, tc.flag}, 0, nil); err != nil {
-			t.Fatal(err)
+		_, tr, err := pl.ProcessTraced([]byte{tc.op, tc.flag}, 0)
+		if err != nil || len(tr) != 1 {
+			t.Fatalf("op=%d flag=%d: trace %v, %v", tc.op, tc.flag, tr, err)
 		}
-		if ran := tab.Misses() > before; ran != tc.runs {
+		if ran := !tr[0].Skipped; ran != tc.runs {
 			t.Errorf("op=%d flag=%d: table ran=%v, want %v", tc.op, tc.flag, ran, tc.runs)
 		}
 	}

@@ -337,17 +337,6 @@ type Table struct {
 	ctlMu sync.Mutex // serializes mutators (COW writers)
 
 	stage int
-
-	// hits and misses count the interpreter's lookups; paths are the path
-	// classes whose packets traversed the table, added in when read.
-	hits, misses atomic.Uint64
-	paths        atomic.Pointer[[]classRef]
-}
-
-// classRef names a path class whose every packet hit (or missed) a table.
-type classRef struct {
-	c   *PathClass
-	hit bool
 }
 
 // Name returns the table name.
@@ -368,29 +357,10 @@ func (t *Table) Stage() int { return t.stage }
 // Len returns the number of installed entries.
 func (t *Table) Len() int { return t.state.Load().count }
 
-// Hits reports the number of lookups that matched an installed entry, by
-// the interpreter and by the compiled paths together.
-func (t *Table) Hits() uint64 { return t.hits.Load() + t.pathCount(true) }
-
-// Misses reports the number of lookups that fell through to the default.
-func (t *Table) Misses() uint64 { return t.misses.Load() + t.pathCount(false) }
-
-func (t *Table) pathCount(hit bool) uint64 {
-	var n uint64
-	if refs := t.paths.Load(); refs != nil {
-		for _, r := range *refs {
-			if r.hit == hit {
-				n += r.c.packets()
-			}
-		}
-	}
-	return n
-}
-
 // ProbeExact resolves an exact-match lookup for the given field values
-// without running any action and without touching the hit/miss statistics —
-// the read side of a program-compiled path that consults a table before
-// committing to handle the packet outside the interpreter (see PathClass).
+// without running any action — the read side of a program-compiled path
+// that consults a table before committing to handle the packet outside the
+// interpreter (see Pipeline.CountCompiled).
 // Returns nil when no entry matches; the default action is not consulted.
 // Only meaningful on MatchExact tables. The probe reads the same immutable snapshot apply uses,
 // so it is safe against concurrent control-plane updates.
@@ -588,10 +558,7 @@ func (t *Table) apply(ctx *Ctx) {
 		}
 	}
 	matched := e != nil
-	if matched {
-		t.hits.Add(1)
-	} else {
-		t.misses.Add(1)
+	if !matched {
 		e = st.def
 	}
 	if ctx.trace != nil {

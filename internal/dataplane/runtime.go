@@ -225,6 +225,12 @@ type pipeCounters struct {
 	digests        atomic.Uint64
 	digestsDropped atomic.Uint64
 	byEgressPipe   []atomic.Uint64
+	// compiled counts the packets program-compiled paths carried
+	// (CountCompiled) in one row per ingress port: forwarded, then
+	// mirrored, by egress pipe. Rows are padded to 64 bytes so that ports
+	// fed from different cores do not write one cache line.
+	compiled    []atomic.Uint64
+	compiledRow int
 }
 
 // digestQueueCap bounds the learn-digest queue, like the finite learn-filter
@@ -256,10 +262,6 @@ type Pipeline struct {
 	digestCh chan []byte
 
 	ctr pipeCounters
-	// paths are the registered path classes (NewPathClass), copy-on-write
-	// under pathMu so Stats reads them without a lock.
-	paths  atomic.Pointer[[]*PathClass]
-	pathMu sync.Mutex
 
 	ctxPool sync.Pool
 }
@@ -273,6 +275,8 @@ func newPipeline(p *Program, cfg ChipConfig, in, eg []step) *Pipeline {
 		digestCh: make(chan []byte, digestQueueCap),
 	}
 	pl.ctr.byEgressPipe = make([]atomic.Uint64, cfg.Pipes)
+	pl.ctr.compiledRow = (2*cfg.Pipes + 7) &^ 7
+	pl.ctr.compiled = make([]atomic.Uint64, cfg.NumPorts()*pl.ctr.compiledRow)
 	nFields, nRegs := len(p.fields), len(p.registers)
 	pl.ctxPool.New = func() any {
 		return &Ctx{
@@ -316,60 +320,19 @@ func (pl *Pipeline) ProcessAppend(raw []byte, inPort int, out []Emitted) ([]Emit
 	return pl.process(raw, inPort, out, nil)
 }
 
-// PathClass counts the packets that a program-compiled path carried around
-// the interpreter along one fixed traversal: the same tables hit and missed,
-// mirrored or not. Count is one atomic add per packet; the tables' Hits and
-// Misses and the pipeline's Stats add the class in when read, so they report
-// what the interpreter would have counted for the same packets.
-type PathClass struct {
-	pl       *Pipeline
-	mirrored bool
-	pipes    []atomic.Uint64 // packets, by egress pipe
-}
-
-// NewPathClass registers a traversal that hits the tables in hits and
-// misses (takes the default of) those in misses; mirrored marks a packet
-// that leaves on a mirror port. Registration takes a lock, so a program
-// registers its classes ahead of the packets they count — at build time or
-// in the driver operation that makes the traversal possible.
-func (pl *Pipeline) NewPathClass(mirrored bool, hits, misses []*Table) *PathClass {
-	c := &PathClass{pl: pl, mirrored: mirrored, pipes: make([]atomic.Uint64, pl.cfg.Pipes)}
-	pl.pathMu.Lock()
-	defer pl.pathMu.Unlock()
-	appendCOW(&pl.paths, c)
-	for _, t := range hits {
-		appendCOW(&t.paths, classRef{c, true})
+// CountCompiled accounts one packet that a program-compiled path carried
+// around the interpreter from inPort, bound for egressPort's pipe:
+// received, through that egress pipe, mirrored if it left on a mirror port,
+// and transmitted — what the interpreter would have counted for it. One
+// atomic add, into inPort's row; Stats folds the rows in when read. A
+// compiled path calls it exactly once per packet it fully handles; one that
+// bails out to the interpreter must not.
+func (pl *Pipeline) CountCompiled(inPort, egressPort int, mirrored bool) {
+	i := inPort*pl.ctr.compiledRow + pl.cfg.PipeOfPort(egressPort)
+	if mirrored {
+		i += pl.cfg.Pipes
 	}
-	for _, t := range misses {
-		appendCOW(&t.paths, classRef{c, false})
-	}
-	return c
-}
-
-// appendCOW publishes a copy of *p with v appended. Callers serialize.
-func appendCOW[T any](p *atomic.Pointer[[]T], v T) {
-	var s []T
-	if old := p.Load(); old != nil {
-		s = append(s, *old...)
-	}
-	s = append(s, v)
-	p.Store(&s)
-}
-
-// Count accounts one packet of the class, bound for egressPort's pipe:
-// received, through that egress pipe, mirrored if the class is, and
-// transmitted. A compiled path calls it exactly once per packet it fully
-// handles; one that bails out to the interpreter must not.
-func (c *PathClass) Count(egressPort int) {
-	c.pipes[c.pl.cfg.PipeOfPort(egressPort)].Add(1)
-}
-
-func (c *PathClass) packets() uint64 {
-	var n uint64
-	for i := range c.pipes {
-		n += c.pipes[i].Load()
-	}
-	return n
+	pl.ctr.compiled[i].Add(1)
 }
 
 // Digest queues a learn digest raised by a program-compiled path, counted
@@ -529,8 +492,9 @@ func (pl *Pipeline) Control(fn func()) {
 }
 
 // Stats returns a snapshot of the pipeline counters, the interpreter's and
-// every path class's together. Individual counters are read atomically; the snapshot as a whole is not a consistent cut across
-// counters under concurrent traffic.
+// the compiled paths' together. Individual counters are read atomically;
+// the snapshot as a whole is not a consistent cut across counters under
+// concurrent traffic.
 func (pl *Pipeline) Stats() Counters {
 	c := Counters{
 		RxPackets:      pl.ctr.rx.Load(),
@@ -546,16 +510,14 @@ func (pl *Pipeline) Stats() Counters {
 	for i := range pl.ctr.byEgressPipe {
 		c.ByEgressPipe[i] = pl.ctr.byEgressPipe[i].Load()
 	}
-	if paths := pl.paths.Load(); paths != nil {
-		for _, pc := range *paths {
-			for i := range pc.pipes {
-				n := pc.pipes[i].Load()
-				c.ByEgressPipe[i] += n
-				c.RxPackets += n
-				c.TxPackets += n
-				if pc.mirrored {
-					c.Mirrored += n
-				}
+	for row := 0; row < len(pl.ctr.compiled); row += pl.ctr.compiledRow {
+		for i := 0; i < 2*pl.cfg.Pipes; i++ {
+			n := pl.ctr.compiled[row+i].Load()
+			c.ByEgressPipe[i%pl.cfg.Pipes] += n
+			c.RxPackets += n
+			c.TxPackets += n
+			if i >= pl.cfg.Pipes {
+				c.Mirrored += n
 			}
 		}
 	}

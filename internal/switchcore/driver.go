@@ -70,7 +70,6 @@ func (sw *Switch) InstallCacheEntry(e CacheEntry) error {
 		sw.ver.Set(e.KeyIndex, uint64(uint32(e.Version)))
 		sw.ctr.Set(e.KeyIndex, 0)
 		sw.valid.Set(e.KeyIndex, 1)
-		sw.registerHit(e.Placement.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(e.Key), "hit",
 			[]uint64{packHitData(e.Placement.Bitmap, e.Placement.Index, e.KeyIndex, e.ServerPort)})
 	})
@@ -115,7 +114,6 @@ func (sw *Switch) RebindCacheEntry(key netproto.Key, keyIndex int, p cachemem.Pl
 		mu := sw.keyLock(keyIndex)
 		mu.Lock()
 		defer mu.Unlock()
-		sw.registerHit(p.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(key), "hit",
 			[]uint64{packHitData(p.Bitmap, p.Index, keyIndex, serverPort)})
 	})
@@ -134,7 +132,6 @@ func (sw *Switch) MoveCacheEntry(key netproto.Key, keyIndex, serverPort int, mv 
 		n := int(sw.vlen.Get(keyIndex))
 		value := sw.readValueLocked(mv.From, n)
 		sw.writeValueLocked(mv.To, value)
-		sw.registerHit(mv.To.Bitmap)
 		err = sw.lookup.AddEntry(keyFields(key), "hit",
 			[]uint64{packHitData(mv.To.Bitmap, mv.To.Index, keyIndex, serverPort)})
 	})

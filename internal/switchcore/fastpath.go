@@ -2,7 +2,6 @@ package switchcore
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"netcache/internal/bufpool"
 	"netcache/internal/dataplane"
@@ -30,59 +29,10 @@ import (
 //     sampler roll, the sampled hit's counter bump, the sampled miss's
 //     sketch rows, Bloom test-and-sets and hh_report digest, and the §4.3
 //     stripe lock from a hit's validity check to its last value read.
-//   - Counters move by path class (dataplane.PathClass): one per-pipe
-//     atomic per packet, which Table.Hits/Misses and Pipeline.Stats add in
-//     when read. A hit's classes depend on the entry's value bitmap, so the
-//     driver registers them when it installs an entry with a new bitmap.
-
-// paths are the switch's path classes.
-type paths struct {
-	// Forwarded frames: an op the lookup does not match, an uncached
-	// write, and an uncached Get unsampled, sampled, hot (already reported
-	// this cycle) or newly hot (reported).
-	other, write                   *dataplane.PathClass
-	get, sampled, hot, reportedHot *dataplane.PathClass
-	// hit holds a valid cached Get's classes, unsampled and sampled, by
-	// value bitmap; nil until the driver installs an entry with it.
-	hit []atomic.Pointer[[2]*dataplane.PathClass]
-}
-
-// newPaths registers the forward classes; hit classes come with entries.
-func (sw *Switch) newPaths() {
-	pl := sw.pl
-	route := []*dataplane.Table{sw.route}
-	sw.paths.other = pl.NewPathClass(false, route, []*dataplane.Table{sw.prep})
-	sw.paths.write = pl.NewPathClass(false, route, []*dataplane.Table{sw.lookup, sw.prep})
-	get := []*dataplane.Table{sw.lookup, sw.prep, sw.sampleT}
-	sw.paths.get = pl.NewPathClass(false, route, get)
-	sw.paths.sampled = pl.NewPathClass(false, route, append(get, sw.statsT[:5]...))
-	sw.paths.hot = pl.NewPathClass(false, route, append(get, sw.statsT[:8]...))
-	sw.paths.reportedHot = pl.NewPathClass(false, route, append(get, sw.statsT...))
-	sw.paths.hit = make([]atomic.Pointer[[2]*dataplane.PathClass], 1<<sw.cfg.ValueArrays)
-}
-
-// registerHit makes sure a cached Get of an entry with bitmap has its path
-// classes. Driver operations call it, under the pipeline's control mutex,
-// before they install such an entry.
-func (sw *Switch) registerHit(bitmap uint16) {
-	slot := &sw.paths.hit[int(bitmap)&(len(sw.paths.hit)-1)]
-	if slot.Load() != nil {
-		return
-	}
-	hits := []*dataplane.Table{sw.lookup, sw.prep, sw.route, sw.statusT, sw.vlenT}
-	misses := []*dataplane.Table{sw.sampleT, sw.mirrorT}
-	for i, t := range sw.valueT {
-		if bitmap&(1<<i) != 0 {
-			hits = append(hits, t)
-		} else {
-			misses = append(misses, t)
-		}
-	}
-	slot.Store(&[2]*dataplane.PathClass{
-		sw.pl.NewPathClass(true, hits, misses),
-		sw.pl.NewPathClass(true, hits, append(misses, sw.ctrT)),
-	})
-}
+//   - Counters: a commit makes one atomic add, Pipeline.CountCompiled,
+//     into its ingress port's row, which Pipeline.Stats folds into the
+//     packet, egress-pipe and mirror counts the interpreter would have
+//     moved.
 
 // compiled attempts to carry frame along one of the compiled paths. It
 // returns the emission and true when it fully handled the packet; (zero,
@@ -107,18 +57,15 @@ func (sw *Switch) compiled(frame []byte, inPort int) (dataplane.Emitted, bool) {
 	}
 	keyHi := binary.BigEndian.Uint64(frame[frameKeyOff : frameKeyOff+8])
 	keyLo := binary.BigEndian.Uint64(frame[frameKeyOff+8 : frameKeyOff+16])
-	class := sw.paths.other
 	switch op {
 	case netproto.OpGet:
 		if le := sw.lookup.ProbeExact(keyHi, keyLo); le != nil {
-			return sw.serveHit(frame, le.Data[0], keyHi, keyLo)
+			return sw.serveHit(frame, inPort, le.Data[0], keyHi, keyLo)
 		}
-		class = nil // decided by the statistics stages, after the commit
 	case netproto.OpPut, netproto.OpPutCached, netproto.OpDelete, netproto.OpDeleteCached:
 		if sw.lookup.ProbeExact(keyHi, keyLo) != nil {
 			return dataplane.Emitted{}, false // invalidation: interpreted
 		}
-		class = sw.paths.write
 	}
 	re := sw.route.ProbeExact(uint64(binary.BigEndian.Uint16(frame[0:2])))
 	if re == nil || re.Action != "set_port" || re.Data[0] >= uint64(sw.cfg.Chip.NumPorts()) {
@@ -130,19 +77,19 @@ func (sw *Switch) compiled(frame []byte, inPort int) (dataplane.Emitted, bool) {
 
 	// Commit: the frame leaves unchanged on its route.
 	port := int(re.Data[0])
-	if class == nil {
-		class = sw.missStats(keyHi, keyLo)
+	if op == netproto.OpGet {
+		sw.missStats(keyHi, keyLo)
 	}
-	class.Count(port)
+	sw.pl.CountCompiled(inPort, port, false)
 	return dataplane.Emitted{Port: port, Frame: append(bufpool.Get(), frame...), Pooled: true}, true
 }
 
 // missStats runs the statistics stages of an uncached Get — sample, the
 // four Count-Min rows and hh_check, then for a hot key the Bloom test-and-
-// sets and hh_report — and returns the path class the Get took.
-func (sw *Switch) missStats(keyHi, keyLo uint64) *dataplane.PathClass {
+// sets and hh_report.
+func (sw *Switch) missStats(keyHi, keyLo uint64) {
 	if !sw.sampler.Sample() {
-		return sw.paths.get
+		return
 	}
 	idx := sw.cmsIndexes(keyHi, keyLo)
 	var est uint64
@@ -152,7 +99,7 @@ func (sw *Switch) missStats(keyHi, keyLo uint64) *dataplane.PathClass {
 		}
 	}
 	if est < sw.cfg.HotThreshold {
-		return sw.paths.sampled
+		return
 	}
 	fresh := false
 	for part, r := range sw.bloom {
@@ -160,28 +107,22 @@ func (sw *Switch) missStats(keyHi, keyLo uint64) *dataplane.PathClass {
 			fresh = true
 		}
 	}
-	if !fresh {
-		return sw.paths.hot
+	if fresh {
+		d := digest(digestHot, keyHi, keyLo, est)
+		sw.pl.Digest(d[:])
 	}
-	d := digest(digestHot, keyHi, keyLo, est)
-	sw.pl.Digest(d[:])
-	return sw.paths.reportedHot
 }
 
 // serveHit answers a Get whose key the lookup probe found, entry data d,
 // from the value stages — or declines it, side-effect free, when the reply
 // route is missing or the entry is not (or no longer) valid.
-func (sw *Switch) serveHit(frame []byte, d, keyHi, keyLo uint64) (dataplane.Emitted, bool) {
+func (sw *Switch) serveHit(frame []byte, inPort int, d, keyHi, keyLo uint64) (dataplane.Emitted, bool) {
 	bitmap := d >> 48
 	vidx := int((d >> 32) & 0xFFFF)
 	kidx := int((d >> 16) & 0xFFFF)
 	srvPort := int(d & 0xFFFF)
 	if srvPort >= sw.cfg.Chip.NumPorts() {
 		return dataplane.Emitted{}, false // interpreter counts the pipe drop
-	}
-	classes := sw.paths.hit[int(bitmap)&(len(sw.paths.hit)-1)].Load()
-	if classes == nil {
-		return dataplane.Emitted{}, false // no driver install registered it
 	}
 	// The reply goes back toward the requesting client (§4.4.4).
 	l2Src := netproto.Addr(binary.BigEndian.Uint16(frame[2:4]))
@@ -208,10 +149,8 @@ func (sw *Switch) serveHit(frame []byte, d, keyHi, keyLo uint64) (dataplane.Emit
 	}
 
 	// Commit: from here the packet is ours.
-	class := classes[0]
 	if sw.sampler.Sample() {
 		sw.ctr.AddSat(kidx, 1)
-		class = classes[1]
 	}
 	vlen := int(sw.vlen.Get(kidx))
 
@@ -237,6 +176,6 @@ func (sw *Switch) serveHit(frame []byte, d, keyHi, keyLo uint64) (dataplane.Emit
 		// unsealed rather than diverge on a can't-happen branch.
 		_ = err
 	}
-	class.Count(srvPort)
+	sw.pl.CountCompiled(inPort, srvPort, true)
 	return dataplane.Emitted{Port: clntPort, Frame: out, Pooled: true}, true
 }

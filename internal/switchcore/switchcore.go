@@ -148,24 +148,16 @@ type Switch struct {
 	bloom  [3]*dataplane.Register
 	values []*dataplane.Register
 
-	// the remaining tables, named by the compiled paths' classes
-	// (fastpath.go)
-	prep    *dataplane.Table
-	sampleT *dataplane.Table
-	statusT *dataplane.Table
-	vlenT   *dataplane.Table
-	ctrT    *dataplane.Table
-	statsT  []*dataplane.Table // cms_0..3, hh_check, bloom_0..2, hh_report
-	mirrorT *dataplane.Table
-	valueT  []*dataplane.Table
-	paths   paths
-
 	sampler *sketch.Sampler
 
 	// trace, when set, receives per-query hop records (hit/miss/write
 	// classification). Disabled cost: one atomic load and a nil branch per
 	// processed frame.
 	trace atomic.Pointer[qtrace.Tap]
+
+	// Every cached Get writes a keyMu stripe, and every frame reads the
+	// fields above: the pad keeps the first stripes off their cache line.
+	_ [64]byte
 
 	// keyMu stripes a readers-writer lock across cache key indexes. It is
 	// the per-key serialization of §4.3 made explicit: a cached GET holds
@@ -266,7 +258,6 @@ func New(cfg Config) (*Switch, error) {
 	}
 	sw.pl = pl
 	sw.rep = rep
-	sw.newPaths()
 	return sw, nil
 }
 
@@ -406,7 +397,6 @@ func (sw *Switch) buildIngress(f phv) {
 	})
 	mustDefault(prep, "route_on_dst")
 	mustAdd(prep, []uint64{1, uint64(netproto.OpGet)}, "route_on_src", nil)
-	sw.prep = prep
 
 	// route: standard L3-style forwarding on the selected address. For a
 	// cache-hit read the result is the client-facing port, remembered for
@@ -454,7 +444,6 @@ func (sw *Switch) buildEgress(f phv) {
 		}
 	})
 	mustDefault(sample, "roll")
-	sw.sampleT = sample
 
 	// cache_status: the validity bit per cached key. Reads check it,
 	// writes clear it (invalidation), cache updates set it (§4.4.4).
@@ -555,7 +544,6 @@ func (sw *Switch) buildEgress(f phv) {
 	mustAdd(status, []uint64{uint64(netproto.OpPutCached)}, "invalidate_pass", nil)
 	mustAdd(status, []uint64{uint64(netproto.OpDeleteCached)}, "invalidate_pass", nil)
 	mustAdd(status, []uint64{uint64(netproto.OpCacheUpdate)}, "validate", nil)
-	sw.statusT = status
 
 	// vlen: authoritative value length per cached key, so data-plane
 	// cache updates may shrink a value without a control-plane touch.
@@ -584,7 +572,6 @@ func (sw *Switch) buildEgress(f phv) {
 	})
 	mustAdd(vlenT, []uint64{uint64(netproto.OpGet)}, "read", nil)
 	mustAdd(vlenT, []uint64{uint64(netproto.OpCacheUpdate)}, "write", nil)
-	sw.vlenT = vlenT
 
 	// cache_ctr: per-key hit counter, sampled (§4.4.3, Fig. 7).
 	sw.ctr = p.Register(dataplane.RegisterSpec{
@@ -605,7 +592,6 @@ func (sw *Switch) buildEgress(f phv) {
 		ctx.RegAdd(sw.ctr, int(ctx.Get(f.kidx)), 1)
 	})
 	mustDefault(ctrT, "bump")
-	sw.ctrT = ctrT
 
 	// Count-Min sketch: 4 rows across 4 stages, tracking sampled reads
 	// for *uncached* keys only — the design point that saves switch
@@ -636,7 +622,6 @@ func (sw *Switch) buildEgress(f phv) {
 			}
 		})
 		mustDefault(tab, "count")
-		sw.statsT = append(sw.statsT, tab)
 		prevCMS = tab
 	}
 
@@ -657,7 +642,6 @@ func (sw *Switch) buildEgress(f phv) {
 		}
 	})
 	mustDefault(hhCheck, "compare")
-	sw.statsT = append(sw.statsT, hhCheck)
 
 	// Bloom filter: 3 partitions across 3 stages; a hot key is reported
 	// only if at least one of its bits was clear (first report this
@@ -687,7 +671,6 @@ func (sw *Switch) buildEgress(f phv) {
 			}
 		})
 		mustDefault(tab, "test_set")
-		sw.statsT = append(sw.statsT, tab)
 		prevBloom = tab
 	}
 
@@ -706,13 +689,11 @@ func (sw *Switch) buildEgress(f phv) {
 		ctx.Digest(d[:])
 	})
 	mustDefault(report, "digest")
-	sw.statsT = append(sw.statsT, report)
 
 	// value_0..N: the variable-length value store of Fig. 6b. Each table
 	// is gated on its bitmap bit; Get appends the slot to the value
 	// buffer, CacheUpdate overwrites the slot from the packet.
 	sw.values = make([]*dataplane.Register, sw.cfg.ValueArrays)
-	sw.valueT = make([]*dataplane.Table, sw.cfg.ValueArrays)
 	var prevVal = status
 	for i := 0; i < sw.cfg.ValueArrays; i++ {
 		reg := p.Register(dataplane.RegisterSpec{
@@ -765,7 +746,6 @@ func (sw *Switch) buildEgress(f phv) {
 		); err != nil {
 			panic(err)
 		}
-		sw.valueT[i] = tab
 		prevVal = tab
 	}
 
@@ -784,7 +764,6 @@ func (sw *Switch) buildEgress(f phv) {
 		ctx.Mirror(int(ctx.Get(f.clntPort)))
 	})
 	mustDefault(mirror, "to_client")
-	sw.mirrorT = mirror
 }
 
 func (sw *Switch) buildDeparser(f phv) {

@@ -25,9 +25,8 @@ const (
 	tgServerPort               = 1
 )
 
-// newTraversalSwitch builds one switch of the traversal golden, driven
-// through its table interpreter only, provisioned with the golden's routes
-// and cached keys.
+// newTraversalSwitch builds one switch of the traversal golden, provisioned
+// with the golden's routes and cached keys.
 func newTraversalSwitch(t *testing.T) *Switch {
 	t.Helper()
 	cfg := TestConfig()
@@ -75,15 +74,24 @@ func drainLines(sw *Switch) (lines []string) {
 func tgKey(name string) netproto.Key { return netproto.KeyFromString("traversal:" + name) }
 
 // TestTraversalGolden pins the interpreted traversal of every kind of frame
-// the switch sees, frame by frame: the TraceQuery text, the emissions, every
-// table's hit/miss counts, the pipeline counters and the digests delivered
-// to the controller. Two switches take the same frames through the
-// interpreter, one by TraceQuery and one by Pipeline().ProcessAppend, and
-// must agree on
-// everything but the trace; the golden holds the result. Rewrite it with
-// -update only for a change meant to alter the traversal.
+// the switch sees, frame by frame: the TraceQuery text, the emissions, the
+// pipeline counters and the digests delivered to the controller. Three
+// switches take the same frames: one through the interpreter by TraceQuery,
+// one through the interpreter by Pipeline().ProcessAppend, and one through
+// the entry point Switch.ProcessAppend, compiled paths first. The last two
+// must agree with the first on everything but the trace; the golden holds
+// the result. Rewrite it with -update only for a change meant to alter the
+// traversal.
 func TestTraversalGolden(t *testing.T) {
-	traced, plain := newTraversalSwitch(t), newTraversalSwitch(t)
+	traced, plain, entry := newTraversalSwitch(t), newTraversalSwitch(t), newTraversalSwitch(t)
+	others := []struct {
+		via     string
+		sw      *Switch
+		process func([]byte, int, []dataplane.Emitted) ([]dataplane.Emitted, error)
+	}{
+		{"Pipeline().ProcessAppend", plain, plain.Pipeline().ProcessAppend},
+		{"ProcessAppend", entry, entry.ProcessAppend},
+	}
 	get := func(k string) []byte {
 		return mkFrame(t, tgServer, tgClient, netproto.Packet{Op: netproto.OpGet, Seq: 1, Key: tgKey(k)})
 	}
@@ -147,36 +155,29 @@ func TestTraversalGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		out, err = plain.Pipeline().ProcessAppend(f.frame, f.inPort, out[:0])
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+		got, st, digests := emissionLines(em), traced.Pipeline().Stats(), drainLines(traced)
+		fmt.Fprintf(&b, "== %s (port %d)\n%s%spipeline %+v\n", f.name, f.inPort, tr, got, st)
+		for _, r := range digests {
+			fmt.Fprintf(&b, "digest %s\n", r)
 		}
 
-		fmt.Fprintf(&b, "== %s (port %d)\n%s", f.name, f.inPort, tr)
-		got := emissionLines(em)
-		if pl := emissionLines(out); pl != got {
-			t.Errorf("%s: ProcessAppend emitted\n%s\nTraceQuery emitted\n%s", f.name, pl, got)
-		}
-		b.WriteString(got)
-		for _, e := range out {
-			dataplane.ReleaseFrame(e)
-		}
-		got = tableLines(traced)
-		if pl := tableLines(plain); pl != got {
-			t.Errorf("%s: table counters diverge:\n%s\nvs\n%s", f.name, pl, got)
-		}
-		b.WriteString(got)
-		st := traced.Pipeline().Stats()
-		if pst := plain.Pipeline().Stats(); !reflect.DeepEqual(st, pst) {
-			t.Errorf("%s: pipeline counters diverge: %+v vs %+v", f.name, pst, st)
-		}
-		fmt.Fprintf(&b, "pipeline %+v\n", st)
-		tracedDigests, plainDigests := drainLines(traced), drainLines(plain)
-		if !reflect.DeepEqual(tracedDigests, plainDigests) {
-			t.Errorf("%s: digests diverge: %v vs %v", f.name, plainDigests, tracedDigests)
-		}
-		for _, r := range tracedDigests {
-			fmt.Fprintf(&b, "digest %s\n", r)
+		for _, o := range others {
+			out, err = o.process(f.frame, f.inPort, out[:0])
+			if err != nil {
+				t.Fatalf("%s via %s: %v", f.name, o.via, err)
+			}
+			if oe := emissionLines(out); oe != got {
+				t.Errorf("%s: %s emitted\n%s\nTraceQuery emitted\n%s", f.name, o.via, oe, got)
+			}
+			for _, e := range out {
+				dataplane.ReleaseFrame(e)
+			}
+			if ost := o.sw.Pipeline().Stats(); !reflect.DeepEqual(st, ost) {
+				t.Errorf("%s: pipeline counters via %s diverge: %+v vs %+v", f.name, o.via, ost, st)
+			}
+			if od := drainLines(o.sw); !reflect.DeepEqual(digests, od) {
+				t.Errorf("%s: digests via %s diverge: %v vs %v", f.name, o.via, od, digests)
+			}
 		}
 	}
 
@@ -199,19 +200,6 @@ func emissionLines(em []dataplane.Emitted) string {
 	var b strings.Builder
 	for _, e := range em {
 		fmt.Fprintf(&b, "emit port %d %x\n", e.Port, e.Frame)
-	}
-	return b.String()
-}
-
-// tableLines renders every table's hit/miss counts, ingress then egress.
-func tableLines(sw *Switch) string {
-	var b strings.Builder
-	for _, g := range []dataplane.Gress{dataplane.Ingress, dataplane.Egress} {
-		fmt.Fprintf(&b, "%s", g)
-		for _, tab := range sw.Pipeline().Program().Tables(g) {
-			fmt.Fprintf(&b, " %s=%d/%d", tab.Name(), tab.Hits(), tab.Misses())
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }
