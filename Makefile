@@ -69,28 +69,32 @@ bench:
 #   make bench-ab BASE=<ref> WORKLOADS="udp.zipf99_win32 udp.zipf99_open20k" K=10
 # This host drifts ±10 % over tens of minutes, so two sets of runs taken one
 # after the other prove nothing. BASE is unpacked (git archive: nothing is
-# left registered in .git if the run is killed) under .bench_build/ab/, each
-# side builds its own bench/ through its own run.sh, and for seeds 1..K the
-# two sides run back to back, the first to run alternating; then bench's own
-# `compare` judges base (A) against the working tree (B) row by row.
+# left registered in .git if the run is killed) under .bench_build/ab/base,
+# and the working tree's tracked and untracked, not ignored files are copied
+# once under .bench_build/ab/head, so an edit saved during the run reaches
+# neither side. Each side builds its own bench/ through its own run.sh, and
+# for seeds 1..K the two sides run back to back, the first to run
+# alternating; then bench's own `compare` judges base (A) against the
+# working tree's snapshot (B) row by row.
 BASE ?= HEAD
 WORKLOADS ?= sim.zipf99_read sim.uniform_read sim.zipf99_write20_repl udp.zipf99_win32 udp.zipf99_open20k
 K ?= 10
 AB = .bench_build/ab
 
 bench-ab:
-	rm -rf $(AB) && mkdir -p $(AB)/base
+	rm -rf $(AB) && mkdir -p $(AB)/base $(AB)/head
 	git archive $(BASE) | tar -x -C $(AB)/base
+	git ls-files -co --exclude-standard -z | tar --null --ignore-failed-read -T - -cf - | tar -x -C $(AB)/head
 	@for w in $(WORKLOADS); do for s in $$(seq 1 $(K)); do \
 		sides="base head"; [ $$((s % 2)) -eq 0 ] && sides="head base"; \
 		for side in $$sides; do \
-			root=.; [ $$side = base ] && root=$(AB)/base; \
+			root=$(AB)/$$side; \
 			echo "== $$w seed $$s $$side"; \
 			bash $$root/bench/run.sh --workload $$w --seed $$s --seconds 10 --trace 0 \
 				-out $(CURDIR)/$(AB)/$$side.jsonl | tail -1; \
 		done; \
 	done; done
-	@bash bench/run.sh compare $(AB)/base.jsonl $(AB)/head.jsonl > $(AB)/verdict.txt; st=$$?; \
+	@bash $(AB)/head/bench/run.sh compare $(AB)/base.jsonl $(AB)/head.jsonl > $(AB)/verdict.txt; st=$$?; \
 		grep -v ' missing$$' $(AB)/verdict.txt; exit $$st
 
 # Regenerate every table/figure of the paper's evaluation (EXPERIMENTS.md).
@@ -167,10 +171,8 @@ knobs:
 #   chaos.RunFailover, chaos.RunMultiRack: the scenario entry points of a
 #     package that exists for its tests (TestChaosFailover,
 #     TestChaosMultiRack, `make chaos`, BenchmarkFailover).
-#   client.Client.Estimator: TestClientPolicyPlumbing (internal/rack) reads
-#     it to see the rack's client template reach the RTO estimator.
 #   switchcore.Switch.TraceQuery: what TestTraversalGolden prints.
-CALLERS_KEPT = internal/chaos  RunFailover|internal/chaos  RunMultiRack|internal/client  Client.Estimator|internal/switchcore  Switch.TraceQuery
+CALLERS_KEPT = internal/chaos  RunFailover|internal/chaos  RunMultiRack|internal/switchcore  Switch.TraceQuery
 
 callers:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | sort | xargs awk ' \

@@ -39,17 +39,14 @@ func main() {
 	swAddr := flag.String("switch", "127.0.0.1:9000", "switch daemon UDP address")
 	servers := flag.Int("servers", 1, "number of storage servers (addresses 1..N)")
 	myAddr := flag.Int("addr", 0x8001, "this client's rack address (>= 0x8000)")
-	timeout := flag.Duration("timeout", 50*time.Millisecond, "initial retransmission timeout, before the first RTT sample")
+	timeout := flag.Duration("timeout", 50*time.Millisecond, "longest wait of one attempt: the cap on the doubling retransmission timeout")
 	// Real-UDP deployments share the host (and often a single CPU) with the
 	// switch and server processes, so scheduling noise puts the achievable
 	// RTT well above the in-process simnet floor. A floor below that noise
-	// level locks the estimator into a spurious-retransmit storm: Karn's
-	// rule then only admits the unusually fast replies, which keeps SRTT
-	// biased low (the same survivorship bias that motivates TCP's 1 s
-	// minimum RTO). 5 ms also clears the client's 2 ms poll threshold, so
-	// waits park in the scheduler instead of busy-polling the CPU the
-	// servers need.
-	rtoFloor := flag.Duration("rto-floor", 5*time.Millisecond, "minimum adaptive retransmission timeout")
+	// retransmits queries whose replies are merely late. 5 ms also clears
+	// the client's 2 ms poll threshold, so waits park in the scheduler
+	// instead of busy-polling the CPU the servers need.
+	rtoFloor := flag.Duration("rto-floor", 5*time.Millisecond, "first attempt's retransmission timeout, doubled per retransmission up to -timeout")
 	window := flag.Int("window", 1, "pipelining depth: reads issued through GetBatch with this many outstanding (bench subcommand; 1 = one at a time)")
 	flag.Parse()
 	args := flag.Args()

@@ -5,20 +5,18 @@
 //
 // Read queries follow the paper's UDP semantics — fire, await, retransmit on
 // timeout (§4.1: SEQ "can be used as a sequence number for reliable
-// transmissions by UDP Get queries"). The retransmission timer is adaptive
-// by default: a per-destination Jacobson/Karn RTT estimator derives the RTO,
-// successive timeouts back off exponentially with deterministic seeded
-// jitter (see rto.go and Policy). The client is unaware of the switch
-// cache: a reply served by the switch is indistinguishable from one served
-// by a server, which is exactly the transparency the architecture promises.
+// transmissions by UDP Get queries"). A query's first attempt waits
+// Policy.RTOFloor, each retransmission twice the last up to Config.Timeout,
+// every wait stretched by deterministic seeded jitter (see rto.go and
+// Policy). The client is unaware of the switch cache: a reply served by the
+// switch is indistinguishable from one served by a server, which is exactly
+// the transparency the architecture promises.
 package client
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,18 +30,11 @@ import (
 // owns it (the client-side view of hash partitioning, §3).
 type Partitioner func(key netproto.Key) netproto.Addr
 
-// Explicit-zero sentinels. The zero value of Config keeps the historical
-// defaults (Timeout 10ms, Retries 3), so a literal 0 cannot also mean
-// "zero"; these negative sentinels request an actual zero.
-const (
-	// NoRetries requests exactly zero retransmissions: one attempt, then
-	// ErrTimeout. Any negative Retries normalizes the same way.
-	NoRetries = -1
-	// NoWait requests a zero per-attempt timeout: only a reply already
-	// buffered when the send returns (a synchronous fabric) is accepted.
-	// Any negative Timeout normalizes the same way.
-	NoWait time.Duration = -1
-)
+// NoRetries requests exactly zero retransmissions: one attempt, then
+// ErrTimeout. The zero value of Config keeps the default of 3 retries, so a
+// literal 0 cannot also mean "none"; any negative Retries normalizes like
+// NoRetries.
+const NoRetries = -1
 
 // Config tunes a client.
 type Config struct {
@@ -51,15 +42,15 @@ type Config struct {
 	Addr netproto.Addr
 	// Partition routes keys to server addresses.
 	Partition Partitioner
-	// Timeout is the initial RTO, before the first RTT sample, and lifts
-	// the RTO ceiling when it is above DefaultRTOCeil. Zero means 10ms;
-	// NoWait (any negative) means an explicit zero.
+	// Timeout is the longest that one attempt waits, before jitter: the
+	// cap on the doubling RTO, raised to Policy.RTOFloor when below it.
+	// Zero or negative means 10ms.
 	Timeout time.Duration
 	// Retries is the number of retransmissions after the first attempt.
 	// Zero means 3; NoRetries (any negative) means an explicit zero.
 	Retries int
-	// Policy tunes the adaptive retransmission path (RTT-estimated RTO,
-	// backoff, jitter). The zero value adapts with defaults.
+	// Policy tunes the retransmission schedule (RTO floor, jitter seed).
+	// The zero value uses the defaults.
 	Policy Policy
 	// Window is the closed-loop depth of GetBatch: how many
 	// requests the client keeps outstanding at once. Zero means 32.
@@ -80,11 +71,6 @@ type Metrics struct {
 	// traffic. Nonzero under chaos is normal; growth on a clean fabric is
 	// a bug.
 	Unmatched stats.Counter
-	// RTTSamples counts clean (Karn-admissible) samples fed to the
-	// estimators; KarnSkipped counts replies whose RTT was discarded as
-	// ambiguous because the attempt had been retransmitted.
-	RTTSamples  stats.Counter
-	KarnSkipped stats.Counter
 	// GetLatency/PutLatency/DeleteLatency are end-to-end per-op latency
 	// distributions in nanoseconds, measured from prepare (sequence
 	// assignment, immediately before the first transmission) to the winning
@@ -111,12 +97,6 @@ type Client struct {
 	calls []call
 	mask  uint64
 
-	// est holds one RTT estimator per destination server. The map is
-	// copy-on-write: a query finds its estimator with one atomic load, and
-	// estMu only serializes adding a destination.
-	estMu sync.Mutex
-	est   atomic.Pointer[map[netproto.Addr]*rtoEstimator]
-
 	// jitterCtr is the client's splitmix64 jitter stream: seeded, lock-free,
 	// independent of the clock and of math/rand, so seeded runs replay.
 	jitterCtr atomic.Uint64
@@ -140,10 +120,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Partition == nil {
 		return nil, fmt.Errorf("client: config needs a partitioner")
 	}
-	switch {
-	case cfg.Timeout < 0: // NoWait: an explicit zero
-		cfg.Timeout = 0
-	case cfg.Timeout == 0:
+	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Millisecond
 	}
 	switch {
@@ -153,6 +130,7 @@ func New(cfg Config) (*Client, error) {
 		cfg.Retries = 3
 	}
 	cfg.Policy = cfg.Policy.normalize()
+	cfg.Timeout = max(cfg.Timeout, cfg.Policy.RTOFloor)
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
@@ -174,41 +152,12 @@ func New(cfg Config) (*Client, error) {
 	// or below the last it applied from the same address, so a restarted
 	// client counting from 1 again would have its writes acked, not applied.
 	c.seq.Store(uint64(time.Now().UnixNano()))
-	c.est.Store(&map[netproto.Addr]*rtoEstimator{})
 	c.Metrics.GetLatency = stats.NewLatencyHistogram()
 	c.Metrics.PutLatency = stats.NewLatencyHistogram()
 	c.Metrics.DeleteLatency = stats.NewLatencyHistogram()
 	// Distinct clients sharing a harness seed draw distinct jitter streams.
 	c.jitterCtr.Store(cfg.Policy.Seed ^ uint64(cfg.Addr)*rng.Seeds[0])
 	return c, nil
-}
-
-// estimatorFor returns (creating on first use) the estimator for dst.
-func (c *Client) estimatorFor(dst netproto.Addr) *rtoEstimator {
-	if e, ok := (*c.est.Load())[dst]; ok {
-		return e
-	}
-	c.estMu.Lock()
-	defer c.estMu.Unlock()
-	old := *c.est.Load()
-	if e, ok := old[dst]; ok {
-		return e
-	}
-	m := maps.Clone(old)
-	e := newEstimator(c.cfg.Timeout, c.cfg.Policy)
-	m[dst] = e
-	c.est.Store(&m)
-	return e
-}
-
-// Estimator returns a snapshot of the RTT estimator state toward dst (the
-// zero snapshot if the client has never sent there).
-func (c *Client) Estimator(dst netproto.Addr) EstimatorState {
-	e, ok := (*c.est.Load())[dst]
-	if !ok {
-		return EstimatorState{}
-	}
-	return e.snapshot()
 }
 
 // epoch anchors the client's clock. time.Since(epoch) reads only the
@@ -373,9 +322,9 @@ func (c *Client) Delete(key netproto.Key) error {
 }
 
 // call is one slot of the pending-call table and, while claimed, one
-// in-flight query: its sequence number, destination, the encoded request
-// frame (the slot's own buffer, reused verbatim by every retransmission),
-// and the reply Receive hands over.
+// in-flight query: its sequence number, the encoded request frame (the
+// slot's own buffer, reused verbatim by every retransmission), and the
+// reply Receive hands over.
 type call struct {
 	// state is 0 while the slot is free, seq<<1 while its query waits and
 	// seq<<1|1 once a reply has claimed it. Each move is one CAS, and the
@@ -383,10 +332,9 @@ type call struct {
 	// claiming a later one.
 	state atomic.Uint64
 	seq   uint64
-	dst   netproto.Addr
 	op    netproto.Op
 	key   netproto.Key
-	start time.Duration // prepare's clock read, also attempt 0's start
+	start time.Duration // prepare's clock read
 	frame []byte
 
 	// reply is written by the Receive that claimed the call, before it
@@ -434,7 +382,6 @@ func (c *Client) prepare(cl *call, pkt netproto.Packet) error {
 		c.release(cl)
 		return err
 	}
-	cl.dst = dst
 	cl.op = pkt.Op
 	cl.key = pkt.Key
 	cl.start = now()
@@ -460,11 +407,11 @@ func (c *Client) release(cl *call) {
 	cl.state.Store(0)
 }
 
-// complete records the end-to-end latency of a successful call, ending at
-// the clock read end, into the matching per-op histogram and emits the
-// ClientRecv trace record.
-func (c *Client) complete(cl *call, end time.Duration) {
-	d := float64(end - cl.start)
+// complete records the end-to-end latency of a successful call into the
+// matching per-op histogram, emits the ClientRecv trace record and returns
+// the reply.
+func (c *Client) complete(cl *call) (netproto.Packet, error) {
+	d := float64(now() - cl.start)
 	switch cl.op {
 	case netproto.OpGet:
 		c.Metrics.GetLatency.Observe(d)
@@ -474,6 +421,7 @@ func (c *Client) complete(cl *call, end time.Duration) {
 		c.Metrics.DeleteLatency.Observe(d)
 	}
 	c.trace.Load().Record(qtrace.ClientRecv, cl.op, cl.seq, cl.key, false)
+	return cl.reply, nil
 }
 
 // SetTrace installs (or, with nil, removes) the query-trace tap. Safe to
@@ -501,27 +449,7 @@ func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
 func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 	defer c.release(cl)
 
-	est := c.estimatorFor(cl.dst)
-	// finish reads the clock once for a reply that arrived: the read ends
-	// both the op's latency and its RTT sample, which Karn's rule admits
-	// only for an attempt that was never retransmitted.
-	finish := func(attempt int, start time.Duration) (netproto.Packet, error) {
-		end := now()
-		if attempt > 0 {
-			c.Metrics.KarnSkipped.Inc()
-		} else {
-			est.Observe(end - start)
-			c.Metrics.RTTSamples.Inc()
-		}
-		c.complete(cl, end)
-		return cl.reply, nil
-	}
-
-	start := cl.start
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			start = now()
-		}
 		if attempt > 0 || !preSent {
 			c.Metrics.Sent.Inc()
 			if attempt > 0 {
@@ -533,14 +461,12 @@ func (c *Client) await(cl *call, preSent bool) (netproto.Packet, error) {
 		// The fabric may deliver synchronously, in which case the
 		// reply is already in.
 		if c.waitReply(cl, 0, false) {
-			return finish(attempt, start)
+			return c.complete(cl)
 		}
-		rto := est.RTO()
-		wait := rto + c.jitter(rto)
-		if c.waitReply(cl, wait, attempt == 0) {
-			return finish(attempt, start)
+		rto := c.rto(attempt)
+		if c.waitReply(cl, rto+c.jitter(rto), attempt == 0) {
+			return c.complete(cl)
 		}
-		est.TimedOut()
 		if attempt >= c.cfg.Retries {
 			c.Metrics.Timeouts.Inc()
 			c.trace.Load().Record(qtrace.ClientTimedOut, cl.op, cl.seq, cl.key, false)

@@ -287,16 +287,18 @@ func TestGetBatchEmpty(t *testing.T) {
 }
 
 // Regression for the retransmission timer: every attempt must wait its full
-// timeout. The old implementation reused one timer with stop-drain-reset; a
+// RTO. The old implementation reused one timer with stop-drain-reset; a
 // stale expiry surviving the drain would fire the next attempt's wait
 // instantly, so an unanswered query could exhaust all retries in far less
 // than (Retries+1) x Timeout. A fresh timer per attempt makes the floor hold.
+// The RTO floor is pinned to the timeout so that every attempt waits it.
 func TestEachAttemptWaitsFullTimeout(t *testing.T) {
 	const (
 		timeout = 20 * time.Millisecond
 		retries = 3
 	)
 	cli, srv := newPair(t, timeout, retries)
+	cli.cfg.Policy.RTOFloor = timeout
 	srv.mu.Lock()
 	srv.dropN = 1 << 30 // never answer
 	srv.mu.Unlock()

@@ -1,28 +1,26 @@
-// Adaptive retransmission: a per-destination RTT estimator in the
-// Jacobson/Karn style (RFC 6298), exponential backoff with deterministic
-// seeded jitter.
+// Retransmission schedule: exponential backoff from a fixed floor, capped
+// at the per-attempt timeout, with deterministic seeded jitter.
 //
 // The paper leaves reliable transmission of UDP Get queries to the client
 // (§4.1: SEQ "can be used as a sequence number for reliable transmissions").
 // A fixed per-attempt timeout is not enough: on a fabric whose RTT is a few
 // microseconds, every lost frame costs a full 2ms timeout, which collapsed
 // the rack's throughput ~40x under a modest fault mix of loss, duplication
-// and reordering. The estimator keeps the retransmission timer proportional
-// to the path the client actually observes.
+// and reordering. Starting each query at a floor near the path's RTT and
+// doubling per retransmission keeps a loss cheap without starving a slow
+// path. The schedule needs no state: backoff belongs to the call, not to
+// the destination.
 package client
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// Policy tunes the adaptive retransmission path. The zero value adapts
-// with the defaults below. Setting RTOFloor to Config.Timeout pins every
-// attempt's RTO there: the ceiling is then that same value, so neither the
-// estimate nor backoff can move it, and only jitter is added.
+// Policy tunes the retransmission schedule. The zero value uses the
+// defaults below. Setting RTOFloor to Config.Timeout pins every attempt's
+// RTO there, and only jitter is added.
 type Policy struct {
-	// RTOFloor clamps the adaptive RTO from below, absorbing scheduling
-	// noise the estimator cannot see. Zero means 200µs.
+	// RTOFloor is the first attempt's RTO; each retransmission doubles it,
+	// up to Config.Timeout. It should sit above the path's RTT and the
+	// host's scheduling noise. Zero means 200µs.
 	RTOFloor time.Duration
 	// Seed seeds the client's splitmix64 jitter stream. The client mixes
 	// its own address in, so clients sharing a seed draw distinct but
@@ -44,16 +42,11 @@ type Policy struct {
 	spinUnder time.Duration
 }
 
-// Policy defaults and the fixed shape of the adaptive path, exported so
-// harnesses can report what they measured. The RTO (including backoff) is
-// clamped from above by DefaultRTOCeil, raised to Config.Timeout or the
-// floor when either is larger; backoff stops after DefaultBackoffMax
-// doublings; every wait adds a deterministic pseudo-random fraction of the
-// RTO in [0, DefaultJitterFrac), de-synchronizing retransmission storms.
+// Policy defaults, exported so harnesses can report what they measured.
+// Every wait adds a deterministic pseudo-random fraction of the RTO in
+// [0, DefaultJitterFrac), de-synchronizing retransmission storms.
 const (
 	DefaultRTOFloor   = 200 * time.Microsecond
-	DefaultRTOCeil    = 100 * time.Millisecond
-	DefaultBackoffMax = 6
 	DefaultJitterFrac = 0.1
 )
 
@@ -73,119 +66,13 @@ func (p Policy) normalize() Policy {
 	return p
 }
 
-// rtoEstimator tracks smoothed RTT state for one destination (RFC 6298 /
-// Jacobson): SRTT ← 7/8·SRTT + 1/8·R, RTTVAR ← 3/4·RTTVAR + 1/4·|SRTT−R|,
-// RTO = clamp(SRTT + 4·RTTVAR) doubled per backoff step. Karn's rule is
-// enforced by the caller: only replies to never-retransmitted attempts
-// reach Observe, so a retransmission's ambiguous RTT cannot corrupt the
-// estimate.
-type rtoEstimator struct {
-	mu sync.Mutex
-
-	initial     time.Duration
-	floor, ceil time.Duration
-
-	hasSRTT bool
-	srtt    time.Duration
-	rttvar  time.Duration
-	backoff int
-	samples uint64
-}
-
-// newEstimator starts an estimator at the per-attempt timeout, which also
-// lifts the ceiling when it is above DefaultRTOCeil.
-func newEstimator(timeout time.Duration, p Policy) *rtoEstimator {
-	ceil := max(DefaultRTOCeil, timeout, p.RTOFloor)
-	return &rtoEstimator{
-		initial: clampDur(timeout, p.RTOFloor, ceil),
-		floor:   p.RTOFloor,
-		ceil:    ceil,
+// rto is attempt's retransmission timeout before jitter: the floor doubled
+// once per earlier attempt, capped at Config.Timeout, which New raises to
+// the floor when it is below.
+func (c *Client) rto(attempt int) time.Duration {
+	d, ceil := c.cfg.Policy.RTOFloor, c.cfg.Timeout
+	for ; attempt > 0 && d < ceil; attempt-- {
+		d *= 2
 	}
-}
-
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
-
-// Observe feeds one clean (Karn-admissible) RTT sample and resets backoff —
-// a fresh unambiguous sample proves the path is live at this RTT.
-func (e *rtoEstimator) Observe(rtt time.Duration) {
-	if rtt < 0 {
-		rtt = 0
-	}
-	e.mu.Lock()
-	if e.hasSRTT {
-		// RFC 6298 order: RTTVAR first (it uses the previous SRTT).
-		dev := e.srtt - rtt
-		if dev < 0 {
-			dev = -dev
-		}
-		e.rttvar += (dev - e.rttvar) / 4
-		e.srtt += (rtt - e.srtt) / 8
-	} else {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
-		e.hasSRTT = true
-	}
-	e.backoff = 0
-	e.samples++
-	e.mu.Unlock()
-}
-
-// TimedOut records one retransmission timeout: the next RTO doubles, up to
-// the backoff cap (Karn: the backed-off timer persists until a clean sample
-// arrives).
-func (e *rtoEstimator) TimedOut() {
-	e.mu.Lock()
-	if e.backoff < DefaultBackoffMax {
-		e.backoff++
-	}
-	e.mu.Unlock()
-}
-
-// RTO returns the current retransmission timeout: the estimate (or the
-// initial RTO before any sample), shifted by the backoff, clamped to
-// [floor, ceil].
-func (e *rtoEstimator) RTO() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rtoLocked()
-}
-
-func (e *rtoEstimator) rtoLocked() time.Duration {
-	base := e.initial
-	if e.hasSRTT {
-		base = clampDur(e.srtt+4*e.rttvar, e.floor, e.ceil)
-	}
-	// Doubling stops at the ceiling, so it never overflows.
-	for i := 0; i < e.backoff && base < e.ceil; i++ {
-		base *= 2
-	}
-	return clampDur(base, e.floor, e.ceil)
-}
-
-// EstimatorState is a read-only snapshot of one destination's estimator,
-// exposed for harnesses, tests and debugging.
-type EstimatorState struct {
-	SRTT, RTTVar, RTO time.Duration
-	Backoff           int
-	Samples           uint64
-}
-
-func (e *rtoEstimator) snapshot() EstimatorState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return EstimatorState{
-		SRTT:    e.srtt,
-		RTTVar:  e.rttvar,
-		RTO:     e.rtoLocked(),
-		Backoff: e.backoff,
-		Samples: e.samples,
-	}
+	return min(d, ceil)
 }

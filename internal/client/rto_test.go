@@ -7,125 +7,6 @@ import (
 	"netcache/internal/netproto"
 )
 
-func testPolicy(floor time.Duration) Policy {
-	return Policy{RTOFloor: floor}.normalize()
-}
-
-func TestEstimatorFirstSample(t *testing.T) {
-	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond))
-	if got := e.RTO(); got != 10*time.Millisecond {
-		t.Fatalf("pre-sample RTO = %v, want initial 10ms", got)
-	}
-	e.Observe(8 * time.Millisecond)
-	s := e.snapshot()
-	if s.SRTT != 8*time.Millisecond || s.RTTVar != 4*time.Millisecond {
-		t.Errorf("first sample: srtt=%v rttvar=%v, want 8ms/4ms", s.SRTT, s.RTTVar)
-	}
-	// RFC 6298: RTO = SRTT + 4*RTTVAR = 8 + 16 = 24ms.
-	if s.RTO != 24*time.Millisecond {
-		t.Errorf("RTO after first sample = %v, want 24ms", s.RTO)
-	}
-}
-
-func TestEstimatorConvergesOnStableRTT(t *testing.T) {
-	e := newEstimator(50*time.Millisecond, testPolicy(time.Millisecond))
-	const rtt = 10 * time.Millisecond
-	for i := 0; i < 200; i++ {
-		e.Observe(rtt)
-	}
-	s := e.snapshot()
-	if s.SRTT < 9900*time.Microsecond || s.SRTT > 10100*time.Microsecond {
-		t.Errorf("SRTT = %v, want ~10ms", s.SRTT)
-	}
-	// RTTVAR decays geometrically toward 0 on a constant path, so the RTO
-	// converges down to SRTT (the floor doesn't bind at 10ms).
-	if s.RTO < rtt || s.RTO > rtt+time.Millisecond {
-		t.Errorf("RTO = %v, want within 1ms above the stable 10ms RTT", s.RTO)
-	}
-}
-
-func TestEstimatorClampFloorAndCeil(t *testing.T) {
-	floor, ceil := 2*time.Millisecond, DefaultRTOCeil
-	e := newEstimator(10*time.Millisecond, testPolicy(floor))
-	for i := 0; i < 50; i++ {
-		e.Observe(10 * time.Microsecond) // far below the floor
-	}
-	if got := e.RTO(); got != floor {
-		t.Errorf("tiny-RTT RTO = %v, want floor %v", got, floor)
-	}
-	for i := 0; i < 50; i++ {
-		e.Observe(time.Second) // far above the ceiling
-	}
-	if got := e.RTO(); got != ceil {
-		t.Errorf("huge-RTT RTO = %v, want ceil %v", got, ceil)
-	}
-}
-
-func TestEstimatorBackoffDoublesAndResets(t *testing.T) {
-	// A 1ms path: 2^DefaultBackoffMax doublings stay below the ceiling.
-	e := newEstimator(10*time.Millisecond, testPolicy(DefaultRTOFloor))
-	for i := 0; i < 200; i++ {
-		e.Observe(time.Millisecond)
-	}
-	base := e.RTO()
-	e.TimedOut()
-	if got := e.RTO(); got != 2*base {
-		t.Errorf("after 1 timeout RTO = %v, want %v", got, 2*base)
-	}
-	e.TimedOut()
-	if got := e.RTO(); got != 4*base {
-		t.Errorf("after 2 timeouts RTO = %v, want %v", got, 4*base)
-	}
-	// After DefaultBackoffMax doublings further timeouts stop doubling.
-	for i := 2; i < DefaultBackoffMax+3; i++ {
-		e.TimedOut()
-	}
-	if want := base << DefaultBackoffMax; e.RTO() != want {
-		t.Errorf("backoff should cap at 2^%d: RTO = %v, want %v", DefaultBackoffMax, e.RTO(), want)
-	}
-	// A fresh unambiguous sample resets the backoff entirely.
-	e.Observe(time.Millisecond)
-	if got := e.RTO(); got != base {
-		t.Errorf("after fresh sample RTO = %v, want %v", got, base)
-	}
-}
-
-func TestEstimatorBackoffClampsAtCeil(t *testing.T) {
-	e := newEstimator(10*time.Millisecond, testPolicy(time.Millisecond))
-	for i := 0; i < 10; i++ {
-		e.TimedOut()
-	}
-	if got := e.RTO(); got != DefaultRTOCeil {
-		t.Errorf("backed-off RTO = %v, want ceiling %v", got, DefaultRTOCeil)
-	}
-}
-
-// Karn's rule, end to end: a reply that arrives after a retransmission is
-// ambiguous and must not feed the estimator.
-func TestKarnExcludesRetransmittedSamples(t *testing.T) {
-	cli, srv := newPair(t, 2*time.Millisecond, 5)
-	key := netproto.KeyFromString("k")
-	if err := cli.Put(key, []byte("v")); err != nil { // clean sample
-		t.Fatal(err)
-	}
-	cleanSamples := cli.Metrics.RTTSamples.Value()
-	if cleanSamples == 0 {
-		t.Fatal("clean Put should have produced an RTT sample")
-	}
-	srv.mu.Lock()
-	srv.dropN = 2
-	srv.mu.Unlock()
-	if _, err := cli.Get(key); err != nil {
-		t.Fatal(err)
-	}
-	if got := cli.Metrics.RTTSamples.Value(); got != cleanSamples {
-		t.Errorf("retransmitted query fed %d new samples, want 0 (Karn)", got-cleanSamples)
-	}
-	if cli.Metrics.KarnSkipped.Value() == 0 {
-		t.Error("ambiguous reply should be counted in KarnSkipped")
-	}
-}
-
 // Jitter is a pure function of (seed, addr, draw index): same seed, same
 // stream; different seed, different stream.
 func TestJitterDeterministicPerSeed(t *testing.T) {
@@ -191,14 +72,18 @@ func TestZeroValueConfigKeepsDefaults(t *testing.T) {
 	}
 }
 
-// NoWait: a zero per-attempt timeout still succeeds on a synchronous fabric
-// (the reply is buffered before send returns) and fails without blocking
-// when the reply never comes.
+// A zero or negative Timeout normalizes to the default, and the first
+// attempt waits the default floor: a synchronous fabric's reply is taken
+// as soon as the send returns, and a lost query with NoRetries gives up
+// after one floor-length wait.
 func TestNoWaitTimeout(t *testing.T) {
-	cli, srv := newPair(t, NoWait, NoRetries)
+	cli, srv := newPair(t, -1, NoRetries)
+	if cli.cfg.Timeout != 10*time.Millisecond {
+		t.Fatalf("Timeout -1 normalized to %v, want the 10ms default", cli.cfg.Timeout)
+	}
 	key := netproto.KeyFromString("k")
 	if err := cli.Put(key, []byte("v")); err != nil {
-		t.Fatalf("synchronous put with NoWait: %v", err)
+		t.Fatalf("synchronous put: %v", err)
 	}
 	srv.mu.Lock()
 	srv.dropN = 1
@@ -208,7 +93,7 @@ func TestNoWaitTimeout(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("NoWait timeout took %v, want near-immediate", elapsed)
+		t.Errorf("one %v attempt took %v, want near-immediate", DefaultRTOFloor, elapsed)
 	}
 }
 
@@ -298,45 +183,10 @@ func TestDuplicateReplyCountsUnmatched(t *testing.T) {
 	}
 }
 
-// The adaptive RTO actually adapts: after clean traffic on a microsecond
-// fabric the estimator sits at the floor, orders of magnitude below the
-// 10ms initial timeout a fixed client would burn per loss.
-func TestAdaptiveRTOTracksFastPath(t *testing.T) {
-	cli, srv := newPair(t, 10*time.Millisecond, 3)
-	key := netproto.KeyFromString("k")
-	if err := cli.Put(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := cli.Get(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := cli.Estimator(srvAddr)
-	if s.Samples < 50 {
-		t.Fatalf("samples = %d, want >= 50", s.Samples)
-	}
-	if s.RTO != DefaultRTOFloor {
-		t.Errorf("clean in-process RTO = %v, want clamped to floor %v", s.RTO, DefaultRTOFloor)
-	}
-	srv.mu.Lock()
-	srv.dropN = 1
-	srv.mu.Unlock()
-	start := time.Now()
-	if _, err := cli.Get(key); err != nil {
-		t.Fatal(err)
-	}
-	// One loss costs about one floor-clamped RTO, not the 10ms fixed timeout.
-	if elapsed := time.Since(start); elapsed > 5*time.Millisecond {
-		t.Errorf("loss recovery took %v, want ~%v (adaptive RTO)", elapsed, DefaultRTOFloor)
-	}
-}
-
-// Timeout = RTOFloor pins the RTO: the ceiling is max(DefaultRTOCeil,
-// Timeout, floor), so at 100ms floor and ceiling coincide, a fast sample
-// cannot pull the RTO down, backoff cannot push it up, and every attempt
-// waits the pinned RTO plus under 10% jitter. Deployments that assert
-// wall-clock patience windows rely on this.
+// Timeout = RTOFloor pins the RTO: the floor is then also the cap, so
+// backoff cannot move it, and every attempt waits the pinned RTO plus under
+// 10% jitter. Deployments that assert wall-clock patience windows rely on
+// this.
 func TestPinnedRTOIgnoresEstimator(t *testing.T) {
 	const pin = 100 * time.Millisecond
 	cli, err := New(Config{
@@ -348,24 +198,53 @@ func TestPinnedRTOIgnoresEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := cli.estimatorFor(srvAddr)
-	if got := e.RTO(); got != pin {
-		t.Fatalf("pre-sample RTO = %v, want %v", got, pin)
-	}
-	e.Observe(10 * time.Microsecond)
-	if got := e.RTO(); got != pin {
-		t.Errorf("RTO after a 10µs sample = %v, want %v", got, pin)
-	}
-	for i := 0; i < DefaultBackoffMax; i++ {
-		e.TimedOut()
-	}
-	if got := e.RTO(); got != pin {
-		t.Errorf("RTO after %d timeouts = %v, want %v", DefaultBackoffMax, got, pin)
-	}
 	for i := 0; i < 256; i++ {
-		rto := e.RTO()
+		rto := cli.rto(i % (cli.cfg.Retries + 1))
 		if wait := rto + cli.jitter(rto); wait < pin || wait >= pin+pin/10 {
 			t.Fatalf("draw %d: wait %v outside [%v, %v)", i, wait, pin, pin+pin/10)
 		}
+	}
+}
+
+// The jitter-free schedule of every configuration the repository runs:
+// attempt k waits min(RTOFloor << k, max(Timeout, RTOFloor)).
+func TestRetransmitSchedule(t *testing.T) {
+	const (
+		us = time.Microsecond
+		ms = time.Millisecond
+	)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		retries int
+		floor   time.Duration
+		want    []time.Duration
+	}{
+		{"defaults (rack, bench sim rows)", 0, 0, 0, []time.Duration{200 * us, 400 * us, 800 * us, 1600 * us}},
+		{"chaos and balance", 2 * ms, 2, 0, []time.Duration{200 * us, 400 * us, 800 * us}},
+		{"pinned", 100 * ms, 3, 100 * ms, []time.Duration{100 * ms, 100 * ms, 100 * ms, 100 * ms}},
+		{"UDP client", 50 * ms, 5, 5 * ms, []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 50 * ms, 50 * ms}},
+		{"timeout below floor", 200 * us, 2, time.Millisecond, []time.Duration{ms, ms, ms}},
+		{"NoRetries", 0, NoRetries, 0, []time.Duration{200 * us}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, err := New(Config{
+				Partition: func(netproto.Key) netproto.Addr { return srvAddr },
+				Timeout:   tc.timeout,
+				Retries:   tc.retries,
+				Policy:    Policy{RTOFloor: tc.floor},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cli.cfg.Retries + 1; n != len(tc.want) {
+				t.Fatalf("%d attempts, want %d", n, len(tc.want))
+			}
+			for k, want := range tc.want {
+				if got := cli.rto(k); got != want {
+					t.Errorf("attempt %d: RTO %v, want %v", k, got, want)
+				}
+			}
+		})
 	}
 }

@@ -88,7 +88,7 @@ func TestTrunkSurfacesProcessErrors(t *testing.T) {
 	part := client.HashPartitioner([]netproto.Addr{1})
 	cl, err := client.New(client.Config{
 		Addr: 0x8000, Partition: part,
-		Timeout: client.NoWait, Retries: client.NoRetries,
+		Retries: client.NoRetries,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCrashServerAtNode(t *testing.T) {
 	b.CrashServer(0)
 	fast, err := client.New(client.Config{
 		Addr: 0x8001, Partition: client.HashPartitioner([]netproto.Addr{1}),
-		Timeout: client.NoWait, Retries: client.NoRetries,
+		Retries: client.NoRetries,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,13 +583,14 @@ func TestModelBasedSequentialOps(t *testing.T) {
 	}
 }
 
-// The Client template reaches every client: each one's estimator toward
-// the servers it queried respects the template's RTO floor, and collected
-// the RTT samples its reads produced.
+// The Client template reaches every client: with each client's first
+// request dropped once, its Get succeeds on one retransmission, sent no
+// sooner than the template's RTO floor.
 func TestClientPolicyPlumbing(t *testing.T) {
 	const floor = 3 * time.Millisecond
+	const servers = 2
 	r, err := New(Config{
-		Servers: 2, Clients: 2, CacheCapacity: 8,
+		Servers: servers, Clients: 2, CacheCapacity: 8,
 		Client: client.Config{Policy: client.Policy{RTOFloor: floor, Seed: 9}},
 	})
 	if err != nil {
@@ -596,21 +598,24 @@ func TestClientPolicyPlumbing(t *testing.T) {
 	}
 	r.LoadDataset(32, 16)
 	for i := 0; i < 2; i++ {
-		cli := r.Client(i)
-		for id := 0; id < 32; id++ {
-			if _, err := cli.Get(workload.KeyName(id)); err != nil {
-				t.Fatalf("client %d get %d: %v", i, id, err)
+		cli, port := r.Client(i), servers+i
+		var dropped atomic.Bool
+		cli.SetSend(func(frame []byte) {
+			if dropped.CompareAndSwap(false, true) {
+				return
 			}
+			_ = r.Net.Inject(frame, port)
+		})
+		start := time.Now()
+		if _, err := cli.Get(workload.KeyName(i)); err != nil {
+			t.Fatalf("client %d get: %v", i, err)
 		}
-		for _, srv := range r.Servers {
-			s := cli.Estimator(srv.Addr())
-			if s.Samples == 0 {
-				t.Errorf("client %d collected no RTT samples toward server %d", i, srv.Addr())
-			}
-			if s.RTO < floor {
-				t.Errorf("client %d RTO toward server %d = %v, below the template's %v floor",
-					i, srv.Addr(), s.RTO, floor)
-			}
+		elapsed := time.Since(start)
+		if got := cli.Metrics.Retransmit.Value(); got != 1 {
+			t.Errorf("client %d: Retransmit = %d, want 1", i, got)
+		}
+		if elapsed < floor {
+			t.Errorf("client %d recovered in %v, below the template's %v floor", i, elapsed, floor)
 		}
 	}
 }

@@ -83,9 +83,8 @@ func attach(t *testing.T, d *SwitchDaemon, nServers int) *deployment {
 		// These deployment tests assert wall-clock patience windows (e.g.
 		// a Put outlasting a 300ms §4.3 write-block) rather than loss
 		// recovery, so they pin every attempt at 100ms: a floor equal to
-		// Timeout is also the ceiling. Left free, the estimator would
-		// retransmit at loopback RTT scale and exhaust the retry budget in
-		// milliseconds.
+		// Timeout is also the cap. At the default 200µs floor the doubling
+		// schedule would exhaust the retry budget in a few milliseconds.
 		Policy: client.Policy{RTOFloor: 100 * time.Millisecond},
 	})
 	if err != nil {
