@@ -5,7 +5,6 @@ package netcache
 // difference as custom metrics.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -88,52 +87,9 @@ func naivePerArrayProgramCompiles() bool {
 	return err == nil
 }
 
-// BenchmarkAblationAllocatorPolicy — First Fit (Algorithm 2) vs Best Fit:
-// occupancy at first allocation failure and time per churn operation, under
-// mixed-size insert/evict churn.
-func BenchmarkAblationAllocatorPolicy(b *testing.B) {
-	run := func(pol cachemem.Policy) (occupancy float64) {
-		a, _ := cachemem.New(cachemem.Config{Arrays: 8, Indexes: 1024, UnitBytes: 16, Policy: pol})
-		rng := rand.New(rand.NewSource(7))
-		key := func(i int) netproto.Key {
-			var k netproto.Key
-			binary.BigEndian.PutUint32(k[:4], uint32(i))
-			return k
-		}
-		live := make([]int, 0, 4096)
-		next := 0
-		for i := 0; ; i++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				j := rng.Intn(len(live))
-				a.Evict(key(live[j]))
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-				continue
-			}
-			if _, err := a.Insert(key(next), 16+rng.Intn(113)); err != nil {
-				used := 0
-				for _, k := range a.Keys() {
-					p, _ := a.Lookup(k)
-					used += p.Slots()
-				}
-				return float64(used) / float64(a.Arrays()*a.Indexes())
-			}
-			live = append(live, next)
-			next++
-		}
-	}
-	var ff, bf float64
-	for i := 0; i < b.N; i++ {
-		ff = run(cachemem.FirstFit)
-		bf = run(cachemem.BestFit)
-	}
-	b.ReportMetric(100*ff, "first_fit_occupancy_pct")
-	b.ReportMetric(100*bf, "best_fit_occupancy_pct")
-}
-
 // statsRun drives the paper-sized switch (§6) of one statistics ablation
-// arm: a client on port 0, the storage server on port 1, and the
-// controller's sample rate and hot threshold.
+// arm: a client on port 0, the storage server on port 1, and the arm's
+// sample rate and hot threshold.
 type statsRun struct {
 	b   *testing.B
 	sw  *switchcore.Switch
@@ -149,6 +105,7 @@ type statsRun struct {
 func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
 	cfg := switchcore.PaperConfig()
 	cfg.HotThreshold = threshold
+	cfg.SampleRate = rate
 	sw, err := switchcore.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -159,7 +116,6 @@ func newStatsRun(b *testing.B, rate float64, threshold uint64) *statsRun {
 	if err := sw.InstallRoute(ablationServer, 1); err != nil {
 		b.Fatal(err)
 	}
-	sw.SetSampleRate(rate)
 	return &statsRun{b: b, sw: sw, sampler: sketch.NewSampler(rate, cfg.SampleSeed)}
 }
 

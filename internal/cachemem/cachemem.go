@@ -10,42 +10,18 @@
 // (index, bitmap) placements: the bitmap says which arrays hold the item's
 // slots, and the single index locates them (Fig. 6b).
 //
-// Eviction frees the item's slots. Insertion runs First Fit over the bins
-// (the paper's choice; Best Fit is provided for the ablation benchmark).
-// Because an item need not occupy *consecutive* arrays, fragmentation is
-// mild, but packing small items of different indexes together still requires
-// the periodic reorganization the paper mentions; Reorganize computes such a
-// repacking and reports the moves the controller must apply to the data
-// plane.
+// Eviction frees the item's slots; insertion runs First Fit over the bins
+// (Algorithm 2). Memory never needs reorganizing: the switch has at least as
+// many bins as key indexes, so while a key index is free some bin is wholly
+// free, and any value up to the array count fits it.
 package cachemem
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"netcache/internal/netproto"
 )
-
-// Policy selects the bin-packing heuristic used by Insert.
-type Policy uint8
-
-const (
-	// FirstFit scans bins in index order and takes the first that fits —
-	// the paper's Algorithm 2.
-	FirstFit Policy = iota
-	// BestFit takes the fitting bin with the fewest free slots, trading
-	// scan cost for lower fragmentation (ablation baseline).
-	BestFit
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == FirstFit {
-		return "first-fit"
-	}
-	return "best-fit"
-}
 
 // Placement locates a cached item in the value register arrays.
 type Placement struct {
@@ -60,22 +36,12 @@ type Placement struct {
 // Slots returns the number of register slots the placement occupies.
 func (p Placement) Slots() int { return bits.OnesCount16(p.Bitmap) }
 
-// Move records a relocation computed by Reorganize: the controller must copy
-// the item's value from From to To in the data plane and update the lookup
-// table.
-type Move struct {
-	Key  netproto.Key
-	From Placement
-	To   Placement
-}
-
 // Allocator manages the slot inventory. It is not safe for concurrent use;
 // the controller owns it and serializes access.
 type Allocator struct {
 	arrays  int
 	indexes int
 	unit    int
-	policy  Policy
 
 	// free[i] has bit a set if slot i of array a is free (Algorithm 2's
 	// mem array, with 1 = available).
@@ -96,8 +62,6 @@ type Config struct {
 	Indexes int
 	// UnitBytes is the slot granularity (16 in the prototype).
 	UnitBytes int
-	// Policy is the packing heuristic; zero value is FirstFit.
-	Policy Policy
 }
 
 // PaperConfig returns the prototype's dimensions: 8 stages × 64K slots ×
@@ -121,7 +85,6 @@ func New(cfg Config) (*Allocator, error) {
 		arrays:  cfg.Arrays,
 		indexes: cfg.Indexes,
 		unit:    cfg.UnitBytes,
-		policy:  cfg.Policy,
 		free:    make([]uint16, cfg.Indexes),
 		keyMap:  make(map[netproto.Key]Placement),
 	}
@@ -133,36 +96,9 @@ func New(cfg Config) (*Allocator, error) {
 	return a, nil
 }
 
-// Arrays returns the number of value arrays managed.
-func (a *Allocator) Arrays() int { return a.arrays }
-
-// Indexes returns the slots per array.
-func (a *Allocator) Indexes() int { return a.indexes }
-
-// UnitBytes returns the slot granularity.
-func (a *Allocator) UnitBytes() int { return a.unit }
-
-// Len returns the number of cached items.
-func (a *Allocator) Len() int { return len(a.keyMap) }
-
 // SlotsFor returns how many slots a value of the given size needs.
 func (a *Allocator) SlotsFor(valueSize int) int {
 	return (valueSize + a.unit - 1) / a.unit
-}
-
-// Lookup returns the placement of key, if cached.
-func (a *Allocator) Lookup(key netproto.Key) (Placement, bool) {
-	p, ok := a.keyMap[key]
-	return p, ok
-}
-
-// Keys returns the cached keys in unspecified order.
-func (a *Allocator) Keys() []netproto.Key {
-	out := make([]netproto.Key, 0, len(a.keyMap))
-	for k := range a.keyMap {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Errors returned by Insert.
@@ -175,8 +111,8 @@ var (
 
 // Insert places a value of valueSize bytes and returns the placement
 // (Algorithm 2, Insert). It fails with ErrNoSpace when no single bin has
-// enough free slots even if the total free space would suffice — the
-// condition Reorganize exists to repair.
+// enough free slots, even if the total free space would suffice; with fewer
+// items than bins that cannot happen.
 func (a *Allocator) Insert(key netproto.Key, valueSize int) (Placement, error) {
 	if _, dup := a.keyMap[key]; dup {
 		return Placement{}, ErrAlreadyCached
@@ -190,24 +126,10 @@ func (a *Allocator) Insert(key netproto.Key, valueSize int) (Placement, error) {
 	}
 
 	bin := -1
-	switch a.policy {
-	case FirstFit:
-		for i := a.firstFree; i < a.indexes; i++ {
-			if bits.OnesCount16(a.free[i]) >= n {
-				bin = i
-				break
-			}
-		}
-	case BestFit:
-		bestCount := a.arrays + 1
-		for i := 0; i < a.indexes; i++ {
-			c := bits.OnesCount16(a.free[i])
-			if c >= n && c < bestCount {
-				bin, bestCount = i, c
-				if c == n {
-					break
-				}
-			}
+	for i := a.firstFree; i < a.indexes; i++ {
+		if bits.OnesCount16(a.free[i]) >= n {
+			bin = i
+			break
 		}
 	}
 	if bin < 0 {
@@ -261,69 +183,6 @@ func (a *Allocator) Evict(key netproto.Key) bool {
 	return true
 }
 
-// Reorganize computes a dense repacking of all cached items: items are
-// sorted by descending slot count and re-placed first-fit into fresh bins
-// (first-fit decreasing). It mutates the allocator to the new layout and
-// returns the moves (items whose placement changed) for the controller to
-// apply to the data plane. Items that did not move are not reported.
-//
-// Bin packing is NP-hard and first-fit decreasing is a heuristic: in the
-// rare case it fails to re-place every item, Reorganize leaves the existing
-// layout untouched and returns nil — the current layout is itself a valid
-// packing, so nothing is lost.
-func (a *Allocator) Reorganize() []Move {
-	type item struct {
-		key netproto.Key
-		p   Placement
-	}
-	items := make([]item, 0, len(a.keyMap))
-	for k, p := range a.keyMap {
-		items = append(items, item{k, p})
-	}
-	// Descending slot count; ties broken by key for determinism.
-	sort.Slice(items, func(i, j int) bool {
-		si, sj := items[i].p.Slots(), items[j].p.Slots()
-		if si != sj {
-			return si > sj
-		}
-		return lessKey(items[i].key, items[j].key)
-	})
-
-	full := uint16(1)<<a.arrays - 1
-	newFree := make([]uint16, a.indexes)
-	for i := range newFree {
-		newFree[i] = full
-	}
-	var moves []Move
-	newMap := make(map[netproto.Key]Placement, len(items))
-	for _, it := range items {
-		n := it.p.Slots()
-		placed := false
-		for i := 0; i < a.indexes; i++ {
-			if bits.OnesCount16(newFree[i]) < n {
-				continue
-			}
-			bitmap := lastNSetBits(newFree[i], n)
-			newFree[i] &^= bitmap
-			np := Placement{Index: i, Bitmap: bitmap, Size: it.p.Size}
-			newMap[it.key] = np
-			if np != it.p {
-				moves = append(moves, Move{Key: it.key, From: it.p, To: np})
-			}
-			placed = true
-			break
-		}
-		if !placed {
-			return nil // heuristic failure: keep the current layout
-		}
-	}
-	a.free = newFree
-	a.keyMap = newMap
-	a.firstFree = 0
-	a.advanceHint()
-	return moves
-}
-
 func (a *Allocator) advanceHint() {
 	for a.firstFree < a.indexes && a.free[a.firstFree] == 0 {
 		a.firstFree++
@@ -341,15 +200,6 @@ func lastNSetBits(v uint16, n int) uint16 {
 		n--
 	}
 	return out
-}
-
-func lessKey(a, b netproto.Key) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // IndexPool hands out small integer indexes from a fixed range — NetCache

@@ -17,9 +17,9 @@ func key(i int) netproto.Key {
 	return k
 }
 
-func small(t *testing.T, pol Policy) *Allocator {
+func small(t *testing.T) *Allocator {
 	t.Helper()
-	a, err := New(Config{Arrays: 8, Indexes: 16, UnitBytes: 16, Policy: pol})
+	a, err := New(Config{Arrays: 8, Indexes: 16, UnitBytes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func occupancy(a *Allocator) float64 {
 // fitsInPlace reports whether a newSize-byte value fits key's current
 // placement: the §4.3 rule that a data-plane update may not grow an item.
 func fitsInPlace(a *Allocator, key netproto.Key, newSize int) bool {
-	p, ok := a.Lookup(key)
+	p, ok := a.keyMap[key]
 	return ok && newSize > 0 && a.SlotsFor(newSize) <= p.Slots()
 }
 
@@ -61,13 +61,13 @@ func TestPaperConfigDimensions(t *testing.T) {
 	if a.arrays*a.unit != 128 {
 		t.Errorf("paper config max value = %d, want 128", a.arrays*a.unit)
 	}
-	if got := a.Arrays() * a.Indexes() * a.UnitBytes(); got != 8<<20 {
+	if got := a.arrays * a.indexes * a.unit; got != 8<<20 {
 		t.Errorf("paper config capacity = %d bytes, want 8 MB", got)
 	}
 }
 
 func TestInsertEvictRoundTrip(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	p, err := a.Insert(key(1), 48) // 3 slots
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +75,10 @@ func TestInsertEvictRoundTrip(t *testing.T) {
 	if p.Slots() != 3 {
 		t.Errorf("48-byte value should take 3 slots, got %d", p.Slots())
 	}
-	if a.Len() != 1 || a.freeSlots != 8*16-3 {
-		t.Errorf("Len=%d FreeSlots=%d", a.Len(), a.freeSlots)
+	if len(a.keyMap) != 1 || a.freeSlots != 8*16-3 {
+		t.Errorf("Len=%d FreeSlots=%d", len(a.keyMap), a.freeSlots)
 	}
-	got, ok := a.Lookup(key(1))
+	got, ok := a.keyMap[key(1)]
 	if !ok || got != p {
 		t.Errorf("Lookup = %+v, %v", got, ok)
 	}
@@ -94,7 +94,7 @@ func TestInsertEvictRoundTrip(t *testing.T) {
 }
 
 func TestInsertErrors(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	if _, err := a.Insert(key(1), 16); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestInsertErrors(t *testing.T) {
 }
 
 func TestFirstFitTakesEarliestBin(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	p1, _ := a.Insert(key(1), 16)
 	p2, _ := a.Insert(key(2), 16)
 	if p1.Index != 0 || p2.Index != 0 {
@@ -138,55 +138,8 @@ func TestFirstFitTakesEarliestBin(t *testing.T) {
 	}
 }
 
-func TestBestFitPrefersTightBin(t *testing.T) {
-	a := small(t, BestFit)
-	// Leave bin 0 with 2 free slots, bin 1 untouched (8 free).
-	if _, err := a.Insert(key(1), 96); err != nil { // 6 slots in bin 0
-		t.Fatal(err)
-	}
-	p, err := a.Insert(key(2), 32) // 2 slots: best-fit should reuse bin 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Index != 0 {
-		t.Errorf("best-fit should choose the tight bin 0, got %d", p.Index)
-	}
-
-	b := small(t, FirstFit)
-	b.Insert(key(1), 96)
-	q, _ := b.Insert(key(2), 32)
-	if q.Index != 0 {
-		// First-fit also picks bin 0 here; the policies differ when an
-		// earlier bin is loose — covered below.
-		t.Errorf("first-fit bin = %d", q.Index)
-	}
-}
-
-func TestPoliciesDiverge(t *testing.T) {
-	// bin 0 loose (8 free), bin 1 tight (2 free): best-fit places a
-	// 2-slot item in bin 1, first-fit in bin 0. Construct by filling bin
-	// 0 and bin 1, then evicting all of bin 0 and part of bin 1.
-	mk := func(pol Policy) *Allocator {
-		a := small(t, pol)
-		a.Insert(key(1), 128) // bin 0, 8 slots
-		a.Insert(key(2), 96)  // bin 1, 6 slots
-		a.Evict(key(1))       // bin 0 fully free
-		return a
-	}
-	ff := mk(FirstFit)
-	p, _ := ff.Insert(key(3), 32)
-	if p.Index != 0 {
-		t.Errorf("first-fit should take bin 0, got %d", p.Index)
-	}
-	bf := mk(BestFit)
-	p, _ = bf.Insert(key(3), 32)
-	if p.Index != 1 {
-		t.Errorf("best-fit should take tight bin 1, got %d", p.Index)
-	}
-}
-
 func TestCanUpdateInPlace(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	a.Insert(key(1), 40) // 3 slots = up to 48 bytes
 	if !fitsInPlace(a, key(1), 48) {
 		t.Error("48 bytes fits 3 slots")
@@ -202,76 +155,8 @@ func TestCanUpdateInPlace(t *testing.T) {
 	}
 }
 
-func TestReorganizeRepairsFragmentation(t *testing.T) {
-	a := small(t, FirstFit)
-	// Fill all 16 bins with one 4-slot item each...
-	for i := 0; i < 16; i++ {
-		if _, err := a.Insert(key(i), 64); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	// ...then 16 more 4-slot items to make every bin exactly full.
-	for i := 16; i < 32; i++ {
-		if _, err := a.Insert(key(i), 64); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	// First-fit packed two 4-slot items per bin (keys 2i and 2i+1 share
-	// bin i). Evict one item from each of 8 different bins: 32 free
-	// slots, but no bin has more than 4 free.
-	for i := 0; i < 8; i++ {
-		a.Evict(key(2 * i))
-	}
-	if _, err := a.Insert(key(100), 128); err != ErrNoSpace {
-		t.Fatalf("fragmented insert should fail, got %v", err)
-	}
-	moves := a.Reorganize()
-	if len(moves) == 0 {
-		t.Fatal("reorganize should move something")
-	}
-	// Now 8-slot items fit: 32 free slots consolidated into 4 empty bins.
-	for i := 0; i < 4; i++ {
-		if _, err := a.Insert(key(200+i), 128); err != nil {
-			t.Fatalf("post-reorg insert %d: %v", i, err)
-		}
-	}
-}
-
-func TestReorganizePreservesItems(t *testing.T) {
-	a := small(t, FirstFit)
-	sizes := map[int]int{1: 16, 2: 128, 3: 48, 4: 80, 5: 112}
-	for k, sz := range sizes {
-		if _, err := a.Insert(key(k), sz); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := a.Len()
-	freeBefore := a.freeSlots
-	moves := a.Reorganize()
-	if a.Len() != before || a.freeSlots != freeBefore {
-		t.Errorf("reorganize changed inventory: len %d→%d free %d→%d",
-			before, a.Len(), freeBefore, a.freeSlots)
-	}
-	for k, sz := range sizes {
-		p, ok := a.Lookup(key(k))
-		if !ok {
-			t.Fatalf("key %d lost", k)
-		}
-		if p.Size != sz || p.Slots() != a.SlotsFor(sz) {
-			t.Errorf("key %d placement corrupted: %+v", k, p)
-		}
-	}
-	// Every move must reference a currently-cached key with matching To.
-	for _, m := range moves {
-		p, ok := a.Lookup(m.Key)
-		if !ok || p != m.To {
-			t.Errorf("move %+v inconsistent with allocator state", m)
-		}
-	}
-}
-
 func TestLargestFreeBin(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	if _, err := a.Insert(key(100), 128); err != nil {
 		t.Errorf("empty allocator refused an 8-slot value: %v", err)
 	}
@@ -288,7 +173,7 @@ func TestLargestFreeBin(t *testing.T) {
 }
 
 func TestOccupancy(t *testing.T) {
-	a := small(t, FirstFit)
+	a := small(t)
 	if occupancy(a) != 0 {
 		t.Errorf("empty occupancy = %f", occupancy(a))
 	}
@@ -321,7 +206,8 @@ func TestLastNSetBits(t *testing.T) {
 
 // Property: under arbitrary insert/evict churn the allocator never
 // double-books a slot, never leaks, and placements always satisfy the
-// same-index constraint.
+// same-index constraint; and while fewer items than bins are live, a value
+// of up to the array count always fits, so memory never needs reorganizing.
 func TestQuickAllocatorInvariants(t *testing.T) {
 	type op struct {
 		Key    uint8
@@ -333,11 +219,15 @@ func TestQuickAllocatorInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		// 16 keys over 8 bins: evictions hit and the allocator refills.
 		for _, o := range ops {
 			if o.Insert {
-				a.Insert(key(int(o.Key)), int(o.Size)%129)
+				below := len(a.keyMap) < a.indexes
+				if _, err := a.Insert(key(int(o.Key%16)), int(o.Size)%129); err == ErrNoSpace && below {
+					return false
+				}
 			} else {
-				a.Evict(key(int(o.Key)))
+				a.Evict(key(int(o.Key % 16)))
 			}
 		}
 		return checkConsistent(a)
@@ -347,47 +237,11 @@ func TestQuickAllocatorInvariants(t *testing.T) {
 	}
 }
 
-// Property: reorganize after random churn preserves every placement's size
-// and keeps the allocator consistent.
-func TestQuickReorganizeConsistent(t *testing.T) {
-	f := func(seed int64, nOps uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, _ := New(Config{Arrays: 8, Indexes: 8, UnitBytes: 16})
-		for i := 0; i < int(nOps); i++ {
-			if rng.Intn(3) > 0 {
-				a.Insert(key(rng.Intn(40)), 16+rng.Intn(113))
-			} else {
-				a.Evict(key(rng.Intn(40)))
-			}
-		}
-		sizes := make(map[netproto.Key]int)
-		for _, k := range a.Keys() {
-			p, _ := a.Lookup(k)
-			sizes[k] = p.Size
-		}
-		a.Reorganize()
-		if len(a.Keys()) != len(sizes) {
-			return false
-		}
-		for k, sz := range sizes {
-			p, ok := a.Lookup(k)
-			if !ok || p.Size != sz {
-				return false
-			}
-		}
-		return checkConsistent(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // checkConsistent verifies free-bitmap/keyMap agreement and slot accounting.
 func checkConsistent(a *Allocator) bool {
 	used := make([]uint16, a.indexes)
 	total := 0
-	for _, k := range a.Keys() {
-		p, _ := a.Lookup(k)
+	for _, p := range a.keyMap {
 		if p.Index < 0 || p.Index >= a.indexes || p.Bitmap == 0 {
 			return false
 		}
@@ -433,12 +287,6 @@ func TestIndexPool(t *testing.T) {
 	p.Free(99)
 }
 
-func TestPolicyString(t *testing.T) {
-	if FirstFit.String() != "first-fit" || BestFit.String() != "best-fit" {
-		t.Error("policy names wrong")
-	}
-}
-
 func BenchmarkInsertEvictChurn(b *testing.B) {
 	a, _ := New(PaperConfig())
 	// Pre-fill to 50% with mixed sizes.
@@ -455,38 +303,19 @@ func BenchmarkInsertEvictChurn(b *testing.B) {
 	}
 }
 
-func BenchmarkReorganize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a, _ := New(Config{Arrays: 8, Indexes: 4096, UnitBytes: 16})
-		rng := rand.New(rand.NewSource(int64(i)))
-		for j := 0; j < 8000; j++ {
-			a.Insert(key(j), 16+rng.Intn(113))
-		}
-		for j := 0; j < 8000; j += 2 {
-			a.Evict(key(j))
-		}
-		b.StartTimer()
-		a.Reorganize()
-	}
-}
-
-// Ablation support: measure occupancy achievable before first failure under
-// each policy (used by the bench harness; kept here as a regression test
-// that first-fit with bitmap flexibility sustains high occupancy).
+// A regression test that First Fit with bitmap flexibility sustains high
+// occupancy: the occupancy at the first failed insert of random sizes.
 func TestPackingEfficiency(t *testing.T) {
-	for _, pol := range []Policy{FirstFit, BestFit} {
-		a, _ := New(Config{Arrays: 8, Indexes: 256, UnitBytes: 16, Policy: pol})
-		rng := rand.New(rand.NewSource(42))
-		i := 0
-		for {
-			if _, err := a.Insert(key(i), 16+rng.Intn(113)); err != nil {
-				break
-			}
-			i++
+	a, _ := New(Config{Arrays: 8, Indexes: 256, UnitBytes: 16})
+	rng := rand.New(rand.NewSource(42))
+	i := 0
+	for {
+		if _, err := a.Insert(key(i), 16+rng.Intn(113)); err != nil {
+			break
 		}
-		if occ := occupancy(a); occ < 0.90 {
-			t.Errorf("%v: first-failure occupancy %.2f < 0.90", pol, occ)
-		}
+		i++
+	}
+	if occ := occupancy(a); occ < 0.90 {
+		t.Errorf("first-failure occupancy %.2f < 0.90", occ)
 	}
 }

@@ -88,7 +88,6 @@ type Metrics struct {
 	Evictions      stats.Counter
 	RejectedColder stats.Counter
 	FetchMisses    stats.Counter
-	Reorganized    stats.Counter
 	Regrown        stats.Counter
 	Cycles         stats.Counter
 	Resyncs        stats.Counter
@@ -355,23 +354,6 @@ func (c *Controller) insertLocked(key netproto.Key, freq uint64) bool {
 	}
 
 	placement, err := c.alloc.Insert(key, len(value))
-	if err == cachemem.ErrNoSpace {
-		// Fragmented: reorganize the value memory and retry (§4.4.2).
-		if moves := c.alloc.Reorganize(); len(moves) > 0 {
-			c.Metrics.Reorganized.Inc()
-			for _, mv := range moves {
-				e := c.entries[mv.Key]
-				if e == nil {
-					continue
-				}
-				e.placement = mv.To
-				if err := c.cfg.Switch.MoveCacheEntry(mv.Key, e.kidx, e.port, mv); err != nil {
-					return false
-				}
-			}
-		}
-		placement, err = c.alloc.Insert(key, len(value))
-	}
 	if err != nil {
 		return false
 	}
@@ -459,7 +441,7 @@ func (c *Controller) reconcileLocked(adopt bool) {
 		}
 	}
 	// Every lost entry leaves the bookkeeping before any is reinstalled,
-	// so a reorganization inside an insertion moves only installed entries.
+	// so each reinstall finds all the lost entries' key indexes free.
 	for _, e := range lost {
 		c.dropEntryLocked(e)
 	}

@@ -1,6 +1,8 @@
 package controller_test
 
 import (
+	"bytes"
+	"math/rand"
 	"sync"
 
 	"testing"
@@ -206,6 +208,64 @@ func TestMixedValueSizesPackAndServe(t *testing.T) {
 		if err != nil || len(v) != sz || !workload.CheckValue(i, v) {
 			t.Fatalf("size %d: got %d bytes, err %v", sz, len(v), err)
 		}
+	}
+}
+
+// The value memory never blocks an insertion: with one value bin per key
+// index (CacheSize = ValueSlots), a seeded InsertKey/EvictKey churn over
+// values of 1–128 bytes, each written straight into its owner's store before
+// it is inserted, succeeds at every insert made below capacity, and every
+// cached key then serves its value from the switch.
+func TestInsertBelowCapacityNeverFailsForSpace(t *testing.T) {
+	const capacity, keys, ops = 16, 48, 20_000
+	sw := switchcore.TestConfig()
+	sw.CacheSize, sw.ValueSlots = capacity, capacity
+	r, err := rack.New(rack.Config{Switch: sw, Servers: 4, Clients: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	values := make(map[netproto.Key][]byte, keys)
+	var cached []netproto.Key
+	for op := 0; op < ops; op++ {
+		if n := len(cached); n == capacity || n > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(n)
+			if !r.Controller.EvictKey(cached[j]) {
+				t.Fatalf("op %d: evict of a cached key failed", op)
+			}
+			cached[j] = cached[n-1]
+			cached = cached[:n-1]
+			continue
+		}
+		id := rng.Intn(keys)
+		key := workload.KeyName(id)
+		if r.Controller.Cached(key) {
+			continue
+		}
+		values[key] = workload.ValueFor(id, 1+rng.Intn(128))
+		r.PrimaryOf(key).Store().Put(key, values[key])
+		if err := r.Controller.InsertKey(key); err != nil {
+			t.Fatalf("op %d: insert with %d of %d cached: %v", op, len(cached), capacity, err)
+		}
+		cached = append(cached, key)
+	}
+	if got := r.Switch.CacheLen(); got != len(cached) || r.Controller.Len() != len(cached) {
+		t.Fatalf("switch holds %d entries, controller %d, want %d", got, r.Controller.Len(), len(cached))
+	}
+	serverGets := func() (n uint64) {
+		for _, s := range r.Servers {
+			n += s.Metrics.Gets.Value()
+		}
+		return n
+	}
+	before := serverGets()
+	for _, key := range cached {
+		if v, err := r.Client(0).Get(key); err != nil || !bytes.Equal(v, values[key]) {
+			t.Fatalf("cached key %v: %q, %v; want %q", key, v, err, values[key])
+		}
+	}
+	if n := serverGets() - before; n != 0 {
+		t.Errorf("%d of %d Gets of cached keys reached a server", n, len(cached))
 	}
 }
 

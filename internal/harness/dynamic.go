@@ -174,6 +174,9 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 		HotThreshold: 8,
 		SampleSeed:   uint64(cfg.Seed) + 1,
 	}
+	if cfg.DisableCache {
+		swCfg.SampleRate = 0 // no statistics either: the pure baseline
+	}
 	sw, err := switchcore.New(swCfg)
 	if err != nil {
 		return res, err
@@ -215,9 +218,7 @@ func RunDynamic(cfg DynamicConfig) (DynamicResult, error) {
 
 	// Pre-populate with the top CacheItems hottest keys (§7.4).
 	pop := workload.NewPopularity(cfg.Keys)
-	if cfg.DisableCache {
-		sw.SetSampleRate(0) // no statistics either: the pure baseline
-	} else {
+	if !cfg.DisableCache {
 		for rank := 0; rank < cfg.CacheItems; rank++ {
 			if err := ctl.InsertKey(workload.KeyName(pop.KeyAt(rank))); err != nil {
 				return res, fmt.Errorf("harness: pre-populate rank %d: %w", rank, err)

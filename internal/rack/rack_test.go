@@ -14,6 +14,7 @@ import (
 	"netcache/internal/client"
 	"netcache/internal/netproto"
 	"netcache/internal/simnet"
+	"netcache/internal/switchcore"
 	"netcache/internal/workload"
 )
 
@@ -424,12 +425,13 @@ func BenchmarkEndToEndCachedGet(b *testing.B) {
 }
 
 func BenchmarkEndToEndUncachedGet(b *testing.B) {
-	r, err := New(Config{Servers: 4, Clients: 1, CacheCapacity: 16})
+	sw := switchcore.TestConfig()
+	sw.SampleRate = 0 // keep statistics out of the picture
+	r, err := New(Config{Switch: sw, Servers: 4, Clients: 1, CacheCapacity: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	r.LoadDataset(100, 128)
-	r.Switch.SetSampleRate(0) // keep statistics out of the picture
 	key := workload.KeyName(2)
 	cli := r.Client(0)
 	b.ReportAllocs()

@@ -62,7 +62,7 @@ func fmix(h uint64) uint64 {
 // Sampler is the statistics front-end: it admits each query independently
 // with a configurable probability, acting as a high-pass filter so that
 // infrequent keys rarely reach the Count-Min sketch and 16-bit counters
-// suffice (§4.4.3). The controller tunes the rate at runtime.
+// suffice (§4.4.3). The rate is fixed when the sampler is made.
 //
 // The implementation is a splitmix64 output function over an atomically
 // advanced counter, compared against a 32-bit threshold — the same
@@ -72,34 +72,23 @@ func fmix(h uint64) uint64 {
 // the seed and the call count, keeping deterministic tests deterministic.
 type Sampler struct {
 	ctr atomic.Uint64 // splitmix64 counter stream, advanced per call
-	thr atomic.Uint64 // admit when the 32-bit draw < thr; in [0, 1<<32]
+	thr uint64        // admit when the 32-bit draw < thr; in [0, 1<<32]
 }
 
-// NewSampler returns a sampler admitting queries with the given probability
-// in [0,1]. seed must be nonzero for a well-mixed sequence; 0 is replaced.
+// NewSampler returns a sampler admitting queries with the given probability,
+// clamped to [0,1]. seed must be nonzero for a well-mixed sequence; 0 is
+// replaced.
 func NewSampler(rate float64, seed uint64) *Sampler {
-	s := &Sampler{}
 	if seed == 0 {
 		seed = 0x853C49E6748FEA9B
 	}
+	rate = min(max(rate, 0), 1)
+	s := &Sampler{thr: uint64(rate * float64(uint64(1)<<32))}
 	s.ctr.Store(seed)
-	s.SetRate(rate)
 	return s
-}
-
-// SetRate updates the sampling probability (clamped to [0,1]). Safe to call
-// while Sample runs concurrently.
-func (s *Sampler) SetRate(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	s.thr.Store(uint64(rate * float64(uint64(1)<<32)))
 }
 
 // Sample reports whether this query is admitted to the statistics engine.
 func (s *Sampler) Sample() bool {
-	return rng.NextAtomic(&s.ctr)>>32 < s.thr.Load()
+	return rng.NextAtomic(&s.ctr)>>32 < s.thr
 }

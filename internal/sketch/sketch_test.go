@@ -99,11 +99,11 @@ func TestSamplerExtremes(t *testing.T) {
 		t.Errorf("rate 0.0 sampled %d times", miss)
 	}
 	clamped := NewSampler(7, 1)
-	if got := clamped.thr.Load(); got != 1<<32 {
+	if got := clamped.thr; got != 1<<32 {
 		t.Errorf("rate should clamp to 1 (threshold 2^32), got threshold %d", got)
 	}
-	clamped.SetRate(-3)
-	if got := clamped.thr.Load(); got != 0 {
+	clamped = NewSampler(-3, 1)
+	if got := clamped.thr; got != 0 {
 		t.Errorf("rate should clamp to 0, got threshold %d", got)
 	}
 }

@@ -249,15 +249,15 @@ func TestResetStatsRaceWithProcess(t *testing.T) {
 	}
 }
 
-// The controller recycles a cache index as soon as it evicts a key, and
-// reorganization moves a cached value to other slots. A cached GET for A
-// that matched A's lookup entry must never reply with the bytes of B,
-// installed at A's key index and old value slots after A's move and
-// eviction but before the GET reached the value stages. One goroutine
-// cycles move A to spare slots, evict A, install B in A's first place,
-// evict B, reinstall A, while Gets for A run; a reply carrying anything but
-// A's value fails, through the switch entry point (fast path first) and
-// through the table interpreter alone.
+// The controller recycles a cache index and value slots as soon as it
+// evicts a key, and a reinstalled key may land on other slots. A cached GET
+// for A that matched A's lookup entry must never reply with the bytes of B,
+// installed at A's key index and value slots after A's eviction but before
+// the GET reached the value stages. One goroutine cycles evict A, install B
+// in A's place, evict B, reinstall A at spare slots, evict A, reinstall A in
+// its first place, while Gets for A run; a reply carrying anything but A's
+// value fails, through the switch entry point (fast path first) and through
+// the table interpreter alone.
 func TestCacheIndexReuse(t *testing.T) {
 	for _, interpreter := range []bool{false, true} {
 		name := "fastpath"
@@ -279,21 +279,24 @@ func TestCacheIndexReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			entry := func(k netproto.Key, v []byte) CacheEntry {
-				return CacheEntry{Key: k, Placement: place, KeyIndex: kidx, ServerPort: serverPort, Value: v}
+			install := func(k netproto.Key, p cachemem.Placement, v []byte) func() error {
+				return func() error {
+					return r.sw.InstallCacheEntry(CacheEntry{Key: k, Placement: p, KeyIndex: kidx, ServerPort: serverPort, Value: v})
+				}
 			}
-			remove := func(k netproto.Key) error {
-				_, err := r.sw.RemoveCacheEntry(k, kidx)
-				return err
+			remove := func(k netproto.Key) func() error {
+				return func() error {
+					_, err := r.sw.RemoveCacheEntry(k, kidx)
+					return err
+				}
 			}
 			churn := []func() error{
-				func() error {
-					return r.sw.MoveCacheEntry(keyA, kidx, serverPort, cachemem.Move{Key: keyA, From: place, To: spare})
-				},
-				func() error { return remove(keyA) },
-				func() error { return r.sw.InstallCacheEntry(entry(keyB, valB)) },
-				func() error { return remove(keyB) },
-				func() error { return r.sw.InstallCacheEntry(entry(keyA, valA)) },
+				remove(keyA),
+				install(keyB, place, valB),
+				remove(keyB),
+				install(keyA, spare, valA),
+				remove(keyA),
+				install(keyA, place, valA),
 			}
 
 			stop := make(chan struct{})

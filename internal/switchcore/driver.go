@@ -13,7 +13,7 @@ import (
 // NetCache controller performs through the switch OS (§4.3, Fig. 4). Driver
 // operations serialize against each other via the pipeline's control mutex
 // and against in-flight packets via the per-key stripe locks — traffic keeps
-// flowing during a driver update, and a multi-register install/evict/move is
+// flowing during a driver update, and a multi-register install/evict/rebind is
 // still observed atomically per key, modeling the ASIC's atomic driver
 // updates without pausing the chip.
 
@@ -120,24 +120,6 @@ func (sw *Switch) RebindCacheEntry(key netproto.Key, keyIndex int, p cachemem.Pl
 	return err
 }
 
-// MoveCacheEntry applies a reorganization move (§4.4.2 "periodic memory
-// reorganization"): it copies the item's value bytes to the new placement
-// and atomically rewrites the lookup entry.
-func (sw *Switch) MoveCacheEntry(key netproto.Key, keyIndex, serverPort int, mv cachemem.Move) error {
-	var err error
-	sw.pl.Control(func() {
-		mu := sw.keyLock(keyIndex)
-		mu.Lock()
-		defer mu.Unlock()
-		n := int(sw.vlen.Get(keyIndex))
-		value := sw.readValueLocked(mv.From, n)
-		sw.writeValueLocked(mv.To, value)
-		err = sw.lookup.AddEntry(keyFields(key), "hit",
-			[]uint64{packHitData(mv.To.Bitmap, mv.To.Index, keyIndex, serverPort)})
-	})
-	return err
-}
-
 // writeValueLocked scatters value bytes into the placement's slots in
 // ascending array order. Caller holds the key's stripe write lock.
 func (sw *Switch) writeValueLocked(p cachemem.Placement, value []byte) {
@@ -153,25 +135,6 @@ func (sw *Switch) writeValueLocked(p cachemem.Placement, value []byte) {
 		sw.values[a].SetBytes(p.Index, value[off:end])
 		off = end
 	}
-}
-
-// readValueLocked gathers n value bytes from the placement's slots. Caller
-// holds the key's stripe lock (read or write).
-func (sw *Switch) readValueLocked(p cachemem.Placement, n int) []byte {
-	out := make([]byte, 0, n)
-	var tmp [16]byte
-	for a := 0; a < sw.cfg.ValueArrays && len(out) < n; a++ {
-		if p.Bitmap&(1<<a) == 0 {
-			continue
-		}
-		sw.values[a].GetBytes(p.Index, tmp[:])
-		take := n - len(out)
-		if take > 16 {
-			take = 16
-		}
-		out = append(out, tmp[:take]...)
-	}
-	return out
 }
 
 // CounterSnapshot holds one cached key's sampled hit count.
@@ -228,12 +191,6 @@ func (sw *Switch) ResetStats(clearCounters bool) {
 			sw.ctr.Reset()
 		}
 	})
-}
-
-// SetSampleRate reconfigures the statistics sampling probability (§4.4.3:
-// "the sample rate can be dynamically configured by the controller").
-func (sw *Switch) SetSampleRate(rate float64) {
-	sw.pl.Control(func() { sw.sampler.SetRate(rate) })
 }
 
 // DrainEvents decodes the digests the data plane queued since the last drain

@@ -162,7 +162,7 @@ type Switch struct {
 	// keyMu stripes a readers-writer lock across cache key indexes. It is
 	// the per-key serialization of §4.3 made explicit: a cached GET holds
 	// the key's read lock for its whole traversal, while writes, cache
-	// updates, and driver install/evict/move hold the write lock — so the
+	// updates, and driver install/evict/rebind hold the write lock — so the
 	// multi-register invariant (valid bit ⇒ consistent vlen and value
 	// slots) holds even though each register access is only individually
 	// atomic, and a reader can never observe a torn value. Packets
@@ -270,6 +270,8 @@ func validate(cfg Config) error {
 	case cfg.ValueSlots <= 0 || cfg.ValueSlots > 1<<16:
 		return fmt.Errorf("switchcore: value slots %d out of (0, 64K]", cfg.ValueSlots)
 	case cfg.ValueSlots < cfg.CacheSize:
+		// With a bin per key index, some bin is wholly free while a key
+		// index is, so an insertion never fails for value memory.
 		return fmt.Errorf("switchcore: value slots %d < cache size %d", cfg.ValueSlots, cfg.CacheSize)
 	case cfg.CMSWidth <= 0 || cfg.CMSWidth&(cfg.CMSWidth-1) != 0:
 		return fmt.Errorf("switchcore: CMS width %d must be a positive power of two", cfg.CMSWidth)

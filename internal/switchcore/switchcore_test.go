@@ -33,12 +33,22 @@ func isValid(sw *Switch, keyIndex int) bool {
 	return v == 1
 }
 
-// readValue reads the cached bytes of a placement under its key lock.
+// readValue gathers the cached bytes of a placement from the value
+// registers, in ascending array order, under its key lock.
 func readValue(sw *Switch, p cachemem.Placement, keyIndex int) []byte {
 	mu := sw.keyLock(keyIndex)
 	mu.RLock()
 	defer mu.RUnlock()
-	return sw.readValueLocked(p, int(sw.vlen.Get(keyIndex)))
+	n := int(sw.vlen.Get(keyIndex))
+	out := make([]byte, 0, n)
+	var tmp [16]byte
+	for a := 0; a < sw.cfg.ValueArrays && len(out) < n; a++ {
+		if p.Bitmap&(1<<a) != 0 {
+			sw.values[a].GetBytes(p.Index, tmp[:])
+			out = append(out, tmp[:min(n-len(out), 16)]...)
+		}
+	}
+	return out
 }
 
 func newRig(t *testing.T) *rig {
@@ -226,10 +236,11 @@ func TestHitCounterIncrements(t *testing.T) {
 }
 
 func TestSampleRateZeroStopsCounting(t *testing.T) {
-	r := newRig(t)
+	cfg := TestConfig()
+	cfg.SampleRate = 0
+	r := newRigConfig(t, cfg)
 	key := netproto.KeyFromString("quiet")
 	_, idx := r.install(t, key, []byte("v"))
-	r.sw.SetSampleRate(0)
 	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
 	for i := 0; i < 100; i++ {
 		one(t, r.sw, f, clientPort)
@@ -426,32 +437,6 @@ func TestRemoveCacheEntry(t *testing.T) {
 	}
 }
 
-func TestMoveCacheEntry(t *testing.T) {
-	r := newRig(t)
-	key := netproto.KeyFromString("mover")
-	value := []byte("value-that-moves-around!") // 24 bytes, 2 slots
-	p, idx := r.install(t, key, value)
-
-	// Simulate a reorganization move to a different bin.
-	to := cachemem.Placement{Index: p.Index + 7, Bitmap: 0b11000000, Size: p.Size}
-	mv := cachemem.Move{Key: key, From: p, To: to}
-	if err := r.sw.MoveCacheEntry(key, idx, serverPort, mv); err != nil {
-		t.Fatal(err)
-	}
-	f := mkFrame(t, serverAddr, clientAddr, netproto.Packet{Op: netproto.OpGet, Key: key})
-	em := one(t, r.sw, f, clientPort)
-	if em.Port != clientPort {
-		t.Fatal("moved entry should still hit")
-	}
-	_, pkt := decode(t, em.Frame)
-	if !bytes.Equal(pkt.Value, value) {
-		t.Errorf("moved value = %q", pkt.Value)
-	}
-	if got := readValue(r.sw, to, idx); !bytes.Equal(got, value) {
-		t.Errorf("driver read after move = %q", got)
-	}
-}
-
 func TestInstallValidation(t *testing.T) {
 	r := newRig(t)
 	key := netproto.KeyFromString("k")
@@ -545,13 +530,14 @@ func TestResetStatsClearsCounters(t *testing.T) {
 // routes installed.
 func benchSwitch(b *testing.B) *Switch {
 	b.Helper()
-	sw, err := New(TestConfig())
+	cfg := TestConfig()
+	cfg.SampleRate = 0.25
+	sw, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sw.InstallRoute(clientAddr, clientPort)
 	sw.InstallRoute(serverAddr, serverPort)
-	sw.SetSampleRate(0.25)
 	return sw
 }
 
